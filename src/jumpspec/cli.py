@@ -4,7 +4,10 @@ Subcommands: spectrum, verify, resolvent, metric-check, basis, simulate.
 All outputs are files (JSON/CSV) under --out, accompanied by a run
 manifest (command line, parameters, version, seed, outputs, wall time).
 CSV floats carry 17 significant digits so reruns are byte-identical.
-Exit codes: 0 ok, 1 contract failure, 2 usage error.
+Exit codes: 0 ok, 1 contract failure, 2 usage error, 3 numerical
+failure (a pole, exhausted precision, unconverged quadrature, a vanishing
+normalization); the manifest then carries an `error` record with the
+exception's type, message and the stage it failed in.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -21,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 import jumpspec
-from jumpspec.param import ParamA, convergents, NotIrrational
+from jumpspec.param import ParamA, NotIrrational, PrecisionExhausted
 from jumpspec import basis_diag, eigensystem, metric, resolvent, simulator, spectrum
-from jumpspec.funcspace import PiecewiseTrig, cos_term, sin_term, inner_closed, norm_l2
+from jumpspec.funcspace import QuadratureNotConverged, norm_l2
 
 FMT = "%.17g"
 
@@ -34,9 +36,19 @@ def _fmt(v) -> str:
     return FMT % v
 
 
+NUMERICAL_FAILURES = (
+    resolvent.PoleAtDirichletEigenvalue, resolvent.PoleAtEigenvalue,
+    PrecisionExhausted, QuadratureNotConverged,
+    eigensystem.DegenerateNormalization, ZeroDivisionError,
+)
+
+
 class Manifest:
-    def __init__(self, out_dir: Path, args: argparse.Namespace):
-        self.out_dir = out_dir
+    """Run record; `out_dir` is created on the first write."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.out_dir = Path(args.out)
+        self.stage = args.command
         self.started = time.time()
         self.record = {
             "command_line": sys.argv,
@@ -47,14 +59,18 @@ class Manifest:
             "outputs": [],
         }
 
+    def _path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
     def write_json(self, name: str, payload) -> Path:
-        path = self.out_dir / name
+        path = self._path(name)
         path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
         self.record["outputs"].append(name)
         return path
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        path = self.out_dir / name
+        path = self._path(name)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -66,14 +82,12 @@ class Manifest:
 
     def finish(self) -> None:
         self.record["wall_time_s"] = round(time.time() - self.started, 3)
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(self.record, indent=2) + "\n")
+        self._path("manifest.json").write_text(json.dumps(self.record, indent=2) + "\n")
 
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def fail(self, exc: BaseException) -> None:
+        self.record["error"] = {"type": type(exc).__name__, "message": str(exc),
+                                "stage": self.stage}
+        self.finish()
 
 
 def _threads(args) -> int:
@@ -92,9 +106,8 @@ def _parse_lambda(text: str) -> complex:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    man = Manifest(_out_dir(args), args)
     records = spectrum.enumerate_spectrum(a, args.lambda_max)
     man.write_json("eigenvalues.json", [r.to_dict() for r in records])
     if args.curves:
@@ -106,18 +119,20 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_resolvent(args) -> int:
+def cmd_resolvent(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     lam = _parse_lambda(args.lam)
-    man = Manifest(_out_dir(args), args)
     if args.f == "const":
         f = lambda x: np.ones_like(np.asarray(x, dtype=float))
     else:
         freq = float(args.f.removeprefix("sin"))
         f = lambda x: np.sin(freq * np.asarray(x, dtype=float))
+    man.stage = "apply_resolvent"
     u = resolvent.apply_resolvent(lam, f, a)
     man.write_csv("resolvent_u.csv", ["x", "re", "im"], u.csv_rows())
+    man.stage = "residual_report"
     report = resolvent.residual_report(lam, f, a)
+    man.stage = "singular_value_probe"
     sv = resolvent.singular_value_probe(lam, a, n=args.svd_n)
     man.write_csv("singular_values.csv", ["j", "s"],
                   [(j + 1, s) for j, s in enumerate(sv["singular_values"])])
@@ -131,9 +146,8 @@ def cmd_resolvent(args) -> int:
     return 0
 
 
-def cmd_metric_check(args) -> int:
+def cmd_metric_check(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    man = Manifest(_out_dir(args), args)
     op = metric.MetricOp.build(a)
     pairs = eigensystem.biorthogonalize(a, args.lambda_max)
     residuals = []
@@ -161,9 +175,8 @@ def cmd_metric_check(args) -> int:
     return 0
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    man = Manifest(_out_dir(args), args)
     records = spectrum.enumerate_spectrum(a, args.lambda_max)
     rows = []
     for rec in records:
@@ -183,9 +196,8 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    man = Manifest(_out_dir(args), args)
     cfg = simulator.SimConfig(a=a, dt=args.dt, horizon=args.horizon,
                               n_paths=args.paths, seed=args.seed,
                               threads=_threads(args))
@@ -259,13 +271,15 @@ def _suite_projections(a: ParamA) -> dict:
     return {"max_relative_deviation": worst, "passed": worst < 1e-8}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    man = Manifest(_out_dir(args), args)
     suites = {"gram": _suite_gram, "resolvent": _suite_resolvent,
               "metric": _suite_metric, "projections": _suite_projections}
     chosen = list(suites) if args.suite == "all" else [args.suite]
-    results = {name: suites[name](a) for name in chosen}
+    results = {}
+    for name in chosen:
+        man.stage = f"verify.{name}"
+        results[name] = suites[name](a)
     ok = all(r["passed"] for r in results.values())
     man.write_json("verify.json", {"a": str(a), "suites": results, "passed": ok})
     man.finish()
@@ -345,11 +359,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    man = Manifest(args)
     try:
-        return args.func(args)
+        return args.func(args, man)
     except (ValueError, NotIrrational) as exc:
         print(f"jumpspec: {exc}", file=sys.stderr)
         return 2
+    except NUMERICAL_FAILURES as exc:
+        man.fail(exc)
+        print(f"jumpspec: numerical failure in {man.stage}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from jumpspec.funcspace import (
-    Piece, PiecewiseTrig, canonical_terms, const, cos_term, linear, sin_term,
-    xcos_term, xsin_term, inner_closed,
+    Piece, PiecewiseTrig, const, cos_term, inner_closed, inner_matrix, lincomb,
+    linear, sin_term, xcos_term, xsin_term,
 )
 from jumpspec.param import (
     ParamA, cos_pi_frac, sin_pi_frac, is_exceptional_minus, zero_class_case,
@@ -163,25 +163,9 @@ def _coscos_minus(a: ParamA, m: int) -> float:
     return _cos_pi(_ratio_minus(a, m)) * _cos_m_pi(m)
 
 
-def _coscos_plus(a: ParamA, m: int) -> float:
-    return _cos_pi(_ratio_plus(a, m)) * _cos_m_pi(m)
-
-
 def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
     """((phi1, psi1), (phi2, psi1)); the psi2 pairings vanish."""
     cc = _coscos_minus(a, m)
-    return (math.pi / 4 * (1 - a.value) * cc,
-            math.pi / 4 * (1 + a.value) * cc)
-
-
-def pairing_plus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
-    cc = _coscos_plus(a, m)
-    return (math.pi / 4 * (1 - a.value) * cc,
-            math.pi / 4 * (1 + a.value) * cc)
-
-
-def pairing_zero_even(a: ParamA, m: int) -> tuple[float, float]:
-    cc = _cos_m_pi(m)
     return (math.pi / 4 * (1 - a.value) * cc,
             math.pi / 4 * (1 + a.value) * cc)
 
@@ -191,19 +175,6 @@ def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
     av = a.value
     cc = _coscos_minus(a, m)
     base = math.pi ** 2 / (128 * m) * (1 - av) ** 2 * (1 + av) * cc
-    return (-base, base)
-
-
-def pairing_plus_generalised(a: ParamA, m: int) -> tuple[float, float]:
-    av = a.value
-    cc = _coscos_plus(a, m)
-    base = math.pi ** 2 / (128 * m) * (1 + av) ** 2 * (1 - av) * cc
-    return (-base, base)
-
-
-def pairing_zero_generalised(a: ParamA, m: int) -> tuple[float, float]:
-    av = a.value
-    base = math.pi / (64 * m) * (1 - av ** 2) * _cos_m_pi(m)
     return (-base, base)
 
 
@@ -366,8 +337,8 @@ def generalized_eta(rec: EigRecord, a: ParamA,
         ]
 
     fn = PiecewiseTrig((
-        Piece(-HALF_PI, xb, canonical_terms(piece(a_minus, +1.0))),
-        Piece(xb, HALF_PI, canonical_terms(piece(a_plus, -1.0))),
+        Piece(-HALF_PI, xb, piece(a_minus, +1.0)),
+        Piece(xb, HALF_PI, piece(a_plus, -1.0)),
     ))
     return EigFun(rec, Side.ADJOINT, Rank.GENERALIZED, fn,
                   {"A_minus": a_minus, "A_plus": a_plus}, "eta")
@@ -431,18 +402,14 @@ def _root_space_pairs(rec: EigRecord, a: ParamA) -> list[BiorthPair]:
     psi1, psi2, xi, phi1, phi2, eta = root_system(rec, a)
     basis = [psi1, psi2, xi]
     trial = [phi1, eta, phi2]
-    gram = np.array([[inner_closed(t.fn, b.fn) for b in basis] for t in trial],
-                    dtype=complex)
+    gram = inner_matrix([t.fn for t in trial], [b.fn for b in basis])
     if abs(np.linalg.det(gram)) < 1e-12:
         raise DegenerateNormalization(
             f"root-space pairing matrix is singular at lambda={rec.lam}")
     coef = np.conj(np.linalg.inv(gram))
     out: list[BiorthPair] = []
     for j, fwd in enumerate(basis):
-        fn = PiecewiseTrig.split(HALF_PI * a.value, [], [])
-        for t_idx, t in enumerate(trial):
-            if coef[j, t_idx] != 0:
-                fn = fn + t.fn.scaled(coef[j, t_idx])
+        fn = lincomb([t.fn for t in trial], coef[j])
         dual = EigFun(rec, Side.ADJOINT,
                       Rank.GENERALIZED if fwd.label == "psi2" else Rank.EIGEN,
                       fn, {"mix": tuple(coef[j])}, f"dual_{fwd.label}")
@@ -451,13 +418,8 @@ def _root_space_pairs(rec: EigRecord, a: ParamA) -> list[BiorthPair]:
 
 
 def gram_matrix(pairs: list[BiorthPair]) -> np.ndarray:
-    """Gram matrix (phi_j, psi_k) of a normalized family."""
-    n = len(pairs)
-    g = np.zeros((n, n), dtype=complex)
-    for j, pj in enumerate(pairs):
-        for k, pk in enumerate(pairs):
-            g[j, k] = inner_closed(pj.phi.fn, pk.psi.fn)
-    return g
+    """Gram matrix (phi_j, psi_k) of a normalized family, in one batched call."""
+    return inner_matrix([p.phi.fn for p in pairs], [p.psi.fn for p in pairs])
 
 
 def family_to_json(pairs: list[BiorthPair]) -> str:

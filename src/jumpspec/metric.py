@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from jumpspec.funcspace import (
-    GridFn, Kind, Piece, PiecewiseTrig, TrigTerm, canonical_terms, const,
-    cos_term, inner_closed, norm_l2, sin_term, validate_domain_H,
+    GridFn, PiecewiseTrig, Terms, const, cos_term, inner_closed, norm_l2,
+    sin_term, validate_domain_H,
 )
 from jumpspec.param import NotIrrational, ParamA, cos_pi_linear, convergents
 from jumpspec.eigensystem import phi_zero_mode
@@ -50,31 +50,21 @@ class DomainViolation(ValueError):
 # symbolic reflections
 # ---------------------------------------------------------------------------
 
-def reflect_terms(terms, s: float) -> tuple[TrigTerm, ...]:
-    """Terms of x -> f(s - x) for a term sum f."""
-    out: list[TrigTerm] = []
-    for t in terms:
-        c, k, d = t.coeff, t.freq, t.shift
-        ks = k * s + d
-        if t.kind is Kind.CONST:
-            out.append(const(c))
-        elif t.kind is Kind.LINEAR:
-            out.append(const(c * s))
-            out.append(TrigTerm(Kind.LINEAR, -c))
-        elif t.kind is Kind.COS:
-            out.append(cos_term(c, k, -ks))
-        elif t.kind is Kind.SIN:
-            out.append(sin_term(-c, k, -ks))
-        elif t.kind is Kind.XCOS:
-            out.append(cos_term(c * s, k, -ks))
-            out.append(TrigTerm(Kind.XCOS, -c, k, -ks))
-        else:  # XSIN: (s-x) sin(k(s-x)+d) = -s sin(kx-ks) + x sin(kx-ks)
-            out.append(sin_term(-c * s, k, -ks))
-            out.append(TrigTerm(Kind.XSIN, c, k, -ks))
-    return canonical_terms(out)
+def reflect_terms(terms: Terms, s: float) -> Terms:
+    """Terms of x -> f(s - x) for a term sum f.
+
+    (s - x)^p cos(k(s - x) + t - q pi/2) = (s^p - p x) cos(kx - (ks + t) + q pi/2):
+    each term keeps k, takes the shift -(ks + t) and the quarter turns -q,
+    and splits into an x^0 part with coefficient c s^p and an x^1 part with
+    coefficient -p c (zero, so dropped, when p = 0).
+    """
+    shift, quarter = -(terms.k * s + terms.s), -terms.q
+    flat = Terms(np.zeros_like(terms.p), terms.c * s ** terms.p, terms.k, shift, quarter)
+    sloped = Terms(np.ones_like(terms.p), -terms.p * terms.c, terms.k, shift, quarter)
+    return Terms.concat((flat, sloped)).merged()
 
 
-def _require_single_piece(f: PiecewiseTrig) -> tuple[TrigTerm, ...]:
+def _require_single_piece(f: PiecewiseTrig) -> Terms:
     if f.breakpoint is not None:
         raise DomainViolation(
             "symbolic metric application needs a single-piece representation "
@@ -82,30 +72,23 @@ def _require_single_piece(f: PiecewiseTrig) -> tuple[TrigTerm, ...]:
     return f.pieces[0].terms
 
 
+def _antisymmetrize(terms: Terms, s: float) -> Terms:
+    """(f(x) - f(s - x))/2."""
+    return Terms.concat((terms.scaled(0.5), reflect_terms(terms, s).scaled(-0.5))).merged()
+
+
 def project_center(f: PiecewiseTrig) -> PiecewiseTrig:
     """P0 f = (f - f(-x))/2 on the whole interval."""
-    terms = _require_single_piece(f)
-    refl = reflect_terms(terms, 0.0)
-    half = canonical_terms(
-        [TrigTerm(t.kind, 0.5 * t.coeff, t.freq, t.shift) for t in terms]
-        + [TrigTerm(t.kind, -0.5 * t.coeff, t.freq, t.shift) for t in refl])
-    return PiecewiseTrig.single(half)
+    return PiecewiseTrig.single(_antisymmetrize(_require_single_piece(f), 0.0))
 
 
 def project_pieces(f: PiecewiseTrig, a: ParamA) -> PiecewiseTrig:
     """(P- (+) P+) f: antisymmetrize each piece about its own center."""
     terms = _require_single_piece(f)
     av = a.value
-    xb = HALF_PI * av
-    out_pieces = []
-    for lo, hi, s in ((-HALF_PI, xb, -HALF_PI * (1 - av)),
-                      (xb, HALF_PI, HALF_PI * (1 + av))):
-        refl = reflect_terms(terms, s)
-        half = canonical_terms(
-            [TrigTerm(t.kind, 0.5 * t.coeff, t.freq, t.shift) for t in terms]
-            + [TrigTerm(t.kind, -0.5 * t.coeff, t.freq, t.shift) for t in refl])
-        out_pieces.append(Piece(lo, hi, half))
-    return PiecewiseTrig(tuple(out_pieces))
+    return PiecewiseTrig.split(HALF_PI * av,
+                               _antisymmetrize(terms, -HALF_PI * (1 - av)),
+                               _antisymmetrize(terms, HALF_PI * (1 + av)))
 
 
 @dataclass(frozen=True)

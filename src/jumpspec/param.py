@@ -380,11 +380,6 @@ def convergents(a: ParamA, count: int) -> list[Convergent]:
     return out
 
 
-def convergents_csv_rows(convs: list[Convergent]) -> list[tuple]:
-    """Rows (k, p, q, error) for CSV export."""
-    return [(c.index, c.p, c.q, c.error_bound) for c in convs]
-
-
 # ---------------------------------------------------------------------------
 # exact-angle trigonometry
 # ---------------------------------------------------------------------------
@@ -414,14 +409,3 @@ def cos_pi_linear(c0: Fraction | int, c1: Fraction | int, a: ParamA,
         t = (c0.numerator / mp.mpf(c0.denominator)
              + c1.numerator / mp.mpf(c1.denominator) * a.approx(dps))
         return float(mp.cospi(mp.fmod(t, 2)))
-
-
-def sin_pi_linear(c0: Fraction | int, c1: Fraction | int, a: ParamA,
-                  dps: int = WORK_DPS) -> float:
-    c0, c1 = Fraction(c0), Fraction(c1)
-    if a.is_rational:
-        return sin_pi_frac(c0 + c1 * a.fraction)
-    with mp.workdps(dps):
-        t = (c0.numerator / mp.mpf(c0.denominator)
-             + c1.numerator / mp.mpf(c1.denominator) * a.approx(dps))
-        return float(mp.sinpi(mp.fmod(t, 2)))

@@ -204,7 +204,13 @@ def _batches(cfg: SimConfig) -> list[tuple[int, int]]:
 
 
 def run(cfg: SimConfig) -> SimReport:
-    """Simulate and report occupation statistics after burn-in."""
+    """Simulate and report occupation statistics after burn-in.
+
+    ValueError when no sample falls after burn-in (SimConfig allows that:
+    estimate_gap samples from time 0)."""
+    if round((cfg.horizon - cfg.burn_in) / cfg.dt) < cfg.sample_stride:
+        raise ValueError(f"horizon {cfg.horizon} leaves no sample after the "
+                         f"burn-in of {cfg.burn_in} at dt {cfg.dt}")
     a_value = cfg.a.value
     plan = _batches(cfg)
 

@@ -109,3 +109,20 @@ def test_usage_errors():
     assert run_cli(["spectrum"]) == 2          # missing --a
     assert run_cli(["bogus"]) == 2
     assert run_cli(["spectrum", "--a", "3/2", "--out", "/tmp/x1"]) == 2
+
+def test_simulate_without_post_burn_in_samples_is_a_usage_error(tmp_path):
+    out = tmp_path / "h1"
+    assert run_cli(["simulate", "--a", "1/3", "--horizon", "1", "--paths", "100",
+                    "--out", str(out)]) == 2
+    assert not (out / "sim_report.json").exists()
+
+
+def test_numerical_failure_exits_3_with_an_error_record(tmp_path):
+    out = tmp_path / "pole"
+    # 36 is an eigenvalue at a = 1/3
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda", "36",
+                    "--out", str(out)]) == 3
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error["type"].startswith("PoleAt")
+    assert error["stage"] == "apply_resolvent" and error["message"]
+    assert not (out / "resolvent_report.json").exists()
