@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from jumpspec.funcspace import (
     PiecewiseTrig, cos_term, inner_matrix, lincomb, norm_l2, quad_inner, sin_term,
 )
 from jumpspec.param import (
-    NotIrrational, ParamA, Convergent, convergents, cos_pi_linear,
-    sin_pi_frac, cos_pi_frac,
+    NotIrrational, ParamA, PiAngle, ZeroClassCase, convergents,
+    is_exceptional_minus, is_exceptional_plus, trig_pi, zero_class_case,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -60,34 +59,26 @@ class ProjNormRecord:
 # closed-form projection norms
 # ---------------------------------------------------------------------------
 
+def _proj_norm_class_generic(c: float, th: PiAngle, m: int) -> float:
+    """Norm of the +-1 class projection: c = 1 -+ a and th the angle
+    pi m(1 +- a)/(1 -+ a), so that sin(4 m pi/c) = sin(2 th) = 2 sin cos."""
+    num = math.sqrt((4 * math.pi + c / m * 2 * th.sin * th.cos) / 8)
+    return num / (math.sqrt(math.pi * c / 4) * abs(th.sin))
+
+
 def _proj_norm_minus_generic(a: ParamA, m: int) -> float:
-    av = a.value
-    num = math.sqrt((4 * math.pi + (1 - av) / m
-                     * math.sin(4 * m * math.pi / (1 - av))) / 8)
-    if a.is_rational:
-        s = sin_pi_frac(Fraction(m * (a.fraction.denominator + a.fraction.numerator),
-                                 a.fraction.denominator - a.fraction.numerator))
-    else:
-        s = math.sin(m * math.pi * (1 + av) / (1 - av))
-    return num / (math.sqrt(math.pi * (1 - av) / 4) * abs(s))
+    return _proj_norm_class_generic(
+        1 - a.value, trig_pi(lambda x: m * (1 + x) / (1 - x), a), m)
 
 
 def _proj_norm_plus_generic(a: ParamA, m: int) -> float:
-    av = a.value
-    num = math.sqrt((4 * math.pi + (1 + av) / m
-                     * math.sin(4 * m * math.pi / (1 + av))) / 8)
-    if a.is_rational:
-        s = sin_pi_frac(Fraction(m * (a.fraction.denominator - a.fraction.numerator),
-                                 a.fraction.denominator + a.fraction.numerator))
-    else:
-        s = math.sin(m * math.pi * (1 - av) / (1 + av))
-    return num / (math.sqrt(math.pi * (1 + av) / 4) * abs(s))
+    return _proj_norm_class_generic(
+        1 + a.value, trig_pi(lambda x: m * (1 - x) / (1 + x), a), m)
 
 
 def proj_norm_zero_generic(a: ParamA, m: int) -> float:
     """sqrt(2)/sqrt(1 - cos(m pi (1+a))), the blow-up family."""
-    one_minus_cos = 1.0 - cos_pi_linear(m, m, a)
-    return math.sqrt(2.0 / one_minus_cos)
+    return math.sqrt(2.0 / trig_pi(lambda x: m * (1 + x), a).versine)
 
 
 def _proj_norms_exceptional(a: ParamA, m: int) -> tuple[float, float, float]:
@@ -168,7 +159,7 @@ def blowup_probe(a: ParamA, k_count: int) -> list[BlowupRow]:
     rows = []
     for c in convergents(a, k_count):
         m = 2 * c.q
-        omc = 1.0 - cos_pi_linear(m, m, a)
+        omc = trig_pi(lambda x: m * (1 + x), a).versine
         rows.append(BlowupRow(c.index, c.q, m, math.sqrt(2.0 / omc), omc))
     return rows
 
@@ -208,16 +199,16 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
     rows = {"minus": [], "plus": [], "zero": []}
     estimates_ok = True
     for m in range(1, m_max + 1):
-        if (m * (q + p)) % (q - p) != 0:
-            s = abs(sin_pi_frac(Fraction(m * (q + p), q - p)))
+        if not is_exceptional_minus(a, m):
+            s = abs(trig_pi(lambda x: m * (1 + x) / (1 - x), a).sin)
             estimates_ok &= s >= 2.0 / (q - p) - 1e-12
             rows["minus"].append((m, _proj_norm_minus_generic(a, m)))
-        if (m * (q - p)) % (q + p) != 0:
-            s = abs(sin_pi_frac(Fraction(m * (q - p), q + p)))
+        if not is_exceptional_plus(a, m):
+            s = abs(trig_pi(lambda x: m * (1 - x) / (1 + x), a).sin)
             estimates_ok &= s >= 2.0 / (q + p) - 1e-12
             rows["plus"].append((m, _proj_norm_plus_generic(a, m)))
-        if (m * p) % q != 0:
-            omc = 1.0 - cos_pi_frac(Fraction(m * (q + p), q))
+        if zero_class_case(a, m) is ZeroClassCase.GENERIC:
+            omc = trig_pi(lambda x: m * (1 + x), a).versine
             estimates_ok &= omc >= 4.0 / q ** 2 - 1e-12
             rows["zero"].append((m, proj_norm_zero_generic(a, m)))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -65,7 +64,8 @@ class Manifest:
 
     def write_json(self, name: str, payload) -> Path:
         path = self._path(name)
-        path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+        path.write_text(json.dumps(payload, indent=2, default=str,
+                                   allow_nan=False) + "\n")
         self.record["outputs"].append(name)
         return path
 
@@ -82,19 +82,13 @@ class Manifest:
 
     def finish(self) -> None:
         self.record["wall_time_s"] = round(time.time() - self.started, 3)
-        self._path("manifest.json").write_text(json.dumps(self.record, indent=2) + "\n")
+        self._path("manifest.json").write_text(
+            json.dumps(self.record, indent=2, allow_nan=False) + "\n")
 
     def fail(self, exc: BaseException) -> None:
         self.record["error"] = {"type": type(exc).__name__, "message": str(exc),
                                 "stage": self.stage}
         self.finish()
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", 0):
-        return args.threads
-    env = os.environ.get("JUMPSPEC_THREADS")
-    return int(env) if env else 1
 
 
 def _parse_lambda(text: str) -> complex:
@@ -200,12 +194,12 @@ def cmd_simulate(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     cfg = simulator.SimConfig(a=a, dt=args.dt, horizon=args.horizon,
                               n_paths=args.paths, seed=args.seed,
-                              threads=_threads(args))
+                              threads=args.threads)
     report = simulator.run(cfg)
     if args.gap:
         gap_cfg = simulator.SimConfig(
             a=a, dt=args.dt, horizon=1.5, n_paths=max(args.paths, 20000),
-            seed=args.seed, threads=_threads(args), batch_size=6000)
+            seed=args.seed, threads=args.threads, batch_size=6000)
         pairs = eigensystem.biorthogonalize(a, 4.5)
         gap_rec = next(p for p in pairs if abs(p.psi.record.lam - 4.0) < 1e-9)
         gap, err = simulator.estimate_gap(gap_cfg, gap_rec.psi.fn)
@@ -294,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpspec",
         description="spectral toolkit for the boundary-jump Laplacian")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker cap (default: JUMPSPEC_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="simulator worker threads (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="enumerate eigenvalues / emit curves")

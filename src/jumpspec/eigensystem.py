@@ -20,7 +20,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from jumpspec.funcspace import (
     linear, sin_term, xcos_term, xsin_term,
 )
 from jumpspec.param import (
-    ParamA, cos_pi_frac, sin_pi_frac, is_exceptional_minus, zero_class_case,
-    ZeroClassCase,
+    PiAngle, ParamA, is_exceptional_minus, trig_pi, zero_class_case, ZeroClassCase,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -84,39 +82,8 @@ class BiorthPair:
 
 
 # ---------------------------------------------------------------------------
-# exact trig factors
+# wavenumbers and exactly reduced angles
 # ---------------------------------------------------------------------------
-
-def _cos_m_pi(m: int) -> float:
-    return -1.0 if m % 2 else 1.0
-
-
-def _ratio_minus(a: ParamA, m: int) -> Fraction | float:
-    """m(1+a)/(1-a) as an exact fraction when possible."""
-    if a.is_rational:
-        p, q = a.fraction.numerator, a.fraction.denominator
-        return Fraction(m * (q + p), q - p)
-    return m * (1 + a.value) / (1 - a.value)
-
-
-def _ratio_plus(a: ParamA, m: int) -> Fraction | float:
-    if a.is_rational:
-        p, q = a.fraction.numerator, a.fraction.denominator
-        return Fraction(m * (q - p), q + p)
-    return m * (1 - a.value) / (1 + a.value)
-
-
-def _sin_pi(t: Fraction | float) -> float:
-    if isinstance(t, Fraction):
-        return sin_pi_frac(t)
-    return math.sin(math.pi * t)
-
-
-def _cos_pi(t: Fraction | float) -> float:
-    if isinstance(t, Fraction):
-        return cos_pi_frac(t)
-    return math.cos(math.pi * t)
-
 
 def _k_value(a: ParamA, cls: int, m: int) -> float:
     if cls == -1:
@@ -126,19 +93,28 @@ def _k_value(a: ParamA, cls: int, m: int) -> float:
     return 2.0 * m
 
 
+def _minus_angle(a: ParamA, m: int) -> PiAngle:
+    """pi(m + m(1+a)/(1-a)): the -1 class factor times (-1)^m, as one angle."""
+    return trig_pi(lambda x: m + m * (1 + x) / (1 - x), a)
+
+
+def _zero_class_angle(a: ParamA, m: int) -> PiAngle:
+    """pi m(1+a); the class-0 factors are tan of half this angle."""
+    return trig_pi(lambda x: m * (1 + x), a)
+
+
 # ---------------------------------------------------------------------------
 # closed-form pairings (raw constants set to 1)
 # ---------------------------------------------------------------------------
 
 def pairing_minus_generic(a: ParamA, m: int) -> float:
     """(phi, psi) in the -1 class, generic situation."""
-    return (-math.pi / 4 * (1 - a.value)
-            * _sin_pi(_ratio_minus(a, m)) * _cos_m_pi(m))
+    return -math.pi / 4 * (1 - a.value) * _minus_angle(a, m).sin
 
 
 def pairing_plus_generic(a: ParamA, m: int) -> float:
     return (math.pi / 4 * (1 + a.value)
-            * _sin_pi(_ratio_plus(a, m)) * _cos_m_pi(m))
+            * trig_pi(lambda x: m + m * (1 - x) / (1 + x), a).sin)
 
 
 def pairing_zero_zero(a: ParamA) -> float:
@@ -147,25 +123,18 @@ def pairing_zero_zero(a: ParamA) -> float:
 
 
 def pairing_zero_generic(a: ParamA, m: int) -> float:
-    if a.is_rational:
-        t = Fraction(m) * a.fraction
-        cos_ma, sin_ma = cos_pi_frac(t), sin_pi_frac(t)
-    else:
-        cos_ma, sin_ma = math.cos(math.pi * m * a.value), math.sin(math.pi * m * a.value)
-    return math.pi / 2 * (1 - _cos_m_pi(m) * cos_ma) / sin_ma
+    """pi/2 (1 - cos(m pi) cos(m pi a))/sin(m pi a) = (-1)^m pi/2 tan(theta/2)."""
+    th = _zero_class_angle(a, m)
+    return (-1) ** m * math.pi / 2 * th.versine / th.sin
 
 
 def pairing_zero_odd(a: ParamA, m: int) -> float:
-    return math.pi / 2 * _cos_m_pi(m)
-
-
-def _coscos_minus(a: ParamA, m: int) -> float:
-    return _cos_pi(_ratio_minus(a, m)) * _cos_m_pi(m)
+    return (-1) ** m * math.pi / 2
 
 
 def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
     """((phi1, psi1), (phi2, psi1)); the psi2 pairings vanish."""
-    cc = _coscos_minus(a, m)
+    cc = _minus_angle(a, m).cos
     return (math.pi / 4 * (1 - a.value) * cc,
             math.pi / 4 * (1 + a.value) * cc)
 
@@ -173,7 +142,7 @@ def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
 def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
     """((phi1, xi), (phi2, xi)) in the -1 class exceptional situation."""
     av = a.value
-    cc = _coscos_minus(a, m)
+    cc = _minus_angle(a, m).cos
     base = math.pi ** 2 / (128 * m) * (1 - av) ** 2 * (1 + av) * cc
     return (-base, base)
 
@@ -183,7 +152,7 @@ def pairing_eta_psi2(a: ParamA, m: int, a_minus: complex = None) -> complex:
     av = a.value
     if a_minus is None:
         a_minus = 1 - av
-    cc = _coscos_minus(a, m)
+    cc = _minus_angle(a, m).cos
     return (np.conj(a_minus) * math.pi ** 2 / (64 * m)
             * (1 - av) * (1 + av) * cc)
 
@@ -195,7 +164,7 @@ def pairing_eta_psi2(a: ParamA, m: int, a_minus: complex = None) -> complex:
 def _check_membership(rec: EigRecord, a: ParamA) -> None:
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
         m = rec.class_index(-1)
-        if m is None or not a.is_rational or not is_exceptional_minus(a, m):
+        if m is None or not is_exceptional_minus(a, m):
             raise CaseMismatch("exceptional-pair record inconsistent with parameter")
     elif rec.case is SpectralCase.EXCEPTIONAL_ODD:
         m = rec.class_index(0)
@@ -225,12 +194,9 @@ def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
 
     cls, m = rec.memberships[0]
     if cls == 0:
-        if a.is_rational:
-            t = Fraction(m) * a.fraction
-            coef = (_cos_m_pi(m) - cos_pi_frac(t)) / sin_pi_frac(t)
-        else:
-            ma = math.pi * m * a.value
-            coef = (_cos_m_pi(m) - math.cos(ma)) / math.sin(ma)
+        # (cos(m pi) - cos(m pi a))/sin(m pi a) = tan(theta/2)
+        th = _zero_class_angle(a, m)
+        coef = th.versine / th.sin
         fn = PiecewiseTrig.single([cos_term(1.0, 2.0 * m), sin_term(coef, 2.0 * m)])
         return [EigFun(rec, Side.FORWARD, Rank.EIGEN, fn,
                        {"B": 1.0, "sin_coef": coef}, "psi")]

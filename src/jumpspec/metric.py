@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from jumpspec.funcspace import (
     GridFn, PiecewiseTrig, Terms, const, cos_term, inner_closed, norm_l2,
     sin_term, validate_domain_H,
 )
-from jumpspec.param import NotIrrational, ParamA, cos_pi_linear, convergents
+from jumpspec.param import NotIrrational, ParamA, convergents, trig_pi
 from jumpspec.eigensystem import phi_zero_mode
 
 HALF_PI = math.pi / 2
@@ -214,15 +213,16 @@ def neumann_mode(n: int) -> PiecewiseTrig:
 def even_mode_coefficient(a: ParamA, n: int) -> float:
     """Diagonal coefficient (1 - cos(n pi/2) cos(n pi a/2))/2 for even n.
 
-    Exact angle reduction keeps the value meaningful for the huge n tied
-    to deep continued-fraction denominators.
+    With h = n/2 the product of cosines is cos(pi h(1+a)), so the
+    coefficient is half the versine of that one angle.  trig_pi reduces it
+    exactly and forms 1 - cos without cancellation, so the value keeps its
+    relative accuracy at the deep continued-fraction denominators, where
+    it falls to ~1e-30.
     """
     if n % 2:
         raise ValueError("diagonal formula applies to even modes")
     half = n // 2
-    cos_n_half = -1.0 if half % 2 else 1.0
-    cos_na = cos_pi_linear(0, Fraction(n, 2), a)
-    return 0.5 * (1.0 - cos_n_half * cos_na)
+    return trig_pi(lambda x: half * (1 + x), a).versine / 2
 
 
 def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
@@ -266,18 +266,21 @@ def noninvertibility_probe(a: ParamA, k_count: int) -> list[tuple[int, float]]:
 
     The wavenumber-2m eigenfunction family degenerates at m = 2 q_k (q_k
     the continued-fraction denominators of a); the matching even Neumann
-    index is n = 2m = 4 q_k, where the diagonal coefficient behaves like
-    (pi q_k |a - p_k/q_k|)^2 -> 0.  All quotients stay strictly positive.
+    index is n = 2m = 4 q_k, where the diagonal coefficient v/2, with v the
+    versine of pi (n/2)(1+a), behaves like (pi q_k |a - p_k/q_k|)^2 -> 0.
+    Both parts of the quotient are closed forms in v: the rank-one part is
+    |(phi0, chi_n)|^2 with (phi0, chi_n) = 2 (-1)^(n/2) sqrt(2/pi) v/n^2, so
+
+        (chi_n, Theta chi_n) = (8/pi) v^2/n^4 + v/2,
+
+    all positive and accurate to a few ulp however small v gets (the
+    symbolic route would carry phases of ~1e22 rad in double precision).
     """
     if a.is_rational:
         raise NotIrrational("the collapsing sequence needs irrational a")
-    convs = convergents(a, k_count)
     out: list[tuple[int, float]] = []
-    op = MetricOp.build(a)
-    for c in convs:
+    for c in convergents(a, k_count):
         n = 4 * c.q
-        coef = even_mode_coefficient(a, n)
-        chi = neumann_mode(n)
-        rank_one = abs(inner_closed(op.phi0, chi)) ** 2
-        out.append((n, rank_one + coef))
+        v = 2 * even_mode_coefficient(a, n)
+        out.append((n, 8 / math.pi * (v / n ** 2) ** 2 + v / 2))
     return out

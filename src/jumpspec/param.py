@@ -22,11 +22,14 @@ face value (no general algebraic-number simplification).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import to_rational
 
 WORK_DPS = 60
 
@@ -383,29 +386,61 @@ def convergents(a: ParamA, count: int) -> list[Convergent]:
 # ---------------------------------------------------------------------------
 # exact-angle trigonometry
 # ---------------------------------------------------------------------------
+#
+# The closed forms downstream evaluate sin, cos and 1 - cos at angles
+# pi*t(a), where t is a formula in a such as m(1+a)/(1-a) and the
+# multiplier reaches the deep continued-fraction denominators (~1e22).
+# Double-precision reduction of such an angle loses every digit, and
+# 1 - cos cancels to zero exactly where the basis diagnostics need it.
+# trig_pi is the one place that reduces these angles:
+#
+#   1. t(a) is evaluated in exact Fraction arithmetic: at a itself when a
+#      is rational, otherwise at a rational within 10^-dps of a, where
+#      dps = WORK_DPS + twice the decimal digits of t, so the reduced angle
+#      stays exact to double precision;
+#   2. t = n + r exactly, n = round(t), |r| <= 1/2, and then
+#        sin = (-1)^n sin(pi r),
+#        cos = (-1)^n sin(pi (1/2 - |r|))   (cos(pi r) would lose the
+#                                             relative accuracy near 0),
+#        1 - cos = 2 sin^2(pi r/2) (n even) or 1 + cos(pi r) (n odd),
+#      none of which cancels, so each value is good to a few ulp relative.
 
-def cos_pi_frac(t: Fraction) -> float:
-    """cos(pi*t) with the angle reduced exactly modulo 2."""
-    t = Fraction(t) % 2
-    return float(mp.cospi(mp.mpf(t.numerator) / t.denominator))
+
+class PiAngle(NamedTuple):
+    """cos, sin and versine 1 - cos of one angle."""
+
+    cos: float
+    sin: float
+    versine: float
 
 
-def sin_pi_frac(t: Fraction) -> float:
-    t = Fraction(t) % 2
-    return float(mp.sinpi(mp.mpf(t.numerator) / t.denominator))
+@functools.lru_cache(maxsize=256)
+def _fraction_near(a: ParamA, dps: int) -> Fraction:
+    """A rational within ~10^-dps of the irrational a: the exact binary
+    value of its dps-digit evaluation (read from _mpf_, which keeps the
+    sign that mpf.man_exp drops)."""
+    return Fraction(*to_rational(a.approx(dps)._mpf_))
 
 
-def cos_pi_linear(c0: Fraction | int, c1: Fraction | int, a: ParamA,
-                  dps: int = WORK_DPS) -> float:
-    """cos(pi*(c0 + c1*a)) with exact (rational a) or high-precision reduction.
+def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
+    """Trigonometry of theta = pi*turns(a), reduced exactly.
 
-    Needed for large multipliers c1 ~ q_k where double-precision argument
-    reduction of cos would lose the whole answer.
+    ``turns`` is the formula as printed, e.g. ``lambda x: m*(1+x)/(1-x)``;
+    it must accept a Fraction (and, for irrational a, a float for the
+    digit count) and use only exact arithmetic.
     """
-    c0, c1 = Fraction(c0), Fraction(c1)
-    if a.is_rational:
-        return cos_pi_frac(c0 + c1 * a.fraction)
-    with mp.workdps(dps):
-        t = (c0.numerator / mp.mpf(c0.denominator)
-             + c1.numerator / mp.mpf(c1.denominator) * a.approx(dps))
-        return float(mp.cospi(mp.fmod(t, 2)))
+    if a.fraction is not None:
+        t = Fraction(turns(a.fraction))
+    else:
+        digits = len(str(int(abs(turns(a.value)))))
+        t = Fraction(turns(_fraction_near(a, WORK_DPS + 2 * digits)))
+    # t = p/q = n + r with r = rem/q, |rem| <= q/2; integer arithmetic,
+    # and int/int division rounds correctly however large p and q are
+    p, q = t.numerator, t.denominator
+    n = (2 * p + q) // (2 * q)
+    rem = p - n * q
+    x = math.pi * (rem / q)
+    sign = -1.0 if n % 2 else 1.0
+    cos_r = math.sin(math.pi * ((q - 2 * abs(rem)) / (2 * q)))
+    versine = 1.0 + cos_r if n % 2 else 2.0 * math.sin(x / 2) ** 2
+    return PiAngle(sign * cos_r, sign * math.sin(x), versine)

@@ -203,26 +203,31 @@ def _batches(cfg: SimConfig) -> list[tuple[int, int]]:
     return out
 
 
+def _map_batches(cfg: SimConfig, plan: list[tuple[int, int]], job) -> list:
+    """[job(idx, n) for each batch], on up to cfg.threads threads.
+
+    Each batch owns its stream, and results come back in batch order, so
+    the thread count does not change any result."""
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            return list(pool.map(lambda item: job(*item), plan))
+    return [job(*item) for item in plan]
+
+
 def run(cfg: SimConfig) -> SimReport:
     """Simulate and report occupation statistics after burn-in.
 
     ValueError when no sample falls after burn-in (SimConfig allows that:
     estimate_gap samples from time 0)."""
-    if round((cfg.horizon - cfg.burn_in) / cfg.dt) < cfg.sample_stride:
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    burn_steps = int(round(cfg.burn_in / cfg.dt))
+    if n_steps // cfg.sample_stride <= burn_steps // cfg.sample_stride:
         raise ValueError(f"horizon {cfg.horizon} leaves no sample after the "
                          f"burn-in of {cfg.burn_in} at dt {cfg.dt}")
     a_value = cfg.a.value
-    plan = _batches(cfg)
-
-    def job(item):
-        idx, n = item
-        return _simulate_batch(a_value, cfg, n, key=[cfg.seed, idx])
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(job, plan))
-    else:
-        results = [job(item) for item in plan]
+    results = _map_batches(
+        cfg, _batches(cfg),
+        lambda idx, n: _simulate_batch(a_value, cfg, n, key=[cfg.seed, idx]))
 
     counts = np.sum([r["counts"] for r in results], axis=0)
     n_samples = int(sum(r["n_samples"] for r in results))
@@ -231,14 +236,13 @@ def run(cfg: SimConfig) -> SimReport:
     jumps = int(sum(r["jumps"] for r in results))
     edges = np.linspace(-HALF_PI, HALF_PI, cfg.n_bins + 1)
     width = math.pi / cfg.n_bins
-    effective_time = cfg.n_paths * max(cfg.horizon - cfg.burn_in, 0.0)
-    density = counts / max(n_samples, 1) / width
+    effective_time = cfg.n_paths * (cfg.horizon - cfg.burn_in)
     return SimReport(
         bin_edges=edges,
-        bin_density=density,
-        moment2=sum_sq / max(n_samples, 1),
-        mean=sum_x / max(n_samples, 1),
-        jumps_per_unit_time=jumps / effective_time if effective_time else float("nan"),
+        bin_density=counts / n_samples / width,
+        moment2=sum_sq / n_samples,
+        mean=sum_x / n_samples,
+        jumps_per_unit_time=jumps / effective_time,
         time_units=effective_time,
         n_paths=cfg.n_paths)
 
@@ -271,12 +275,13 @@ def _relax_batch(cfg: SimConfig, n_paths: int, key, x0: float,
 def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig,
                  x0: float | None = None,
                  t_window: tuple[float, float] = (0.2, 1.2),
-                 n_times: int = 50) -> tuple[float, float]:
+                 n_times: int = 50) -> tuple[float, float | None]:
     """Fit -d/dt log |E[g(X_t)] - mu_inf| over the relaxation window.
 
     The observable must have a nonzero pairing with the gap-mode dual;
     paths launch from the right-piece midpoint by default, where the gap
-    eigenfunction never vanishes.
+    eigenfunction never vanishes.  The standard error is None when fewer
+    than two batches give a slope.
     """
     pairing = _gap_mode_pairing(cfg, observable)
     if abs(pairing) < 1e-8 * max(norm_l2(observable), 1e-30):
@@ -292,18 +297,10 @@ def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig,
     times = sample_steps * cfg.dt
 
     plan = _batches(cfg)
-
-    def job(item):
-        idx, n = item
-        return _relax_batch(cfg, n, [cfg.seed + 104729, idx], x0,
-                            sample_steps, observable)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            traces = list(pool.map(job, plan))
-    else:
-        traces = [job(item) for item in plan]
-    traces = np.array(traces)
+    traces = np.array(_map_batches(
+        cfg, plan,
+        lambda idx, n: _relax_batch(cfg, n, [cfg.seed + 104729, idx], x0,
+                                    sample_steps, observable)))
     weights = np.array([n for _, n in plan], dtype=float)
     pooled = np.average(traces, axis=0, weights=weights)
 
@@ -324,5 +321,5 @@ def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig,
         if np.count_nonzero(ok) >= 5:
             slopes.append(np.polyfit(times[ok], np.log(s[ok]), 1)[0])
     stderr = (float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-              if len(slopes) > 1 else float("nan"))
+              if len(slopes) > 1 else None)
     return -float(slope), stderr

@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from jumpspec.cli import main
+from jumpspec.cli import Manifest, main
 
 
 def run_cli(args):
@@ -126,3 +127,12 @@ def test_numerical_failure_exits_3_with_an_error_record(tmp_path):
     assert error["type"].startswith("PoleAt")
     assert error["stage"] == "apply_resolvent" and error["message"]
     assert not (out / "resolvent_report.json").exists()
+
+
+def test_json_outputs_refuse_nan(tmp_path):
+    man = Manifest(argparse.Namespace(command="spectrum", out=str(tmp_path / "n")))
+    with pytest.raises(ValueError):
+        man.write_json("report.json", {"rate": float("nan")})
+    man.record["wall"] = float("inf")
+    with pytest.raises(ValueError):
+        man.finish()

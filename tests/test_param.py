@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from jumpspec.param import (
     Convergent, NotIrrational, ParamA, ZeroClassCase, convergents,
-    cos_pi_frac, cos_pi_linear, is_exceptional_minus,
-    is_exceptional_minus_float, is_exceptional_plus, is_exceptional_plus_float,
-    sin_pi_frac, zero_class_case,
+    is_exceptional_minus, is_exceptional_minus_float, is_exceptional_plus,
+    is_exceptional_plus_float, trig_pi, zero_class_case,
 )
 
 
@@ -133,13 +132,13 @@ def test_convergent_count_limit():
 
 
 def test_exact_trig_helpers():
-    assert cos_pi_frac(Fraction(1, 3)) == pytest.approx(0.5, abs=1e-15)
-    assert sin_pi_frac(Fraction(1, 2)) == pytest.approx(1.0, abs=1e-15)
-    # large multiplier: reduction must stay exact
     a = ParamA.from_expr("1/3")
-    assert cos_pi_linear(0, 3 * 10 ** 12, a) == pytest.approx(1.0, abs=1e-12)
+    assert trig_pi(lambda x: Fraction(1, 3), a).cos == pytest.approx(0.5, abs=1e-15)
+    assert trig_pi(lambda x: Fraction(1, 2), a).sin == pytest.approx(1.0, abs=1e-15)
+    # large multiplier: reduction must stay exact
+    assert trig_pi(lambda x: 3 * 10 ** 12 * x, a).cos == pytest.approx(1.0, abs=1e-12)
     s2 = ParamA.from_expr("sqrt(2)-1")
-    val = cos_pi_linear(10 ** 6, 10 ** 6, s2)
+    val = trig_pi(lambda x: 10 ** 6 + 10 ** 6 * x, s2).cos
     import mpmath as mp
     with mp.workdps(60):
         ref = mp.cospi(mp.fmod(10 ** 6 * mp.sqrt(2), 2))
