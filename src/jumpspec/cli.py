@@ -13,6 +13,7 @@ exception's type, message and the stage it failed in.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -36,8 +37,7 @@ def _fmt(v) -> str:
 
 
 NUMERICAL_FAILURES = (
-    resolvent.PoleAtDirichletEigenvalue, resolvent.PoleAtEigenvalue,
-    PrecisionExhausted, QuadratureNotConverged,
+    resolvent.PoleAtEigenvalue, PrecisionExhausted, QuadratureNotConverged,
     eigensystem.DegenerateNormalization, ZeroDivisionError,
 )
 
@@ -93,7 +93,10 @@ class Manifest:
 
 def _parse_lambda(text: str) -> complex:
     re_s, _, im_s = text.partition(",")
-    return complex(float(re_s), float(im_s) if im_s else 0.0)
+    lam = complex(float(re_s), float(im_s) if im_s else 0.0)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda={text!r} is not finite")
+    return lam
 
 
 # ---------------------------------------------------------------------------

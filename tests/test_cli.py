@@ -124,8 +124,26 @@ def test_numerical_failure_exits_3_with_an_error_record(tmp_path):
     assert run_cli(["resolvent", "--a", "1/3", "--lambda", "36",
                     "--out", str(out)]) == 3
     error = json.loads((out / "manifest.json").read_text())["error"]
-    assert error["type"].startswith("PoleAt")
+    assert error["type"] == "PoleAtEigenvalue"
     assert error["stage"] == "apply_resolvent" and error["message"]
+    assert not (out / "resolvent_report.json").exists()
+
+
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
+def test_resolvent_at_a_dirichlet_point_off_the_spectrum(tmp_path, expr):
+    out = tmp_path / "one"
+    # lambda = 1 is a Dirichlet eigenvalue but not one of the jump operator
+    assert run_cli(["resolvent", "--a", expr, "--lambda", "1",
+                    "--svd-n", "192", "--out", str(out)]) == 0
+    payload = json.loads((out / "resolvent_report.json").read_text())
+    assert payload["pde_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "1,nan"])
+def test_non_finite_lambda_is_a_usage_error(tmp_path, lam):
+    out = tmp_path / "nf"
+    assert run_cli(["resolvent", "--a", "1/3", f"--lambda={lam}",
+                    "--out", str(out)]) == 2
     assert not (out / "resolvent_report.json").exists()
 
 

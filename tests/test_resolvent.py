@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,10 +9,12 @@ from jumpspec.funcspace import PiecewiseTrig, const, sample, sin_term
 from jumpspec.param import ParamA
 from jumpspec.resolvent import (
     PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel,
-    apply_resolvent, boundary_deviation, dirichlet_resolvent_values, green0,
-    h_profile, residual_report, singular_value_probe,
+    apply_resolvent, boundary_deviation, residual_report, singular_value_probe,
 )
-from jumpspec.spectrum import enumerate_spectrum
+from jumpspec.spectrum import char_det, enumerate_spectrum
+from rank_one_oracle import (
+    dirichlet_resolvent_values, green0, h_profile, rank_one_kernel,
+)
 
 HALF_PI = math.pi / 2
 
@@ -147,17 +150,16 @@ def test_first_resolvent_identity():
 
 
 def test_pole_guards():
-    # at a = 2/5 the +1-class point (20/7)^2 is not a Dirichlet point, so
-    # only the rank-one denominator can blow up there
+    # at a = 2/5 the +1-class point (20/7)^2 is an eigenvalue, the
+    # Dirichlet point 1 is not
     a = ParamA.from_expr("2/5")
     lam_plus = (20.0 / 7.0) ** 2
     with pytest.raises(PoleAtEigenvalue):
         ResolventKernel.build(lam_plus, a)
-    with pytest.raises(PoleAtDirichletEigenvalue):
-        ResolventKernel.build(1.0, a)
+    ResolventKernel.build(1.0, a)
     # denominator shrinks toward that eigenvalue along the real axis
     d_far = abs(ResolventKernel.build(lam_plus - 0.5, a).denom)
-    d_near = abs(1 - h_profile(lam_plus - 1e-6, HALF_PI * a.value))
+    d_near = abs(ResolventKernel.build(lam_plus - 1e-6, a).denom)
     assert d_near < d_far / 1000
 
 
@@ -186,3 +188,87 @@ def test_singular_value_probe():
                                                  rel=1e-3)
     with pytest.raises(ValueError):
         singular_value_probe(-1.0, a, 4096)
+
+
+def _closed_form(lam, xs, a_value):
+    """u = R(lambda)(sin 3x + 1/2) at 50 digits: sin 3x/(9 - lambda)
+    - 1/(2 lambda) + A cos kx + B sin kx / k, with A, B from the 2x2
+    three-point system."""
+    with mp.workdps(50):
+        lam = mp.mpc(lam)
+        k = mp.sqrt(lam)
+        h, b = mp.pi / 2, mp.pi * mp.mpf(a_value) / 2
+        part = lambda x: mp.sin(3 * x) / (9 - lam) - 1 / (2 * lam)
+        c = lambda x: mp.cos(k * x)
+        s = lambda x: mp.sin(k * x) / k
+        m = mp.matrix([[c(-h) - c(b), s(-h) - s(b)], [c(h) - c(b), s(h) - s(b)]])
+        A, B = mp.lu_solve(m, mp.matrix([part(b) - part(-h), part(b) - part(h)]))
+        return np.array([complex(part(x) + A * c(x) + B * s(x))
+                         for x in map(mp.mpf, xs)])
+
+
+# worst relative errors measured against the closed form: <= 1.1e-15 for
+# |lambda| <= 25, 8.3e-15 at -1e4, 2.7e-12 at 1e4 + 0.5 (an eigenvalue is
+# 0.5 away), 6.9e-14 at -1e6, 7.8e-13 at 1e-6 (|u| = 6e5)
+@pytest.mark.parametrize("lam, tol", [
+    (0.5, 5e-15), (1.0, 5e-15), (1 + 1e-9, 5e-15), (1 - 1e-9, 5e-15),
+    (25 + 1e-9, 5e-15), (25 - 1e-9, 5e-15), (-1.0, 5e-15), (-25.0, 5e-15),
+    (2.5 + 1j, 5e-15), (-1e4, 2e-14), (1e4 + 0.5, 5e-12), (-1e6, 2e-13),
+    (1e-6, 2e-12),
+])
+def test_matches_the_closed_form(lam, tol):
+    a = ParamA.from_expr("1/3")
+    f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
+    xs = np.append(np.linspace(-HALF_PI, HALF_PI, 41), HALF_PI * a.value)
+    u = apply_resolvent(lam, f, a, xs=xs).values
+    ref = _closed_form(lam, xs, a.value)
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u - ref)) < tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [-1.0, 2.5 + 1j])
+def test_kernel_matches_the_rank_one_oracle(lam):
+    a = ParamA.from_expr("1/3")
+    xs = np.linspace(-HALF_PI, HALF_PI, 29)
+    ys = np.append(np.linspace(-HALF_PI, HALF_PI - 0.1, 37) + 0.05, HALF_PI)
+    ref = rank_one_kernel(lam, a.value, xs, ys)
+    mat = ResolventKernel.build(lam, a).kernel_matrix(xs, ys)
+    assert np.max(np.abs(mat - ref)) < 5e-15 * np.max(np.abs(ref))
+
+
+def test_determinant_is_proportional_to_char_det():
+    for expr in ("1/3", "sqrt(2)-1"):
+        a = ParamA.from_expr(expr)
+        for lam in (-1.0, 2.5 + 1j, 1.0, 30.0):
+            kern = ResolventKernel.build(lam, a)
+            ref = -2j * np.exp(1j * math.pi * kern.k) * char_det(a, kern.k)
+            assert abs(kern.denom - ref) < 1e-14 * abs(ref)
+
+
+def test_both_sides_of_the_branch_cut_agree():
+    a = ParamA.from_expr("1/3")
+    f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
+    xs = np.linspace(-HALF_PI, HALF_PI, 33)
+    above = apply_resolvent(2.5 + 1e-12j, f, a, xs=xs).values
+    below = apply_resolvent(2.5 - 1e-12j, f, a, xs=xs).values
+    assert np.max(np.abs(above - below)) < 1e-9
+
+
+@pytest.mark.parametrize("expr, lam", [("1/3", 36.0), ("2/5", (20.0 / 7.0) ** 2),
+                                       ("1/3", 0.0)])
+def test_eigenvalues_are_the_only_poles(expr, lam):
+    a = ParamA.from_expr(expr)
+    with pytest.raises(PoleAtEigenvalue):
+        apply_resolvent(lam, lambda x: np.ones_like(x), a)
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, complex(1, math.nan)])
+def test_non_finite_lambda_is_rejected(lam):
+    with pytest.raises(ValueError, match="lambda"):
+        ResolventKernel.build(lam, ParamA.from_expr("1/3"))
+
+
+def test_probe_refuses_a_grid_beyond_the_node_cap():
+    # at lambda = -1e6 the grid for n = 512 would have 9040 nodes
+    with pytest.raises(ValueError, match="nodes"):
+        singular_value_probe(-1e6, ParamA.from_expr("1/3"), 512)
