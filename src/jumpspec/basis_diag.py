@@ -31,7 +31,7 @@ from jumpspec.eigensystem import (
     root_system,
 )
 from jumpspec.funcspace import (
-    PiecewiseTrig, cos_term, inner_matrix, lincomb, norm_l2, quad_inner, sin_term,
+    PiecewiseTrig, cos_term, inner_matrix, lincomb, norm_l2, quad_gram, sin_term,
 )
 from jumpspec.param import (
     NotIrrational, ParamA, PiAngle, ZeroClassCase, convergents,
@@ -91,34 +91,29 @@ def _proj_norms_exceptional(a: ParamA, m: int) -> tuple[float, float, float]:
     return p1, p2, p3
 
 
-def _qnorm(f: PiecewiseTrig, a: ParamA) -> float:
-    return math.sqrt(max(quad_inner(f, f, a).real, 0.0))
+def _quad_proj_norm(psi: PiecewiseTrig, phi: PiecewiseTrig, a: ParamA) -> float:
+    """||psi|| ||phi|| / |(phi, psi)| from one quadrature Gram matrix."""
+    g = quad_gram([psi, phi], a)
+    return math.sqrt(g[0, 0].real) * math.sqrt(g[1, 1].real) / abs(complex(g[1, 0]))
 
 
 def projection_norm(rec: EigRecord, a: ParamA) -> list[ProjNormRecord]:
     """Closed-form projection norms with the quadrature cross-value.
 
-    The quadrature side evaluates ||psi|| ||phi|| / |(phi, psi)| by actual
-    panel quadrature, a route fully independent of the printed formulas.
+    The quadrature side evaluates ||psi|| ||phi|| / |(phi, psi)| from one
+    panel-quadrature Gram matrix of (psi, phi) per projection, a route fully
+    independent of the printed formulas.
     """
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
         m = rec.class_index(-1)
         psi1, psi2, xi, phi1, phi2, eta = root_system(rec, a)
-        c1, c2, c3 = _proj_norms_exceptional(a, m)
-        q1 = (_qnorm(psi1.fn, a) * _qnorm(phi1.fn, a)
-              / abs(quad_inner(phi1.fn, psi1.fn, a)))
-        q2 = (_qnorm(psi2.fn, a) * _qnorm(eta.fn, a)
-              / abs(quad_inner(eta.fn, psi2.fn, a)))
-        q3 = (_qnorm(xi.fn, a) * _qnorm(phi2.fn, a)
-              / abs(quad_inner(phi2.fn, xi.fn, a)))
-        return [ProjNormRecord(rec, Which.P1, c1, q1),
-                ProjNormRecord(rec, Which.P2, c2, q2),
-                ProjNormRecord(rec, Which.P3, c3, q3)]
+        projections = ((Which.P1, psi1, phi1), (Which.P2, psi2, eta), (Which.P3, xi, phi2))
+        return [ProjNormRecord(rec, which, closed, _quad_proj_norm(psi.fn, phi.fn, a))
+                for (which, psi, phi), closed in zip(projections,
+                                                     _proj_norms_exceptional(a, m))]
 
     psi = eigenfunctions_H(rec, a)[0]
     phi = eigenfunctions_Hstar(rec, a)[0]
-    quad = (_qnorm(psi.fn, a) * _qnorm(phi.fn, a)
-            / abs(quad_inner(phi.fn, psi.fn, a)))
     if rec.case is SpectralCase.ZERO_EV:
         closed = math.sqrt(4.0 / 3.0)
     elif rec.case is SpectralCase.EXCEPTIONAL_ODD:
@@ -131,7 +126,13 @@ def projection_norm(rec: EigRecord, a: ParamA) -> list[ProjNormRecord]:
             closed = _proj_norm_plus_generic(a, m)
         else:
             closed = proj_norm_zero_generic(a, m)
-    return [ProjNormRecord(rec, Which.SINGLE, closed, quad)]
+    return [ProjNormRecord(rec, Which.SINGLE, closed, _quad_proj_norm(psi.fn, phi.fn, a))]
+
+
+def projection_norms(a: ParamA, lambda_max: float) -> list[ProjNormRecord]:
+    """projection_norm for every eigenvalue up to lambda_max, ascending."""
+    return [pn for rec in enumerate_spectrum(a, lambda_max)
+            for pn in projection_norm(rec, a)]
 
 
 # ---------------------------------------------------------------------------

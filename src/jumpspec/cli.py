@@ -16,6 +16,7 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -106,11 +107,13 @@ def _parse_lambda(text: str) -> complex:
 def cmd_spectrum(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     records = spectrum.enumerate_spectrum(a, args.lambda_max)
-    man.write_json("eigenvalues.json", [r.to_dict() for r in records])
     if args.curves:
         lo, hi, step = (float(t) for t in args.a_grid.split(":"))
-        grid = np.arange(lo, hi + step / 2, step)
-        rows = spectrum.curves(grid, args.m_max)
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
+            raise ValueError(f"--a-grid {args.a_grid!r} needs finite lo:hi:step, step > 0")
+        rows = spectrum.curves(np.arange(lo, hi + step / 2, step), args.m_max)
+    man.write_json("eigenvalues.json", [r.to_dict() for r in records])
+    if args.curves:
         man.write_csv("curves.csv", ["a", "class", "m", "lambda"], rows)
     man.finish()
     return 0
@@ -143,23 +146,27 @@ def cmd_resolvent(args, man: Manifest) -> int:
     return 0
 
 
+def _metric_contract(a: ParamA, lambda_max: float, seed: int) -> tuple[float, float]:
+    """Worst intertwining residual over the single-piece eigenfunctions up
+    to lambda_max, and the smallest quadratic form over 50 seeded probes."""
+    op = metric.MetricOp.build(a)
+    pairs = eigensystem.biorthogonalize(a, lambda_max)
+    residual = max(op.quasi_self_adjointness_residual(p.psi.fn) / norm_l2(p.psi.fn)
+                   for p in pairs if p.psi.fn.breakpoint is None)
+    rng = np.random.default_rng(seed)
+    positivity = min(op.quadratic_form(basis_diag.random_smooth_probe(rng))
+                     for _ in range(50))
+    return residual, positivity
+
+
 def cmd_metric_check(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    op = metric.MetricOp.build(a)
-    pairs = eigensystem.biorthogonalize(a, args.lambda_max)
-    residuals = []
-    for p in pairs:
-        if p.psi.fn.breakpoint is None:
-            residuals.append(
-                op.quasi_self_adjointness_residual(p.psi.fn) / norm_l2(p.psi.fn))
-    rng = np.random.default_rng(args.seed)
-    positivity = [op.quadratic_form(basis_diag.random_smooth_probe(rng))
-                  for _ in range(50)]
+    residual, positivity = _metric_contract(a, args.lambda_max, args.seed)
     payload = {
         "a": str(a),
         "irrational": not a.is_rational,
-        "max_intertwining_residual": max(residuals),
-        "positivity_min": min(positivity),
+        "max_intertwining_residual": residual,
+        "positivity_min": positivity,
         "contracts_informational_only": a.is_rational,
     }
     if not a.is_rational:
@@ -174,11 +181,8 @@ def cmd_metric_check(args, man: Manifest) -> int:
 
 def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    records = spectrum.enumerate_spectrum(a, args.lambda_max)
-    rows = []
-    for rec in records:
-        for pn in basis_diag.projection_norm(rec, a):
-            rows.append((pn.which.value, rec.lam, pn.closed_form, pn.quadrature))
+    rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.quadrature)
+            for pn in basis_diag.projection_norms(a, args.lambda_max)]
     man.write_csv("projection_norms.csv",
                   ["which", "lambda", "norm_closed", "norm_quad"], rows)
     if args.blowup:
@@ -247,24 +251,16 @@ def _suite_resolvent(a: ParamA) -> dict:
 
 
 def _suite_metric(a: ParamA) -> dict:
-    op = metric.MetricOp.build(a)
-    pairs = eigensystem.biorthogonalize(a, 200.0)
-    res = [op.quasi_self_adjointness_residual(p.psi.fn) / norm_l2(p.psi.fn)
-           for p in pairs if p.psi.fn.breakpoint is None]
-    rng = np.random.default_rng(11)
-    pos = [op.quadratic_form(basis_diag.random_smooth_probe(rng))
-           for _ in range(50)]
-    out = {"max_intertwining_residual": max(res), "positivity_min": min(pos),
+    res, pos = _metric_contract(a, 200.0, 11)
+    out = {"max_intertwining_residual": res, "positivity_min": pos,
            "informational_only": a.is_rational}
-    out["passed"] = a.is_rational or (max(res) < 1e-8 and min(pos) > -1e-12)
+    out["passed"] = a.is_rational or (res < 1e-8 and pos > -1e-12)
     return out
 
 
 def _suite_projections(a: ParamA) -> dict:
-    worst = 0.0
-    for rec in spectrum.enumerate_spectrum(a, 900.0):
-        for pn in basis_diag.projection_norm(rec, a):
-            worst = max(worst, abs(pn.closed_form - pn.quadrature) / pn.closed_form)
+    worst = max((abs(pn.closed_form - pn.quadrature) / pn.closed_form
+                 for pn in basis_diag.projection_norms(a, 900.0)), default=0.0)
     return {"max_relative_deviation": worst, "passed": worst < 1e-8}
 
 

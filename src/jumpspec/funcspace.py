@@ -23,6 +23,9 @@ Keeping the terms symbolic gives
 
 Sampled functions (GridFn) with composite Gauss-Lobatto weights cover the
 operators where no closed form exists (resolvent kernels, SVD probes).
+The same grids give the independent quadrature check of the closed forms:
+`quad_gram` samples a whole family once per refinement round and forms all
+its inner products as one weighted matrix product.
 """
 
 from __future__ import annotations
@@ -526,9 +529,6 @@ class GridFn:
             raise ValueError("grid functions live on different node sets")
         return complex(np.sum(self.weights * np.conj(self.values) * other.values))
 
-    def norm(self) -> float:
-        return math.sqrt(max(self.inner(self).real, 0.0))
-
     def csv_rows(self) -> list[tuple[float, float, float]]:
         return [(float(x), float(v.real), float(v.imag))
                 for x, v in zip(self.nodes, self.values)]
@@ -540,33 +540,27 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
     panels sharing an endpoint share the node and add their weights."""
     a_val = a.value if isinstance(a, ParamA) else float(a)
     xb = HALF_PI * a_val
-    nodes: list[float] = []
-    weights: list[float] = []
+    pieces = []
     for lo, hi in ((-HALF_PI, xb), (xb, HALF_PI)):
         panels = max(2, int(math.ceil((hi - lo) * max(kmax, 1.0) / 8.0)))
         base_x, base_w = gauss_lobatto(max(24, int(math.ceil(min_nodes_per_piece / panels)) + 1))
         edges = np.linspace(lo, hi, panels + 1)
-        for a_, b_ in zip(edges, edges[1:]):
-            half = 0.5 * (b_ - a_)
-            xs, ws = 0.5 * (a_ + b_) + half * base_x, half * base_w
-            if nodes and abs(xs[0] - nodes[-1]) < 1e-14:
-                weights[-1] += ws[0]
-                xs, ws = xs[1:], ws[1:]
-            nodes.extend(xs)
-            weights.extend(ws)
-    return np.array(nodes), np.array(weights)
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        xs, ws = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * base_x, half * base_w
+        ws[:-1, -1] += ws[1:, 0]
+        pieces.append((np.concatenate((xs[0, :1], xs[:, 1:].ravel())),
+                       np.concatenate((ws[0, :1], ws[:, 1:].ravel()))))
+    (x_left, w_left), (x_right, w_right) = pieces
+    w_left[-1] += w_right[0]  # the restart point ends one piece and starts the other
+    return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
 
 
 def sample(fn: PiecewiseTrig | Callable[[np.ndarray], np.ndarray],
            a: ParamA | float, min_nodes_per_piece: int = 64,
            kmax: float = 0.0) -> GridFn:
     nodes, weights = grid_nodes(a, min_nodes_per_piece, kmax)
-    if isinstance(fn, PiecewiseTrig):
-        values = fn(nodes)
-    else:
-        values = np.asarray(fn(nodes), dtype=complex)
     a_val = a.value if isinstance(a, ParamA) else float(a)
-    return GridFn(nodes=nodes, values=np.asarray(values, dtype=complex),
+    return GridFn(nodes=nodes, values=np.asarray(fn(nodes), dtype=complex),
                   weights=weights, a_value=a_val)
 
 
@@ -574,28 +568,30 @@ def _max_freq(f: PiecewiseTrig) -> float:
     return max((float(p.terms.k.max()) for p in f.pieces if len(p.terms)), default=0.0)
 
 
-def quad_inner(f: PiecewiseTrig | Callable, g: PiecewiseTrig | Callable,
-               a: ParamA | float, target: float = 1e-12,
-               start_nodes: int = 96, max_rounds: int = 6) -> complex:
-    """Quadrature inner product with panel-doubling refinement.
+def quad_gram(fns: Sequence[PiecewiseTrig | Callable], a: ParamA | float,
+              target: float = 1e-12, start_nodes: int = 96,
+              max_rounds: int = 6) -> np.ndarray:
+    """Hermitian matrix of (f_j, f_k) by quadrature with panel doubling.
 
+    Each round builds one grid and samples every function once on it; the
+    refinement stops when every entry moves by at most target * max(1, |entry|).
     Independent numerical route used to cross-check inner_closed and the
-    printed pairing formulas.
+    printed projection norms.
     """
-    kmax = max(_max_freq(f) if isinstance(f, PiecewiseTrig) else 0.0,
-               _max_freq(g) if isinstance(g, PiecewiseTrig) else 0.0)
+    kmax = max((_max_freq(f) for f in fns if isinstance(f, PiecewiseTrig)), default=0.0)
     n = start_nodes
     prev = None
     for _ in range(max_rounds):
-        gf = sample(f, a, n, kmax)
-        gg = sample(g, a, n, kmax)
-        cur = gf.inner(gg)
-        if prev is not None and abs(cur - prev) <= target * max(1.0, abs(cur)):
+        nodes, weights = grid_nodes(a, n, kmax)
+        vals = np.array([np.asarray(f(nodes), dtype=complex) for f in fns])
+        cur = (np.conj(vals) * weights) @ vals.T
+        if prev is not None and np.all(
+                np.abs(cur - prev) <= target * np.maximum(1.0, np.abs(cur))):
             return cur
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
-        f"inner product did not stabilize to {target} within {max_rounds} refinements")
+        f"inner products did not stabilize to {target} within {max_rounds} refinements")
 
 
 def inner(f: PiecewiseTrig | GridFn, g: PiecewiseTrig | GridFn) -> complex:

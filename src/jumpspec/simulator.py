@@ -53,8 +53,10 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.dt > 1e-3:
-            raise ValueError("dt must be <= 1e-3")
+        if not 0 < self.dt <= 1e-3:
+            raise ValueError(f"dt must be in (0, 1e-3], got {self.dt}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
 

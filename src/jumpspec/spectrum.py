@@ -93,8 +93,8 @@ def _raw_wavenumbers(a: ParamA, k_max: float):
 
 def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
     """All distinct eigenvalues <= lambda_max, ascending, with multiplicities."""
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not 0 < lambda_max < math.inf:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     k_max = math.sqrt(lambda_max)
     raw = _raw_wavenumbers(a, k_max)
 

@@ -73,6 +73,15 @@ def test_verify_metric_informational_for_rational(tmp_path):
     assert payload["suites"]["metric"]["informational_only"]
 
 
+def test_verify_projections_suite(tmp_path):
+    out = tmp_path / "vp"
+    assert run_cli(["verify", "--a", "1/3", "--suite", "projections",
+                    "--out", str(out)]) == 0
+    suite = json.loads((out / "verify.json").read_text())["suites"]["projections"]
+    assert suite["passed"] is True
+    assert suite["max_relative_deviation"] < 1e-12
+
+
 def test_resolvent_subcommand(tmp_path):
     out = tmp_path / "r"
     assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1,0",
@@ -116,6 +125,37 @@ def test_simulate_without_post_burn_in_samples_is_a_usage_error(tmp_path):
     assert run_cli(["simulate", "--a", "1/3", "--horizon", "1", "--paths", "100",
                     "--out", str(out)]) == 2
     assert not (out / "sim_report.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-1e-4"), ("--dt", "nan"),
+                                        ("--horizon", "inf"), ("--horizon", "nan"),
+                                        ("--horizon", "0"), ("--horizon", "-8")])
+def test_bad_step_or_horizon_is_a_usage_error(tmp_path, flag, value):
+    out = tmp_path / "bad"
+    assert run_cli(["simulate", "--a", "1/3", "--paths", "10", f"{flag}={value}",
+                    "--out", str(out)]) == 2
+    assert not (out / "sim_report.json").exists()
+
+
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
+@pytest.mark.parametrize("command,output", [("spectrum", "eigenvalues.json"),
+                                            ("basis", "projection_norms.csv"),
+                                            ("metric-check", "metric_report.json")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_max_is_a_usage_error(tmp_path, expr, command, output, value):
+    out = tmp_path / "lm"
+    assert run_cli([command, "--a", expr, f"--lambda-max={value}",
+                    "--out", str(out)]) == 2
+    assert not (out / output).exists()
+
+
+@pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.1", "nan:0.5:0.1", "0:inf:0.1",
+                                  "0:0.5:inf", "0:0.5:nan"])
+def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, grid):
+    out = tmp_path / "cg"
+    assert run_cli(["spectrum", "--a", "1/3", "--curves", f"--a-grid={grid}",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3_with_an_error_record(tmp_path):

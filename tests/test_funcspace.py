@@ -5,9 +5,9 @@ import pytest
 
 from jumpspec.funcspace import (
     GridFn, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, const,
-    cos_term, eval_terms, gauss_lobatto, inner, inner_closed, linear, norm_l2,
-    quad_inner, sample, sin_term, validate_domain_H, validate_domain_Hstar,
-    xcos_term, xsin_term,
+    cos_term, eval_terms, gauss_lobatto, grid_nodes, inner, inner_closed,
+    inner_matrix, linear, norm_l2, quad_gram, sample, sin_term, validate_domain_H,
+    validate_domain_Hstar, xcos_term, xsin_term,
 )
 from jumpspec.param import ParamA
 
@@ -100,9 +100,9 @@ def test_closed_matches_quadrature_random(seed):
     for _ in range(25):
         f = random_trig(rng)
         g = random_trig(rng)
-        closed = inner_closed(f, g)
-        quad = quad_inner(f, g, a)
-        assert abs(closed - quad) < 1e-10 * max(1.0, abs(closed))
+        closed = inner_matrix([f, g], [f, g])
+        quad = quad_gram([f, g], a)
+        assert np.all(np.abs(closed - quad) < 1e-10 * np.maximum(1.0, np.abs(closed)))
 
 
 def test_positive_definite():
@@ -173,6 +173,36 @@ def test_grid_invariants():
     assert np.count_nonzero(gf.nodes >= xb) >= 64
 
 
+def _grid_nodes_by_panel(a: ParamA, min_nodes_per_piece: int, kmax: float):
+    """Panel-by-panel composite Lobatto grid: the reference for grid_nodes."""
+    xb = HALF_PI * a.value
+    nodes, weights = [], []
+    for lo, hi in ((-HALF_PI, xb), (xb, HALF_PI)):
+        panels = max(2, int(math.ceil((hi - lo) * max(kmax, 1.0) / 8.0)))
+        base_x, base_w = gauss_lobatto(max(24, int(math.ceil(min_nodes_per_piece / panels)) + 1))
+        edges = np.linspace(lo, hi, panels + 1)
+        for a_, b_ in zip(edges, edges[1:]):
+            half = 0.5 * (b_ - a_)
+            xs, ws = 0.5 * (a_ + b_) + half * base_x, half * base_w
+            if nodes and abs(xs[0] - nodes[-1]) < 1e-14:
+                weights[-1] += ws[0]
+                xs, ws = xs[1:], ws[1:]
+            nodes.extend(xs)
+            weights.extend(ws)
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1", "-9/10", "0", "2/5", "19/20"])
+def test_grid_nodes_match_the_panel_loop_bit_for_bit(expr):
+    a = ParamA.from_expr(expr)
+    for n in (24, 64, 96, 192, 384, 768, 1536, 3072):
+        for kmax in (0.0, 3.0, 30.0, 68.0, 1000.0):
+            nodes, weights = grid_nodes(a, n, kmax)
+            ref_nodes, ref_weights = _grid_nodes_by_panel(a, n, kmax)
+            assert np.array_equal(nodes, ref_nodes), (n, kmax)
+            assert np.array_equal(weights, ref_weights), (n, kmax)
+
+
 def test_gridfn_inner_and_mixed_dispatch():
     a = ParamA.from_expr("0")
     f = PiecewiseTrig.single([cos_term(1.0, 2.0)])
@@ -195,7 +225,7 @@ def test_quadrature_not_converged():
     a = ParamA.from_expr("0")
     f = PiecewiseTrig.single([const(1.0)])
     with pytest.raises(QuadratureNotConverged):
-        quad_inner(f, f, a, max_rounds=1)  # no second round to compare with
+        quad_gram([f], a, max_rounds=1)  # no second round to compare with
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ def test_config_validation():
         SimConfig(a=A0, dt=5e-3)
     with pytest.raises(ValueError):
         SimConfig(a=A0, n_paths=0)
+    for bad in (0.0, -1e-4, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(a=A0, dt=bad)
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(a=A0, horizon=bad)
 
 
 def test_stationary_density_normalized():

@@ -27,6 +27,13 @@ def test_enumerate_one_third():
         assert (r.geom_mult, r.alg_mult) == (1, 1)
 
 
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
+@pytest.mark.parametrize("lam_max", [math.inf, -math.inf, math.nan, 0.0, -4.0])
+def test_enumerate_rejects_a_non_positive_or_non_finite_lambda_max(expr, lam_max):
+    with pytest.raises(ValueError, match="lambda_max"):
+        enumerate_spectrum(ParamA.from_expr(expr), lam_max)
+
+
 def test_enumerate_a_zero():
     recs = enumerate_spectrum(ParamA.from_expr("0"), 20.0)
     assert lam_set(recs) == pytest.approx([0.0, 4.0, 16.0])
