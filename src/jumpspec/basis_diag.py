@@ -165,12 +165,6 @@ def blowup_probe(a: ParamA, k_count: int) -> list[BlowupRow]:
     return rows
 
 
-def generic_norm_median(a: ParamA, m_max: int = 200) -> float:
-    """Median of the wavenumber-2m generic projection norms, m <= m_max."""
-    norms = [proj_norm_zero_generic(a, m) for m in range(1, m_max + 1)]
-    return float(np.median(norms))
-
-
 # ---------------------------------------------------------------------------
 # rational-parameter uniform bounds
 # ---------------------------------------------------------------------------
@@ -230,10 +224,10 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
 # truncated completeness
 # ---------------------------------------------------------------------------
 
-def random_smooth_probe(rng: np.random.Generator, n_modes: int = 12) -> PiecewiseTrig:
-    """Finite Fourier sum with 1/n^3 decay; reproducible under a seeded rng."""
+def random_smooth_probe(rng: np.random.Generator) -> PiecewiseTrig:
+    """Twelve-mode Fourier sum with 1/n^3 decay; reproducible under a seeded rng."""
     terms = []
-    for n in range(1, n_modes + 1):
+    for n in range(1, 13):
         decay = 1.0 / n ** 3
         terms.append(cos_term(decay * rng.normal(), float(n)))
         terms.append(sin_term(decay * rng.normal(), float(n)))
@@ -261,8 +255,7 @@ def expansion_residuals(f: PiecewiseTrig, pairs: list[BiorthPair],
 
 
 def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
-                           seed: int = 2024,
-                           include_generalized: bool = True) -> dict:
+                           seed: int = 2024) -> dict:
     """Partial biorthogonal expansions of random smooth probes.
 
     Residuals should decrease with the truncation order for smooth probes
@@ -278,9 +271,7 @@ def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
     probes = {}
     for i in range(probe_count):
         f = random_smooth_probe(rng)
-        probes[f"probe_{i}"] = expansion_residuals(
-            f, pairs, checkpoints, include_generalized)
+        probes[f"probe_{i}"] = expansion_residuals(f, pairs, checkpoints)
     member = pairs[min(5, len(pairs) - 1)].psi.fn
-    probes["family_member"] = expansion_residuals(
-        member, pairs, checkpoints, include_generalized)
+    probes["family_member"] = expansion_residuals(member, pairs, checkpoints)
     return {"checkpoints": checkpoints, "residuals": probes}

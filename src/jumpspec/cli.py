@@ -65,8 +65,7 @@ class Manifest:
 
     def write_json(self, name: str, payload) -> Path:
         path = self._path(name)
-        path.write_text(json.dumps(payload, indent=2, default=str,
-                                   allow_nan=False) + "\n")
+        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         self.record["outputs"].append(name)
         return path
 
@@ -126,6 +125,8 @@ def cmd_resolvent(args, man: Manifest) -> int:
         f = lambda x: np.ones_like(np.asarray(x, dtype=float))
     else:
         freq = float(args.f.removeprefix("sin"))
+        if not math.isfinite(freq):
+            raise ValueError(f"--f {args.f!r} needs a finite wavenumber K in sinK")
         f = lambda x: np.sin(freq * np.asarray(x, dtype=float))
     man.stage = "apply_resolvent"
     u = resolvent.apply_resolvent(lam, f, a)

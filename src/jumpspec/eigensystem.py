@@ -11,19 +11,19 @@ admissible only under the constraint A_minus (1+a) = -A_plus (1-a).
 All pairings used for normalization are closed forms; the quadrature
 route must reproduce them, not the other way around.  Forward members are
 kept in their printed shape (raw constants 1) and the duals absorb the
-normalization, so the family satisfies (phi_j, psi_k) = delta_jk.
+normalization, so the family satisfies (phi_j, psi_k) = delta_jk; the
+one check of that is `gram_matrix`, all entries in one batched call.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from jumpspec.funcspace import (
+from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner_closed here
     Piece, PiecewiseTrig, const, cos_term, inner_closed, inner_matrix, lincomb,
     linear, sin_term, xcos_term, xsin_term,
 )
@@ -62,23 +62,11 @@ class EigFun:
     constants: dict
     label: str
 
-    def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, (tuple, list, np.ndarray)):
-                return [enc(x) for x in v]
-            return [complex(v).real, complex(v).imag]
-
-        return {"label": self.label, "side": self.side.value,
-                "rank": self.rank.value, "lambda": self.record.lam,
-                "constants": {k: enc(v) for k, v in self.constants.items()},
-                "fn": json.loads(self.fn.to_json())}
-
 
 @dataclass(frozen=True)
 class BiorthPair:
     psi: EigFun
     phi: EigFun
-    pairing: complex
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +135,11 @@ def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
     return (-base, base)
 
 
-def pairing_eta_psi2(a: ParamA, m: int, a_minus: complex = None) -> complex:
-    """(eta, psi2) with eta built from A_minus (default the admissible 1-a)."""
+def pairing_eta_psi2(a: ParamA, m: int) -> float:
+    """(eta, psi2) with eta built from the admissible A_minus = 1-a."""
     av = a.value
-    if a_minus is None:
-        a_minus = 1 - av
     cc = _minus_angle(a, m).cos
-    return (np.conj(a_minus) * math.pi ** 2 / (64 * m)
+    return ((1 - av) * math.pi ** 2 / (64 * m)
             * (1 - av) * (1 + av) * cc)
 
 
@@ -223,12 +209,12 @@ def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
         [linear(c * (av + 1)), const(-c * (av + 1) * HALF_PI)])
 
 
-def _phi_zero_class_generic(a: ParamA, m: int, c: complex = 1.0) -> PiecewiseTrig:
+def _phi_zero_class_generic(a: ParamA, m: int) -> PiecewiseTrig:
     k = 2.0 * m
     xb = HALF_PI * a.value
     return PiecewiseTrig.split(xb,
-                               [sin_term(c, k, k * HALF_PI)],
-                               [sin_term(c, k, -k * HALF_PI)])
+                               [sin_term(1.0, k, k * HALF_PI)],
+                               [sin_term(1.0, k, -k * HALF_PI)])
 
 
 def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
@@ -256,27 +242,26 @@ def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
     return [EigFun(rec, Side.ADJOINT, Rank.EIGEN, fn, {name: 1.0}, "phi")]
 
 
-def generalized_xi(rec: EigRecord, a: ParamA, b: complex = 1.0) -> EigFun:
-    """Root vector xi with (H - lambda) xi = psi2 = B cos(kx)."""
+def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
+    """Root vector xi with (H - lambda) xi = psi2 = cos(kx)."""
     if rec.case is not SpectralCase.EXCEPTIONAL_PAIR:
         raise CaseMismatch("generalized vectors exist only at exceptional pairs")
     _check_membership(rec, a)
     m = rec.class_index(-1)
     av = a.value
     k = _k_value(a, -1, m)
-    pref = -b * (1 - av) / (64 * m * m)
+    pref = -(1 - av) / (64 * m * m)
     fn = PiecewiseTrig.single([
         cos_term(pref * (1 - av), k),
         xsin_term(pref * 8 * m, k),
     ])
-    return EigFun(rec, Side.FORWARD, Rank.GENERALIZED, fn, {"B": b}, "xi")
+    return EigFun(rec, Side.FORWARD, Rank.GENERALIZED, fn, {"B": 1.0}, "xi")
 
 
-def generalized_eta(rec: EigRecord, a: ParamA,
-                    a_minus: complex | None = None) -> EigFun:
+def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
     """Dual root vector eta with (H* - lambda) eta = phi1 + phi2.
 
-    Admissibility forces A_minus (1+a) = -A_plus (1-a); by default
+    Admissibility forces A_minus (1+a) = -A_plus (1-a); eta takes
     A_minus = 1-a, A_plus = -(1+a).  The phi1, phi2 on the right-hand side
     carry these same constants.
     """
@@ -285,8 +270,7 @@ def generalized_eta(rec: EigRecord, a: ParamA,
     _check_membership(rec, a)
     m = rec.class_index(-1)
     av = a.value
-    if a_minus is None:
-        a_minus = 1 - av
+    a_minus = 1 - av
     a_plus = -a_minus * (1 + av) / (1 - av)
     k = _k_value(a, -1, m)
     xb = HALF_PI * av
@@ -354,13 +338,8 @@ def biorthogonalize(a: ParamA, lambda_max: float) -> list[BiorthPair]:
         if abs(pairing) < 1e-13:
             raise DegenerateNormalization(
                 f"closed-form pairing vanished at lambda={rec.lam}")
-        phi_hat = EigFun(rec, Side.ADJOINT, phi.rank,
-                         phi.fn.scaled(1.0 / np.conj(pairing)),
-                         {**phi.constants, "raw_pairing": complex(pairing),
-                          "normalizer": 1.0 / np.conj(pairing)},
-                         phi.label)
-        pairs.append(BiorthPair(psi, phi_hat,
-                                complex(inner_closed(phi_hat.fn, psi.fn))))
+        pairs.append(BiorthPair(
+            psi, replace(phi, fn=phi.fn.scaled(1.0 / np.conj(pairing)))))
     return pairs
 
 
@@ -378,17 +357,11 @@ def _root_space_pairs(rec: EigRecord, a: ParamA) -> list[BiorthPair]:
         fn = lincomb([t.fn for t in trial], coef[j])
         dual = EigFun(rec, Side.ADJOINT,
                       Rank.GENERALIZED if fwd.label == "psi2" else Rank.EIGEN,
-                      fn, {"mix": tuple(coef[j])}, f"dual_{fwd.label}")
-        out.append(BiorthPair(fwd, dual, complex(inner_closed(fn, fwd.fn))))
+                      fn, {}, f"dual_{fwd.label}")
+        out.append(BiorthPair(fwd, dual))
     return out
 
 
 def gram_matrix(pairs: list[BiorthPair]) -> np.ndarray:
     """Gram matrix (phi_j, psi_k) of a normalized family, in one batched call."""
     return inner_matrix([p.phi.fn for p in pairs], [p.psi.fn for p in pairs])
-
-
-def family_to_json(pairs: list[BiorthPair]) -> str:
-    return json.dumps([{"psi": p.psi.to_dict(), "phi": p.phi.to_dict(),
-                        "pairing": [p.pairing.real, p.pairing.imag]}
-                       for p in pairs], indent=2)

@@ -30,7 +30,6 @@ its inner products as one weighted matrix product.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -289,27 +288,6 @@ class PiecewiseTrig:
 
     def __sub__(self, other: "PiecewiseTrig") -> "PiecewiseTrig":
         return lincomb((self, other), (1.0, -1.0))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Pieces with terms {p, coeff [re, im], freq, shift, quarter}."""
-        return json.dumps({
-            "pieces": [{
-                "lo": p.lo, "hi": p.hi,
-                "terms": [{"p": t.p, "coeff": [t.coeff.real, t.coeff.imag],
-                           "freq": t.freq, "shift": t.shift, "quarter": t.quarter}
-                          for t in p.terms],
-            } for p in self.pieces]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewiseTrig":
-        data = json.loads(text)
-        return cls(tuple(
-            Piece(p["lo"], p["hi"],
-                  [TrigTerm(t["p"], complex(*t["coeff"]), t["freq"], t["shift"],
-                            t["quarter"]) for t in p["terms"]])
-            for p in data["pieces"]))
 
 
 def lincomb(fns: Sequence[PiecewiseTrig], coefs: Sequence[complex]) -> PiecewiseTrig:

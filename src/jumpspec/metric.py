@@ -117,10 +117,9 @@ class MetricOp:
         return (abs(coef) ** 2 + inner_closed(p0, p0).real
                 + inner_closed(pp, pp).real)
 
-    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig,
-                                        domain_tol: float = 1e-9) -> float:
+    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig) -> float:
         """||H* Theta psi - Theta H psi||_2, all derivatives symbolic."""
-        report = validate_domain_H(psi, self.a, tol=domain_tol)
+        report = validate_domain_H(psi, self.a, tol=1e-9)
         if not report.in_domain:
             raise DomainViolation("; ".join(report.violations))
         theta_psi = self.apply(psi)
@@ -185,17 +184,6 @@ class MetricOp:
                       weights=f.weights, a_value=f.a_value)
 
 
-def apply_theta(f: PiecewiseTrig | GridFn, a: ParamA) -> PiecewiseTrig | GridFn:
-    op = MetricOp.build(a)
-    if isinstance(f, GridFn):
-        return op.apply_grid(f)
-    return op.apply(f)
-
-
-def quasi_self_adjointness_residual(psi: PiecewiseTrig, a: ParamA) -> float:
-    return MetricOp.build(a).quasi_self_adjointness_residual(psi)
-
-
 # ---------------------------------------------------------------------------
 # Neumann-mode probes
 # ---------------------------------------------------------------------------
@@ -253,12 +241,6 @@ def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
                 max_off = max(max_off, abs(val))
     return {"diagonal": diagonal, "all_positive": positive,
             "max_offdiagonal": max_off, "max_diagonal_deviation": max_diag_dev}
-
-
-def rayleigh_quotient(a: ParamA, n: int) -> float:
-    """(chi_n, Theta chi_n) for the orthonormal Neumann mode chi_n."""
-    op = MetricOp.build(a)
-    return op.quadratic_form(neumann_mode(n))
 
 
 def noninvertibility_probe(a: ParamA, k_count: int) -> list[tuple[int, float]]:

@@ -324,17 +324,6 @@ def zero_class_case(a: ParamA, m: int) -> ZeroClassCase:
     return ZeroClassCase.EXCEPTIONAL_EVEN
 
 
-def is_exceptional_minus_float(a_value: float, m: int, tol: float = 1e-9) -> bool:
-    """Float/tolerance rerun of is_exceptional_minus (cross-check utility)."""
-    r = m * (1 + a_value) / (1 - a_value)
-    return abs(r - round(r)) < tol and round(r) >= 0
-
-
-def is_exceptional_plus_float(a_value: float, m: int, tol: float = 1e-9) -> bool:
-    r = m * (1 - a_value) / (1 + a_value)
-    return abs(r - round(r)) < tol and round(r) >= 0
-
-
 # ---------------------------------------------------------------------------
 # continued-fraction convergents
 # ---------------------------------------------------------------------------

@@ -254,10 +254,10 @@ def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
     sum (trace-norm estimate); compact second-order resolvents decay like
     j^-2, so the sum converges.
     """
-    if n > 2048:
-        raise ValueError("probe limited to n <= 2048")
+    if not 64 <= n <= 2048:
+        raise ValueError(f"probe needs 64 <= n <= 2048, got n={n}")
     kern = ResolventKernel.build(lam, a)
-    nodes, weights = grid_nodes(a, max(32, n // 2), kmax=abs(kern.k))
+    nodes, weights = grid_nodes(a, n // 2, kmax=abs(kern.k))
     if len(nodes) > MAX_PROBE_NODES:
         raise ValueError(
             f"probe grid of {len(nodes)} nodes at lambda={kern.lam} exceeds the cap "

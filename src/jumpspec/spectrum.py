@@ -12,14 +12,13 @@ three.  The characteristic determinant
 
     det(k) = -4 sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi / 2)
 
-is kept as an independent oracle: its zeros, found by dense scan plus
-bisection, must square exactly onto the enumerated eigenvalues.
+is kept as an independent oracle: the tests locate its zeros and check
+that they square exactly onto the enumerated eigenvalues.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,10 +126,6 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
     return records
 
 
-def records_to_json(records: list[EigRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
-
-
 # ---------------------------------------------------------------------------
 # characteristic determinant oracle
 # ---------------------------------------------------------------------------
@@ -148,65 +143,8 @@ def char_det(a: ParamA | float, k) -> complex | np.ndarray:
     return det
 
 
-def scan_determinant_zeros(a: ParamA, k_max: float, step: float = 1e-3,
-                           refine_tol: float = 1e-10) -> list[float]:
-    """Real zeros of char_det on [0, k_max] by dense scan + bisection."""
-    grid = np.arange(0.0, k_max + step, step)
-    vals = np.real(char_det(a, grid))
-    zeros: list[float] = []
-    exact = np.abs(vals) < 1e-13
-    for idx in np.nonzero(exact)[0]:
-        zeros.append(float(grid[idx]))
-    signs = np.sign(vals)
-    flips = np.nonzero((signs[:-1] * signs[1:]) < 0)[0]
-    for idx in flips:
-        lo, hi = float(grid[idx]), float(grid[idx + 1])
-        flo = float(np.real(char_det(a, lo)))
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            fmid = float(np.real(char_det(a, mid)))
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        zeros.append(0.5 * (lo + hi))
-    zeros.sort()
-    merged: list[float] = []
-    for z in zeros:
-        if not merged or z - merged[-1] > 10 * refine_tol:
-            merged.append(z)
-    return [z for z in merged if z <= k_max + step]
-
-
-def count_zeros_in_rectangle(a: ParamA, k_lo: float, k_hi: float,
-                             im_half: float, n_side: int = 4000) -> int:
-    """Argument-principle zero count of char_det inside a complex rectangle.
-
-    Walks the boundary [k_lo, k_hi] x [-im_half, +im_half] and accumulates
-    the winding of det; the corners must avoid zeros (real zeros lie on the
-    real axis, so any rectangle with nonzero imaginary extent and real
-    endpoints between zeros is safe).
-    """
-    corners = [complex(k_lo, -im_half), complex(k_hi, -im_half),
-               complex(k_hi, im_half), complex(k_lo, im_half),
-               complex(k_lo, -im_half)]
-    total = 0.0
-    for z0, z1 in zip(corners, corners[1:]):
-        ts = np.linspace(0.0, 1.0, n_side)
-        path = z0 + (z1 - z0) * ts
-        vals = np.asarray(char_det(a, path), dtype=complex)
-        args = np.angle(vals)
-        dargs = np.diff(args)
-        dargs = (dargs + np.pi) % (2 * np.pi) - np.pi
-        total += float(np.sum(dargs))
-    return int(round(total / (2 * np.pi)))
-
-
 # ---------------------------------------------------------------------------
-# eigenvalue curves and the drifted spectral gap
+# eigenvalue curves
 # ---------------------------------------------------------------------------
 
 def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
@@ -222,17 +160,3 @@ def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
         for m in range(0, m_max + 1):
             rows.append((a_val, 0, m, float((2 * m) ** 2)))
     return rows
-
-
-def drift_gap(sigma: float, b: float) -> float:
-    """Spectral gap of the drifted process restarting at the center.
-
-    2*sigma^2 + b^2/(2*sigma^2) for |b| <= 2*sqrt(3)*sigma^2, frozen at
-    8*sigma^2 beyond that threshold.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    s2 = sigma * sigma
-    if abs(b) <= 2.0 * math.sqrt(3.0) * s2:
-        return 2.0 * s2 + b * b / (2.0 * s2)
-    return 8.0 * s2

@@ -1,0 +1,98 @@
+"""Reference computations that only the tests use.
+
+Each one reaches a quantity of the package by a second route: the real
+zeros of the characteristic determinant by dense scan plus bisection and
+its complex zeros by the argument principle, the exceptional-index tests
+by float arithmetic with a tolerance, the Rayleigh quotient through the
+full metric operator, and the median of the generic projection norms that
+the blow-up is measured against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from jumpspec.basis_diag import proj_norm_zero_generic
+from jumpspec.metric import MetricOp, neumann_mode
+from jumpspec.param import ParamA
+from jumpspec.spectrum import char_det
+
+
+def scan_determinant_zeros(a: ParamA, k_max: float, step: float = 1e-3,
+                           refine_tol: float = 1e-10) -> list[float]:
+    """Real zeros of char_det on [0, k_max] by dense scan + bisection."""
+    grid = np.arange(0.0, k_max + step, step)
+    vals = np.real(char_det(a, grid))
+    zeros: list[float] = []
+    exact = np.abs(vals) < 1e-13
+    for idx in np.nonzero(exact)[0]:
+        zeros.append(float(grid[idx]))
+    signs = np.sign(vals)
+    flips = np.nonzero((signs[:-1] * signs[1:]) < 0)[0]
+    for idx in flips:
+        lo, hi = float(grid[idx]), float(grid[idx + 1])
+        flo = float(np.real(char_det(a, lo)))
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            fmid = float(np.real(char_det(a, mid)))
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        zeros.append(0.5 * (lo + hi))
+    zeros.sort()
+    merged: list[float] = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 10 * refine_tol:
+            merged.append(z)
+    return [z for z in merged if z <= k_max + step]
+
+
+def count_zeros_in_rectangle(a: ParamA, k_lo: float, k_hi: float,
+                             im_half: float, n_side: int = 4000) -> int:
+    """Argument-principle zero count of char_det inside a complex rectangle.
+
+    Walks the boundary [k_lo, k_hi] x [-im_half, +im_half] and accumulates
+    the winding of det; the corners must avoid zeros (real zeros lie on the
+    real axis, so any rectangle with nonzero imaginary extent and real
+    endpoints between zeros is safe).
+    """
+    corners = [complex(k_lo, -im_half), complex(k_hi, -im_half),
+               complex(k_hi, im_half), complex(k_lo, im_half),
+               complex(k_lo, -im_half)]
+    total = 0.0
+    for z0, z1 in zip(corners, corners[1:]):
+        ts = np.linspace(0.0, 1.0, n_side)
+        path = z0 + (z1 - z0) * ts
+        vals = np.asarray(char_det(a, path), dtype=complex)
+        args = np.angle(vals)
+        dargs = np.diff(args)
+        dargs = (dargs + np.pi) % (2 * np.pi) - np.pi
+        total += float(np.sum(dargs))
+    return int(round(total / (2 * np.pi)))
+
+
+def is_exceptional_minus_float(a_value: float, m: int, tol: float = 1e-9) -> bool:
+    """Float/tolerance rerun of is_exceptional_minus."""
+    r = m * (1 + a_value) / (1 - a_value)
+    return abs(r - round(r)) < tol and round(r) >= 0
+
+
+def is_exceptional_plus_float(a_value: float, m: int, tol: float = 1e-9) -> bool:
+    r = m * (1 - a_value) / (1 + a_value)
+    return abs(r - round(r)) < tol and round(r) >= 0
+
+
+def rayleigh_quotient(a: ParamA, n: int) -> float:
+    """(chi_n, Theta chi_n) for the orthonormal Neumann mode chi_n."""
+    op = MetricOp.build(a)
+    return op.quadratic_form(neumann_mode(n))
+
+
+def generic_norm_median(a: ParamA, m_max: int = 200) -> float:
+    """Median of the wavenumber-2m generic projection norms, m <= m_max."""
+    norms = [proj_norm_zero_generic(a, m) for m in range(1, m_max + 1)]
+    return float(np.median(norms))

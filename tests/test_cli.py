@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from jumpspec.cli import Manifest, main
@@ -194,3 +195,27 @@ def test_json_outputs_refuse_nan(tmp_path):
     man.record["wall"] = float("inf")
     with pytest.raises(ValueError):
         man.finish()
+
+
+def test_json_outputs_refuse_values_json_cannot_encode(tmp_path):
+    man = Manifest(argparse.Namespace(command="verify", out=str(tmp_path / "b")))
+    with pytest.raises(TypeError):
+        man.write_json("verify.json", {"passed": np.bool_(True)})
+    assert not (tmp_path / "b" / "verify.json").exists()
+
+
+@pytest.mark.parametrize("source", ["sinnan", "sin1e400"])
+def test_non_finite_source_wavenumber_is_a_usage_error_before_any_output(tmp_path, source):
+    out = tmp_path / "f"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1", "--f", source,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("svd_n", ["0", "-7"])
+def test_probe_size_below_64_is_a_usage_error(tmp_path, svd_n):
+    out = tmp_path / "n"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1", f"--svd-n={svd_n}",
+                    "--out", str(out)]) == 2
+    assert not (out / "singular_values.csv").exists()
+    assert not (out / "resolvent_report.json").exists()

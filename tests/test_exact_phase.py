@@ -16,8 +16,10 @@ import pytest
 from jumpspec.basis_diag import blowup_probe
 from jumpspec.cli import main
 from jumpspec.eigensystem import pairing_zero_generic
-from jumpspec.metric import noninvertibility_probe, rayleigh_quotient
+from jumpspec.metric import noninvertibility_probe
 from jumpspec.param import MAX_CONVERGENTS, ParamA, convergents, trig_pi
+
+from reference_oracles import rayleigh_quotient
 
 REF_DPS = 250
 IRRATIONALS = ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "-1/pi", "e/4"]

@@ -262,13 +262,6 @@ def test_validator_reports_violations():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_json_round_trip():
-    rng = np.random.default_rng(9)
-    f = random_trig(rng, n_terms=3)
-    g = PiecewiseTrig.from_json(f.to_json())
-    assert g.pieces == f.pieces
-
-
 def test_gridfn_csv_rows():
     a = ParamA.from_expr("0")
     gf = sample(PiecewiseTrig.single([cos_term(1.0, 1.0)]), a, 64)

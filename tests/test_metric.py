@@ -9,14 +9,14 @@ from jumpspec.funcspace import (
     validate_domain_Hstar,
 )
 from jumpspec.metric import (
-    DomainViolation, GridNotReflectionClosed, MetricOp, apply_theta,
-    even_mode_coefficient, injectivity_probe, neumann_mode,
-    noninvertibility_probe, project_center, project_pieces,
-    quasi_self_adjointness_residual, rayleigh_quotient,
+    DomainViolation, GridNotReflectionClosed, MetricOp, even_mode_coefficient,
+    injectivity_probe, neumann_mode, noninvertibility_probe, project_center,
+    project_pieces,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents
 from jumpspec.spectrum import enumerate_spectrum
 
+from reference_oracles import rayleigh_quotient
 from util import random_domain_member, random_trig
 
 HALF_PI = math.pi / 2
@@ -106,7 +106,7 @@ def test_theta_of_zero_and_constant():
     # antisymmetrizers annihilate constants: Theta 1 = phi0 (phi0, 1)
     expect = op.phi0.scaled(inner_closed(op.phi0, one))
     assert norm_l2(op.apply(one) - expect) < 1e-12
-    assert quasi_self_adjointness_residual(one, SQRT2M1) < 1e-12
+    assert op.quasi_self_adjointness_residual(one) < 1e-12
 
 
 def test_theta_term_by_term():
@@ -242,10 +242,3 @@ def test_grid_closure_rejected():
         op.apply_grid(gf)
     with pytest.raises(NotIrrational):
         MetricOp.build(SQRT2M1).grid()
-
-
-def test_apply_theta_dispatch():
-    rng = np.random.default_rng(12)
-    f = random_trig(rng, n_terms=2)
-    out = apply_theta(f, SQRT2M1)
-    assert isinstance(out, PiecewiseTrig)

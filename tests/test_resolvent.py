@@ -186,8 +186,9 @@ def test_singular_value_probe():
     # trace-norm estimates stabilized to three digits
     assert probe["partial_sum"] == pytest.approx(probe_small["partial_sum"],
                                                  rel=1e-3)
-    with pytest.raises(ValueError):
-        singular_value_probe(-1.0, a, 4096)
+    for n in (63, 4096):
+        with pytest.raises(ValueError):
+            singular_value_probe(-1.0, a, n)
 
 
 def _closed_form(lam, xs, a_value):

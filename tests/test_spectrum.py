@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from jumpspec.param import ParamA
-from jumpspec.spectrum import (
-    EigRecord, SpectralCase, char_det, count_zeros_in_rectangle, curves,
-    drift_gap, enumerate_spectrum, records_to_json, scan_determinant_zeros,
-)
+from jumpspec.spectrum import EigRecord, SpectralCase, char_det, curves, enumerate_spectrum
+
+from reference_oracles import count_zeros_in_rectangle, scan_determinant_zeros
 
 
 def lam_set(records):
@@ -145,24 +144,3 @@ def test_curves_cross_at_one_third():
     rows = curves([1 / 3], 4)
     hits = {(cls, m) for a, cls, m, lam in rows if lam == pytest.approx(36.0)}
     assert hits == {(-1, 1), (1, 2), (0, 3)}
-
-
-def test_drift_gap():
-    assert drift_gap(1.0, 0.0) == 2.0
-    assert drift_gap(1.0, 100.0) == 8.0
-    b_star = 2 * math.sqrt(3.0)
-    assert drift_gap(1.0, b_star) == pytest.approx(8.0, abs=1e-14)
-    # continuity across the threshold
-    assert drift_gap(1.0, b_star - 1e-12) == pytest.approx(
-        drift_gap(1.0, b_star + 1e-12), abs=1e-11)
-    for sigma, b in ((0.5, 0.3), (2.0, -1.0)):
-        s2 = sigma ** 2
-        assert drift_gap(sigma, b) == pytest.approx(2 * s2 + b * b / (2 * s2))
-    with pytest.raises(ValueError):
-        drift_gap(0.0, 1.0)
-
-
-def test_records_json():
-    recs = enumerate_spectrum(ParamA.from_expr("1/3"), 40.0)
-    text = records_to_json(recs)
-    assert '"case": "exceptional_pair"' in text
