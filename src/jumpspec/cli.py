@@ -130,11 +130,11 @@ def cmd_resolvent(args, man: Manifest) -> int:
         f = lambda x: np.sin(freq * np.asarray(x, dtype=float))
     man.stage = "apply_resolvent"
     u = resolvent.apply_resolvent(lam, f, a)
-    man.write_csv("resolvent_u.csv", ["x", "re", "im"], u.csv_rows())
     man.stage = "residual_report"
     report = resolvent.residual_report(lam, f, a)
     man.stage = "singular_value_probe"
     sv = resolvent.singular_value_probe(lam, a, n=args.svd_n)
+    man.write_csv("resolvent_u.csv", ["x", "re", "im"], u.csv_rows())
     man.write_csv("singular_values.csv", ["j", "s"],
                   [(j + 1, s) for j, s in enumerate(sv["singular_values"])])
     man.write_json("resolvent_report.json", {
@@ -347,10 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Join `--a -9/10` into `--a=-9/10` (likewise `--lambda -1e6`): argparse
+    would take a value that starts with "-" for an option of its own."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--a", "--lambda") and token.startswith("-"):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     man = Manifest(args)

@@ -22,6 +22,12 @@ is formed as -expm1(i theta) and the product is never expanded, so it
 does not cancel near its zeros.  A quadrature-weighted SVD of the
 discretized kernel provides the singular-value decay evidence for the
 trace-class property.
+
+For real lambda < 0, k = i kappa with kappa = sqrt(-lambda) > 0, and
+(i/2k) e^{ik|x-y|} = e^{-kappa|x-y|}/(2 kappa), phi_1, phi_2, E, P and Q
+are all real.  `ResolventKernel` then keeps ik = -kappa and the scalars
+derived from it real, so the kernel is assembled in float64 and the SVD
+probe runs a real SVD; every other lambda stays complex.
 """
 
 from __future__ import annotations
@@ -116,11 +122,14 @@ class ResolventKernel:
     `apply_resolvent` feeds the same `coefficients` the boundary differences
     of u_p, so both paths share one three-point solve.  `one_minus` holds
     the determinant's factors (1 - E, 1 - P, 1 - Q); `denom` is their
-    product, -2i E char_det(a, k).
+    product, -2i E char_det(a, k).  `ik`, `p`, `q` and `one_minus` are
+    Python floats when lambda is real and negative and complex otherwise;
+    the arrays built from them inherit that type.
     """
 
     lam: complex
     k: complex
+    ik: complex
     a_value: float
     p: complex
     q: complex
@@ -133,16 +142,18 @@ class ResolventKernel:
         if not cmath.isfinite(lam):
             raise ValueError(f"lambda={lam} is not finite")
         k = 1j * cmath.sqrt(-lam)
-        theta = 1j * k * math.pi * np.array([1.0, (1 + a.value) / 2, (1 - a.value) / 2])
+        # real lambda < 0: ik = -sqrt(-lambda), and every factor below is real
+        ik = -math.sqrt(-lam.real) if lam.imag == 0 and lam.real < 0 else 1j * k
+        theta = ik * math.pi * np.array([1.0, (1 + a.value) / 2, (1 - a.value) / 2])
         one_minus = -np.expm1(theta)
         smallest = float(np.min(np.abs(one_minus)))
         if smallest < DENOM_GUARD:
             raise PoleAtEigenvalue(
                 f"three-point determinant factor {smallest:.2e} at lambda={lam}: "
                 "spectral point of the jump operator")
-        _, p, q = np.exp(theta)
-        return cls(lam=lam, k=k, a_value=a.value, p=complex(p), q=complex(q),
-                   one_minus=tuple(complex(v) for v in one_minus),
+        _, p, q = np.exp(theta).tolist()
+        return cls(lam=lam, k=k, ik=ik, a_value=a.value, p=p, q=q,
+                   one_minus=tuple(one_minus.tolist()),
                    denom=complex(np.prod(one_minus)))
 
     def coefficients(self, r1, r2):
@@ -162,18 +173,18 @@ class ResolventKernel:
     def phis(self, xs: np.ndarray) -> np.ndarray:
         """Columns phi_1(xs) = e^{ik(x + pi/2)} and phi_2(xs) = e^{ik(pi/2 - x)}."""
         xs = np.asarray(xs, dtype=float)
-        return np.exp(1j * self.k * np.stack([xs + HALF_PI, HALF_PI - xs], axis=-1))
+        return np.exp(self.ik * np.stack([xs + HALF_PI, HALF_PI - xs], axis=-1))
 
     def kernel_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         _check_interval(xs, ys)
-        ik, c = 1j * self.k, 0.5j / self.k
+        ik, c = self.ik, -0.5 / self.ik  # c = i/2k
         phi_y = self.phis(ys)
         g_jump = c * np.exp(ik * np.abs(HALF_PI * self.a_value - ys))
         alpha, beta = self.coefficients(c * phi_y[:, 0] - g_jump,
                                         c * phi_y[:, 1] - g_jump)
-        out = np.empty((len(xs), len(ys)), dtype=complex)
+        out = np.empty((len(xs), len(ys)), dtype=np.result_type(ik))
         np.subtract.outer(xs, ys, out=out)
         np.abs(out, out=out)
         out *= ik
@@ -264,7 +275,8 @@ def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
             f"of {MAX_PROBE_NODES} (the grid grows with |k| = {abs(kern.k):.3g})")
     mat = kern.kernel_matrix(nodes, nodes)
     sq = np.sqrt(weights)
-    mat = sq[:, None] * mat * sq[None, :]
+    mat *= sq[:, None]
+    mat *= sq[None, :]
     svals = np.linalg.svd(mat, compute_uv=False)
     j = np.arange(1, len(svals) + 1)
     window = (j >= 4) & (j <= len(svals) // 4) & (svals > 1e-14)

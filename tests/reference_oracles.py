@@ -4,17 +4,23 @@ Each one reaches a quantity of the package by a second route: the real
 zeros of the characteristic determinant by dense scan plus bisection and
 its complex zeros by the argument principle, the exceptional-index tests
 by float arithmetic with a tolerance, the Rayleigh quotient through the
-full metric operator, and the median of the generic projection norms that
-the blow-up is measured against.
+full metric operator, the median of the generic projection norms that
+the blow-up is measured against, and the resolvent kernel's singular
+values in complex arithmetic where the package computes them in float64.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
+from jumpspec.funcspace import grid_nodes
 from jumpspec.metric import MetricOp, neumann_mode
 from jumpspec.param import ParamA
+from jumpspec.resolvent import ResolventKernel
 from jumpspec.spectrum import char_det
 
 
@@ -96,3 +102,25 @@ def generic_norm_median(a: ParamA, m_max: int = 200) -> float:
     """Median of the wavenumber-2m generic projection norms, m <= m_max."""
     norms = [proj_norm_zero_generic(a, m) for m in range(1, m_max + 1)]
     return float(np.median(norms))
+
+
+def complex_arithmetic_kernel(lam: complex, a: ParamA) -> ResolventKernel:
+    """`ResolventKernel.build` with ik forced complex: the same formulas for
+    E, P, Q and the factors 1 - E, 1 - P, 1 - Q, evaluated in complex
+    arithmetic, so `kernel_matrix` runs in complex128 at every lambda."""
+    kern = ResolventKernel.build(lam, a)
+    ik = complex(kern.ik)
+    theta = ik * math.pi * np.array([1.0, (1 + a.value) / 2, (1 - a.value) / 2])
+    _, p, q = np.exp(theta).tolist()
+    return dataclasses.replace(kern, ik=ik, p=p, q=q,
+                               one_minus=tuple((-np.expm1(theta)).tolist()))
+
+
+def complex_probe_singular_values(lam: complex, a: ParamA, n: int) -> np.ndarray:
+    """The singular values `singular_value_probe` reports, from the
+    complex-arithmetic kernel on the same grid and a complex SVD."""
+    kern = complex_arithmetic_kernel(lam, a)
+    nodes, weights = grid_nodes(a, n // 2, kmax=abs(kern.k))
+    sq = np.sqrt(weights)
+    mat = sq[:, None] * kern.kernel_matrix(nodes, nodes) * sq[None, :]
+    return np.linalg.svd(mat, compute_uv=False)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from jumpspec.basis_diag import (
-    BlowupRow, ProjNormRecord, Which, blowup_probe, expansion_residuals,
-    proj_norm_zero_generic, projection_norm, rational_bound_check,
-    random_smooth_probe, truncated_completeness,
+    Which, blowup_probe, expansion_residuals, proj_norm_zero_generic,
+    projection_norm, rational_bound_check, truncated_completeness,
 )
 from jumpspec.eigensystem import biorthogonalize, generalized_xi
 from jumpspec.param import NotIrrational, ParamA
-from jumpspec.spectrum import SpectralCase, enumerate_spectrum
+from jumpspec.spectrum import enumerate_spectrum
 
 from reference_oracles import generic_norm_median
 

@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 
 import numpy as np
 import pytest
@@ -219,3 +218,29 @@ def test_probe_size_below_64_is_a_usage_error(tmp_path, svd_n):
                     "--out", str(out)]) == 2
     assert not (out / "singular_values.csv").exists()
     assert not (out / "resolvent_report.json").exists()
+
+
+def test_plain_negative_a_matches_the_joined_form(tmp_path):
+    plain, joined = tmp_path / "plain", tmp_path / "joined"
+    assert run_cli(["spectrum", "--a", "-9/10", "--out", str(plain)]) == 0
+    assert run_cli(["spectrum", "--a=-9/10", "--out", str(joined)]) == 0
+    assert (plain / "eigenvalues.json").read_bytes() == \
+        (joined / "eigenvalues.json").read_bytes()
+
+
+def test_plain_negative_lambda_reaches_the_probe(tmp_path, capsys):
+    # -1e6 is no negative integer, so argparse alone would take it for an option
+    out = tmp_path / "neg"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda", "-1e6",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "grid" in err and "expected one argument" not in err
+
+
+def test_resolvent_writes_nothing_when_a_later_stage_fails(tmp_path):
+    # the probe's grid at lambda = -1e6 exceeds the node cap, after the
+    # solution and its residual report have been computed
+    out = tmp_path / "cap"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1e6",
+                    "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())

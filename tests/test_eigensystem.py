@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from jumpspec.eigensystem import (
-    BiorthPair, CaseMismatch, DegenerateNormalization, Rank, Side,
-    biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar, generalized_eta,
-    generalized_xi, gram_matrix, pairing_eta_psi2, pairing_minus_exceptional,
-    pairing_minus_generalised, pairing_minus_generic, pairing_plus_generic,
-    pairing_zero_generic, pairing_zero_odd, pairing_zero_zero, phi_zero_mode,
-    root_system,
+    CaseMismatch, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar,
+    generalized_eta, generalized_xi, gram_matrix, pairing_eta_psi2,
+    pairing_minus_exceptional, pairing_minus_generalised, pairing_minus_generic,
+    pairing_zero_zero, root_system,
 )
 from jumpspec.funcspace import (
     PiecewiseTrig, inner_closed, norm_l2, validate_domain_H,
     validate_domain_Hstar,
 )
 from jumpspec.param import ParamA
-from jumpspec.spectrum import SpectralCase, enumerate_spectrum
+from jumpspec.spectrum import enumerate_spectrum
 
 from util import rational_exceptional_config
 

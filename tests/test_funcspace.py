@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from jumpspec.funcspace import (
-    GridFn, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, const,
-    cos_term, eval_terms, gauss_lobatto, grid_nodes, inner, inner_closed,
-    inner_matrix, linear, norm_l2, quad_gram, sample, sin_term, validate_domain_H,
-    validate_domain_Hstar, xcos_term, xsin_term,
+    OutOfDomain, PiecewiseTrig, QuadratureNotConverged, const, cos_term,
+    gauss_lobatto, grid_nodes, inner, inner_closed, inner_matrix, linear,
+    quad_gram, sample, sin_term, validate_domain_H, validate_domain_Hstar,
+    xsin_term,
 )
 from jumpspec.param import ParamA
 

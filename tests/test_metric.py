@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H, phi_zero_mode
+from jumpspec.eigensystem import eigenfunctions_H
 from jumpspec.funcspace import (
-    GridFn, PiecewiseTrig, const, cos_term, inner_closed, norm_l2, sin_term,
+    GridFn, PiecewiseTrig, const, cos_term, inner_closed, norm_l2,
     validate_domain_Hstar,
 )
 from jumpspec.metric import (

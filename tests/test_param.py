@@ -1,12 +1,11 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpspec.param import (
-    Convergent, NotIrrational, ParamA, ZeroClassCase, convergents,
-    is_exceptional_minus, is_exceptional_plus, trig_pi, zero_class_case,
+    NotIrrational, ParamA, ZeroClassCase, convergents, is_exceptional_minus,
+    is_exceptional_plus, trig_pi, zero_class_case,
 )
 
 from reference_oracles import is_exceptional_minus_float, is_exceptional_plus_float

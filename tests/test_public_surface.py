@@ -1,9 +1,11 @@
-"""No orphan public surface in src/jumpspec.
+"""No orphan public surface in src/jumpspec, no unused imports.
 
 A public top-level function or class must be used elsewhere in the
 package (or exported in an `__all__`), be driven by the benchmark in
 perfbench/, or be one of the paper's closed forms listed below, each of
-which a test pins.  Anything else is code that nothing runs.
+which a test pins.  Anything else is code that nothing runs.  A top-level
+import in src/jumpspec or tests/ must bind a name its module reads, so
+that the import lists say what each module uses.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jumpspec"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 # closed forms and checks of the paper that the package itself never calls
 PAPER_FORMS = {
@@ -23,6 +26,10 @@ PAPER_FORMS = {
     "validate_domain_Hstar": "the domain conditions of the adjoint",
     "injectivity_probe": "injectivity of the metric at irrational a",
 }
+
+# eigensystem never calls inner_closed, but perfbench/test_perfbench.py
+# asserts that the benchmark's tracer rebinds that name in eigensystem
+UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 
 
 def _names_in(node: ast.AST) -> set[str]:
@@ -59,6 +66,24 @@ def orphans(package: Path, perfbench: Path) -> list[str]:
     return found
 
 
+def unused_imports(path: Path) -> list[str]:
+    """'dir/module.py:name' for every name that a top-level import of the
+    module binds and that the module neither reads nor lists in `__all__`."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= _exported(tree)
+    found = []
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Import)
+                or (isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__")):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append(f"{path.parent.name}/{path.name}:{name}")
+    return found
+
+
 def test_every_public_name_is_used_benchmarked_or_a_paper_form():
     assert orphans(PACKAGE, PERFBENCH) == []
 
@@ -86,3 +111,23 @@ def test_an_unused_function_is_flagged(tmp_path):
     (package / "other.py").write_text("from mod import orphan\n")
     (bench / "run.py").write_text("TARGETS = ['mod.Benchmarked']\n")
     assert orphans(package, bench) == ["mod.py:orphan"]
+
+
+def test_no_unused_top_level_imports():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+             for entry in unused_imports(path)]
+    assert sorted(set(found) - UNUSED_IMPORTS_KEPT) == []
+    # an allowlisted import that came into use would leave a stale entry
+    assert UNUSED_IMPORTS_KEPT <= set(found)
+
+
+def test_an_unused_import_is_flagged(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport sys as system\n"
+        "from math import pi, tau\nfrom json import dumps\n\n"
+        "__all__ = ['dumps']\n\n\n"
+        "def f():\n    return os.path.sep, pi\n")
+    assert unused_imports(module) == [f"{tmp_path.name}/mod.py:system",
+                                      f"{tmp_path.name}/mod.py:tau"]

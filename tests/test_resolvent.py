@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
-from jumpspec.funcspace import PiecewiseTrig, const, sample, sin_term
+from jumpspec.eigensystem import eigenfunctions_H
+from jumpspec.funcspace import GridFn, PiecewiseTrig, sample, sin_term
 from jumpspec.param import ParamA
 from jumpspec.resolvent import (
     PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel,
@@ -15,6 +15,7 @@ from jumpspec.spectrum import char_det, enumerate_spectrum
 from rank_one_oracle import (
     dirichlet_resolvent_values, green0, h_profile, rank_one_kernel,
 )
+from reference_oracles import complex_probe_singular_values
 
 HALF_PI = math.pi / 2
 
@@ -176,6 +177,20 @@ def test_gridfn_input_route():
     assert boundary_deviation(u, None, a.value) < 1e-4
 
 
+def test_gridfn_route_keeps_a_real_source_real():
+    # at real lambda < 0 the GridFn route multiplies by the float64 kernel,
+    # so a real source gives a real solution, to the same contract as above
+    a = ParamA.from_expr("1/3")
+    f = PiecewiseTrig.single([sin_term(1.0, 3.0)])
+    gf = sample(f, a, 256, kmax=3.0)
+    real = GridFn(nodes=gf.nodes, values=gf.values.real, weights=gf.weights,
+                  a_value=a.value)
+    u = apply_resolvent(-2.0, real, a)
+    assert u.values.dtype == np.float64
+    dense = apply_resolvent(-2.0, f, a, xs=gf.nodes).values
+    assert np.max(np.abs(u.values - dense)) < 1e-4
+
+
 def test_singular_value_probe():
     a = ParamA.from_expr("1/3")
     probe = singular_value_probe(-1.0, a, 512)
@@ -235,6 +250,27 @@ def test_kernel_matches_the_rank_one_oracle(lam):
     ref = rank_one_kernel(lam, a.value, xs, ys)
     mat = ResolventKernel.build(lam, a).kernel_matrix(xs, ys)
     assert np.max(np.abs(mat - ref)) < 5e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam, dtype", [
+    (-1.0, np.float64), (-25.0, np.float64), (-1e4, np.float64),
+    (0.5, np.complex128), (2.5 + 1j, np.complex128),
+])
+def test_kernel_is_float64_exactly_for_real_negative_lambda(lam, dtype):
+    a = ParamA.from_expr("1/3")
+    xs = np.linspace(-HALF_PI, HALF_PI, 9)
+    assert ResolventKernel.build(lam, a).kernel_matrix(xs, xs).dtype == dtype
+
+
+# Weyl's inequality bounds |sigma_j(A) - sigma_j(B)| by ||A - B||_2, and each
+# SVD is backward stable to a small multiple of eps * sigma_1; 64 eps covers
+# both (measured: 3.9e-16, 4.8e-16 and 7.6e-15 relative to sigma_1)
+@pytest.mark.parametrize("lam", [-1.0, -25.0, -1e4])
+def test_real_probe_matches_complex_arithmetic(lam):
+    a = ParamA.from_expr("1/3")
+    svals = singular_value_probe(lam, a, 512)["singular_values"]
+    ref = complex_probe_singular_values(lam, a, 512)
+    assert np.max(np.abs(svals - ref)) < 64 * np.finfo(float).eps * ref[0]
 
 
 def test_determinant_is_proportional_to_char_det():
