@@ -206,11 +206,9 @@ def cmd_simulate(args, man: Manifest) -> int:
     report = simulator.run(cfg)
     if args.gap:
         gap_cfg = simulator.SimConfig(
-            a=a, dt=args.dt, horizon=1.5, n_paths=max(args.paths, 20000),
-            seed=args.seed, threads=args.threads, batch_size=6000)
-        pairs = eigensystem.biorthogonalize(a, 4.5)
-        gap_rec = next(p for p in pairs if abs(p.psi.record.lam - 4.0) < 1e-9)
-        gap, err = simulator.estimate_gap(gap_cfg, gap_rec.psi.fn)
+            a=a, dt=args.dt, n_paths=max(args.paths, 20000), seed=args.seed,
+            threads=args.threads, batch_size=6000)
+        gap, err = simulator.estimate_gap(gap_cfg, simulator.gap_mode(a).psi.fn)
         report.gap_estimate, report.gap_stderr = gap, err
     man.write_json("sim_report.json", report.to_dict())
     centers = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])

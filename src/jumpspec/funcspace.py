@@ -44,6 +44,10 @@ HALF_PI = math.pi / 2
 _SERIES_BELOW = 1.0
 # term pairs per kernel evaluation; bounds the temporaries of batched calls
 _PAIR_BLOCK = 1 << 12
+# quad_gram: relative change between refinements that counts as converged,
+# and the node count of its first round
+QUAD_TARGET = 1e-12
+QUAD_START_NODES = 96
 
 
 class OutOfDomain(ValueError):
@@ -547,29 +551,29 @@ def _max_freq(f: PiecewiseTrig) -> float:
 
 
 def quad_gram(fns: Sequence[PiecewiseTrig | Callable], a: ParamA | float,
-              target: float = 1e-12, start_nodes: int = 96,
               max_rounds: int = 6) -> np.ndarray:
     """Hermitian matrix of (f_j, f_k) by quadrature with panel doubling.
 
-    Each round builds one grid and samples every function once on it; the
-    refinement stops when every entry moves by at most target * max(1, |entry|).
-    Independent numerical route used to cross-check inner_closed and the
-    printed projection norms.
+    Each round builds one grid and samples every function once on it,
+    starting from QUAD_START_NODES nodes; the refinement stops when every
+    entry moves by at most QUAD_TARGET * max(1, |entry|).  Independent
+    numerical route used to cross-check inner_closed and the printed
+    projection norms.
     """
     kmax = max((_max_freq(f) for f in fns if isinstance(f, PiecewiseTrig)), default=0.0)
-    n = start_nodes
+    n = QUAD_START_NODES
     prev = None
     for _ in range(max_rounds):
         nodes, weights = grid_nodes(a, n, kmax)
         vals = np.array([np.asarray(f(nodes), dtype=complex) for f in fns])
         cur = (np.conj(vals) * weights) @ vals.T
         if prev is not None and np.all(
-                np.abs(cur - prev) <= target * np.maximum(1.0, np.abs(cur))):
+                np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
             return cur
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
-        f"inner products did not stabilize to {target} within {max_rounds} refinements")
+        f"inner products did not stabilize to {QUAD_TARGET} within {max_rounds} refinements")
 
 
 def inner(f: PiecewiseTrig | GridFn, g: PiecewiseTrig | GridFn) -> complex:

@@ -175,7 +175,7 @@ def _eval_fraction(node) -> Fraction | None:
         return left * right
     if op == "div":
         if right == 0:
-            raise ZeroDivisionError("division by zero in parameter expression")
+            raise ValueError("division by zero in parameter expression")
         return left / right
     raise AssertionError(op)
 
@@ -202,6 +202,8 @@ def _eval_mpf(node) -> mp.mpf:
     if op == "mul":
         return left * right
     if op == "div":
+        if not right:
+            raise ValueError("division by zero in parameter expression")
         return left / right
     raise AssertionError(op)
 

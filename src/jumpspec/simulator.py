@@ -14,24 +14,34 @@ the stationary-density candidate and verified empirically), and relaxation
 rates of mean observables decay at the spectral gap 4, the second
 Dirichlet eigenvalue of the interval.
 
-Paths are embarrassingly parallel: each batch owns a counter-based Philox
-stream keyed by (seed, batch index), so results are reproducible for a
-fixed batch partition, and moment reductions use exact summation.
+Both checks drive one walker, `_walk`, which steps a batch of paths on
+its own Philox stream and observes it at chosen steps.  `run` keys batch
+i by (seed, i), starts at pi*a/2 and bins occupation (N_BINS bins) and
+moments every SAMPLE_STRIDE steps after the burn-in; `estimate_gap` keys
+it by (seed + GAP_STREAM, i), starts at the right-piece midpoint and
+averages the observable at GAP_TIMES times across GAP_WINDOW.  Results
+are reproducible for a fixed batch partition at any thread count, and
+moment reductions use exact summation.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from jumpspec.eigensystem import biorthogonalize, phi_zero_mode
+from jumpspec.eigensystem import BiorthPair, biorthogonalize, phi_zero_mode
 from jumpspec.funcspace import PiecewiseTrig, inner_closed, norm_l2
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
+N_BINS = 50  # occupation histogram bins over (-pi/2, pi/2)
+SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps
+GAP_WINDOW = (0.2, 1.2)  # relaxation times fitted by estimate_gap
+GAP_TIMES = 50
+GAP_STREAM = 104729  # seed offset that keeps the gap streams apart from run's
 
 
 class ObservableOrthogonalToGapMode(ValueError):
@@ -40,6 +50,12 @@ class ObservableOrthogonalToGapMode(ValueError):
 
 @dataclass
 class SimConfig:
+    """Simulation parameters shared by `run` and `estimate_gap`.
+
+    `horizon` and `burn_in` apply to `run` only: `estimate_gap` steps to
+    the end of GAP_WINDOW and samples from time 0.  Paths are split into
+    batches of at most `batch_size`, run on up to `threads` threads.
+    """
     a: ParamA
     dt: float = 1e-4
     horizon: float = 10.0
@@ -47,9 +63,7 @@ class SimConfig:
     seed: int = 0
     bridge_correction: bool = True
     burn_in: float = 6.25  # five relaxation times of the gap-4 mode
-    n_bins: int = 50
     batch_size: int = 20_000
-    sample_stride: int = 10  # occupation/moment subsampling, in steps
     threads: int = 1
 
     def __post_init__(self):
@@ -59,6 +73,10 @@ class SimConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -74,17 +92,8 @@ class SimReport:
     gap_stderr: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "bin_edges": [float(v) for v in self.bin_edges],
-            "bin_density": [float(v) for v in self.bin_density],
-            "moment2": self.moment2,
-            "mean": self.mean,
-            "jumps_per_unit_time": self.jumps_per_unit_time,
-            "time_units": self.time_units,
-            "n_paths": self.n_paths,
-            "gap_estimate": self.gap_estimate,
-            "gap_stderr": self.gap_stderr,
-        }
+        return asdict(self) | {"bin_edges": self.bin_edges.tolist(),
+                               "bin_density": self.bin_density.tolist()}
 
 
 def stationary_density(a: ParamA) -> PiecewiseTrig:
@@ -96,20 +105,20 @@ def stationary_density(a: ParamA) -> PiecewiseTrig:
 
 def tent_bin_probabilities(a: ParamA, edges: np.ndarray) -> np.ndarray:
     """Exact bin masses of the stationary tent density."""
-    p = stationary_density(a)
     av = a.value
     xb = HALF_PI * av
+    c = 4.0 / (math.pi ** 2 * (1 - av ** 2))
+    x = np.asarray(edges, dtype=float)
+    # the normalized tent integrated from -pi/2 to each edge
+    left = c * (1 - av) * 0.5 * (x + HALF_PI) ** 2
+    right = (1 + av) * 0.5 * ((HALF_PI - xb) ** 2 - (HALF_PI - x) ** 2)
+    right = c * ((1 - av) * 0.5 * (xb + HALF_PI) ** 2 + right)
+    return np.diff(np.where(x <= xb, left, right))
 
-    def cdf_piece(x: float) -> float:
-        # integrate the normalized tent from -pi/2 to x
-        c = 4.0 / (math.pi ** 2 * (1 - av ** 2))
-        if x <= xb:
-            return c * (1 - av) * 0.5 * (x + HALF_PI) ** 2
-        right = (1 + av) * 0.5 * ((HALF_PI - xb) ** 2 - (HALF_PI - x) ** 2)
-        return c * ((1 - av) * 0.5 * (xb + HALF_PI) ** 2 + right)
 
-    cdf = np.array([cdf_piece(float(x)) for x in edges])
-    return np.diff(cdf)
+def gap_mode(a: ParamA) -> BiorthPair:
+    """The biorthogonal pair at the spectral gap, lambda = 4."""
+    return next(p for p in biorthogonalize(a, 4.5) if abs(p.psi.record.lam - 4.0) < 1e-9)
 
 
 class _Stepper:
@@ -164,45 +173,32 @@ class _Stepper:
         return n_hit
 
 
-def _simulate_batch(a_value: float, cfg: SimConfig, n_paths: int, key) -> dict:
-    """One vectorized batch; returns occupation counts and moment sums."""
+def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
+          sample_steps, observe, count_after: int = 0) -> int:
+    """Step one batch of n_paths paths from x0 for n_steps steps.
+
+    The batch draws from the Philox stream `key`; observe(x) sees the
+    positions after every step in `sample_steps`, in step order.  Returns
+    the number of restarts after step `count_after`."""
     rng = np.random.Generator(np.random.Philox(key=key))
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    burn_steps = int(round(cfg.burn_in / cfg.dt))
-    restart = HALF_PI * a_value
-    x = np.full(n_paths, restart)
+    restart = HALF_PI * cfg.a.value
+    x = np.full(n_paths, x0)
     stepper = _Stepper(n_paths, cfg.dt, cfg.bridge_correction, rng)
-    inv_width = cfg.n_bins / math.pi
-    counts = np.zeros(cfg.n_bins, dtype=np.int64)
     jumps = 0
-    sum_sq = 0.0
-    sum_x = 0.0
-    n_samples = 0
     for step in range(1, n_steps + 1):
         n_hit = stepper.step(x, restart)
-        if step > burn_steps:
+        if step > count_after:
             jumps += n_hit
-            if step % cfg.sample_stride == 0:
-                idx = ((x + HALF_PI) * inv_width).astype(np.int64)
-                np.clip(idx, 0, cfg.n_bins - 1, out=idx)
-                counts += np.bincount(idx, minlength=cfg.n_bins)
-                sum_sq += float(np.dot(x, x))
-                sum_x += float(np.sum(x))
-                n_samples += n_paths
-    return {"counts": counts, "jumps": jumps, "sum_sq": sum_sq,
-            "sum_x": sum_x, "n_samples": n_samples}
+        if step in sample_steps:
+            observe(x)
+    return jumps
 
 
 def _batches(cfg: SimConfig) -> list[tuple[int, int]]:
-    out = []
-    remaining = cfg.n_paths
-    idx = 0
-    while remaining > 0:
-        take = min(cfg.batch_size, remaining)
-        out.append((idx, take))
-        remaining -= take
-        idx += 1
-    return out
+    """(index, size) of each batch of at most cfg.batch_size paths."""
+    starts = range(0, cfg.n_paths, cfg.batch_size)
+    return [(idx, min(cfg.batch_size, cfg.n_paths - start))
+            for idx, start in enumerate(starts)]
 
 
 def _map_batches(cfg: SimConfig, plan: list[tuple[int, int]], job) -> list:
@@ -216,31 +212,48 @@ def _map_batches(cfg: SimConfig, plan: list[tuple[int, int]], job) -> list:
     return [job(*item) for item in plan]
 
 
+def _occupation_batch(cfg: SimConfig, idx: int, n_paths: int, n_steps: int,
+                      burn_steps: int, sample_steps: range) -> tuple:
+    """Bin counts, [sum of x^2, sum of x] over the samples, and the
+    restarts after burn-in, of batch idx."""
+    counts = np.zeros(N_BINS, dtype=np.int64)
+    sums = np.zeros(2)
+
+    def observe(x):
+        bins = ((x + HALF_PI) * (N_BINS / math.pi)).astype(np.int64)
+        np.clip(bins, 0, N_BINS - 1, out=bins)
+        counts[:] += np.bincount(bins, minlength=N_BINS)
+        sums[:] += (np.dot(x, x), np.sum(x))
+
+    jumps = _walk(cfg, [cfg.seed, idx], n_paths, HALF_PI * cfg.a.value, n_steps,
+                  sample_steps, observe, count_after=burn_steps)
+    return counts, sums, jumps
+
+
 def run(cfg: SimConfig) -> SimReport:
     """Simulate and report occupation statistics after burn-in.
 
-    ValueError when no sample falls after burn-in (SimConfig allows that:
-    estimate_gap samples from time 0)."""
+    ValueError when no sample falls after burn-in."""
     n_steps = int(round(cfg.horizon / cfg.dt))
     burn_steps = int(round(cfg.burn_in / cfg.dt))
-    if n_steps // cfg.sample_stride <= burn_steps // cfg.sample_stride:
+    first = (burn_steps // SAMPLE_STRIDE + 1) * SAMPLE_STRIDE
+    sample_steps = range(first, n_steps + 1, SAMPLE_STRIDE)
+    if not sample_steps:
         raise ValueError(f"horizon {cfg.horizon} leaves no sample after the "
                          f"burn-in of {cfg.burn_in} at dt {cfg.dt}")
-    a_value = cfg.a.value
     results = _map_batches(
         cfg, _batches(cfg),
-        lambda idx, n: _simulate_batch(a_value, cfg, n, key=[cfg.seed, idx]))
+        lambda idx, n: _occupation_batch(cfg, idx, n, n_steps, burn_steps, sample_steps))
 
-    counts = np.sum([r["counts"] for r in results], axis=0)
-    n_samples = int(sum(r["n_samples"] for r in results))
-    sum_sq = math.fsum(r["sum_sq"] for r in results)
-    sum_x = math.fsum(r["sum_x"] for r in results)
-    jumps = int(sum(r["jumps"] for r in results))
-    edges = np.linspace(-HALF_PI, HALF_PI, cfg.n_bins + 1)
-    width = math.pi / cfg.n_bins
+    counts = np.sum([r[0] for r in results], axis=0)
+    n_samples = cfg.n_paths * len(sample_steps)
+    sum_sq = math.fsum(r[1][0] for r in results)
+    sum_x = math.fsum(r[1][1] for r in results)
+    jumps = sum(r[2] for r in results)
+    width = math.pi / N_BINS
     effective_time = cfg.n_paths * (cfg.horizon - cfg.burn_in)
     return SimReport(
-        bin_edges=edges,
+        bin_edges=np.linspace(-HALF_PI, HALF_PI, N_BINS + 1),
         bin_density=counts / n_samples / width,
         moment2=sum_sq / n_samples,
         mean=sum_x / n_samples,
@@ -253,56 +266,35 @@ def run(cfg: SimConfig) -> SimReport:
 # spectral-gap estimation
 # ---------------------------------------------------------------------------
 
-def _gap_mode_pairing(cfg: SimConfig, observable: PiecewiseTrig) -> complex:
-    pairs = biorthogonalize(cfg.a, 4.5)
-    gap_pair = next(p for p in pairs if abs(p.psi.record.lam - 4.0) < 1e-9)
-    return inner_closed(gap_pair.phi.fn, observable)
-
-
-def _relax_batch(cfg: SimConfig, n_paths: int, key, x0: float,
-                 sample_steps: np.ndarray, observable) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=key))
-    restart = HALF_PI * cfg.a.value
-    x = np.full(n_paths, x0)
-    stepper = _Stepper(n_paths, cfg.dt, cfg.bridge_correction, rng)
-    out = np.zeros(len(sample_steps))
-    targets = {int(s): i for i, s in enumerate(sample_steps)}
-    for step in range(1, int(sample_steps[-1]) + 1):
-        stepper.step(x, restart)
-        if step in targets:
-            out[targets[step]] = float(np.mean(np.real(observable(x))))
-    return out
-
-
-def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig,
-                 x0: float | None = None,
-                 t_window: tuple[float, float] = (0.2, 1.2),
-                 n_times: int = 50) -> tuple[float, float | None]:
-    """Fit -d/dt log |E[g(X_t)] - mu_inf| over the relaxation window.
+def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig) -> tuple[float, float | None]:
+    """Fit -d/dt log |E[g(X_t)] - mu_inf| over GAP_WINDOW.
 
     The observable must have a nonzero pairing with the gap-mode dual;
-    paths launch from the right-piece midpoint by default, where the gap
+    paths launch from the right-piece midpoint, where the gap
     eigenfunction never vanishes.  The standard error is None when fewer
     than two batches give a slope.
     """
-    pairing = _gap_mode_pairing(cfg, observable)
+    pairing = inner_closed(gap_mode(cfg.a).phi.fn, observable)
     if abs(pairing) < 1e-8 * max(norm_l2(observable), 1e-30):
         raise ObservableOrthogonalToGapMode(
             "observable is orthogonal to the gap-mode dual; the fitted decay "
             "would track a higher mode")
-    if x0 is None:
-        x0 = HALF_PI * (1 + cfg.a.value) / 2  # right-piece midpoint
+    x0 = HALF_PI * (1 + cfg.a.value) / 2  # right-piece midpoint
     mu_inf = inner_closed(stationary_density(cfg.a), observable).real
 
-    times = np.linspace(t_window[0], t_window[1], n_times)
+    times = np.linspace(*GAP_WINDOW, GAP_TIMES)
     sample_steps = np.unique(np.round(times / cfg.dt).astype(int))
     times = sample_steps * cfg.dt
+    wanted = set(sample_steps.tolist())
+
+    def trace(idx: int, n_paths: int) -> list[float]:
+        means = []
+        _walk(cfg, [cfg.seed + GAP_STREAM, idx], n_paths, x0, int(sample_steps[-1]),
+              wanted, lambda x: means.append(float(np.mean(np.real(observable(x))))))
+        return means
 
     plan = _batches(cfg)
-    traces = np.array(_map_batches(
-        cfg, plan,
-        lambda idx, n: _relax_batch(cfg, n, [cfg.seed + 104729, idx], x0,
-                                    sample_steps, observable)))
+    traces = np.array(_map_batches(cfg, plan, trace))
     weights = np.array([n for _, n in plan], dtype=float)
     pooled = np.average(traces, axis=0, weights=weights)
 
@@ -312,7 +304,7 @@ def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig,
     else:
         point_std = np.full_like(pooled, 1e-3)
     keep = signal > 3 * point_std
-    if np.count_nonzero(keep) < max(5, n_times // 4):
+    if np.count_nonzero(keep) < max(5, GAP_TIMES // 4):
         raise RuntimeError("relaxation signal below noise; increase n_paths")
     slope, _ = np.polyfit(times[keep], np.log(signal[keep]), 1)
 

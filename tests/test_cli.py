@@ -115,10 +115,22 @@ def test_metric_check_subcommand(tmp_path):
     assert min(v for _, v in payload["rayleigh_sequence"]) < 1e-2
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_cli(["spectrum"]) == 2          # missing --a
     assert run_cli(["bogus"]) == 2
     assert run_cli(["spectrum", "--a", "3/2", "--out", "/tmp/x1"]) == 2
+    for expr in ("1/0", "pi/0", "1/(1-1)"):    # division by zero
+        assert run_cli(["spectrum", "--a", expr, "--out", str(tmp_path / "z")]) == 2
+    assert not (tmp_path / "z").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_non_positive_thread_count_is_a_usage_error(tmp_path, threads):
+    out = tmp_path / "t"
+    assert run_cli([f"--threads={threads}", "simulate", "--a", "1/3", "--paths", "10",
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+
 
 def test_simulate_without_post_burn_in_samples_is_a_usage_error(tmp_path):
     out = tmp_path / "h1"

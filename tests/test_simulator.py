@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,11 @@ def test_config_validation():
             SimConfig(a=A0, dt=bad)
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(a=A0, horizon=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(a=A0, batch_size=bad)
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(a=A0, threads=bad)
 
 
 def test_stationary_density_normalized():
@@ -58,6 +65,15 @@ def test_seeded_runs_are_bit_reproducible():
     assert np.array_equal(r1.bin_density, r2.bin_density)
     r3 = run(small_cfg(horizon=6.75, seed=43))
     assert r3.moment2 != r1.moment2
+
+
+def test_seeded_run_matches_the_recorded_report():
+    # pins the per-batch Philox streams and their draw order: a change to
+    # the stepper's use of the stream shows up here as a changed record
+    golden = json.loads((Path(__file__).parent / "golden_run.json").read_text())
+    rep = run(small_cfg(a=ParamA.from_expr("1/3"), horizon=6.45, n_paths=600,
+                        batch_size=300))
+    assert rep.to_dict() == golden
 
 
 def test_moment_and_histogram_against_theory():
@@ -96,6 +112,8 @@ def test_gap_estimate_cheap():
     gap, err = estimate_gap(cfg, g)
     assert gap == pytest.approx(4.0, rel=0.25)
     assert err < 2.0
+    # the recorded seeded result: pins the gap walk's streams
+    assert (gap, err) == (3.7355177690218846, 0.1854881736168638)
 
 
 def test_orthogonal_observable_rejected():
