@@ -6,8 +6,9 @@ manifest (command line, parameters, version, seed, outputs, wall time).
 CSV floats carry 17 significant digits so reruns are byte-identical.
 Exit codes: 0 ok, 1 contract failure, 2 usage error, 3 numerical
 failure (a pole, exhausted precision, unconverged quadrature, a vanishing
-normalization); the manifest then carries an `error` record with the
-exception's type, message and the stage it failed in.
+normalization, a gap relaxation lost in noise); the manifest then carries
+an `error` record with the exception's type, message and the stage it
+failed in.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def _fmt(v) -> str:
 
 NUMERICAL_FAILURES = (
     resolvent.PoleAtEigenvalue, PrecisionExhausted, QuadratureNotConverged,
-    eigensystem.DegenerateNormalization, ZeroDivisionError,
+    eigensystem.DegenerateNormalization, simulator.RelaxationBelowNoise,
+    ZeroDivisionError,
 )
 
 

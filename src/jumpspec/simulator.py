@@ -8,6 +8,15 @@ exp(-(b - x0)(b - x1)/dt) (variance-matched to quadratic variation 2),
 since plain threshold crossing undercounts hits and biases every rate
 estimate.
 
+The bridge rule runs only on candidate paths, those with
+max(|x0|, |x1|) above pi/2 - sqrt(CUTOFF dt), less four ulps of pi/2 for
+rounding.  Off that set both exponents are at most -CUTOFF, so both
+probabilities are at most exp(-40) < 2**-53, the smallest positive
+uniform the generator draws: the full-width rule could have restarted a
+skipped path only on a uniform of exactly 0.0, so the skip moves a
+step's hit probability by at most 2**-53.  Each bridge step draws the
+normals of all paths, then one uniform per candidate, in path order.
+
 Two theory targets are checked against the spectral side: the occupation
 density relaxes to the tent profile (the adjoint zero-mode, used here as
 the stationary-density candidate and verified empirically), and relaxation
@@ -42,10 +51,15 @@ SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps
 GAP_WINDOW = (0.2, 1.2)  # relaxation times fitted by estimate_gap
 GAP_TIMES = 50
 GAP_STREAM = 104729  # seed offset that keeps the gap streams apart from run's
+CUTOFF = 40.0  # bridge exponents below -CUTOFF are skipped: exp(-40) < 2**-53
 
 
 class ObservableOrthogonalToGapMode(ValueError):
     """Observable has no component on the slowest decaying mode."""
+
+
+class RelaxationBelowNoise(RuntimeError):
+    """Too few relaxation times stand above the Monte Carlo noise to fit."""
 
 
 @dataclass
@@ -121,12 +135,38 @@ def gap_mode(a: ParamA) -> BiorthPair:
     return next(p for p in biorthogonalize(a, 4.5) if abs(p.psi.record.lam - 4.0) < 1e-9)
 
 
+def _bridge_margin(dt: float) -> float:
+    """|x| up to which a step end cannot start a boundary hit.
+
+    Both ends within pi/2 - sqrt(CUTOFF dt) keep both bridge exponents at
+    or below -CUTOFF; four ulps of pi/2 more absorb the rounding of this
+    subtraction and of the exponent, however small dt is."""
+    return HALF_PI - math.sqrt(CUTOFF * dt) - 4 * math.ulp(HALF_PI)
+
+
+def _bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
+                          dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities that the bridge from x0 to x1 over one step reaches
+    the upper and the lower boundary, exp(-(b -+ x0)(b -+ x1)/dt).
+
+    The exponent is clipped at 0, which makes a probability exactly 1
+    whenever the endpoint landed on or beyond that boundary."""
+    upper = np.exp(np.minimum((HALF_PI - x0) * (HALF_PI - x1) / -dt, 0.0))
+    lower = np.exp(np.minimum((x0 + HALF_PI) * (x1 + HALF_PI) / -dt, 0.0))
+    return upper, lower
+
+
 class _Stepper:
     """Reusable-buffer Euler stepper with bridge-corrected boundary hits.
 
-    Direct crossings fold into the bridge rule: the exceedance exponent is
-    clipped at 0, which makes the hit probability exactly 1 whenever the
-    endpoint landed outside.
+    With the bridge correction, a step draws n normals, moves every path,
+    flags as candidates the paths with max(|x0|, |x1|) above
+    `_bridge_margin(dt)`, then draws one uniform per candidate and
+    restarts those below the sum of their two bridge probabilities.  The
+    other paths have both probabilities at most exp(-CUTOFF) < 2**-53,
+    so the skip is exact up to a uniform of 0.0 (see the module
+    docstring).  Without it, a path restarts when it ends a step on or
+    beyond the boundary.
     """
 
     def __init__(self, n_paths: int, dt: float, bridge: bool, rng):
@@ -134,43 +174,30 @@ class _Stepper:
         self.dt = dt
         self.bridge = bridge
         self.sig = math.sqrt(2.0 * dt)
+        self.margin = _bridge_margin(dt)
         self.noise = np.empty(n_paths)
-        self.t1 = np.empty(n_paths)
-        self.t2 = np.empty(n_paths)
-        self.arg = np.empty(n_paths)
-        self.prob = np.empty(n_paths)
-        self.u = np.empty(n_paths)
+        self.reach = np.empty(n_paths)
         self.x_old = np.empty(n_paths)
 
     def step(self, x: np.ndarray, restart: float) -> int:
         """Advance x in place by one step; returns the number of restarts."""
-        np.copyto(self.x_old, x)
-        self.rng.standard_normal(out=self.noise)
-        x += self.sig * self.noise
         if self.bridge:
-            # upper boundary: exp(-(b - x0)(b - x1)/dt), clipped at prob 1
-            np.subtract(HALF_PI, self.x_old, out=self.t1)
-            np.subtract(HALF_PI, x, out=self.t2)
-            np.multiply(self.t1, self.t2, out=self.arg)
-            self.arg /= -self.dt
-            np.minimum(self.arg, 0.0, out=self.arg)
-            np.exp(self.arg, out=self.prob)
-            # lower boundary
-            np.add(self.x_old, HALF_PI, out=self.t1)
-            np.add(x, HALF_PI, out=self.t2)
-            np.multiply(self.t1, self.t2, out=self.arg)
-            self.arg /= -self.dt
-            np.minimum(self.arg, 0.0, out=self.arg)
-            np.exp(self.arg, out=self.t2)
-            self.prob += self.t2
-            self.rng.random(out=self.u)
-            hit = self.u < self.prob
-        else:
-            hit = (x >= HALF_PI) | (x <= -HALF_PI)
-        n_hit = int(np.count_nonzero(hit))
-        if n_hit:
-            np.copyto(x, restart, where=hit)
-        return n_hit
+            np.copyto(self.x_old, x)
+        self.rng.standard_normal(out=self.noise)
+        self.noise *= self.sig
+        x += self.noise
+        if self.bridge:
+            np.abs(self.x_old, out=self.reach)
+            np.abs(x, out=self.noise)  # the step is taken; reuse its buffer
+            np.maximum(self.reach, self.noise, out=self.reach)
+            cand = np.flatnonzero(self.reach > self.margin)
+            upper, lower = _bridge_probabilities(self.x_old[cand], x[cand], self.dt)
+            hit = cand[self.rng.random(len(cand)) < upper + lower]
+            x[hit] = restart
+            return len(hit)
+        hit = np.abs(x) >= HALF_PI
+        np.copyto(x, restart, where=hit)
+        return int(np.count_nonzero(hit))
 
 
 def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
@@ -251,7 +278,7 @@ def run(cfg: SimConfig) -> SimReport:
     sum_x = math.fsum(r[1][1] for r in results)
     jumps = sum(r[2] for r in results)
     width = math.pi / N_BINS
-    effective_time = cfg.n_paths * (cfg.horizon - cfg.burn_in)
+    effective_time = cfg.n_paths * (n_steps - burn_steps) * cfg.dt
     return SimReport(
         bin_edges=np.linspace(-HALF_PI, HALF_PI, N_BINS + 1),
         bin_density=counts / n_samples / width,
@@ -272,7 +299,8 @@ def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig) -> tuple[float, floa
     The observable must have a nonzero pairing with the gap-mode dual;
     paths launch from the right-piece midpoint, where the gap
     eigenfunction never vanishes.  The standard error is None when fewer
-    than two batches give a slope.
+    than two batches give a slope.  RelaxationBelowNoise when too few
+    sample times rise above the noise to fit.
     """
     pairing = inner_closed(gap_mode(cfg.a).phi.fn, observable)
     if abs(pairing) < 1e-8 * max(norm_l2(observable), 1e-30):
@@ -305,7 +333,7 @@ def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig) -> tuple[float, floa
         point_std = np.full_like(pooled, 1e-3)
     keep = signal > 3 * point_std
     if np.count_nonzero(keep) < max(5, GAP_TIMES // 4):
-        raise RuntimeError("relaxation signal below noise; increase n_paths")
+        raise RelaxationBelowNoise("relaxation signal below noise; increase n_paths")
     slope, _ = np.polyfit(times[keep], np.log(signal[keep]), 1)
 
     slopes = []

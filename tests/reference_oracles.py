@@ -5,8 +5,11 @@ zeros of the characteristic determinant by dense scan plus bisection and
 its complex zeros by the argument principle, the exceptional-index tests
 by float arithmetic with a tolerance, the Rayleigh quotient through the
 full metric operator, the median of the generic projection norms that
-the blow-up is measured against, and the resolvent kernel's singular
-values in complex arithmetic where the package computes them in float64.
+the blow-up is measured against, the resolvent kernel's singular
+values in complex arithmetic where the package computes them in float64,
+the simulator's bridge hit probabilities over every path where the
+package computes them on candidate paths only, and the renewal moments
+of the time between restarts.
 """
 
 from __future__ import annotations
@@ -124,3 +127,35 @@ def complex_probe_singular_values(lam: complex, a: ParamA, n: int) -> np.ndarray
     sq = np.sqrt(weights)
     mat = sq[:, None] * kern.kernel_matrix(nodes, nodes) * sq[None, :]
     return np.linalg.svd(mat, compute_uv=False)
+
+
+def full_width_bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
+                                    dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bridge hit probabilities of every path, computed
+    as the stepper did over all paths in reusable buffers:
+    exp(min(-(b -+ x0)(b -+ x1)/dt, 0)) at b = pi/2."""
+    half_pi = math.pi / 2
+    t1, t2, arg = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
+    upper, lower = np.empty_like(x0), np.empty_like(x0)
+    np.subtract(half_pi, x0, out=t1)
+    np.subtract(half_pi, x1, out=t2)
+    np.multiply(t1, t2, out=arg)
+    arg /= -dt
+    np.minimum(arg, 0.0, out=arg)
+    np.exp(arg, out=upper)
+    np.add(x0, half_pi, out=t1)
+    np.add(x1, half_pi, out=t2)
+    np.multiply(t1, t2, out=arg)
+    arg /= -dt
+    np.minimum(arg, 0.0, out=arg)
+    np.exp(arg, out=lower)
+    return upper, lower
+
+
+def restart_time_moments(a: ParamA) -> tuple[float, float]:
+    """Mean and variance of the time from the restart point pi a/2 to the
+    boundary for generator d^2/dx^2 on (-L, L), L = pi/2: solving
+    u'' = -1 and v'' = -2u with zero boundary values gives
+    E[tau] = (L^2 - b^2)/2 and Var[tau] = (L^4 - b^4)/6."""
+    L, b = math.pi / 2, math.pi / 2 * a.value
+    return (L ** 2 - b ** 2) / 2, (L ** 4 - b ** 4) / 6

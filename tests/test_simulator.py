@@ -4,13 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jumpspec.cli import NUMERICAL_FAILURES
 from jumpspec.funcspace import PiecewiseTrig, const, inner_closed, sin_term
 from jumpspec.param import ParamA
 from jumpspec.simulator import (
-    ObservableOrthogonalToGapMode, SimConfig, SimReport, estimate_gap, run,
+    CUTOFF, ObservableOrthogonalToGapMode, RelaxationBelowNoise, SimConfig, SimReport,
+    _bridge_margin, _bridge_probabilities, _Stepper, estimate_gap, run,
     stationary_density, tent_bin_probabilities,
 )
+from reference_oracles import full_width_bridge_probabilities, restart_time_moments
 
 A0 = ParamA.from_expr("0")
 
@@ -113,7 +117,14 @@ def test_gap_estimate_cheap():
     assert gap == pytest.approx(4.0, rel=0.25)
     assert err < 2.0
     # the recorded seeded result: pins the gap walk's streams
-    assert (gap, err) == (3.7355177690218846, 0.1854881736168638)
+    assert (gap, err) == (4.016761225283787, 0.3119098526008777)
+
+
+def test_gap_signal_lost_in_noise_is_a_typed_numerical_failure():
+    cfg = SimConfig(a=A0, dt=1e-3, horizon=1.5, n_paths=20, seed=3, batch_size=5)
+    with pytest.raises(RelaxationBelowNoise, match="below noise"):
+        estimate_gap(cfg, PiecewiseTrig.single([sin_term(1.0, 2.0)]))
+    assert RelaxationBelowNoise in NUMERICAL_FAILURES
 
 
 def test_orthogonal_observable_rejected():
@@ -135,3 +146,83 @@ def test_threaded_partition_reproducible():
     cfg2 = small_cfg(horizon=6.75, n_paths=2000, batch_size=1000, threads=1)
     # same batch partition, different scheduling: identical results
     assert run(cfg1).moment2 == run(cfg2).moment2
+
+
+def _paths_near_the_boundary(n: int, dt: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start points spread over the interval, half of them within ten step
+    lengths of a boundary, and one Euler step from each."""
+    rng = np.random.default_rng(seed)
+    reach = 10 * math.sqrt(2 * dt)
+    far = rng.uniform(-math.pi / 2, math.pi / 2, n - n // 2)
+    near = np.sign(rng.uniform(-1, 1, n // 2)) * (math.pi / 2 - rng.uniform(0, reach, n // 2))
+    x0 = np.concatenate([far, near])
+    return x0, x0 + math.sqrt(2 * dt) * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-4, 1e-4, 1e-7])
+def test_candidate_probabilities_equal_the_full_width_rule_bit_for_bit(dt):
+    x0, x1 = _paths_near_the_boundary(4000, dt, seed=11)
+    upper, lower = full_width_bridge_probabilities(x0, x1, dt)
+    margin = _bridge_margin(dt)
+    cand = np.flatnonzero(np.maximum(np.abs(x0), np.abs(x1)) > margin)
+    assert 0 < len(cand) < len(x0)
+    got_upper, got_lower = _bridge_probabilities(x0[cand], x1[cand], dt)
+    assert np.array_equal(got_upper, upper[cand])
+    assert np.array_equal(got_lower, lower[cand])
+    assert np.any(upper[cand] + lower[cand] >= 1.0)  # direct crossings among them
+    rest = np.setdiff1d(np.arange(len(x0)), cand)
+    assert np.all(np.maximum(upper[rest], lower[rest]) <= math.exp(-CUTOFF))
+
+
+ON_MARGIN = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.sampled_from([1e-3, 5e-4, 1e-4]) | st.floats(min_value=1e-200, max_value=1e-3),
+       u0=ON_MARGIN | st.floats(min_value=-1.0, max_value=1.0),
+       u1=ON_MARGIN | st.floats(min_value=-1.0, max_value=1.0))
+def test_non_candidates_have_both_probabilities_below_the_cutoff(dt, u0, u1):
+    # u0, u1 = +-1 put the ends exactly on the candidate margin; below
+    # 2**-53 a probability fires only on a uniform of exactly 0.0
+    assert math.exp(-CUTOFF) < 2.0 ** -53
+    margin = _bridge_margin(dt)
+    x0, x1 = np.array([u0 * margin]), np.array([u1 * margin])
+    upper, lower = full_width_bridge_probabilities(x0, x1, dt)
+    assert upper[0] <= math.exp(-CUTOFF) and lower[0] <= math.exp(-CUTOFF)
+
+
+def test_bridge_step_draws_normals_then_one_uniform_per_candidate():
+    dt, seed = 1e-3, 5
+    x0, _ = _paths_near_the_boundary(3000, dt, seed=12)
+    x = x0.copy()
+    stepper = _Stepper(len(x), dt, True, np.random.Generator(np.random.Philox(key=seed)))
+    n_hit = stepper.step(x, restart=0.25)
+
+    replay = np.random.Generator(np.random.Philox(key=seed))
+    x1 = x0 + math.sqrt(2 * dt) * replay.standard_normal(len(x0))
+    cand = np.flatnonzero(np.maximum(np.abs(x0), np.abs(x1)) > _bridge_margin(dt))
+    upper, lower = full_width_bridge_probabilities(x0, x1, dt)
+    hit = cand[replay.random(len(cand)) < (upper + lower)[cand]]
+    assert n_hit == len(hit) > 0
+    x1[hit] = 0.25
+    assert np.array_equal(x, x1)
+
+
+@pytest.mark.parametrize("expr", ["0", "1/3"])
+def test_jump_rate_within_four_renewal_standard_errors(expr):
+    a = ParamA.from_expr(expr)
+    rep = run(small_cfg(a=a, dt=5e-4))
+    mean, var = restart_time_moments(a)
+    # renewal CLT: Var(rate) = Var(tau) / (E[tau]^3 T) over simulated time T
+    se = math.sqrt(var / mean ** 3 / rep.time_units)
+    expected = 8 / (math.pi ** 2 * (1 - a.value ** 2))
+    assert expected == pytest.approx(1 / mean, rel=1e-15)
+    assert abs(rep.jumps_per_unit_time - expected) <= 4 * se
+
+
+def test_rate_divides_by_the_stepped_time():
+    # both horizons round to 6260 steps at dt 1e-3, ten after the burn-in
+    reps = [run(SimConfig(a=A0, dt=1e-3, horizon=h, n_paths=500, seed=1))
+            for h in (6.2605, 6.2595)]
+    assert reps[0].time_units == reps[1].time_units == 500 * 10 * 1e-3
+    assert reps[0].jumps_per_unit_time == reps[1].jumps_per_unit_time
