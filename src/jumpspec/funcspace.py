@@ -542,8 +542,10 @@ def sample(fn: PiecewiseTrig | Callable[[np.ndarray], np.ndarray],
            kmax: float = 0.0) -> GridFn:
     nodes, weights = grid_nodes(a, min_nodes_per_piece, kmax)
     a_val = a.value if isinstance(a, ParamA) else float(a)
-    return GridFn(nodes=nodes, values=np.asarray(fn(nodes), dtype=complex),
-                  weights=weights, a_value=a_val)
+    values = np.asarray(fn(nodes), dtype=complex)
+    if not values.imag.any():  # real functions keep real samples
+        values = np.ascontiguousarray(values.real)
+    return GridFn(nodes=nodes, values=values, weights=weights, a_value=a_val)
 
 
 def _max_freq(f: PiecewiseTrig) -> float:

@@ -15,7 +15,21 @@ probabilities are at most exp(-40) < 2**-53, the smallest positive
 uniform the generator draws: the full-width rule could have restarted a
 skipped path only on a uniform of exactly 0.0, so the skip moves a
 step's hit probability by at most 2**-53.  Each bridge step draws the
-normals of all paths, then one uniform per candidate, in path order.
+normals of the paths it steps, then one uniform per candidate, in path
+order.
+
+Paths are walked in strides of at most SAMPLE_STRIDE steps; a stride
+ends on every sample step, on the last uncounted step and on the last
+step.  A path is deep for a stride of S steps when |x| is at most the
+threshold less sqrt(4 S dt (CUTOFF + ln 2)) and four ulps of pi/2, the
+threshold being the candidate margin with the bridge and pi/2 without.
+A walk of quadratic variation 2 strays by D or more within time S dt
+with probability at most 2 exp(-D**2 / (4 S dt)) = exp(-CUTOFF) at that
+D, so a deep path would have become a candidate (or, without the bridge,
+crossed pi/2) at some step of the stride with probability below 2**-53.
+Deep paths therefore take the S steps as one normal of variance 2 S dt;
+the others take S steps of the stepper.  A stride draws the deep
+normals in path order, then the S steps of the other paths.
 
 Two theory targets are checked against the spectral side: the occupation
 density relaxes to the tent profile (the adjoint zero-mode, used here as
@@ -47,7 +61,7 @@ from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
 N_BINS = 50  # occupation histogram bins over (-pi/2, pi/2)
-SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps
+SAMPLE_STRIDE = 10  # occupation/moment subsampling and the longest stride, in steps
 GAP_WINDOW = (0.2, 1.2)  # relaxation times fitted by estimate_gap
 GAP_TIMES = 50
 GAP_STREAM = 104729  # seed offset that keeps the gap streams apart from run's
@@ -85,6 +99,8 @@ class SimConfig:
             raise ValueError(f"dt must be in (0, 1e-3], got {self.dt}")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not 0 <= self.burn_in < math.inf:
+            raise ValueError(f"burn_in must be nonnegative and finite, got {self.burn_in}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
         if self.batch_size < 1:
@@ -144,6 +160,17 @@ def _bridge_margin(dt: float) -> float:
     return HALF_PI - math.sqrt(CUTOFF * dt) - 4 * math.ulp(HALF_PI)
 
 
+def _deep_margin(dt: float, stride: int, bridge: bool) -> float:
+    """|x| up to which a path cannot reach the threshold within `stride`
+    steps, but with probability at most exp(-CUTOFF).
+
+    The threshold is `_bridge_margin(dt)` with the bridge correction and
+    pi/2 without; four ulps of pi/2 absorb the rounding, as there."""
+    threshold = _bridge_margin(dt) if bridge else HALF_PI
+    return (threshold - math.sqrt(4 * stride * dt * (CUTOFF + math.log(2)))
+            - 4 * math.ulp(HALF_PI))
+
+
 def _bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
                           dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities that the bridge from x0 to x1 over one step reaches
@@ -159,14 +186,19 @@ def _bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
 class _Stepper:
     """Reusable-buffer Euler stepper with bridge-corrected boundary hits.
 
-    With the bridge correction, a step draws n normals, moves every path,
-    flags as candidates the paths with max(|x0|, |x1|) above
+    `step` moves the paths it is given, a prefix's worth of its buffers.
+    With the bridge correction, a step draws one normal per path, moves
+    every path, flags as candidates the paths with max(|x0|, |x1|) above
     `_bridge_margin(dt)`, then draws one uniform per candidate and
     restarts those below the sum of their two bridge probabilities.  The
     other paths have both probabilities at most exp(-CUTOFF) < 2**-53,
     so the skip is exact up to a uniform of 0.0 (see the module
     docstring).  Without it, a path restarts when it ends a step on or
     beyond the boundary.
+
+    `stride` takes S steps at once: the deep paths (|x| at most
+    `_deep_margin(dt, S, bridge)`) move by one normal of variance 2 S dt,
+    drawn first in path order, and the others take S calls of `step`.
     """
 
     def __init__(self, n_paths: int, dt: float, bridge: bool, rng):
@@ -181,23 +213,36 @@ class _Stepper:
 
     def step(self, x: np.ndarray, restart: float) -> int:
         """Advance x in place by one step; returns the number of restarts."""
+        n = len(x)
+        noise, reach, x_old = self.noise[:n], self.reach[:n], self.x_old[:n]
         if self.bridge:
-            np.copyto(self.x_old, x)
-        self.rng.standard_normal(out=self.noise)
-        self.noise *= self.sig
-        x += self.noise
+            np.copyto(x_old, x)
+        self.rng.standard_normal(out=noise)
+        noise *= self.sig
+        x += noise
         if self.bridge:
-            np.abs(self.x_old, out=self.reach)
-            np.abs(x, out=self.noise)  # the step is taken; reuse its buffer
-            np.maximum(self.reach, self.noise, out=self.reach)
-            cand = np.flatnonzero(self.reach > self.margin)
-            upper, lower = _bridge_probabilities(self.x_old[cand], x[cand], self.dt)
+            np.abs(x_old, out=reach)
+            np.abs(x, out=noise)  # the step is taken; reuse its buffer
+            np.maximum(reach, noise, out=reach)
+            cand = np.flatnonzero(reach > self.margin)
+            upper, lower = _bridge_probabilities(x_old[cand], x[cand], self.dt)
             hit = cand[self.rng.random(len(cand)) < upper + lower]
             x[hit] = restart
             return len(hit)
         hit = np.abs(x) >= HALF_PI
         np.copyto(x, restart, where=hit)
         return int(np.count_nonzero(hit))
+
+    def stride(self, x: np.ndarray, restart: float, n_steps: int) -> int:
+        """Advance x in place by n_steps steps; returns the number of restarts."""
+        deep = np.abs(x) <= _deep_margin(self.dt, n_steps, self.bridge)
+        inner = np.flatnonzero(deep)
+        outer = np.flatnonzero(~deep)
+        x[inner] += math.sqrt(2.0 * n_steps * self.dt) * self.rng.standard_normal(len(inner))
+        shallow = x[outer]
+        n_hit = sum(self.step(shallow, restart) for _ in range(n_steps))
+        x[outer] = shallow
+        return n_hit
 
 
 def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
@@ -206,17 +251,29 @@ def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
 
     The batch draws from the Philox stream `key`; observe(x) sees the
     positions after every step in `sample_steps`, in step order.  Returns
-    the number of restarts after step `count_after`."""
+    the number of restarts after step `count_after`.
+
+    The steps go in strides of at most SAMPLE_STRIDE, cut to end on every
+    sample step, on step `count_after` and on step n_steps.  Each stride
+    (`_Stepper.stride`) draws one normal per deep path, in path order,
+    then the S steps of the other paths; a deep path reaches the
+    threshold within the stride with probability at most exp(-CUTOFF)
+    (see `_deep_margin` and the module docstring)."""
     rng = np.random.Generator(np.random.Philox(key=key))
     restart = HALF_PI * cfg.a.value
     x = np.full(n_paths, x0)
     stepper = _Stepper(n_paths, cfg.dt, cfg.bridge_correction, rng)
+    stops = sorted(s for s in {count_after, n_steps, *sample_steps} if 0 < s <= n_steps)
     jumps = 0
-    for step in range(1, n_steps + 1):
-        n_hit = stepper.step(x, restart)
-        if step > count_after:
-            jumps += n_hit
-        if step in sample_steps:
+    step = 0
+    for stop in stops:
+        while step < stop:
+            n = min(SAMPLE_STRIDE, stop - step)
+            n_hit = stepper.stride(x, restart, n)
+            step += n
+            if step > count_after:
+                jumps += n_hit
+        if stop in sample_steps:
             observe(x)
     return jumps
 

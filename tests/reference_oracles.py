@@ -8,8 +8,10 @@ full metric operator, the median of the generic projection norms that
 the blow-up is measured against, the resolvent kernel's singular
 values in complex arithmetic where the package computes them in float64,
 the simulator's bridge hit probabilities over every path where the
-package computes them on candidate paths only, and the renewal moments
-of the time between restarts.
+package computes them on candidate paths only, the simulator's walk with
+every path taking every step where the package moves paths far from the
+boundary by one normal per stride, and the renewal moments of the time
+between restarts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from jumpspec.funcspace import grid_nodes
 from jumpspec.metric import MetricOp, neumann_mode
 from jumpspec.param import ParamA
 from jumpspec.resolvent import ResolventKernel
+from jumpspec.simulator import HALF_PI, _Stepper
 from jumpspec.spectrum import char_det
 
 
@@ -152,10 +155,29 @@ def full_width_bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
     return upper, lower
 
 
-def restart_time_moments(a: ParamA) -> tuple[float, float]:
+def every_step_walk(cfg, key, n_paths: int, x0: float, n_steps: int,
+                    sample_steps, observe, count_after: int = 0) -> int:
+    """The simulator's walker as it was before strides: every path takes
+    every step through `_Stepper.step`.  Same signature and return value
+    as `simulator._walk`, so it can stand in for it."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    restart = HALF_PI * cfg.a.value
+    x = np.full(n_paths, x0)
+    stepper = _Stepper(n_paths, cfg.dt, cfg.bridge_correction, rng)
+    jumps = 0
+    for step in range(1, n_steps + 1):
+        n_hit = stepper.step(x, restart)
+        if step > count_after:
+            jumps += n_hit
+        if step in sample_steps:
+            observe(x)
+    return jumps
+
+
+def restart_time_moments(a: ParamA, widen: float = 0.0) -> tuple[float, float]:
     """Mean and variance of the time from the restart point pi a/2 to the
-    boundary for generator d^2/dx^2 on (-L, L), L = pi/2: solving
+    boundary for generator d^2/dx^2 on (-L, L), L = pi/2 + widen: solving
     u'' = -1 and v'' = -2u with zero boundary values gives
     E[tau] = (L^2 - b^2)/2 and Var[tau] = (L^4 - b^4)/6."""
-    L, b = math.pi / 2, math.pi / 2 * a.value
+    L, b = math.pi / 2 + widen, math.pi / 2 * a.value
     return (L ** 2 - b ** 2) / 2, (L ** 4 - b ** 4) / 6

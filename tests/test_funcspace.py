@@ -212,6 +212,21 @@ def test_gridfn_inner_and_mixed_dispatch():
     assert inner(f, f).real == pytest.approx(math.pi / 2, abs=1e-14)
 
 
+def test_sample_keeps_real_functions_real():
+    a = ParamA.from_expr("1/3")
+    xb = HALF_PI * a.value
+    real = (PiecewiseTrig.single([sin_term(1.0, 3.0)]),
+            PiecewiseTrig.split(xb, [linear(1.0)], [const(2.0)]),
+            lambda x: np.sin(3 * x))
+    for f in real:
+        gf = sample(f, a, 64)
+        assert gf.values.dtype == np.float64
+        assert np.array_equal(gf.values, np.asarray(f(gf.nodes)).real)
+    gf = sample(lambda x: np.exp(1j * x), a, 64)
+    assert gf.values.dtype == np.complex128
+    assert np.array_equal(gf.values, np.exp(1j * gf.nodes))
+
+
 def test_gridfn_node_mismatch():
     a = ParamA.from_expr("0")
     f = PiecewiseTrig.single([const(1.0)])

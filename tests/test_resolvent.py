@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jumpspec.eigensystem import eigenfunctions_H
-from jumpspec.funcspace import GridFn, PiecewiseTrig, sample, sin_term
+from jumpspec.funcspace import PiecewiseTrig, sample, sin_term
 from jumpspec.param import ParamA
 from jumpspec.resolvent import (
     PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel,
@@ -179,13 +179,12 @@ def test_gridfn_input_route():
 
 def test_gridfn_route_keeps_a_real_source_real():
     # at real lambda < 0 the GridFn route multiplies by the float64 kernel,
-    # so a real source gives a real solution, to the same contract as above
+    # so a sampled real source gives a real solution, to the same contract
+    # as above
     a = ParamA.from_expr("1/3")
     f = PiecewiseTrig.single([sin_term(1.0, 3.0)])
     gf = sample(f, a, 256, kmax=3.0)
-    real = GridFn(nodes=gf.nodes, values=gf.values.real, weights=gf.weights,
-                  a_value=a.value)
-    u = apply_resolvent(-2.0, real, a)
+    u = apply_resolvent(-2.0, gf, a)
     assert u.values.dtype == np.float64
     dense = apply_resolvent(-2.0, f, a, xs=gf.nodes).values
     assert np.max(np.abs(u.values - dense)) < 1e-4

@@ -2,21 +2,29 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jumpspec import simulator
 from jumpspec.cli import NUMERICAL_FAILURES
 from jumpspec.funcspace import PiecewiseTrig, const, inner_closed, sin_term
 from jumpspec.param import ParamA
 from jumpspec.simulator import (
-    CUTOFF, ObservableOrthogonalToGapMode, RelaxationBelowNoise, SimConfig, SimReport,
-    _bridge_margin, _bridge_probabilities, _Stepper, estimate_gap, run,
-    stationary_density, tent_bin_probabilities,
+    CUTOFF, HALF_PI, SAMPLE_STRIDE, ObservableOrthogonalToGapMode, RelaxationBelowNoise,
+    SimConfig, SimReport, _bridge_margin, _bridge_probabilities, _deep_margin, _Stepper,
+    estimate_gap, run, stationary_density, tent_bin_probabilities,
 )
-from reference_oracles import full_width_bridge_probabilities, restart_time_moments
+from reference_oracles import (
+    every_step_walk, full_width_bridge_probabilities, restart_time_moments,
+)
 
 A0 = ParamA.from_expr("0")
+# a walk watched only every dt exits as if each boundary lay
+# MONITOR_BETA sqrt(2 dt) further out (Broadie, Glasserman and Kou, 1997)
+MONITOR_BETA = float(-mp.zeta(0.5) / mp.sqrt(2 * mp.pi))
+COARSE = 10  # groups of N_BINS // COARSE tent bins, as the benchmark's oracle takes them
 
 
 def small_cfg(**kw) -> SimConfig:
@@ -36,6 +44,9 @@ def test_config_validation():
             SimConfig(a=A0, dt=bad)
         with pytest.raises(ValueError, match="horizon"):
             SimConfig(a=A0, horizon=bad)
+    for bad in (-0.05, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="burn_in"):
+            SimConfig(a=A0, burn_in=bad)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="batch_size"):
             SimConfig(a=A0, batch_size=bad)
@@ -117,7 +128,7 @@ def test_gap_estimate_cheap():
     assert gap == pytest.approx(4.0, rel=0.25)
     assert err < 2.0
     # the recorded seeded result: pins the gap walk's streams
-    assert (gap, err) == (4.016761225283787, 0.3119098526008777)
+    assert (gap, err) == (3.8136523309162618, 0.3458126099984285)
 
 
 def test_gap_signal_lost_in_noise_is_a_typed_numerical_failure():
@@ -226,3 +237,100 @@ def test_rate_divides_by_the_stepped_time():
             for h in (6.2605, 6.2595)]
     assert reps[0].time_units == reps[1].time_units == 500 * 10 * 1e-3
     assert reps[0].jumps_per_unit_time == reps[1].jumps_per_unit_time
+
+
+def _coarse(masses: np.ndarray) -> np.ndarray:
+    return masses.reshape(COARSE, -1).sum(axis=1)
+
+
+def _renewal_standard_errors(a: ParamA, rep: SimReport, probs: np.ndarray,
+                             widen: float = 0.0) -> tuple[float, np.ndarray]:
+    """Standard errors of a run's jump rate and of its occupation masses
+    probs over its simulated time T: Var(tau) / (E[tau]^3 T) for the rate
+    (renewal CLT, with the boundary moved out by `widen`), and
+    p(1-p) E[tau^2] / (E[tau] T) for a mass p, the variance if each
+    cycle between restarts spent all of its time in or out of the bins."""
+    mean, var = restart_time_moments(a, widen)
+    rate_se = math.sqrt(var / mean ** 3 / rep.time_units)
+    mean, var = restart_time_moments(a)
+    bin_se = np.sqrt(probs * (1 - probs) * (var + mean ** 2) / (mean * rep.time_units))
+    return rate_se, bin_se
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("expr", ["0", "1/3", "9/10"])
+def test_stride_walker_agrees_with_the_every_step_walker(expr, bridge, monkeypatch):
+    # both walks start at the restart point, a renewal epoch, and follow
+    # one law: the renewal standard errors hold from time 0, and the
+    # start-up shift of the rate, the same for both, cancels
+    a = ParamA.from_expr(expr)
+    dt = 5e-4
+    cfg = dict(a=a, dt=dt, horizon=4.25, burn_in=0.0, bridge_correction=bridge)
+    new = run(small_cfg(seed=7, **cfg))
+    monkeypatch.setattr(simulator, "_walk", every_step_walk)
+    old = run(small_cfg(seed=8, **cfg))
+    assert old.time_units == new.time_units
+    probs = _coarse(tent_bin_probabilities(a, new.bin_edges))
+    widen = 0.0 if bridge else MONITOR_BETA * math.sqrt(2 * dt)
+    rate_se, bin_se = _renewal_standard_errors(a, new, probs, widen)
+    # two runs of equal length on different seeds: the difference has sqrt(2) se
+    assert abs(new.jumps_per_unit_time - old.jumps_per_unit_time) <= 4 * math.sqrt(2) * rate_se
+    width = np.diff(new.bin_edges)
+    diff = _coarse(new.bin_density * width) - _coarse(old.bin_density * width)
+    assert np.all(np.abs(diff) <= 4 * math.sqrt(2) * bin_se)
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+def test_stride_draws_the_deep_normals_then_the_steps_of_the_other_paths(bridge):
+    dt, seed, n = 1e-3, 5, SAMPLE_STRIDE
+    x0, _ = _paths_near_the_boundary(3000, dt, seed=12)
+    x = x0.copy()
+    stepper = _Stepper(len(x), dt, bridge, np.random.Generator(np.random.Philox(key=seed)))
+    n_hit = stepper.stride(x, 0.25, n)
+
+    replay = np.random.Generator(np.random.Philox(key=seed))
+    deep = np.abs(x0) <= _deep_margin(dt, n, bridge)
+    assert 0 < np.count_nonzero(deep) < len(x0)
+    want = x0.copy()
+    want[deep] += math.sqrt(2 * n * dt) * replay.standard_normal(np.count_nonzero(deep))
+    shallow = want[~deep]
+    hits = 0
+    for _ in range(n):
+        prev = shallow
+        shallow = prev + math.sqrt(2 * dt) * replay.standard_normal(len(prev))
+        if bridge:
+            cand = np.flatnonzero(np.maximum(np.abs(prev), np.abs(shallow)) > _bridge_margin(dt))
+            upper, lower = full_width_bridge_probabilities(prev, shallow, dt)
+            hit = cand[replay.random(len(cand)) < (upper + lower)[cand]]
+        else:
+            hit = np.flatnonzero(np.abs(shallow) >= HALF_PI)
+        shallow[hit] = 0.25
+        hits += len(hit)
+    want[~deep] = shallow
+    assert n_hit == hits > 0
+    assert np.array_equal(x, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dt=st.sampled_from([1e-3, 5e-4, 1e-4]) | st.floats(min_value=1e-200, max_value=1e-3),
+       stride=st.integers(min_value=1, max_value=SAMPLE_STRIDE), bridge=st.booleans())
+def test_deep_paths_reach_the_threshold_within_a_stride_below_the_cutoff(dt, stride, bridge):
+    # P(sup over time stride*dt of |B_t - B_0| >= D) <= 2 exp(-D^2 / (4 stride dt))
+    # for quadratic variation 2; D is the distance the code leaves
+    threshold = _bridge_margin(dt) if bridge else HALF_PI
+    dist = threshold - _deep_margin(dt, stride, bridge)
+    assert 2 * math.exp(-dist ** 2 / (4 * stride * dt)) <= math.exp(-CUTOFF)
+
+
+def test_run_without_the_bridge_exits_as_if_the_boundary_lay_further_out():
+    # exits seen only at the steps: the renewal rate of the interval
+    # widened by MONITOR_BETA sqrt(2 dt) on each side, and the exact tent
+    a, dt = ParamA.from_expr("1/3"), 5e-4
+    rep = run(small_cfg(a=a, dt=dt, bridge_correction=False))
+    widen = MONITOR_BETA * math.sqrt(2 * dt)
+    probs = _coarse(tent_bin_probabilities(a, rep.bin_edges))
+    rate_se, bin_se = _renewal_standard_errors(a, rep, probs, widen)
+    mean, _ = restart_time_moments(a, widen)
+    assert abs(rep.jumps_per_unit_time - 1 / mean) <= 4 * rate_se
+    masses = _coarse(rep.bin_density * np.diff(rep.bin_edges))
+    assert np.all(np.abs(masses - probs) <= 4 * bin_se)
