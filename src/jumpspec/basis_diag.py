@@ -183,6 +183,8 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
     """
     if not a.is_rational:
         raise ValueError("bound check applies to rational parameters")
+    if m_max < 1:
+        raise ValueError(f"bound check needs m_max >= 1, got {m_max}")
     p, q = a.fraction.numerator, a.fraction.denominator
     av = a.value
     bound_minus = (math.sqrt((4 * math.pi + (1 - av)) / 8)

@@ -110,8 +110,9 @@ def cmd_spectrum(args, man: Manifest) -> int:
     records = spectrum.enumerate_spectrum(a, args.lambda_max)
     if args.curves:
         lo, hi, step = (float(t) for t in args.a_grid.split(":"))
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
-            raise ValueError(f"--a-grid {args.a_grid!r} needs finite lo:hi:step, step > 0")
+        if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
+            raise ValueError(f"--a-grid {args.a_grid!r} needs finite lo:hi:step, "
+                             "lo <= hi, step > 0")
         rows = spectrum.curves(np.arange(lo, hi + step / 2, step), args.m_max)
     man.write_json("eigenvalues.json", [r.to_dict() for r in records])
     if args.curves:
@@ -131,12 +132,13 @@ def cmd_resolvent(args, man: Manifest) -> int:
             raise ValueError(f"--f {args.f!r} needs a finite wavenumber K in sinK")
         f = lambda x: np.sin(freq * np.asarray(x, dtype=float))
     man.stage = "apply_resolvent"
-    u = resolvent.apply_resolvent(lam, f, a)
+    nodes, u = resolvent.apply_resolvent(lam, f, a)
     man.stage = "residual_report"
     report = resolvent.residual_report(lam, f, a)
     man.stage = "singular_value_probe"
     sv = resolvent.singular_value_probe(lam, a, n=args.svd_n)
-    man.write_csv("resolvent_u.csv", ["x", "re", "im"], u.csv_rows())
+    man.write_csv("resolvent_u.csv", ["x", "re", "im"],
+                  [(float(x), float(v.real), float(v.imag)) for x, v in zip(nodes, u)])
     man.write_csv("singular_values.csv", ["j", "s"],
                   [(j + 1, s) for j, s in enumerate(sv["singular_values"])])
     man.write_json("resolvent_report.json", {
@@ -348,11 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """Join `--a -9/10` into `--a=-9/10` (likewise `--lambda -1e6`): argparse
-    would take a value that starts with "-" for an option of its own."""
+    """Join `--a -9/10` into `--a=-9/10` (likewise `--lambda -1e6` and
+    `--a-grid -0.5:0.5:0.25`): argparse would take a value that starts with
+    "-" for an option of its own."""
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in ("--a", "--lambda") and token.startswith("-"):
+        if (joined and joined[-1] in ("--a", "--lambda", "--a-grid")
+                and token.startswith("-")):
             joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)

@@ -21,11 +21,11 @@ Keeping the terms symbolic gives
   * machine-precision verification targets that quadrature then has to
     reproduce, instead of quadrature error polluting both sides.
 
-Sampled functions (GridFn) with composite Gauss-Lobatto weights cover the
-operators where no closed form exists (resolvent kernels, SVD probes).
-The same grids give the independent quadrature check of the closed forms:
-`quad_gram` samples a whole family once per refinement round and forms all
-its inner products as one weighted matrix product.
+Composite Gauss-Lobatto grids (`grid_nodes`) discretize what has no
+closed form (the resolvent's output nodes and the kernel its SVD probe
+decomposes) and give the independent quadrature check of the closed
+forms: `quad_gram` samples a whole family once per refinement round and
+forms all its inner products as one weighted matrix product.
 """
 
 from __future__ import annotations
@@ -58,53 +58,12 @@ class QuadratureNotConverged(RuntimeError):
     """Adaptive panel refinement failed to reach the requested target."""
 
 
-@dataclass(frozen=True)
-class TrigTerm:
-    """One term coeff * x^p * cos(freq*x + shift - quarter*pi/2), p in {0, 1}."""
-
-    p: int
-    coeff: complex
-    freq: float = 0.0
-    shift: float = 0.0
-    quarter: int = 0
-
-    def __post_init__(self):
-        if self.p not in (0, 1):
-            raise ValueError("term power must be 0 or 1")
-        if self.freq < 0:
-            raise ValueError("term frequency must be >= 0")
-
-
-def const(c: complex) -> TrigTerm:
-    return TrigTerm(0, c)
-
-
-def linear(c: complex) -> TrigTerm:
-    return TrigTerm(1, c)
-
-
-def cos_term(c: complex, k: float, s: float = 0.0) -> TrigTerm:
-    return TrigTerm(0, c, k, s)
-
-
-def sin_term(c: complex, k: float, s: float = 0.0) -> TrigTerm:
-    return TrigTerm(0, c, k, s, 1)
-
-
-def xcos_term(c: complex, k: float, s: float = 0.0) -> TrigTerm:
-    return TrigTerm(1, c, k, s)
-
-
-def xsin_term(c: complex, k: float, s: float = 0.0) -> TrigTerm:
-    return TrigTerm(1, c, k, s, 1)
-
-
 class Terms:
     """A term sum as arrays: sum_i c_i x^p_i cos(k_i x + s_i - q_i pi/2).
 
     `merged` is the canonical form: keys (p, q, k, s) unique and sorted,
     q folded into {0, 1} (two quarter turns are a sign), no zero
-    coefficients.  Iteration yields TrigTerms.
+    coefficients.
     """
 
     __slots__ = ("p", "c", "k", "s", "q")
@@ -113,19 +72,11 @@ class Terms:
         self.p, self.c, self.k, self.s, self.q = p, c, k, s, q
 
     @classmethod
-    def of(cls, terms: "Terms | Iterable[TrigTerm]") -> "Terms":
-        if isinstance(terms, Terms):
-            return terms
-        ts = list(terms)
-        return cls(*(np.array([getattr(t, f) for t in ts], dtype=dt) for f, dt in (
-            ("p", np.int64), ("coeff", complex), ("freq", float), ("shift", float),
-            ("quarter", np.int64)))).merged()
-
-    @classmethod
     def concat(cls, parts: Sequence["Terms"]) -> "Terms":
         """Unmerged concatenation, in order."""
         if not parts:
-            return cls.of(())
+            return cls(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex),
+                       np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64))
         return cls(*(np.concatenate([getattr(t, f) for t in parts])
                      for f in cls.__slots__))
 
@@ -152,10 +103,6 @@ class Terms:
     def __getitem__(self, rows: slice) -> "Terms":
         return Terms(self.p[rows], self.c[rows], self.k[rows], self.s[rows], self.q[rows])
 
-    def __iter__(self):
-        for p, c, k, s, q in zip(self.p, self.c, self.k, self.s, self.q):
-            yield TrigTerm(int(p), complex(c), float(k), float(s), int(q))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Terms):
             return NotImplemented
@@ -172,9 +119,41 @@ class Terms:
         return Terms.concat((power, wave)).merged()
 
 
-def eval_terms(terms: Terms | Iterable[TrigTerm], x: np.ndarray) -> np.ndarray:
+def _term(p: int, c: complex, k: float, s: float, q: int) -> Terms:
+    """The one-row Terms c x^p cos(kx + s - q pi/2)."""
+    if k < 0:
+        raise ValueError("term frequency must be >= 0")
+    return Terms(np.array([p], dtype=np.int64), np.array([c], dtype=complex),
+                 np.array([k], dtype=float), np.array([s], dtype=float),
+                 np.array([q], dtype=np.int64))
+
+
+def const(c: complex) -> Terms:
+    return _term(0, c, 0.0, 0.0, 0)
+
+
+def linear(c: complex) -> Terms:
+    return _term(1, c, 0.0, 0.0, 0)
+
+
+def cos_term(c: complex, k: float, s: float = 0.0) -> Terms:
+    return _term(0, c, k, s, 0)
+
+
+def sin_term(c: complex, k: float, s: float = 0.0) -> Terms:
+    return _term(0, c, k, s, 1)
+
+
+def xcos_term(c: complex, k: float, s: float = 0.0) -> Terms:
+    return _term(1, c, k, s, 0)
+
+
+def xsin_term(c: complex, k: float, s: float = 0.0) -> Terms:
+    return _term(1, c, k, s, 1)
+
+
+def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of a term sum."""
-    t = Terms.of(terms)
     x = np.asarray(x, dtype=float)
     phase = t.s - t.q * HALF_PI
     basis = np.power.outer(x, t.p) * np.cos(np.multiply.outer(x, t.k) + phase)
@@ -183,14 +162,16 @@ def eval_terms(terms: Terms | Iterable[TrigTerm], x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Piece:
-    """A term sum valid on [lo, hi]; `terms` is converted to merged Terms."""
+    """A term sum valid on [lo, hi]; `terms` is a Terms, kept as it is, or
+    a sequence of them, which is concatenated and merged."""
 
     lo: float
     hi: float
     terms: Terms
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", Terms.of(self.terms))
+        if not isinstance(self.terms, Terms):
+            object.__setattr__(self, "terms", Terms.concat(self.terms).merged())
 
 
 @dataclass(frozen=True)
@@ -215,12 +196,12 @@ class PiecewiseTrig:
                 raise ValueError("interior breakpoint must be strictly inside")
 
     @classmethod
-    def single(cls, terms: Terms | Iterable[TrigTerm]) -> "PiecewiseTrig":
+    def single(cls, terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
         return cls((Piece(-HALF_PI, HALF_PI, terms),))
 
     @classmethod
-    def split(cls, xb: float, left_terms: Terms | Iterable[TrigTerm],
-              right_terms: Terms | Iterable[TrigTerm]) -> "PiecewiseTrig":
+    def split(cls, xb: float, left_terms: Terms | Sequence[Terms],
+              right_terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
         return cls((Piece(-HALF_PI, xb, left_terms), Piece(xb, HALF_PI, right_terms)))
 
     @classmethod
@@ -493,29 +474,6 @@ def gauss_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _LOBATTO_CACHE[n]
 
 
-@dataclass
-class GridFn:
-    """Function samples on a quadrature grid split at the restart point."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    a_value: float
-
-    def integrate(self) -> complex:
-        return complex(np.sum(self.weights * self.values))
-
-    def inner(self, other: "GridFn") -> complex:
-        if self.nodes.shape != other.nodes.shape or not np.allclose(
-                self.nodes, other.nodes, rtol=0, atol=1e-13):
-            raise ValueError("grid functions live on different node sets")
-        return complex(np.sum(self.weights * np.conj(self.values) * other.values))
-
-    def csv_rows(self) -> list[tuple[float, float, float]]:
-        return [(float(x), float(v.real), float(v.imag))
-                for x, v in zip(self.nodes, self.values)]
-
-
 def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
                kmax: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Composite Lobatto nodes/weights on the two pieces cut at pi*a/2;
@@ -535,17 +493,6 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
     (x_left, w_left), (x_right, w_right) = pieces
     w_left[-1] += w_right[0]  # the restart point ends one piece and starts the other
     return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
-
-
-def sample(fn: PiecewiseTrig | Callable[[np.ndarray], np.ndarray],
-           a: ParamA | float, min_nodes_per_piece: int = 64,
-           kmax: float = 0.0) -> GridFn:
-    nodes, weights = grid_nodes(a, min_nodes_per_piece, kmax)
-    a_val = a.value if isinstance(a, ParamA) else float(a)
-    values = np.asarray(fn(nodes), dtype=complex)
-    if not values.imag.any():  # real functions keep real samples
-        values = np.ascontiguousarray(values.real)
-    return GridFn(nodes=nodes, values=values, weights=weights, a_value=a_val)
 
 
 def _max_freq(f: PiecewiseTrig) -> float:
@@ -576,19 +523,6 @@ def quad_gram(fns: Sequence[PiecewiseTrig | Callable], a: ParamA | float,
         n *= 2
     raise QuadratureNotConverged(
         f"inner products did not stabilize to {QUAD_TARGET} within {max_rounds} refinements")
-
-
-def inner(f: PiecewiseTrig | GridFn, g: PiecewiseTrig | GridFn) -> complex:
-    """L2 inner product; closed form for symbolic pairs, weights otherwise."""
-    if isinstance(f, PiecewiseTrig) and isinstance(g, PiecewiseTrig):
-        return inner_closed(f, g)
-    if isinstance(f, GridFn) and isinstance(g, GridFn):
-        return f.inner(g)
-    if isinstance(f, GridFn):
-        gv = GridFn(f.nodes, np.asarray(g(f.nodes), dtype=complex), f.weights, f.a_value)
-        return f.inner(gv)
-    fv = GridFn(g.nodes, np.asarray(f(g.nodes), dtype=complex), g.weights, g.a_value)
-    return fv.inner(g)
 
 
 # ---------------------------------------------------------------------------

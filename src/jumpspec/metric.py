@@ -9,8 +9,7 @@ P0, P-, P+ antisymmetrize about the interval center, the left-piece
 center, and the right-piece center.  On symbolic inputs every reflection
 is an exact term rewrite, so Theta, H* Theta, and Theta H are all closed
 forms and the intertwining residual is measured at machine precision with
-no interpolation.  Grid application is offered for rational parameters on
-uniform grids whose index set is closed under all three reflections.
+no interpolation.
 
 Positivity is structural: (f, Theta f) = |(phi0,f)|^2 + ||P0 f||^2 +
 ||P- f (+) P+ f||^2.  Injectivity holds for irrational parameters because
@@ -28,17 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (
-    GridFn, PiecewiseTrig, Terms, const, cos_term, inner_closed, norm_l2,
+    PiecewiseTrig, Terms, const, cos_term, inner_closed, norm_l2,
     sin_term, validate_domain_H,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents, trig_pi
 from jumpspec.eigensystem import phi_zero_mode
 
 HALF_PI = math.pi / 2
-
-
-class GridNotReflectionClosed(ValueError):
-    """Grid nodes are not permuted by the three reflection maps."""
 
 
 class DomainViolation(ValueError):
@@ -101,8 +96,6 @@ class MetricOp:
     def build(cls, a: ParamA) -> "MetricOp":
         return cls(a=a, phi0=phi_zero_mode(a, 1.0))
 
-    # -- symbolic route ------------------------------------------------------
-
     def apply(self, f: PiecewiseTrig) -> PiecewiseTrig:
         """Theta f for a single-piece symbolic f; exact two-piece output."""
         coef = inner_closed(self.phi0, f)
@@ -126,62 +119,6 @@ class MetricOp:
         lhs = theta_psi.derivative(2).scaled(-1.0)
         rhs = self.apply(psi.derivative(2).scaled(-1.0))
         return norm_l2(lhs - rhs)
-
-    # -- grid route (rational a, uniform reflection-closed grid) -------------
-
-    def grid(self, min_nodes: int = 256) -> GridFn:
-        """Uniform grid closed under the three reflections (rational a only).
-
-        Returns a GridFn template (values zeroed) with trapezoid weights;
-        the restart point is a node by construction.
-        """
-        if not self.a.is_rational:
-            raise NotIrrational(
-                "reflection-closed uniform grids need rational a; use the "
-                "symbolic route for irrational parameters")
-        q = self.a.fraction.denominator
-        n = 2 * q * max(1, math.ceil(min_nodes / (2 * q)))
-        nodes = np.linspace(-HALF_PI, HALF_PI, n + 1)
-        h = math.pi / n
-        weights = np.full(n + 1, h)
-        j_b = (n * (self.a.fraction + 1) // 2)
-        weights[[0, -1]] = h / 2
-        weights[int(j_b)] = h  # h/2 from each side of the restart node
-        return GridFn(nodes=nodes, values=np.zeros(n + 1, dtype=complex),
-                      weights=weights, a_value=self.a.value)
-
-    def _index_maps(self, nodes: np.ndarray):
-        n = len(nodes) - 1
-        frac = self.a.fraction
-        if frac is None:
-            raise GridNotReflectionClosed("irrational a: grid route unavailable")
-        j_b2 = n * (frac + 1)
-        if j_b2.denominator != 2 and j_b2.denominator != 1:
-            raise GridNotReflectionClosed("restart point is not a grid node")
-        if (n * (frac + 1)) % 2 != 0:
-            raise GridNotReflectionClosed("grid is not closed under the piece reflections")
-        j_b = int(n * (frac + 1) / 2)
-        expected = np.linspace(-HALF_PI, HALF_PI, n + 1)
-        if not np.allclose(nodes, expected, rtol=0, atol=1e-12):
-            raise GridNotReflectionClosed("grid nodes are not the uniform lattice")
-        j = np.arange(n + 1)
-        r0 = n - j
-        r_minus = np.where(j <= j_b, j_b - j, j)
-        r_plus = np.where(j >= j_b, n + j_b - j, j)
-        return j_b, r0, r_minus, r_plus
-
-    def apply_grid(self, f: GridFn) -> GridFn:
-        """Theta f on a reflection-closed uniform grid (exact permutations)."""
-        j_b, r0, r_minus, r_plus = self._index_maps(f.nodes)
-        v = f.values
-        p0 = 0.5 * (v - v[r0])
-        ppm = np.where(np.arange(len(v)) <= j_b,
-                       0.5 * (v - v[r_minus]),
-                       0.5 * (v - v[r_plus]))
-        phi0_v = self.phi0(f.nodes)
-        coef = np.sum(f.weights * np.conj(phi0_v) * v)
-        return GridFn(nodes=f.nodes, values=coef * phi0_v + p0 + ppm,
-                      weights=f.weights, a_value=f.a_value)
 
 
 # ---------------------------------------------------------------------------

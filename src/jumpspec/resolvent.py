@@ -39,7 +39,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from jumpspec.funcspace import GridFn, grid_nodes
+from jumpspec.funcspace import grid_nodes
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
@@ -195,49 +195,22 @@ class ResolventKernel:
 
 
 def apply_resolvent(lam: complex, f, a: ParamA,
-                    xs: np.ndarray | None = None) -> GridFn:
-    """Apply the resolvent to f (callable, PiecewiseTrig, or GridFn).
+                    xs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, u(nodes)) for u = (H - lambda)^{-1} f, f callable or PiecewiseTrig.
 
-    Callable/symbolic inputs use kink-split quadrature (machine accuracy);
-    GridFn inputs are applied through the fixed quadrature of their own
-    grid, which is what the SVD probe discretizes.
+    Kink-split quadrature keeps u at machine accuracy.  The nodes are xs,
+    or by default the composite Lobatto grid resolving |k|.
     """
     kern = ResolventKernel.build(lam, a)
-    if isinstance(f, GridFn):
-        xs_out = f.nodes if xs is None else np.asarray(xs, dtype=float)
-        mat = kern.kernel_matrix(xs_out, f.nodes)
-        values = mat @ (f.weights * f.values)
-        weights = f.weights if xs is None else np.zeros_like(xs_out)
-        return GridFn(nodes=xs_out, values=values, weights=weights,
-                      a_value=a.value)
     if xs is None:
-        nodes, weights = grid_nodes(a, 96, kmax=abs(kern.k))
+        nodes, _ = grid_nodes(a, 96, kmax=abs(kern.k))
     else:
         nodes = np.asarray(xs, dtype=float)
-        weights = np.zeros_like(nodes)
     up = particular_solution(kern.k, f, np.concatenate(
         (nodes, [-HALF_PI, HALF_PI * a.value, HALF_PI])))
     u_m, u_b, u_p = up[-3:]
     coef = kern.coefficients(u_m - u_b, u_p - u_b)
-    values = up[:-3] + kern.phis(nodes) @ np.array(coef)
-    return GridFn(nodes=nodes, values=values, weights=weights, a_value=a.value)
-
-
-def boundary_deviation(u: GridFn | np.ndarray, nodes: np.ndarray | None,
-                       a_value: float) -> float:
-    """Max deviation from u(-pi/2) = u(pi a/2) = u(pi/2) on sampled values."""
-    if isinstance(u, GridFn):
-        nodes, values = u.nodes, u.values
-        a_value = u.a_value
-    else:
-        values = u
-    def at(x0: float) -> complex:
-        idx = int(np.argmin(np.abs(nodes - x0)))
-        if abs(nodes[idx] - x0) > 1e-9:
-            raise ValueError(f"node {x0} missing from the grid")
-        return complex(values[idx])
-    v_m, v_b, v_p = at(-HALF_PI), at(HALF_PI * a_value), at(HALF_PI)
-    return max(abs(v_m - v_b), abs(v_p - v_b))
+    return nodes, up[:-3] + kern.phis(nodes) @ np.array(coef)
 
 
 def residual_report(lam: complex, f, a: ParamA, n: int = 4096) -> dict:
@@ -245,7 +218,7 @@ def residual_report(lam: complex, f, a: ParamA, n: int = 4096) -> dict:
     ODE residual -u'' - lambda u - f under 4th-order central differences."""
     h = math.pi / n
     xs = np.linspace(-HALF_PI, HALF_PI, n + 1)
-    u = apply_resolvent(lam, f, a, xs=np.append(xs, HALF_PI * a.value)).values
+    _, u = apply_resolvent(lam, f, a, xs=np.append(xs, HALF_PI * a.value))
     u, u_b = u[:-1], u[-1]
     fv = np.asarray(f(xs), dtype=complex)
     upp = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)

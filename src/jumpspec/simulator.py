@@ -290,10 +290,8 @@ def _map_batches(cfg: SimConfig, plan: list[tuple[int, int]], job) -> list:
 
     Each batch owns its stream, and results come back in batch order, so
     the thread count does not change any result."""
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda item: job(*item), plan))
-    return [job(*item) for item in plan]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(lambda item: job(*item), plan))
 
 
 def _occupation_batch(cfg: SimConfig, idx: int, n_paths: int, n_steps: int,

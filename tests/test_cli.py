@@ -1,10 +1,13 @@
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
 
 from jumpspec.cli import Manifest, main
+from jumpspec.funcspace import grid_nodes
+from jumpspec.param import ParamA
 
 
 def run_cli(args):
@@ -89,6 +92,10 @@ def test_resolvent_subcommand(tmp_path):
     payload = json.loads((out / "resolvent_report.json").read_text())
     assert payload["boundary_deviation"] < 1e-10
     lines = (out / "resolvent_u.csv").read_text().strip().splitlines()
+    # one row per node of the default grid, starting at -pi/2
+    assert lines[0] == "x,re,im"
+    assert len(lines) - 1 == len(grid_nodes(ParamA.from_expr("1/3"), 96, kmax=1.0)[0])
+    assert float(lines[1].split(",")[0]) == pytest.approx(-math.pi / 2)
     # R(-1)1 = 1 to 1e-10
     for line in lines[1:5]:
         _, re_s, im_s = line.split(",")
@@ -162,7 +169,7 @@ def test_non_finite_lambda_max_is_a_usage_error(tmp_path, expr, command, output,
 
 
 @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.1", "nan:0.5:0.1", "0:inf:0.1",
-                                  "0:0.5:inf", "0:0.5:nan"])
+                                  "0:0.5:inf", "0:0.5:nan", "0.5:-0.5:0.25"])
 def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, grid):
     out = tmp_path / "cg"
     assert run_cli(["spectrum", "--a", "1/3", "--curves", f"--a-grid={grid}",
@@ -238,6 +245,22 @@ def test_plain_negative_a_matches_the_joined_form(tmp_path):
     assert run_cli(["spectrum", "--a=-9/10", "--out", str(joined)]) == 0
     assert (plain / "eigenvalues.json").read_bytes() == \
         (joined / "eigenvalues.json").read_bytes()
+
+
+def test_plain_negative_a_grid_matches_the_joined_form(tmp_path):
+    plain, joined = tmp_path / "plain", tmp_path / "joined"
+    assert run_cli(["spectrum", "--a", "0", "--curves", "--a-grid", "-0.5:0.5:0.25",
+                    "--out", str(plain)]) == 0
+    assert run_cli(["spectrum", "--a", "0", "--curves", "--a-grid=-0.5:0.5:0.25",
+                    "--out", str(joined)]) == 0
+    assert (plain / "curves.csv").read_bytes() == (joined / "curves.csv").read_bytes()
+
+
+def test_blowup_check_without_modes_is_a_usage_error(tmp_path):
+    # m_max = 0 would check no mode and still report the bounds as holding
+    assert run_cli(["basis", "--a", "1/3", "--blowup", "--m-max", "0", "--lambda-max", "50",
+                    "--out", str(tmp_path / "m0")]) == 2
+    assert not (tmp_path / "m0" / "rational_bounds.json").exists()
 
 
 def test_plain_negative_lambda_reaches_the_probe(tmp_path, capsys):

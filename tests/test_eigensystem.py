@@ -165,7 +165,7 @@ def test_eta_requires_the_admissibility_constraint():
     bad = PiecewiseTrig((eta.fn.pieces[0],
                          type(eta.fn.pieces[1])(eta.fn.pieces[1].lo,
                                                 eta.fn.pieces[1].hi,
-                                                tuple(t for t in eta.fn.pieces[0].terms))))
+                                                eta.fn.pieces[0].terms)))
     assert not validate_domain_Hstar(bad, a).in_domain
 
 

@@ -1,13 +1,14 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
+from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     OutOfDomain, PiecewiseTrig, QuadratureNotConverged, const, cos_term,
-    gauss_lobatto, grid_nodes, inner, inner_closed, inner_matrix, linear,
-    quad_gram, sample, sin_term, validate_domain_H, validate_domain_Hstar,
-    xsin_term,
+    gauss_lobatto, grid_nodes, inner_closed, inner_matrix, linear, quad_gram,
+    sin_term, validate_domain_H, validate_domain_Hstar, xsin_term,
 )
 from jumpspec.param import ParamA
 
@@ -161,16 +162,16 @@ def test_lobatto_rules():
 
 def test_grid_invariants():
     a = ParamA.from_expr("2/5")
-    gf = sample(PiecewiseTrig.single([const(1.0)]), a, 64)
-    assert gf.integrate().real == pytest.approx(math.pi, abs=1e-12)
-    assert np.all(np.diff(gf.nodes) > 0)
-    assert np.all(gf.weights > 0)
+    nodes, weights = grid_nodes(a, 64)
+    assert np.sum(weights) == pytest.approx(math.pi, abs=1e-12)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
     for x0 in (-HALF_PI, HALF_PI * a.value, HALF_PI):
-        assert np.min(np.abs(gf.nodes - x0)) < 1e-14
+        assert np.min(np.abs(nodes - x0)) < 1e-14
     # at least 64 nodes on each side of the restart point
     xb = HALF_PI * a.value
-    assert np.count_nonzero(gf.nodes <= xb) >= 64
-    assert np.count_nonzero(gf.nodes >= xb) >= 64
+    assert np.count_nonzero(nodes <= xb) >= 64
+    assert np.count_nonzero(nodes >= xb) >= 64
 
 
 def _grid_nodes_by_panel(a: ParamA, min_nodes_per_piece: int, kmax: float):
@@ -201,39 +202,6 @@ def test_grid_nodes_match_the_panel_loop_bit_for_bit(expr):
             ref_nodes, ref_weights = _grid_nodes_by_panel(a, n, kmax)
             assert np.array_equal(nodes, ref_nodes), (n, kmax)
             assert np.array_equal(weights, ref_weights), (n, kmax)
-
-
-def test_gridfn_inner_and_mixed_dispatch():
-    a = ParamA.from_expr("0")
-    f = PiecewiseTrig.single([cos_term(1.0, 2.0)])
-    gf = sample(f, a, 96)
-    assert inner(gf, gf).real == pytest.approx(math.pi / 2, abs=1e-12)
-    assert inner(gf, f).real == pytest.approx(math.pi / 2, abs=1e-12)
-    assert inner(f, f).real == pytest.approx(math.pi / 2, abs=1e-14)
-
-
-def test_sample_keeps_real_functions_real():
-    a = ParamA.from_expr("1/3")
-    xb = HALF_PI * a.value
-    real = (PiecewiseTrig.single([sin_term(1.0, 3.0)]),
-            PiecewiseTrig.split(xb, [linear(1.0)], [const(2.0)]),
-            lambda x: np.sin(3 * x))
-    for f in real:
-        gf = sample(f, a, 64)
-        assert gf.values.dtype == np.float64
-        assert np.array_equal(gf.values, np.asarray(f(gf.nodes)).real)
-    gf = sample(lambda x: np.exp(1j * x), a, 64)
-    assert gf.values.dtype == np.complex128
-    assert np.array_equal(gf.values, np.exp(1j * gf.nodes))
-
-
-def test_gridfn_node_mismatch():
-    a = ParamA.from_expr("0")
-    f = PiecewiseTrig.single([const(1.0)])
-    g1 = sample(f, a, 64)
-    g2 = sample(f, a, 128)
-    with pytest.raises(ValueError):
-        g1.inner(g2)
 
 
 def test_quadrature_not_converged():
@@ -277,9 +245,20 @@ def test_validator_reports_violations():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_gridfn_csv_rows():
+def test_gridfn_csv_rows(tmp_path):
+    # a function sampled on the grid is written one row per node, starting
+    # at -pi/2, and the %.17g cells read back to the same floats
     a = ParamA.from_expr("0")
-    gf = sample(PiecewiseTrig.single([cos_term(1.0, 1.0)]), a, 64)
-    rows = gf.csv_rows()
-    assert len(rows) == len(gf.nodes)
+    nodes, _ = grid_nodes(a, 64)
+    values = PiecewiseTrig.single([cos_term(1.0, 1.0)])(nodes)
+    man = Manifest(argparse.Namespace(command="resolvent", out=str(tmp_path / "g")))
+    path = man.write_csv("u.csv", ["x", "re", "im"],
+                         [(float(x), float(v.real), float(v.imag))
+                          for x, v in zip(nodes, values)])
+    lines = path.read_text().strip().splitlines()
+    rows = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
+    assert lines[0] == "x,re,im"
+    assert len(rows) == len(nodes)
     assert rows[0][0] == pytest.approx(-HALF_PI)
+    assert np.array_equal([r[0] for r in rows], nodes)
+    assert np.array_equal([r[1] for r in rows], values.real)

@@ -5,11 +5,11 @@ import pytest
 
 from jumpspec.eigensystem import eigenfunctions_H
 from jumpspec.funcspace import (
-    GridFn, PiecewiseTrig, const, cos_term, inner_closed, norm_l2,
+    PiecewiseTrig, const, cos_term, inner_closed, norm_l2,
     validate_domain_Hstar,
 )
 from jumpspec.metric import (
-    DomainViolation, GridNotReflectionClosed, MetricOp, even_mode_coefficient,
+    DomainViolation, MetricOp, even_mode_coefficient,
     injectivity_probe, neumann_mode, noninvertibility_probe, project_center,
     project_pieces,
 )
@@ -212,33 +212,3 @@ def test_rayleigh_closed_form_agrees_with_full_theta():
         closed = (abs(inner_closed(op.phi0, chi)) ** 2
                   + even_mode_coefficient(SQRT2M1, n))
         assert direct == pytest.approx(closed, abs=1e-11)
-
-
-# ---------------------------------------------------------------------------
-# grid route (rational parameters)
-# ---------------------------------------------------------------------------
-
-def test_uniform_grid_route_matches_symbolic():
-    a = ParamA.from_expr("1/3")
-    op = MetricOp.build(a)
-    grid = op.grid(min_nodes=1200)
-    rng = np.random.default_rng(11)
-    f = random_trig(rng, n_terms=3, max_freq=5.0)
-    gf = GridFn(nodes=grid.nodes, values=f(grid.nodes),
-                weights=grid.weights, a_value=a.value)
-    out = op.apply_grid(gf)
-    sym = op.apply(f)
-    # trapezoid quadrature inside the rank-one coefficient limits agreement
-    assert np.max(np.abs(out.values - sym(out.nodes, side="left"))) < 1e-4
-
-
-def test_grid_closure_rejected():
-    a = ParamA.from_expr("1/3")
-    op = MetricOp.build(a)
-    nodes = np.linspace(-HALF_PI, HALF_PI, 101)  # 100 not divisible by 6
-    gf = GridFn(nodes=nodes, values=np.zeros(101, dtype=complex),
-                weights=np.full(101, math.pi / 100), a_value=a.value)
-    with pytest.raises(GridNotReflectionClosed):
-        op.apply_grid(gf)
-    with pytest.raises(NotIrrational):
-        MetricOp.build(SQRT2M1).grid()

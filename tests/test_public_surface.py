@@ -3,9 +3,14 @@
 A public top-level function or class must be used elsewhere in the
 package (or exported in an `__all__`), be driven by the benchmark in
 perfbench/, or be one of the paper's closed forms listed below, each of
-which a test pins.  Anything else is code that nothing runs.  A top-level
-import in src/jumpspec or tests/ must bind a name its module reads, so
-that the import lists say what each module uses.
+which a test pins.  Anything else is code that nothing runs.  A use must
+name the defining module, so that a local variable or a JSON key of the
+same name does not count: a read of the name in that module, a read of
+the name imported from it, `module.name`, or in perfbench a
+("jumpspec.module", "name", ...) target.
+
+A top-level import in src/jumpspec or tests/ must bind a name its module
+reads, so that the import lists say what each module uses.
 """
 
 import ast
@@ -32,37 +37,74 @@ PAPER_FORMS = {
 UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 
 
-def _names_in(node: ast.AST) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-
-
 def _exported(tree: ast.Module) -> set[str]:
     return {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
             for elt in stmt.value.elts}
 
 
+def _qualified_uses(tree: ast.Module, stems: set[str]) -> set[tuple[str, str]]:
+    """(module, name) for each read in tree of a name imported from one of
+    the package modules `stems`, and for each `module.name`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            package, _, last = node.module.rpartition(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module == "jumpspec" and alias.name in stems:
+                    modules[local] = alias.name
+                elif last in stems and package in ("", "jumpspec"):
+                    names[local] = (last, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, last = alias.name.rpartition(".")
+                if alias.asname and package == "jumpspec" and last in stems:
+                    modules[alias.asname] = last
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+            uses.add(names[node.id])
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                uses.add((modules[owner.id], node.attr))
+            elif (isinstance(owner, ast.Attribute) and owner.attr in stems
+                  and isinstance(owner.value, ast.Name) and owner.value.id == "jumpspec"):
+                uses.add((owner.attr, node.attr))
+    return uses
+
+
+def _read_in(tree: ast.Module, name: str, skip: ast.stmt) -> bool:
+    """Whether a statement of tree other than `skip` and the imports reads name."""
+    return any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+               and node.id == name
+               for stmt in tree.body
+               if stmt is not skip and not isinstance(stmt, (ast.Import, ast.ImportFrom))
+               for node in ast.walk(stmt))
+
+
 def orphans(package: Path, perfbench: Path) -> list[str]:
     """'module.py:name' for every public top-level function or class that
-    no other statement of the package uses (imports do not count), no
-    `__all__` exports, perfbench does not name, and PAPER_FORMS lacks."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    bench = "\n".join(path.read_text() for path in sorted(perfbench.glob("*.py")))
-    uses = [(stmt, _names_in(stmt)) for tree in trees.values() for stmt in tree.body
-            if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
+    no `__all__` exports, PAPER_FORMS lacks, and neither the package nor
+    perfbench uses in a form that names its module."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    bench_paths = sorted(perfbench.glob("*.py"))
+    bench = "\n".join(path.read_text() for path in bench_paths)
+    used = set().union(*(_qualified_uses(tree, set(trees)) for tree in [
+        *trees.values(), *(ast.parse(path.read_text()) for path in bench_paths)]))
     exported = set().union(*map(_exported, trees.values()))
     found = []
     for module, tree in trees.items():
         for stmt in tree.body:
             if (not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     or stmt.name.startswith("_")
-                    or stmt.name in exported or stmt.name in PAPER_FORMS):
+                    or stmt.name in exported or stmt.name in PAPER_FORMS
+                    or _read_in(tree, stmt.name, stmt) or (module, stmt.name) in used):
                 continue
-            if any(stmt.name in names for other, names in uses if other is not stmt):
-                continue
-            if not re.search(rf"\b{stmt.name}\b", bench):
-                found.append(f"{module}:{stmt.name}")
+            if not (re.search(rf"\b{module}\.{stmt.name}\b", bench) or re.search(
+                    rf"[\"']jumpspec\.{module}[\"'],\s*[\"']{stmt.name}\b", bench)):
+                found.append(f"{module}.py:{stmt.name}")
     return found
 
 
@@ -106,10 +148,19 @@ def test_an_unused_function_is_flagged(tmp_path):
     (package / "mod.py").write_text(
         "def used():\n    return 1\n\n\n"
         "def orphan():\n    return orphan() + used()\n\n\n"
+        "def imported():\n    pass\n\n\n"
+        "def qualified():\n    pass\n\n\n"
         "class Benchmarked:\n    pass\n\n\n"
+        "class Targeted:\n    pass\n\n\n"
         "def _private():\n    pass\n")
-    (package / "other.py").write_text("from mod import orphan\n")
-    (bench / "run.py").write_text("TARGETS = ['mod.Benchmarked']\n")
+    (package / "other.py").write_text(
+        "from mod import imported, orphan\nfrom jumpspec import mod\n\n\n"
+        "def _f():\n    return imported(), mod.qualified()\n")
+    # a local variable and a JSON key that share the orphan's name are no use
+    (package / "third.py").write_text("def _g():\n    orphan = 2\n    return orphan\n")
+    (bench / "run.py").write_text(
+        "TARGETS = ['mod.Benchmarked', ('jumpspec.mod', 'Targeted.method', 'span', None)]\n\n\n"
+        "def check(report):\n    orphan = report['orphan']\n    return orphan\n")
     assert orphans(package, bench) == ["mod.py:orphan"]
 
 

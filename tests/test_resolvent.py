@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from jumpspec.eigensystem import eigenfunctions_H
-from jumpspec.funcspace import PiecewiseTrig, sample, sin_term
+from jumpspec.funcspace import PiecewiseTrig, grid_nodes, sin_term
 from jumpspec.param import ParamA
 from jumpspec.resolvent import (
     PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel,
-    apply_resolvent, boundary_deviation, residual_report, singular_value_probe,
+    apply_resolvent, residual_report, singular_value_probe,
 )
 from jumpspec.spectrum import char_det, enumerate_spectrum
 from rank_one_oracle import (
@@ -64,15 +64,15 @@ def test_h_profile_properties():
 def test_resolvent_of_constant_is_constant():
     a = ParamA.from_expr("1/3")
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    u = apply_resolvent(-1.0, one, a)
-    assert np.max(np.abs(u.values - 1.0)) < 1e-10
+    _, u = apply_resolvent(-1.0, one, a)
+    assert np.max(np.abs(u - 1.0)) < 1e-10
 
 
 def test_boundary_identity():
     a = ParamA.from_expr("1/3")
     f = lambda x: np.sin(3 * np.asarray(x, dtype=float))
     pts = np.array([-HALF_PI, HALF_PI * a.value, HALF_PI])
-    u = apply_resolvent(-2.0, f, a, xs=pts).values
+    _, u = apply_resolvent(-2.0, f, a, xs=pts)
     assert abs(u[0] - u[1]) < 1e-8
     assert abs(u[2] - u[1]) < 1e-8
 
@@ -86,7 +86,7 @@ def test_rank_one_structure():
     ratios = []
     for f in (lambda x: np.sin(3 * np.asarray(x)),
               lambda x: np.cos(np.asarray(x)) ** 2):
-        u_full = apply_resolvent(lam, f, a, xs=xs).values
+        _, u_full = apply_resolvent(lam, f, a, xs=xs)
         u_free = dirichlet_resolvent_values(lam, f, xs)
         diff = u_full - u_free
         prof = np.asarray(h_profile(lam, xs))
@@ -115,7 +115,7 @@ def test_left_and_right_inverse():
         psi = eigenfunctions_H(rec, a)[0].fn
         source = lambda x, r=rec, p=psi: (r.lam - lam) * p(x)
         xs = np.linspace(-HALF_PI, HALF_PI, 65)
-        u = apply_resolvent(lam, source, a, xs=xs).values
+        _, u = apply_resolvent(lam, source, a, xs=xs)
         assert np.max(np.abs(u - psi(xs))) < 1e-6
 
 
@@ -141,10 +141,10 @@ def test_first_resolvent_identity():
     f = lambda x: np.exp(np.sin(np.asarray(x, dtype=float)))
     xs = np.linspace(-HALF_PI, HALF_PI, 65)
     # R(l2)f as an exact callable for the nested application
-    r2 = lambda x: apply_resolvent(lam2, f, a, xs=np.atleast_1d(x)).values
-    u12 = apply_resolvent(lam1, r2, a, xs=xs).values
-    u1 = apply_resolvent(lam1, f, a, xs=xs).values
-    u2 = apply_resolvent(lam2, f, a, xs=xs).values
+    r2 = lambda x: apply_resolvent(lam2, f, a, xs=np.atleast_1d(x))[1]
+    _, u12 = apply_resolvent(lam1, r2, a, xs=xs)
+    _, u1 = apply_resolvent(lam1, f, a, xs=xs)
+    _, u2 = apply_resolvent(lam2, f, a, xs=xs)
     lhs = u1 - u2
     rhs = (lam1 - lam2) * u12
     assert np.max(np.abs(lhs - rhs)) < 1e-6 * max(1.0, float(np.max(np.abs(lhs))))
@@ -164,30 +164,37 @@ def test_pole_guards():
     assert d_near < d_far / 1000
 
 
+def _fixed_grid_solution(lam, f, a):
+    """Nodes and K (w f) on grid_nodes(a, 256, 3): the resolvent as the
+    kernel quadrature that the SVD probe discretizes, f real."""
+    nodes, weights = grid_nodes(a, 256, kmax=3.0)
+    mat = ResolventKernel.build(lam, a).kernel_matrix(nodes, nodes)
+    return nodes, mat @ (weights * f(nodes).real)
+
+
 def test_gridfn_input_route():
     # fixed-grid kernel application: accuracy is limited by the kernel kink
     # crossing quadrature panels, so the contract is looser than the
-    # kink-split callable route
+    # kink-split route
     a = ParamA.from_expr("1/3")
     f = PiecewiseTrig.single([sin_term(1.0, 3.0)])
-    gf = sample(f, a, 256, kmax=3.0)
-    u = apply_resolvent(-2.0, gf, a)
-    dense = apply_resolvent(-2.0, f, a, xs=gf.nodes).values
-    assert np.max(np.abs(u.values - dense)) < 1e-4
-    assert boundary_deviation(u, None, a.value) < 1e-4
+    nodes, u = _fixed_grid_solution(-2.0, f, a)
+    _, dense = apply_resolvent(-2.0, f, a, xs=nodes)
+    assert np.max(np.abs(u - dense)) < 1e-4
+    u_m, u_b, u_p = (u[np.argmin(np.abs(nodes - x0))]
+                     for x0 in (-HALF_PI, HALF_PI * a.value, HALF_PI))
+    assert max(abs(u_m - u_b), abs(u_p - u_b)) < 1e-4
 
 
 def test_gridfn_route_keeps_a_real_source_real():
-    # at real lambda < 0 the GridFn route multiplies by the float64 kernel,
-    # so a sampled real source gives a real solution, to the same contract
-    # as above
+    # at real lambda < 0 the kernel is float64, so the fixed-grid
+    # quadrature of a real source is real, to the same contract as above
     a = ParamA.from_expr("1/3")
     f = PiecewiseTrig.single([sin_term(1.0, 3.0)])
-    gf = sample(f, a, 256, kmax=3.0)
-    u = apply_resolvent(-2.0, gf, a)
-    assert u.values.dtype == np.float64
-    dense = apply_resolvent(-2.0, f, a, xs=gf.nodes).values
-    assert np.max(np.abs(u.values - dense)) < 1e-4
+    nodes, u = _fixed_grid_solution(-2.0, f, a)
+    assert u.dtype == np.float64
+    _, dense = apply_resolvent(-2.0, f, a, xs=nodes)
+    assert np.max(np.abs(u - dense)) < 1e-4
 
 
 def test_singular_value_probe():
@@ -235,7 +242,7 @@ def test_matches_the_closed_form(lam, tol):
     a = ParamA.from_expr("1/3")
     f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
     xs = np.append(np.linspace(-HALF_PI, HALF_PI, 41), HALF_PI * a.value)
-    u = apply_resolvent(lam, f, a, xs=xs).values
+    _, u = apply_resolvent(lam, f, a, xs=xs)
     ref = _closed_form(lam, xs, a.value)
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u - ref)) < tol * np.max(np.abs(ref))
@@ -285,8 +292,8 @@ def test_both_sides_of_the_branch_cut_agree():
     a = ParamA.from_expr("1/3")
     f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
     xs = np.linspace(-HALF_PI, HALF_PI, 33)
-    above = apply_resolvent(2.5 + 1e-12j, f, a, xs=xs).values
-    below = apply_resolvent(2.5 - 1e-12j, f, a, xs=xs).values
+    _, above = apply_resolvent(2.5 + 1e-12j, f, a, xs=xs)
+    _, below = apply_resolvent(2.5 - 1e-12j, f, a, xs=xs)
     assert np.max(np.abs(above - below)) < 1e-9
 
 

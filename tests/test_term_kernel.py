@@ -48,34 +48,38 @@ def _wave(p: int, w, d, lo, hi):
     return anti(hi) - anti(lo)
 
 
+def _rows(terms):
+    """(p, c, k, s, q) of each term of a Terms, as Python numbers."""
+    return zip(*(getattr(terms, f).tolist() for f in ("p", "c", "k", "s", "q")))
+
+
 def reference_inner(f, g) -> complex:
     total = mp.mpc(0)
     with mp.workdps(DPS):
         for lo, hi in _segments(f, g):
-            for tf in f.terms_on(lo, hi):
-                for tg in g.terms_on(lo, hi):
-                    w_dif = mp.mpf(tf.freq) - mp.mpf(tg.freq)
+            for p_f, c_f, k_f, s_f, q_f in _rows(f.terms_on(lo, hi)):
+                for p_g, c_g, k_g, s_g, q_g in _rows(g.terms_on(lo, hi)):
+                    w_dif = mp.mpf(k_f) - mp.mpf(k_g)
                     # digits the antiderivative cancels near resonance
                     small = min(abs(w_dif) * HALF_PI, 1) or 1
                     with mp.workdps(DPS + 10 + int(-3 * mp.log10(small))):
-                        ph_f = mp.mpf(tf.shift) - tf.quarter * mp.pi / 2
-                        ph_g = mp.mpf(tg.shift) - tg.quarter * mp.pi / 2
-                        k_f, k_g = mp.mpf(tf.freq), mp.mpf(tg.freq)
-                        p = tf.p + tg.p
-                        val = (_wave(p, k_f - k_g, ph_f - ph_g, mp.mpf(lo), mp.mpf(hi))
-                               + _wave(p, k_f + k_g, ph_f + ph_g, mp.mpf(lo), mp.mpf(hi))) / 2
-                        total += mp.conj(mp.mpc(tf.coeff)) * mp.mpc(tg.coeff) * val
+                        ph_f = mp.mpf(s_f) - q_f * mp.pi / 2
+                        ph_g = mp.mpf(s_g) - q_g * mp.pi / 2
+                        kk_f, kk_g = mp.mpf(k_f), mp.mpf(k_g)
+                        p = p_f + p_g
+                        val = (_wave(p, kk_f - kk_g, ph_f - ph_g, mp.mpf(lo), mp.mpf(hi))
+                               + _wave(p, kk_f + kk_g, ph_f + ph_g, mp.mpf(lo), mp.mpf(hi))) / 2
+                        total += mp.conj(mp.mpc(c_f)) * mp.mpc(c_g) * val
     return complex(total)
 
 
 def bound(f, g) -> float:
     total = 0.0
     for lo, hi in _segments(f, g):
-        for tf in f.terms_on(lo, hi):
-            for tg in g.terms_on(lo, hi):
-                total += (abs(tf.coeff * tg.coeff) * (hi - lo) * HALF_PI ** (tf.p + tg.p)
-                          * (1 + (tf.freq + tg.freq) * HALF_PI
-                             + abs(tf.shift) + abs(tg.shift)))
+        for p_f, c_f, k_f, s_f, _ in _rows(f.terms_on(lo, hi)):
+            for p_g, c_g, k_g, s_g, _ in _rows(g.terms_on(lo, hi)):
+                total += (abs(c_f * c_g) * (hi - lo) * HALF_PI ** (p_f + p_g)
+                          * (1 + (k_f + k_g) * HALF_PI + abs(s_f) + abs(s_g)))
     return EPS * total
 
 
