@@ -34,8 +34,8 @@ from jumpspec.funcspace import (
     PiecewiseTrig, cos_term, inner_matrix, lincomb, norm_l2, quad_gram, sin_term,
 )
 from jumpspec.param import (
-    NotIrrational, ParamA, PiAngle, ZeroClassCase, convergents,
-    is_exceptional_minus, is_exceptional_plus, trig_pi, zero_class_case,
+    NotIrrational, ParamA, ZeroClassCase, convergents,
+    family_angle, is_exceptional_minus, is_exceptional_plus, zero_class_case,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -59,26 +59,19 @@ class ProjNormRecord:
 # closed-form projection norms
 # ---------------------------------------------------------------------------
 
-def _proj_norm_class_generic(c: float, th: PiAngle, m: int) -> float:
-    """Norm of the +-1 class projection: c = 1 -+ a and th the angle
-    pi m(1 +- a)/(1 -+ a), so that sin(4 m pi/c) = sin(2 th) = 2 sin cos."""
+def _proj_norm_class_generic(a: ParamA, cls: int, m: int) -> float:
+    """Norm of the cls = -1 or +1 projection: c = 1 + cls a and th the
+    family angle pi m(1 - cls a)/c, so that sin(4 m pi/c) = sin(2 th) =
+    2 sin cos."""
+    c = 1 + cls * a.value
+    th = family_angle(a, cls, m)
     num = math.sqrt((4 * math.pi + c / m * 2 * th.sin * th.cos) / 8)
     return num / (math.sqrt(math.pi * c / 4) * abs(th.sin))
 
 
-def _proj_norm_minus_generic(a: ParamA, m: int) -> float:
-    return _proj_norm_class_generic(
-        1 - a.value, trig_pi(lambda x: m * (1 + x) / (1 - x), a), m)
-
-
-def _proj_norm_plus_generic(a: ParamA, m: int) -> float:
-    return _proj_norm_class_generic(
-        1 + a.value, trig_pi(lambda x: m * (1 - x) / (1 + x), a), m)
-
-
 def proj_norm_zero_generic(a: ParamA, m: int) -> float:
     """sqrt(2)/sqrt(1 - cos(m pi (1+a))), the blow-up family."""
-    return math.sqrt(2.0 / trig_pi(lambda x: m * (1 + x), a).versine)
+    return math.sqrt(2.0 / family_angle(a, 0, m).versine)
 
 
 def _proj_norms_exceptional(a: ParamA, m: int) -> tuple[float, float, float]:
@@ -120,12 +113,10 @@ def projection_norm(rec: EigRecord, a: ParamA) -> list[ProjNormRecord]:
         closed = 1.0
     else:
         cls, m = rec.memberships[0]
-        if cls == -1:
-            closed = _proj_norm_minus_generic(a, m)
-        elif cls == +1:
-            closed = _proj_norm_plus_generic(a, m)
-        else:
+        if cls == 0:
             closed = proj_norm_zero_generic(a, m)
+        else:
+            closed = _proj_norm_class_generic(a, cls, m)
     return [ProjNormRecord(rec, Which.SINGLE, closed, _quad_proj_norm(psi.fn, phi.fn, a))]
 
 
@@ -160,7 +151,7 @@ def blowup_probe(a: ParamA, k_count: int) -> list[BlowupRow]:
     rows = []
     for c in convergents(a, k_count):
         m = 2 * c.q
-        omc = trig_pi(lambda x: m * (1 + x), a).versine
+        omc = family_angle(a, 0, m).versine
         rows.append(BlowupRow(c.index, c.q, m, math.sqrt(2.0 / omc), omc))
     return rows
 
@@ -197,15 +188,15 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
     estimates_ok = True
     for m in range(1, m_max + 1):
         if not is_exceptional_minus(a, m):
-            s = abs(trig_pi(lambda x: m * (1 + x) / (1 - x), a).sin)
+            s = abs(family_angle(a, -1, m).sin)
             estimates_ok &= s >= 2.0 / (q - p) - 1e-12
-            rows["minus"].append((m, _proj_norm_minus_generic(a, m)))
+            rows["minus"].append((m, _proj_norm_class_generic(a, -1, m)))
         if not is_exceptional_plus(a, m):
-            s = abs(trig_pi(lambda x: m * (1 - x) / (1 + x), a).sin)
+            s = abs(family_angle(a, +1, m).sin)
             estimates_ok &= s >= 2.0 / (q + p) - 1e-12
-            rows["plus"].append((m, _proj_norm_plus_generic(a, m)))
+            rows["plus"].append((m, _proj_norm_class_generic(a, +1, m)))
         if zero_class_case(a, m) is ZeroClassCase.GENERIC:
-            omc = trig_pi(lambda x: m * (1 + x), a).versine
+            omc = family_angle(a, 0, m).versine
             estimates_ok &= omc >= 4.0 / q ** 2 - 1e-12
             rows["zero"].append((m, proj_norm_zero_generic(a, m)))
 

@@ -188,16 +188,19 @@ def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.quadrature)
             for pn in basis_diag.projection_norms(a, args.lambda_max)]
+    # everything is computed before the first write, so a refused argument
+    # or a failed stage leaves no partial output
+    if args.blowup and a.is_rational:
+        report = basis_diag.rational_bound_check(a, args.m_max)
+    elif args.blowup:
+        table = basis_diag.blowup_probe(a, args.convergents)
     man.write_csv("projection_norms.csv",
                   ["which", "lambda", "norm_closed", "norm_quad"], rows)
-    if args.blowup:
-        if a.is_rational:
-            report = basis_diag.rational_bound_check(a, args.m_max)
-            man.write_json("rational_bounds.json", report)
-        else:
-            table = basis_diag.blowup_probe(a, args.convergents)
-            man.write_csv("blowup.csv", ["k", "q", "m", "norm"],
-                          [(r.k, r.q, r.m, r.norm) for r in table])
+    if args.blowup and a.is_rational:
+        man.write_json("rational_bounds.json", report)
+    elif args.blowup:
+        man.write_csv("blowup.csv", ["k", "q", "m", "norm"],
+                      [(r.k, r.q, r.m, r.norm) for r in table])
     man.finish()
     return 0
 

@@ -28,7 +28,7 @@ from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner
     linear, sin_term, xcos_term, xsin_term,
 )
 from jumpspec.param import (
-    PiAngle, ParamA, is_exceptional_minus, trig_pi, zero_class_case, ZeroClassCase,
+    ParamA, family_angle, is_exceptional_minus, zero_class_case, ZeroClassCase,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -43,11 +43,6 @@ class DegenerateNormalization(RuntimeError):
     """A closed-form pairing vanished; the case classification is broken."""
 
 
-class Side(enum.Enum):
-    FORWARD = "forward"
-    ADJOINT = "adjoint"
-
-
 class Rank(enum.Enum):
     EIGEN = "eigen"
     GENERALIZED = "generalized"
@@ -56,7 +51,6 @@ class Rank(enum.Enum):
 @dataclass(frozen=True)
 class EigFun:
     record: EigRecord
-    side: Side
     rank: Rank
     fn: PiecewiseTrig
     constants: dict
@@ -70,7 +64,7 @@ class BiorthPair:
 
 
 # ---------------------------------------------------------------------------
-# wavenumbers and exactly reduced angles
+# wavenumbers
 # ---------------------------------------------------------------------------
 
 def _k_value(a: ParamA, cls: int, m: int) -> float:
@@ -81,28 +75,20 @@ def _k_value(a: ParamA, cls: int, m: int) -> float:
     return 2.0 * m
 
 
-def _minus_angle(a: ParamA, m: int) -> PiAngle:
-    """pi(m + m(1+a)/(1-a)): the -1 class factor times (-1)^m, as one angle."""
-    return trig_pi(lambda x: m + m * (1 + x) / (1 - x), a)
-
-
-def _zero_class_angle(a: ParamA, m: int) -> PiAngle:
-    """pi m(1+a); the class-0 factors are tan of half this angle."""
-    return trig_pi(lambda x: m * (1 + x), a)
-
-
 # ---------------------------------------------------------------------------
 # closed-form pairings (raw constants set to 1)
 # ---------------------------------------------------------------------------
+#
+# The +-1 class pairings carry sin or cos of pi(m + m(1-+a)/(1+-a)), which
+# is (-1)^m times that of the family angle.
 
 def pairing_minus_generic(a: ParamA, m: int) -> float:
     """(phi, psi) in the -1 class, generic situation."""
-    return -math.pi / 4 * (1 - a.value) * _minus_angle(a, m).sin
+    return -math.pi / 4 * (1 - a.value) * (-1) ** m * family_angle(a, -1, m).sin
 
 
 def pairing_plus_generic(a: ParamA, m: int) -> float:
-    return (math.pi / 4 * (1 + a.value)
-            * trig_pi(lambda x: m + m * (1 - x) / (1 + x), a).sin)
+    return math.pi / 4 * (1 + a.value) * (-1) ** m * family_angle(a, +1, m).sin
 
 
 def pairing_zero_zero(a: ParamA) -> float:
@@ -112,7 +98,7 @@ def pairing_zero_zero(a: ParamA) -> float:
 
 def pairing_zero_generic(a: ParamA, m: int) -> float:
     """pi/2 (1 - cos(m pi) cos(m pi a))/sin(m pi a) = (-1)^m pi/2 tan(theta/2)."""
-    th = _zero_class_angle(a, m)
+    th = family_angle(a, 0, m)
     return (-1) ** m * math.pi / 2 * th.versine / th.sin
 
 
@@ -122,7 +108,7 @@ def pairing_zero_odd(a: ParamA, m: int) -> float:
 
 def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
     """((phi1, psi1), (phi2, psi1)); the psi2 pairings vanish."""
-    cc = _minus_angle(a, m).cos
+    cc = (-1) ** m * family_angle(a, -1, m).cos
     return (math.pi / 4 * (1 - a.value) * cc,
             math.pi / 4 * (1 + a.value) * cc)
 
@@ -130,7 +116,7 @@ def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
 def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
     """((phi1, xi), (phi2, xi)) in the -1 class exceptional situation."""
     av = a.value
-    cc = _minus_angle(a, m).cos
+    cc = (-1) ** m * family_angle(a, -1, m).cos
     base = math.pi ** 2 / (128 * m) * (1 - av) ** 2 * (1 + av) * cc
     return (-base, base)
 
@@ -138,7 +124,7 @@ def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
 def pairing_eta_psi2(a: ParamA, m: int) -> float:
     """(eta, psi2) with eta built from the admissible A_minus = 1-a."""
     av = a.value
-    cc = _minus_angle(a, m).cos
+    cc = (-1) ** m * family_angle(a, -1, m).cos
     return ((1 - av) * math.pi ** 2 / (64 * m)
             * (1 - av) * (1 + av) * cc)
 
@@ -163,32 +149,31 @@ def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
     _check_membership(rec, a)
     if rec.case is SpectralCase.ZERO_EV:
         fn = PiecewiseTrig.single([const(1.0)])
-        return [EigFun(rec, Side.FORWARD, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
+        return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
 
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
         m = rec.class_index(-1)
         k = _k_value(a, -1, m)
         psi1 = PiecewiseTrig.single([sin_term(1.0, k)])
         psi2 = PiecewiseTrig.single([cos_term(1.0, k)])
-        return [EigFun(rec, Side.FORWARD, Rank.EIGEN, psi1, {"A": 1.0}, "psi1"),
-                EigFun(rec, Side.FORWARD, Rank.EIGEN, psi2, {"B": 1.0}, "psi2")]
+        return [EigFun(rec, Rank.EIGEN, psi1, {"A": 1.0}, "psi1"),
+                EigFun(rec, Rank.EIGEN, psi2, {"B": 1.0}, "psi2")]
 
     if rec.case is SpectralCase.EXCEPTIONAL_ODD:
         m = rec.class_index(0)
         fn = PiecewiseTrig.single([sin_term(1.0, 2.0 * m)])
-        return [EigFun(rec, Side.FORWARD, Rank.EIGEN, fn, {"A": 1.0}, "psi")]
+        return [EigFun(rec, Rank.EIGEN, fn, {"A": 1.0}, "psi")]
 
     cls, m = rec.memberships[0]
     if cls == 0:
         # (cos(m pi) - cos(m pi a))/sin(m pi a) = tan(theta/2)
-        th = _zero_class_angle(a, m)
+        th = family_angle(a, 0, m)
         coef = th.versine / th.sin
         fn = PiecewiseTrig.single([cos_term(1.0, 2.0 * m), sin_term(coef, 2.0 * m)])
-        return [EigFun(rec, Side.FORWARD, Rank.EIGEN, fn,
-                       {"B": 1.0, "sin_coef": coef}, "psi")]
+        return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0, "sin_coef": coef}, "psi")]
     k = _k_value(a, cls, m)
     fn = PiecewiseTrig.single([cos_term(1.0, k)])
-    return [EigFun(rec, Side.FORWARD, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
+    return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
 
 
 def _one_sided_sine(a: ParamA, k: float, side: int, amp: complex) -> PiecewiseTrig:
@@ -222,24 +207,24 @@ def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
     _check_membership(rec, a)
     if rec.case is SpectralCase.ZERO_EV:
         fn = phi_zero_mode(a)
-        return [EigFun(rec, Side.ADJOINT, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
+        return [EigFun(rec, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
 
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
         m = rec.class_index(-1)
         k = _k_value(a, -1, m)
         phi1 = _one_sided_sine(a, k, +1, 1.0)
         phi2 = _one_sided_sine(a, k, -1, 1.0)
-        return [EigFun(rec, Side.ADJOINT, Rank.EIGEN, phi1, {"A_plus": 1.0}, "phi1"),
-                EigFun(rec, Side.ADJOINT, Rank.EIGEN, phi2, {"A_minus": 1.0}, "phi2")]
+        return [EigFun(rec, Rank.EIGEN, phi1, {"A_plus": 1.0}, "phi1"),
+                EigFun(rec, Rank.EIGEN, phi2, {"A_minus": 1.0}, "phi2")]
 
     cls, m = rec.memberships[0]
     if rec.case is SpectralCase.EXCEPTIONAL_ODD or cls == 0:
         fn = _phi_zero_class_generic(a, m)
-        return [EigFun(rec, Side.ADJOINT, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
+        return [EigFun(rec, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
     k = _k_value(a, cls, m)
     fn = _one_sided_sine(a, k, +1 if cls == -1 else -1, 1.0)
     name = "A_plus" if cls == -1 else "A_minus"
-    return [EigFun(rec, Side.ADJOINT, Rank.EIGEN, fn, {name: 1.0}, "phi")]
+    return [EigFun(rec, Rank.EIGEN, fn, {name: 1.0}, "phi")]
 
 
 def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
@@ -255,7 +240,7 @@ def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
         cos_term(pref * (1 - av), k),
         xsin_term(pref * 8 * m, k),
     ])
-    return EigFun(rec, Side.FORWARD, Rank.GENERALIZED, fn, {"B": 1.0}, "xi")
+    return EigFun(rec, Rank.GENERALIZED, fn, {"B": 1.0}, "xi")
 
 
 def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
@@ -290,8 +275,7 @@ def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
         Piece(-HALF_PI, xb, piece(a_minus, +1.0)),
         Piece(xb, HALF_PI, piece(a_plus, -1.0)),
     ))
-    return EigFun(rec, Side.ADJOINT, Rank.GENERALIZED, fn,
-                  {"A_minus": a_minus, "A_plus": a_plus}, "eta")
+    return EigFun(rec, Rank.GENERALIZED, fn, {"A_minus": a_minus, "A_plus": a_plus}, "eta")
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +339,7 @@ def _root_space_pairs(rec: EigRecord, a: ParamA) -> list[BiorthPair]:
     out: list[BiorthPair] = []
     for j, fwd in enumerate(basis):
         fn = lincomb([t.fn for t in trial], coef[j])
-        dual = EigFun(rec, Side.ADJOINT,
-                      Rank.GENERALIZED if fwd.label == "psi2" else Rank.EIGEN,
+        dual = EigFun(rec, Rank.GENERALIZED if fwd.label == "psi2" else Rank.EIGEN,
                       fn, {}, f"dual_{fwd.label}")
         out.append(BiorthPair(fwd, dual))
     return out

@@ -220,11 +220,9 @@ class PiecewiseTrig:
                 return p.terms
         raise OutOfDomain(f"interval ({lo}, {hi}) outside the domain")
 
-    def __call__(self, x, side: str = "mean"):
-        """Evaluate at scalar or array x; `side` resolves the breakpoint.
-
-        side: 'mean' (average of one-sided limits), 'left', or 'right'.
-        """
+    def __call__(self, x):
+        """Evaluate at scalar or array x; at the breakpoint, the mean of the
+        two one-sided limits."""
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if xs.size and (xs.min() < -HALF_PI - 1e-12 or xs.max() > HALF_PI + 1e-12):
@@ -234,16 +232,15 @@ class PiecewiseTrig:
         if xb is None:
             out = eval_terms(self.pieces[0].terms, xs)
         else:
-            left = xs <= xb if side == "left" else xs < xb
+            left = xs < xb
             out[left] = eval_terms(self.pieces[0].terms, xs[left])
             right = ~left
             out[right] = eval_terms(self.pieces[1].terms, xs[right])
-            if side == "mean":
-                at_b = xs == xb
-                if np.any(at_b):
-                    lo_v = eval_terms(self.pieces[0].terms, xs[at_b])
-                    hi_v = eval_terms(self.pieces[1].terms, xs[at_b])
-                    out[at_b] = 0.5 * (lo_v + hi_v)
+            at_b = xs == xb
+            if np.any(at_b):
+                lo_v = eval_terms(self.pieces[0].terms, xs[at_b])
+                hi_v = eval_terms(self.pieces[1].terms, xs[at_b])
+                out[at_b] = 0.5 * (lo_v + hi_v)
         return complex(out[0]) if scalar else out
 
     def one_sided(self, x: float, side: int) -> complex:

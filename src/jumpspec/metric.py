@@ -30,7 +30,7 @@ from jumpspec.funcspace import (
     PiecewiseTrig, Terms, const, cos_term, inner_closed, norm_l2,
     sin_term, validate_domain_H,
 )
-from jumpspec.param import NotIrrational, ParamA, convergents, trig_pi
+from jumpspec.param import NotIrrational, ParamA, convergents, family_angle
 from jumpspec.eigensystem import phi_zero_mode
 
 HALF_PI = math.pi / 2
@@ -139,15 +139,14 @@ def even_mode_coefficient(a: ParamA, n: int) -> float:
     """Diagonal coefficient (1 - cos(n pi/2) cos(n pi a/2))/2 for even n.
 
     With h = n/2 the product of cosines is cos(pi h(1+a)), so the
-    coefficient is half the versine of that one angle.  trig_pi reduces it
-    exactly and forms 1 - cos without cancellation, so the value keeps its
-    relative accuracy at the deep continued-fraction denominators, where
-    it falls to ~1e-30.
+    coefficient is half the versine of the class-0 family angle at h.
+    family_angle reduces it exactly and forms 1 - cos without cancellation,
+    so the value keeps its relative accuracy at the deep continued-fraction
+    denominators, where it falls to ~1e-30.
     """
     if n % 2:
         raise ValueError("diagonal formula applies to even modes")
-    half = n // 2
-    return trig_pi(lambda x: half * (1 + x), a).versine / 2
+    return family_angle(a, 0, n // 2).versine / 2
 
 
 def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:

@@ -4,19 +4,30 @@ The parameter ``a`` places the restart point pi*a/2 inside (-pi/2, pi/2).
 Every case split downstream (eigenvalue coincidences, exceptional
 eigenfunction pairs, basis blow-up sequences) branches on statements like
 "m(1+a)/(1-a) is an integer" that are undecidable from a bare float, so
-``a`` is carried either as an exact reduced fraction or as a symbolic
-expression re-evaluable at arbitrary precision.
+``a`` is carried either as an exact reduced fraction or as its source
+expression, re-read at whatever precision a caller asks for.
 
-Accepted expression grammar (evaluated with >= 50 significant digits):
+Accepted expression grammar:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := '-'? atom
-    atom   := INTEGER | 'pi' | 'e' | 'sqrt' '(' expr ')' | '(' expr ')'
+    factor := '-'* (INTEGER | 'pi' | 'e' | 'sqrt' '(' expr ')' | '(' expr ')')
+
+The parser evaluates while it reads: every rule returns the exact
+Fraction of what it read (None once an irrational subterm survives) and
+its mpf value at the current mpmath precision.  ParamA.from_expr reads
+at WORK_DPS digits; ``approx(dps)`` of an irrational parameter reads the
+source again under dps digits, so no expression tree is kept.
 
 sqrt of a perfect-square rational simplifies back to a rational; any
 expression with a surviving irrational subterm is classified irrational at
 face value (no general algebraic-number simplification).
+
+Usage errors (ValueError): an unknown symbol or character, a malformed or
+incomplete expression, division by zero, sqrt of a negative value, more
+than MAX_NESTING nested groups, and a value outside (-1, 1).  The signs
+behind the last three are decided exactly wherever the operand is
+rational, otherwise from its mpf value.
 """
 
 from __future__ import annotations
@@ -24,7 +35,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -32,6 +44,7 @@ import mpmath as mp
 from mpmath.libmp import to_rational
 
 WORK_DPS = 60
+MAX_NESTING = 200  # groups '(' or 'sqrt(' open at once; bounds the recursion
 
 
 class NotIrrational(ValueError):
@@ -76,10 +89,41 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# exact value (None if irrational) and mpf value of what a rule read
+Value = tuple[Fraction | None, mp.mpf]
+
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
+
+
+def _binary(op: str, left: Value, right: Value) -> Value:
+    (lf, lv), (rf, rv) = left, right
+    if op == "/" and (rf == 0 or not rv):
+        raise ValueError("division by zero in parameter expression")
+    fn = _BINARY[op]
+    return (None if lf is None or rf is None else fn(lf, rf)), fn(lv, rv)
+
+
+def _sqrt(frac: Fraction | None, val: mp.mpf) -> Value:
+    if (val if frac is None else frac) < 0:
+        raise ValueError("sqrt of a negative value in parameter expression")
+    root = None
+    if frac is not None:
+        pn, qn = frac.numerator, frac.denominator
+        rp, rq = math.isqrt(pn), math.isqrt(qn)
+        if rp * rp == pn and rq * rq == qn:
+            root = Fraction(rp, rq)
+    # an exact value >= 0 can still round to a negative mpf
+    return root, mp.sqrt(abs(val))
+
+
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    """Evaluates an expression at the current mpmath precision as it reads it."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -91,121 +135,53 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Value:
+        value = self.expr()
         if self.peek() is not None:
             raise ValueError("trailing tokens in parameter expression")
-        return node
+        return value
 
-    def expr(self):
-        node = self.term()
+    def expr(self) -> Value:
+        value = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            node = ("add" if op == "+" else "sub", node, self.term())
-        return node
+            value = _binary(self.take(), value, self.term())
+        return value
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> Value:
+        value = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.take()
-            node = ("mul" if op == "*" else "div", node, self.factor())
-        return node
+            value = _binary(self.take(), value, self.factor())
+        return value
 
-    def factor(self):
-        if self.peek() == "-":
+    def factor(self) -> Value:
+        negate = False
+        while self.peek() == "-":
             self.take()
-            return ("neg", self.factor())
-        return self.atom()
-
-    def atom(self):
+            negate = not negate
         tok = self.peek()
         if tok is None:
             raise ValueError("unexpected end of parameter expression")
+        self.take()
         if tok.isdigit():
-            self.take()
-            return ("num", int(tok))
-        if tok == "pi":
-            self.take()
-            return ("pi",)
-        if tok == "e":
-            self.take()
-            return ("e",)
-        if tok == "sqrt":
-            self.take()
-            self.take("(")
-            inner = self.expr()
+            frac, val = Fraction(int(tok)), mp.mpf(int(tok))
+        elif tok in ("pi", "e"):
+            frac, val = None, +(mp.pi if tok == "pi" else mp.e)
+        elif tok in ("sqrt", "("):
+            if tok == "sqrt":
+                self.take("(")
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise ValueError(f"parameter expression nests deeper than {MAX_NESTING}")
+            frac, val = self.expr()
             self.take(")")
-            return ("sqrt", inner)
-        if tok == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise ValueError(f"unexpected token {tok!r}")
-
-
-def _eval_fraction(node) -> Fraction | None:
-    """Exact rational value of the AST, or None if irrational."""
-    op = node[0]
-    if op == "num":
-        return Fraction(node[1])
-    if op in ("pi", "e"):
-        return None
-    if op == "neg":
-        v = _eval_fraction(node[1])
-        return None if v is None else -v
-    if op == "sqrt":
-        v = _eval_fraction(node[1])
-        if v is None or v < 0:
-            return None
-        pn, qn = v.numerator, v.denominator
-        rp, rq = math.isqrt(pn), math.isqrt(qn)
-        if rp * rp == pn and rq * rq == qn:
-            return Fraction(rp, rq)
-        return None
-    left = _eval_fraction(node[1])
-    right = _eval_fraction(node[2])
-    if left is None or right is None:
-        return None
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    if op == "div":
-        if right == 0:
-            raise ValueError("division by zero in parameter expression")
-        return left / right
-    raise AssertionError(op)
-
-
-def _eval_mpf(node) -> mp.mpf:
-    """Evaluate the AST at the current mpmath precision."""
-    op = node[0]
-    if op == "num":
-        return mp.mpf(node[1])
-    if op == "pi":
-        return +mp.pi
-    if op == "e":
-        return +mp.e
-    if op == "neg":
-        return -_eval_mpf(node[1])
-    if op == "sqrt":
-        return mp.sqrt(_eval_mpf(node[1]))
-    left = _eval_mpf(node[1])
-    right = _eval_mpf(node[2])
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    if op == "div":
-        if not right:
-            raise ValueError("division by zero in parameter expression")
-        return left / right
-    raise AssertionError(op)
+            self.nesting -= 1
+            if tok == "sqrt":
+                frac, val = _sqrt(frac, val)
+        else:
+            raise ValueError(f"unexpected token {tok!r}")
+        if negate:
+            return (None if frac is None else -frac), -val
+        return frac, val
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +195,15 @@ class ParamA:
     value: float
     fraction: Fraction | None
     source: str
-    _ast: tuple = field(repr=False, compare=False, default=None)
 
     @classmethod
     def from_expr(cls, text: str) -> "ParamA":
-        ast = _Parser(_tokenize(text)).parse()
-        frac = _eval_fraction(ast)
         with mp.workdps(WORK_DPS):
-            approx = _eval_mpf(ast)
-            if not abs(approx) < 1:
+            frac, approx = _Parser(text).parse()
+            if not abs(approx if frac is None else frac) < 1:
                 raise ValueError(f"parameter {text!r} = {approx} is outside (-1, 1)")
-        if frac is not None:
-            return cls(value=float(frac), fraction=frac, source=text, _ast=ast)
-        return cls(value=float(approx), fraction=None, source=text, _ast=ast)
+        value = float(approx) if frac is None else float(frac)
+        return cls(value=value, fraction=frac, source=text)
 
     @classmethod
     def from_fraction(cls, p: int, q: int) -> "ParamA":
@@ -239,21 +211,19 @@ class ParamA:
         if not abs(frac) < 1:
             raise ValueError(f"parameter {p}/{q} is outside (-1, 1)")
         return cls(value=float(frac), fraction=frac,
-                   source=f"{frac.numerator}/{frac.denominator}",
-                   _ast=("div", ("num", frac.numerator), ("num", frac.denominator))
-                   if frac.numerator >= 0 else
-                   ("neg", ("div", ("num", -frac.numerator), ("num", frac.denominator))))
+                   source=f"{frac.numerator}/{frac.denominator}")
 
     @property
     def is_rational(self) -> bool:
         return self.fraction is not None
 
     def approx(self, dps: int = WORK_DPS) -> mp.mpf:
-        """Re-evaluate the source expression at dps significant digits."""
+        """The value at dps significant digits: the fraction divided out,
+        or the source expression read again at that precision."""
         with mp.workdps(dps):
             if self.fraction is not None:
                 return mp.mpf(self.fraction.numerator) / self.fraction.denominator
-            return +_eval_mpf(self._ast)
+            return _Parser(self.source).parse()[1]
 
     def __str__(self) -> str:
         return self.source
@@ -418,7 +388,8 @@ def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
 
     ``turns`` is the formula as printed, e.g. ``lambda x: m*(1+x)/(1-x)``;
     it must accept a Fraction (and, for irrational a, a float for the
-    digit count) and use only exact arithmetic.
+    digit count) and use only exact arithmetic.  The package reaches it
+    only through family_angle, which holds the eigenvalue families' angles.
     """
     if a.fraction is not None:
         t = Fraction(turns(a.fraction))
@@ -435,3 +406,16 @@ def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
     cos_r = math.sin(math.pi * ((q - 2 * abs(rem)) / (2 * q)))
     versine = 1.0 + cos_r if n % 2 else 2.0 * math.sin(x / 2) ** 2
     return PiAngle(sign * cos_r, sign * math.sin(x), versine)
+
+
+def family_angle(a: ParamA, cls: int, m: int) -> PiAngle:
+    """The angle of eigenvalue family ``cls`` at index m, reduced exactly:
+    pi m(1+a)/(1-a) for cls -1, pi m(1-a)/(1+a) for cls +1 and pi m(1+a)
+    for cls 0."""
+    if cls == -1:
+        return trig_pi(lambda x: m * (1 + x) / (1 - x), a)
+    if cls == +1:
+        return trig_pi(lambda x: m * (1 - x) / (1 + x), a)
+    if cls == 0:
+        return trig_pi(lambda x: m * (1 + x), a)
+    raise ValueError(f"eigenvalue class must be -1, +1 or 0, got {cls}")

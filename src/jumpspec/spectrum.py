@@ -149,6 +149,8 @@ def char_det(a: ParamA | float, k) -> complex | np.ndarray:
 
 def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
     """Rows (a, class, m, lambda) for the three eigenvalue families."""
+    if m_max < 0:
+        raise ValueError(f"curves need m_max >= 0, got {m_max}")
     rows: list[tuple[float, int, int, float]] = []
     for a_val in a_grid:
         a_val = float(a_val)

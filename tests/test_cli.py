@@ -128,6 +128,7 @@ def test_usage_errors(tmp_path):
     assert run_cli(["spectrum", "--a", "3/2", "--out", "/tmp/x1"]) == 2
     for expr in ("1/0", "pi/0", "1/(1-1)"):    # division by zero
         assert run_cli(["spectrum", "--a", expr, "--out", str(tmp_path / "z")]) == 2
+    assert run_cli(["spectrum", "--a", "sqrt(-1)/2", "--out", str(tmp_path / "z")]) == 2
     assert not (tmp_path / "z").exists()
 
 
@@ -168,12 +169,14 @@ def test_non_finite_lambda_max_is_a_usage_error(tmp_path, expr, command, output,
     assert not (out / output).exists()
 
 
-@pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.1", "nan:0.5:0.1", "0:inf:0.1",
-                                  "0:0.5:inf", "0:0.5:nan", "0.5:-0.5:0.25"])
-def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, grid):
+@pytest.mark.parametrize("option", [
+    *(pytest.param(f"--a-grid={grid}", id=grid)
+      for grid in ("0:0.5:0", "0:0.5:-0.1", "nan:0.5:0.1", "0:inf:0.1",
+                   "0:0.5:inf", "0:0.5:nan", "0.5:-0.5:0.25")),
+    pytest.param("--m-max=-1", id="m-max=-1")])
+def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, option):
     out = tmp_path / "cg"
-    assert run_cli(["spectrum", "--a", "1/3", "--curves", f"--a-grid={grid}",
-                    "--out", str(out)]) == 2
+    assert run_cli(["spectrum", "--a", "1/3", "--curves", option, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -260,7 +263,14 @@ def test_blowup_check_without_modes_is_a_usage_error(tmp_path):
     # m_max = 0 would check no mode and still report the bounds as holding
     assert run_cli(["basis", "--a", "1/3", "--blowup", "--m-max", "0", "--lambda-max", "50",
                     "--out", str(tmp_path / "m0")]) == 2
-    assert not (tmp_path / "m0" / "rational_bounds.json").exists()
+    assert not (tmp_path / "m0").exists()
+
+
+def test_blowup_convergent_count_is_checked_before_any_output(tmp_path):
+    # 41 exceeds MAX_CONVERGENTS; projection_norms.csv must not be left behind
+    assert run_cli(["basis", "--a", "sqrt(2)-1", "--blowup", "--convergents", "41",
+                    "--lambda-max", "50", "--out", str(tmp_path / "k41")]) == 2
+    assert not (tmp_path / "k41").exists()
 
 
 def test_plain_negative_lambda_reaches_the_probe(tmp_path, capsys):

@@ -17,7 +17,7 @@ from jumpspec.basis_diag import blowup_probe
 from jumpspec.cli import main
 from jumpspec.eigensystem import pairing_zero_generic
 from jumpspec.metric import noninvertibility_probe
-from jumpspec.param import MAX_CONVERGENTS, ParamA, convergents, trig_pi
+from jumpspec.param import MAX_CONVERGENTS, ParamA, convergents, family_angle, trig_pi
 
 from reference_oracles import rayleigh_quotient
 
@@ -79,6 +79,22 @@ def test_trig_pi_matches_mpmath_over_convergents_and_random_rationals():
     assert len(cases) == 1300
     for turns, a in cases:
         _check_angle(turns, a)
+
+
+def test_family_angle_is_each_class_form_and_shifts_by_parity():
+    # the -1 and +1 pairings take pi(m + t) as (-1)^m times the family angle pi t
+    shifted = {-1: lambda m: lambda x: m + m * (1 + x) / (1 - x),
+               +1: lambda m: lambda x: m + m * (1 - x) / (1 + x)}
+    for expr in IRRATIONALS + ["1/3", "-3/7"]:
+        a = ParamA.from_expr(expr)
+        for m in [*range(1, 40), 10 ** 6 + 3, 12 * 10 ** 9 + 1]:
+            for cls, form in zip((0, -1, +1), FORMS):
+                assert family_angle(a, cls, m) == trig_pi(form(m), a)
+            for cls, form in shifted.items():
+                got, want = family_angle(a, cls, m), trig_pi(form(m), a)
+                assert ((-1) ** m * got.sin, (-1) ** m * got.cos) == (want.sin, want.cos)
+    with pytest.raises(ValueError):
+        family_angle(ParamA.from_expr("1/3"), 2, 1)
 
 
 def test_trig_pi_exact_zeros_and_parity():

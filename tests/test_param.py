@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpspec.param import (
-    NotIrrational, ParamA, ZeroClassCase, convergents, is_exceptional_minus,
+    WORK_DPS, NotIrrational, ParamA, ZeroClassCase, convergents, is_exceptional_minus,
     is_exceptional_plus, trig_pi, zero_class_case,
 )
 
@@ -23,7 +25,6 @@ def test_irrational_construction_and_precision():
     a = ParamA.from_expr("sqrt(2)-1")
     assert not a.is_rational
     # 30+ significant digits against an independent high-precision value
-    import mpmath as mp
     with mp.workdps(50):
         ref = mp.sqrt(2) - 1
         assert abs(a.approx(50) - ref) < mp.mpf(10) ** -45
@@ -37,14 +38,21 @@ def test_sqrt_of_perfect_square_is_rational():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         ParamA.from_expr("3/2")
+    # the range of a rational is decided exactly, not from its 60-digit value:
+    # this sum is 1 but rounds below 1, and 1 - 10^-62 rounds to 1
+    with pytest.raises(ValueError):
+        ParamA.from_expr("1/5+2/5+2/5")
+    assert ParamA.from_expr("1-1/1" + "0" * 62).fraction == 1 - Fraction(1, 10 ** 62)
     with pytest.raises(ValueError):
         ParamA.from_fraction(5, 4)
 
 
 def test_grammar_errors():
-    for bad in ("1//3", "sqrt(", "foo", "1+", "2^3"):
+    for bad in ("1//3", "sqrt(", "foo", "1+", "2^3", "sqrt(-1)/2", "sqrt(0-1/4)",
+                "(" * 300 + "1/3" + ")" * 300):
         with pytest.raises(ValueError):
             ParamA.from_expr(bad)
+    assert ParamA.from_expr("(" * 200 + "1/3" + ")" * 200).fraction == Fraction(1, 3)
 
 
 def test_exceptional_minus_examples():
@@ -139,7 +147,109 @@ def test_exact_trig_helpers():
     assert trig_pi(lambda x: 3 * 10 ** 12 * x, a).cos == pytest.approx(1.0, abs=1e-12)
     s2 = ParamA.from_expr("sqrt(2)-1")
     val = trig_pi(lambda x: 10 ** 6 + 10 ** 6 * x, s2).cos
-    import mpmath as mp
     with mp.workdps(60):
         ref = mp.cospi(mp.fmod(10 ** 6 * mp.sqrt(2), 2))
         assert val == pytest.approx(float(ref), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against a direct evaluation of the expression tree
+# ---------------------------------------------------------------------------
+
+class Refused(Exception):
+    """The expression divides by zero or takes sqrt of a negative value."""
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _render(node) -> tuple[str, int]:
+    """Text of the tree and the binding strength of its outermost operator;
+    parentheses go only where the grammar needs them to keep the tree."""
+    kind = node[0]
+    if kind == "num":
+        return str(node[1]), 3
+    if kind in ("pi", "e"):
+        return kind, 3
+    if kind in ("sqrt", "paren"):
+        return f"{'sqrt' if kind == 'sqrt' else ''}({_render(node[1])[0]})", 3
+    if kind == "neg":
+        text, prec = _render(node[1])
+        return "-" + (text if prec == 3 else f"({text})"), 3
+    (lt, lp), (rt, rp), p = _render(node[1]), _render(node[2]), _PREC[kind]
+    return f"{lt if lp >= p else f'({lt})'}{kind}{rt if rp > p else f'({rt})'}", p
+
+
+def _evaluate(node):
+    """(Fraction or None, mpf at the current precision), irrational at face value."""
+    kind = node[0]
+    if kind == "num":
+        return Fraction(node[1]), mp.mpf(node[1])
+    if kind == "pi":
+        return None, +mp.pi
+    if kind == "e":
+        return None, +mp.e
+    if kind == "paren":
+        return _evaluate(node[1])
+    if kind == "neg":
+        f, v = _evaluate(node[1])
+        return (None if f is None else -f), -v
+    if kind == "sqrt":
+        f, v = _evaluate(node[1])
+        if (v if f is None else f) < 0:
+            raise Refused
+        root = None
+        if f is not None:
+            r = Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator))
+            root = r if r * r == f else None
+        return root, mp.sqrt(abs(v))  # abs: an exact 0 may round below 0
+    (lf, lv), (rf, rv) = _evaluate(node[1]), _evaluate(node[2])
+    exact = lf is not None and rf is not None
+    if kind == "+":
+        return (lf + rf if exact else None), lv + rv
+    if kind == "-":
+        return (lf - rf if exact else None), lv - rv
+    if kind == "*":
+        return (lf * rf if exact else None), lv * rv
+    if rf == 0 or rv == 0:
+        raise Refused
+    return (lf / rf if exact else None), lv / rv
+
+
+_LEAVES = st.one_of(
+    st.integers(0, 40).map(lambda n: ("num", n)),
+    st.integers(0, 10 ** 25).map(lambda n: ("num", n)),
+    st.sampled_from([("pi",), ("e",)]))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.sampled_from("+-*/"), inner, inner),
+    st.tuples(st.sampled_from(["neg", "sqrt", "paren"]), inner)), max_leaves=8)
+
+
+@given(tree=_TREES, scale=st.integers(1, 10 ** 4))
+@settings(max_examples=300, deadline=None)
+def test_one_pass_parse_matches_the_tree_evaluated_directly(tree, scale):
+    tree = ("/", tree, ("num", scale))  # brings many trees into (-1, 1)
+    text = _render(tree)[0]
+    try:
+        with mp.workdps(WORK_DPS):
+            frac, val = _evaluate(tree)
+        in_range = abs(val if frac is None else frac) < 1
+    except Refused:
+        in_range = False
+    if not in_range:
+        with pytest.raises(ValueError):
+            ParamA.from_expr(text)
+        return
+    a = ParamA.from_expr(text)
+    assert a.fraction == frac and a.source == text
+    assert a.value == float(val if frac is None else frac)
+    for dps in (60, 200):
+        with mp.workdps(dps):
+            try:
+                f, v = _evaluate(tree)
+            except Refused:
+                with pytest.raises(ValueError):
+                    a.approx(dps)
+                continue
+            want = v if f is None else mp.mpf(f.numerator) / f.denominator
+        assert a.approx(dps)._mpf_ == want._mpf_, (text, dps)

@@ -141,6 +141,29 @@ def test_every_paper_form_is_defined_and_tested():
         assert re.search(rf"\b{name}\b", tests), f"no test references {name}"
 
 
+def trig_pi_callers(package: Path) -> list[str]:
+    """Modules other than param that name trig_pi: the eigenvalue families'
+    angles are written once, in param.family_angle."""
+    return [path.name for path in sorted(package.glob("*.py")) if path.stem != "param"
+            and any((isinstance(node, ast.Name) and node.id == "trig_pi")
+                    or (isinstance(node, ast.Attribute) and node.attr == "trig_pi")
+                    or (isinstance(node, ast.alias) and node.name == "trig_pi")
+                    for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_only_param_reduces_angles():
+    assert trig_pi_callers(PACKAGE) == []
+
+
+def test_a_trig_pi_call_outside_param_is_flagged(tmp_path):
+    (tmp_path / "param.py").write_text("def trig_pi(turns, a):\n    return turns(a)\n")
+    (tmp_path / "direct.py").write_text("from jumpspec.param import trig_pi as t\n")
+    (tmp_path / "qualified.py").write_text(
+        "from jumpspec import param\n\n\ndef f(a):\n    return param.trig_pi(abs, a)\n")
+    (tmp_path / "clean.py").write_text("from jumpspec.param import family_angle\n")
+    assert trig_pi_callers(tmp_path) == ["direct.py", "qualified.py"]
+
+
 def test_an_unused_function_is_flagged(tmp_path):
     package, bench = tmp_path / "pkg", tmp_path / "bench"
     package.mkdir()
