@@ -27,7 +27,9 @@ Usage errors (ValueError): an unknown symbol or character, a malformed or
 incomplete expression, division by zero, sqrt of a negative value, more
 than MAX_NESTING nested groups, and a value outside (-1, 1).  The signs
 behind the last three are decided exactly wherever the operand is
-rational, otherwise from its mpf value.
+rational, otherwise from its mpf value.  Rounding noise is refused too: an
+irrational value 0, or one that moves in its leading WORK_DPS/2 digits at
+twice the precision, as when irrational terms cancel.
 """
 
 from __future__ import annotations
@@ -202,6 +204,12 @@ class ParamA:
             frac, approx = _Parser(text).parse()
             if not abs(approx if frac is None else frac) < 1:
                 raise ValueError(f"parameter {text!r} = {approx} is outside (-1, 1)")
+        if frac is None:  # irrational terms that cancel leave rounding noise
+            with mp.workdps(2 * WORK_DPS):
+                finer = _Parser(text).parse()[1]
+            if not approx or abs(finer - approx) > abs(finer) / mp.mpf(10) ** (WORK_DPS // 2):
+                raise ValueError(f"parameter {text!r} is rounding noise: {mp.nstr(approx, 5)} "
+                                 f"at {WORK_DPS} digits, {mp.nstr(finer, 5)} at {2 * WORK_DPS}")
         value = float(approx) if frac is None else float(frac)
         return cls(value=value, fraction=frac, source=text)
 

@@ -1,41 +1,38 @@
 """Monte Carlo simulation of Brownian motion restarted from the boundary.
 
-Paths carry quadratic variation 2 (increments sqrt(2 dt) N(0,1)) inside
-(-pi/2, pi/2); on hitting either endpoint the particle restarts at the
-interior point pi*a/2.  Boundary hits between grid times are recovered
-with the Brownian-bridge exceedance probability
-exp(-(b - x0)(b - x1)/dt) (variance-matched to quadratic variation 2),
-since plain threshold crossing undercounts hits and biases every rate
-estimate.
+Paths carry quadratic variation 2 inside (-pi/2, pi/2); on hitting either
+endpoint the particle restarts at the interior point pi*a/2.  The checks:
+the occupation density relaxes to the tent profile (the adjoint
+zero-mode), and mean observables relax at the spectral gap 4.
 
-The bridge rule runs only on candidate paths, those with
-max(|x0|, |x1|) above pi/2 - sqrt(CUTOFF dt), less four ulps of pi/2 for
-rounding.  Off that set both exponents are at most -CUTOFF, so both
-probabilities are at most exp(-40) < 2**-53, the smallest positive
-uniform the generator draws: the full-width rule could have restarted a
-skipped path only on a uniform of exactly 0.0, so the skip moves a
-step's hit probability by at most 2**-53.  Each bridge step draws the
-normals of the paths it steps, then one uniform per candidate, in path
-order.
+Each stride of length h moves every path by one exact step from x0 to
+x1 = x0 + sqrt(2 h) N.  With b the boundary on the side of the step's
+midpoint, alpha = |b - x0| and beta = |b - x1|, the path hit b surely if
+x1 lies on or beyond b, else with the bridge probability
+exp(-alpha beta / h), and then at T = h S / (1 + S) with S ~ Wald(mean
+alpha/beta, scale alpha**2/(2 h)): s = t / (h - t) turns the bridge's
+first-passage density into that inverse Gaussian one.  The path restarts
+at pi*a/2 and runs the remaining h - T by the same rule, link by link
+until no path hits again.  Per link it draws one normal per moving path,
+one uniform per path with alpha beta / h < CUTOFF, then a normal and a
+uniform per hit.  This is exact but for events below 2**-53, the least
+positive uniform drawn:
+- alpha beta / h >= CUTOFF bounds the hit probability by exp(-40).
+- The far boundary lies pi/2 or more from the midpoint, so a path that
+  touches it and ends at x1 ends, reflected there, at least pi from x0:
+  probability exp(-pi**2/(4 h)) <= 2 exp(-(pi/2)**2/(4 h)) at most, below
+  exp(-CUTOFF) while h <= FAR_STRIDE = (pi/2)**2 / (4 (CUTOFF + ln 2)),
+  about 0.0152.  No stride is longer.
 
-Paths are walked in strides of at most SAMPLE_STRIDE steps; a stride
-ends on every sample step, on the last uncounted step and on the last
-step.  A path is deep for a stride of S steps when |x| is at most the
-threshold less sqrt(4 S dt (CUTOFF + ln 2)) and four ulps of pi/2, the
-threshold being the candidate margin with the bridge and pi/2 without.
-A walk of quadratic variation 2 strays by D or more within time S dt
-with probability at most 2 exp(-D**2 / (4 S dt)) = exp(-CUTOFF) at that
-D, so a deep path would have become a candidate (or, without the bridge,
-crossed pi/2) at some step of the stride with probability below 2**-53.
-Deep paths therefore take the S steps as one normal of variance 2 S dt;
-the others take S steps of the stepper.  A stride draws the deep
-normals in path order, then the S steps of the other paths.
-
-Two theory targets are checked against the spectral side: the occupation
-density relaxes to the tent profile (the adjoint zero-mode, used here as
-the stationary-density candidate and verified empirically), and relaxation
-rates of mean observables decay at the spectral gap 4, the second
-Dirichlet eigenvalue of the interval.
+Strides end on every sample step, on the last uncounted step and on the
+last step: a burn-in goes in strides of FAR_STRIDE, a sampled stretch in
+SAMPLE_STRIDE steps.  Cost grows with the restart count n_paths * time *
+8 / (pi**2 (1 - a**2)); `run` and `estimate_gap` refuse a run expected
+to exceed RESTART_BUDGET.  `bridge_correction=False` keeps fine steps of
+dt, restarting a path that ends a step on or beyond the boundary; such a
+walk exits as if each boundary lay further out, which no exact step
+reproduces.  It moves paths within `_deep_margin` by one normal per
+stride of S steps, drawn first in path order, the others by S steps.
 
 Both checks drive one walker, `_walk`, which steps a batch of paths on
 its own Philox stream and observes it at chosen steps.  `run` keys batch
@@ -61,11 +58,13 @@ from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
 N_BINS = 50  # occupation histogram bins over (-pi/2, pi/2)
-SAMPLE_STRIDE = 10  # occupation/moment subsampling and the longest stride, in steps
+SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps; the longest fine-step stride
 GAP_WINDOW = (0.2, 1.2)  # relaxation times fitted by estimate_gap
 GAP_TIMES = 50
 GAP_STREAM = 104729  # seed offset that keeps the gap streams apart from run's
-CUTOFF = 40.0  # bridge exponents below -CUTOFF are skipped: exp(-40) < 2**-53
+CUTOFF = 40.0  # hit probabilities below exp(-CUTOFF) < 2**-53 are skipped
+FAR_STRIDE = HALF_PI ** 2 / (4 * (CUTOFF + math.log(2)))  # longest exact step
+RESTART_BUDGET = 5e7  # expected restarts per run: ~100 s at 2 us a restart
 
 
 class ObservableOrthogonalToGapMode(ValueError):
@@ -151,91 +150,32 @@ def gap_mode(a: ParamA) -> BiorthPair:
     return next(p for p in biorthogonalize(a, 4.5) if abs(p.psi.record.lam - 4.0) < 1e-9)
 
 
-def _bridge_margin(dt: float) -> float:
-    """|x| up to which a step end cannot start a boundary hit.
-
-    Both ends within pi/2 - sqrt(CUTOFF dt) keep both bridge exponents at
-    or below -CUTOFF; four ulps of pi/2 more absorb the rounding of this
-    subtraction and of the exponent, however small dt is."""
-    return HALF_PI - math.sqrt(CUTOFF * dt) - 4 * math.ulp(HALF_PI)
-
-
-def _deep_margin(dt: float, stride: int, bridge: bool) -> float:
-    """|x| up to which a path cannot reach the threshold within `stride`
-    steps, but with probability at most exp(-CUTOFF).
-
-    The threshold is `_bridge_margin(dt)` with the bridge correction and
-    pi/2 without; four ulps of pi/2 absorb the rounding, as there."""
-    threshold = _bridge_margin(dt) if bridge else HALF_PI
-    return (threshold - math.sqrt(4 * stride * dt * (CUTOFF + math.log(2)))
+def _deep_margin(dt: float, stride: int) -> float:
+    """|x| up to which a discretely monitored path reaches pi/2 within
+    `stride` steps with probability at most 2 exp(-D**2 / (4 stride dt))
+    = exp(-CUTOFF), D being the distance left; four ulps absorb rounding."""
+    return (HALF_PI - math.sqrt(4 * stride * dt * (CUTOFF + math.log(2)))
             - 4 * math.ulp(HALF_PI))
 
 
-def _bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
-                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities that the bridge from x0 to x1 over one step reaches
-    the upper and the lower boundary, exp(-(b -+ x0)(b -+ x1)/dt).
-
-    The exponent is clipped at 0, which makes a probability exactly 1
-    whenever the endpoint landed on or beyond that boundary."""
-    upper = np.exp(np.minimum((HALF_PI - x0) * (HALF_PI - x1) / -dt, 0.0))
-    lower = np.exp(np.minimum((x0 + HALF_PI) * (x1 + HALF_PI) / -dt, 0.0))
-    return upper, lower
-
-
 class _Stepper:
-    """Reusable-buffer Euler stepper with bridge-corrected boundary hits.
+    """Exact strides with the bridge correction, fine steps of dt without."""
 
-    `step` moves the paths it is given, a prefix's worth of its buffers.
-    With the bridge correction, a step draws one normal per path, moves
-    every path, flags as candidates the paths with max(|x0|, |x1|) above
-    `_bridge_margin(dt)`, then draws one uniform per candidate and
-    restarts those below the sum of their two bridge probabilities.  The
-    other paths have both probabilities at most exp(-CUTOFF) < 2**-53,
-    so the skip is exact up to a uniform of 0.0 (see the module
-    docstring).  Without it, a path restarts when it ends a step on or
-    beyond the boundary.
-
-    `stride` takes S steps at once: the deep paths (|x| at most
-    `_deep_margin(dt, S, bridge)`) move by one normal of variance 2 S dt,
-    drawn first in path order, and the others take S calls of `step`.
-    """
-
-    def __init__(self, n_paths: int, dt: float, bridge: bool, rng):
-        self.rng = rng
-        self.dt = dt
-        self.bridge = bridge
-        self.sig = math.sqrt(2.0 * dt)
-        self.margin = _bridge_margin(dt)
-        self.noise = np.empty(n_paths)
-        self.reach = np.empty(n_paths)
-        self.x_old = np.empty(n_paths)
+    def __init__(self, dt: float, bridge: bool, rng):
+        self.dt, self.bridge, self.rng = dt, bridge, rng
 
     def step(self, x: np.ndarray, restart: float) -> int:
-        """Advance x in place by one step; returns the number of restarts."""
-        n = len(x)
-        noise, reach, x_old = self.noise[:n], self.reach[:n], self.x_old[:n]
-        if self.bridge:
-            np.copyto(x_old, x)
-        self.rng.standard_normal(out=noise)
-        noise *= self.sig
-        x += noise
-        if self.bridge:
-            np.abs(x_old, out=reach)
-            np.abs(x, out=noise)  # the step is taken; reuse its buffer
-            np.maximum(reach, noise, out=reach)
-            cand = np.flatnonzero(reach > self.margin)
-            upper, lower = _bridge_probabilities(x_old[cand], x[cand], self.dt)
-            hit = cand[self.rng.random(len(cand)) < upper + lower]
-            x[hit] = restart
-            return len(hit)
+        """Advance x in place by one fine step; returns the number of restarts."""
+        x += math.sqrt(2.0 * self.dt) * self.rng.standard_normal(len(x))
         hit = np.abs(x) >= HALF_PI
         np.copyto(x, restart, where=hit)
         return int(np.count_nonzero(hit))
 
     def stride(self, x: np.ndarray, restart: float, n_steps: int) -> int:
         """Advance x in place by n_steps steps; returns the number of restarts."""
-        deep = np.abs(x) <= _deep_margin(self.dt, n_steps, self.bridge)
+        if self.bridge:
+            return self.exact(x, restart, n_steps * self.dt)
+        deep = np.abs(x) <= _deep_margin(self.dt, n_steps)
         inner = np.flatnonzero(deep)
         outer = np.flatnonzero(~deep)
         x[inner] += math.sqrt(2.0 * n_steps * self.dt) * self.rng.standard_normal(len(inner))
@@ -244,6 +184,48 @@ class _Stepper:
         x[outer] = shallow
         return n_hit
 
+    def exact(self, x: np.ndarray, restart: float, h: float) -> int:
+        """Advance x in place by time h; returns the number of restarts."""
+        x0 = x.copy()
+        x += math.sqrt(2.0 * h) * self.rng.standard_normal(len(x))
+        paths, left = self._hits(x0, x, h)
+        n_hit = 0
+        while len(paths):
+            n_hit += len(paths)
+            if not left.all():  # hits at the very end of the step stay put
+                x[paths[left == 0]] = restart
+                paths, left = paths[left > 0], left[left > 0]
+            x[paths] = x1 = restart + np.sqrt(2.0 * left) * self.rng.standard_normal(len(paths))
+            hit, left = self._hits(restart, x1, left)
+            paths = paths[hit]
+        return n_hit
+
+    def _hits(self, x0, x1: np.ndarray, h):
+        """Indices of the steps x0 -> x1 over time h that hit a boundary,
+        and the time h - T = h / (1 + S) each has left after its hit.
+
+        S is drawn by Michael-Schucany-Haas from y = N**2, as
+        `Generator.wald` does; but that subtracts nearly equal numbers
+        (S = 0 once alpha/beta exceeds the scale ~1e16-fold, NaN at
+        beta = 0).  With g = alpha |beta| and k = g + h y +
+        sqrt(h y (h y + 2 g)), the roots are alpha**2 / k <= k / beta**2,
+        the larger taken when u (k + g) > k."""
+        side = np.copysign(1.0, x0 + x1)
+        alpha = HALF_PI - side * x0
+        beta = HALF_PI - side * x1  # <= 0 on or beyond the boundary
+        expo = alpha * beta / h
+        cand = (expo < CUTOFF).nonzero()[0]
+        hit = cand[self.rng.random(len(cand)) < np.exp(-np.maximum(expo[cand], 0.0))]
+        alpha, beta = alpha[hit], beta[hit]
+        h = h[hit] if isinstance(h, np.ndarray) else h
+        g = np.abs(alpha * beta)
+        hy = h * self.rng.standard_normal(len(hit)) ** 2
+        k = g + hy + np.sqrt(hy * (hy + 2 * g))
+        late = self.rng.random(len(hit)) * (k + g) > k
+        wald = alpha * alpha / k
+        np.divide(k, beta * beta, out=wald, where=late)
+        return hit, h / (1 + wald)
+
 
 def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
           sample_steps, observe, count_after: int = 0) -> int:
@@ -251,24 +233,20 @@ def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
 
     The batch draws from the Philox stream `key`; observe(x) sees the
     positions after every step in `sample_steps`, in step order.  Returns
-    the number of restarts after step `count_after`.
-
-    The steps go in strides of at most SAMPLE_STRIDE, cut to end on every
-    sample step, on step `count_after` and on step n_steps.  Each stride
-    (`_Stepper.stride`) draws one normal per deep path, in path order,
-    then the S steps of the other paths; a deep path reaches the
-    threshold within the stride with probability at most exp(-CUTOFF)
-    (see `_deep_margin` and the module docstring)."""
+    the number of restarts after step `count_after`.  Strides (see the
+    module docstring) last at most FAR_STRIDE, SAMPLE_STRIDE steps without
+    the bridge."""
     rng = np.random.Generator(np.random.Philox(key=key))
     restart = HALF_PI * cfg.a.value
     x = np.full(n_paths, x0)
-    stepper = _Stepper(n_paths, cfg.dt, cfg.bridge_correction, rng)
+    stepper = _Stepper(cfg.dt, cfg.bridge_correction, rng)
+    longest = int(FAR_STRIDE / cfg.dt) if cfg.bridge_correction else SAMPLE_STRIDE
     stops = sorted(s for s in {count_after, n_steps, *sample_steps} if 0 < s <= n_steps)
     jumps = 0
     step = 0
     for stop in stops:
         while step < stop:
-            n = min(SAMPLE_STRIDE, stop - step)
+            n = min(longest, stop - step)
             n_hit = stepper.stride(x, restart, n)
             step += n
             if step > count_after:
@@ -276,6 +254,16 @@ def _walk(cfg: SimConfig, key, n_paths: int, x0: float, n_steps: int,
         if stop in sample_steps:
             observe(x)
     return jumps
+
+
+def _check_restart_budget(cfg: SimConfig, duration: float) -> None:
+    """ValueError when n_paths over `duration` expect more than
+    RESTART_BUDGET restarts at the renewal rate 8 / (pi**2 (1 - a**2))."""
+    av = cfg.a.value
+    rate = 8 / (math.pi ** 2 * (1 - av) * (1 + av)) if abs(av) < 1 else math.inf
+    if (expected := cfg.n_paths * duration * rate) > RESTART_BUDGET:
+        raise ValueError(f"a = {cfg.a}: {cfg.n_paths} paths over {duration:g} expect "
+                         f"{expected:.3g} restarts, above the budget of {RESTART_BUDGET:.3g}")
 
 
 def _batches(cfg: SimConfig) -> list[tuple[int, int]]:
@@ -315,7 +303,9 @@ def _occupation_batch(cfg: SimConfig, idx: int, n_paths: int, n_steps: int,
 def run(cfg: SimConfig) -> SimReport:
     """Simulate and report occupation statistics after burn-in.
 
-    ValueError when no sample falls after burn-in."""
+    ValueError when no sample falls after burn-in or the run would
+    exceed RESTART_BUDGET."""
+    _check_restart_budget(cfg, cfg.horizon)
     n_steps = int(round(cfg.horizon / cfg.dt))
     burn_steps = int(round(cfg.burn_in / cfg.dt))
     first = (burn_steps // SAMPLE_STRIDE + 1) * SAMPLE_STRIDE
@@ -355,8 +345,10 @@ def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig) -> tuple[float, floa
     paths launch from the right-piece midpoint, where the gap
     eigenfunction never vanishes.  The standard error is None when fewer
     than two batches give a slope.  RelaxationBelowNoise when too few
-    sample times rise above the noise to fit.
+    sample times rise above the noise to fit; ValueError when the walk
+    would exceed RESTART_BUDGET.
     """
+    _check_restart_budget(cfg, GAP_WINDOW[1])
     pairing = inner_closed(gap_mode(cfg.a).phi.fn, observable)
     if abs(pairing) < 1e-8 * max(norm_l2(observable), 1e-30):
         raise ObservableOrthogonalToGapMode(

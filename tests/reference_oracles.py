@@ -7,11 +7,10 @@ by float arithmetic with a tolerance, the Rayleigh quotient through the
 full metric operator, the median of the generic projection norms that
 the blow-up is measured against, the resolvent kernel's singular
 values in complex arithmetic where the package computes them in float64,
-the simulator's bridge hit probabilities over every path where the
-package computes them on candidate paths only, the simulator's walk with
-every path taking every step where the package moves paths far from the
-boundary by one normal per stride, and the renewal moments of the time
-between restarts.
+the simulator's bridge hit probabilities of both boundaries where the
+package computes the nearer one's only, the simulator's walk with every
+path taking every step of dt where the package moves paths by one step
+per stride, and the renewal moments of the time between restarts.
 """
 
 from __future__ import annotations
@@ -157,16 +156,20 @@ def full_width_bridge_probabilities(x0: np.ndarray, x1: np.ndarray,
 
 def every_step_walk(cfg, key, n_paths: int, x0: float, n_steps: int,
                     sample_steps, observe, count_after: int = 0) -> int:
-    """The simulator's walker as it was before strides: every path takes
-    every step through `_Stepper.step`.  Same signature and return value
-    as `simulator._walk`, so it can stand in for it."""
+    """The simulator's walker without strides: every path takes every
+    step of dt, exact with the bridge correction (`_Stepper.exact`) and
+    discretely monitored without it (`_Stepper.step`).  Same signature
+    and return value as `simulator._walk`, so it can stand in for it."""
     rng = np.random.Generator(np.random.Philox(key=key))
     restart = HALF_PI * cfg.a.value
     x = np.full(n_paths, x0)
-    stepper = _Stepper(n_paths, cfg.dt, cfg.bridge_correction, rng)
+    stepper = _Stepper(cfg.dt, cfg.bridge_correction, rng)
     jumps = 0
     for step in range(1, n_steps + 1):
-        n_hit = stepper.step(x, restart)
+        if cfg.bridge_correction:
+            n_hit = stepper.exact(x, restart, cfg.dt)
+        else:
+            n_hit = stepper.step(x, restart)
         if step > count_after:
             jumps += n_hit
         if step in sample_steps:

@@ -129,6 +129,8 @@ def test_usage_errors(tmp_path):
     for expr in ("1/0", "pi/0", "1/(1-1)"):    # division by zero
         assert run_cli(["spectrum", "--a", expr, "--out", str(tmp_path / "z")]) == 2
     assert run_cli(["spectrum", "--a", "sqrt(-1)/2", "--out", str(tmp_path / "z")]) == 2
+    # irrational terms that cancel: once accepted as a = 0.0, basis exited 0
+    assert run_cli(["basis", "--a", "sqrt(2)*sqrt(2)-2", "--out", str(tmp_path / "z")]) == 2
     assert not (tmp_path / "z").exists()
 
 
@@ -145,6 +147,18 @@ def test_simulate_without_post_burn_in_samples_is_a_usage_error(tmp_path):
     assert run_cli(["simulate", "--a", "1/3", "--horizon", "1", "--paths", "100",
                     "--out", str(out)]) == 2
     assert not (out / "sim_report.json").exists()
+
+
+@pytest.mark.parametrize("expr,dt", [("999999/1000000", "5e-4"), ("1-1/10000000000", "1e-4")])
+def test_simulate_over_the_restart_budget_is_a_usage_error(tmp_path, capsys, expr, dt):
+    # 200 paths over horizon 7 expect 5.7e8 and 5.7e12 restarts at the
+    # renewal rate 8/(pi^2 (1 - a^2)); both runs once exited 0 with the
+    # rate capped near 1/dt
+    out = tmp_path / "budget"
+    assert run_cli(["simulate", "--a", expr, "--paths", "200", "--horizon", "7",
+                    "--dt", dt, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-1e-4"), ("--dt", "nan"),

@@ -52,6 +52,11 @@ def test_grammar_errors():
                 "(" * 300 + "1/3" + ")" * 300):
         with pytest.raises(ValueError):
             ParamA.from_expr(bad)
+    # irrational terms that cancel leave rounding noise: 0, or 5.6e-31 at
+    # 60 digits against 5.7e-101 at 200
+    for noise in ("sqrt(2)*sqrt(2)-2", "sqrt(sqrt(3)*sqrt(3)-3)", "sqrt(2)-sqrt(2)"):
+        with pytest.raises(ValueError, match="rounding noise"):
+            ParamA.from_expr(noise)
     assert ParamA.from_expr("(" * 200 + "1/3" + ")" * 200).fraction == Fraction(1, 3)
 
 
@@ -233,10 +238,14 @@ def test_one_pass_parse_matches_the_tree_evaluated_directly(tree, scale):
     try:
         with mp.workdps(WORK_DPS):
             frac, val = _evaluate(tree)
-        in_range = abs(val if frac is None else frac) < 1
+        accepted = abs(val if frac is None else frac) < 1
+        if accepted and frac is None:  # irrational terms that cancel are refused
+            with mp.workdps(2 * WORK_DPS):
+                finer = _evaluate(tree)[1]
+                accepted = bool(val) and abs(finer - val) <= abs(finer) * mp.mpf(10) ** -30
     except Refused:
-        in_range = False
-    if not in_range:
+        accepted = False
+    if not accepted:
         with pytest.raises(ValueError):
             ParamA.from_expr(text)
         return
