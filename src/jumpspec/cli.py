@@ -6,9 +6,8 @@ manifest (command line, parameters, version, seed, outputs, wall time).
 CSV floats carry 17 significant digits so reruns are byte-identical.
 Exit codes: 0 ok, 1 contract failure, 2 usage error, 3 numerical
 failure (a pole, exhausted precision, unconverged quadrature, a vanishing
-normalization, a gap relaxation lost in noise); the manifest then carries
-an `error` record with the exception's type, message and the stage it
-failed in.
+normalization); the manifest then carries an `error` record with the
+exception's type, message and the stage it failed in.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from jumpspec import basis_diag, eigensystem, metric, resolvent, simulator, spec
 from jumpspec.funcspace import QuadratureNotConverged, norm_l2
 
 FMT = "%.17g"
+GAP = 4.0  # the spectral gap, the same for every a in (-1, 1)
 
 
 def _fmt(v) -> str:
@@ -40,8 +40,7 @@ def _fmt(v) -> str:
 
 NUMERICAL_FAILURES = (
     resolvent.PoleAtEigenvalue, PrecisionExhausted, QuadratureNotConverged,
-    eigensystem.DegenerateNormalization, simulator.RelaxationBelowNoise,
-    ZeroDivisionError,
+    eigensystem.DegenerateNormalization, ZeroDivisionError,
 )
 
 
@@ -210,19 +209,24 @@ def cmd_simulate(args, man: Manifest) -> int:
     cfg = simulator.SimConfig(a=a, dt=args.dt, horizon=args.horizon,
                               n_paths=args.paths, seed=args.seed,
                               threads=args.threads)
+    if args.gap:
+        # psi at the gap, from the right-piece midpoint where it never
+        # vanishes; its walk is refused, like run's, before any walk
+        rec = next(r for r in spectrum.enumerate_spectrum(a, GAP + 0.5)
+                   if abs(r.lam - GAP) < 1e-9)
+        psi = eigensystem.eigenfunctions_H(rec, a)[0].fn
+        simulator.check_steps(cfg, GAP)
     report = simulator.run(cfg)
     if args.gap:
-        gap_cfg = simulator.SimConfig(
-            a=a, dt=args.dt, n_paths=max(args.paths, 20000), seed=args.seed,
-            threads=args.threads, batch_size=6000)
-        gap, err = simulator.estimate_gap(gap_cfg, simulator.gap_mode(a).psi.fn)
-        report.gap_estimate, report.gap_stderr = gap, err
+        man.stage = "semigroup_check"
+        report.gap_max_z = simulator.semigroup_check(
+            cfg, [psi], GAP, simulator.HALF_PI * (1 + a.value) / 2)
     man.write_json("sim_report.json", report.to_dict())
     centers = 0.5 * (report.bin_edges[:-1] + report.bin_edges[1:])
     man.write_csv("histogram.csv", ["x", "density"],
                   list(zip(centers, report.bin_density)))
     man.finish()
-    return 0
+    return 1 if args.gap and report.gap_max_z > simulator.Z_BOUND else 0
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gap", action="store_true", help="also fit the spectral gap")
+    p.add_argument("--gap", action="store_true",
+                   help="also check that psi at the gap 4 decays as exp(-4t); exit 1 "
+                   f"when its worst |z| exceeds {simulator.Z_BOUND:g}")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)
     return parser

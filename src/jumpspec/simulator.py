@@ -3,7 +3,9 @@
 Paths carry quadratic variation 2 inside (-pi/2, pi/2); on hitting either
 endpoint the particle restarts at the interior point pi*a/2.  The checks:
 the occupation density relaxes to the tent profile (the adjoint
-zero-mode), and mean observables relax at the spectral gap 4.
+zero-mode), and the mean of a root vector follows the semigroup exactly:
+E_x[f(X_t)] = (exp(-tH) f)(x), so exp(-lam t) psi(x) for an eigenfunction
+and exp(-lam t) (xi(x) - t psi2(x)) on a Jordan chain (H - lam) xi = psi2.
 
 Each stride of length h moves every path by one exact step from x0 to
 x1 = x0 + sqrt(2 h) N.  With b the boundary on the side of the step's
@@ -27,21 +29,22 @@ positive uniform drawn:
 Strides end on every sample step, on the last uncounted step and on the
 last step: a burn-in goes in strides of FAR_STRIDE, a sampled stretch in
 SAMPLE_STRIDE steps.  Cost grows with the restart count n_paths * time *
-8 / (pi**2 (1 - a**2)); `run` and `estimate_gap` refuse a run expected
-to exceed RESTART_BUDGET.  `bridge_correction=False` keeps fine steps of
-dt, restarting a path that ends a step on or beyond the boundary; such a
-walk exits as if each boundary lay further out, which no exact step
+8 / (pi**2 (1 - a**2)); `run` and `semigroup_check` refuse a walk
+expected to exceed RESTART_BUDGET.  `bridge_correction=False` keeps fine
+steps of dt, restarting a path that ends a step on or beyond the boundary;
+such a walk exits as if each boundary lay further out, which no exact step
 reproduces.  It moves paths within `_deep_margin` by one normal per
 stride of S steps, drawn first in path order, the others by S steps.
 
 Both checks drive one walker, `_walk`, which steps a batch of paths on
 its own Philox stream and observes it at chosen steps.  `run` keys batch
 i by (seed, i), starts at pi*a/2 and bins occupation (N_BINS bins) and
-moments every SAMPLE_STRIDE steps after the burn-in; `estimate_gap` keys
-it by (seed + GAP_STREAM, i), starts at the right-piece midpoint and
-averages the observable at GAP_TIMES times across GAP_WINDOW.  Results
-are reproducible for a fixed batch partition at any thread count, and
-moment reductions use exact summation.
+moments every SAMPLE_STRIDE steps after the burn-in; `semigroup_check`
+keys it by (seed + GAP_STREAM, i), starts at the caller's x0 and sums the
+deviation of the observable from the closed form, and its square, at
+GAP_TIMES times with lam t across DECAY_WINDOW.  Results are reproducible
+for a fixed batch partition at any thread count, and moment reductions
+use exact summation.
 """
 
 from __future__ import annotations
@@ -52,35 +55,28 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from jumpspec.eigensystem import BiorthPair, biorthogonalize, phi_zero_mode
-from jumpspec.funcspace import PiecewiseTrig, inner_closed, norm_l2
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
 N_BINS = 50  # occupation histogram bins over (-pi/2, pi/2)
 SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps; the longest fine-step stride
-GAP_WINDOW = (0.2, 1.2)  # relaxation times fitted by estimate_gap
+DECAY_WINDOW = (0.8, 4.8)  # lam t over semigroup_check's samples: (0.2, 1.2) at the gap 4
 GAP_TIMES = 50
-GAP_STREAM = 104729  # seed offset that keeps the gap streams apart from run's
+GAP_STREAM = 104729  # seed offset that keeps the check's streams apart from run's
+Z_BOUND = 5.0  # largest |z| a semigroup check passes with
 CUTOFF = 40.0  # hit probabilities below exp(-CUTOFF) < 2**-53 are skipped
 FAR_STRIDE = HALF_PI ** 2 / (4 * (CUTOFF + math.log(2)))  # longest exact step
-RESTART_BUDGET = 5e7  # expected restarts per run: ~100 s at 2 us a restart
-
-
-class ObservableOrthogonalToGapMode(ValueError):
-    """Observable has no component on the slowest decaying mode."""
-
-
-class RelaxationBelowNoise(RuntimeError):
-    """Too few relaxation times stand above the Monte Carlo noise to fit."""
+# expected restarts per walk.  It bounds restarts, not wall time: the cost
+# of a restart grows as the path count falls near |a| = 1
+RESTART_BUDGET = 5e7
 
 
 @dataclass
 class SimConfig:
-    """Simulation parameters shared by `run` and `estimate_gap`.
+    """Simulation parameters shared by `run` and `semigroup_check`.
 
-    `horizon` and `burn_in` apply to `run` only: `estimate_gap` steps to
-    the end of GAP_WINDOW and samples from time 0.  Paths are split into
+    `horizon` and `burn_in` apply to `run` only: `semigroup_check` steps
+    to its last sample time and samples from time 0.  Paths are split into
     batches of at most `batch_size`, run on up to `threads` threads.
     """
     a: ParamA
@@ -117,19 +113,11 @@ class SimReport:
     jumps_per_unit_time: float
     time_units: float
     n_paths: int
-    gap_estimate: float | None = None
-    gap_stderr: float | None = None
+    gap_max_z: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self) | {"bin_edges": self.bin_edges.tolist(),
                                "bin_density": self.bin_density.tolist()}
-
-
-def stationary_density(a: ParamA) -> PiecewiseTrig:
-    """Normalized tent profile: the adjoint zero-mode with positive sign."""
-    tent = phi_zero_mode(a, -1.0)  # C = -1 makes both pieces nonnegative
-    mass = math.pi ** 2 * (1 - a.value ** 2) / 4  # exact integral of the tent
-    return tent.scaled(1.0 / mass)
 
 
 def tent_bin_probabilities(a: ParamA, edges: np.ndarray) -> np.ndarray:
@@ -143,11 +131,6 @@ def tent_bin_probabilities(a: ParamA, edges: np.ndarray) -> np.ndarray:
     right = (1 + av) * 0.5 * ((HALF_PI - xb) ** 2 - (HALF_PI - x) ** 2)
     right = c * ((1 - av) * 0.5 * (xb + HALF_PI) ** 2 + right)
     return np.diff(np.where(x <= xb, left, right))
-
-
-def gap_mode(a: ParamA) -> BiorthPair:
-    """The biorthogonal pair at the spectral gap, lambda = 4."""
-    return next(p for p in biorthogonalize(a, 4.5) if abs(p.psi.record.lam - 4.0) < 1e-9)
 
 
 def _deep_margin(dt: float, stride: int) -> float:
@@ -335,60 +318,67 @@ def run(cfg: SimConfig) -> SimReport:
 
 
 # ---------------------------------------------------------------------------
-# spectral-gap estimation
+# the semigroup check
 # ---------------------------------------------------------------------------
 
-def estimate_gap(cfg: SimConfig, observable: PiecewiseTrig) -> tuple[float, float | None]:
-    """Fit -d/dt log |E[g(X_t)] - mu_inf| over GAP_WINDOW.
+def check_steps(cfg: SimConfig, lam: float) -> np.ndarray:
+    """The steps at which `semigroup_check` samples: GAP_TIMES times with
+    lam t spread over DECAY_WINDOW, rounded to steps of dt.
 
-    The observable must have a nonzero pairing with the gap-mode dual;
-    paths launch from the right-piece midpoint, where the gap
-    eigenfunction never vanishes.  The standard error is None when fewer
-    than two batches give a slope.  RelaxationBelowNoise when too few
-    sample times rise above the noise to fit; ValueError when the walk
-    would exceed RESTART_BUDGET.
+    ValueError, before any walk, when lam is not positive and finite, dt
+    is too coarse to sample exp(-lam t), one path leaves no standard
+    error, or the walk would exceed RESTART_BUDGET."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if cfg.n_paths < 2:
+        raise ValueError("one path has no standard error: the check needs two or more")
+    times = np.linspace(*DECAY_WINDOW, GAP_TIMES) / lam
+    steps = np.unique(np.round(times / cfg.dt).astype(int))
+    if steps[0] < 1:
+        raise ValueError(f"dt {cfg.dt} is too coarse to sample exp(-{lam:g} t)")
+    _check_restart_budget(cfg, steps[-1] * cfg.dt)
+    return steps
+
+
+def semigroup_check(cfg: SimConfig, chain: list, lam: float, x0: float) -> float:
+    """Worst |z| over the sample times of mean chain[0](X_t) against
+    exp(-lam t) sum_j (-t)**j / j! chain[j](x0), paths started at x0.
+
+    chain[j] = (H - lam)**j chain[0]: [psi] for an eigenfunction,
+    [xi, psi2] for a Jordan chain (H - lam) xi = psi2.  The restarted
+    process has generator -H, so E_x0[f(X_t)] = (exp(-tH) f)(x0) exactly,
+    and the sum is that expansion.  Each z divides the mean deviation by
+    its standard error from the per-path variance; both reduce the batch
+    sums by exact summation in batch order.  Real parts are compared.
+    ValueError as `check_steps` gives it, or when chain[0](X_t) has no
+    spread at some time.
     """
-    _check_restart_budget(cfg, GAP_WINDOW[1])
-    pairing = inner_closed(gap_mode(cfg.a).phi.fn, observable)
-    if abs(pairing) < 1e-8 * max(norm_l2(observable), 1e-30):
-        raise ObservableOrthogonalToGapMode(
-            "observable is orthogonal to the gap-mode dual; the fitted decay "
-            "would track a higher mode")
-    x0 = HALF_PI * (1 + cfg.a.value) / 2  # right-piece midpoint
-    mu_inf = inner_closed(stationary_density(cfg.a), observable).real
+    steps = check_steps(cfg, lam)
+    times = steps * cfg.dt
+    at_x0 = [complex(f(x0)).real for f in chain]
+    target = np.exp(-lam * times) * sum(
+        (-times) ** j / math.factorial(j) * v for j, v in enumerate(at_x0))
+    wanted = set(steps.tolist())
 
-    times = np.linspace(*GAP_WINDOW, GAP_TIMES)
-    sample_steps = np.unique(np.round(times / cfg.dt).astype(int))
-    times = sample_steps * cfg.dt
-    wanted = set(sample_steps.tolist())
+    def sums(idx: int, n_paths: int) -> list[tuple[float, float]]:
+        """[sum of d, sum of d^2] at each sample time, d the deviation of
+        chain[0](X_t) from the target, over batch idx."""
+        out = []
 
-    def trace(idx: int, n_paths: int) -> list[float]:
-        means = []
-        _walk(cfg, [cfg.seed + GAP_STREAM, idx], n_paths, x0, int(sample_steps[-1]),
-              wanted, lambda x: means.append(float(np.mean(np.real(observable(x))))))
-        return means
+        def observe(x):
+            d = np.real(chain[0](x)) - target[len(out)]
+            out.append((np.sum(d), np.dot(d, d)))
 
-    plan = _batches(cfg)
-    traces = np.array(_map_batches(cfg, plan, trace))
-    weights = np.array([n for _, n in plan], dtype=float)
-    pooled = np.average(traces, axis=0, weights=weights)
+        _walk(cfg, [cfg.seed + GAP_STREAM, idx], n_paths, x0, int(steps[-1]),
+              wanted, observe)
+        return out
 
-    signal = np.abs(pooled - mu_inf)
-    if len(plan) > 1:
-        point_std = np.std(traces - mu_inf, axis=0, ddof=1) / math.sqrt(len(plan))
-    else:
-        point_std = np.full_like(pooled, 1e-3)
-    keep = signal > 3 * point_std
-    if np.count_nonzero(keep) < max(5, GAP_TIMES // 4):
-        raise RelaxationBelowNoise("relaxation signal below noise; increase n_paths")
-    slope, _ = np.polyfit(times[keep], np.log(signal[keep]), 1)
-
-    slopes = []
-    for tr in traces:
-        s = np.abs(tr - mu_inf)
-        ok = keep & (s > 0)
-        if np.count_nonzero(ok) >= 5:
-            slopes.append(np.polyfit(times[ok], np.log(s[ok]), 1)[0])
-    stderr = (float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-              if len(slopes) > 1 else None)
-    return -float(slope), stderr
+    n = cfg.n_paths
+    worst = 0.0
+    for at_t in zip(*_map_batches(cfg, _batches(cfg), sums)):
+        s1 = math.fsum(b[0] for b in at_t)
+        var = (math.fsum(b[1] for b in at_t) - s1 * s1 / n) / (n - 1)
+        if not var > 0:
+            raise ValueError("chain[0](X_t) does not vary over the paths: no standard error")
+        worst = max(worst, abs(s1 / n) / math.sqrt(var / n))
+    return worst

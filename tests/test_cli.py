@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jumpspec import simulator
 from jumpspec.cli import Manifest, main
 from jumpspec.funcspace import grid_nodes
 from jumpspec.param import ParamA
@@ -159,6 +160,40 @@ def test_simulate_over_the_restart_budget_is_a_usage_error(tmp_path, capsys, exp
                     "--dt", dt, "--out", str(out)]) == 2
     assert not out.exists()
     assert "budget" in capsys.readouterr().err
+
+
+SMALL_RUN = ["--paths", "300", "--horizon", "6.45", "--dt", "1e-3"]
+
+
+def test_simulate_gap_reports_a_finite_worst_z_within_the_bound(tmp_path):
+    out = tmp_path / "gap"
+    assert run_cli(["simulate", "--a", "1/3", *SMALL_RUN, "--gap", "--out", str(out)]) == 0
+    z = json.loads((out / "sim_report.json").read_text())["gap_max_z"]
+    assert math.isfinite(z) and 0 <= z <= simulator.Z_BOUND
+
+
+def test_simulate_gap_beyond_the_bound_is_a_contract_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "semigroup_check", lambda *args: 2 * simulator.Z_BOUND)
+    out = tmp_path / "gap"
+    assert run_cli(["simulate", "--a", "1/3", *SMALL_RUN, "--gap", "--out", str(out)]) == 1
+    report = json.loads((out / "sim_report.json").read_text())
+    assert report["gap_max_z"] == 2 * simulator.Z_BOUND
+
+
+@pytest.mark.parametrize("args", [
+    ["--a", "1/3", "--paths", "1"],  # one path has no standard error
+    # 5.7e8 restarts at the renewal rate, over the restart budget
+    ["--a", "999999/1000000", "--paths", "200", "--horizon", "7", "--dt", "5e-4"],
+])
+def test_simulate_gap_refusals_come_before_any_walk(tmp_path, monkeypatch, capsys, args):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a refused run")
+
+    monkeypatch.setattr(simulator, "_walk", no_walk)
+    out = tmp_path / "refused"
+    assert run_cli(["simulate", *args, "--gap", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "jumpspec:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-1e-4"), ("--dt", "nan"),

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpspec import simulator
-from jumpspec.cli import NUMERICAL_FAILURES
-from jumpspec.funcspace import PiecewiseTrig, const, inner_closed, sin_term
+from jumpspec.eigensystem import eigenfunctions_H, root_system
+from jumpspec.funcspace import PiecewiseTrig, sin_term
 from jumpspec.param import ParamA
 from jumpspec.simulator import (
-    CUTOFF, FAR_STRIDE, HALF_PI, N_BINS, SAMPLE_STRIDE, ObservableOrthogonalToGapMode,
-    RelaxationBelowNoise, SimConfig, SimReport, _deep_margin, _Stepper, estimate_gap, run,
-    stationary_density, tent_bin_probabilities,
+    CUTOFF, FAR_STRIDE, HALF_PI, N_BINS, SAMPLE_STRIDE, Z_BOUND, SimConfig, SimReport,
+    _deep_margin, _Stepper, run, semigroup_check, tent_bin_probabilities,
 )
+from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 from reference_oracles import (
     every_step_walk, full_width_bridge_probabilities, restart_time_moments,
 )
@@ -53,16 +53,6 @@ def test_config_validation():
             SimConfig(a=A0, batch_size=bad)
         with pytest.raises(ValueError, match="threads"):
             SimConfig(a=A0, threads=bad)
-
-
-def test_stationary_density_normalized():
-    for expr in ("0", "1/3", "sqrt(2)-1"):
-        a = ParamA.from_expr(expr)
-        p = stationary_density(a)
-        mass = inner_closed(PiecewiseTrig.single([const(1.0)]), p).real
-        assert mass == pytest.approx(1.0, abs=1e-12)
-        xs = np.linspace(-math.pi / 2, math.pi / 2, 101)
-        assert np.all(p(xs).real >= -1e-12)
 
 
 def test_tent_bin_probabilities_sum_to_one():
@@ -121,31 +111,72 @@ def test_histogram_start_invariance():
     assert sup < 0.02
 
 
-def test_gap_estimate_cheap():
-    cfg = SimConfig(a=A0, dt=5e-4, horizon=1.5, n_paths=12000, seed=3,
-                    batch_size=4000)
-    g = PiecewiseTrig.single([sin_term(1.0, 2.0)])
-    gap, err = estimate_gap(cfg, g)
-    assert gap == pytest.approx(4.0, rel=0.25)
-    assert err < 2.0
-    # the recorded seeded result: pins the gap walk's streams
-    assert (gap, err) == (3.8813977363747494, 0.12349891879025938)
+def _record(a: ParamA, lam: float):
+    return next(r for r in enumerate_spectrum(a, lam + 1) if abs(r.lam - lam) < 1e-9)
 
 
-def test_gap_signal_lost_in_noise_is_a_typed_numerical_failure():
-    # below noise by construction: one batch sets the noise floor at 1e-3,
-    # and an observable of amplitude 1e-4 departs from its mean by less
-    # than three times that at every sample time, whatever the stream
-    cfg = SimConfig(a=A0, dt=1e-3, horizon=1.5, n_paths=20, seed=3, batch_size=20)
-    with pytest.raises(RelaxationBelowNoise, match="below noise"):
-        estimate_gap(cfg, PiecewiseTrig.single([sin_term(1e-4, 2.0)]))
-    assert RelaxationBelowNoise in NUMERICAL_FAILURES
+def _gap_psi(a: ParamA) -> PiecewiseTrig:
+    return eigenfunctions_H(_record(a, 4.0), a)[0].fn
 
 
-def test_orthogonal_observable_rejected():
-    cfg = small_cfg()
-    with pytest.raises(ObservableOrthogonalToGapMode):
-        estimate_gap(cfg, PiecewiseTrig.single([const(1.0)]))
+def _right_midpoint(a: ParamA) -> float:
+    return HALF_PI * (1 + a.value) / 2
+
+
+@pytest.mark.parametrize("lam,passes", [(4.0, True), (3.6, False), (4.4, False)])
+def test_gap_eigenfunction_decays_at_its_eigenvalue_and_no_other(lam, passes):
+    # E_x[psi(X_t)] = exp(-4t) psi(x); a rate 10% off stands 7-11
+    # standard errors out at 20000 paths
+    a = ParamA.from_expr("1/3")
+    cfg = SimConfig(a=a, dt=1e-3, n_paths=20_000)
+    assert (semigroup_check(cfg, [_gap_psi(a)], lam, _right_midpoint(a)) <= Z_BOUND) == passes
+
+
+@pytest.mark.parametrize("secular", [True, False])
+def test_jordan_chain_decays_with_its_secular_term(secular):
+    # (H - 36) xi = psi2 at the exceptional point of a = 1/3, so
+    # E_x[xi(X_t)] = exp(-36t) (xi(x) - t psi2(x)): the algebraic
+    # multiplicity 3 seen in the walk; without the t psi2 term the mean
+    # stands 20 or more standard errors off at 20000 paths
+    a = ParamA.from_expr("1/3")
+    rec = _record(a, 36.0)
+    assert rec.case is SpectralCase.EXCEPTIONAL_PAIR
+    _, psi2, xi, *_ = root_system(rec, a)
+    chain = [xi.fn, psi2.fn] if secular else [xi.fn]
+    cfg = SimConfig(a=a, dt=1e-4, n_paths=20_000)
+    assert (semigroup_check(cfg, chain, 36.0, _right_midpoint(a)) <= Z_BOUND) == secular
+
+
+def test_seeded_check_matches_the_recorded_worst_z():
+    # pins the check's Philox streams and its batch-order reduction, at
+    # any thread count
+    a = ParamA.from_expr("1/3")
+    cfg = SimConfig(a=a, dt=1e-3, n_paths=2000, seed=3, batch_size=1000)
+    z = semigroup_check(cfg, [_gap_psi(a)], 4.0, _right_midpoint(a))
+    assert z == 3.5293248863217817
+    threaded = dataclasses.replace(cfg, threads=2)
+    assert semigroup_check(threaded, [_gap_psi(a)], 4.0, _right_midpoint(a)) == z
+
+
+def test_check_without_a_standard_error_is_refused(monkeypatch):
+    a = ParamA.from_expr("1/3")
+    psi = [_gap_psi(a)]
+    # an observable that does not vary leaves no standard error
+    with pytest.raises(ValueError, match="no standard error"):
+        semigroup_check(SimConfig(a=a, dt=1e-3, n_paths=10), [np.zeros_like], 4.0, 0.5)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a refused check")
+
+    monkeypatch.setattr(simulator, "_walk", no_walk)
+    with pytest.raises(ValueError, match="one path"):
+        semigroup_check(SimConfig(a=a, n_paths=1), psi, 4.0, 0.5)
+    for lam in (0.0, -4.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            semigroup_check(SimConfig(a=a), psi, lam, 0.5)
+    # exp(-1e5 t) decays within the first step of 1e-3
+    with pytest.raises(ValueError, match="too coarse"):
+        semigroup_check(SimConfig(a=a, dt=1e-3), psi, 1e5, 0.5)
 
 
 def test_report_serialization():
@@ -475,11 +506,11 @@ def test_runs_over_the_restart_budget_are_refused_before_any_walk(monkeypatch):
 
     monkeypatch.setattr(simulator, "_walk", no_walk)
     g = PiecewiseTrig.single([sin_term(1.0, 2.0)])
-    # 5.7e8 and 5.7e12 restarts at 200 paths over horizon 7; the gap walk
-    # lasts to the end of its window, 1.2
+    # 5.7e8 and 5.7e12 restarts at 200 paths over horizon 7; the check's
+    # walk lasts to its last sample, 1.2 at lambda = 4
     for expr in ("999999/1000000", "1-1/10000000000"):
         cfg = SimConfig(a=ParamA.from_expr(expr), dt=5e-4, horizon=7.0, n_paths=200)
         with pytest.raises(ValueError, match="budget"):
             run(cfg)
         with pytest.raises(ValueError, match="budget"):
-            estimate_gap(cfg, g)
+            semigroup_check(cfg, [g], 4.0, 0.5)
