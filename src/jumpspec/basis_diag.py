@@ -34,8 +34,7 @@ from jumpspec.funcspace import (
     PiecewiseTrig, cos_term, inner_matrix, lincomb, norm_l2, quad_gram, sin_term,
 )
 from jumpspec.param import (
-    NotIrrational, ParamA, ZeroClassCase, convergents,
-    family_angle, is_exceptional_minus, is_exceptional_plus, zero_class_case,
+    NotIrrational, ParamA, convergents, family_angle, is_exceptional,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -177,31 +176,26 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
     if m_max < 1:
         raise ValueError(f"bound check needs m_max >= 1, got {m_max}")
     p, q = a.fraction.numerator, a.fraction.denominator
-    av = a.value
-    bound_minus = (math.sqrt((4 * math.pi + (1 - av)) / 8)
-                   / (math.sqrt(math.pi * (1 - av) / 4) * 2.0 / (q - p)))
-    bound_plus = (math.sqrt((4 * math.pi + (1 + av)) / 8)
-                  / (math.sqrt(math.pi * (1 + av) / 4) * 2.0 / (q + p)))
-    bound_zero = math.sqrt(2.0 / (4.0 / q ** 2))
-
-    rows = {"minus": [], "plus": [], "zero": []}
+    bounds, rows = {}, {}
     estimates_ok = True
+    for cls, name in ((-1, "minus"), (+1, "plus")):
+        c, d = 1 + cls * a.value, q + cls * p
+        bounds[name] = (math.sqrt((4 * math.pi + c) / 8)
+                        / (math.sqrt(math.pi * c / 4) * 2.0 / d))
+        rows[name] = []
+        for m in range(1, m_max + 1):
+            if not is_exceptional(a, cls, m):
+                estimates_ok &= abs(family_angle(a, cls, m).sin) >= 2.0 / d - 1e-12
+                rows[name].append((m, _proj_norm_class_generic(a, cls, m)))
+    bounds["zero"] = math.sqrt(2.0 / (4.0 / q ** 2))
+    rows["zero"] = []
     for m in range(1, m_max + 1):
-        if not is_exceptional_minus(a, m):
-            s = abs(family_angle(a, -1, m).sin)
-            estimates_ok &= s >= 2.0 / (q - p) - 1e-12
-            rows["minus"].append((m, _proj_norm_class_generic(a, -1, m)))
-        if not is_exceptional_plus(a, m):
-            s = abs(family_angle(a, +1, m).sin)
-            estimates_ok &= s >= 2.0 / (q + p) - 1e-12
-            rows["plus"].append((m, _proj_norm_class_generic(a, +1, m)))
-        if zero_class_case(a, m) is ZeroClassCase.GENERIC:
-            omc = family_angle(a, 0, m).versine
-            estimates_ok &= omc >= 4.0 / q ** 2 - 1e-12
+        if not is_exceptional(a, 0, m):
+            estimates_ok &= family_angle(a, 0, m).versine >= 4.0 / q ** 2 - 1e-12
             rows["zero"].append((m, proj_norm_zero_generic(a, m)))
 
     report = {
-        "bounds": {"minus": bound_minus, "plus": bound_plus, "zero": bound_zero},
+        "bounds": bounds,
         "estimates_hold": estimates_ok,
         "vacuous": {cls: not vals for cls, vals in rows.items()},
         "max_norm": {cls: max((n for _, n in vals), default=0.0)
@@ -257,14 +251,16 @@ def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
     """
     if n_trunc > 200:
         raise ValueError("truncation limited to N <= 200")
-    lam_max = 4.0 * (n_trunc + 4) ** 2
-    pairs = biorthogonalize(a, lam_max)[: n_trunc + 8]
+    # k <= K holds floor(K/2) + 1 + floor(K(1-a)/4) + floor(K(1+a)/4) > K - 2
+    # pairs, so lambda <= (N+2)^2 builds N of them; the member probe is psi_5
+    n_pairs = max(n_trunc, 6)
+    pairs = biorthogonalize(a, (n_pairs + 2) ** 2)[:n_pairs]
     rng = np.random.default_rng(seed)
     checkpoints = sorted({max(1, n_trunc // 8), n_trunc // 4, n_trunc // 2, n_trunc})
     probes = {}
     for i in range(probe_count):
         f = random_smooth_probe(rng)
         probes[f"probe_{i}"] = expansion_residuals(f, pairs, checkpoints)
-    member = pairs[min(5, len(pairs) - 1)].psi.fn
+    member = pairs[5].psi.fn
     probes["family_member"] = expansion_residuals(member, pairs, checkpoints)
     return {"checkpoints": checkpoints, "residuals": probes}

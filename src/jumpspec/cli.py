@@ -234,7 +234,7 @@ def cmd_simulate(args, man: Manifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_gram(a: ParamA) -> dict:
-    pairs = eigensystem.biorthogonalize(a, max(4.0 * 34 ** 2, 1500.0))[:30]
+    pairs = eigensystem.biorthogonalize(a, 32.0 ** 2)[:30]  # (N+2)^2 holds N pairs
     g = eigensystem.gram_matrix(pairs)
     dev = float(np.max(np.abs(g - np.eye(len(pairs)))))
     return {"max_gram_deviation": dev, "passed": dev < 1e-9}

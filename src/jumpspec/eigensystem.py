@@ -28,7 +28,7 @@ from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner
     linear, sin_term, xcos_term, xsin_term,
 )
 from jumpspec.param import (
-    ParamA, family_angle, is_exceptional_minus, zero_class_case, ZeroClassCase,
+    ParamA, family_angle, is_exceptional, zero_class_case, ZeroClassCase,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -64,31 +64,16 @@ class BiorthPair:
 
 
 # ---------------------------------------------------------------------------
-# wavenumbers
-# ---------------------------------------------------------------------------
-
-def _k_value(a: ParamA, cls: int, m: int) -> float:
-    if cls == -1:
-        return 4 * m / (1 - a.value)
-    if cls == +1:
-        return 4 * m / (1 + a.value)
-    return 2.0 * m
-
-
-# ---------------------------------------------------------------------------
 # closed-form pairings (raw constants set to 1)
 # ---------------------------------------------------------------------------
 #
-# The +-1 class pairings carry sin or cos of pi(m + m(1-+a)/(1+-a)), which
-# is (-1)^m times that of the family angle.
+# The +-1 class pairings carry sin or cos of pi(m + t), t the family's
+# angle turns, which is (-1)^m times that of the family angle pi t.
 
-def pairing_minus_generic(a: ParamA, m: int) -> float:
-    """(phi, psi) in the -1 class, generic situation."""
-    return -math.pi / 4 * (1 - a.value) * (-1) ** m * family_angle(a, -1, m).sin
-
-
-def pairing_plus_generic(a: ParamA, m: int) -> float:
-    return math.pi / 4 * (1 + a.value) * (-1) ** m * family_angle(a, +1, m).sin
+def pairing_class_generic(a: ParamA, cls: int, m: int) -> float:
+    """(phi, psi) in the cls = -1 or +1 class, generic situation:
+    cls pi/4 (1 + cls a) (-1)^m sin(theta)."""
+    return cls * math.pi / 4 * (1 + cls * a.value) * (-1) ** m * family_angle(a, cls, m).sin
 
 
 def pairing_zero_zero(a: ParamA) -> float:
@@ -136,7 +121,7 @@ def pairing_eta_psi2(a: ParamA, m: int) -> float:
 def _check_membership(rec: EigRecord, a: ParamA) -> None:
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
         m = rec.class_index(-1)
-        if m is None or not is_exceptional_minus(a, m):
+        if m is None or not is_exceptional(a, -1, m):
             raise CaseMismatch("exceptional-pair record inconsistent with parameter")
     elif rec.case is SpectralCase.EXCEPTIONAL_ODD:
         m = rec.class_index(0)
@@ -152,16 +137,13 @@ def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
         return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
 
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-        m = rec.class_index(-1)
-        k = _k_value(a, -1, m)
-        psi1 = PiecewiseTrig.single([sin_term(1.0, k)])
-        psi2 = PiecewiseTrig.single([cos_term(1.0, k)])
+        psi1 = PiecewiseTrig.single([sin_term(1.0, rec.k)])
+        psi2 = PiecewiseTrig.single([cos_term(1.0, rec.k)])
         return [EigFun(rec, Rank.EIGEN, psi1, {"A": 1.0}, "psi1"),
                 EigFun(rec, Rank.EIGEN, psi2, {"B": 1.0}, "psi2")]
 
     if rec.case is SpectralCase.EXCEPTIONAL_ODD:
-        m = rec.class_index(0)
-        fn = PiecewiseTrig.single([sin_term(1.0, 2.0 * m)])
+        fn = PiecewiseTrig.single([sin_term(1.0, rec.k)])
         return [EigFun(rec, Rank.EIGEN, fn, {"A": 1.0}, "psi")]
 
     cls, m = rec.memberships[0]
@@ -169,10 +151,9 @@ def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
         # (cos(m pi) - cos(m pi a))/sin(m pi a) = tan(theta/2)
         th = family_angle(a, 0, m)
         coef = th.versine / th.sin
-        fn = PiecewiseTrig.single([cos_term(1.0, 2.0 * m), sin_term(coef, 2.0 * m)])
+        fn = PiecewiseTrig.single([cos_term(1.0, rec.k), sin_term(coef, rec.k)])
         return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0, "sin_coef": coef}, "psi")]
-    k = _k_value(a, cls, m)
-    fn = PiecewiseTrig.single([cos_term(1.0, k)])
+    fn = PiecewiseTrig.single([cos_term(1.0, rec.k)])
     return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
 
 
@@ -194,8 +175,7 @@ def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
         [linear(c * (av + 1)), const(-c * (av + 1) * HALF_PI)])
 
 
-def _phi_zero_class_generic(a: ParamA, m: int) -> PiecewiseTrig:
-    k = 2.0 * m
+def _phi_zero_class_generic(a: ParamA, k: float) -> PiecewiseTrig:
     xb = HALF_PI * a.value
     return PiecewiseTrig.split(xb,
                                [sin_term(1.0, k, k * HALF_PI)],
@@ -210,19 +190,16 @@ def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
         return [EigFun(rec, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
 
     if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-        m = rec.class_index(-1)
-        k = _k_value(a, -1, m)
-        phi1 = _one_sided_sine(a, k, +1, 1.0)
-        phi2 = _one_sided_sine(a, k, -1, 1.0)
+        phi1 = _one_sided_sine(a, rec.k, +1, 1.0)
+        phi2 = _one_sided_sine(a, rec.k, -1, 1.0)
         return [EigFun(rec, Rank.EIGEN, phi1, {"A_plus": 1.0}, "phi1"),
                 EigFun(rec, Rank.EIGEN, phi2, {"A_minus": 1.0}, "phi2")]
 
-    cls, m = rec.memberships[0]
+    cls = rec.memberships[0][0]
     if rec.case is SpectralCase.EXCEPTIONAL_ODD or cls == 0:
-        fn = _phi_zero_class_generic(a, m)
+        fn = _phi_zero_class_generic(a, rec.k)
         return [EigFun(rec, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
-    k = _k_value(a, cls, m)
-    fn = _one_sided_sine(a, k, +1 if cls == -1 else -1, 1.0)
+    fn = _one_sided_sine(a, rec.k, +1 if cls == -1 else -1, 1.0)
     name = "A_plus" if cls == -1 else "A_minus"
     return [EigFun(rec, Rank.EIGEN, fn, {name: 1.0}, "phi")]
 
@@ -234,7 +211,7 @@ def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
     _check_membership(rec, a)
     m = rec.class_index(-1)
     av = a.value
-    k = _k_value(a, -1, m)
+    k = rec.k
     pref = -(1 - av) / (64 * m * m)
     fn = PiecewiseTrig.single([
         cos_term(pref * (1 - av), k),
@@ -257,7 +234,7 @@ def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
     av = a.value
     a_minus = 1 - av
     a_plus = -a_minus * (1 + av) / (1 - av)
-    k = _k_value(a, -1, m)
+    k = rec.k
     xb = HALF_PI * av
 
     def piece(amp: complex, sgn: float) -> list:
@@ -288,11 +265,9 @@ def _simple_pairing(rec: EigRecord, a: ParamA) -> float:
     if rec.case is SpectralCase.EXCEPTIONAL_ODD:
         return pairing_zero_odd(a, rec.class_index(0))
     cls, m = rec.memberships[0]
-    if cls == -1:
-        return pairing_minus_generic(a, m)
-    if cls == +1:
-        return pairing_plus_generic(a, m)
-    return pairing_zero_generic(a, m)
+    if cls == 0:
+        return pairing_zero_generic(a, m)
+    return pairing_class_generic(a, cls, m)
 
 
 def root_system(rec: EigRecord, a: ParamA):

@@ -153,10 +153,14 @@ def xsin_term(c: complex, k: float, s: float = 0.0) -> Terms:
 
 
 def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of a term sum."""
+    """Vectorized evaluation of a term sum; only the p = 1 columns are
+    multiplied by x, since x^0 = 1."""
     x = np.asarray(x, dtype=float)
     phase = t.s - t.q * HALF_PI
-    basis = np.power.outer(x, t.p) * np.cos(np.multiply.outer(x, t.k) + phase)
+    basis = np.cos(np.multiply.outer(x, t.k) + phase)
+    linear = t.p == 1
+    if linear.any():
+        basis[..., linear] *= x[..., None]
     return basis @ t.c
 
 
@@ -227,11 +231,11 @@ class PiecewiseTrig:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if xs.size and (xs.min() < -HALF_PI - 1e-12 or xs.max() > HALF_PI + 1e-12):
             raise OutOfDomain("evaluation outside [-pi/2, pi/2]")
-        out = np.zeros(xs.shape, dtype=complex)
         xb = self.breakpoint
         if xb is None:
             out = eval_terms(self.pieces[0].terms, xs)
         else:
+            out = np.zeros(xs.shape, dtype=complex)
             left = xs < xb
             out[left] = eval_terms(self.pieces[0].terms, xs[left])
             right = ~left

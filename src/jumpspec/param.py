@@ -7,6 +7,12 @@ eigenfunction pairs, basis blow-up sequences) branches on statements like
 ``a`` is carried either as an exact reduced fraction or as its source
 expression, re-read at whatever precision a caller asks for.
 
+The three eigenvalue families live here, in FAMILIES: each class's
+wavenumber k(m, a) and angle turns t(m, a), written once as exact
+formulas.  family_k, is_exceptional, zero_class_case and family_angle
+read them, and so does every other module that needs a family's
+wavenumber, its angle or whether it meets another family.
+
 Accepted expression grammar:
 
     expr   := term (('+'|'-') term)*
@@ -251,8 +257,62 @@ def as_param(a) -> ParamA:
 
 
 # ---------------------------------------------------------------------------
-# case predicates
+# the eigenvalue families
 # ---------------------------------------------------------------------------
+#
+# Each family's closed forms carry the angle pi*t(m, a).  Where t(-1) or
+# t(+1) is an integer all three families share k (an exceptional pair);
+# where t(0) = m(1+a) is one, the zero-class boundary equations decouple.
+# The formulas take x as a Fraction (exact) or as a float.
+
+
+class Family(NamedTuple):
+    """The printed wavenumber k(m, x), the angle turns t(m, x) and the
+    first index of one eigenvalue family."""
+
+    k: Callable
+    turns: Callable
+    first_m: int
+
+
+FAMILIES = {
+    -1: Family(lambda m, x: 4 * m / (1 - x), lambda m, x: m * (1 + x) / (1 - x), 1),
+    +1: Family(lambda m, x: 4 * m / (1 + x), lambda m, x: m * (1 - x) / (1 + x), 1),
+    0: Family(lambda m, x: 2 * m, lambda m, x: m * (1 + x), 0),
+}
+
+
+def _family(cls: int) -> Family:
+    if cls not in FAMILIES:
+        raise ValueError(f"eigenvalue class must be -1, +1 or 0, got {cls}")
+    return FAMILIES[cls]
+
+
+def family_k(a: ParamA, cls: int, m: int) -> Fraction | float:
+    """Wavenumber of family ``cls`` at index m: a Fraction when a is
+    rational, else the float k(m, a.value)."""
+    k = _family(cls).k
+    if a.fraction is not None:
+        return Fraction(k(m, a.fraction))
+    return float(k(m, a.value))
+
+
+def _turns(a: ParamA, cls: int, m: int) -> Fraction | None:
+    """t(m, a) exactly, or None when a is irrational (t is then not an
+    integer for m >= 1)."""
+    if a.fraction is None:
+        return None
+    return Fraction(_family(cls).turns(m, a.fraction))
+
+
+def is_exceptional(a: ParamA, cls: int, m: int) -> bool:
+    """Whether the angle turns t(m, a) of family ``cls`` are an integer,
+    decided exactly."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    t = _turns(a, cls, m)
+    return t is not None and t.denominator == 1
+
 
 class ZeroClassCase(enum.Enum):
     ZERO_EIGENVALUE = "zero_eigenvalue"
@@ -261,45 +321,21 @@ class ZeroClassCase(enum.Enum):
     EXCEPTIONAL_EVEN = "exceptional_even"
 
 
-def is_exceptional_minus(a: ParamA, m: int) -> bool:
-    """Whether m(1+a)/(1-a) is a nonnegative integer, decided exactly."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not a.is_rational:
-        return False
-    p, q = a.fraction.numerator, a.fraction.denominator
-    # m(1+a)/(1-a) = m(q+p)/(q-p); both factors positive since |p| < q
-    return (m * (q + p)) % (q - p) == 0
-
-
-def is_exceptional_plus(a: ParamA, m: int) -> bool:
-    """Whether m(1-a)/(1+a) is a nonnegative integer, decided exactly."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not a.is_rational:
-        return False
-    p, q = a.fraction.numerator, a.fraction.denominator
-    return (m * (q - p)) % (q + p) == 0
-
-
 def zero_class_case(a: ParamA, m: int) -> ZeroClassCase:
     """Case of the wavenumber-2m family: zero mode, generic, or exceptional.
 
-    The exceptional branch is entered when m*a is an integer (which kills
-    sin(m*pi*a) and decouples the two boundary equations); the odd/even
-    subsplit is the parity of the integer m(1+a).
+    The exceptional branch is entered when the turns m(1+a) are an integer
+    (then m*a is one too, which kills sin(m*pi*a) and decouples the two
+    boundary equations); the odd/even subsplit is that integer's parity.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
         return ZeroClassCase.ZERO_EIGENVALUE
-    if not a.is_rational:
+    t = _turns(a, 0, m)
+    if t is None or t.denominator != 1:
         return ZeroClassCase.GENERIC
-    p, q = a.fraction.numerator, a.fraction.denominator
-    if (m * p) % q != 0:
-        return ZeroClassCase.GENERIC
-    m_one_plus_a = m + (m * p) // q  # integer m(1+a)
-    if m_one_plus_a % 2 == 1:
+    if t.numerator % 2 == 1:
         return ZeroClassCase.EXCEPTIONAL_ODD
     return ZeroClassCase.EXCEPTIONAL_EVEN
 
@@ -397,7 +433,7 @@ def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
     ``turns`` is the formula as printed, e.g. ``lambda x: m*(1+x)/(1-x)``;
     it must accept a Fraction (and, for irrational a, a float for the
     digit count) and use only exact arithmetic.  The package reaches it
-    only through family_angle, which holds the eigenvalue families' angles.
+    only through family_angle, which reads the angles from FAMILIES.
     """
     if a.fraction is not None:
         t = Fraction(turns(a.fraction))
@@ -417,13 +453,7 @@ def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
 
 
 def family_angle(a: ParamA, cls: int, m: int) -> PiAngle:
-    """The angle of eigenvalue family ``cls`` at index m, reduced exactly:
-    pi m(1+a)/(1-a) for cls -1, pi m(1-a)/(1+a) for cls +1 and pi m(1+a)
-    for cls 0."""
-    if cls == -1:
-        return trig_pi(lambda x: m * (1 + x) / (1 - x), a)
-    if cls == +1:
-        return trig_pi(lambda x: m * (1 - x) / (1 + x), a)
-    if cls == 0:
-        return trig_pi(lambda x: m * (1 + x), a)
-    raise ValueError(f"eigenvalue class must be -1, +1 or 0, got {cls}")
+    """The angle pi*t(m, a) of eigenvalue family ``cls`` at index m,
+    reduced exactly."""
+    turns = _family(cls).turns
+    return trig_pi(lambda x: turns(m, x), a)

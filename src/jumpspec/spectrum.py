@@ -4,10 +4,12 @@ The eigenvalues form three arithmetic families of squared wavenumbers,
 
     class -1: k = 4m/(1-a),   class +1: k = 4m/(1+a),   class 0: k = 2m,
 
-and every coincidence between families happens at exact rational
-wavenumbers, so membership merging is done with Fraction arithmetic, never
-float equality.  A merged record with both a -1 and a +1 membership is an
-exceptional point: geometric multiplicity two, algebraic multiplicity
+written once, in param.FAMILIES.  Each record carries its k, and the
+eigenfunction constructors build at that k.  Every coincidence between
+families happens at exact rational wavenumbers, so members are merged on
+their exact Fraction k, never on float equality; at irrational a no two
+members coincide.  A merged record with both a -1 and a +1 membership is
+an exceptional point: geometric multiplicity two, algebraic multiplicity
 three.  The characteristic determinant
 
     det(k) = -4 sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi / 2)
@@ -21,11 +23,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from jumpspec.param import ParamA, zero_class_case, ZeroClassCase
+from jumpspec.param import FAMILIES, ParamA, family_k, zero_class_case, ZeroClassCase
 
 
 class SpectralCase(enum.Enum):
@@ -61,31 +62,13 @@ class EigRecord:
 
 
 def _raw_wavenumbers(a: ParamA, k_max: float):
-    """(class, m, k_float, k_exact_or_None) for all family members k <= k_max."""
+    """(class, m, k) for all family members with float(k) <= k_max; k is
+    exact when a is rational."""
     out = []
-    if a.is_rational:
-        p, q = a.fraction.numerator, a.fraction.denominator
-        for cls, denom in ((-1, q - p), (+1, q + p)):
-            m = 1
-            while True:
-                k = Fraction(4 * m * q, denom)
-                if float(k) > k_max:
-                    break
-                out.append((cls, m, float(k), k))
-                m += 1
-        m = 0
-        while 2 * m <= k_max:
-            out.append((0, m, float(2 * m), Fraction(2 * m)))
-            m += 1
-    else:
-        for cls, fac in ((-1, 1 - a.value), (+1, 1 + a.value)):
-            m = 1
-            while 4 * m / fac <= k_max:
-                out.append((cls, m, 4 * m / fac, None))
-                m += 1
-        m = 0
-        while 2 * m <= k_max:
-            out.append((0, m, float(2 * m), None))
+    for cls, family in FAMILIES.items():
+        m = family.first_m
+        while float(k := family_k(a, cls, m)) <= k_max:
+            out.append((cls, m, k))
             m += 1
     return out
 
@@ -94,19 +77,15 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
     """All distinct eigenvalues <= lambda_max, ascending, with multiplicities."""
     if not 0 < lambda_max < math.inf:
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
-    k_max = math.sqrt(lambda_max)
-    raw = _raw_wavenumbers(a, k_max)
-
-    groups: dict[object, list[tuple[int, int, float]]] = {}
-    for cls, m, k_f, k_exact in raw:
-        key = k_exact if k_exact is not None else (cls, m)
-        groups.setdefault(key, []).append((cls, m, k_f))
+    groups: dict[object, tuple[float, list[tuple[int, int]]]] = {}
+    for cls, m, k in _raw_wavenumbers(a, math.sqrt(lambda_max)):
+        key = k if a.is_rational else (cls, m)
+        groups.setdefault(key, (float(k), []))[1].append((cls, m))
 
     records: list[EigRecord] = []
-    for members in groups.values():
-        k_f = members[0][2]
-        classes = {c for c, _, _ in members}
-        memberships = tuple(sorted((c, m) for c, m, _ in members))
+    for k_f, members in groups.values():
+        classes = {c for c, _ in members}
+        memberships = tuple(sorted(members))
         if -1 in classes and +1 in classes:
             # full coincidence; the 0 class is always dragged along
             assert 0 in classes, "exceptional pair must sit in all three families"
@@ -116,7 +95,7 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
             rec = EigRecord(0.0, 0.0, memberships, 1, 1, SpectralCase.ZERO_EV)
         else:
             assert len(members) == 1, f"unexpected partial coincidence {members}"
-            cls, m, _ = members[0]
+            cls, m = members[0]
             case = SpectralCase.GENERIC
             if cls == 0 and zero_class_case(a, m) is ZeroClassCase.EXCEPTIONAL_ODD:
                 case = SpectralCase.EXCEPTIONAL_ODD
@@ -156,9 +135,11 @@ def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
         a_val = float(a_val)
         if not -1 < a_val < 1:
             raise ValueError("curve grid must stay inside (-1, 1)")
+
+        def row(cls: int, m: int) -> tuple[float, int, int, float]:
+            return a_val, cls, m, float(FAMILIES[cls].k(m, a_val) ** 2)
+
         for m in range(1, m_max + 1):
-            rows.append((a_val, -1, m, (4 * m / (1 - a_val)) ** 2))
-            rows.append((a_val, +1, m, (4 * m / (1 + a_val)) ** 2))
-        for m in range(0, m_max + 1):
-            rows.append((a_val, 0, m, float((2 * m) ** 2)))
+            rows += [row(-1, m), row(+1, m)]
+        rows += [row(0, m) for m in range(m_max + 1)]
     return rows

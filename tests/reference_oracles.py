@@ -2,8 +2,9 @@
 
 Each one reaches a quantity of the package by a second route: the real
 zeros of the characteristic determinant by dense scan plus bisection and
-its complex zeros by the argument principle, the exceptional-index tests
-by float arithmetic with a tolerance, the Rayleigh quotient through the
+its complex zeros by the argument principle, the spectrum enumerated by
+separate rational and float branches with integer-arithmetic case tests,
+the exceptional-index tests by float arithmetic with a tolerance, the Rayleigh quotient through the
 full metric operator, the median of the generic projection norms that
 the blow-up is measured against, the resolvent kernel's singular
 values in complex arithmetic where the package computes them in float64,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,8 +88,57 @@ def count_zeros_in_rectangle(a: ParamA, k_lo: float, k_hi: float,
     return int(round(total / (2 * np.pi)))
 
 
+def two_branch_spectrum(a: ParamA, lambda_max: float) -> list[tuple]:
+    """The spectrum up to lambda_max as (lam, k, memberships, geom_mult,
+    alg_mult, case) rows, ascending: each family's wavenumbers written out
+    in a rational branch (k a Fraction of p, q) and a float branch, members
+    merged on their exact k, and the zero-class case read off m*p mod q
+    and the parity of m(1+a)."""
+    k_max = math.sqrt(lambda_max)
+    raw = []
+    if a.is_rational:
+        p, q = a.fraction.numerator, a.fraction.denominator
+        for cls, denom in ((-1, q - p), (+1, q + p)):
+            m = 1
+            while float(k := Fraction(4 * m * q, denom)) <= k_max:
+                raw.append((cls, m, float(k), k))
+                m += 1
+        for m in range(int(k_max // 2) + 1):
+            raw.append((0, m, float(2 * m), Fraction(2 * m)))
+    else:
+        for cls, fac in ((-1, 1 - a.value), (+1, 1 + a.value)):
+            m = 1
+            while 4 * m / fac <= k_max:
+                raw.append((cls, m, 4 * m / fac, None))
+                m += 1
+        for m in range(int(k_max // 2) + 1):
+            raw.append((0, m, float(2 * m), None))
+
+    groups: dict = {}
+    for cls, m, k_f, k_exact in raw:
+        key = k_exact if k_exact is not None else (cls, m)
+        groups.setdefault(key, []).append((cls, m, k_f))
+    rows = []
+    for members in groups.values():
+        k_f = members[0][2]
+        memberships = tuple(sorted((c, m) for c, m, _ in members))
+        classes = {c for c, _ in memberships}
+        if {-1, +1} <= classes:
+            rows.append((k_f * k_f, k_f, memberships, 2, 3, "exceptional_pair"))
+        elif memberships == ((0, 0),):
+            rows.append((0.0, 0.0, memberships, 1, 1, "zero_eigenvalue"))
+        else:
+            (cls, m), = memberships
+            case = "generic"
+            if cls == 0 and a.is_rational and (m * p) % q == 0 and (m + m * p // q) % 2:
+                case = "exceptional_odd"
+            rows.append((k_f * k_f, k_f, memberships, 1, 1, case))
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
 def is_exceptional_minus_float(a_value: float, m: int, tol: float = 1e-9) -> bool:
-    """Float/tolerance rerun of is_exceptional_minus."""
+    """Float/tolerance rerun of is_exceptional(a, -1, m)."""
     r = m * (1 + a_value) / (1 - a_value)
     return abs(r - round(r)) < tol and round(r) >= 0
 

@@ -184,6 +184,19 @@ def test_excluding_generalized_vectors_blocks_completeness():
         assert reduced[n_cut] == pytest.approx(floor, rel=1e-6)
 
 
+@pytest.mark.parametrize("expr", ["0", "1/3", "-1/3", "2/7", "sqrt(2)-1", "1/pi", "99/100",
+                                  "1-1/1000000", "-1+1/1000000"])
+def test_n_plus_2_squared_holds_n_pairs(expr):
+    # k <= K holds floor(K/2) + 1 + floor(K(1-a)/4) + floor(K(1+a)/4) > K - 2
+    # pairs; biorthogonalize keeps exactly the records with k <= sqrt(lambda_max)
+    a = ParamA.from_expr(expr)
+    ks = [pair.psi.record.k for pair in biorthogonalize(a, 302.0 ** 2)]
+    for n in range(1, 301):
+        assert sum(k <= n + 2 for k in ks) >= n + 1, n
+    for n in (1, 6, 29):
+        assert len(biorthogonalize(a, (n + 2) ** 2)) == sum(k <= n + 2 for k in ks)
+
+
 def test_truncation_cap():
     with pytest.raises(ValueError):
         truncated_completeness(ParamA.from_expr("sqrt(2)-1"), 500, 1)

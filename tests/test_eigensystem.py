@@ -6,7 +6,7 @@ import pytest
 from jumpspec.eigensystem import (
     CaseMismatch, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar,
     generalized_eta, generalized_xi, gram_matrix, pairing_eta_psi2,
-    pairing_minus_exceptional, pairing_minus_generalised, pairing_minus_generic,
+    pairing_class_generic, pairing_minus_exceptional, pairing_minus_generalised,
     pairing_zero_zero, root_system,
 )
 from jumpspec.funcspace import (
@@ -14,7 +14,7 @@ from jumpspec.funcspace import (
     validate_domain_Hstar,
 )
 from jumpspec.param import ParamA
-from jumpspec.spectrum import enumerate_spectrum
+from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
 from util import rational_exceptional_config
 
@@ -175,12 +175,14 @@ def test_eta_requires_the_admissibility_constraint():
 
 def test_minus_generic_pairing_formula():
     a = ParamA.from_expr("sqrt(2)-1")
-    m = 1
-    rec = record_at(a, (4 / (1 - a.value)) ** 2)
-    psi = eigenfunctions_H(rec, a)[0]
-    phi = eigenfunctions_Hstar(rec, a)[0]
-    assert inner_closed(phi.fn, psi.fn) == pytest.approx(
-        pairing_minus_generic(a, m), abs=1e-13)
+    for cls in (-1, +1):
+        m = 1
+        rec = record_at(a, (4 / (1 + cls * a.value)) ** 2)
+        assert rec.memberships == ((cls, m),)
+        psi = eigenfunctions_H(rec, a)[0]
+        phi = eigenfunctions_Hstar(rec, a)[0]
+        assert inner_closed(phi.fn, psi.fn) == pytest.approx(
+            pairing_class_generic(a, cls, m), abs=1e-13)
 
 
 def test_zero_zero_pairing_formula():
@@ -263,3 +265,27 @@ def test_forward_members_keep_printed_shape():
             / math.sin(math.pi * av))
     assert np.allclose(lam4.psi.fn(xs), np.cos(2 * xs) + coef * np.sin(2 * xs),
                        atol=1e-12)
+
+
+def _frequencies(fn: PiecewiseTrig) -> set[float]:
+    return {float(k) for piece in fn.pieces for k in piece.terms.k if k != 0}
+
+
+@pytest.mark.parametrize("expr", ["1/3", "2/7", "-9/10", "sqrt(2)-1"])
+def test_every_member_is_built_at_its_records_wavenumber(expr):
+    # at 1/3 the lambda = 36 root system has k = 6 exactly, where the
+    # printed float 4/(1 - a) is 5.999999999999999
+    a = ParamA.from_expr(expr)
+    built = []
+    for rec in enumerate_spectrum(a, 4.0 * 257 ** 2):
+        fns = [f.fn for f in eigenfunctions_H(rec, a) + eigenfunctions_Hstar(rec, a)]
+        if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
+            fns += [generalized_xi(rec, a).fn, generalized_eta(rec, a).fn]
+        built += [(rec, fn) for fn in fns]
+    built += [(pair.psi.record, pair.phi.fn) for pair in biorthogonalize(a, 4.0 * 257 ** 2)]
+    assert len(built) > 1000
+    for rec, fn in built:
+        assert _frequencies(fn) <= {rec.k}, (rec.memberships, _frequencies(fn))
+    if expr == "1/3":
+        rec36 = next(rec for rec, _ in built if rec.memberships == ((-1, 1), (0, 3), (1, 2)))
+        assert rec36.k == 6.0 and _frequencies(root_system(rec36, a)[2].fn) == {6.0}

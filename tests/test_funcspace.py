@@ -6,15 +6,13 @@ import pytest
 
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
-    OutOfDomain, PiecewiseTrig, QuadratureNotConverged, const, cos_term,
-    gauss_lobatto, grid_nodes, inner_closed, inner_matrix, linear, quad_gram,
-    sin_term, validate_domain_H, validate_domain_Hstar, xsin_term,
+    HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Terms, const,
+    cos_term, eval_terms, gauss_lobatto, grid_nodes, inner_closed, inner_matrix,
+    linear, quad_gram, sin_term, validate_domain_H, validate_domain_Hstar, xsin_term,
 )
 from jumpspec.param import ParamA
 
 from util import random_trig
-
-HALF_PI = math.pi / 2
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +23,23 @@ def test_eval_simple():
     f = PiecewiseTrig.single([cos_term(1.0, 2.0)])
     assert f(0.0) == pytest.approx(1.0)
     assert f(HALF_PI) == pytest.approx(-1.0)
+
+
+def test_eval_terms_matches_the_power_formula_bit_for_bit():
+    # the x^p factor of every column, with x^0 = 1.0 and x^1 = x exactly
+    rng = np.random.default_rng(17)
+    x = np.concatenate([[-HALF_PI, HALF_PI, 0.0, -0.0], rng.uniform(-HALF_PI, HALF_PI, 60)])
+    for n_terms in [0, 1, 2, 5, 9] * 8:
+        p = rng.integers(0, 2, n_terms)
+        if rng.random() < 0.25:
+            p[:] = rng.integers(0, 2)  # all constant-power or all linear
+        t = Terms(p, rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms),
+                  np.where(rng.random(n_terms) < 0.2, 0.0, rng.uniform(0, 40, n_terms)),
+                  rng.normal(size=n_terms), rng.integers(0, 4, n_terms))
+        phase = t.s - t.q * HALF_PI
+        want = (np.power.outer(x, t.p) * np.cos(np.multiply.outer(x, t.k) + phase)) @ t.c
+        got = eval_terms(t, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_eval_out_of_domain():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpspec.param import (
-    WORK_DPS, NotIrrational, ParamA, ZeroClassCase, convergents, is_exceptional_minus,
-    is_exceptional_plus, trig_pi, zero_class_case,
+    FAMILIES, WORK_DPS, NotIrrational, ParamA, ZeroClassCase, convergents, family_k,
+    is_exceptional, trig_pi, zero_class_case,
 )
 
 from reference_oracles import is_exceptional_minus_float, is_exceptional_plus_float
@@ -61,16 +61,62 @@ def test_grammar_errors():
 
 
 def test_exceptional_minus_examples():
-    assert is_exceptional_minus(ParamA.from_expr("1/3"), 1)      # ratio 2
-    assert is_exceptional_minus(ParamA.from_expr("0"), 5)        # ratio 5
-    assert not is_exceptional_minus(ParamA.from_expr("sqrt(2)-1"), 7)
+    assert is_exceptional(ParamA.from_expr("1/3"), -1, 1)      # ratio 2
+    assert is_exceptional(ParamA.from_expr("0"), -1, 5)        # ratio 5
+    assert not is_exceptional(ParamA.from_expr("sqrt(2)-1"), -1, 7)
 
 
 def test_exceptional_plus_examples():
     a = ParamA.from_expr("1/3")
-    assert is_exceptional_plus(a, 2)       # ratio 1
-    assert not is_exceptional_plus(a, 1)   # ratio 1/2
-    assert not is_exceptional_plus(ParamA.from_expr("1/pi"), 3)
+    assert is_exceptional(a, +1, 2)       # ratio 1
+    assert not is_exceptional(a, +1, 1)   # ratio 1/2
+    assert not is_exceptional(ParamA.from_expr("1/pi"), +1, 3)
+    with pytest.raises(ValueError):
+        is_exceptional(a, +1, 0)
+    with pytest.raises(ValueError):
+        is_exceptional(a, 2, 1)
+
+
+def test_family_k_is_exact_at_rational_a_and_the_printed_float_otherwise():
+    a = ParamA.from_expr("1/3")
+    for cls, m in ((-1, 1), (+1, 2), (0, 3)):   # the lambda = 36 coincidence
+        k = family_k(a, cls, m)
+        assert isinstance(k, Fraction) and k == 6
+    irr = ParamA.from_expr("sqrt(2)-1")
+    for m in range(1, 60):
+        assert family_k(irr, -1, m) == 4 * m / (1 - irr.value)
+        assert family_k(irr, +1, m) == 4 * m / (1 + irr.value)
+        k0 = family_k(irr, 0, m)
+        assert isinstance(k0, float) and k0 == 2.0 * m
+
+
+@given(p=st.integers(-30, 30), q=st.integers(1, 31), m=st.integers(1, 500))
+@settings(max_examples=200, deadline=None)
+def test_each_family_angle_is_its_wavenumber_times_the_jump_offset(p, q, m):
+    # pi t is the phase k pi (1 -+ cls a)/4 of the characteristic determinant
+    # (k pi (1+a)/4 for the 0 class, whose factor is sin(k pi/2))
+    if abs(p) >= q:
+        return
+    x = Fraction(p, q)
+    for cls, (k, turns, _) in FAMILIES.items():
+        factor = (1 + x) / 2 if cls == 0 else (1 - cls * x) / 4
+        assert turns(m, x) == k(m, x) * factor
+
+
+@given(p=st.integers(-30, 30), q=st.integers(1, 31), m=st.integers(1, 500))
+@settings(max_examples=200, deadline=None)
+def test_is_exceptional_is_integer_divisibility(p, q, m):
+    if abs(p) >= q:
+        return
+    a = ParamA.from_fraction(p, q)
+    p, q = a.fraction.numerator, a.fraction.denominator
+    assert is_exceptional(a, -1, m) == ((m * (q + p)) % (q - p) == 0)
+    assert is_exceptional(a, +1, m) == ((m * (q - p)) % (q + p) == 0)
+    assert is_exceptional(a, 0, m) == ((m * p) % q == 0)
+    odd = (m + (m * p) // q) % 2 == 1
+    assert zero_class_case(a, m) is (ZeroClassCase.GENERIC if (m * p) % q
+                                     else ZeroClassCase.EXCEPTIONAL_ODD if odd
+                                     else ZeroClassCase.EXCEPTIONAL_EVEN)
 
 
 def test_zero_class_cases():
@@ -86,8 +132,8 @@ def test_float_rerun_agrees_with_exact():
     for expr in ("1/3", "2/5", "-3/7", "0", "5/6"):
         a = ParamA.from_expr(expr)
         for m in range(1, 200):
-            assert is_exceptional_minus(a, m) == is_exceptional_minus_float(a.value, m)
-            assert is_exceptional_plus(a, m) == is_exceptional_plus_float(a.value, m)
+            assert is_exceptional(a, -1, m) == is_exceptional_minus_float(a.value, m)
+            assert is_exceptional(a, +1, m) == is_exceptional_plus_float(a.value, m)
 
 
 @given(p=st.integers(-30, 30), q=st.integers(1, 31), m=st.integers(1, 500))
@@ -97,14 +143,14 @@ def test_minus_plus_mirror(p, q, m):
         return
     a = ParamA.from_fraction(p, q)
     neg = ParamA.from_fraction(-p, q)
-    assert is_exceptional_minus(a, m) == is_exceptional_plus(neg, m)
+    assert is_exceptional(a, -1, m) == is_exceptional(neg, +1, m)
 
 
 def test_irrational_never_exceptional():
     a = ParamA.from_expr("(sqrt(5)-1)/2")
     for m in range(1, 10_001, 97):
-        assert not is_exceptional_minus(a, m)
-        assert not is_exceptional_plus(a, m)
+        assert not is_exceptional(a, -1, m)
+        assert not is_exceptional(a, +1, m)
         assert zero_class_case(a, m) is ZeroClassCase.GENERIC
 
 

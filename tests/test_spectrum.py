@@ -7,7 +7,9 @@ import pytest
 from jumpspec.param import ParamA
 from jumpspec.spectrum import SpectralCase, char_det, curves, enumerate_spectrum
 
-from reference_oracles import count_zeros_in_rectangle, scan_determinant_zeros
+from reference_oracles import (
+    count_zeros_in_rectangle, scan_determinant_zeros, two_branch_spectrum,
+)
 
 
 def lam_set(records):
@@ -144,3 +146,15 @@ def test_curves_cross_at_one_third():
     rows = curves([1 / 3], 4)
     hits = {(cls, m) for a, cls, m, lam in rows if lam == pytest.approx(36.0)}
     assert hits == {(-1, 1), (1, 2), (0, 3)}
+
+
+@pytest.mark.parametrize("expr", ["0", "1/3", "-1/3", "2/7", "-9/10", "99/100", "1/1000003",
+                                  "sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi"])
+def test_enumeration_matches_the_two_branch_reference_bit_for_bit(expr):
+    a = ParamA.from_expr(expr)
+    got = [(r.lam, r.k, r.memberships, r.geom_mult, r.alg_mult, r.case.value)
+           for r in enumerate_spectrum(a, 4.0 * 514 ** 2)]
+    want = two_branch_spectrum(a, 4.0 * 514 ** 2)
+    assert len(got) > 500
+    # repr tells every float bit apart, 0.0 from -0.0 included
+    assert repr(got) == repr(want)
