@@ -249,8 +249,8 @@ def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
     (completeness evidence, no rate asserted).  Biorthogonality itself is
     evidenced by family members reproducing exactly.
     """
-    if n_trunc > 200:
-        raise ValueError("truncation limited to N <= 200")
+    if not 1 <= n_trunc <= 200:
+        raise ValueError(f"truncation order needs 1 <= N <= 200, got N={n_trunc}")
     # k <= K holds floor(K/2) + 1 + floor(K(1-a)/4) + floor(K(1+a)/4) > K - 2
     # pairs, so lambda <= (N+2)^2 builds N of them; the member probe is psi_5
     n_pairs = max(n_trunc, 6)

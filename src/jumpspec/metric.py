@@ -1,4 +1,4 @@
-"""Closed-form metric operator and quasi-self-adjointness checks.
+"""Closed-form metric operator and its contract on the root system.
 
 The metric is a rank-one term plus three antisymmetrizers,
 
@@ -11,12 +11,21 @@ is an exact term rewrite, so Theta, H* Theta, and Theta H are all closed
 forms and the intertwining residual is measured at machine precision with
 no interpolation.
 
-Positivity is structural: (f, Theta f) = |(phi0,f)|^2 + ||P0 f||^2 +
-||P- f (+) P+ f||^2.  Injectivity holds for irrational parameters because
-the even Neumann-mode diagonal coefficients (1 - cos(n pi/2)cos(n pi a/2))/2
-never vanish for n != 0; bounded invertibility fails because those
-coefficients dip toward zero along the even modes tied to the
-continued-fraction denominators of a.
+(f, Theta f) = |(phi0,f)|^2 + ||P0 f||^2 + ||P- f (+) P+ f||^2 cannot be
+negative, so positivity on arbitrary inputs shows nothing.  What the paper
+claims is that (Theta ., .) is an inner product in which the root vectors
+of H are orthogonal: Theta psi_j = c_j phi_j with c_j > 0 on the
+biorthogonal family.  `MetricOp.root_system_report` measures exactly that,
+and `contract_failures` gates it; a reflection center off by 1e-9, a
+dropped rank-one term or a dropped P0 each fail it.
+
+Injectivity holds for irrational parameters because the even Neumann-mode
+diagonal coefficients (1 - cos(n pi/2)cos(n pi a/2))/2 never vanish for
+n != 0; bounded invertibility fails because those coefficients dip toward
+zero along the even modes tied to the continued-fraction denominators of
+a.  At rational a, Theta is not injective on the exceptional root spaces
+(c_j of the Jordan chain's eigenvector is 0), so the contract there is
+informational.
 """
 
 from __future__ import annotations
@@ -27,13 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (
-    PiecewiseTrig, Terms, const, cos_term, inner_closed, norm_l2,
+    PiecewiseTrig, Terms, const, cos_term, inner_closed, inner_matrix, norm_l2,
     sin_term, validate_domain_H,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents, family_angle
-from jumpspec.eigensystem import phi_zero_mode
+from jumpspec.eigensystem import BiorthPair, phi_zero_mode
 
 HALF_PI = math.pi / 2
+
+# (psi_i, Theta psi_j)/(||psi_i|| ||psi_j||) carries at most 2.4e-15 of
+# rounding (measured over the families up to lambda 900 at sqrt(2)-1,
+# (sqrt(5)-1)/2, 1/pi and 1/3): an off-diagonal entry above this bound, or
+# a diagonal one c_j/||psi_j||^2 not above it, is no rounding
+ROUNDING_BOUND = 1e-12
+INTERTWINING_BOUND = 1e-8
 
 
 class DomainViolation(ValueError):
@@ -102,23 +118,71 @@ class MetricOp:
         rank_one = self.phi0.scaled(coef)
         return rank_one + project_center(f) + project_pieces(f, self.a)
 
-    def quadratic_form(self, f: PiecewiseTrig) -> float:
-        """(f, Theta f) = |(phi0,f)|^2 + ||P0 f||^2 + ||P-f (+) P+f||^2."""
-        coef = inner_closed(self.phi0, f)
-        p0 = project_center(f)
-        pp = project_pieces(f, self.a)
-        return (abs(coef) ** 2 + inner_closed(p0, p0).real
-                + inner_closed(pp, pp).real)
-
-    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig) -> float:
-        """||H* Theta psi - Theta H psi||_2, all derivatives symbolic."""
+    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig,
+                                        theta_psi: PiecewiseTrig | None = None) -> float:
+        """||H* Theta psi - Theta H psi||_2, all derivatives symbolic;
+        theta_psi is Theta psi when the caller has already applied it."""
         report = validate_domain_H(psi, self.a, tol=1e-9)
         if not report.in_domain:
             raise DomainViolation("; ".join(report.violations))
-        theta_psi = self.apply(psi)
+        if theta_psi is None:
+            theta_psi = self.apply(psi)
         lhs = theta_psi.derivative(2).scaled(-1.0)
         rhs = self.apply(psi.derivative(2).scaled(-1.0))
         return norm_l2(lhs - rhs)
+
+    def root_system_report(self, pairs: list[BiorthPair]) -> dict:
+        """Theta on a biorthogonal family, where Theta psi_j = c_j phi_j.
+
+        Theta psi_j is formed once per forward member, and one inner_matrix
+        call gives M_ij = (psi_i, Theta psi_j) = c_j delta_ij.  Reported:
+
+        - positivity_min: min_j c_j/||psi_j||^2;
+        - max_offdiagonal: max over i != j of |M_ij|/(||psi_i|| ||psi_j||);
+        - max_kappa_ratio: max_j c_j kappa_j/(||Theta|| ||psi_j||^2) with
+          kappa_j = ||phi_j|| ||psi_j||.  It is at most 1, since
+          c_j ||phi_j|| = ||Theta psi_j|| <= ||Theta|| ||psi_j||, and
+          ||Theta|| <= ||phi0||^2 + 2 (a rank-one term and two orthogonal
+          projections) is the norm used;
+        - max_intertwining_residual: max_j of the intertwining residual of
+          psi_j over ||psi_j||, from the same Theta psi_j.
+        """
+        psis = [p.psi.fn for p in pairs]
+        theta_psis = [self.apply(psi) for psi in psis]
+        psi_norms = np.array([norm_l2(psi) for psi in psis])
+        phi_norms = np.array([norm_l2(p.phi.fn) for p in pairs])
+        gram = inner_matrix(psis, theta_psis)
+        c_rel = gram.diagonal().real / psi_norms ** 2
+        scaled = np.abs(gram) / np.outer(psi_norms, psi_norms)
+        np.fill_diagonal(scaled, 0.0)
+        theta_norm = norm_l2(self.phi0) ** 2 + 2
+        residual = max(self.quasi_self_adjointness_residual(psi, tpsi) / norm
+                       for psi, tpsi, norm in zip(psis, theta_psis, psi_norms))
+        return {
+            "positivity_min": float(c_rel.min()),
+            "max_offdiagonal": float(scaled.max()),
+            "max_kappa_ratio": float(np.max(c_rel * psi_norms * phi_norms) / theta_norm),
+            "max_intertwining_residual": float(residual),
+        }
+
+
+def contract_failures(report: dict) -> list[str]:
+    """One message per bound a root_system_report breaks.  At irrational a
+    every bound must hold; at rational a positivity_min reads ~0, since
+    Theta is not injective on the exceptional root spaces."""
+    failures = []
+    if report["max_offdiagonal"] > ROUNDING_BOUND:
+        failures.append(f"Theta off-diagonal {report['max_offdiagonal']:.3e} > {ROUNDING_BOUND:g}")
+    if not report["positivity_min"] > ROUNDING_BOUND:
+        failures.append(f"positivity_min {report['positivity_min']:.3e} "
+                        f"not above the rounding floor {ROUNDING_BOUND:g}")
+    if report["max_kappa_ratio"] > 1:
+        failures.append(f"c_j kappa_j/(||Theta|| ||psi_j||^2) = "
+                        f"{report['max_kappa_ratio']:.3e} > 1")
+    if report["max_intertwining_residual"] > INTERTWINING_BOUND:
+        failures.append(f"intertwining residual {report['max_intertwining_residual']:.3e}"
+                        f" > {INTERTWINING_BOUND:g}")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,10 @@ HALF_PI = math.pi / 2
 DENOM_GUARD = 1e-8
 # the SVD probe's grid grows with |k|; 4097 nodes is twice the documented n
 MAX_PROBE_NODES = 4097
+# the solve's panels grow with |k| = sqrt(|lambda|): on its default grid the
+# solve plus its residual report take 0.3 s and 120 MB peak RSS at
+# |lambda| = 1e8 (9.0e4 nodes), 0.9 s and 290 MB at 1e9 (2-core host)
+MAX_ABS_LAMBDA = 1e8
 
 
 # never raised; kept only because perfbench/test_perfbench.py names it
@@ -111,6 +115,17 @@ def particular_solution(k: complex, f, xs: np.ndarray) -> np.ndarray:
     return up[where[n_even:]]
 
 
+def check_lambda(lam: complex) -> complex:
+    """lam as a complex, or ValueError unless it is finite and within the cap."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda={lam} is not finite")
+    if abs(lam) > MAX_ABS_LAMBDA:
+        raise ValueError(f"|lambda| = {abs(lam):.3g} exceeds the cap of {MAX_ABS_LAMBDA:g} "
+                         "(the solution grid grows with |k| = sqrt(|lambda|))")
+    return lam
+
+
 @dataclass
 class ResolventKernel:
     """(H - lambda)^{-1} at one lambda, as the free kernel plus a rank-two term.
@@ -138,9 +153,7 @@ class ResolventKernel:
 
     @classmethod
     def build(cls, lam: complex, a: ParamA) -> "ResolventKernel":
-        lam = complex(lam)
-        if not cmath.isfinite(lam):
-            raise ValueError(f"lambda={lam} is not finite")
+        lam = check_lambda(lam)
         k = 1j * cmath.sqrt(-lam)
         # real lambda < 0: ik = -sqrt(-lambda), and every factor below is real
         ik = -math.sqrt(-lam.real) if lam.imag == 0 and lam.real < 0 else 1j * k

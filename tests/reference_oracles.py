@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
-from jumpspec.funcspace import grid_nodes
+from jumpspec.funcspace import grid_nodes, inner_closed
 from jumpspec.metric import MetricOp, neumann_mode
 from jumpspec.param import ParamA
 from jumpspec.resolvent import ResolventKernel
@@ -150,8 +150,8 @@ def is_exceptional_plus_float(a_value: float, m: int, tol: float = 1e-9) -> bool
 
 def rayleigh_quotient(a: ParamA, n: int) -> float:
     """(chi_n, Theta chi_n) for the orthonormal Neumann mode chi_n."""
-    op = MetricOp.build(a)
-    return op.quadratic_form(neumann_mode(n))
+    chi = neumann_mode(n)
+    return inner_closed(chi, MetricOp.build(a).apply(chi)).real
 
 
 def generic_norm_median(a: ParamA, m_max: int = 200) -> float:

@@ -200,3 +200,10 @@ def test_n_plus_2_squared_holds_n_pairs(expr):
 def test_truncation_cap():
     with pytest.raises(ValueError):
         truncated_completeness(ParamA.from_expr("sqrt(2)-1"), 500, 1)
+
+
+@pytest.mark.parametrize("n_trunc", [0, -3])
+def test_truncation_order_below_one_is_refused(n_trunc):
+    # -3 would give checkpoints [-3, -2, -1, 1] from members[:-3], 0 a checkpoint 0
+    with pytest.raises(ValueError, match="1 <= N"):
+        truncated_completeness(ParamA.from_expr("1/3"), n_trunc, 1)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec import simulator
+from jumpspec import metric, resolvent, simulator
 from jumpspec.cli import Manifest, main
-from jumpspec.funcspace import grid_nodes
+from jumpspec.funcspace import PiecewiseTrig, grid_nodes
 from jumpspec.param import ParamA
 
 
@@ -73,8 +73,11 @@ def test_verify_metric_informational_for_rational(tmp_path):
     out = tmp_path / "vm"
     assert run_cli(["verify", "--a", "1/3", "--suite", "metric",
                     "--out", str(out)]) == 0
-    payload = json.loads((out / "verify.json").read_text())
-    assert payload["suites"]["metric"]["informational_only"]
+    suite = json.loads((out / "verify.json").read_text())["suites"]["metric"]
+    assert suite["informational_only"] and suite["passed"]
+    # Theta is not injective on the exceptional root spaces
+    assert suite["positivity_min"] < 1e-12 and suite["contract_failures"]
+    assert suite["max_intertwining_residual"] < 1e-8
 
 
 def test_verify_projections_suite(tmp_path):
@@ -119,8 +122,36 @@ def test_metric_check_subcommand(tmp_path):
                     "--convergents", "6", "--out", str(out)]) == 0
     payload = json.loads((out / "metric_report.json").read_text())
     assert payload["max_intertwining_residual"] < 1e-8
-    assert payload["positivity_min"] > -1e-12
+    # c_j/||psi_j||^2 on the family, measured 0.14 up to lambda 60
+    assert payload["positivity_min"] > 0.1
+    assert payload["max_offdiagonal"] < 1e-12
+    assert 0 < payload["max_kappa_ratio"] <= 1
+    assert payload["contract_failures"] == []
     assert min(v for _, v in payload["rayleigh_sequence"]) < 1e-2
+
+
+def test_metric_check_reads_no_random_input(tmp_path):
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert run_cli(["metric-check", "--a", "sqrt(2)-1", "--lambda-max", "60",
+                        "--convergents", "4", "--seed", seed, "--out", str(out)]) == 0
+        reports.append((out / "metric_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_metric_contract_failure_exits_1(tmp_path, monkeypatch):
+    # P0 dropped: Theta is no longer injective on the family
+    monkeypatch.setattr(metric, "project_center", lambda f: PiecewiseTrig.zero())
+    out = tmp_path / "mf"
+    assert run_cli(["metric-check", "--a", "sqrt(2)-1", "--lambda-max", "60",
+                    "--convergents", "4", "--out", str(out)]) == 1
+    assert json.loads((out / "metric_report.json").read_text())["contract_failures"]
+    assert run_cli(["verify", "--a", "sqrt(2)-1", "--suite", "metric",
+                    "--out", str(out)]) == 1
+    # at rational a the same failure is informational
+    assert run_cli(["metric-check", "--a", "1/3", "--lambda-max", "60",
+                    "--out", str(out)]) == 0
 
 
 def test_usage_errors(tmp_path):
@@ -256,6 +287,17 @@ def test_non_finite_lambda_is_a_usage_error(tmp_path, lam):
     assert run_cli(["resolvent", "--a", "1/3", f"--lambda={lam}",
                     "--out", str(out)]) == 2
     assert not (out / "resolvent_report.json").exists()
+
+
+@pytest.mark.parametrize("lam", ["1e300", "-1e300", "1e8,1e5"])
+def test_lambda_above_the_cap_is_refused_before_the_solve(tmp_path, monkeypatch, capsys, lam):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("apply_resolvent ran")
+    monkeypatch.setattr(resolvent, "apply_resolvent", no_solve)
+    out = tmp_path / "cap"
+    assert run_cli(["resolvent", "--a", "1/3", f"--lambda={lam}", "--out", str(out)]) == 2
+    assert f"cap of {resolvent.MAX_ABS_LAMBDA:g}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_json_outputs_refuse_nan(tmp_path):

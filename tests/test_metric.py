@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec.eigensystem import eigenfunctions_H
+from jumpspec import metric
+from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
 from jumpspec.funcspace import (
     PiecewiseTrig, const, cos_term, inner_closed, norm_l2,
     validate_domain_Hstar,
 )
 from jumpspec.metric import (
-    DomainViolation, MetricOp, even_mode_coefficient,
-    injectivity_probe, neumann_mode, noninvertibility_probe, project_center,
-    project_pieces,
+    ROUNDING_BOUND, DomainViolation, MetricOp, contract_failures,
+    even_mode_coefficient, injectivity_probe, neumann_mode,
+    noninvertibility_probe, project_center, project_pieces,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents
 from jumpspec.spectrum import enumerate_spectrum
@@ -92,10 +93,12 @@ def test_theta_positivity():
     op = MetricOp.build(SQRT2M1)
     for _ in range(40):
         f = random_trig(rng)
-        q = op.quadratic_form(f)
+        q = inner_closed(f, op.apply(f)).real
         assert q >= -1e-12
-        # quadratic form identity against the direct pairing
-        assert q == pytest.approx(inner_closed(f, op.apply(f)).real, abs=1e-10)
+        # quadratic form identity: |(phi0,f)|^2 + ||P0 f||^2 + ||P- f (+) P+ f||^2
+        parts = (abs(inner_closed(op.phi0, f)) ** 2 + norm_l2(project_center(f)) ** 2
+                 + norm_l2(project_pieces(f, SQRT2M1)) ** 2)
+        assert q == pytest.approx(parts, abs=1e-10)
 
 
 def test_theta_of_zero_and_constant():
@@ -162,6 +165,86 @@ def test_domain_violation_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the contract on the root system
+# ---------------------------------------------------------------------------
+
+def _root_system_contract(expr: str, lambda_max: float = 200.0) -> tuple[dict, list[str]]:
+    a = ParamA.from_expr(expr)
+    report = MetricOp.build(a).root_system_report(biorthogonalize(a, lambda_max))
+    return report, contract_failures(report)
+
+
+@pytest.mark.parametrize("expr", ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi"])
+def test_root_system_contract_holds_at_irrational_a(expr):
+    report, failures = _root_system_contract(expr)
+    assert failures == []
+    # measured: off-diagonal <= 4.4e-16, c_j/||psi_j||^2 >= 5.0e-3 (1/pi),
+    # kappa ratio <= 0.45, residual <= 4.2e-14
+    assert report["max_offdiagonal"] < 1e-14
+    assert report["positivity_min"] > 1e-3
+    assert 0.1 < report["max_kappa_ratio"] < 0.6
+
+
+def test_root_system_contract_sees_the_jordan_chain_at_one_third():
+    # Theta is not injective on the exceptional root spaces: c_j of the
+    # chain's eigenvector psi_2 is (psi_2, Theta psi_2) = 0 up to rounding
+    report, failures = _root_system_contract("1/3")
+    assert report["positivity_min"] < ROUNDING_BOUND
+    assert report["max_offdiagonal"] < 1e-14
+    assert len(failures) == 1 and failures[0].startswith("positivity_min")
+
+
+def _shifted_antisymmetrizer(monkeypatch, which: str, shift: float = 1e-9) -> None:
+    antisymmetrize, single_piece = metric._antisymmetrize, metric._require_single_piece
+    if which == "P0":
+        monkeypatch.setattr(metric, "project_center", lambda f: PiecewiseTrig.single(
+            antisymmetrize(single_piece(f), shift)))
+        return
+
+    def project_pieces_shifted(f, a):
+        terms, av = single_piece(f), a.value
+        return PiecewiseTrig.split(HALF_PI * av,
+                                   antisymmetrize(terms, -HALF_PI * (1 - av) + shift),
+                                   antisymmetrize(terms, HALF_PI * (1 + av)))
+    monkeypatch.setattr(metric, "project_pieces", project_pieces_shifted)
+
+
+@pytest.mark.parametrize("which", ["P0", "P-"])
+def test_contract_fails_when_a_reflection_center_moves_by_1e_9(monkeypatch, which):
+    _shifted_antisymmetrizer(monkeypatch, which)
+    report, failures = _root_system_contract("sqrt(2)-1")
+    # neither c_j nor the intertwining residual (measured 1.7e-14) sees the
+    # shift; the off-diagonal does (measured 3.3e-9)
+    assert report["max_offdiagonal"] > 1e-9
+    assert report["positivity_min"] > 1e-3
+    assert report["max_intertwining_residual"] < 1e-12
+    assert [f.split()[0] for f in failures] == ["Theta"]
+
+
+def test_contract_fails_without_the_rank_one_term(monkeypatch):
+    # the constant psi_0 then meets only the antisymmetrizers: c_0 = 0
+    monkeypatch.setattr(metric, "phi_zero_mode", lambda a, c: PiecewiseTrig.zero())
+    report, failures = _root_system_contract("sqrt(2)-1")
+    assert report["positivity_min"] == 0.0
+    assert [f.split()[0] for f in failures] == ["positivity_min"]
+
+
+def test_contract_fails_without_p0(monkeypatch):
+    # some psi_j is symmetric about both piece centres and orthogonal to phi0
+    monkeypatch.setattr(metric, "project_center", lambda f: PiecewiseTrig.zero())
+    report, failures = _root_system_contract("sqrt(2)-1")
+    assert abs(report["positivity_min"]) < 1e-15
+    assert [f.split()[0] for f in failures] == ["positivity_min"]
+
+
+def test_kappa_ratio_above_one_fails():
+    report = {"max_offdiagonal": 0.0, "positivity_min": 1.0, "max_kappa_ratio": 1.5,
+              "max_intertwining_residual": 0.0}
+    assert [f.split()[0] for f in contract_failures(report)] == ["c_j"]
+    assert contract_failures({**report, "max_kappa_ratio": 1.0}) == []
+
+
+# ---------------------------------------------------------------------------
 # Neumann-mode probes
 # ---------------------------------------------------------------------------
 
@@ -208,7 +291,7 @@ def test_rayleigh_closed_form_agrees_with_full_theta():
     op = MetricOp.build(SQRT2M1)
     for n in (4, 8, 12, 20):
         chi = neumann_mode(n)
-        direct = op.quadratic_form(chi)
+        direct = inner_closed(chi, op.apply(chi)).real
         closed = (abs(inner_closed(op.phi0, chi)) ** 2
                   + even_mode_coefficient(SQRT2M1, n))
         assert direct == pytest.approx(closed, abs=1e-11)

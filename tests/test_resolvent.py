@@ -311,6 +311,15 @@ def test_non_finite_lambda_is_rejected(lam):
         ResolventKernel.build(lam, ParamA.from_expr("1/3"))
 
 
+@pytest.mark.parametrize("lam", [1e300, -1e300, complex(0, -1e300)])
+def test_lambda_beyond_the_cap_is_rejected_before_any_grid(lam):
+    a = ParamA.from_expr("1/3")
+    with pytest.raises(ValueError, match="cap"):
+        ResolventKernel.build(lam, a)
+    with pytest.raises(ValueError, match="cap"):
+        apply_resolvent(lam, lambda x: np.ones_like(x), a, xs=np.zeros(3))
+
+
 def test_probe_refuses_a_grid_beyond_the_node_cap():
     # at lambda = -1e6 the grid for n = 512 would have 9040 nodes
     with pytest.raises(ValueError, match="nodes"):
