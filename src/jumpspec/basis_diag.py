@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.eigensystem import (
-    BiorthPair, Rank, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar,
-    root_system,
+    BiorthFamily, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar, root_system,
 )
 from jumpspec.funcspace import (
-    PiecewiseTrig, cos_term, inner_matrix, lincomb, norm_l2, quad_gram, sin_term,
+    Piece, PiecewiseTrig, cos_term, inner_matrix, norms_l2, quad_gram, sin_term,
 )
 from jumpspec.param import (
     NotIrrational, ParamA, convergents, family_angle, is_exceptional,
@@ -222,23 +221,35 @@ def random_smooth_probe(rng: np.random.Generator) -> PiecewiseTrig:
     return PiecewiseTrig.single(terms)
 
 
-def expansion_residuals(f: PiecewiseTrig, pairs: list[BiorthPair],
+def expansion_residuals(fs: list[PiecewiseTrig], pairs: BiorthFamily,
                         checkpoints: list[int],
-                        include_generalized: bool = True) -> dict[int, float]:
-    """||f - sum_{j<=N} psi_j (phi_j, f)|| at each truncation checkpoint.
+                        include_generalized: bool = True) -> list[dict[int, float]]:
+    """||f - sum_{j<=N} psi_j (phi_j, f)|| for each f of fs at each
+    truncation checkpoint N, over the pairs kept (xi dropped unless
+    include_generalized).
 
-    The coefficients come from one batched call.  Each remainder is formed
-    by a single merge of f with the scaled members, so equal terms cancel
-    exactly, and its norm is taken directly.  The expansion
+    One inner_matrix call gives all coefficients.  Each remainder is one
+    merge of f with the scaled forward rows, so equal terms cancel exactly
+    (a dropped pair's rows carry 0 and merge away), and `norms_l2` norms
+    them all from one Gram matrix of their distinct terms.  The expansion
     ||f||^2 - 2 Re(c^H b) + c^H G c would subtract O(1) numbers to reach
     residuals of 1e-16 and leave only sqrt(eps)-level accuracy.
     """
-    kept = [pair for pair in pairs
-            if include_generalized or pair.psi.rank is not Rank.GENERALIZED]
-    coeffs = inner_matrix([pair.phi.fn for pair in kept], [f])[:, 0]
-    members = [pair.psi.fn for pair in kept]
-    return {n_cut: norm_l2(lincomb([f, *members[:n_cut]], [1.0, *-coeffs[:n_cut]]))
-            for n_cut in checkpoints}
+    kept = np.array([include_generalized or label != "xi" for label in pairs.labels])
+    before = np.cumsum(kept) - kept  # kept pairs ahead of each pair
+    coeffs = inner_matrix(pairs.phi, fs) * kept[:, None]
+    remainders = []
+    for f, c in zip(fs, coeffs.T):
+        for n_cut in checkpoints:
+            pieces = []
+            for piece in f.pieces:
+                rows, owners = pairs.psi.on(piece.lo, piece.hi)
+                use = before[owners] < n_cut
+                pieces.append(Piece(piece.lo, piece.hi,
+                                    [piece.terms, rows[use].scaled(-c[owners[use]])]))
+            remainders.append(PiecewiseTrig(tuple(pieces)))
+    norms = norms_l2(remainders).reshape(len(fs), len(checkpoints))
+    return [dict(zip(checkpoints, map(float, row))) for row in norms]
 
 
 def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
@@ -257,10 +268,7 @@ def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
     pairs = biorthogonalize(a, (n_pairs + 2) ** 2)[:n_pairs]
     rng = np.random.default_rng(seed)
     checkpoints = sorted({max(1, n_trunc // 8), n_trunc // 4, n_trunc // 2, n_trunc})
-    probes = {}
-    for i in range(probe_count):
-        f = random_smooth_probe(rng)
-        probes[f"probe_{i}"] = expansion_residuals(f, pairs, checkpoints)
-    member = pairs[5].psi.fn
-    probes["family_member"] = expansion_residuals(member, pairs, checkpoints)
-    return {"checkpoints": checkpoints, "residuals": probes}
+    names = [f"probe_{i}" for i in range(probe_count)] + ["family_member"]
+    probes = [random_smooth_probe(rng) for _ in range(probe_count)] + [pairs[5].psi.fn]
+    residuals = expansion_residuals(probes, pairs, checkpoints)
+    return {"checkpoints": checkpoints, "residuals": dict(zip(names, residuals))}

@@ -119,6 +119,7 @@ def cmd_spectrum(args, man: Manifest) -> int:
 def cmd_resolvent(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     lam = _parse_lambda(args.lam)
+    resolvent.check_probe(lam, a, args.svd_n)  # refused before the solve
     if args.f == "const":
         f = lambda x: np.ones_like(np.asarray(x, dtype=float))
     else:

@@ -8,24 +8,22 @@ are extended by a generalized vector xi with (H - lambda) xi = psi_2, and
 the dual chain adds eta with (H* - lambda) eta = phi_1 + phi_2, which is
 admissible only under the constraint A_minus (1+a) = -A_plus (1-a).
 
-All pairings used for normalization are closed forms; the quadrature
-route must reproduce them, not the other way around.  Forward members are
-kept in their printed shape (raw constants 1) and the duals absorb the
-normalization, so the family satisfies (phi_j, psi_k) = delta_jk; the
-one check of that is `gram_matrix`, all entries in one batched call.
+Root vectors are built as term rows, for any number of spectral points
+at once (`_chains`), in funcspace.Stacks: the family (`biorthogonalize`)
+keeps the forward members printed (raw constants 1) and lets the duals
+absorb the normalization, and `gram_matrix` checks (phi_j, psi_k) =
+delta_jk in one inner_matrix call over the stacked rows.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner_closed here
-    Piece, PiecewiseTrig, const, cos_term, inner_closed, inner_matrix, lincomb,
-    linear, sin_term, xcos_term, xsin_term,
+    PiecewiseTrig, Stack, Terms, batched_pair_integrals, inner_closed, inner_matrix,
 )
 from jumpspec.param import (
     ParamA, family_angle, is_exceptional, zero_class_case, ZeroClassCase,
@@ -33,6 +31,9 @@ from jumpspec.param import (
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
 HALF_PI = math.pi / 2
+_ZERO_RECORD = EigRecord(0.0, 0.0, ((0, 0),), 1, 1, SpectralCase.ZERO_EV)
+# forward and adjoint labels of a simple record and of an exceptional pair
+_NAMES = {False: (("psi",), ("phi",)), True: (("psi1", "psi2", "xi"), ("phi1", "phi2", "eta"))}
 
 
 class CaseMismatch(ValueError):
@@ -43,24 +44,12 @@ class DegenerateNormalization(RuntimeError):
     """A closed-form pairing vanished; the case classification is broken."""
 
 
-class Rank(enum.Enum):
-    EIGEN = "eigen"
-    GENERALIZED = "generalized"
-
-
 @dataclass(frozen=True)
 class EigFun:
     record: EigRecord
-    rank: Rank
     fn: PiecewiseTrig
     constants: dict
     label: str
-
-
-@dataclass(frozen=True)
-class BiorthPair:
-    psi: EigFun
-    phi: EigFun
 
 
 # ---------------------------------------------------------------------------
@@ -91,31 +80,8 @@ def pairing_zero_odd(a: ParamA, m: int) -> float:
     return (-1) ** m * math.pi / 2
 
 
-def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
-    """((phi1, psi1), (phi2, psi1)); the psi2 pairings vanish."""
-    cc = (-1) ** m * family_angle(a, -1, m).cos
-    return (math.pi / 4 * (1 - a.value) * cc,
-            math.pi / 4 * (1 + a.value) * cc)
-
-
-def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
-    """((phi1, xi), (phi2, xi)) in the -1 class exceptional situation."""
-    av = a.value
-    cc = (-1) ** m * family_angle(a, -1, m).cos
-    base = math.pi ** 2 / (128 * m) * (1 - av) ** 2 * (1 + av) * cc
-    return (-base, base)
-
-
-def pairing_eta_psi2(a: ParamA, m: int) -> float:
-    """(eta, psi2) with eta built from the admissible A_minus = 1-a."""
-    av = a.value
-    cc = (-1) ** m * family_angle(a, -1, m).cos
-    return ((1 - av) * math.pi ** 2 / (64 * m)
-            * (1 - av) * (1 + av) * cc)
-
-
 # ---------------------------------------------------------------------------
-# eigenfunction constructors
+# root vectors as term rows
 # ---------------------------------------------------------------------------
 
 def _check_membership(rec: EigRecord, a: ParamA) -> None:
@@ -129,136 +95,6 @@ def _check_membership(rec: EigRecord, a: ParamA) -> None:
             raise CaseMismatch("exceptional-odd record inconsistent with parameter")
 
 
-def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
-    """Forward eigenfunction(s) of the record, raw constants set to 1."""
-    _check_membership(rec, a)
-    if rec.case is SpectralCase.ZERO_EV:
-        fn = PiecewiseTrig.single([const(1.0)])
-        return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
-
-    if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-        psi1 = PiecewiseTrig.single([sin_term(1.0, rec.k)])
-        psi2 = PiecewiseTrig.single([cos_term(1.0, rec.k)])
-        return [EigFun(rec, Rank.EIGEN, psi1, {"A": 1.0}, "psi1"),
-                EigFun(rec, Rank.EIGEN, psi2, {"B": 1.0}, "psi2")]
-
-    if rec.case is SpectralCase.EXCEPTIONAL_ODD:
-        fn = PiecewiseTrig.single([sin_term(1.0, rec.k)])
-        return [EigFun(rec, Rank.EIGEN, fn, {"A": 1.0}, "psi")]
-
-    cls, m = rec.memberships[0]
-    if cls == 0:
-        # (cos(m pi) - cos(m pi a))/sin(m pi a) = tan(theta/2)
-        th = family_angle(a, 0, m)
-        coef = th.versine / th.sin
-        fn = PiecewiseTrig.single([cos_term(1.0, rec.k), sin_term(coef, rec.k)])
-        return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0, "sin_coef": coef}, "psi")]
-    fn = PiecewiseTrig.single([cos_term(1.0, rec.k)])
-    return [EigFun(rec, Rank.EIGEN, fn, {"B": 1.0}, "psi")]
-
-
-def _one_sided_sine(a: ParamA, k: float, side: int, amp: complex) -> PiecewiseTrig:
-    """Adjoint building block: amp*sin(k(x -+ pi/2)) on one piece, 0 elsewhere."""
-    xb = HALF_PI * a.value
-    if side > 0:
-        return PiecewiseTrig.split(xb, [], [sin_term(amp, k, -k * HALF_PI)])
-    return PiecewiseTrig.split(xb, [sin_term(amp, k, k * HALF_PI)], [])
-
-
-def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
-    """The adjoint zero-eigenfunction: the tent (C(a-1)(x+pi/2), C(a+1)(x-pi/2))."""
-    av = a.value
-    xb = HALF_PI * av
-    return PiecewiseTrig.split(
-        xb,
-        [linear(c * (av - 1)), const(c * (av - 1) * HALF_PI)],
-        [linear(c * (av + 1)), const(-c * (av + 1) * HALF_PI)])
-
-
-def _phi_zero_class_generic(a: ParamA, k: float) -> PiecewiseTrig:
-    xb = HALF_PI * a.value
-    return PiecewiseTrig.split(xb,
-                               [sin_term(1.0, k, k * HALF_PI)],
-                               [sin_term(1.0, k, -k * HALF_PI)])
-
-
-def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
-    """Adjoint eigenfunction(s), two-piece representations, raw constants 1."""
-    _check_membership(rec, a)
-    if rec.case is SpectralCase.ZERO_EV:
-        fn = phi_zero_mode(a)
-        return [EigFun(rec, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
-
-    if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-        phi1 = _one_sided_sine(a, rec.k, +1, 1.0)
-        phi2 = _one_sided_sine(a, rec.k, -1, 1.0)
-        return [EigFun(rec, Rank.EIGEN, phi1, {"A_plus": 1.0}, "phi1"),
-                EigFun(rec, Rank.EIGEN, phi2, {"A_minus": 1.0}, "phi2")]
-
-    cls = rec.memberships[0][0]
-    if rec.case is SpectralCase.EXCEPTIONAL_ODD or cls == 0:
-        fn = _phi_zero_class_generic(a, rec.k)
-        return [EigFun(rec, Rank.EIGEN, fn, {"C": 1.0}, "phi")]
-    fn = _one_sided_sine(a, rec.k, +1 if cls == -1 else -1, 1.0)
-    name = "A_plus" if cls == -1 else "A_minus"
-    return [EigFun(rec, Rank.EIGEN, fn, {name: 1.0}, "phi")]
-
-
-def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
-    """Root vector xi with (H - lambda) xi = psi2 = cos(kx)."""
-    if rec.case is not SpectralCase.EXCEPTIONAL_PAIR:
-        raise CaseMismatch("generalized vectors exist only at exceptional pairs")
-    _check_membership(rec, a)
-    m = rec.class_index(-1)
-    av = a.value
-    k = rec.k
-    pref = -(1 - av) / (64 * m * m)
-    fn = PiecewiseTrig.single([
-        cos_term(pref * (1 - av), k),
-        xsin_term(pref * 8 * m, k),
-    ])
-    return EigFun(rec, Rank.GENERALIZED, fn, {"B": 1.0}, "xi")
-
-
-def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
-    """Dual root vector eta with (H* - lambda) eta = phi1 + phi2.
-
-    Admissibility forces A_minus (1+a) = -A_plus (1-a); eta takes
-    A_minus = 1-a, A_plus = -(1+a).  The phi1, phi2 on the right-hand side
-    carry these same constants.
-    """
-    if rec.case is not SpectralCase.EXCEPTIONAL_PAIR:
-        raise CaseMismatch("generalized vectors exist only at exceptional pairs")
-    _check_membership(rec, a)
-    m = rec.class_index(-1)
-    av = a.value
-    a_minus = 1 - av
-    a_plus = -a_minus * (1 + av) / (1 - av)
-    k = rec.k
-    xb = HALF_PI * av
-
-    def piece(amp: complex, sgn: float) -> list:
-        # amp * (1-a)/(64 m^2) [8m(x + sgn*pi/2)cos(k(x + sgn*pi/2))
-        #                       - (1-a) sin(k(x + sgn*pi/2))]
-        pref = amp * (1 - av) / (64 * m * m)
-        shift = sgn * k * HALF_PI
-        return [
-            xcos_term(pref * 8 * m, k, shift),
-            cos_term(pref * 8 * m * sgn * HALF_PI, k, shift),
-            sin_term(-pref * (1 - av), k, shift),
-        ]
-
-    fn = PiecewiseTrig((
-        Piece(-HALF_PI, xb, piece(a_minus, +1.0)),
-        Piece(xb, HALF_PI, piece(a_plus, -1.0)),
-    ))
-    return EigFun(rec, Rank.GENERALIZED, fn, {"A_minus": a_minus, "A_plus": a_plus}, "eta")
-
-
-# ---------------------------------------------------------------------------
-# the biorthogonal family
-# ---------------------------------------------------------------------------
-
 def _simple_pairing(rec: EigRecord, a: ParamA) -> float:
     if rec.case is SpectralCase.ZERO_EV:
         return pairing_zero_zero(a)
@@ -270,56 +106,218 @@ def _simple_pairing(rec: EigRecord, a: ParamA) -> float:
     return pairing_class_generic(a, cls, m)
 
 
+def _terms(rows: list[tuple]) -> tuple[Terms, np.ndarray]:
+    """Rows (owner, p, c, k, s, q) in owner and merged order as Terms, zeros dropped."""
+    owner, p, c, k, s, q = (np.array(col, dtype=dtype) for col, dtype in zip(
+        list(zip(*rows)) or [()] * 6, (np.int64, np.int64, complex, float, float, np.int64)))
+    keep = c != 0
+    return Terms(p[keep], c[keep], k[keep], s[keep], q[keep]), owner[keep]
+
+
+def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tuple[Stack, Stack]:
+    """Forward and adjoint root vectors of the records, one owner each in
+    record order, raw constants 1, in merged term order: for a simple record
+    psi = 1 (lambda = 0), cos(kx), cos(kx) + tan(theta/2) sin(kx) (class 0,
+    theta its family angle) or sin(kx) (exceptional odd), and phi = the tent
+    ((a-1)(x + pi/2) | (a+1)(x - pi/2)) or sin(k(x + pi/2)) on the left piece
+    (classes 0, +1) and sin(k(x - pi/2)) on the right (classes 0, -1); for an
+    exceptional pair psi1, psi2 = sin(kx), cos(kx), xi = -(1-a)/(64 m^2)
+    ((1-a) cos(kx) + 8m x sin(kx)), phi1, phi2 = the right and left sines
+    and eta = A (1-a)/(64 m^2) (8m (x -+ pi/2) cos(k(x -+ pi/2)) - (1-a)
+    sin(k(x -+ pi/2))), A = 1-a on the left piece and -(1+a) on the right.
+    normalized: the duals instead, phi over conj of its closed-form pairing
+    and (phi1, eta, phi2) mixed by `_root_space_duals`.
+    """
+    av = a.value
+    fwd, left, right, roots, v = [], [], [], [], 0
+    for rec in records:
+        _check_membership(rec, a)
+        k = rec.k
+        if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
+            m = rec.class_index(-1)
+            pref = -(1 - av) / (64 * m * m)
+            root = [(v, 0, 1.0, k, 0.0, 1), (v + 1, 0, 1.0, k, 0.0, 0),
+                    (v + 2, 0, pref * (1 - av), k, 0.0, 0), (v + 2, 1, pref * 8 * m, k, 0.0, 1)]
+            # on each piece the lone sine (phi2 left, phi1 right), then eta
+            a_plus = -(1 - av) * (1 + av) / (1 - av)
+            for amp, sgn, lone in ((1 - av, 1.0, v + 1), (a_plus, -1.0, v)):
+                pref, s = amp * (1 - av) / (64 * m * m), sgn * k * HALF_PI
+                root += [(lone, 0, 1.0, k, s, 1), (v + 2, 0, pref * 8 * m * sgn * HALF_PI, k, s, 0),
+                         (v + 2, 0, -pref * (1 - av), k, s, 1), (v + 2, 1, pref * 8 * m, k, s, 0)]
+            fwd += root[:4]
+            if not normalized:
+                left += root[4:8]
+                right += root[8:]
+            roots.append(root)
+            v += 3
+            continue
+        z = 1.0
+        if normalized:
+            pairing = _simple_pairing(rec, a)
+            if abs(pairing) < 1e-13:
+                raise DegenerateNormalization(f"closed-form pairing vanished at lambda={rec.lam}")
+            z = 1.0 / np.conj(pairing)
+        if rec.case is SpectralCase.ZERO_EV:
+            fwd.append((v, 0, 1.0, 0.0, 0.0, 0))
+            left += [(v, 0, z * ((av - 1) * HALF_PI), 0.0, 0.0, 0),
+                     (v, 1, z * (av - 1), 0.0, 0.0, 0)]
+            right += [(v, 0, z * (-(av + 1) * HALF_PI), 0.0, 0.0, 0),
+                      (v, 1, z * (av + 1), 0.0, 0.0, 0)]
+        else:
+            cls, m = rec.memberships[0] if rec.case is SpectralCase.GENERIC else (0, 0)
+            fwd.append((v, 0, 1.0, k, 0.0, int(rec.case is SpectralCase.EXCEPTIONAL_ODD)))
+            if m and cls == 0:
+                th = family_angle(a, 0, m)
+                fwd.append((v, 0, th.versine / th.sin, k, 0.0, 1))
+            if cls >= 0:
+                left.append((v, 0, z, k, k * HALF_PI, 1))
+            if cls <= 0:
+                right.append((v, 0, z, k, -k * HALF_PI, 1))
+        v += 1
+    if roots and normalized:
+        duals = _root_space_duals(a, roots)
+        left, right = (sorted(rows + dual, key=lambda row: row[0])
+                       for rows, dual in zip((left, right), duals))
+    xb = HALF_PI * av
+    return (Stack(((-HALF_PI, HALF_PI, *_terms(fwd)),), v),
+            Stack(((-HALF_PI, xb, *_terms(left)), (xb, HALF_PI, *_terms(right))), v))
+
+
+def _root_space_duals(a: ParamA, roots: list[list[tuple]]) -> list[list[tuple]]:
+    """Rows of the root spaces' duals, from the 12 raw rows of each: basis
+    (psi1, psi2, xi cos, xi x sin), then per piece trial (lone sine, eta's
+    cos, sin, x cos).  The 3x3 pairings (phi1, eta, phi2) x (psi1, psi2, xi)
+    are one batched kernel pass per piece over the 4 x 4 row pairs of all
+    root spaces, summed per vector as inner_matrix sums them; dual i is
+    sum_t conj(inv)[i, t] trial_t, eta's sine merged with the lone one."""
+    owner, p, c, k, s, q = (np.array(col).reshape(len(roots), 3, 4) for col in
+                            zip(*(row for root in roots for row in root)))
+    basis, *trial = (Terms(p[:, i], c[:, i].astype(complex), k[:, i], s[:, i], q[:, i])
+                     for i in range(3))
+    xb = HALF_PI * a.value
+    gram = np.zeros((len(roots), 3, 3), dtype=complex)
+    for (lo, hi), f, lone in zip(((-HALF_PI, xb), (xb, HALF_PI)), trial, (2, 0)):
+        vals = batched_pair_integrals(f, basis, lo, hi)
+        gram[:, [lone, 1]] += np.add.reduceat(np.add.reduceat(vals, [0, 1, 2], axis=2),
+                                              [0, 1], axis=1)
+    singular = np.abs(np.linalg.det(gram)) < 1e-12
+    if singular.any():
+        raise DegenerateNormalization("root-space pairing matrix is singular at "
+                                      f"lambda={k[singular][0, 0, 0] ** 2}")
+    coef = np.conj(np.linalg.inv(gram))
+    out = []
+    for f, lone in zip(trial, (2, 0)):
+        dual = coef[..., 1, None] * f.c[:, None, 1:]
+        dual[..., 1] += coef[..., lone] * f.c[:, None, 0]
+        r, i, j = np.indices(dual.shape)
+        out.append(list(zip(*(x.ravel().tolist() for x in (
+            owner[r, 0, 0] + i, (j == 2) * 1, dual, f.k[r, 1 + j], f.s[r, 1 + j], (j == 1) * 1)))))
+    return out
+
+
+def _root_vectors(rec: EigRecord, a: ParamA, side: int, picks: slice) -> list[EigFun]:
+    """Root vectors `picks` of the record's forward (side 0: psi or psi1, psi2, xi) or
+    adjoint (side 1: phi or phi1, phi2, eta) ones, raw constants 1, eta with A_-+."""
+    names = _NAMES[rec.case is SpectralCase.EXCEPTIONAL_PAIR][side][picks]
+    if not names:
+        raise CaseMismatch("generalized vectors exist only at exceptional pairs")
+    stack, a_minus = _chains(a, [rec])[side], 1 - a.value
+    eta = {"A_minus": a_minus, "A_plus": -a_minus * (1 + a.value) / (1 - a.value)}
+    return [EigFun(rec, stack.fn(j), eta if name == "eta" else {}, name)
+            for j, name in zip(range(3)[picks], names)]
+
+
+def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
+    """Forward eigenfunction(s) of the record, raw constants set to 1."""
+    return _root_vectors(rec, a, 0, slice(0, 2))
+
+
+def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
+    """Adjoint eigenfunction(s), two-piece representations, raw constants 1."""
+    return _root_vectors(rec, a, 1, slice(0, 2))
+
+
+def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
+    """The adjoint zero-eigenfunction: the tent (C(a-1)(x+pi/2), C(a+1)(x-pi/2))."""
+    return _chains(a, [_ZERO_RECORD])[1].fn(0).scaled(c)
+
+
+def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
+    """Root vector xi with (H - lambda) xi = psi2 = cos(kx)."""
+    return _root_vectors(rec, a, 0, slice(2, 3))[0]
+
+
+def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
+    """Dual root vector eta with (H* - lambda) eta = phi1 + phi2.
+
+    Admissibility forces A_minus (1+a) = -A_plus (1-a); eta takes
+    A_minus = 1-a, A_plus = -(1+a).  The phi1, phi2 on the right-hand side
+    carry these same constants.
+    """
+    return _root_vectors(rec, a, 1, slice(2, 3))[0]
+
+
 def root_system(rec: EigRecord, a: ParamA):
     """(psi1, psi2, xi, phi1, phi2, eta) at an exceptional pair."""
     psi1, psi2 = eigenfunctions_H(rec, a)
     phi1, phi2 = eigenfunctions_Hstar(rec, a)
-    xi = generalized_xi(rec, a)
-    eta = generalized_eta(rec, a)
-    return psi1, psi2, xi, phi1, phi2, eta
+    return psi1, psi2, generalized_xi(rec, a), phi1, phi2, generalized_eta(rec, a)
 
 
-def biorthogonalize(a: ParamA, lambda_max: float) -> list[BiorthPair]:
-    """Complete normalized family for all spectral points <= lambda_max.
+# ---------------------------------------------------------------------------
+# the biorthogonal family
+# ---------------------------------------------------------------------------
 
-    Forward members keep their printed form; each dual is scaled (and,
-    inside a three-dimensional root space, recombined) so the Gram matrix
-    is the identity.
-    """
-    pairs: list[BiorthPair] = []
-    for rec in enumerate_spectrum(a, lambda_max):
-        if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-            pairs.extend(_root_space_pairs(rec, a))
-            continue
-        psi = eigenfunctions_H(rec, a)[0]
-        phi = eigenfunctions_Hstar(rec, a)[0]
-        pairing = _simple_pairing(rec, a)
-        if abs(pairing) < 1e-13:
-            raise DegenerateNormalization(
-                f"closed-form pairing vanished at lambda={rec.lam}")
-        pairs.append(BiorthPair(
-            psi, replace(phi, fn=phi.fn.scaled(1.0 / np.conj(pairing)))))
-    return pairs
+@dataclass(frozen=True)
+class BiorthPair:
+    """One pair of a BiorthFamily, built from its rows when indexed."""
+
+    psi: EigFun
+    phi: EigFun
 
 
-def _root_space_pairs(rec: EigRecord, a: ParamA) -> list[BiorthPair]:
-    psi1, psi2, xi, phi1, phi2, eta = root_system(rec, a)
-    basis = [psi1, psi2, xi]
-    trial = [phi1, eta, phi2]
-    gram = inner_matrix([t.fn for t in trial], [b.fn for b in basis])
-    if abs(np.linalg.det(gram)) < 1e-12:
-        raise DegenerateNormalization(
-            f"root-space pairing matrix is singular at lambda={rec.lam}")
-    coef = np.conj(np.linalg.inv(gram))
-    out: list[BiorthPair] = []
-    for j, fwd in enumerate(basis):
-        fn = lincomb([t.fn for t in trial], coef[j])
-        dual = EigFun(rec, Rank.GENERALIZED if fwd.label == "psi2" else Rank.EIGEN,
-                      fn, {}, f"dual_{fwd.label}")
-        out.append(BiorthPair(fwd, dual))
-    return out
+@dataclass(frozen=True)
+class BiorthFamily:
+    """The normalized family (psi_j, phi_j) as arrays: funcspace.Stacks of
+    the forward members and of the duals, owned by the pair indices, with
+    each pair's spectral record and forward label (xi is the generalized
+    vector).  `family[j]` builds pair j; a contiguous slice is a smaller
+    family on the same rows."""
+
+    psi: Stack
+    phi: Stack
+    records: tuple[EigRecord, ...]
+    labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("a family slices only contiguously")
+            return BiorthFamily(self.psi.take(start, stop), self.phi.take(start, stop),
+                                self.records[start:stop], self.labels[start:stop])
+        j = range(len(self))[index]
+        rec, label = self.records[j], self.labels[j]
+        dual = "phi" if label == "psi" else f"dual_{label}"
+        return BiorthPair(EigFun(rec, self.psi.fn(j), {}, label),
+                          EigFun(rec, self.phi.fn(j), {}, dual))
 
 
-def gram_matrix(pairs: list[BiorthPair]) -> np.ndarray:
-    """Gram matrix (phi_j, psi_k) of a normalized family, in one batched call."""
-    return inner_matrix([p.phi.fn for p in pairs], [p.psi.fn for p in pairs])
+def biorthogonalize(a: ParamA, lambda_max: float) -> BiorthFamily:
+    """Complete normalized family for all spectral points <= lambda_max:
+    the forward root vectors and their duals, the rows of all pairs built
+    at once (`_chains` with normalized=True)."""
+    records = enumerate_spectrum(a, lambda_max)
+    labels = [(rec, _NAMES[rec.case is SpectralCase.EXCEPTIONAL_PAIR][0]) for rec in records]
+    return BiorthFamily(*_chains(a, records, normalized=True),
+                        tuple(rec for rec, names in labels for _ in names),
+                        tuple(name for _, names in labels for name in names))
+
+
+def gram_matrix(pairs: BiorthFamily) -> np.ndarray:
+    """Gram matrix (phi_j, psi_k) of a normalized family: one inner_matrix
+    pass over its stacked rows, with no PiecewiseTrig per pair."""
+    return inner_matrix(pairs.phi, pairs.psi)

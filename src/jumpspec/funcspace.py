@@ -21,6 +21,10 @@ Keeping the terms symbolic gives
   * machine-precision verification targets that quadrature then has to
     reproduce, instead of quadrature error polluting both sides.
 
+A family of such functions is kept as one `Stack` (each piece's rows of all
+members, with their owners) to be sliced and integrated as a whole, and
+`norms_l2` norms many functions from one Gram matrix of their terms.
+
 Composite Gauss-Lobatto grids (`grid_nodes`) discretize what has no
 closed form (the resolvent's output nodes and the kernel its SVD probe
 decomposes) and give the independent quadrature check of the closed
@@ -82,25 +86,29 @@ class Terms:
 
     def merged(self) -> "Terms":
         """Sum equal keys in order of appearance; drop zero coefficients."""
-        p, k, s, q = self.p, self.k, self.s, self.q % 4
-        c = np.where(q >= 2, -self.c, self.c)  # cos(t - pi) = -cos t
-        q = q % 2
-        if not len(c):
-            return Terms(p, c, k, s, q)
-        order = np.lexsort((s, k, q, p))
-        p, c, k, s, q = p[order], c[order], k[order], s[order], q[order]
-        new = np.ones(len(c), dtype=bool)
-        new[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1]) | (k[1:] != k[:-1]) | (s[1:] != s[:-1])
-        starts = np.flatnonzero(new)
-        c = np.add.reduceat(c, starts)
+        q = self.q % 4  # cos(t - pi) = -cos t
+        folded = Terms(self.p, np.where(q >= 2, -self.c, self.c), self.k, self.s, q % 2)
+        if not len(folded):
+            return folded
+        order, starts = folded.key_runs()
+        c = np.add.reduceat(folded.c[order], starts)
         keep = c != 0
-        first = starts[keep]
-        return Terms(p[first], c[keep], k[first], s[first], q[first])
+        first = order[starts[keep]]
+        return Terms(folded.p[first], c[keep], folded.k[first], folded.s[first], folded.q[first])
+
+    def key_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): the rows stably sorted by key (p, q, k, s), and
+        where each run of equal keys starts in that order."""
+        order = np.lexsort((self.s, self.k, self.q, self.p))
+        p, k, s, q = self.p[order], self.k[order], self.s[order], self.q[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1]) | (k[1:] != k[:-1]) | (s[1:] != s[:-1])
+        return order, np.flatnonzero(new)
 
     def __len__(self) -> int:
         return len(self.c)
 
-    def __getitem__(self, rows: slice) -> "Terms":
+    def __getitem__(self, rows) -> "Terms":
         return Terms(self.p[rows], self.c[rows], self.k[rows], self.s[rows], self.q[rows])
 
     def __eq__(self, other) -> bool:
@@ -132,24 +140,12 @@ def const(c: complex) -> Terms:
     return _term(0, c, 0.0, 0.0, 0)
 
 
-def linear(c: complex) -> Terms:
-    return _term(1, c, 0.0, 0.0, 0)
-
-
 def cos_term(c: complex, k: float, s: float = 0.0) -> Terms:
     return _term(0, c, k, s, 0)
 
 
 def sin_term(c: complex, k: float, s: float = 0.0) -> Terms:
     return _term(0, c, k, s, 1)
-
-
-def xcos_term(c: complex, k: float, s: float = 0.0) -> Terms:
-    return _term(1, c, k, s, 0)
-
-
-def xsin_term(c: complex, k: float, s: float = 0.0) -> Terms:
-    return _term(1, c, k, s, 1)
 
 
 def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
@@ -282,18 +278,9 @@ def lincomb(fns: Sequence[PiecewiseTrig], coefs: Sequence[complex]) -> Piecewise
     Equal terms are summed in the order of `fns`, so a remainder such as
     f - sum_j c_j psi_j keeps exact cancellations.
     """
-    xbs = [fn.breakpoint for fn in fns if fn.breakpoint is not None]
-    if any(abs(xb - xbs[0]) > 1e-12 for xb in xbs):
-        raise ValueError("cannot add functions split at different points")
-
-    def merged_on(lo: float, hi: float) -> Terms:
-        return Terms.concat([fn.terms_on(lo, hi).scaled(c)
-                             for fn, c in zip(fns, coefs)]).merged()
-
-    if not xbs:
-        return PiecewiseTrig.single(merged_on(-HALF_PI, HALF_PI))
-    return PiecewiseTrig.split(xbs[0], merged_on(-HALF_PI, xbs[0]),
-                               merged_on(xbs[0], HALF_PI))
+    coefs = np.asarray(coefs, dtype=complex)
+    return PiecewiseTrig(tuple(Piece(lo, hi, [terms.scaled(coefs[owners])])
+                               for lo, hi, terms, owners in Stack.of(fns).pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +297,7 @@ _MOMENT_SERIES = np.array([
 _COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
 _SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
 # difference and sum waves of cos A cos B = (cos(A - B) + cos(A + B))/2
-_WAVE_SIGNS = np.array([-1, 1])[:, None, None]
+_WAVE_SIGNS = np.array([-1, 1])
 _DEKKER_SPLIT = 2.0 ** 27 + 1
 
 
@@ -378,7 +365,8 @@ def _wave_integrals(p, w, phase, phase_lo, r, m: float, h: float) -> np.ndarray:
 
 
 def _pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
-    """(len(f), len(g)) integrals over [lo, hi] of conj(f_i) g_j.
+    """Integrals over [lo, hi] of conj(f) g, elementwise over the broadcast
+    of f's and g's arrays (f[:, None] against g gives every pair).
 
     About the midpoint m, x = m + t, term j is c_j (m + t)^p_j
     cos(k_j t + theta_j - q_j pi/2) with theta_j = k_j m + s_j; the product
@@ -387,11 +375,12 @@ def _pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
     """
     m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     (th_f, th_f_lo), (th_g, th_g_lo) = _midpoint_phase(f, m), _midpoint_phase(g, m)
-    phase, phase_lo = _two_sum(th_f[:, None], _WAVE_SIGNS * th_g)
-    phase_lo = phase_lo + (th_f_lo[:, None] + _WAVE_SIGNS * th_g_lo)
-    both = _wave_integrals(f.p[:, None] + g.p, f.k[:, None] + _WAVE_SIGNS * g.k,
-                           phase, phase_lo, f.q[:, None] + _WAVE_SIGNS * g.q, m, h)
-    return 0.5 * np.conj(f.c)[:, None] * g.c * (both[0] + both[1])
+    signs = _WAVE_SIGNS.reshape((2,) + (1,) * max(th_f.ndim, th_g.ndim))
+    phase, phase_lo = _two_sum(th_f, signs * th_g)
+    phase_lo = phase_lo + (th_f_lo + signs * th_g_lo)
+    both = _wave_integrals(f.p + g.p, f.k + signs * g.k,
+                           phase, phase_lo, f.q + signs * g.q, m, h)
+    return 0.5 * np.conj(f.c) * g.c * (both[0] + both[1])
 
 
 def _pair_blocks(f: Terms, g: Terms, lo: float, hi: float):
@@ -400,44 +389,84 @@ def _pair_blocks(f: Terms, g: Terms, lo: float, hi: float):
     step = max(1, _PAIR_BLOCK // max(len(g), 1))
     for r in range(0, len(f), step):
         rows = slice(r, r + step)
-        yield rows, _pair_integrals(f[rows], g, lo, hi)
+        yield rows, _pair_integrals(f[rows, None], g, lo, hi)
 
 
-def _segments(fns: Iterable[PiecewiseTrig]) -> list[tuple[float, float]]:
-    """Intervals between consecutive breakpoints of all fns."""
+def batched_pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
+    """(B, n, m) integrals over [lo, hi] of conj(f[b, i]) g[b, j] for (B, n)
+    and (B, m) term arrays, at most _PAIR_BLOCK pairs per kernel call."""
+    step = max(1, _PAIR_BLOCK // (f.k.shape[1] * g.k.shape[1]))
+    return np.concatenate([_pair_integrals(f[b:b + step, :, None], g[b:b + step, None],
+                                           lo, hi) for b in range(0, max(len(f), 1), step)])
+
+
+def _edges(fns: Iterable[PiecewiseTrig]) -> tuple[float, ...]:
+    """-pi/2, the breakpoints of all fns in order, pi/2."""
     cuts = {-HALF_PI, HALF_PI}
     cuts.update(fn.breakpoint for fn in fns if fn.breakpoint is not None)
-    edges = sorted(cuts)
-    return list(zip(edges, edges[1:]))
+    return tuple(sorted(cuts))
 
 
 def inner_closed(f: PiecewiseTrig, g: PiecewiseTrig) -> complex:
     """Closed-form L2 inner product (conjugate-linear in f)."""
     total = 0j
-    for lo, hi in _segments((f, g)):
+    edges = _edges((f, g))
+    for lo, hi in zip(edges, edges[1:]):
         for _, vals in _pair_blocks(f.terms_on(lo, hi), g.terms_on(lo, hi), lo, hi):
             total += vals.sum()
     return complex(total)
 
 
-def _stack(fns: Sequence[PiecewiseTrig], lo: float, hi: float) -> tuple[Terms, np.ndarray]:
-    """All fns' terms on (lo, hi) in one Terms, with the index of each owner."""
-    parts = [fn.terms_on(lo, hi) for fn in fns]
-    owners = np.repeat(np.arange(len(fns)), [len(t) for t in parts])
-    return Terms.concat(parts), owners
+@dataclass(frozen=True)
+class Stack:
+    """`count` functions as arrays: per piece (lo, hi) of a shared partition
+    of [-pi/2, pi/2], one Terms of all their rows, ordered by owner j, and
+    each row's owner; a family kept so is sliced and integrated whole."""
+
+    pieces: tuple[tuple[float, float, Terms, np.ndarray], ...]
+    count: int
+
+    @classmethod
+    def of(cls, fns: Sequence[PiecewiseTrig]) -> "Stack":
+        edges = _edges(fns)
+        parts = ((lo, hi, [fn.terms_on(lo, hi) for fn in fns]) for lo, hi in zip(edges, edges[1:]))
+        return cls(tuple((lo, hi, Terms.concat(part),
+                          np.repeat(np.arange(len(fns)), [len(t) for t in part]))
+                         for lo, hi, part in parts), len(fns))
+
+    def on(self, lo: float, hi: float) -> tuple[Terms, np.ndarray]:
+        """Rows and owners valid on (lo, hi), which must lie within one piece."""
+        for p_lo, p_hi, terms, owners in self.pieces:
+            if p_lo - 1e-12 <= 0.5 * (lo + hi) <= p_hi + 1e-12:
+                return terms, owners
+        raise OutOfDomain(f"interval ({lo}, {hi}) outside the domain")
+
+    def take(self, start: int, stop: int) -> "Stack":
+        """Functions start, ..., stop - 1."""
+        cuts = (np.searchsorted(owners, [start, stop]) for *_, owners in self.pieces)
+        return Stack(tuple((lo, hi, t[i:j], o[i:j] - start)
+                           for (lo, hi, t, o), (i, j) in zip(self.pieces, cuts)), stop - start)
+
+    def fn(self, j: int) -> PiecewiseTrig:
+        """Function j, built from its rows."""
+        return PiecewiseTrig(tuple(Piece(lo, hi, terms[slice(*np.searchsorted(owners, [j, j + 1]))])
+                                   for lo, hi, terms, owners in self.pieces))
 
 
 def _group_starts(owners: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
 
 
-def inner_matrix(fs: Sequence[PiecewiseTrig], gs: Sequence[PiecewiseTrig]) -> np.ndarray:
+def inner_matrix(fs: Sequence[PiecewiseTrig] | Stack,
+                 gs: Sequence[PiecewiseTrig] | Stack) -> np.ndarray:
     """Matrix of (f_j, g_k): every term pair of the two families goes
-    through the inner_closed kernel, block by block."""
-    out = np.zeros((len(fs), len(gs)), dtype=complex)
-    for lo, hi in _segments([*fs, *gs]):
-        tf, own_f = _stack(fs, lo, hi)
-        tg, own_g = _stack(gs, lo, hi)
+    through the inner_closed kernel, block by block.  Either family may
+    come as a Stack, whose rows are used as they are."""
+    fs, gs = (x if isinstance(x, Stack) else Stack.of(x) for x in (fs, gs))
+    out = np.zeros((fs.count, gs.count), dtype=complex)
+    edges = sorted({x for stack in (fs, gs) for piece in stack.pieces for x in piece[:2]})
+    for lo, hi in zip(edges, edges[1:]):
+        (tf, own_f), (tg, own_g) = fs.on(lo, hi), gs.on(lo, hi)
         if not len(tf) or not len(tg):
             continue
         g_starts = _group_starts(own_g)
@@ -452,6 +481,28 @@ def inner_matrix(fs: Sequence[PiecewiseTrig], gs: Sequence[PiecewiseTrig]) -> np
 
 def norm_l2(f: PiecewiseTrig) -> float:
     return math.sqrt(max(inner_closed(f, f).real, 0.0))
+
+
+def norms_l2(fns: Sequence[PiecewiseTrig]) -> np.ndarray:
+    """L2 norms of many functions from one term Gram per segment: with I
+    the integrals of conj(t_u) t_v over the distinct keys (p, q, k, s) of
+    all their terms and c_f the coefficients of f on those keys,
+    ||f||^2 = c_f^H I c_f.  norm_l2's sums in another order, from one
+    kernel pass over the keys' pairs; functions that share most of their
+    terms, such as the remainders of one expansion, share most of I."""
+    squares = np.zeros(len(fns))
+    for lo, hi, terms, owners in Stack.of(fns).pieces:
+        order, starts = terms.key_runs()
+        keys = terms[order[starts]]
+        keys.c = np.ones(len(keys), dtype=complex)
+        gram = np.empty((len(keys), len(keys)), dtype=complex)
+        for rows, vals in _pair_blocks(keys, keys, lo, hi):
+            gram[rows] = vals
+        coef = np.zeros((len(keys), len(fns)), dtype=complex)
+        key = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
+        np.add.at(coef, (key, owners[order]), terms.c[order])
+        squares += np.real(np.sum(np.conj(coef) * (gram @ coef), axis=0))
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +526,23 @@ def gauss_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _LOBATTO_CACHE[n]
 
 
+def grid_panels(a: ParamA | float, min_nodes_per_piece: int = 64,
+                kmax: float = 0.0) -> list[tuple[float, float, int, int]]:
+    """(lo, hi, panels, Lobatto points per panel) of each piece of grid_nodes'
+    grid, 1 + sum of panels * (points - 1) nodes; panels span <= 8/max(kmax, 1)."""
+    xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
+    return [(lo, hi, panels, max(24, int(math.ceil(min_nodes_per_piece / panels)) + 1))
+            for lo, hi in ((-HALF_PI, xb), (xb, HALF_PI))
+            for panels in [max(2, int(math.ceil((hi - lo) * max(kmax, 1.0) / 8.0)))]]
+
+
 def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
                kmax: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Composite Lobatto nodes/weights on the two pieces cut at pi*a/2;
     panels sharing an endpoint share the node and add their weights."""
-    a_val = a.value if isinstance(a, ParamA) else float(a)
-    xb = HALF_PI * a_val
     pieces = []
-    for lo, hi in ((-HALF_PI, xb), (xb, HALF_PI)):
-        panels = max(2, int(math.ceil((hi - lo) * max(kmax, 1.0) / 8.0)))
-        base_x, base_w = gauss_lobatto(max(24, int(math.ceil(min_nodes_per_piece / panels)) + 1))
+    for lo, hi, panels, points in grid_panels(a, min_nodes_per_piece, kmax):
+        base_x, base_w = gauss_lobatto(points)
         edges = np.linspace(lo, hi, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         xs, ws = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * base_x, half * base_w
@@ -561,22 +619,4 @@ def validate_domain_H(f: PiecewiseTrig, a: ParamA | float,
             abs(df.one_sided(xb, -1) - df.one_sided(xb, +1)),
         "boundary condition f(-pi/2) = f(pi*a/2)": abs(f.one_sided(-HALF_PI, +1) - v_b),
         "boundary condition f(pi/2) = f(pi*a/2)": abs(f.one_sided(HALF_PI, -1) - v_b),
-    })
-
-
-def validate_domain_Hstar(f: PiecewiseTrig, a: ParamA | float,
-                          tol: float = 1e-10) -> DomainReport:
-    """Membership in the adjoint domain: Dirichlet ends, value continuity
-    at the restart point, and the matched derivative-jump identity
-    f'(pi/2) - f'(-pi/2) = f'(pi*a/2+) - f'(pi*a/2-)."""
-    xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
-    df = f.derivative(1)
-    jump_out = df.one_sided(HALF_PI, -1) - df.one_sided(-HALF_PI, +1)
-    jump_in = df.one_sided(xb, +1) - df.one_sided(xb, -1)
-    return _domain_report(f, tol, {
-        "Dirichlet value at -pi/2": abs(f.one_sided(-HALF_PI, +1)),
-        "Dirichlet value at +pi/2": abs(f.one_sided(HALF_PI, -1)),
-        "value continuity at restart point":
-            abs(f.one_sided(xb, -1) - f.one_sided(xb, +1)),
-        "derivative-jump identity": abs(jump_out - jump_in),
     })

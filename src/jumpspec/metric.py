@@ -36,11 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (
-    PiecewiseTrig, Terms, const, cos_term, inner_closed, inner_matrix, norm_l2,
-    sin_term, validate_domain_H,
+    PiecewiseTrig, Terms, inner_closed, inner_matrix, norm_l2, validate_domain_H,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents, family_angle
-from jumpspec.eigensystem import BiorthPair, phi_zero_mode
+from jumpspec.eigensystem import BiorthFamily, phi_zero_mode
 
 HALF_PI = math.pi / 2
 
@@ -131,7 +130,7 @@ class MetricOp:
         rhs = self.apply(psi.derivative(2).scaled(-1.0))
         return norm_l2(lhs - rhs)
 
-    def root_system_report(self, pairs: list[BiorthPair]) -> dict:
+    def root_system_report(self, pairs: BiorthFamily) -> dict:
         """Theta on a biorthogonal family, where Theta psi_j = c_j phi_j.
 
         Theta psi_j is formed once per forward member, and one inner_matrix
@@ -189,16 +188,6 @@ def contract_failures(report: dict) -> list[str]:
 # Neumann-mode probes
 # ---------------------------------------------------------------------------
 
-def neumann_mode(n: int) -> PiecewiseTrig:
-    """Orthonormal Neumann mode: cos(nx) for even n, sin(nx) for odd n."""
-    if n == 0:
-        return PiecewiseTrig.single([const(math.sqrt(1 / math.pi))])
-    amp = math.sqrt(2 / math.pi)
-    if n % 2 == 0:
-        return PiecewiseTrig.single([cos_term(amp, float(n))])
-    return PiecewiseTrig.single([sin_term(amp, float(n))])
-
-
 def even_mode_coefficient(a: ParamA, n: int) -> float:
     """Diagonal coefficient (1 - cos(n pi/2) cos(n pi a/2))/2 for even n.
 
@@ -211,36 +200,6 @@ def even_mode_coefficient(a: ParamA, n: int) -> float:
     if n % 2:
         raise ValueError("diagonal formula applies to even modes")
     return family_angle(a, 0, n // 2).versine / 2
-
-
-def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
-    """Diagonal positivity scan plus off-diagonal vanishing evidence.
-
-    Returns the even-mode diagonal coefficients up to n_max (all positive
-    for n != 0 when a is irrational) and the largest off-diagonal pairing
-    |(chi_m, P- chi_n (+) P+ chi_n)| over even m != n <= cross_n_max.
-    """
-    if a.is_rational:
-        raise NotIrrational("injectivity statement needs irrational a")
-    if n_max > 10 ** 4:
-        raise ValueError("n_max limited to 10^4")
-    diagonal = [(n, even_mode_coefficient(a, n)) for n in range(0, n_max + 1, 2)]
-    positive = all(c > 0 for n, c in diagonal if n != 0)
-
-    max_off = 0.0
-    max_diag_dev = 0.0
-    modes = {n: neumann_mode(n) for n in range(0, cross_n_max + 1, 2)}
-    projected = {n: project_pieces(modes[n], a) for n in modes}
-    for n, pn in projected.items():
-        for m, chim in modes.items():
-            val = inner_closed(chim, pn)
-            if m == n:
-                max_diag_dev = max(max_diag_dev,
-                                   abs(val - even_mode_coefficient(a, n)))
-            else:
-                max_off = max(max_off, abs(val))
-    return {"diagonal": diagonal, "all_positive": positive,
-            "max_offdiagonal": max_off, "max_diagonal_deviation": max_diag_dev}
 
 
 def noninvertibility_probe(a: ParamA, k_count: int) -> list[tuple[int, float]]:

@@ -15,9 +15,10 @@ lambda = -1e6.  A and B solve the 2x2 system u(-pi/2) = u(pi a/2) =
 u(pi/2).  With E = e^{ik pi}, P = e^{ik pi (1+a)/2}, Q = e^{ik pi (1-a)/2}
 (so E = PQ) its determinant is
 
-    (1 - E)(1 - P)(1 - Q) = -2i E char_det(a, k),
+    (1 - E)(1 - P)(1 - Q) = 8i E sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi/2),
 
-with `spectrum.char_det`, so the only poles are the spectrum.  Each factor
+-2i E times the characteristic determinant, so the only poles are the
+spectrum.  Each factor
 is formed as -expm1(i theta) and the product is never expanded, so it
 does not cancel near its zeros.  A quadrature-weighted SVD of the
 discretized kernel provides the singular-value decay evidence for the
@@ -39,7 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from jumpspec.funcspace import grid_nodes
+from jumpspec.funcspace import grid_nodes, grid_panels
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
@@ -137,9 +138,9 @@ class ResolventKernel:
     `apply_resolvent` feeds the same `coefficients` the boundary differences
     of u_p, so both paths share one three-point solve.  `one_minus` holds
     the determinant's factors (1 - E, 1 - P, 1 - Q); `denom` is their
-    product, -2i E char_det(a, k).  `ik`, `p`, `q` and `one_minus` are
-    Python floats when lambda is real and negative and complex otherwise;
-    the arrays built from them inherit that type.
+    product.  `ik`, `p`, `q` and `one_minus` are Python floats when lambda
+    is real and negative and complex otherwise; the arrays built from them
+    inherit that type.
     """
 
     lam: complex
@@ -244,6 +245,19 @@ def residual_report(lam: complex, f, a: ParamA, n: int = 4096) -> dict:
     }
 
 
+def check_probe(lam: complex, a: ParamA, n: int) -> float:
+    """|k| at lambda, or ValueError unless 64 <= n <= 2048 and the probe's
+    grid has at most MAX_PROBE_NODES nodes, counted before any is built."""
+    if not 64 <= n <= 2048:
+        raise ValueError(f"probe needs 64 <= n <= 2048, got n={n}")
+    k_abs = abs(1j * cmath.sqrt(-check_lambda(lam)))
+    size = 1 + sum(panels * (points - 1) for *_, panels, points in grid_panels(a, n // 2, k_abs))
+    if size > MAX_PROBE_NODES:
+        raise ValueError(f"probe grid of {size} nodes at lambda={lam} exceeds the cap "
+                         f"of {MAX_PROBE_NODES} (the grid grows with |k| = {k_abs:.3g})")
+    return k_abs
+
+
 def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
     """Singular values of the quadrature-weighted resolvent kernel.
 
@@ -251,15 +265,8 @@ def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
     sum (trace-norm estimate); compact second-order resolvents decay like
     j^-2, so the sum converges.
     """
-    if not 64 <= n <= 2048:
-        raise ValueError(f"probe needs 64 <= n <= 2048, got n={n}")
-    kern = ResolventKernel.build(lam, a)
-    nodes, weights = grid_nodes(a, n // 2, kmax=abs(kern.k))
-    if len(nodes) > MAX_PROBE_NODES:
-        raise ValueError(
-            f"probe grid of {len(nodes)} nodes at lambda={kern.lam} exceeds the cap "
-            f"of {MAX_PROBE_NODES} (the grid grows with |k| = {abs(kern.k):.3g})")
-    mat = kern.kernel_matrix(nodes, nodes)
+    nodes, weights = grid_nodes(a, n // 2, kmax=check_probe(lam, a, n))
+    mat = ResolventKernel.build(lam, a).kernel_matrix(nodes, nodes)
     sq = np.sqrt(weights)
     mat *= sq[:, None]
     mat *= sq[None, :]

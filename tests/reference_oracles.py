@@ -1,12 +1,18 @@
 """Reference computations that only the tests use.
 
-Each one reaches a quantity of the package by a second route: the real
-zeros of the characteristic determinant by dense scan plus bisection and
-its complex zeros by the argument principle, the spectrum enumerated by
-separate rational and float branches with integer-arithmetic case tests,
-the exceptional-index tests by float arithmetic with a tolerance, the Rayleigh quotient through the
-full metric operator, the median of the generic projection norms that
-the blow-up is measured against, the resolvent kernel's singular
+Some are closed forms and checks of the paper that the package never
+calls: the characteristic determinant, the adjoint domain conditions, the
+printed pairings of an exceptional root space and the injectivity scan
+of the metric over Neumann modes.  The others reach a quantity of the
+package by a second route: the normalized family built pair by pair from
+the printed root vectors, expansion residuals normed one remainder at a
+time, the real zeros of the characteristic determinant by dense scan plus
+bisection and its complex zeros by the argument principle, the spectrum
+enumerated by separate rational and float branches with integer-arithmetic
+case tests, the exceptional-index tests by float arithmetic with a
+tolerance, the Rayleigh quotient through the full metric operator, the
+median of the generic projection norms that the blow-up is measured
+against, the resolvent kernel's singular
 values in complex arithmetic where the package computes them in float64,
 the simulator's bridge hit probabilities of both boundaries where the
 package computes the nearer one's only, the simulator's walk with every
@@ -23,12 +29,49 @@ from fractions import Fraction
 import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
-from jumpspec.funcspace import grid_nodes, inner_closed
-from jumpspec.metric import MetricOp, neumann_mode
-from jumpspec.param import ParamA
+from jumpspec.eigensystem import _simple_pairing
+from jumpspec.funcspace import (
+    HALF_PI, DomainReport, PiecewiseTrig, _domain_report, const, cos_term, grid_nodes,
+    inner_closed, inner_matrix, lincomb, norm_l2, sin_term,
+)
+from jumpspec.metric import MetricOp, even_mode_coefficient, project_pieces
+from jumpspec.param import NotIrrational, ParamA, family_angle
 from jumpspec.resolvent import ResolventKernel
-from jumpspec.simulator import HALF_PI, _Stepper
-from jumpspec.spectrum import char_det
+from jumpspec.simulator import _Stepper
+from jumpspec.spectrum import SpectralCase, enumerate_spectrum
+
+from util import linear, xcos_term, xsin_term
+
+
+def char_det(a: ParamA | float, k) -> complex | np.ndarray:
+    """-4 sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi / 2); zeros^2 = spectrum."""
+    a_val = a.value if isinstance(a, ParamA) else float(a)
+    k = np.asarray(k)
+    quarter = np.pi / 4
+    det = (-4.0 * np.sin(k * quarter * (1 + a_val))
+           * np.sin(k * quarter * (1 - a_val))
+           * np.sin(k * np.pi / 2))
+    if det.ndim == 0:
+        return complex(det)
+    return det
+
+
+def validate_domain_Hstar(f: PiecewiseTrig, a: ParamA | float,
+                          tol: float = 1e-10) -> DomainReport:
+    """Membership in the adjoint domain: Dirichlet ends, value continuity
+    at the restart point, and the matched derivative-jump identity
+    f'(pi/2) - f'(-pi/2) = f'(pi*a/2+) - f'(pi*a/2-)."""
+    xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
+    df = f.derivative(1)
+    jump_out = df.one_sided(HALF_PI, -1) - df.one_sided(-HALF_PI, +1)
+    jump_in = df.one_sided(xb, +1) - df.one_sided(xb, -1)
+    return _domain_report(f, tol, {
+        "Dirichlet value at -pi/2": abs(f.one_sided(-HALF_PI, +1)),
+        "Dirichlet value at +pi/2": abs(f.one_sided(HALF_PI, -1)),
+        "value continuity at restart point":
+            abs(f.one_sided(xb, -1) - f.one_sided(xb, +1)),
+        "derivative-jump identity": abs(jump_out - jump_in),
+    })
 
 
 def scan_determinant_zeros(a: ParamA, k_max: float, step: float = 1e-3,
@@ -148,6 +191,46 @@ def is_exceptional_plus_float(a_value: float, m: int, tol: float = 1e-9) -> bool
     return abs(r - round(r)) < tol and round(r) >= 0
 
 
+def neumann_mode(n: int) -> PiecewiseTrig:
+    """Orthonormal Neumann mode: cos(nx) for even n, sin(nx) for odd n."""
+    if n == 0:
+        return PiecewiseTrig.single([const(math.sqrt(1 / math.pi))])
+    amp = math.sqrt(2 / math.pi)
+    if n % 2 == 0:
+        return PiecewiseTrig.single([cos_term(amp, float(n))])
+    return PiecewiseTrig.single([sin_term(amp, float(n))])
+
+
+def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
+    """Diagonal positivity scan plus off-diagonal vanishing evidence.
+
+    Returns the even-mode diagonal coefficients up to n_max (all positive
+    for n != 0 when a is irrational) and the largest off-diagonal pairing
+    |(chi_m, P- chi_n (+) P+ chi_n)| over even m != n <= cross_n_max.
+    """
+    if a.is_rational:
+        raise NotIrrational("injectivity statement needs irrational a")
+    if n_max > 10 ** 4:
+        raise ValueError("n_max limited to 10^4")
+    diagonal = [(n, even_mode_coefficient(a, n)) for n in range(0, n_max + 1, 2)]
+    positive = all(c > 0 for n, c in diagonal if n != 0)
+
+    max_off = 0.0
+    max_diag_dev = 0.0
+    modes = {n: neumann_mode(n) for n in range(0, cross_n_max + 1, 2)}
+    projected = {n: project_pieces(modes[n], a) for n in modes}
+    for n, pn in projected.items():
+        for m, chim in modes.items():
+            val = inner_closed(chim, pn)
+            if m == n:
+                max_diag_dev = max(max_diag_dev,
+                                   abs(val - even_mode_coefficient(a, n)))
+            else:
+                max_off = max(max_off, abs(val))
+    return {"diagonal": diagonal, "all_positive": positive,
+            "max_offdiagonal": max_off, "max_diagonal_deviation": max_diag_dev}
+
+
 def rayleigh_quotient(a: ParamA, n: int) -> float:
     """(chi_n, Theta chi_n) for the orthonormal Neumann mode chi_n."""
     chi = neumann_mode(n)
@@ -235,3 +318,91 @@ def restart_time_moments(a: ParamA, widen: float = 0.0) -> tuple[float, float]:
     E[tau] = (L^2 - b^2)/2 and Var[tau] = (L^4 - b^4)/6."""
     L, b = math.pi / 2 + widen, math.pi / 2 * a.value
     return (L ** 2 - b ** 2) / 2, (L ** 4 - b ** 4) / 6
+
+
+def printed_root_vectors(rec, a: ParamA) -> tuple[list, list]:
+    """The record's raw root vectors (constants 1) as printed, each built on
+    its own from one-term sums that Piece merges: forward [psi] or
+    [psi1, psi2, xi], adjoint [phi] or [phi1, phi2, eta]."""
+    av, k, xb = a.value, rec.k, HALF_PI * a.value
+    single, split = PiecewiseTrig.single, PiecewiseTrig.split
+    left_sine = split(xb, [sin_term(1.0, k, k * HALF_PI)], [])
+    right_sine = split(xb, [], [sin_term(1.0, k, -k * HALF_PI)])
+    if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
+        m = rec.class_index(-1)
+        pref = -(1 - av) / (64 * m * m)
+        xi = single([cos_term(pref * (1 - av), k), xsin_term(pref * 8 * m, k)])
+
+        def eta_piece(amp: float, sgn: float) -> list:
+            pref = amp * (1 - av) / (64 * m * m)
+            shift = sgn * k * HALF_PI
+            return [xcos_term(pref * 8 * m, k, shift),
+                    cos_term(pref * 8 * m * sgn * HALF_PI, k, shift),
+                    sin_term(-pref * (1 - av), k, shift)]
+
+        eta = split(xb, eta_piece(1 - av, 1.0), eta_piece(-(1 - av) * (1 + av) / (1 - av), -1.0))
+        return ([single([sin_term(1.0, k)]), single([cos_term(1.0, k)]), xi],
+                [right_sine, left_sine, eta])
+    if rec.case is SpectralCase.ZERO_EV:
+        return ([single([const(1.0)])],
+                [split(xb, [linear(av - 1), const((av - 1) * HALF_PI)],
+                       [linear(av + 1), const(-(av + 1) * HALF_PI)])])
+    both_sines = split(xb, [sin_term(1.0, k, k * HALF_PI)], [sin_term(1.0, k, -k * HALF_PI)])
+    if rec.case is SpectralCase.EXCEPTIONAL_ODD:
+        return [single([sin_term(1.0, k)])], [both_sines]
+    cls, m = rec.memberships[0]
+    if cls == 0:
+        th = family_angle(a, 0, m)
+        return [single([cos_term(1.0, k), sin_term(th.versine / th.sin, k)])], [both_sines]
+    return [single([cos_term(1.0, k)])], [right_sine if cls == -1 else left_sine]
+
+
+# the printed pairings of an exceptional pair's raw vectors (the -1 class
+# index m); the family builds their 3x3 matrix with the batched kernel
+
+def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
+    """((phi1, psi1), (phi2, psi1)); the psi2 pairings vanish."""
+    cc = (-1) ** m * family_angle(a, -1, m).cos
+    return (math.pi / 4 * (1 - a.value) * cc,
+            math.pi / 4 * (1 + a.value) * cc)
+
+
+def pairing_minus_generalised(a: ParamA, m: int) -> tuple[float, float]:
+    """((phi1, xi), (phi2, xi)) in the -1 class exceptional situation."""
+    av = a.value
+    cc = (-1) ** m * family_angle(a, -1, m).cos
+    base = math.pi ** 2 / (128 * m) * (1 - av) ** 2 * (1 + av) * cc
+    return (-base, base)
+
+
+def pairing_eta_psi2(a: ParamA, m: int) -> float:
+    """(eta, psi2) with eta built from the admissible A_minus = 1-a."""
+    av = a.value
+    cc = (-1) ** m * family_angle(a, -1, m).cos
+    return ((1 - av) * math.pi ** 2 / (64 * m)
+            * (1 - av) * (1 + av) * cc)
+
+
+def per_pair_family(a: ParamA, lambda_max: float) -> list[tuple[PiecewiseTrig, PiecewiseTrig]]:
+    """The normalized family (psi_j, phi_j) built pair by pair from the
+    printed vectors: each simple dual scaled by 1/conj(pairing), and each
+    root space's duals mixed from (phi1, eta, phi2) by the inverse of its
+    3x3 pairing matrix, taken with inner_matrix."""
+    pairs = []
+    for rec in enumerate_spectrum(a, lambda_max):
+        fwd, adj = printed_root_vectors(rec, a)
+        if rec.case is not SpectralCase.EXCEPTIONAL_PAIR:
+            pairs.append((fwd[0], adj[0].scaled(1.0 / np.conj(_simple_pairing(rec, a)))))
+            continue
+        trial = [adj[0], adj[2], adj[1]]
+        coef = np.conj(np.linalg.inv(inner_matrix(trial, fwd)))
+        pairs += [(psi, lincomb(trial, coef[j])) for j, psi in enumerate(fwd)]
+    return pairs
+
+
+def per_remainder_residuals(f: PiecewiseTrig, pairs, checkpoints: list[int]) -> dict[int, float]:
+    """||f - sum_{j<=N} psi_j (phi_j, f)|| as one lincomb and one norm_l2
+    per checkpoint: every remainder's own term pairs through the kernel."""
+    coeffs = inner_matrix([pair.phi.fn for pair in pairs], [f])[:, 0]
+    members = [pair.psi.fn for pair in pairs]
+    return {n: norm_l2(lincomb([f, *members[:n]], [1.0, *-coeffs[:n]])) for n in checkpoints}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec import metric, resolvent, simulator
+from jumpspec import metric, resolvent, simulator, spectrum
 from jumpspec.cli import Manifest, main
 from jumpspec.funcspace import PiecewiseTrig, grid_nodes
 from jumpspec.param import ParamA
@@ -249,6 +249,41 @@ def test_non_finite_lambda_max_is_a_usage_error(tmp_path, expr, command, output,
     assert not (out / output).exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "basis", "metric-check"])
+def test_oversized_lambda_max_is_refused_before_any_enumeration(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    # 1e13 holds 3.2e6 family members at a = 1/3, over spectrum.MAX_MEMBERS
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a refused lambda_max")
+    monkeypatch.setattr(spectrum, "_raw_wavenumbers", no_enumeration)
+    out = tmp_path / "big"
+    assert run_cli([command, "--a", "1/3", "--lambda-max", "1e13", "--out", str(out)]) == 2
+    assert f"cap of {spectrum.MAX_MEMBERS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_member_cap_is_the_closed_form_count(monkeypatch):
+    # at a = 1/3, k <= 10 holds 5 + 1 + 1 + 3 = 10 members and k <= 12 holds 13
+    a = ParamA.from_expr("1/3")
+    monkeypatch.setattr(spectrum, "MAX_MEMBERS", 10)
+    # the three members at k = 6 are one exceptional pair
+    assert len(spectrum.enumerate_spectrum(a, 100.0)) == 8
+    with pytest.raises(ValueError, match="13 family members"):
+        spectrum.enumerate_spectrum(a, 144.0)
+
+
+@pytest.mark.parametrize("args", [["--lambda=-1e6"], ["--lambda", "-1", "--svd-n", "4096"]])
+def test_probe_grid_is_refused_before_the_solve(tmp_path, monkeypatch, capsys, args):
+    # at -1e6 the probe's grid has 9040 nodes, over resolvent.MAX_PROBE_NODES
+    def no_solve(*args, **kwargs):
+        raise AssertionError("apply_resolvent ran")
+    monkeypatch.setattr(resolvent, "apply_resolvent", no_solve)
+    out = tmp_path / "probe"
+    assert run_cli(["resolvent", "--a", "1/3", *args, "--out", str(out)]) == 2
+    assert "probe" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [
     *(pytest.param(f"--a-grid={grid}", id=grid)
       for grid in ("0:0.5:0", "0:0.5:-0.1", "nan:0.5:0.1", "0:inf:0.1",
@@ -374,8 +409,7 @@ def test_plain_negative_lambda_reaches_the_probe(tmp_path, capsys):
 
 
 def test_resolvent_writes_nothing_when_a_later_stage_fails(tmp_path):
-    # the probe's grid at lambda = -1e6 exceeds the node cap, after the
-    # solution and its residual report have been computed
+    # the probe's grid at lambda = -1e6 exceeds the node cap
     out = tmp_path / "cap"
     assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1e6",
                     "--out", str(out)]) == 2

@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from jumpspec import funcspace
 from jumpspec.eigensystem import (
     CaseMismatch, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar,
-    generalized_eta, generalized_xi, gram_matrix, pairing_eta_psi2,
-    pairing_class_generic, pairing_minus_exceptional, pairing_minus_generalised,
+    generalized_eta, generalized_xi, gram_matrix, pairing_class_generic,
     pairing_zero_zero, root_system,
 )
 from jumpspec.funcspace import (
-    PiecewiseTrig, inner_closed, norm_l2, validate_domain_H,
-    validate_domain_Hstar,
+    PiecewiseTrig, inner_closed, inner_matrix, norm_l2, validate_domain_H,
 )
 from jumpspec.param import ParamA
 from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
+from reference_oracles import (
+    pairing_eta_psi2, pairing_minus_exceptional, pairing_minus_generalised, per_pair_family,
+    printed_root_vectors, validate_domain_Hstar,
+)
 from util import rational_exceptional_config
 
 HALF_PI = math.pi / 2
@@ -289,3 +292,59 @@ def test_every_member_is_built_at_its_records_wavenumber(expr):
     if expr == "1/3":
         rec36 = next(rec for rec, _ in built if rec.memberships == ((-1, 1), (0, 3), (1, 2)))
         assert rec36.k == 6.0 and _frequencies(root_system(rec36, a)[2].fn) == {6.0}
+
+
+# ---------------------------------------------------------------------------
+# the family as arrays against the per-pair construction
+# ---------------------------------------------------------------------------
+
+def _same_terms(f: PiecewiseTrig, g: PiecewiseTrig) -> bool:
+    return len(f.pieces) == len(g.pieces) and all(
+        (p.lo, p.hi) == (q.lo, q.hi) and p.terms == q.terms for p, q in zip(f.pieces, g.pieces))
+
+
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1", "2/5", "0", "-3/7"])
+def test_array_family_is_the_per_pair_family(expr):
+    # the rows of every pair equal the per-pair constructors' merged terms,
+    # so the Gram matrix is bit for bit the per-pair one
+    a = ParamA.from_expr(expr)
+    family = biorthogonalize(a, 4.0 * 257 ** 2)
+    oracle = per_pair_family(a, 4.0 * 257 ** 2)
+    assert len(family) == len(oracle) == 514
+    for pair, (psi, phi) in zip(family, oracle):
+        assert _same_terms(pair.psi.fn, psi) and _same_terms(pair.phi.fn, phi)
+    expected = inner_matrix([phi for _, phi in oracle[:253]], [psi for psi, _ in oracle[:253]])
+    assert np.array_equal(gram_matrix(family[:253]), expected)
+
+
+@pytest.mark.parametrize("expr", ["0", "1/3", "2/7", "-9/10", "sqrt(2)-1"])
+def test_constructors_build_the_printed_vectors(expr):
+    a = ParamA.from_expr(expr)
+    records = enumerate_spectrum(a, 4.0 * 60 ** 2)
+    assert any(rec.case is SpectralCase.EXCEPTIONAL_PAIR for rec in records) == (
+        expr in ("0", "1/3", "2/7", "-9/10"))
+    for rec in records:
+        forward, adjoint = printed_root_vectors(rec, a)
+        built = eigenfunctions_H(rec, a), eigenfunctions_Hstar(rec, a)
+        if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
+            built = [*built[0], generalized_xi(rec, a)], [*built[1], generalized_eta(rec, a)]
+        for mine, printed in zip([*built[0], *built[1]], [*forward, *adjoint]):
+            assert _same_terms(mine.fn, printed), (rec.memberships, mine.label)
+
+
+def test_family_slices_and_gram_build_no_piecewise_trig(monkeypatch):
+    built = []
+    original = funcspace.Piece.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(funcspace.Piece, "__post_init__", counting)
+    for expr in ("sqrt(2)-1", "1/3"):
+        gram = gram_matrix(biorthogonalize(ParamA.from_expr(expr), 4.0 * 257 ** 2)[:253])
+        assert gram.shape == (253, 253)
+    assert built == []
+    # indexing builds the one pair: psi on one piece, its dual on two
+    biorthogonalize(ParamA.from_expr("1/3"), 40.0)[2]
+    assert len(built) == 3

@@ -7,12 +7,13 @@ import pytest
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Terms, const,
-    cos_term, eval_terms, gauss_lobatto, grid_nodes, inner_closed, inner_matrix,
-    linear, quad_gram, sin_term, validate_domain_H, validate_domain_Hstar, xsin_term,
+    cos_term, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix,
+    quad_gram, sin_term, validate_domain_H,
 )
 from jumpspec.param import ParamA
 
-from util import random_trig
+from reference_oracles import validate_domain_Hstar
+from util import linear, random_trig, xsin_term
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,9 @@ def test_grid_nodes_match_the_panel_loop_bit_for_bit(expr):
             ref_nodes, ref_weights = _grid_nodes_by_panel(a, n, kmax)
             assert np.array_equal(nodes, ref_nodes), (n, kmax)
             assert np.array_equal(weights, ref_weights), (n, kmax)
+            # the panel rule alone counts the nodes (the probe's cap reads it)
+            panels = grid_panels(a, n, kmax)
+            assert len(nodes) == 1 + sum(count * (points - 1) for *_, count, points in panels)
 
 
 def test_quadrature_not_converged():

@@ -5,19 +5,17 @@ import pytest
 
 from jumpspec import metric
 from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
-from jumpspec.funcspace import (
-    PiecewiseTrig, const, cos_term, inner_closed, norm_l2,
-    validate_domain_Hstar,
-)
+from jumpspec.funcspace import PiecewiseTrig, const, cos_term, inner_closed, norm_l2
 from jumpspec.metric import (
     ROUNDING_BOUND, DomainViolation, MetricOp, contract_failures,
-    even_mode_coefficient, injectivity_probe, neumann_mode,
-    noninvertibility_probe, project_center, project_pieces,
+    even_mode_coefficient, noninvertibility_probe, project_center, project_pieces,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents
 from jumpspec.spectrum import enumerate_spectrum
 
-from reference_oracles import rayleigh_quotient
+from reference_oracles import (
+    injectivity_probe, neumann_mode, rayleigh_quotient, validate_domain_Hstar,
+)
 from util import random_domain_member, random_trig
 
 HALF_PI = math.pi / 2

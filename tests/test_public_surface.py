@@ -23,14 +23,8 @@ PERFBENCH = ROOT / "perfbench"
 TESTS = ROOT / "tests"
 
 # closed forms and checks of the paper that the package itself never calls
-PAPER_FORMS = {
-    "char_det": "the characteristic determinant",
-    "pairing_minus_exceptional": "(phi_j, psi_1) at an exceptional pair",
-    "pairing_minus_generalised": "(phi_j, xi) at an exceptional pair",
-    "pairing_eta_psi2": "(eta, psi_2) at an exceptional pair",
-    "validate_domain_Hstar": "the domain conditions of the adjoint",
-    "injectivity_probe": "injectivity of the metric at irrational a",
-}
+# (none at present: such code lives in tests/reference_oracles.py)
+PAPER_FORMS: dict[str, str] = {}
 
 # eigensystem never calls inner_closed, but perfbench/test_perfbench.py
 # asserts that the benchmark's tracer rebinds that name in eigensystem

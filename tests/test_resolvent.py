@@ -11,11 +11,11 @@ from jumpspec.resolvent import (
     PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel,
     apply_resolvent, residual_report, singular_value_probe,
 )
-from jumpspec.spectrum import char_det, enumerate_spectrum
+from jumpspec.spectrum import enumerate_spectrum
 from rank_one_oracle import (
     dirichlet_resolvent_values, green0, h_profile, rank_one_kernel,
 )
-from reference_oracles import complex_probe_singular_values
+from reference_oracles import char_det, complex_probe_singular_values
 
 HALF_PI = math.pi / 2
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from jumpspec.param import ParamA
-from jumpspec.spectrum import SpectralCase, char_det, curves, enumerate_spectrum
+from jumpspec.spectrum import SpectralCase, curves, enumerate_spectrum
 
 from reference_oracles import (
-    count_zeros_in_rectangle, scan_determinant_zeros, two_branch_spectrum,
+    char_det, count_zeros_in_rectangle, scan_determinant_zeros, two_branch_spectrum,
 )
 
 

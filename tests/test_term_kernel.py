@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from jumpspec.eigensystem import biorthogonalize, gram_matrix
-from jumpspec.funcspace import (
-    PiecewiseTrig, cos_term, inner_closed, sin_term, xcos_term, xsin_term,
-)
+from jumpspec.funcspace import PiecewiseTrig, cos_term, inner_closed, sin_term
 from jumpspec.param import ParamA
+
+from util import xcos_term, xsin_term
 
 HALF_PI = math.pi / 2
 EPS = np.finfo(float).eps

@@ -6,10 +6,25 @@ import math
 
 import numpy as np
 
-from jumpspec.funcspace import PiecewiseTrig, cos_term, sin_term
+from jumpspec.funcspace import PiecewiseTrig, Terms, _term, cos_term, sin_term
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
+
+
+def linear(c: complex) -> Terms:
+    """The one-row Terms c x."""
+    return _term(1, c, 0.0, 0.0, 0)
+
+
+def xcos_term(c: complex, k: float, s: float = 0.0) -> Terms:
+    """The one-row Terms c x cos(kx + s)."""
+    return _term(1, c, k, s, 0)
+
+
+def xsin_term(c: complex, k: float, s: float = 0.0) -> Terms:
+    """The one-row Terms c x sin(kx + s)."""
+    return _term(1, c, k, s, 1)
 
 
 def random_trig(rng: np.random.Generator, n_terms: int = 4,
