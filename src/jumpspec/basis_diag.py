@@ -26,16 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jumpspec.eigensystem import (
-    BiorthFamily, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar, root_system,
-)
+from jumpspec.eigensystem import BiorthFamily, _chains, biorthogonalize
 from jumpspec.funcspace import (
-    Piece, PiecewiseTrig, cos_term, inner_matrix, norms_l2, quad_gram, sin_term,
+    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, norms_l2, quad_gram, sin_term,
 )
 from jumpspec.param import (
     NotIrrational, ParamA, convergents, family_angle, is_exceptional,
 )
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
+
+
+# rational_bound_check's largest m_max: it takes 43-100 us per m on a
+# 2-core x86-64 host, so about 4-10 s at the cap (m_max = 10^8 would take hours)
+MAX_BOUND_M = 10 ** 5
 
 
 class Which(enum.Enum):
@@ -82,46 +85,58 @@ def _proj_norms_exceptional(a: ParamA, m: int) -> tuple[float, float, float]:
     return p1, p2, p3
 
 
-def _quad_proj_norm(psi: PiecewiseTrig, phi: PiecewiseTrig, a: ParamA) -> float:
-    """||psi|| ||phi|| / |(phi, psi)| from one quadrature Gram matrix."""
-    g = quad_gram([psi, phi], a)
-    return math.sqrt(g[0, 0].real) * math.sqrt(g[1, 1].real) / abs(complex(g[1, 0]))
+def _closed_simple(rec: EigRecord, a: ParamA) -> float:
+    """Closed-form norm of a simple record's projection."""
+    if rec.case is SpectralCase.ZERO_EV:
+        return math.sqrt(4.0 / 3.0)
+    if rec.case is SpectralCase.EXCEPTIONAL_ODD:
+        return 1.0
+    cls, m = rec.memberships[0]
+    if cls == 0:
+        return proj_norm_zero_generic(a, m)
+    return _proj_norm_class_generic(a, cls, m)
+
+
+def _projection_norms(a: ParamA, records: list[EigRecord]) -> list[ProjNormRecord]:
+    """Closed-form projection norms of the records with the quadrature
+    cross-value.
+
+    The quadrature side is ||psi|| ||phi|| / |(phi, psi)| for each
+    projection, read off one panel-quadrature Gram matrix of the raw root
+    vectors of all records (forward ones, then adjoint ones, from one
+    `_chains` call), a route fully independent of the printed formulas.
+    The pairs are (psi, phi) at a simple record and (psi1, phi1),
+    (psi2, eta), (xi, phi2) at an exceptional pair.
+    """
+    fwd, adj = _chains(a, records)
+    rows = []     # (record, which, closed form) of each projection
+    partner = []  # the adjoint index paired with each forward root vector
+    for rec in records:
+        v = len(partner)
+        if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
+            closed = _proj_norms_exceptional(a, rec.class_index(-1))
+            rows += zip([rec] * 3, (Which.P1, Which.P2, Which.P3), closed)
+            partner += [v, v + 2, v + 1]
+        else:
+            rows.append((rec, Which.SINGLE, _closed_simple(rec, a)))
+            partner.append(v)
+    g = quad_gram(Stack.join((fwd, adj)), a)
+    psi, phi = np.arange(fwd.count), fwd.count + np.array(partner, dtype=int)
+    quad = np.sqrt(g[psi, psi].real) * np.sqrt(g[phi, phi].real) / np.abs(g[phi, psi])
+    return [ProjNormRecord(rec, which, closed, float(q))
+            for (rec, which, closed), q in zip(rows, quad)]
 
 
 def projection_norm(rec: EigRecord, a: ParamA) -> list[ProjNormRecord]:
-    """Closed-form projection norms with the quadrature cross-value.
-
-    The quadrature side evaluates ||psi|| ||phi|| / |(phi, psi)| from one
-    panel-quadrature Gram matrix of (psi, phi) per projection, a route fully
-    independent of the printed formulas.
-    """
-    if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-        m = rec.class_index(-1)
-        psi1, psi2, xi, phi1, phi2, eta = root_system(rec, a)
-        projections = ((Which.P1, psi1, phi1), (Which.P2, psi2, eta), (Which.P3, xi, phi2))
-        return [ProjNormRecord(rec, which, closed, _quad_proj_norm(psi.fn, phi.fn, a))
-                for (which, psi, phi), closed in zip(projections,
-                                                     _proj_norms_exceptional(a, m))]
-
-    psi = eigenfunctions_H(rec, a)[0]
-    phi = eigenfunctions_Hstar(rec, a)[0]
-    if rec.case is SpectralCase.ZERO_EV:
-        closed = math.sqrt(4.0 / 3.0)
-    elif rec.case is SpectralCase.EXCEPTIONAL_ODD:
-        closed = 1.0
-    else:
-        cls, m = rec.memberships[0]
-        if cls == 0:
-            closed = proj_norm_zero_generic(a, m)
-        else:
-            closed = _proj_norm_class_generic(a, cls, m)
-    return [ProjNormRecord(rec, Which.SINGLE, closed, _quad_proj_norm(psi.fn, phi.fn, a))]
+    """Closed-form projection norms of one record with the quadrature
+    cross-value (`projection_norms` of the one record)."""
+    return _projection_norms(a, [rec])
 
 
 def projection_norms(a: ParamA, lambda_max: float) -> list[ProjNormRecord]:
-    """projection_norm for every eigenvalue up to lambda_max, ascending."""
-    return [pn for rec in enumerate_spectrum(a, lambda_max)
-            for pn in projection_norm(rec, a)]
+    """Projection norms of every eigenvalue up to lambda_max, ascending,
+    with one quadrature Gram matrix for all of them."""
+    return _projection_norms(a, enumerate_spectrum(a, lambda_max))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +187,8 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
     """
     if not a.is_rational:
         raise ValueError("bound check applies to rational parameters")
-    if m_max < 1:
-        raise ValueError(f"bound check needs m_max >= 1, got {m_max}")
+    if not 1 <= m_max <= MAX_BOUND_M:
+        raise ValueError(f"bound check needs 1 <= m_max <= {MAX_BOUND_M}, got {m_max}")
     p, q = a.fraction.numerator, a.fraction.denominator
     bounds, rows = {}, {}
     estimates_ok = True

@@ -175,14 +175,15 @@ def cmd_metric_check(args, man: Manifest) -> int:
 
 def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.quadrature)
-            for pn in basis_diag.projection_norms(a, args.lambda_max)]
     # everything is computed before the first write, so a refused argument
-    # or a failed stage leaves no partial output
+    # or a failed stage leaves no partial output; the blow-up tables check
+    # their arguments (--m-max, --convergents) before the projection norms
     if args.blowup and a.is_rational:
         report = basis_diag.rational_bound_check(a, args.m_max)
     elif args.blowup:
         table = basis_diag.blowup_probe(a, args.convergents)
+    rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.quadrature)
+            for pn in basis_diag.projection_norms(a, args.lambda_max)]
     man.write_csv("projection_norms.csv",
                   ["which", "lambda", "norm_closed", "norm_quad"], rows)
     if args.blowup and a.is_rational:

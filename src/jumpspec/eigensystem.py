@@ -232,36 +232,9 @@ def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
     return _root_vectors(rec, a, 0, slice(0, 2))
 
 
-def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
-    """Adjoint eigenfunction(s), two-piece representations, raw constants 1."""
-    return _root_vectors(rec, a, 1, slice(0, 2))
-
-
 def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
     """The adjoint zero-eigenfunction: the tent (C(a-1)(x+pi/2), C(a+1)(x-pi/2))."""
     return _chains(a, [_ZERO_RECORD])[1].fn(0).scaled(c)
-
-
-def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
-    """Root vector xi with (H - lambda) xi = psi2 = cos(kx)."""
-    return _root_vectors(rec, a, 0, slice(2, 3))[0]
-
-
-def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
-    """Dual root vector eta with (H* - lambda) eta = phi1 + phi2.
-
-    Admissibility forces A_minus (1+a) = -A_plus (1-a); eta takes
-    A_minus = 1-a, A_plus = -(1+a).  The phi1, phi2 on the right-hand side
-    carry these same constants.
-    """
-    return _root_vectors(rec, a, 1, slice(2, 3))[0]
-
-
-def root_system(rec: EigRecord, a: ParamA):
-    """(psi1, psi2, xi, phi1, phi2, eta) at an exceptional pair."""
-    psi1, psi2 = eigenfunctions_H(rec, a)
-    phi1, phi2 = eigenfunctions_Hstar(rec, a)
-    return psi1, psi2, generalized_xi(rec, a), phi1, phi2, generalized_eta(rec, a)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ Keeping the terms symbolic gives
     reproduce, instead of quadrature error polluting both sides.
 
 A family of such functions is kept as one `Stack` (each piece's rows of all
-members, with their owners) to be sliced and integrated as a whole, and
-`norms_l2` norms many functions from one Gram matrix of their terms.
+members, with their owners) to be sliced, joined, summed, differentiated,
+sampled and integrated as a whole; its merge sums equal keys per owner,
+so a difference of two families cancels key by key, and `norms_l2` norms
+all members from one Gram matrix of their terms.  A PiecewiseTrig is
+evaluated as a one-member Stack.
 
 Composite Gauss-Lobatto grids (`grid_nodes`) discretize what has no
 closed form (the resolvent's output nodes and the kernel its SVD probe
@@ -86,23 +89,19 @@ class Terms:
 
     def merged(self) -> "Terms":
         """Sum equal keys in order of appearance; drop zero coefficients."""
-        q = self.q % 4  # cos(t - pi) = -cos t
-        folded = Terms(self.p, np.where(q >= 2, -self.c, self.c), self.k, self.s, q % 2)
-        if not len(folded):
-            return folded
-        order, starts = folded.key_runs()
-        c = np.add.reduceat(folded.c[order], starts)
-        keep = c != 0
-        first = order[starts[keep]]
-        return Terms(folded.p[first], c[keep], folded.k[first], folded.s[first], folded.q[first])
+        return _merge_rows(self)[0]
 
-    def key_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, starts): the rows stably sorted by key (p, q, k, s), and
-        where each run of equal keys starts in that order."""
-        order = np.lexsort((self.s, self.k, self.q, self.p))
-        p, k, s, q = self.p[order], self.k[order], self.s[order], self.q[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1]) | (k[1:] != k[:-1]) | (s[1:] != s[:-1])
+    def key_runs(self, owners: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): the rows stably sorted by key (p, q, k, s), or by
+        (owner, p, q, k, s) when owners are given, and where each run of
+        equal keys starts in that order."""
+        cols = [self.s, self.k, self.q, self.p] + ([] if owners is None else [owners])
+        order = np.lexsort(cols)
+        new = np.zeros(len(order), dtype=bool)
+        new[:1] = True
+        for col in cols:
+            sorted_col = col[order]
+            new[1:] |= sorted_col[1:] != sorted_col[:-1]
         return order, np.flatnonzero(new)
 
     def __len__(self) -> int:
@@ -121,10 +120,27 @@ class Terms:
         return Terms(self.p, z * self.c, self.k, self.s, self.q)
 
     def derivative(self) -> "Terms":
-        """(c x^p cos(kx+t))' = p c x^(p-1) cos(kx+t) + k c x^p cos(kx+t+pi/2)."""
+        """Rows of the derivative, not merged: the power rows, then the wave
+        rows, by (c x^p cos(kx+t))' = p c x^(p-1) cos(kx+t) + k c x^p cos(kx+t+pi/2)."""
         power = Terms(np.maximum(self.p - 1, 0), self.p * self.c, self.k, self.s, self.q)
         wave = Terms(self.p, self.k * self.c, self.k, self.s, self.q - 1)
-        return Terms.concat((power, wave)).merged()
+        return Terms.concat((power, wave))
+
+
+def _merge_rows(terms: Terms, owners: np.ndarray | None = None) -> tuple[Terms, np.ndarray | None]:
+    """Terms.merged per owner: q folded mod 4 (two quarter turns are a
+    sign), equal (owner, p, q, k, s) rows summed in order of appearance,
+    zero coefficients dropped; the rows come out sorted by owner, then key."""
+    q = terms.q % 4  # cos(t - pi) = -cos t
+    folded = Terms(terms.p, np.where(q >= 2, -terms.c, terms.c), terms.k, terms.s, q % 2)
+    if not len(folded):
+        return folded, owners
+    order, starts = folded.key_runs(owners)
+    c = np.add.reduceat(folded.c[order], starts)
+    keep = c != 0
+    first = order[starts[keep]]
+    merged = Terms(folded.p[first], c[keep], folded.k[first], folded.s[first], folded.q[first])
+    return merged, None if owners is None else owners[first]
 
 
 def _term(p: int, c: complex, k: float, s: float, q: int) -> Terms:
@@ -148,16 +164,19 @@ def sin_term(c: complex, k: float, s: float = 0.0) -> Terms:
     return _term(0, c, k, s, 1)
 
 
-def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of a term sum; only the p = 1 columns are
-    multiplied by x, since x^0 = 1."""
-    x = np.asarray(x, dtype=float)
-    phase = t.s - t.q * HALF_PI
-    basis = np.cos(np.multiply.outer(x, t.k) + phase)
+def _basis(t: Terms, x: np.ndarray) -> np.ndarray:
+    """x^p cos(kx + s - q pi/2) of every row at every point, (len(x), len(t));
+    only the p = 1 columns are multiplied by x, since x^0 = 1."""
+    basis = np.cos(np.multiply.outer(x, t.k) + (t.s - t.q * HALF_PI))
     linear = t.p == 1
     if linear.any():
         basis[..., linear] *= x[..., None]
-    return basis @ t.c
+    return basis
+
+
+def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation of a term sum."""
+    return _basis(t, np.asarray(x, dtype=float)) @ t.c
 
 
 @dataclass(frozen=True)
@@ -221,27 +240,11 @@ class PiecewiseTrig:
         raise OutOfDomain(f"interval ({lo}, {hi}) outside the domain")
 
     def __call__(self, x):
-        """Evaluate at scalar or array x; at the breakpoint, the mean of the
-        two one-sided limits."""
-        scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if xs.size and (xs.min() < -HALF_PI - 1e-12 or xs.max() > HALF_PI + 1e-12):
-            raise OutOfDomain("evaluation outside [-pi/2, pi/2]")
-        xb = self.breakpoint
-        if xb is None:
-            out = eval_terms(self.pieces[0].terms, xs)
-        else:
-            out = np.zeros(xs.shape, dtype=complex)
-            left = xs < xb
-            out[left] = eval_terms(self.pieces[0].terms, xs[left])
-            right = ~left
-            out[right] = eval_terms(self.pieces[1].terms, xs[right])
-            at_b = xs == xb
-            if np.any(at_b):
-                lo_v = eval_terms(self.pieces[0].terms, xs[at_b])
-                hi_v = eval_terms(self.pieces[1].terms, xs[at_b])
-                out[at_b] = 0.5 * (lo_v + hi_v)
-        return complex(out[0]) if scalar else out
+        """Evaluate at scalar or array x (Stack.values of this one function);
+        at the breakpoint, the mean of the two one-sided limits."""
+        xs = np.asarray(x, dtype=float)
+        out = Stack.of([self]).values(xs.ravel())[0].reshape(xs.shape)
+        return complex(out) if np.isscalar(x) else out
 
     def one_sided(self, x: float, side: int) -> complex:
         """Limit from the left (side=-1) or right (side=+1) at x."""
@@ -255,12 +258,7 @@ class PiecewiseTrig:
         return complex(eval_terms(piece.terms, np.array([x]))[0])
 
     def derivative(self, order: int = 1) -> "PiecewiseTrig":
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        pieces = self.pieces
-        for _ in range(order):
-            pieces = tuple(Piece(p.lo, p.hi, p.terms.derivative()) for p in pieces)
-        return PiecewiseTrig(pieces)
+        return Stack.of([self]).derivative(order).fn(0)
 
     def scaled(self, c: complex) -> "PiecewiseTrig":
         return PiecewiseTrig(tuple(Piece(p.lo, p.hi, p.terms.scaled(c)) for p in self.pieces))
@@ -452,6 +450,80 @@ class Stack:
         return PiecewiseTrig(tuple(Piece(lo, hi, terms[slice(*np.searchsorted(owners, [j, j + 1]))])
                                    for lo, hi, terms, owners in self.pieces))
 
+    @classmethod
+    def join(cls, stacks: Sequence["Stack"]) -> "Stack":
+        """The functions of all stacks, in order, on their common partition."""
+        offsets = np.cumsum([0] + [s.count for s in stacks])
+        return cls._rows_of(stacks, offsets[:-1], int(offsets[-1]))
+
+    @classmethod
+    def total(cls, stacks: Sequence["Stack"]) -> "Stack":
+        """Member-wise sum of stacks of equal count: per owner, the rows of
+        all stacks in order, merged once."""
+        return cls._rows_of(stacks, [0] * len(stacks), stacks[0].count).merged()
+
+    @classmethod
+    def _rows_of(cls, stacks: Sequence["Stack"], offsets, count: int) -> "Stack":
+        """Per segment of the common partition, the rows of all stacks in
+        order, each stack's owners shifted by its offset (not re-sorted)."""
+        edges = sorted({x for s in stacks for lo, hi, *_ in s.pieces for x in (lo, hi)})
+        pieces = []
+        for lo, hi in zip(edges, edges[1:]):
+            parts = [s.on(lo, hi) for s in stacks]
+            pieces.append((lo, hi, Terms.concat([t for t, _ in parts]),
+                           np.concatenate([o + off for (_, o), off in zip(parts, offsets)])))
+        return cls(tuple(pieces), count)
+
+    def merged(self) -> "Stack":
+        """Each function's rows merged as Terms.merged merges them, so equal
+        keys of one owner sum in order of appearance (a difference cancels
+        key by key) and no key is summed across owners."""
+        return Stack(tuple((lo, hi, *_merge_rows(t, o)) for lo, hi, t, o in self.pieces),
+                     self.count)
+
+    def scaled(self, z) -> "Stack":
+        """Function j times z, or times z[j] for an array of count factors."""
+        z = np.asarray(z)
+        return Stack(tuple((lo, hi, t.scaled(z[o] if z.ndim else z), o)
+                           for lo, hi, t, o in self.pieces), self.count)
+
+    def derivative(self, order: int = 1) -> "Stack":
+        """Each function's derivative of order 1 or 2, merged per owner."""
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        out = self
+        for _ in range(order):
+            out = Stack(tuple((lo, hi, t.derivative(), np.concatenate((o, o)))
+                              for lo, hi, t, o in out.pieces), self.count).merged()
+        return out
+
+    @property
+    def kmax(self) -> float:
+        """The largest frequency of any row (0 for no rows)."""
+        return max((float(t.k.max()) for _, _, t, _ in self.pieces if len(t)), default=0.0)
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        """(count, len(xs)) values at the points xs; at an interior edge,
+        the mean of the two one-sided values."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.size and (xs.min() < -HALF_PI - 1e-12 or xs.max() > HALF_PI + 1e-12):
+            raise OutOfDomain("evaluation outside [-pi/2, pi/2]")
+        piece, on_cut = np.zeros(len(xs), dtype=int), np.zeros(len(xs), dtype=bool)
+        for lo, *_ in self.pieces[1:]:  # a point on a cut goes right
+            piece += xs >= lo
+            on_cut |= xs == lo
+        out = np.zeros((len(xs), self.count), dtype=complex)
+        for i, (_, _, terms, owners) in enumerate(self.pieces):
+            # the piece's points and, at half weight, the cut that closes it
+            at = (piece == i) | (on_cut & (piece == i + 1))
+            at = slice(None) if at.all() else at  # a view, not a copy, for one piece
+            coef = np.zeros((len(terms), self.count), dtype=complex)  # row r feeds its owner
+            coef[np.arange(len(terms)), owners] = terms.c
+            vals = _basis(terms, xs[at]) @ coef
+            vals[on_cut[at]] *= 0.5
+            out[at] += vals
+        return out.T
+
 
 def _group_starts(owners: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
@@ -479,26 +551,25 @@ def inner_matrix(fs: Sequence[PiecewiseTrig] | Stack,
     return out
 
 
-def norm_l2(f: PiecewiseTrig) -> float:
-    return math.sqrt(max(inner_closed(f, f).real, 0.0))
-
-
-def norms_l2(fns: Sequence[PiecewiseTrig]) -> np.ndarray:
-    """L2 norms of many functions from one term Gram per segment: with I
-    the integrals of conj(t_u) t_v over the distinct keys (p, q, k, s) of
-    all their terms and c_f the coefficients of f on those keys,
-    ||f||^2 = c_f^H I c_f.  norm_l2's sums in another order, from one
-    kernel pass over the keys' pairs; functions that share most of their
-    terms, such as the remainders of one expansion, share most of I."""
-    squares = np.zeros(len(fns))
-    for lo, hi, terms, owners in Stack.of(fns).pieces:
+def norms_l2(fns: Sequence[PiecewiseTrig] | Stack) -> np.ndarray:
+    """L2 norms of many functions (a Stack, or a sequence that goes through
+    Stack.of) from one term Gram per segment: with I the integrals of
+    conj(t_u) t_v over the distinct keys (p, q, k, s) of all their terms
+    and c_f the coefficients of f on those keys, ||f||^2 = c_f^H I c_f.
+    inner_closed(f, f) sums the same integrals in another order; here one
+    kernel pass over the keys' pairs serves all functions, and functions
+    that share most of their terms, such as the remainders of one
+    expansion, share most of I."""
+    stack = fns if isinstance(fns, Stack) else Stack.of(fns)
+    squares = np.zeros(stack.count)
+    for lo, hi, terms, owners in stack.pieces:
         order, starts = terms.key_runs()
         keys = terms[order[starts]]
         keys.c = np.ones(len(keys), dtype=complex)
         gram = np.empty((len(keys), len(keys)), dtype=complex)
         for rows, vals in _pair_blocks(keys, keys, lo, hi):
             gram[rows] = vals
-        coef = np.zeros((len(keys), len(fns)), dtype=complex)
+        coef = np.zeros((len(keys), stack.count), dtype=complex)
         key = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
         np.add.at(coef, (key, owners[order]), terms.c[order])
         squares += np.real(np.sum(np.conj(coef) * (gram @ coef), axis=0))
@@ -554,26 +625,31 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
     return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
 
 
-def _max_freq(f: PiecewiseTrig) -> float:
-    return max((float(p.terms.k.max()) for p in f.pieces if len(p.terms)), default=0.0)
-
-
-def quad_gram(fns: Sequence[PiecewiseTrig | Callable], a: ParamA | float,
+def quad_gram(fns: Stack | Sequence[PiecewiseTrig | Callable], a: ParamA | float,
               max_rounds: int = 6) -> np.ndarray:
     """Hermitian matrix of (f_j, f_k) by quadrature with panel doubling.
 
-    Each round builds one grid and samples every function once on it,
-    starting from QUAD_START_NODES nodes; the refinement stops when every
-    entry moves by at most QUAD_TARGET * max(1, |entry|).  Independent
-    numerical route used to cross-check inner_closed and the printed
-    projection norms.
+    Each round builds one grid, panels sized by the largest frequency of
+    the family, and samples the family once on it (`Stack.values`; a list
+    of PiecewiseTrigs goes through Stack.of, a list with other callables
+    is sampled one function at a time), starting from QUAD_START_NODES
+    nodes; the refinement stops when every entry moves by at most
+    QUAD_TARGET * max(1, |entry|).  Independent numerical route used to
+    cross-check inner_closed and the printed projection norms.
     """
-    kmax = max((_max_freq(f) for f in fns if isinstance(f, PiecewiseTrig)), default=0.0)
+    if isinstance(fns, Stack) or all(isinstance(f, PiecewiseTrig) for f in fns):
+        stack = fns if isinstance(fns, Stack) else Stack.of(fns)
+        kmax, sample = stack.kmax, stack.values
+    else:
+        kmax = Stack.of([f for f in fns if isinstance(f, PiecewiseTrig)]).kmax
+
+        def sample(xs):
+            return np.array([np.asarray(f(xs), dtype=complex) for f in fns])
     n = QUAD_START_NODES
     prev = None
     for _ in range(max_rounds):
         nodes, weights = grid_nodes(a, n, kmax)
-        vals = np.array([np.asarray(f(nodes), dtype=complex) for f in fns])
+        vals = sample(nodes)
         cur = (np.conj(vals) * weights) @ vals.T
         if prev is not None and np.all(
                 np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
@@ -582,41 +658,3 @@ def quad_gram(fns: Sequence[PiecewiseTrig | Callable], a: ParamA | float,
         n *= 2
     raise QuadratureNotConverged(
         f"inner products did not stabilize to {QUAD_TARGET} within {max_rounds} refinements")
-
-
-# ---------------------------------------------------------------------------
-# domain membership
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DomainReport:
-    in_domain: bool
-    violations: list[str]
-    max_violation: float
-
-
-def _domain_report(f: PiecewiseTrig, tol: float,
-                   deviations: dict[str, float]) -> DomainReport:
-    """Deviations above tol times the sup of |f| (at least 1) are violations."""
-    scale = max(1.0, float(np.max(np.abs(f(np.linspace(-HALF_PI, HALF_PI, 257))))))
-    viol = [f"{label}: deviation {dev:.3e}" for label, dev in deviations.items()
-            if dev > tol * scale]
-    return DomainReport(not viol, viol, max(deviations.values()))
-
-
-def validate_domain_H(f: PiecewiseTrig, a: ParamA | float,
-                      tol: float = 1e-10) -> DomainReport:
-    """Membership in the operator domain: globally C1 across the restart
-    point (two-piece H2 smoothness) plus the three-point condition
-    f(-pi/2) = f(pi*a/2) = f(pi/2)."""
-    xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
-    v_left, v_right = f.one_sided(xb, -1), f.one_sided(xb, +1)
-    v_b = 0.5 * (v_left + v_right)
-    df = f.derivative(1)
-    return _domain_report(f, tol, {
-        "value continuity at restart point": abs(v_left - v_right),
-        "derivative continuity at restart point":
-            abs(df.one_sided(xb, -1) - df.one_sided(xb, +1)),
-        "boundary condition f(-pi/2) = f(pi*a/2)": abs(f.one_sided(-HALF_PI, +1) - v_b),
-        "boundary condition f(pi/2) = f(pi*a/2)": abs(f.one_sided(HALF_PI, -1) - v_b),
-    })

@@ -9,7 +9,10 @@ P0, P-, P+ antisymmetrize about the interval center, the left-piece
 center, and the right-piece center.  On symbolic inputs every reflection
 is an exact term rewrite, so Theta, H* Theta, and Theta H are all closed
 forms and the intertwining residual is measured at machine precision with
-no interpolation.
+no interpolation.  Theta acts on a whole funcspace.Stack at once: P0 and
+P- (+) P+ rewrite every member's rows, the rank-one coefficients come from
+one inner_matrix call, and one merge per owner sums the three parts;
+`MetricOp.apply` is the one-member case.
 
 (f, Theta f) = |(phi0,f)|^2 + ||P0 f||^2 + ||P- f (+) P+ f||^2 cannot be
 negative, so positivity on arbitrary inputs shows nothing.  What the paper
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (
-    PiecewiseTrig, Terms, inner_closed, inner_matrix, norm_l2, validate_domain_H,
+    PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix, norms_l2,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents, family_angle
 from jumpspec.eigensystem import BiorthFamily, phi_zero_mode
@@ -60,44 +63,67 @@ class DomainViolation(ValueError):
 # ---------------------------------------------------------------------------
 
 def reflect_terms(terms: Terms, s: float) -> Terms:
-    """Terms of x -> f(s - x) for a term sum f.
+    """Rows of x -> f(s - x) for a term sum f, not merged.
 
     (s - x)^p cos(k(s - x) + t - q pi/2) = (s^p - p x) cos(kx - (ks + t) + q pi/2):
     each term keeps k, takes the shift -(ks + t) and the quarter turns -q,
-    and splits into an x^0 part with coefficient c s^p and an x^1 part with
-    coefficient -p c (zero, so dropped, when p = 0).
+    and splits into an x^0 row with coefficient c s^p and an x^1 row with
+    coefficient -p c (zero, so dropped by a merge, when p = 0).
     """
     shift, quarter = -(terms.k * s + terms.s), -terms.q
     flat = Terms(np.zeros_like(terms.p), terms.c * s ** terms.p, terms.k, shift, quarter)
     sloped = Terms(np.ones_like(terms.p), -terms.p * terms.c, terms.k, shift, quarter)
-    return Terms.concat((flat, sloped)).merged()
+    return Terms.concat((flat, sloped))
 
 
-def _require_single_piece(f: PiecewiseTrig) -> Terms:
-    if f.breakpoint is not None:
+def _single_piece(fs: Stack) -> tuple[Terms, np.ndarray]:
+    if len(fs.pieces) != 1:
         raise DomainViolation(
             "symbolic metric application needs a single-piece representation "
             "(operator-domain functions are globally smooth)")
-    return f.pieces[0].terms
+    return fs.pieces[0][2:]
 
 
-def _antisymmetrize(terms: Terms, s: float) -> Terms:
-    """(f(x) - f(s - x))/2."""
-    return Terms.concat((terms.scaled(0.5), reflect_terms(terms, s).scaled(-0.5))).merged()
+def _antisymmetric_rows(fs: Stack, s: float) -> tuple[Terms, np.ndarray]:
+    """Rows of (f_j(x) - f_j(s - x))/2 for every member, in owner order and
+    not merged: per owner, the halved rows of f_j, then its reflected rows."""
+    terms, owners = _single_piece(fs)
+    rows = Terms.concat((terms.scaled(0.5), reflect_terms(terms, s).scaled(-0.5)))
+    owners = np.concatenate((owners, owners, owners))
+    order = np.argsort(owners, kind="stable")
+    return rows[order], owners[order]
 
 
-def project_center(f: PiecewiseTrig) -> PiecewiseTrig:
-    """P0 f = (f - f(-x))/2 on the whole interval."""
-    return PiecewiseTrig.single(_antisymmetrize(_require_single_piece(f), 0.0))
+def project_center(fs: Stack) -> Stack:
+    """P0 f_j = (f_j - f_j(-x))/2 on the whole interval, as rows not yet merged."""
+    return Stack(((-HALF_PI, HALF_PI, *_antisymmetric_rows(fs, 0.0)),), fs.count)
 
 
-def project_pieces(f: PiecewiseTrig, a: ParamA) -> PiecewiseTrig:
-    """(P- (+) P+) f: antisymmetrize each piece about its own center."""
-    terms = _require_single_piece(f)
+def project_pieces(fs: Stack, a: ParamA) -> Stack:
+    """(P- (+) P+) f_j: each piece antisymmetrized about its own center, as
+    rows not yet merged."""
     av = a.value
-    return PiecewiseTrig.split(HALF_PI * av,
-                               _antisymmetrize(terms, -HALF_PI * (1 - av)),
-                               _antisymmetrize(terms, HALF_PI * (1 + av)))
+    xb = HALF_PI * av
+    return Stack(((-HALF_PI, xb, *_antisymmetric_rows(fs, -HALF_PI * (1 - av))),
+                  (xb, HALF_PI, *_antisymmetric_rows(fs, HALF_PI * (1 + av)))), fs.count)
+
+
+def _require_domain(fs: Stack, a: ParamA, tol: float = 1e-9) -> None:
+    """DomainViolation unless every f_j of a single-piece Stack meets the
+    three-point condition f(-pi/2) = f(pi*a/2) = f(pi/2) to tol times
+    max(1, sup |f_j|), the sup read on 257 points; all members are sampled
+    in one pass.  (A single piece is C1 across the restart point.)"""
+    _single_piece(fs)
+    xb = HALF_PI * a.value
+    vals = fs.values(np.concatenate(([-HALF_PI, xb, HALF_PI],
+                                     np.linspace(-HALF_PI, HALF_PI, 257))))
+    scale = np.maximum(1.0, np.abs(vals[:, 3:]).max(axis=1, initial=0.0))
+    deviation = np.abs(vals[:, [0, 2]] - vals[:, [1]])
+    bad = np.argwhere(deviation > tol * scale[:, None])
+    if len(bad):
+        raise DomainViolation("; ".join(
+            f"f_{j}: boundary condition f({'-' if end == 0 else ''}pi/2) = f(pi*a/2): "
+            f"deviation {deviation[j, end]:.3e}" for j, end in bad))
 
 
 @dataclass(frozen=True)
@@ -111,30 +137,41 @@ class MetricOp:
     def build(cls, a: ParamA) -> "MetricOp":
         return cls(a=a, phi0=phi_zero_mode(a, 1.0))
 
-    def apply(self, f: PiecewiseTrig) -> PiecewiseTrig:
-        """Theta f for a single-piece symbolic f; exact two-piece output."""
-        coef = inner_closed(self.phi0, f)
-        rank_one = self.phi0.scaled(coef)
-        return rank_one + project_center(f) + project_pieces(f, self.a)
+    def apply_all(self, fs: Stack) -> Stack:
+        """Theta f_j for every member of a single-piece Stack; exact
+        two-piece output.  The rank-one coefficients (phi0, f_j) come from
+        one inner_matrix call; the rows of P0 f_j, of (P- (+) P+) f_j and of
+        phi0 (phi0, f_j) are merged once per owner."""
+        coef = inner_matrix([self.phi0], fs)[0]
+        rank_one = Stack.of([self.phi0] * fs.count).scaled(coef)
+        return Stack.total((project_center(fs), project_pieces(fs, self.a), rank_one))
 
-    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig,
-                                        theta_psi: PiecewiseTrig | None = None) -> float:
-        """||H* Theta psi - Theta H psi||_2, all derivatives symbolic;
-        theta_psi is Theta psi when the caller has already applied it."""
-        report = validate_domain_H(psi, self.a, tol=1e-9)
-        if not report.in_domain:
-            raise DomainViolation("; ".join(report.violations))
-        if theta_psi is None:
-            theta_psi = self.apply(psi)
-        lhs = theta_psi.derivative(2).scaled(-1.0)
-        rhs = self.apply(psi.derivative(2).scaled(-1.0))
-        return norm_l2(lhs - rhs)
+    def apply(self, f: PiecewiseTrig) -> PiecewiseTrig:
+        """Theta f for a single-piece symbolic f: apply_all of one member."""
+        return self.apply_all(Stack.of([f])).fn(0)
+
+    def intertwining_residuals(self, fs: Stack, theta_fs: Stack | None = None) -> np.ndarray:
+        """||H* Theta f_j - Theta H f_j||_2 for every member, all derivatives
+        symbolic: the differences -(Theta f_j)'' + Theta(f_j'') as one Stack,
+        normed by one norms_l2 call.  theta_fs is apply_all(fs) when the
+        caller has it already.  DomainViolation (`_require_domain`) unless
+        every f_j is in the operator domain."""
+        _require_domain(fs, self.a)
+        if theta_fs is None:
+            theta_fs = self.apply_all(fs)
+        return norms_l2(Stack.total((theta_fs.derivative(2).scaled(-1.0),
+                                     self.apply_all(fs.derivative(2)))))
+
+    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig) -> float:
+        """||H* Theta psi - Theta H psi||_2: intertwining_residuals of one member."""
+        return float(self.intertwining_residuals(Stack.of([psi]))[0])
 
     def root_system_report(self, pairs: BiorthFamily) -> dict:
         """Theta on a biorthogonal family, where Theta psi_j = c_j phi_j.
 
-        Theta psi_j is formed once per forward member, and one inner_matrix
-        call gives M_ij = (psi_i, Theta psi_j) = c_j delta_ij.  Reported:
+        Theta psi_j is formed for the whole family at once (apply_all), and
+        one inner_matrix call gives M_ij = (psi_i, Theta psi_j) = c_j delta_ij.
+        Reported:
 
         - positivity_min: min_j c_j/||psi_j||^2;
         - max_offdiagonal: max over i != j of |M_ij|/(||psi_i|| ||psi_j||);
@@ -146,22 +183,19 @@ class MetricOp:
         - max_intertwining_residual: max_j of the intertwining residual of
           psi_j over ||psi_j||, from the same Theta psi_j.
         """
-        psis = [p.psi.fn for p in pairs]
-        theta_psis = [self.apply(psi) for psi in psis]
-        psi_norms = np.array([norm_l2(psi) for psi in psis])
-        phi_norms = np.array([norm_l2(p.phi.fn) for p in pairs])
-        gram = inner_matrix(psis, theta_psis)
+        theta_psi = self.apply_all(pairs.psi)
+        psi_norms, phi_norms = norms_l2(pairs.psi), norms_l2(pairs.phi)
+        gram = inner_matrix(pairs.psi, theta_psi)
         c_rel = gram.diagonal().real / psi_norms ** 2
         scaled = np.abs(gram) / np.outer(psi_norms, psi_norms)
         np.fill_diagonal(scaled, 0.0)
-        theta_norm = norm_l2(self.phi0) ** 2 + 2
-        residual = max(self.quasi_self_adjointness_residual(psi, tpsi) / norm
-                       for psi, tpsi, norm in zip(psis, theta_psis, psi_norms))
+        theta_norm = inner_closed(self.phi0, self.phi0).real + 2
+        residual = self.intertwining_residuals(pairs.psi, theta_psi) / psi_norms
         return {
             "positivity_min": float(c_rel.min()),
             "max_offdiagonal": float(scaled.max()),
             "max_kappa_ratio": float(np.max(c_rel * psi_norms * phi_norms) / theta_norm),
-            "max_intertwining_residual": float(residual),
+            "max_intertwining_residual": float(residual.max()),
         }
 
 

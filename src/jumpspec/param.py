@@ -33,9 +33,11 @@ Usage errors (ValueError): an unknown symbol or character, a malformed or
 incomplete expression, division by zero, sqrt of a negative value, more
 than MAX_NESTING nested groups, and a value outside (-1, 1).  The signs
 behind the last three are decided exactly wherever the operand is
-rational, otherwise from its mpf value.  Rounding noise is refused too: an
-irrational value 0, or one that moves in its leading WORK_DPS/2 digits at
-twice the precision, as when irrational terms cancel.
+rational, otherwise from its mpf value.  A value inside (-1, 1) whose
+double rounds to +-1 is refused as well (every formula divides by 1 -+ a),
+and so is rounding noise: an irrational value 0, or one that moves in its
+leading WORK_DPS/2 digits at twice the precision, as when irrational terms
+cancel (sqrt(70)*sqrt(70)/70 reads 1 - 1e-60 at WORK_DPS digits).
 """
 
 from __future__ import annotations
@@ -196,6 +198,15 @@ class _Parser:
 # the parameter
 # ---------------------------------------------------------------------------
 
+def _check_range(exact: Fraction | mp.mpf, text: str) -> None:
+    """ValueError unless exact lies in (-1, 1) with a double other than +-1."""
+    if not abs(exact) < 1:
+        raise ValueError(f"parameter {text!r} = {exact} is outside (-1, 1)")
+    if abs(float(exact)) == 1:
+        raise ValueError(f"parameter {text!r} = {exact} rounds to {float(exact):+g} "
+                         "in double precision, outside (-1, 1)")
+
+
 @dataclass(frozen=True)
 class ParamA:
     """Jump parameter a in (-1, 1) with exact rationality information."""
@@ -208,8 +219,7 @@ class ParamA:
     def from_expr(cls, text: str) -> "ParamA":
         with mp.workdps(WORK_DPS):
             frac, approx = _Parser(text).parse()
-            if not abs(approx if frac is None else frac) < 1:
-                raise ValueError(f"parameter {text!r} = {approx} is outside (-1, 1)")
+            _check_range(approx if frac is None else frac, text)
         if frac is None:  # irrational terms that cancel leave rounding noise
             with mp.workdps(2 * WORK_DPS):
                 finer = _Parser(text).parse()[1]
@@ -222,8 +232,7 @@ class ParamA:
     @classmethod
     def from_fraction(cls, p: int, q: int) -> "ParamA":
         frac = Fraction(p, q)
-        if not abs(frac) < 1:
-            raise ValueError(f"parameter {p}/{q} is outside (-1, 1)")
+        _check_range(frac, f"{p}/{q}")
         return cls(value=float(frac), fraction=frac,
                    source=f"{frac.numerator}/{frac.denominator}")
 

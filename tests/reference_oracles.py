@@ -1,11 +1,14 @@
 """Reference computations that only the tests use.
 
 Some are closed forms and checks of the paper that the package never
-calls: the characteristic determinant, the adjoint domain conditions, the
-printed pairings of an exceptional root space and the injectivity scan
-of the metric over Neumann modes.  The others reach a quantity of the
-package by a second route: the normalized family built pair by pair from
-the printed root vectors, expansion residuals normed one remainder at a
+calls: the characteristic determinant, the operator and adjoint domain
+conditions of one function, the adjoint eigenfunctions and generalized
+vectors of one record, the printed pairings of an exceptional root space
+and the injectivity scan of the metric over Neumann modes.  The others
+reach a quantity of the package by a second route: the normalized family
+built pair by pair from the printed root vectors, expansion residuals
+normed one remainder at a time, the quadrature projection norms one
+record at a time, the metric report on the root system one member at a
 time, the real zeros of the characteristic determinant by dense scan plus
 bisection and its complex zeros by the argument principle, the spectrum
 enumerated by separate rational and float branches with integer-arithmetic
@@ -29,18 +32,20 @@ from fractions import Fraction
 import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
-from jumpspec.eigensystem import _simple_pairing
+from jumpspec.eigensystem import (
+    EigFun, _root_vectors, _simple_pairing, eigenfunctions_H,
+)
 from jumpspec.funcspace import (
-    HALF_PI, DomainReport, PiecewiseTrig, _domain_report, const, cos_term, grid_nodes,
-    inner_closed, inner_matrix, lincomb, norm_l2, sin_term,
+    HALF_PI, PiecewiseTrig, Stack, const, cos_term, grid_nodes, inner_closed, inner_matrix,
+    lincomb, quad_gram, sin_term,
 )
 from jumpspec.metric import MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
 from jumpspec.resolvent import ResolventKernel
 from jumpspec.simulator import _Stepper
-from jumpspec.spectrum import SpectralCase, enumerate_spectrum
+from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
-from util import linear, xcos_term, xsin_term
+from util import linear, norm_l2, xcos_term, xsin_term
 
 
 def char_det(a: ParamA | float, k) -> complex | np.ndarray:
@@ -54,6 +59,40 @@ def char_det(a: ParamA | float, k) -> complex | np.ndarray:
     if det.ndim == 0:
         return complex(det)
     return det
+
+
+@dataclasses.dataclass
+class DomainReport:
+    in_domain: bool
+    violations: list[str]
+    max_violation: float
+
+
+def _domain_report(f: PiecewiseTrig, tol: float,
+                   deviations: dict[str, float]) -> DomainReport:
+    """Deviations above tol times the sup of |f| (at least 1) are violations."""
+    scale = max(1.0, float(np.max(np.abs(f(np.linspace(-HALF_PI, HALF_PI, 257))))))
+    viol = [f"{label}: deviation {dev:.3e}" for label, dev in deviations.items()
+            if dev > tol * scale]
+    return DomainReport(not viol, viol, max(deviations.values()))
+
+
+def validate_domain_H(f: PiecewiseTrig, a: ParamA | float,
+                      tol: float = 1e-10) -> DomainReport:
+    """Membership in the operator domain: globally C1 across the restart
+    point (two-piece H2 smoothness) plus the three-point condition
+    f(-pi/2) = f(pi*a/2) = f(pi/2)."""
+    xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
+    v_left, v_right = f.one_sided(xb, -1), f.one_sided(xb, +1)
+    v_b = 0.5 * (v_left + v_right)
+    df = f.derivative(1)
+    return _domain_report(f, tol, {
+        "value continuity at restart point": abs(v_left - v_right),
+        "derivative continuity at restart point":
+            abs(df.one_sided(xb, -1) - df.one_sided(xb, +1)),
+        "boundary condition f(-pi/2) = f(pi*a/2)": abs(f.one_sided(-HALF_PI, +1) - v_b),
+        "boundary condition f(pi/2) = f(pi*a/2)": abs(f.one_sided(HALF_PI, -1) - v_b),
+    })
 
 
 def validate_domain_Hstar(f: PiecewiseTrig, a: ParamA | float,
@@ -218,7 +257,8 @@ def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
     max_off = 0.0
     max_diag_dev = 0.0
     modes = {n: neumann_mode(n) for n in range(0, cross_n_max + 1, 2)}
-    projected = {n: project_pieces(modes[n], a) for n in modes}
+    stack = project_pieces(Stack.of(list(modes.values())), a)
+    projected = {n: stack.fn(j) for j, n in enumerate(modes)}
     for n, pn in projected.items():
         for m, chim in modes.items():
             val = inner_closed(chim, pn)
@@ -406,3 +446,76 @@ def per_remainder_residuals(f: PiecewiseTrig, pairs, checkpoints: list[int]) -> 
     coeffs = inner_matrix([pair.phi.fn for pair in pairs], [f])[:, 0]
     members = [pair.psi.fn for pair in pairs]
     return {n: norm_l2(lincomb([f, *members[:n]], [1.0, *-coeffs[:n]])) for n in checkpoints}
+
+
+# ---------------------------------------------------------------------------
+# the printed root vectors one record at a time, read off the package's rows
+# ---------------------------------------------------------------------------
+
+def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
+    """Adjoint eigenfunction(s), two-piece representations, raw constants 1."""
+    return _root_vectors(rec, a, 1, slice(0, 2))
+
+
+def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
+    """Root vector xi with (H - lambda) xi = psi2 = cos(kx)."""
+    return _root_vectors(rec, a, 0, slice(2, 3))[0]
+
+
+def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
+    """Dual root vector eta with (H* - lambda) eta = phi1 + phi2.
+
+    Admissibility forces A_minus (1+a) = -A_plus (1-a); eta takes
+    A_minus = 1-a, A_plus = -(1+a).  The phi1, phi2 on the right-hand side
+    carry these same constants.
+    """
+    return _root_vectors(rec, a, 1, slice(2, 3))[0]
+
+
+def root_system(rec: EigRecord, a: ParamA):
+    """(psi1, psi2, xi, phi1, phi2, eta) at an exceptional pair."""
+    psi1, psi2 = eigenfunctions_H(rec, a)
+    phi1, phi2 = eigenfunctions_Hstar(rec, a)
+    return psi1, psi2, generalized_xi(rec, a), phi1, phi2, generalized_eta(rec, a)
+
+
+# ---------------------------------------------------------------------------
+# projection norms and the metric report one member at a time
+# ---------------------------------------------------------------------------
+
+def per_record_quadrature_norms(a: ParamA, lambda_max: float) -> list[float]:
+    """The quadrature side of `projection_norms`, record by record from the
+    printed vectors: ||psi|| ||phi|| / |(phi, psi)| from one quad_gram of
+    the pair alone, on a grid sized by the pair's own frequency."""
+    out = []
+    for rec in enumerate_spectrum(a, lambda_max):
+        fwd, adj = printed_root_vectors(rec, a)
+        partners = adj if len(adj) == 1 else [adj[0], adj[2], adj[1]]
+        for psi, phi in zip(fwd, partners):
+            g = quad_gram([psi, phi], a)
+            out.append(math.sqrt(g[0, 0].real) * math.sqrt(g[1, 1].real) / abs(complex(g[1, 0])))
+    return out
+
+
+def per_member_metric_report(a: ParamA, pairs) -> dict:
+    """The four numbers of `MetricOp.root_system_report`, with Theta, the
+    norms and the intertwining residual taken one member at a time
+    (MetricOp.apply, norm_l2, quasi_self_adjointness_residual)."""
+    op = MetricOp.build(a)
+    psis = [pair.psi.fn for pair in pairs]
+    theta_psis = [op.apply(psi) for psi in psis]
+    psi_norms = np.array([norm_l2(psi) for psi in psis])
+    phi_norms = np.array([norm_l2(pair.phi.fn) for pair in pairs])
+    gram = inner_matrix(psis, theta_psis)
+    c_rel = gram.diagonal().real / psi_norms ** 2
+    scaled = np.abs(gram) / np.outer(psi_norms, psi_norms)
+    np.fill_diagonal(scaled, 0.0)
+    residual = max(op.quasi_self_adjointness_residual(psi) / norm
+                   for psi, norm in zip(psis, psi_norms))
+    return {
+        "positivity_min": float(c_rel.min()),
+        "max_offdiagonal": float(scaled.max()),
+        "max_kappa_ratio": float(np.max(c_rel * psi_norms * phi_norms)
+                                 / (norm_l2(op.phi0) ** 2 + 2)),
+        "max_intertwining_residual": float(residual),
+    }

@@ -5,14 +5,17 @@ import pytest
 
 from jumpspec import basis_diag, funcspace
 from jumpspec.basis_diag import (
-    Which, blowup_probe, expansion_residuals, proj_norm_zero_generic,
-    projection_norm, random_smooth_probe, rational_bound_check, truncated_completeness,
+    Which, blowup_probe, expansion_residuals, proj_norm_zero_generic, projection_norm,
+    projection_norms, random_smooth_probe, rational_bound_check, truncated_completeness,
 )
-from jumpspec.eigensystem import biorthogonalize, generalized_xi
+from jumpspec.eigensystem import biorthogonalize
 from jumpspec.param import NotIrrational, ParamA
-from jumpspec.spectrum import enumerate_spectrum
+from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
-from reference_oracles import generic_norm_median, per_remainder_residuals
+from reference_oracles import (
+    generalized_xi, generic_norm_median, per_record_quadrature_norms, per_remainder_residuals,
+)
+from util import norm_l2
 
 
 def record_at(a, lam, lam_max=100.0):
@@ -59,6 +62,45 @@ def test_all_norms_dominate_one():
             for pn in projection_norm(rec, a):
                 assert pn.closed_form >= 1.0 - 1e-12
                 assert abs(pn.closed_form - pn.quadrature) / pn.closed_form < 1e-8
+
+
+DIFFERENTIAL_PARAMS = ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "1/3", "0", "2/5", "-3/7"]
+
+
+@pytest.mark.parametrize("expr", DIFFERENTIAL_PARAMS)
+def test_stacked_quadrature_norms_match_the_per_record_oracle(expr):
+    # one Gram matrix on the whole family's grid against one per record on
+    # the record's own grid; measured at most 6.5e-15 (1/pi)
+    a = ParamA.from_expr(expr)
+    stacked = [pn.quadrature for pn in projection_norms(a, 900.0)]
+    oracle = per_record_quadrature_norms(a, 900.0)
+    assert len(stacked) == len(oracle) >= 30
+    for got, want in zip(stacked, oracle):
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_projection_norms_build_and_sample_the_family_once(monkeypatch):
+    # one root-vector pass and one quadrature Gram matrix for all records,
+    # however many there are
+    chains, grams = [], []
+    real_chains, real_gram = basis_diag._chains, basis_diag.quad_gram
+
+    def counting_chains(a, records):
+        chains.append(len(records))
+        return real_chains(a, records)
+
+    def counting_gram(fns, a):
+        grams.append(fns.count)
+        return real_gram(fns, a)
+
+    monkeypatch.setattr(basis_diag, "_chains", counting_chains)
+    monkeypatch.setattr(basis_diag, "quad_gram", counting_gram)
+    a = ParamA.from_expr("1/3")
+    rows = projection_norms(a, 900.0)
+    records = enumerate_spectrum(a, 900.0)
+    assert chains == [len(records)] and grams == [2 * len(rows)]
+    assert len(rows) == len(records) + 2 * sum(
+        rec.case is SpectralCase.EXCEPTIONAL_PAIR for rec in records) > len(records)
 
 
 def test_triple_norm_large_m_limits():
@@ -179,7 +221,6 @@ def test_excluding_generalized_vectors_blocks_completeness():
     full, = expansion_residuals([xi], pairs, [12, 24, 48], include_generalized=True)
     reduced, = expansion_residuals([xi], pairs, [12, 24, 48], include_generalized=False)
     assert full[48] < 1e-9
-    from jumpspec.funcspace import norm_l2
     floor = norm_l2(xi)
     for n_cut in (12, 24, 48):
         assert reduced[n_cut] == pytest.approx(floor, rel=1e-6)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec import metric, resolvent, simulator, spectrum
+from jumpspec import basis_diag, metric, resolvent, simulator, spectrum
 from jumpspec.cli import Manifest, main
-from jumpspec.funcspace import PiecewiseTrig, grid_nodes
+from jumpspec.funcspace import grid_nodes
 from jumpspec.param import ParamA
 
 
@@ -142,7 +142,7 @@ def test_metric_check_reads_no_random_input(tmp_path):
 
 def test_metric_contract_failure_exits_1(tmp_path, monkeypatch):
     # P0 dropped: Theta is no longer injective on the family
-    monkeypatch.setattr(metric, "project_center", lambda f: PiecewiseTrig.zero())
+    monkeypatch.setattr(metric, "project_center", lambda fs: fs.scaled(0.0))
     out = tmp_path / "mf"
     assert run_cli(["metric-check", "--a", "sqrt(2)-1", "--lambda-max", "60",
                     "--convergents", "4", "--out", str(out)]) == 1
@@ -390,6 +390,35 @@ def test_blowup_check_without_modes_is_a_usage_error(tmp_path):
     assert run_cli(["basis", "--a", "1/3", "--blowup", "--m-max", "0", "--lambda-max", "50",
                     "--out", str(tmp_path / "m0")]) == 2
     assert not (tmp_path / "m0").exists()
+
+
+@pytest.mark.parametrize("m_max", ["0", str(basis_diag.MAX_BOUND_M + 1), "100000000"])
+def test_blowup_work_cap_is_checked_before_any_work(tmp_path, monkeypatch, capsys, m_max):
+    # m_max = 10^8 would run for hours; neither the bound loop nor the
+    # projection norms may start, and nothing is written
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a refused run")
+
+    monkeypatch.setattr(basis_diag, "projection_norms", no_work)
+    monkeypatch.setattr(basis_diag, "family_angle", no_work)
+    out = tmp_path / "capped"
+    assert run_cli(["basis", "--a", "1/3", "--blowup", "--m-max", m_max,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "m_max" in capsys.readouterr().err
+
+
+def test_blowup_at_the_work_cap_is_accepted(monkeypatch):
+    # the cap itself passes the argument check and reaches the bound loop
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(basis_diag, "is_exceptional", started)
+    with pytest.raises(Started):
+        basis_diag.rational_bound_check(ParamA.from_expr("1/3"), basis_diag.MAX_BOUND_M)
 
 
 def test_blowup_convergent_count_is_checked_before_any_output(tmp_path):

@@ -5,21 +5,19 @@ import pytest
 
 from jumpspec import funcspace
 from jumpspec.eigensystem import (
-    CaseMismatch, biorthogonalize, eigenfunctions_H, eigenfunctions_Hstar,
-    generalized_eta, generalized_xi, gram_matrix, pairing_class_generic,
-    pairing_zero_zero, root_system,
+    CaseMismatch, biorthogonalize, eigenfunctions_H, gram_matrix, pairing_class_generic,
+    pairing_zero_zero,
 )
-from jumpspec.funcspace import (
-    PiecewiseTrig, inner_closed, inner_matrix, norm_l2, validate_domain_H,
-)
+from jumpspec.funcspace import PiecewiseTrig, inner_closed, inner_matrix
 from jumpspec.param import ParamA
 from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
 from reference_oracles import (
-    pairing_eta_psi2, pairing_minus_exceptional, pairing_minus_generalised, per_pair_family,
-    printed_root_vectors, validate_domain_Hstar,
+    eigenfunctions_Hstar, generalized_eta, generalized_xi, pairing_eta_psi2,
+    pairing_minus_exceptional, pairing_minus_generalised, per_pair_family,
+    printed_root_vectors, root_system, validate_domain_H, validate_domain_Hstar,
 )
-from util import rational_exceptional_config
+from util import norm_l2, rational_exceptional_config
 
 HALF_PI = math.pi / 2
 

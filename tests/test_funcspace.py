@@ -6,14 +6,14 @@ import pytest
 
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
-    HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Terms, const,
+    HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack, Terms, const,
     cos_term, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix,
-    quad_gram, sin_term, validate_domain_H,
+    norms_l2, quad_gram, sin_term,
 )
 from jumpspec.param import ParamA
 
-from reference_oracles import validate_domain_Hstar
-from util import linear, random_trig, xsin_term
+from reference_oracles import validate_domain_H, validate_domain_Hstar
+from util import linear, norm_l2, random_trig, xsin_term
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,82 @@ def test_eval_out_of_domain():
     f = PiecewiseTrig.single([const(1.0)])
     with pytest.raises(OutOfDomain):
         f(2.0)
+    with pytest.raises(OutOfDomain):
+        Stack.of([f]).values(np.array([0.0, -2.0]))
+
+
+def _mixed_family(rng, xb: float) -> list[PiecewiseTrig]:
+    """Single-piece functions, one cut at xb (continuous there, with a kink
+    of slope 2) and an empty one."""
+    fns = [random_trig(rng) for _ in range(3)]
+    smooth = random_trig(rng).pieces[0].terms
+    fns += [PiecewiseTrig.split(xb, smooth, [smooth, linear(2.0), const(-2.0 * xb)]),
+            PiecewiseTrig.zero()]
+    return fns
+
+
+def test_stack_values_are_each_functions_piece_values():
+    # points on both pieces, at the outer ends and at the cut, where the
+    # value is the mean of the two one-sided ones
+    rng = np.random.default_rng(21)
+    xb = 0.3
+    fns = _mixed_family(rng, xb) + [PiecewiseTrig.split(xb, [const(1.0)], [linear(1.0)])]
+    xs = np.concatenate([[-HALF_PI, xb, HALF_PI, 0.0], rng.uniform(-HALF_PI, HALF_PI, 40)])
+    vals = Stack.of(fns).values(xs)
+    assert vals.shape == (len(fns), len(xs))
+    for f, row in zip(fns, vals):
+        left, right = (eval_terms(p.terms, xs) for p in (f.pieces[0], f.pieces[-1]))
+        want = np.where(xs < xb, left, right) if f.breakpoint is not None else left
+        if f.breakpoint is not None:
+            want[xs == xb] = 0.5 * (left[xs == xb] + right[xs == xb])
+        assert np.allclose(row, want, rtol=0, atol=1e-14)
+        # the one-member stack of f sums in another BLAS blocking
+        assert np.allclose(f(xs), row, rtol=0, atol=1e-14)
+        assert f(float(xs[5])) == pytest.approx(row[5], rel=0, abs=1e-14)
+
+
+def _same_rows(stack: Stack, j: int, f: PiecewiseTrig) -> bool:
+    """Whether member j of stack has f's terms on every piece of the stack."""
+    g = stack.fn(j)
+    return all(g.terms_on(lo, hi) == f.terms_on(lo, hi) for lo, hi, *_ in stack.pieces)
+
+
+def test_stack_merge_cancels_a_difference_key_by_key():
+    # f - f merged per owner leaves no row at all; f + g keeps each owner's
+    # rows apart and equals the one-function merge of each sum
+    rng = np.random.default_rng(22)
+    fns = _mixed_family(rng, -0.4)
+    stack = Stack.of(fns)
+    assert all(len(t) == 0 for *_, t, _ in Stack.total((stack, stack.scaled(-1.0))).pieces)
+    others = _mixed_family(rng, -0.4)
+    total = Stack.total((stack, Stack.of(others)))
+    for j, (f, g) in enumerate(zip(fns, others)):
+        assert _same_rows(total, j, f + g)
+    # quarter turns fold mod 4: cos(kx - pi) = -cos(kx) cancels cos(kx)
+    turned = Terms(np.array([0, 0]), np.array([1.0, 1.0], dtype=complex),
+                   np.array([2.0, 2.0]), np.array([0.0, 0.0]), np.array([0, 2]))
+    one = Stack(((-HALF_PI, HALF_PI, turned, np.array([0, 0])),), 1)
+    assert len(one.merged().pieces[0][2]) == 0
+
+
+def test_stack_derivative_and_scaling_are_member_wise():
+    rng = np.random.default_rng(23)
+    fns = _mixed_family(rng, 0.1)
+    z = rng.normal(size=len(fns)) + 1j * rng.normal(size=len(fns))
+    d2, scaled = Stack.of(fns).derivative(2), Stack.of(fns).scaled(z)
+    for j, f in enumerate(fns):
+        assert _same_rows(d2, j, f.derivative(2))
+        assert _same_rows(scaled, j, f.scaled(z[j]))
+
+
+def test_stack_join_keeps_every_function_in_order():
+    rng = np.random.default_rng(24)
+    first, second = _mixed_family(rng, 0.1), _mixed_family(rng, 0.1)
+    joined = Stack.join((Stack.of(first), Stack.of(second)))
+    assert joined.count == len(first) + len(second)
+    xs = np.linspace(-HALF_PI, HALF_PI, 33)
+    for j, f in enumerate(first + second):
+        assert np.array_equal(joined.fn(j)(xs), f(xs))
 
 
 def test_one_sided_limits_tent():
@@ -120,6 +196,20 @@ def test_closed_matches_quadrature_random(seed):
         closed = inner_matrix([f, g], [f, g])
         quad = quad_gram([f, g], a)
         assert np.all(np.abs(closed - quad) < 1e-10 * np.maximum(1.0, np.abs(closed)))
+
+
+def test_norms_and_quadrature_take_a_stack_as_its_functions():
+    rng = np.random.default_rng(25)
+    a = ParamA.from_expr("1/pi")
+    fns = _mixed_family(rng, HALF_PI * a.value)
+    stack = Stack.of(fns)
+    assert np.array_equal(norms_l2(stack), norms_l2(fns))
+    assert np.allclose(norms_l2(stack), [norm_l2(f) for f in fns], rtol=1e-13, atol=0)
+    assert np.array_equal(quad_gram(stack, a), quad_gram(fns, a))
+    # other callables are sampled one at a time, on the same grid (the
+    # sums then differ in rounding only)
+    assert np.allclose(quad_gram([*fns[:-1], lambda x: np.zeros_like(x)], a),
+                       quad_gram(fns, a), rtol=1e-14, atol=1e-14)
 
 
 def test_positive_definite():

@@ -5,21 +5,32 @@ import pytest
 
 from jumpspec import metric
 from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
-from jumpspec.funcspace import PiecewiseTrig, const, cos_term, inner_closed, norm_l2
+from jumpspec.funcspace import PiecewiseTrig, Stack, const, cos_term, inner_closed
 from jumpspec.metric import (
     ROUNDING_BOUND, DomainViolation, MetricOp, contract_failures,
-    even_mode_coefficient, noninvertibility_probe, project_center, project_pieces,
+    even_mode_coefficient, noninvertibility_probe,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents
 from jumpspec.spectrum import enumerate_spectrum
 
 from reference_oracles import (
-    injectivity_probe, neumann_mode, rayleigh_quotient, validate_domain_Hstar,
+    injectivity_probe, neumann_mode, per_member_metric_report, rayleigh_quotient,
+    validate_domain_Hstar,
 )
-from util import random_domain_member, random_trig
+from util import norm_l2, random_domain_member, random_trig
 
 HALF_PI = math.pi / 2
 SQRT2M1 = ParamA.from_expr("sqrt(2)-1")
+
+
+def project_center(f: PiecewiseTrig) -> PiecewiseTrig:
+    """metric.project_center of the one function f."""
+    return metric.project_center(Stack.of([f])).fn(0)
+
+
+def project_pieces(f: PiecewiseTrig, a: ParamA) -> PiecewiseTrig:
+    """metric.project_pieces of the one function f."""
+    return metric.project_pieces(Stack.of([f]), a).fn(0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +171,27 @@ def test_domain_violation_rejected():
     bad = PiecewiseTrig.single([cos_term(1.0, 2.0)])  # breaks the BCs
     with pytest.raises(DomainViolation):
         op.quasi_self_adjointness_residual(bad)
+    # one bad member among domain members fails the whole batch, by name
+    members = [random_domain_member(SQRT2M1, np.random.default_rng(11)) for _ in range(3)]
+    with pytest.raises(DomainViolation, match="f_2: boundary condition"):
+        op.intertwining_residuals(Stack.of(members[:2] + [bad] + members[2:]))
+
+
+def test_domain_check_tolerance_scales_with_the_sup():
+    # a member off the three-point condition by 1e-9 * 0.9 of its sup passes,
+    # by 1.1 of it fails (the sup of |f| here is about 1e3)
+    op = MetricOp.build(SQRT2M1)
+    base = random_domain_member(SQRT2M1, np.random.default_rng(12)).scaled(1e3)
+    scale = float(np.max(np.abs(base(np.linspace(-HALF_PI, HALF_PI, 257)))))
+    bump = PiecewiseTrig.single([cos_term(1.0, 1.0)])  # 0 at +-pi/2, not at pi a/2
+    at_xb = math.cos(HALF_PI * SQRT2M1.value)
+    for factor, ok in ((0.9, True), (1.1, False)):
+        f = base + bump.scaled(factor * 1e-9 * scale / at_xb)
+        if ok:
+            op.intertwining_residuals(Stack.of([f]))
+        else:
+            with pytest.raises(DomainViolation):
+                op.intertwining_residuals(Stack.of([f]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +225,17 @@ def test_root_system_contract_sees_the_jordan_chain_at_one_third():
 
 
 def _shifted_antisymmetrizer(monkeypatch, which: str, shift: float = 1e-9) -> None:
-    antisymmetrize, single_piece = metric._antisymmetrize, metric._require_single_piece
+    rows = metric._antisymmetric_rows
     if which == "P0":
-        monkeypatch.setattr(metric, "project_center", lambda f: PiecewiseTrig.single(
-            antisymmetrize(single_piece(f), shift)))
+        monkeypatch.setattr(metric, "project_center", lambda fs: Stack(
+            ((-HALF_PI, HALF_PI, *rows(fs, shift)),), fs.count))
         return
 
-    def project_pieces_shifted(f, a):
-        terms, av = single_piece(f), a.value
-        return PiecewiseTrig.split(HALF_PI * av,
-                                   antisymmetrize(terms, -HALF_PI * (1 - av) + shift),
-                                   antisymmetrize(terms, HALF_PI * (1 + av)))
+    def project_pieces_shifted(fs, a):
+        av = a.value
+        xb = HALF_PI * av
+        return Stack(((-HALF_PI, xb, *rows(fs, -HALF_PI * (1 - av) + shift)),
+                      (xb, HALF_PI, *rows(fs, HALF_PI * (1 + av)))), fs.count)
     monkeypatch.setattr(metric, "project_pieces", project_pieces_shifted)
 
 
@@ -229,10 +261,46 @@ def test_contract_fails_without_the_rank_one_term(monkeypatch):
 
 def test_contract_fails_without_p0(monkeypatch):
     # some psi_j is symmetric about both piece centres and orthogonal to phi0
-    monkeypatch.setattr(metric, "project_center", lambda f: PiecewiseTrig.zero())
+    monkeypatch.setattr(metric, "project_center", lambda fs: fs.scaled(0.0))
     report, failures = _root_system_contract("sqrt(2)-1")
     assert abs(report["positivity_min"]) < 1e-15
     assert [f.split()[0] for f in failures] == ["positivity_min"]
+
+
+@pytest.mark.parametrize("lambda_max", [120.0, 200.0, 900.0])
+@pytest.mark.parametrize("expr", ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "1/3", "0", "2/5",
+                                  "-3/7"])
+def test_root_system_report_matches_the_per_member_oracle(expr, lambda_max):
+    # the whole family as one Stack against Theta, the norms and the
+    # residual one member at a time; measured at most 2.2e-16
+    a = ParamA.from_expr(expr)
+    pairs = biorthogonalize(a, lambda_max)
+    report = MetricOp.build(a).root_system_report(pairs)
+    oracle = per_member_metric_report(a, pairs)
+    for key, want in oracle.items():
+        assert abs(report[key] - want) <= 1e-15, (key, report[key], want)
+
+
+def test_root_system_report_works_on_whole_batches(monkeypatch):
+    # a fixed number of kernel, norm and sampling calls whatever the family
+    # size: Theta psi, Theta psi'' and the Gram matrix, three norms_l2 calls
+    # and one domain sampling
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(metric, "inner_matrix", counting("inner_matrix", metric.inner_matrix))
+    monkeypatch.setattr(metric, "norms_l2", counting("norms_l2", metric.norms_l2))
+    monkeypatch.setattr(Stack, "values", counting("values", Stack.values))
+    for lambda_max in (120.0, 900.0):
+        pairs = biorthogonalize(SQRT2M1, lambda_max)
+        calls.clear()
+        MetricOp.build(SQRT2M1).root_system_report(pairs)
+        assert sorted(calls) == ["inner_matrix"] * 3 + ["norms_l2"] * 3 + ["values"]
 
 
 def test_kappa_ratio_above_one_fails():

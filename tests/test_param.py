@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumpspec.param import (
     FAMILIES, WORK_DPS, NotIrrational, ParamA, ZeroClassCase, convergents, family_k,
@@ -39,12 +39,19 @@ def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         ParamA.from_expr("3/2")
     # the range of a rational is decided exactly, not from its 60-digit value:
-    # this sum is 1 but rounds below 1, and 1 - 10^-62 rounds to 1
+    # this sum is 1 but rounds below 1
     with pytest.raises(ValueError):
         ParamA.from_expr("1/5+2/5+2/5")
-    assert ParamA.from_expr("1-1/1" + "0" * 62).fraction == 1 - Fraction(1, 10 ** 62)
+    assert ParamA.from_expr("1-1/1" + "0" * 15).fraction == 1 - Fraction(1, 10 ** 15)
     with pytest.raises(ValueError):
         ParamA.from_fraction(5, 4)
+    # inside (-1, 1) but a double of +-1, where 1 -+ a divides: refused,
+    # rational or not (sqrt(70)*sqrt(70)/70 is 1 - 1e-60 at 60 digits)
+    for near_one in ("1-1/1" + "0" * 62, "-1+1/1" + "0" * 17, "sqrt(70)*sqrt(70)/70"):
+        with pytest.raises(ValueError, match="double precision"):
+            ParamA.from_expr(near_one)
+    with pytest.raises(ValueError, match="double precision"):
+        ParamA.from_fraction(10 ** 17 - 1, 10 ** 17)
 
 
 def test_grammar_errors():
@@ -277,6 +284,7 @@ _TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
 
 
 @given(tree=_TREES, scale=st.integers(1, 10 ** 4))
+@example(tree=("*", ("sqrt", ("num", 70)), ("sqrt", ("num", 70))), scale=70)  # 1 - 1e-60
 @settings(max_examples=300, deadline=None)
 def test_one_pass_parse_matches_the_tree_evaluated_directly(tree, scale):
     tree = ("/", tree, ("num", scale))  # brings many trees into (-1, 1)
@@ -284,7 +292,9 @@ def test_one_pass_parse_matches_the_tree_evaluated_directly(tree, scale):
     try:
         with mp.workdps(WORK_DPS):
             frac, val = _evaluate(tree)
-        accepted = abs(val if frac is None else frac) < 1
+        exact = val if frac is None else frac
+        # a double of +-1 is refused: every formula divides by 1 -+ a
+        accepted = abs(exact) < 1 and abs(float(exact)) != 1
         if accepted and frac is None:  # irrational terms that cancel are refused
             with mp.workdps(2 * WORK_DPS):
                 finer = _evaluate(tree)[1]

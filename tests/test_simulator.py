@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpspec import simulator
-from jumpspec.eigensystem import eigenfunctions_H, root_system
+from jumpspec.eigensystem import eigenfunctions_H
 from jumpspec.funcspace import PiecewiseTrig, sin_term
 from jumpspec.param import ParamA
 from jumpspec.simulator import (
@@ -18,7 +18,7 @@ from jumpspec.simulator import (
 )
 from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 from reference_oracles import (
-    every_step_walk, full_width_bridge_probabilities, restart_time_moments,
+    every_step_walk, full_width_bridge_probabilities, restart_time_moments, root_system,
 )
 
 A0 = ParamA.from_expr("0")

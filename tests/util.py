@@ -6,10 +6,15 @@ import math
 
 import numpy as np
 
-from jumpspec.funcspace import PiecewiseTrig, Terms, _term, cos_term, sin_term
+from jumpspec.funcspace import PiecewiseTrig, Terms, _term, cos_term, inner_closed, sin_term
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
+
+
+def norm_l2(f: PiecewiseTrig) -> float:
+    """||f||_2 from inner_closed(f, f), one function at a time."""
+    return math.sqrt(max(inner_closed(f, f).real, 0.0))
 
 
 def linear(c: complex) -> Terms:
