@@ -28,7 +28,7 @@ import numpy as np
 
 from jumpspec.eigensystem import BiorthFamily, _chains, biorthogonalize
 from jumpspec.funcspace import (
-    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, norms_l2, quad_gram, sin_term,
+    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, norms_l2, quad_inner, sin_term,
 )
 from jumpspec.param import (
     NotIrrational, ParamA, convergents, family_angle, is_exceptional,
@@ -39,6 +39,8 @@ from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 # rational_bound_check's largest m_max: it takes 43-100 us per m on a
 # 2-core x86-64 host, so about 4-10 s at the cap (m_max = 10^8 would take hours)
 MAX_BOUND_M = 10 ** 5
+# records per quad_inner call in projection_norms
+_QUAD_BAND = 16
 
 
 class Which(enum.Enum):
@@ -102,17 +104,23 @@ def _projection_norms(a: ParamA, records: list[EigRecord]) -> list[ProjNormRecor
     cross-value.
 
     The quadrature side is ||psi|| ||phi|| / |(phi, psi)| for each
-    projection, read off one panel-quadrature Gram matrix of the raw root
-    vectors of all records (forward ones, then adjoint ones, from one
-    `_chains` call), a route fully independent of the printed formulas.
-    The pairs are (psi, phi) at a simple record and (psi1, phi1),
+    projection, a route fully independent of the printed formulas.  The
+    raw root vectors of all records come from one `_chains` call (forward
+    ones, then adjoint ones); the records are then taken in bands of
+    _QUAD_BAND in ascending order, and one `quad_inner` call per band
+    forms the three products of each of its projections on a grid sized by
+    the band's own largest frequency.  So the time grows like a
+    record-by-record loop's (records x frequency) and the memory with one
+    band.  The pairs are (psi, phi) at a simple record and (psi1, phi1),
     (psi2, eta), (xi, phi2) at an exceptional pair.
     """
     fwd, adj = _chains(a, records)
     rows = []     # (record, which, closed form) of each projection
     partner = []  # the adjoint index paired with each forward root vector
+    first = []    # each record's first root vector
     for rec in records:
         v = len(partner)
+        first.append(v)
         if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
             closed = _proj_norms_exceptional(a, rec.class_index(-1))
             rows += zip([rec] * 3, (Which.P1, Which.P2, Which.P3), closed)
@@ -120,9 +128,16 @@ def _projection_norms(a: ParamA, records: list[EigRecord]) -> list[ProjNormRecor
         else:
             rows.append((rec, Which.SINGLE, _closed_simple(rec, a)))
             partner.append(v)
-    g = quad_gram(Stack.join((fwd, adj)), a)
-    psi, phi = np.arange(fwd.count), fwd.count + np.array(partner, dtype=int)
-    quad = np.sqrt(g[psi, psi].real) * np.sqrt(g[phi, phi].real) / np.abs(g[phi, psi])
+    first.append(len(partner))
+    quad = []
+    for r in range(0, len(records), _QUAD_BAND):
+        start, stop = first[r], first[min(r + _QUAD_BAND, len(records))]
+        psi = np.arange(stop - start)
+        phi = (stop - start) + np.array(partner[start:stop]) - start
+        band = Stack.join((fwd.take(start, stop), adj.take(start, stop)))
+        psi_sq, phi_sq, cross = quad_inner(
+            band, np.column_stack((np.r_[psi, phi, phi], np.r_[psi, phi, psi])), a).reshape(3, -1)
+        quad += list(np.sqrt(psi_sq.real) * np.sqrt(phi_sq.real) / np.abs(cross))
     return [ProjNormRecord(rec, which, closed, float(q))
             for (rec, which, closed), q in zip(rows, quad)]
 
@@ -135,7 +150,7 @@ def projection_norm(rec: EigRecord, a: ParamA) -> list[ProjNormRecord]:
 
 def projection_norms(a: ParamA, lambda_max: float) -> list[ProjNormRecord]:
     """Projection norms of every eigenvalue up to lambda_max, ascending,
-    with one quadrature Gram matrix for all of them."""
+    with one quadrature call per band of records."""
     return _projection_norms(a, enumerate_spectrum(a, lambda_max))
 
 
@@ -173,6 +188,12 @@ def blowup_probe(a: ParamA, k_count: int) -> list[BlowupRow]:
 # rational-parameter uniform bounds
 # ---------------------------------------------------------------------------
 
+def check_bound_m(m_max: int) -> None:
+    """ValueError unless rational_bound_check can take m_max (1..MAX_BOUND_M)."""
+    if not 1 <= m_max <= MAX_BOUND_M:
+        raise ValueError(f"bound check needs 1 <= m_max <= {MAX_BOUND_M}, got {m_max}")
+
+
 def rational_bound_check(a: ParamA, m_max: int) -> dict:
     """Verify the elementary-estimate bounds on all generic-case norms.
 
@@ -187,8 +208,7 @@ def rational_bound_check(a: ParamA, m_max: int) -> dict:
     """
     if not a.is_rational:
         raise ValueError("bound check applies to rational parameters")
-    if not 1 <= m_max <= MAX_BOUND_M:
-        raise ValueError(f"bound check needs 1 <= m_max <= {MAX_BOUND_M}, got {m_max}")
+    check_bound_m(m_max)
     p, q = a.fraction.numerator, a.fraction.denominator
     bounds, rows = {}, {}
     estimates_ok = True

@@ -175,15 +175,19 @@ def cmd_metric_check(args, man: Manifest) -> int:
 
 def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    # everything is computed before the first write, so a refused argument
-    # or a failed stage leaves no partial output; the blow-up tables check
-    # their arguments (--m-max, --convergents) before the projection norms
+    # every argument is checked before a slow stage starts (--m-max and
+    # --convergents here, the lambda_max cap as the projection norms start;
+    # the convergent table takes milliseconds), and everything is computed
+    # before the first write, so a refused argument or a failed stage
+    # leaves no partial output
     if args.blowup and a.is_rational:
-        report = basis_diag.rational_bound_check(a, args.m_max)
+        basis_diag.check_bound_m(args.m_max)
     elif args.blowup:
         table = basis_diag.blowup_probe(a, args.convergents)
     rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.quadrature)
             for pn in basis_diag.projection_norms(a, args.lambda_max)]
+    if args.blowup and a.is_rational:
+        report = basis_diag.rational_bound_check(a, args.m_max)
     man.write_csv("projection_norms.csv",
                   ["which", "lambda", "norm_closed", "norm_quad"], rows)
     if args.blowup and a.is_rational:

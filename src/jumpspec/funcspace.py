@@ -31,15 +31,15 @@ evaluated as a one-member Stack.
 Composite Gauss-Lobatto grids (`grid_nodes`) discretize what has no
 closed form (the resolvent's output nodes and the kernel its SVD probe
 decomposes) and give the independent quadrature check of the closed
-forms: `quad_gram` samples a whole family once per refinement round and
-forms all its inner products as one weighted matrix product.
+forms: `quad_inner` samples a whole family once per refinement round and
+forms the inner products asked for, each one weighted sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ HALF_PI = math.pi / 2
 _SERIES_BELOW = 1.0
 # term pairs per kernel evaluation; bounds the temporaries of batched calls
 _PAIR_BLOCK = 1 << 12
-# quad_gram: relative change between refinements that counts as converged,
+# quad_inner: relative change between refinements that counts as converged,
 # and the node count of its first round
 QUAD_TARGET = 1e-12
 QUAD_START_NODES = 96
@@ -512,17 +512,22 @@ class Stack:
         for lo, *_ in self.pieces[1:]:  # a point on a cut goes right
             piece += xs >= lo
             on_cut |= xs == lo
-        out = np.zeros((len(xs), self.count), dtype=complex)
+        out = np.zeros((self.count, len(xs)), dtype=complex)
         for i, (_, _, terms, owners) in enumerate(self.pieces):
             # the piece's points and, at half weight, the cut that closes it
-            at = (piece == i) | (on_cut & (piece == i + 1))
-            at = slice(None) if at.all() else at  # a view, not a copy, for one piece
-            coef = np.zeros((len(terms), self.count), dtype=complex)  # row r feeds its owner
-            coef[np.arange(len(terms)), owners] = terms.c
-            vals = _basis(terms, xs[at]) @ coef
+            at = np.flatnonzero((piece == i) | (on_cut & (piece == i + 1)))
+            if not len(at) or not len(terms):
+                continue
+            # each owner's run of rows summed (rows are ordered by owner), so
+            # time and memory grow with points x rows, whatever the count
+            starts = _group_starts(owners)
+            vals = np.add.reduceat(_basis(terms, xs[at]) * terms.c, starts, axis=1)
             vals[on_cut[at]] *= 0.5
-            out[at] += vals
-        return out.T
+            if at[-1] - at[0] + 1 == len(at):  # one run of points (a sorted grid)
+                out[owners[starts], at[0]:at[-1] + 1] += vals.T
+            else:
+                out[np.ix_(owners[starts], at)] += vals.T
+        return out
 
 
 def _group_starts(owners: np.ndarray) -> np.ndarray:
@@ -625,32 +630,28 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
     return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
 
 
-def quad_gram(fns: Stack | Sequence[PiecewiseTrig | Callable], a: ParamA | float,
-              max_rounds: int = 6) -> np.ndarray:
-    """Hermitian matrix of (f_j, f_k) by quadrature with panel doubling.
+def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
+               max_rounds: int = 6) -> np.ndarray:
+    """(f_i, f_j) for each index pair (i, j), a row of the (n, 2) `pairs`,
+    by quadrature with panel doubling.
 
     Each round builds one grid, panels sized by the largest frequency of
     the family, and samples the family once on it (`Stack.values`; a list
-    of PiecewiseTrigs goes through Stack.of, a list with other callables
-    is sampled one function at a time), starting from QUAD_START_NODES
-    nodes; the refinement stops when every entry moves by at most
-    QUAD_TARGET * max(1, |entry|).  Independent numerical route used to
-    cross-check inner_closed and the printed projection norms.
+    goes through Stack.of), starting from QUAD_START_NODES nodes; the
+    refinement stops when every requested product moves by at most
+    QUAD_TARGET * max(1, |product|).  Only the requested products are
+    formed, so n pairs cost n x nodes however large the family.
+    Independent numerical route used to cross-check inner_closed and the
+    printed projection norms.
     """
-    if isinstance(fns, Stack) or all(isinstance(f, PiecewiseTrig) for f in fns):
-        stack = fns if isinstance(fns, Stack) else Stack.of(fns)
-        kmax, sample = stack.kmax, stack.values
-    else:
-        kmax = Stack.of([f for f in fns if isinstance(f, PiecewiseTrig)]).kmax
-
-        def sample(xs):
-            return np.array([np.asarray(f(xs), dtype=complex) for f in fns])
+    stack = fns if isinstance(fns, Stack) else Stack.of(fns)
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     n = QUAD_START_NODES
     prev = None
     for _ in range(max_rounds):
-        nodes, weights = grid_nodes(a, n, kmax)
-        vals = sample(nodes)
-        cur = (np.conj(vals) * weights) @ vals.T
+        nodes, weights = grid_nodes(a, n, stack.kmax)
+        vals = stack.values(nodes)
+        cur = np.einsum("np,p,np->n", np.conj(vals[i]), weights, vals[j])
         if prev is not None and np.all(
                 np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
             return cur

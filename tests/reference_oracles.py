@@ -33,19 +33,19 @@ import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
 from jumpspec.eigensystem import (
-    EigFun, _root_vectors, _simple_pairing, eigenfunctions_H,
+    EigFun, _root_vectors, _simple_pairing, eigenfunctions_H, phi_zero_mode,
 )
 from jumpspec.funcspace import (
-    HALF_PI, PiecewiseTrig, Stack, const, cos_term, grid_nodes, inner_closed, inner_matrix,
-    lincomb, quad_gram, sin_term,
+    HALF_PI, Piece, PiecewiseTrig, Stack, Terms, const, cos_term, grid_nodes, inner_closed,
+    inner_matrix, lincomb, sin_term,
 )
-from jumpspec.metric import MetricOp, even_mode_coefficient, project_pieces
+from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
 from jumpspec.resolvent import ResolventKernel
 from jumpspec.simulator import _Stepper
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
-from util import linear, norm_l2, xcos_term, xsin_term
+from util import linear, norm_l2, quad_gram, xcos_term, xsin_term
 
 
 def char_det(a: ParamA | float, k) -> complex | np.ndarray:
@@ -497,25 +497,82 @@ def per_record_quadrature_norms(a: ParamA, lambda_max: float) -> list[float]:
     return out
 
 
+def _term_rows(rows: list[tuple]) -> Terms:
+    """Terms of (p, c, k, s, q) rows, merged."""
+    if not rows:
+        return Terms.concat(())
+    p, c, k, s, q = zip(*rows)
+    return Terms(np.array(p, dtype=np.int64), np.array(c, dtype=complex), np.array(k, dtype=float),
+                 np.array(s, dtype=float), np.array(q, dtype=np.int64)).merged()
+
+
+def _rows(terms: Terms) -> zip:
+    return zip(terms.p, terms.c, terms.k, terms.s, terms.q)
+
+
+def _antisymmetrized(terms: Terms, centre: float) -> Terms:
+    """(f(x) - f(centre - x))/2, one term at a time: with u = centre - x,
+    c u^p cos(k u + s - q pi/2) = c u^p cos(kx - (k centre + s) + q pi/2),
+    and u^p is 1 or centre - x."""
+    rows = []
+    for p, c, k, s, q in _rows(terms):
+        rows.append((p, 0.5 * c, k, s, q))
+        shift = -(k * centre + s)
+        rows.append((0, -0.5 * c * (centre if p else 1.0), k, shift, -q))
+        if p:
+            rows.append((1, 0.5 * c, k, shift, -q))
+    return _term_rows(rows)
+
+
+def _derivative(f: PiecewiseTrig) -> PiecewiseTrig:
+    """f', one term at a time: (c x^p cos(t))' = p c cos(t) - k c x^p sin(t),
+    with -sin(t) = cos(t + pi/2) one quarter turn less."""
+    return PiecewiseTrig(tuple(
+        Piece(piece.lo, piece.hi, _term_rows(
+            [row for p, c, k, s, q in _rows(piece.terms)
+             for row in ([(0, c, k, s, q)] if p else []) + [(p, k * c, k, s, q - 1)]]))
+        for piece in f.pieces))
+
+
+def theta_one_member(a: ParamA, phi0: PiecewiseTrig, f: PiecewiseTrig) -> PiecewiseTrig:
+    """Theta f of one single-piece f: phi0 (phi0, f) by inner_closed, P0 f
+    as one PiecewiseTrig and (P- (+) P+) f as a split one, added with +."""
+    if f.breakpoint is not None:
+        raise DomainViolation("theta_one_member needs a single-piece f")
+    terms, av = f.pieces[0].terms, a.value
+    p_center = PiecewiseTrig.single(_antisymmetrized(terms, 0.0))
+    p_pieces = PiecewiseTrig.split(HALF_PI * av, _antisymmetrized(terms, -HALF_PI * (1 - av)),
+                                   _antisymmetrized(terms, HALF_PI * (1 + av)))
+    return phi0.scaled(inner_closed(phi0, f)) + p_center + p_pieces
+
+
 def per_member_metric_report(a: ParamA, pairs) -> dict:
-    """The four numbers of `MetricOp.root_system_report`, with Theta, the
-    norms and the intertwining residual taken one member at a time
-    (MetricOp.apply, norm_l2, quasi_self_adjointness_residual)."""
-    op = MetricOp.build(a)
+    """The four numbers of `MetricOp.root_system_report` by a route of its
+    own, one member at a time: each psi_j checked by validate_domain_H,
+    Theta psi_j by theta_one_member, every entry (psi_i, Theta psi_j) and
+    norm by inner_closed, and the intertwining residual
+    -(Theta psi)'' + Theta(psi'') with derivatives taken term by term."""
+    phi0 = phi_zero_mode(a, 1.0)
     psis = [pair.psi.fn for pair in pairs]
-    theta_psis = [op.apply(psi) for psi in psis]
+    for psi in psis:
+        report = validate_domain_H(psi, a, tol=1e-9)
+        if not report.in_domain:
+            raise DomainViolation("; ".join(report.violations))
+    theta_psis = [theta_one_member(a, phi0, psi) for psi in psis]
     psi_norms = np.array([norm_l2(psi) for psi in psis])
     phi_norms = np.array([norm_l2(pair.phi.fn) for pair in pairs])
-    gram = inner_matrix(psis, theta_psis)
+    gram = np.array([[inner_closed(psi, tpsi) for tpsi in theta_psis] for psi in psis])
     c_rel = gram.diagonal().real / psi_norms ** 2
     scaled = np.abs(gram) / np.outer(psi_norms, psi_norms)
     np.fill_diagonal(scaled, 0.0)
-    residual = max(op.quasi_self_adjointness_residual(psi) / norm
-                   for psi, norm in zip(psis, psi_norms))
+    residual = max(
+        norm_l2(theta_one_member(a, phi0, _derivative(_derivative(psi)))
+                - _derivative(_derivative(tpsi))) / norm
+        for psi, tpsi, norm in zip(psis, theta_psis, psi_norms))
     return {
         "positivity_min": float(c_rel.min()),
         "max_offdiagonal": float(scaled.max()),
         "max_kappa_ratio": float(np.max(c_rel * psi_norms * phi_norms)
-                                 / (norm_l2(op.phi0) ** 2 + 2)),
+                                 / (norm_l2(phi0) ** 2 + 2)),
         "max_intertwining_residual": float(residual),
     }

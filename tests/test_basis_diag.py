@@ -69,8 +69,8 @@ DIFFERENTIAL_PARAMS = ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "1/3", "0", "2/5", 
 
 @pytest.mark.parametrize("expr", DIFFERENTIAL_PARAMS)
 def test_stacked_quadrature_norms_match_the_per_record_oracle(expr):
-    # one Gram matrix on the whole family's grid against one per record on
-    # the record's own grid; measured at most 6.5e-15 (1/pi)
+    # one Gram matrix per band of records on the band's grid against one
+    # per record on the record's own grid
     a = ParamA.from_expr(expr)
     stacked = [pn.quadrature for pn in projection_norms(a, 900.0)]
     oracle = per_record_quadrature_norms(a, 900.0)
@@ -79,26 +79,34 @@ def test_stacked_quadrature_norms_match_the_per_record_oracle(expr):
         assert abs(got - want) <= 1e-13 * want
 
 
-def test_projection_norms_build_and_sample_the_family_once(monkeypatch):
-    # one root-vector pass and one quadrature Gram matrix for all records,
-    # however many there are
-    chains, grams = [], []
-    real_chains, real_gram = basis_diag._chains, basis_diag.quad_gram
+def test_projection_norms_build_the_family_once_and_sample_it_in_bands(monkeypatch):
+    # one root-vector pass for all records; one quad_inner call per band of
+    # _QUAD_BAND records, each on its own band's frequencies and asking for
+    # the three products of each projection only, so a large lambda_max
+    # never samples the whole family on its finest grid
+    chains, calls = [], []
+    real_chains, real_inner = basis_diag._chains, basis_diag.quad_inner
 
     def counting_chains(a, records):
         chains.append(len(records))
         return real_chains(a, records)
 
-    def counting_gram(fns, a):
-        grams.append(fns.count)
-        return real_gram(fns, a)
+    def counting_inner(fns, pairs, a):
+        calls.append((fns.count, len(pairs), fns.kmax))
+        return real_inner(fns, pairs, a)
 
     monkeypatch.setattr(basis_diag, "_chains", counting_chains)
-    monkeypatch.setattr(basis_diag, "quad_gram", counting_gram)
+    monkeypatch.setattr(basis_diag, "quad_inner", counting_inner)
     a = ParamA.from_expr("1/3")
-    rows = projection_norms(a, 900.0)
-    records = enumerate_spectrum(a, 900.0)
-    assert chains == [len(records)] and grams == [2 * len(rows)]
+    rows = projection_norms(a, 1e4)
+    records = enumerate_spectrum(a, 1e4)
+    assert chains == [len(records)]
+    assert len(calls) == -(-len(records) // basis_diag._QUAD_BAND) >= 3
+    assert sum(count for count, _, _ in calls) == 2 * len(rows)
+    assert all(n_pairs == 3 * count // 2 <= 3 * 3 * basis_diag._QUAD_BAND
+               for count, n_pairs, _ in calls)
+    kmax = [k for *_, k in calls]
+    assert kmax == sorted(kmax) and kmax[0] < kmax[-1] / 2
     assert len(rows) == len(records) + 2 * sum(
         rec.case is SpectralCase.EXCEPTIONAL_PAIR for rec in records) > len(records)
 

@@ -408,6 +408,19 @@ def test_blowup_work_cap_is_checked_before_any_work(tmp_path, monkeypatch, capsy
     assert "m_max" in capsys.readouterr().err
 
 
+def test_blowup_bound_loop_waits_for_the_lambda_cap(tmp_path, monkeypatch, capsys):
+    # an oversized --lambda-max is refused before the bound loop starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("bound loop ran on a refused run")
+
+    monkeypatch.setattr(basis_diag, "is_exceptional", no_work)
+    out = tmp_path / "capped"
+    assert run_cli(["basis", "--a", "1/3", "--blowup", "--m-max", str(basis_diag.MAX_BOUND_M),
+                    "--lambda-max", "1e12", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "cap" in capsys.readouterr().err
+
+
 def test_blowup_at_the_work_cap_is_accepted(monkeypatch):
     # the cap itself passes the argument check and reaches the bound loop
     class Started(Exception):

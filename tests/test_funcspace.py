@@ -8,12 +8,12 @@ from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack, Terms, const,
     cos_term, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix,
-    norms_l2, quad_gram, sin_term,
+    norms_l2, quad_inner, sin_term,
 )
 from jumpspec.param import ParamA
 
 from reference_oracles import validate_domain_H, validate_domain_Hstar
-from util import linear, norm_l2, random_trig, xsin_term
+from util import linear, norm_l2, quad_gram, random_trig, xsin_term
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,6 @@ def test_norms_and_quadrature_take_a_stack_as_its_functions():
     assert np.array_equal(norms_l2(stack), norms_l2(fns))
     assert np.allclose(norms_l2(stack), [norm_l2(f) for f in fns], rtol=1e-13, atol=0)
     assert np.array_equal(quad_gram(stack, a), quad_gram(fns, a))
-    # other callables are sampled one at a time, on the same grid (the
-    # sums then differ in rounding only)
-    assert np.allclose(quad_gram([*fns[:-1], lambda x: np.zeros_like(x)], a),
-                       quad_gram(fns, a), rtol=1e-14, atol=1e-14)
 
 
 def test_positive_definite():
@@ -317,7 +313,19 @@ def test_quadrature_not_converged():
     a = ParamA.from_expr("0")
     f = PiecewiseTrig.single([const(1.0)])
     with pytest.raises(QuadratureNotConverged):
-        quad_gram([f], a, max_rounds=1)  # no second round to compare with
+        quad_inner([f], [(0, 0)], a, max_rounds=1)  # no second round to compare with
+
+
+def test_quad_inner_forms_the_requested_products():
+    # any index pairs, in any order, repeated or not, against the closed forms
+    rng = np.random.default_rng(26)
+    a = ParamA.from_expr("2/5")
+    fns = _mixed_family(rng, HALF_PI * a.value)[:-1]
+    pairs = np.array([(0, 0), (3, 1), (1, 3), (2, 2), (3, 1), (0, 2)])
+    got = quad_inner(Stack.of(fns), pairs, a)
+    want = inner_matrix(fns, fns)[pairs[:, 0], pairs[:, 1]]
+    assert got.shape == (len(pairs),)
+    assert np.all(np.abs(got - want) < 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 
-from jumpspec.funcspace import PiecewiseTrig, Terms, _term, cos_term, inner_closed, sin_term
+from jumpspec.funcspace import (
+    PiecewiseTrig, Stack, Terms, _term, cos_term, inner_closed, quad_inner, sin_term,
+)
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
@@ -15,6 +17,14 @@ HALF_PI = math.pi / 2
 def norm_l2(f: PiecewiseTrig) -> float:
     """||f||_2 from inner_closed(f, f), one function at a time."""
     return math.sqrt(max(inner_closed(f, f).real, 0.0))
+
+
+def quad_gram(fns, a, max_rounds: int = 6) -> np.ndarray:
+    """Hermitian matrix of (f_j, f_k) by quadrature: quad_inner over
+    every index pair of the family (a Stack or a list)."""
+    count = fns.count if isinstance(fns, Stack) else len(fns)
+    pairs = np.indices((count, count)).reshape(2, -1).T
+    return quad_inner(fns, pairs, a, max_rounds).reshape(count, count)
 
 
 def linear(c: complex) -> Terms:
