@@ -25,10 +25,13 @@ import numpy as np
 import jumpspec
 from jumpspec.param import ParamA, NotIrrational, PrecisionExhausted
 from jumpspec import basis_diag, eigensystem, metric, resolvent, simulator, spectrum
-from jumpspec.funcspace import QuadratureNotConverged
+from jumpspec.funcspace import PiecewiseTrig, QuadratureNotConverged, const, cos_term, sin_term
 
 FMT = "%.17g"
 GAP = 4.0  # the spectral gap, the same for every a in (-1, 1)
+# largest |K| of --f sinK: K^2 - lambda stays finite, so the solution's
+# coefficient 1/(K^2 - lambda) is a number, not 0 from an overflow
+MAX_SOURCE_K = 1e150
 
 
 def _fmt(v) -> str:
@@ -102,12 +105,15 @@ def _parse_lambda(text: str) -> complex:
 
 def cmd_spectrum(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
-    records = spectrum.enumerate_spectrum(a, args.lambda_max)
-    if args.curves:
+    if args.curves:  # the grid and its row count are checked before any work
         lo, hi, step = (float(t) for t in args.a_grid.split(":"))
         if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
             raise ValueError(f"--a-grid {args.a_grid!r} needs finite lo:hi:step, "
                              "lo <= hi, step > 0")
+        # np.arange's length, as a float: math.ceil would raise at inf
+        spectrum.check_curves(np.ceil((hi - lo) / step + 0.5), args.m_max)
+    records = spectrum.enumerate_spectrum(a, args.lambda_max)
+    if args.curves:
         rows = spectrum.curves(np.arange(lo, hi + step / 2, step), args.m_max)
     man.write_json("eigenvalues.json", [r.to_dict() for r in records])
     if args.curves:
@@ -121,12 +127,12 @@ def cmd_resolvent(args, man: Manifest) -> int:
     lam = _parse_lambda(args.lam)
     resolvent.check_probe(lam, a, args.svd_n)  # refused before the solve
     if args.f == "const":
-        f = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        f = PiecewiseTrig.single(const(1.0))
     else:
         freq = float(args.f.removeprefix("sin"))
-        if not math.isfinite(freq):
-            raise ValueError(f"--f {args.f!r} needs a finite wavenumber K in sinK")
-        f = lambda x: np.sin(freq * np.asarray(x, dtype=float))
+        if not abs(freq) <= MAX_SOURCE_K:
+            raise ValueError(f"--f {args.f!r} needs a wavenumber |K| <= {MAX_SOURCE_K:g} in sinK")
+        f = PiecewiseTrig.single(sin_term(math.copysign(1.0, freq), abs(freq)))
     man.stage = "apply_resolvent"
     nodes, u = resolvent.apply_resolvent(lam, f, a)
     man.stage = "residual_report"
@@ -241,11 +247,9 @@ def _suite_resolvent(a: ParamA) -> dict:
     for lam in (-1.0, -2.0, 2.5 + 1j):
         for _ in range(3):
             c = rng.normal(size=4)
-            f = (lambda cc: lambda x: (cc[0] * np.cos(np.asarray(x))
-                                       + cc[1] * np.sin(2 * np.asarray(x))
-                                       + cc[2] * np.cos(3 * np.asarray(x))
-                                       + cc[3]))(c)
-            rep = resolvent.residual_report(lam, f, a, n=2048)
+            f = PiecewiseTrig.single([cos_term(c[0], 1.0), sin_term(c[1], 2.0),
+                                      cos_term(c[2], 3.0), const(c[3])])
+            rep = resolvent.residual_report(lam, f, a)
             worst_b = max(worst_b, rep["boundary_deviation"])
             worst_r = max(worst_r, rep["pde_residual"])
     sv = resolvent.singular_value_probe(-1.0, a, 512)

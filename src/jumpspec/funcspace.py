@@ -312,8 +312,9 @@ def _split(a):
     return hi, a - hi
 
 
-def _midpoint_phase(t: Terms, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """k m + s as hi + lo, exactly up to the last rounding of lo (Dekker)."""
+def _midpoint_phase(t: Terms, m) -> tuple[np.ndarray, np.ndarray]:
+    """k m + s as hi + lo, exactly up to the last rounding of lo (Dekker);
+    m is a float or an array that broadcasts against the rows."""
     prod = t.k * m
     (k_hi, k_lo), (m_hi, m_lo) = _split(t.k), _split(m)
     prod_lo = ((k_hi * m_hi - prod) + k_hi * m_lo + k_lo * m_hi) + k_lo * m_lo
@@ -360,6 +361,17 @@ def _wave_integrals(p, w, phase, phase_lo, r, m: float, h: float) -> np.ndarray:
     cos_r, sin_r = _COS_QUARTER[r % 4], _SIN_QUARTER[r % 4]
     return ((cos_ph * cos_r + sin_ph * sin_r) * a_part
             - (sin_ph * cos_r - cos_ph * sin_r) * b_part)
+
+
+def eval_exact(t: Terms, x: np.ndarray) -> np.ndarray:
+    """eval_terms with each phase k x + s carried as hi + lo
+    (_midpoint_phase), so every row is right to a few eps of its
+    coefficient however large k x is; eval_terms loses k |x| eps."""
+    x = np.asarray(x, dtype=float)[:, None]
+    hi, lo = _midpoint_phase(t, x)
+    cos_h, sin_h, r = np.cos(hi), np.sin(hi), t.q % 4
+    basis = (cos_h - sin_h * lo) * _COS_QUARTER[r] + (sin_h + cos_h * lo) * _SIN_QUARTER[r]
+    return np.where(t.p == 1, x, 1.0) * basis @ t.c
 
 
 def _pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
@@ -612,10 +624,10 @@ def grid_panels(a: ParamA | float, min_nodes_per_piece: int = 64,
             for panels in [max(2, int(math.ceil((hi - lo) * max(kmax, 1.0) / 8.0)))]]
 
 
-def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
-               kmax: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Lobatto nodes/weights on the two pieces cut at pi*a/2;
-    panels sharing an endpoint share the node and add their weights."""
+def _grid_pieces(a: ParamA | float, min_nodes_per_piece: int,
+                 kmax: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Composite Lobatto nodes/weights of each piece of grid_nodes' grid,
+    both pieces holding the restart point with their own weight there."""
     pieces = []
     for lo, hi, panels, points in grid_panels(a, min_nodes_per_piece, kmax):
         base_x, base_w = gauss_lobatto(points)
@@ -625,7 +637,14 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
         ws[:-1, -1] += ws[1:, 0]
         pieces.append((np.concatenate((xs[0, :1], xs[:, 1:].ravel())),
                        np.concatenate((ws[0, :1], ws[:, 1:].ravel()))))
-    (x_left, w_left), (x_right, w_right) = pieces
+    return pieces
+
+
+def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
+               kmax: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Lobatto nodes/weights on the two pieces cut at pi*a/2;
+    panels sharing an endpoint share the node and add their weights."""
+    (x_left, w_left), (x_right, w_right) = _grid_pieces(a, min_nodes_per_piece, kmax)
     w_left[-1] += w_right[0]  # the restart point ends one piece and starts the other
     return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
 
@@ -639,19 +658,26 @@ def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
     the family, and samples the family once on it (`Stack.values`; a list
     goes through Stack.of), starting from QUAD_START_NODES nodes; the
     refinement stops when every requested product moves by at most
-    QUAD_TARGET * max(1, |product|).  Only the requested products are
-    formed, so n pairs cost n x nodes however large the family.
-    Independent numerical route used to cross-check inner_closed and the
-    printed projection norms.
+    QUAD_TARGET * max(1, |product|).  Each piece of the grid samples the
+    family's pieces it overlaps, so the restart point, which both grid
+    pieces hold, takes each side's one-sided value with that side's weight
+    (a value jump there keeps the rule's order).  Only the requested
+    products are formed, so n pairs cost n x nodes however large the
+    family.  Independent numerical route used to cross-check inner_closed
+    and the printed projection norms.
     """
     stack = fns if isinstance(fns, Stack) else Stack.of(fns)
     i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    cut = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
+    sides = [Stack(tuple(p for p in stack.pieces if lo < p[1] and p[0] < hi), stack.count)
+             for lo, hi in ((-HALF_PI, cut), (cut, HALF_PI))]
     n = QUAD_START_NODES
     prev = None
     for _ in range(max_rounds):
-        nodes, weights = grid_nodes(a, n, stack.kmax)
-        vals = stack.values(nodes)
-        cur = np.einsum("np,p,np->n", np.conj(vals[i]), weights, vals[j])
+        cur = 0
+        for side, (nodes, weights) in zip(sides, _grid_pieces(a, n, stack.kmax)):
+            vals = side.values(nodes)
+            cur = cur + np.einsum("np,p,np->n", np.conj(vals[i]), weights, vals[j])
         if prev is not None and np.all(
                 np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
             return cur

@@ -1,34 +1,29 @@
 """Resolvent of the jump-coupled Laplacian by a direct three-point solve.
 
 u = (H - lambda)^{-1} f solves -u'' - lambda u = f on (-pi/2, pi/2) with
-u(-pi/2) = u(pi a/2) = u(pi/2).  With k = i sqrt(-lambda), so that
-k^2 = lambda and Im k >= 0, it is written
-
-    u = u_p + A phi_1 + B phi_2,
-    u_p(x) = (i/2k) int e^{ik|x-y|} f(y) dy,
-    phi_1(x) = e^{ik(x + pi/2)},   phi_2(x) = e^{ik(pi/2 - x)}.
-
-Im k >= 0 bounds e^{ik|x-y|}, phi_1 and phi_2 by 1 on the interval, so
-nothing overflows however large |lambda| is; the even pair
-(cos kx, sin kx) would carry cosh(|k| pi/2), which overflows at
-lambda = -1e6.  A and B solve the 2x2 system u(-pi/2) = u(pi a/2) =
-u(pi/2).  With E = e^{ik pi}, P = e^{ik pi (1+a)/2}, Q = e^{ik pi (1-a)/2}
-(so E = PQ) its determinant is
+u(-pi/2) = u(pi a/2) = u(pi/2).  With k = i sqrt(-lambda) (k^2 = lambda,
+Im k >= 0) it is u_p + A e^{ik(x + pi/2)} + B e^{ik(pi/2 - x)}, u_p any C^1
+particular solution, built here in closed form from the term sum f
+(`PiecewiseTrig`).  With d = k_j^2 - k^2 for a term T of wavenumber k_j,
+it is T/d (p = 0) or xT/d + 2T'/d^2 (p = 1); x T'/(2 k_j^2) at d = 0; for
+0 < |d| < NEAR_RESONANCE the divided difference (T - T_k)/d against the
+same-phase homogeneous T_k, in sinc form, so no digits cancel against the
+homogeneous part (a p = 1 term there is refused, `ResonantForcing`); and
+across a breakpoint xb of f the bounded alpha sgn(x - xb) e^{ik|x-xb|} +
+beta e^{ik|x-xb|} makes u_p C^1.  Phases are carried exactly
+(`eval_exact`), so u is right to a few eps of max|u| at any k_j; nothing
+is integrated.  Im k >= 0 bounds every exponential by 1 (the even pair
+would carry cosh(|k| pi/2)).  With E = e^{ik pi}, P = e^{ik pi (1+a)/2},
+Q = e^{ik pi (1-a)/2} (E = PQ) the determinant for A and B is
 
     (1 - E)(1 - P)(1 - Q) = 8i E sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi/2),
 
 -2i E times the characteristic determinant, so the only poles are the
-spectrum.  Each factor
-is formed as -expm1(i theta) and the product is never expanded, so it
-does not cancel near its zeros.  A quadrature-weighted SVD of the
-discretized kernel provides the singular-value decay evidence for the
-trace-class property.
-
-For real lambda < 0, k = i kappa with kappa = sqrt(-lambda) > 0, and
-(i/2k) e^{ik|x-y|} = e^{-kappa|x-y|}/(2 kappa), phi_1, phi_2, E, P and Q
-are all real.  `ResolventKernel` then keeps ik = -kappa and the scalars
-derived from it real, so the kernel is assembled in float64 and the SVD
-probe runs a real SVD; every other lambda stays complex.
+spectrum; each factor is -expm1(i theta), never expanded.  H commutes with
+conjugation, so at real lambda the kernel whose weighted SVD gives the
+trace-class decay (`ResolventKernel`) is real: float64 for lambda < 0
+(ik = -sqrt(-lambda)), and for lambda > 0 the rounding-only imaginary part
+of its complex assembly is dropped; the SVD is real either way.
 """
 
 from __future__ import annotations
@@ -36,24 +31,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from jumpspec.funcspace import grid_nodes, grid_panels
+from jumpspec.funcspace import (
+    HALF_PI, PiecewiseTrig, Terms, eval_exact, grid_nodes, grid_panels,
+)
 from jumpspec.param import ParamA
 
-HALF_PI = math.pi / 2
-
-# smallest factor of the three-point determinant that still counts as off
-# the spectrum: k within ~1e-8 of a zero of one factor is refused
+# smallest determinant factor off the spectrum: k within ~1e-8 of a zero is refused
 DENOM_GUARD = 1e-8
 # the SVD probe's grid grows with |k|; 4097 nodes is twice the documented n
 MAX_PROBE_NODES = 4097
-# the solve's panels grow with |k| = sqrt(|lambda|): on its default grid the
-# solve plus its residual report take 0.3 s and 120 MB peak RSS at
-# |lambda| = 1e8 (9.0e4 nodes), 0.9 s and 290 MB at 1e9 (2-core host)
+# only the default output grid grows with |k| = sqrt(|lambda|): solve and
+# residual report take 0.08 s, 48 MB at 1e8 (9.0e4 nodes), 0.11 s, 73 MB at 1e9
 MAX_ABS_LAMBDA = 1e8
+# |k_j^2 - k^2| below this: a forcing term takes the divided-difference form
+NEAR_RESONANCE = 1.0
 
 
 # never raised; kept only because perfbench/test_perfbench.py names it
@@ -69,51 +63,13 @@ class PoleAtEigenvalue(ArithmeticError):
 DenominatorVanishes = PoleAtEigenvalue
 
 
+class ResonantForcing(ValueError):
+    """A p = 1 forcing term with |k_j^2 - k^2| < NEAR_RESONANCE."""
+
+
 def _check_interval(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if np.max(np.abs(arr), initial=0.0) > HALF_PI + 1e-12:
-            raise ValueError("resolvent arguments outside [-pi/2, pi/2]")
-
-
-_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
-
-
-def particular_solution(k: complex, f, xs: np.ndarray) -> np.ndarray:
-    """u_p(xs) = (i/2k) int e^{ik|x-y|} f(y) dy for callable or symbolic f, Im k >= 0.
-
-    The evaluation points and an even grid of step <= 4/|k| cut
-    [-pi/2, pi/2] into panels, so no panel crosses the kernel kink.  GL12
-    integrates f on every panel against the exponential that decays
-    away from its right (left) end, and the two sweeps
-
-        L_{j+1} = e^{ik h_j} L_j + int_j e^{ik(x_{j+1} - y)} f,
-        R_j     = e^{ik h_j} R_{j+1} + int_j e^{ik(y - x_j)} f
-
-    carry the one-sided integrals across, multiplying only by factors of
-    modulus <= 1.
-    """
-    xs = np.asarray(xs, dtype=float)
-    _check_interval(xs)
-    n_even = int(math.ceil(math.pi * max(abs(k), 1.0) / 4.0)) + 1
-    edges, where = np.unique(np.concatenate((np.linspace(-HALF_PI, HALF_PI, n_even),
-                                             np.clip(xs, -HALF_PI, HALF_PI))),
-                             return_inverse=True)
-    half = 0.5 * np.diff(edges)[:, None]
-    ys = edges[:-1, None] + half * (1.0 + _GL12_X)
-    wf = half * _GL12_W * np.asarray(f(ys.ravel()), dtype=complex).reshape(ys.shape)
-    ik = 1j * k
-    left = np.sum(wf * np.exp(ik * (edges[1:, None] - ys)), axis=1)
-    right = np.sum(wf * np.exp(ik * (ys - edges[:-1, None])), axis=1)
-    step = np.exp(ik * 2.0 * half[:, 0]).tolist()
-
-    def sweep(acc, term):
-        return acc * term[0] + term[1]
-
-    lsum = list(accumulate(zip(step, left.tolist()), sweep, initial=0j))
-    rsum = list(accumulate(zip(step[::-1], right.tolist()[::-1]), sweep,
-                           initial=0j))[::-1]
-    up = (0.5j / k) * (np.array(lsum) + np.array(rsum))
-    return up[where[n_even:]]
+    if max(np.max(np.abs(arr), initial=0.0) for arr in arrays) > HALF_PI + 1e-12:
+        raise ValueError("resolvent arguments outside [-pi/2, pi/2]")
 
 
 def check_lambda(lam: complex) -> complex:
@@ -123,24 +79,19 @@ def check_lambda(lam: complex) -> complex:
         raise ValueError(f"lambda={lam} is not finite")
     if abs(lam) > MAX_ABS_LAMBDA:
         raise ValueError(f"|lambda| = {abs(lam):.3g} exceeds the cap of {MAX_ABS_LAMBDA:g} "
-                         "(the solution grid grows with |k| = sqrt(|lambda|))")
+                         "(the output grid grows with |k| = sqrt(|lambda|))")
     return lam
 
 
 @dataclass
 class ResolventKernel:
-    """(H - lambda)^{-1} at one lambda, as the free kernel plus a rank-two term.
-
+    """(H - lambda)^{-1} at one lambda: the kernel
         R(x, y) = (i/2k) e^{ik|x-y|} + phi_1(x) alpha(y) + phi_2(x) beta(y),
-
-    where (alpha, beta) = `coefficients` of the free kernel's boundary
-    differences G(-pi/2, y) - G(pi a/2, y) and G(pi/2, y) - G(pi a/2, y).
-    `apply_resolvent` feeds the same `coefficients` the boundary differences
-    of u_p, so both paths share one three-point solve.  `one_minus` holds
-    the determinant's factors (1 - E, 1 - P, 1 - Q); `denom` is their
-    product.  `ik`, `p`, `q` and `one_minus` are Python floats when lambda
-    is real and negative and complex otherwise; the arrays built from them
-    inherit that type.
+    (alpha, beta) the `coefficients` of the free kernel's boundary
+    differences, which `ThreePointSolve` feeds those of u_p: one
+    three-point solve for both.  `one_minus` holds the determinant's
+    factors (1 - E, 1 - P, 1 - Q), `denom` their product; `ik`, `p`, `q`
+    and `one_minus` are floats at real lambda < 0, complex otherwise.
     """
 
     lam: complex
@@ -173,12 +124,10 @@ class ResolventKernel:
     def coefficients(self, r1, r2):
         """(A, B) such that u_p + A phi_1 + B phi_2 meets the three-point
         condition, given r1 = u_p(-pi/2) - u_p(pi a/2) and
-        r2 = u_p(pi/2) - u_p(pi a/2); broadcasts over arrays.
-
-        The system [[1-P, E-Q], [E-P, 1-Q]] (A, B) = -(r1, r2) has, since
-        E = PQ, the solution A = -(s1 + Q s2), B = -(P s1 + s2) with
-        s1 = r1/((1-E)(1-P)) and s2 = r2/((1-E)(1-Q)).
-        """
+        r2 = u_p(pi/2) - u_p(pi a/2); broadcasts over arrays.  The system
+        [[1-P, E-Q], [E-P, 1-Q]] (A, B) = -(r1, r2) has, since E = PQ, the
+        solution A = -(s1 + Q s2), B = -(P s1 + s2) with
+        s1 = r1/((1-E)(1-P)) and s2 = r2/((1-E)(1-Q))."""
         d_e, d_p, d_q = self.one_minus
         s1 = r1 / (d_e * d_p)
         s2 = r2 / (d_e * d_q)
@@ -190,8 +139,7 @@ class ResolventKernel:
         return np.exp(self.ik * np.stack([xs + HALF_PI, HALF_PI - xs], axis=-1))
 
     def kernel_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         _check_interval(xs, ys)
         ik, c = self.ik, -0.5 / self.ik  # c = i/2k
         phi_y = self.phis(ys)
@@ -199,50 +147,109 @@ class ResolventKernel:
         alpha, beta = self.coefficients(c * phi_y[:, 0] - g_jump,
                                         c * phi_y[:, 1] - g_jump)
         out = np.empty((len(xs), len(ys)), dtype=np.result_type(ik))
-        np.subtract.outer(xs, ys, out=out)
-        np.abs(out, out=out)
-        out *= ik
-        np.exp(out, out=out)
+        np.abs(np.subtract.outer(xs, ys, out=out), out=out)
+        np.exp(np.multiply(out, ik, out=out), out=out)
         out *= c
         out += self.phis(xs) @ np.stack([alpha, beta])
-        return out
+        # real lambda > 0: H commutes with conjugation, Im is rounding only
+        return np.ascontiguousarray(out.real) if self.lam.imag == 0 else out
 
 
-def apply_resolvent(lam: complex, f, a: ParamA,
+def _particular(k: complex, t: Terms) -> tuple[Terms, Terms, Terms]:
+    """(rows, sinc, covered): u_p of the forcing rows t of one piece, as the
+    term rows of the plain and secular solutions, the rows of t that take
+    the sinc form (`_sinc_values`), and the rows of t the term rows solve."""
+    d = (t.k - k) * (t.k + k)
+    near = np.abs(d) < NEAR_RESONANCE
+    if np.any(near & (t.p == 1)):
+        raise ResonantForcing(f"x cos(k_j x + s) with |k_j^2 - k^2| < {NEAR_RESONANCE:g}, k = {k}")
+    far, res, lin = ~near, d == 0, ~near & (t.p == 1)
+    rows = Terms.concat((
+        t[far].scaled(1 / d[far]),
+        Terms(t.p[lin] - 1, 2 * t.k[lin] * t.c[lin] / d[lin]**2, t.k[lin], t.s[lin], t.q[lin] - 1),
+        Terms(t.p[res] + 1, t.c[res] / (2 * t.k[res]), t.k[res], t.s[res], t.q[res] - 1)))
+    return rows, t[near & ~res], t[far | res]
+
+
+def _sinc_values(t: Terms, k: complex, x: np.ndarray, order: int) -> np.ndarray:
+    """Sum over the p = 0 rows t of c (T - T_k)/(k_j^2 - k^2) at x, T =
+    cos(k_j x + th), th = s - q pi/2, or of its derivative (order 1): with
+    kb = (k_j + k)/2 and z = (k_j - k) x/2, -x sin(kb x + th) sinc(z) and
+    -(k_j x cos(kb x + th) sinc(z) + sin(k x + th)), over k_j + k."""
+    x = x[:, None]
+    th, sinc = t.s - t.q * HALF_PI, np.sinc((t.k - k) * x / (2 * math.pi))
+    wave = (t.k + k) / 2 * x + th
+    vals = (-(t.k * x * np.cos(wave) * sinc + np.sin(k * x + th)) if order
+            else -x * np.sin(wave) * sinc)
+    return vals / (t.k + k) @ t.c
+
+
+class ThreePointSolve:
+    """u = u_p + w + A phi_1 + B phi_2 = (H - lambda)^{-1} f (module docstring);
+    u_p depends on k^2 only and takes Re k >= 0; w = 0 unless f has a breakpoint."""
+
+    def __init__(self, lam: complex, f: PiecewiseTrig, a: ParamA):
+        if not isinstance(f, PiecewiseTrig):
+            raise TypeError("the forcing must be a PiecewiseTrig term sum")
+        self.kern = ResolventKernel.build(lam, a)
+        self.k = self.kern.k if self.kern.k.real >= 0 else -self.kern.k
+        self.parts = [(p.hi, *_particular(self.k, p.terms)) for p in f.pieces]
+        self.xb, self.match, self.coef = f.breakpoint or 0.0, (0.0, 0.0), (0.0, 0.0)
+        if len(self.parts) == 2:
+            j0, j1 = self.jumps()
+            self.match = (-j0 / 2, -j1 / (2 * self.kern.ik))
+        up = self(np.array([-HALF_PI, HALF_PI * a.value, HALF_PI]))  # u_p + w
+        self.coef = self.kern.coefficients(up[0] - up[1], up[2] - up[1])
+
+    def _piece(self, i: int, xs: np.ndarray, order: int) -> np.ndarray:
+        _, rows, sinc, _ = self.parts[i]
+        return (eval_exact(rows.derivative() if order else rows, xs)
+                + _sinc_values(sinc, self.k, xs, order))
+
+    def jumps(self) -> list[complex]:
+        """Jumps of u and u' across xb."""
+        (alpha, beta), x = self.match, np.array([self.xb])
+        return [complex(self._piece(1, x, o)[0] - self._piece(0, x, o)[0]) + w_jump
+                for o, w_jump in ((0, 2 * alpha), (1, 2 * self.kern.ik * beta))]
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """u at xs (at xb, from the left)."""
+        piece = np.searchsorted([hi for hi, *_ in self.parts[:-1]], xs)
+        out = self.kern.phis(xs) @ np.array(self.coef, dtype=complex)
+        for i in range(len(self.parts)):
+            out[piece == i] += self._piece(i, xs[piece == i], 0)
+        alpha, beta = self.match
+        return out + (np.where(xs > self.xb, alpha, -alpha) + beta) * np.exp(
+            self.kern.ik * np.abs(xs - self.xb))
+
+
+def apply_resolvent(lam: complex, f: PiecewiseTrig, a: ParamA,
                     xs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, u(nodes)) for u = (H - lambda)^{-1} f, f callable or PiecewiseTrig.
-
-    Kink-split quadrature keeps u at machine accuracy.  The nodes are xs,
-    or by default the composite Lobatto grid resolving |k|.
-    """
-    kern = ResolventKernel.build(lam, a)
-    if xs is None:
-        nodes, _ = grid_nodes(a, 96, kmax=abs(kern.k))
-    else:
-        nodes = np.asarray(xs, dtype=float)
-    up = particular_solution(kern.k, f, np.concatenate(
-        (nodes, [-HALF_PI, HALF_PI * a.value, HALF_PI])))
-    u_m, u_b, u_p = up[-3:]
-    coef = kern.coefficients(u_m - u_b, u_p - u_b)
-    return nodes, up[:-3] + kern.phis(nodes) @ np.array(coef)
+    """(nodes, u(nodes)) for u = (H - lambda)^{-1} f in closed form.  The
+    nodes are xs, or by default the composite Lobatto grid resolving |k|."""
+    solve = ThreePointSolve(lam, f, a)
+    nodes = (grid_nodes(a, 96, kmax=abs(solve.kern.k))[0] if xs is None
+             else np.asarray(xs, dtype=float))
+    _check_interval(nodes)
+    return nodes, solve(nodes)
 
 
-def residual_report(lam: complex, f, a: ParamA, n: int = 4096) -> dict:
-    """Uniform-grid diagnostics: boundary deviation and the second-order
-    ODE residual -u'' - lambda u - f under 4th-order central differences."""
-    h = math.pi / n
-    xs = np.linspace(-HALF_PI, HALF_PI, n + 1)
-    _, u = apply_resolvent(lam, f, a, xs=np.append(xs, HALF_PI * a.value))
-    u, u_b = u[:-1], u[-1]
-    fv = np.asarray(f(xs), dtype=complex)
-    upp = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
-    resid = -upp - lam * u[2:-2] - fv[2:-2]
-    scale = max(1.0, float(np.max(np.abs(fv))))
-    return {
-        "boundary_deviation": float(max(abs(u[0] - u_b), abs(u[-1] - u_b))),
-        "pde_residual": float(np.max(np.abs(resid)) / scale),
-        "lambda": lam,
-    }
+def residual_report(lam: complex, f: PiecewiseTrig, a: ParamA) -> dict:
+    """Diagnostics of u = (H - lambda)^{-1} f on no grid: pde_residual,
+    -u_p'' - lambda u_p - f of the term rows (symbolic), max over pieces of
+    sum |c| (pi/2)^p over max(1, that of f); c1_jump, |jump of u| + |jump
+    of u'| across f's breakpoint; boundary_deviation, max |u(+-pi/2) -
+    u(pi a/2)|.  The sinc rows, w and A phi_1 + B phi_2 solve -v'' = k^2 v."""
+    solve = ThreePointSolve(lam, f, a)
+    u_m, u_b, u_p = solve(np.array([-HALF_PI, HALF_PI * a.value, HALF_PI]))
+    bound = lambda t: float(np.sum(np.abs(t.c) * HALF_PI ** t.p))  # noqa: E731
+    resid = max(bound(Terms.concat((rows.derivative().derivative().scaled(-1.0),
+                                    rows.scaled(-solve.kern.lam), covered.scaled(-1.0))).merged())
+                for _, rows, _, covered in solve.parts)
+    return {"boundary_deviation": float(max(abs(u_m - u_b), abs(u_p - u_b))),
+            "pde_residual": resid / max(1.0, *(bound(p.terms) for p in f.pieces)),
+            "c1_jump": sum(map(abs, solve.jumps())) if len(solve.parts) == 2 else 0.0,
+            "lambda": lam}
 
 
 def check_probe(lam: complex, a: ParamA, n: int) -> float:
@@ -259,12 +266,9 @@ def check_probe(lam: complex, a: ParamA, n: int) -> float:
 
 
 def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
-    """Singular values of the quadrature-weighted resolvent kernel.
-
-    Returns the values, the fitted log-log decay exponent, and the partial
-    sum (trace-norm estimate); compact second-order resolvents decay like
-    j^-2, so the sum converges.
-    """
+    """Singular values of the quadrature-weighted resolvent kernel, their
+    fitted log-log decay exponent and partial sum (trace-norm estimate);
+    compact second-order resolvents decay like j^-2, so the sum converges."""
     nodes, weights = grid_nodes(a, n // 2, kmax=check_probe(lam, a, n))
     mat = ResolventKernel.build(lam, a).kernel_matrix(nodes, nodes)
     sq = np.sqrt(weights)
@@ -274,9 +278,5 @@ def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
     j = np.arange(1, len(svals) + 1)
     window = (j >= 4) & (j <= len(svals) // 4) & (svals > 1e-14)
     slope = float(np.polyfit(np.log(j[window]), np.log(svals[window]), 1)[0])
-    return {
-        "singular_values": svals,
-        "decay_exponent": slope,
-        "partial_sum": float(np.sum(svals)),
-        "n_nodes": len(nodes),
-    }
+    return {"singular_values": svals, "decay_exponent": slope,
+            "partial_sum": float(np.sum(svals)), "n_nodes": len(nodes)}

@@ -26,6 +26,10 @@ from jumpspec.param import FAMILIES, ParamA, family_k, zero_class_case, ZeroClas
 # family members (k <= sqrt(lambda_max)) enumeration accepts: 1e5 take 1.8 s
 # and 76 MB peak RSS at a = 1/3, 1.0 s and 94 MB at sqrt(2)-1 (one core)
 MAX_MEMBERS = 10 ** 5
+# rows (a, class, m, lambda) `curves` accepts: `spectrum --curves` builds
+# and writes 1e6 rows in 3.8 s at 150-170 MB peak RSS (one core), with every
+# row held until the write
+MAX_CURVE_ROWS = 10 ** 6
 
 
 class SpectralCase(enum.Enum):
@@ -113,10 +117,20 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
 # eigenvalue curves
 # ---------------------------------------------------------------------------
 
-def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
-    """Rows (a, class, m, lambda) for the three eigenvalue families."""
+def check_curves(points: float, m_max: int) -> None:
+    """ValueError unless m_max >= 0 and the points x (3 m_max + 1) rows of
+    `curves` stay within MAX_CURVE_ROWS; counted, not built (points >= 1
+    may be a float, inf included)."""
     if m_max < 0:
         raise ValueError(f"curves need m_max >= 0, got {m_max}")
+    if m_max > MAX_CURVE_ROWS or points * (3 * m_max + 1) > MAX_CURVE_ROWS:
+        raise ValueError(f"{points:.3g} grid points x {3 * m_max + 1} rows each exceed the cap "
+                         f"of {MAX_CURVE_ROWS} curve rows (the work grows with the rows)")
+
+
+def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
+    """Rows (a, class, m, lambda) for the three eigenvalue families."""
+    check_curves(len(a_grid), m_max)
     rows: list[tuple[float, int, int, float]] = []
     for a_val in a_grid:
         a_val = float(a_val)

@@ -15,12 +15,16 @@ enumerated by separate rational and float branches with integer-arithmetic
 case tests, the exceptional-index tests by float arithmetic with a
 tolerance, the Rayleigh quotient through the full metric operator, the
 median of the generic projection norms that the blow-up is measured
-against, the resolvent kernel's singular
-values in complex arithmetic where the package computes them in float64,
-the simulator's bridge hit probabilities of both boundaries where the
-package computes the nearer one's only, the simulator's walk with every
-path taking every step of dt where the package moves paths by one step
-per stride, and the renewal moments of the time between restarts.
+against, the resolvent kernel and its singular values in complex
+arithmetic where the package computes them in float64, the resolvent of a
+callable forcing by panel quadrature and a difference stencil (small
+frequencies only) and of a term sum by a 50-digit three-point solve with
+textbook particular solutions (`mp_three_point_solve`, which holds for any
+a in (-1, 1), so it serves the a -> +-1 regime as well), the simulator's
+bridge hit probabilities of both boundaries where the package computes the
+nearer one's only, the simulator's walk with every path taking every step
+of dt where the package moves paths by one step per stride, and the
+renewal moments of the time between restarts.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import accumulate
 
+import mpmath as mp
 import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
@@ -286,7 +292,7 @@ def generic_norm_median(a: ParamA, m_max: int = 200) -> float:
 def complex_arithmetic_kernel(lam: complex, a: ParamA) -> ResolventKernel:
     """`ResolventKernel.build` with ik forced complex: the same formulas for
     E, P, Q and the factors 1 - E, 1 - P, 1 - Q, evaluated in complex
-    arithmetic, so `kernel_matrix` runs in complex128 at every lambda."""
+    arithmetic."""
     kern = ResolventKernel.build(lam, a)
     ik = complex(kern.ik)
     theta = ik * math.pi * np.array([1.0, (1 + a.value) / 2, (1 - a.value) / 2])
@@ -295,14 +301,178 @@ def complex_arithmetic_kernel(lam: complex, a: ParamA) -> ResolventKernel:
                                one_minus=tuple((-np.expm1(theta)).tolist()))
 
 
+def complex_kernel_matrix(lam: complex, a: ParamA, xs: np.ndarray,
+                          ys: np.ndarray) -> np.ndarray:
+    """The resolvent kernel (i/2k) e^{ik|x-y|} + phi_1(x) alpha(y) +
+    phi_2(x) beta(y) assembled in complex128 at every lambda, with nothing
+    dropped: `complex_arithmetic_kernel`'s scalars, one array expression."""
+    kern = complex_arithmetic_kernel(lam, a)
+    c = -0.5 / kern.ik
+    phi_y = kern.phis(ys)
+    g_jump = c * np.exp(kern.ik * np.abs(HALF_PI * a.value - ys))
+    alpha, beta = kern.coefficients(c * phi_y[:, 0] - g_jump, c * phi_y[:, 1] - g_jump)
+    return (c * np.exp(kern.ik * np.abs(np.subtract.outer(xs, ys)))
+            + kern.phis(xs) @ np.stack([alpha, beta]))
+
+
 def complex_probe_singular_values(lam: complex, a: ParamA, n: int) -> np.ndarray:
     """The singular values `singular_value_probe` reports, from the
     complex-arithmetic kernel on the same grid and a complex SVD."""
-    kern = complex_arithmetic_kernel(lam, a)
-    nodes, weights = grid_nodes(a, n // 2, kmax=abs(kern.k))
+    nodes, weights = grid_nodes(a, n // 2, kmax=abs(ResolventKernel.build(lam, a).k))
     sq = np.sqrt(weights)
-    mat = sq[:, None] * kern.kernel_matrix(nodes, nodes) * sq[None, :]
+    mat = sq[:, None] * complex_kernel_matrix(lam, a, nodes, nodes) * sq[None, :]
     return np.linalg.svd(mat, compute_uv=False)
+
+
+_GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
+
+
+def particular_solution(k: complex, f, xs: np.ndarray) -> np.ndarray:
+    """u_p(xs) = (i/2k) int e^{ik|x-y|} f(y) dy for a callable f, Im k >= 0,
+    by panel quadrature: an oracle for small frequencies of f only.
+
+    The evaluation points and an even grid of step <= 4/|k| cut
+    [-pi/2, pi/2] into panels, so no panel crosses the kernel kink.  GL12
+    integrates f on every panel against the exponential that decays
+    away from its right (left) end, and the two sweeps
+
+        L_{j+1} = e^{ik h_j} L_j + int_j e^{ik(x_{j+1} - y)} f,
+        R_j     = e^{ik h_j} R_{j+1} + int_j e^{ik(y - x_j)} f
+
+    carry the one-sided integrals across, multiplying only by factors of
+    modulus <= 1.  The panels are sized by |k|, not by the frequencies of
+    f, so f must be resolved by GL12 on panels of length ~4/max(|k|, 1).
+    """
+    xs = np.asarray(xs, dtype=float)
+    n_even = int(math.ceil(math.pi * max(abs(k), 1.0) / 4.0)) + 1
+    edges, where = np.unique(np.concatenate((np.linspace(-HALF_PI, HALF_PI, n_even),
+                                             np.clip(xs, -HALF_PI, HALF_PI))),
+                             return_inverse=True)
+    half = 0.5 * np.diff(edges)[:, None]
+    ys = edges[:-1, None] + half * (1.0 + _GL12_X)
+    wf = half * _GL12_W * np.asarray(f(ys.ravel()), dtype=complex).reshape(ys.shape)
+    ik = 1j * k
+    left = np.sum(wf * np.exp(ik * (edges[1:, None] - ys)), axis=1)
+    right = np.sum(wf * np.exp(ik * (ys - edges[:-1, None])), axis=1)
+    step = np.exp(ik * 2.0 * half[:, 0]).tolist()
+
+    def sweep(acc, term):
+        return acc * term[0] + term[1]
+
+    lsum = list(accumulate(zip(step, left.tolist()), sweep, initial=0j))
+    rsum = list(accumulate(zip(step[::-1], right.tolist()[::-1]), sweep,
+                           initial=0j))[::-1]
+    up = (0.5j / k) * (np.array(lsum) + np.array(rsum))
+    return up[where[n_even:]]
+
+
+def quadrature_resolvent(lam: complex, f, a: ParamA, xs: np.ndarray) -> np.ndarray:
+    """u = (H - lambda)^{-1} f at xs for a callable f: the panel-sweep u_p
+    and the package's three-point coefficients (`ResolventKernel`)."""
+    kern = ResolventKernel.build(lam, a)
+    xs = np.asarray(xs, dtype=float)
+    up = particular_solution(kern.k, f, np.concatenate(
+        (xs, [-HALF_PI, HALF_PI * a.value, HALF_PI])))
+    u_m, u_b, u_p = up[-3:]
+    return up[:-3] + kern.phis(xs) @ np.array(kern.coefficients(u_m - u_b, u_p - u_b))
+
+
+def stencil_residual(lam: complex, f, a: ParamA, u_at, n: int = 4096) -> dict:
+    """Uniform-grid diagnostics of u = u_at(xs), such as
+    `quadrature_resolvent` of a callable f or the package's closed form:
+    the boundary deviation and the residual -u'' - lambda u - f under
+    4th-order central differences, over max(1, max |f|)."""
+    h = math.pi / n
+    xs = np.linspace(-HALF_PI, HALF_PI, n + 1)
+    u = u_at(np.append(xs, HALF_PI * a.value))
+    u, u_b = u[:-1], u[-1]
+    fv = np.asarray(f(xs), dtype=complex)
+    upp = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
+    resid = -upp - lam * u[2:-2] - fv[2:-2]
+    return {"boundary_deviation": float(max(abs(u[0] - u_b), abs(u[-1] - u_b))),
+            "pde_residual": float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(fv)))))}
+
+
+def _mp_rows(terms: Terms):
+    """(p, c, k, theta) of each row at mp precision, theta = s - q pi/2 with
+    exact quarter turns."""
+    return [(int(p), mp.mpc(complex(c)), mp.mpf(float(k)), mp.mpf(float(s)) - int(q) * mp.pi / 2)
+            for p, c, k, s, q in zip(terms.p, terms.c, terms.k, terms.s, terms.q)]
+
+
+def _mp_particular(rows, lam, x):
+    """(value, derivative) at x of the textbook particular solution of
+    -u'' - lambda u = sum of rows: T/d, xT/d + 2T'/d^2 (d = k_j^2 - lambda),
+    and x T'/(2 k_j^2) for a p = 0 row at d = 0."""
+    val = der = mp.mpc(0)
+    for p, c, k, th in rows:
+        d = k * k - lam
+        cs, sn = mp.cos(k * x + th), mp.sin(k * x + th)
+        if p == 0 and d == 0:
+            val += -c * x * sn / (2 * k)
+            der += -c * (sn + k * x * cs) / (2 * k)
+        elif p == 0:
+            val += c * cs / d
+            der += -c * k * sn / d
+        else:
+            val += c * (x * cs / d - 2 * k * sn / d ** 2)
+            der += c * (cs / d - k * x * sn / d - 2 * k * k * cs / d ** 2)
+    return val, der
+
+
+def mp_three_point_solve(lam: complex, f: PiecewiseTrig, a: ParamA, xs: np.ndarray,
+                         dps: int = 50) -> np.ndarray:
+    """u = (H - lambda)^{-1} f at xs, solved at `dps` digits by a route of
+    its own: on each piece of f the textbook particular solution
+    (`_mp_particular`) plus C cos(kx) + D sin(kx)/k, and one linear solve
+    for all C, D of the three-point condition and, where f has a
+    breakpoint, the C^1 match there.
+
+    The three points are the floats -pi/2, pi a/2, pi/2 as the package
+    rounds them (HALF_PI, HALF_PI * a.value), exactly: a shift of a point by
+    one ulp moves u by ulp |u'|, which is K eps relative to max |u| for a
+    forcing sin(Kx), so the exact pi would measure that shift, not the solve.
+    A reference for any a in (-1, 1), lambda off the spectrum and f without
+    a p = 1 term at resonance.
+    """
+    with mp.workdps(dps):
+        lam = mp.mpc(complex(lam))
+        k = mp.sqrt(lam)
+        h, b = mp.mpf(HALF_PI), mp.mpf(HALF_PI * a.value)
+        cuts = [mp.mpf(p.hi) for p in f.pieces[:-1]]
+        pieces = [_mp_rows(p.terms) for p in f.pieces]
+        n = 2 * len(pieces)
+
+        def piece_of(x):
+            return sum(x > cut for cut in cuts)
+
+        def basis(x, i, der=False):
+            """Row of the linear system: the homogeneous part at x on piece i."""
+            row = [mp.mpc(0)] * n
+            row[2 * i], row[2 * i + 1] = ((-k * mp.sin(k * x), mp.cos(k * x)) if der
+                                          else (mp.cos(k * x), mp.sin(k * x) / k))
+            return row
+
+        def sub(r1, r2):
+            return [u - v for u, v in zip(r1, r2)]
+
+        rows, rhs = [], []
+        for x in (-h, h):  # u(x) = u(b)
+            i, j = piece_of(x), piece_of(b)
+            rows.append(sub(basis(x, i), basis(b, j)))
+            rhs.append(_mp_particular(pieces[j], lam, b)[0] - _mp_particular(pieces[i], lam, x)[0])
+        for i, cut in enumerate(cuts):  # C^1 across the breakpoint
+            for der in (False, True):
+                rows.append(sub(basis(cut, i + 1, der), basis(cut, i, der)))
+                rhs.append(_mp_particular(pieces[i], lam, cut)[der]
+                           - _mp_particular(pieces[i + 1], lam, cut)[der])
+        coef = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+        out = []
+        for x in map(mp.mpf, np.asarray(xs, dtype=float)):
+            i = piece_of(x)
+            out.append(complex(_mp_particular(pieces[i], lam, x)[0]
+                               + mp.fsum(r * c for r, c in zip(basis(x, i), coef))))
+        return np.array(out)
 
 
 def full_width_bridge_probabilities(x0: np.ndarray, x1: np.ndarray,

@@ -7,8 +7,9 @@ import pytest
 
 from jumpspec import basis_diag, metric, resolvent, simulator, spectrum
 from jumpspec.cli import Manifest, main
-from jumpspec.funcspace import grid_nodes
+from jumpspec.funcspace import PiecewiseTrig, grid_nodes, sin_term
 from jumpspec.param import ParamA
+from reference_oracles import mp_three_point_solve
 
 
 def run_cli(args):
@@ -295,6 +296,52 @@ def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [
+    "--a-grid=-0.95:0.95:1e-12", "--a-grid=-0.95:0.95:1e-320", "--m-max=1000000000",
+    pytest.param(f"--m-max={10 ** 400}", id="--m-max=10**400")])
+def test_curve_rows_over_the_cap_are_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                             option):
+    # 1.9e12 or inf grid points, or 191 points x 3e9 or 3e400 rows: no grid
+    # is allocated (at 1e-12 the parent raised a raw MemoryError, exit 1)
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a refused curve grid")
+    monkeypatch.setattr(spectrum, "curves", no_work)
+    monkeypatch.setattr(spectrum, "_raw_wavenumbers", no_work)
+    monkeypatch.setattr(np, "arange", no_work)
+    out = tmp_path / "cap"
+    assert run_cli(["spectrum", "--a", "1/3", "--curves", option, "--out", str(out)]) == 2
+    assert f"cap of {spectrum.MAX_CURVE_ROWS} curve rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_curve_row_cap_is_the_closed_form_count(tmp_path, monkeypatch):
+    # the default grid -0.95:0.95:0.01 has 191 points of 3 * 4 + 1 rows
+    monkeypatch.setattr(spectrum, "MAX_CURVE_ROWS", 191 * 13)
+    assert run_cli(["spectrum", "--a", "1/3", "--curves", "--out", str(tmp_path / "at")]) == 0
+    assert len((tmp_path / "at" / "curves.csv").read_text().splitlines()) == 1 + 191 * 13
+    monkeypatch.setattr(spectrum, "MAX_CURVE_ROWS", 191 * 13 - 1)
+    assert run_cli(["spectrum", "--a", "1/3", "--curves", "--out", str(tmp_path / "over")]) == 2
+
+
+# the rows that came out wrong with exit 0 from a panel sweep sized by |k|
+# of lambda, not by K (2.9e-5, 3.8e-3 and 3.0e-2 off at max|u| 2.6e-6,
+# 2.6e-8 and 1.5e-12); the closed form must be within 16 eps max|u| of the
+# 50-digit solve at every output node (measured worst 2.2 eps)
+@pytest.mark.parametrize("source, lam", [("sin1000", "-1"), ("sin1e4", "-1"),
+                                         ("sin1e6", "2.5,1"), ("sin-3", "-1")])
+def test_resolvent_output_matches_the_mpmath_solve(tmp_path, source, lam):
+    out = tmp_path / "u"
+    assert run_cli(["resolvent", "--a", "1/3", f"--lambda={lam}", "--f", source,
+                    "--svd-n", "64", "--out", str(out)]) == 0
+    x, re, im = np.loadtxt(out / "resolvent_u.csv", delimiter=",", skiprows=1, unpack=True)
+    K = float(source.removeprefix("sin"))
+    f = PiecewiseTrig.single(sin_term(math.copysign(1.0, K), abs(K)))
+    re_s, _, im_s = lam.partition(",")
+    ref = mp_three_point_solve(complex(float(re_s), float(im_s or 0)), f,
+                               ParamA.from_expr("1/3"), x)
+    assert np.max(np.abs(re + 1j * im - ref)) < 16 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
 def test_numerical_failure_exits_3_with_an_error_record(tmp_path):
     out = tmp_path / "pole"
     # 36 is an eigenvalue at a = 1/3
@@ -356,6 +403,16 @@ def test_non_finite_source_wavenumber_is_a_usage_error_before_any_output(tmp_pat
     out = tmp_path / "f"
     assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1", "--f", source,
                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["sin2e150", "sin-1e200"])
+def test_source_wavenumber_above_the_cap_is_a_usage_error(tmp_path, capsys, source):
+    # K^2 would overflow: u = 0 and a report of pde_residual 1.0 with exit 0
+    out = tmp_path / "f"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1", "--f", source,
+                    "--out", str(out)]) == 2
+    assert "1e+150" in capsys.readouterr().err
     assert not out.exists()
 
 

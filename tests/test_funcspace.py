@@ -1,14 +1,15 @@
 import argparse
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack, Terms, const,
-    cos_term, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix,
-    norms_l2, quad_inner, sin_term,
+    cos_term, eval_exact, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed,
+    inner_matrix, norms_l2, quad_inner, sin_term,
 )
 from jumpspec.param import ParamA
 
@@ -326,6 +327,32 @@ def test_quad_inner_forms_the_requested_products():
     want = inner_matrix(fns, fns)[pairs[:, 0], pairs[:, 1]]
     assert got.shape == (len(pairs),)
     assert np.all(np.abs(got - want) < 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def test_quad_inner_takes_one_sided_values_at_a_jump():
+    # the restart node, which both grid pieces hold, is sampled once per
+    # side; sampled at the mean of the two values, the jump to 2 + x there
+    # left the rule first order and QuadratureNotConverged was raised
+    a = ParamA.from_expr("1/pi")
+    fns = [PiecewiseTrig.split(HALF_PI * a.value, [sin_term(1.0, 3.0), cos_term(0.5, 2.0)],
+                               [const(2.0), linear(1.0)]),
+           PiecewiseTrig.single(cos_term(1.0, 1.0))]
+    got = quad_gram(fns, a)
+    want = inner_matrix(fns, fns)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_exact_phase_evaluation_at_large_wavenumbers():
+    # cos(k x + s) with k x ~ 1e6: eval_terms loses k |x| eps, eval_exact
+    # keeps a few eps of the 50-digit value
+    t = Terms.concat([sin_term(1.0, 1e6), cos_term(2.0, 12345.678, 0.25), linear(1.0)])
+    x = np.linspace(-HALF_PI, HALF_PI, 41)
+    with mp.workdps(50):
+        ref = np.array([complex(mp.sin(mp.mpf(1e6) * mp.mpf(v))
+                                + 2 * mp.cos(mp.mpf(12345.678) * mp.mpf(v) + mp.mpf(0.25))
+                                + mp.mpf(v)) for v in x])
+    assert np.max(np.abs(eval_exact(t, x) - ref)) < 8 * np.finfo(float).eps
+    assert np.max(np.abs(eval_terms(t, x) - ref)) > 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,34 @@
 import math
+import sys
+import types
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from jumpspec.eigensystem import eigenfunctions_H
-from jumpspec.funcspace import PiecewiseTrig, grid_nodes, sin_term
+from jumpspec import resolvent
+from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
+from jumpspec.funcspace import PiecewiseTrig, Stack, const, cos_term, grid_nodes, sin_term
 from jumpspec.param import ParamA
 from jumpspec.resolvent import (
-    PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel,
+    PoleAtDirichletEigenvalue, PoleAtEigenvalue, ResolventKernel, ResonantForcing,
     apply_resolvent, residual_report, singular_value_probe,
 )
 from jumpspec.spectrum import enumerate_spectrum
 from rank_one_oracle import (
     dirichlet_resolvent_values, green0, h_profile, rank_one_kernel,
 )
-from reference_oracles import char_det, complex_probe_singular_values
+from reference_oracles import (
+    char_det, complex_kernel_matrix, complex_probe_singular_values, mp_three_point_solve,
+    quadrature_resolvent, stencil_residual,
+)
+from util import linear, xcos_term
 
 HALF_PI = math.pi / 2
+EPS = np.finfo(float).eps
+ONE = PiecewiseTrig.single(const(1.0))
+SIN3_HALF = PiecewiseTrig.single([sin_term(1.0, 3.0), const(0.5)])
 
 
 def test_green0_vanishes_on_the_boundary():
@@ -63,14 +74,13 @@ def test_h_profile_properties():
 
 def test_resolvent_of_constant_is_constant():
     a = ParamA.from_expr("1/3")
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    _, u = apply_resolvent(-1.0, one, a)
+    _, u = apply_resolvent(-1.0, ONE, a)
     assert np.max(np.abs(u - 1.0)) < 1e-10
 
 
 def test_boundary_identity():
     a = ParamA.from_expr("1/3")
-    f = lambda x: np.sin(3 * np.asarray(x, dtype=float))
+    f = PiecewiseTrig.single(sin_term(1.0, 3.0))
     pts = np.array([-HALF_PI, HALF_PI * a.value, HALF_PI])
     _, u = apply_resolvent(-2.0, f, a, xs=pts)
     assert abs(u[0] - u[1]) < 1e-8
@@ -84,8 +94,8 @@ def test_rank_one_structure():
     lam = -1.5
     xs = np.linspace(-1.2, 1.2, 17)
     ratios = []
-    for f in (lambda x: np.sin(3 * np.asarray(x)),
-              lambda x: np.cos(np.asarray(x)) ** 2):
+    for f in (PiecewiseTrig.single(sin_term(1.0, 3.0)),  # and cos^2 x:
+              PiecewiseTrig.single([const(0.5), cos_term(0.5, 2.0)])):
         _, u_full = apply_resolvent(lam, f, a, xs=xs)
         u_free = dirichlet_resolvent_values(lam, f, xs)
         diff = u_full - u_free
@@ -98,25 +108,44 @@ def test_rank_one_structure():
 @pytest.mark.parametrize("lam", [-1.0, -2.0, 2.5 + 1j])
 def test_residual_report_targets(lam):
     a = ParamA.from_expr("1/3")
-    f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
-    rep = residual_report(lam, f, a)
+    rep = residual_report(lam, SIN3_HALF, a)
     assert rep["boundary_deviation"] < 1e-8
     assert rep["pde_residual"] < 1e-6
+    assert rep["c1_jump"] == 0.0  # one piece
+    # the closed form under 4th-order differences, and the panel sweep's u
+    for u_at in (lambda xs: apply_resolvent(lam, SIN3_HALF, a, xs=xs)[1],
+                 lambda xs: quadrature_resolvent(lam, SIN3_HALF, a, xs)):
+        rep = stencil_residual(lam, SIN3_HALF, a, u_at)
+        assert rep["boundary_deviation"] < 1e-8
+        assert rep["pde_residual"] < 1e-6
+
+
+# R(lambda) (H - lambda) psi = psi on every forward root vector up to 400
+# (20 at each a, the Jordan-chain xi at 36 of 1/3 among them); measured
+# worst 40 eps max|psi| (sqrt(2)-1, lambda = 7, the member at 288)
+ROOT_VECTOR_C = 128
 
 
 def test_left_and_right_inverse():
-    a = ParamA.from_expr("sqrt(2)-1")
-    lam = -2.0
-    # right inverse: -(R f)'' - lam (R f) = f, via the residual report
-    rep = residual_report(lam, lambda x: np.cos(2 * np.asarray(x)), a)
-    assert rep["pde_residual"] < 1e-6
-    # left inverse on eigensystem members: R (H - lam) psi = psi
-    for rec in enumerate_spectrum(a, 40.0):
-        psi = eigenfunctions_H(rec, a)[0].fn
-        source = lambda x, r=rec, p=psi: (r.lam - lam) * p(x)
-        xs = np.linspace(-HALF_PI, HALF_PI, 65)
-        _, u = apply_resolvent(lam, source, a, xs=xs)
-        assert np.max(np.abs(u - psi(xs))) < 1e-6
+    # right inverse: -(R f)'' - lam (R f) = f, symbolic on the terms
+    rep = residual_report(-2.0, PiecewiseTrig.single(cos_term(1.0, 2.0)),
+                          ParamA.from_expr("sqrt(2)-1"))
+    assert rep["pde_residual"] < 16 * EPS
+    # left inverse on the root system: (H - lam) psi = -psi'' - lam psi
+    for expr in ("1/3", "sqrt(2)-1"):
+        a = ParamA.from_expr(expr)
+        family = biorthogonalize(a, 400.0)
+        if expr == "1/3":
+            assert "xi" in family.labels  # the Jordan chain at 36
+        xs = np.append(np.linspace(-HALF_PI, HALF_PI, 65), HALF_PI * a.value)
+        for lam in (-2.0, 2.5 + 1j, 7.0):
+            sources = Stack.total((family.psi.derivative(2).scaled(-1.0),
+                                   family.psi.scaled(-lam)))
+            for j in range(family.psi.count):
+                psi = family.psi.fn(j)(xs)
+                _, u = apply_resolvent(lam, sources.fn(j), a, xs=xs)
+                assert np.max(np.abs(u - psi)) < ROOT_VECTOR_C * EPS * np.max(np.abs(psi)), \
+                    (expr, lam, family.labels[j], family.records[j].lam)
 
 
 def test_useful_reference_identity():
@@ -138,11 +167,11 @@ def test_useful_reference_identity():
 def test_first_resolvent_identity():
     a = ParamA.from_expr("2/5")
     lam1, lam2 = -1.0, -3.0
-    f = lambda x: np.exp(np.sin(np.asarray(x, dtype=float)))
+    f = PiecewiseTrig.single([sin_term(1.0, 1.0), cos_term(0.5, 2.0), const(1.0)])
     xs = np.linspace(-HALF_PI, HALF_PI, 65)
-    # R(l2)f as an exact callable for the nested application
+    # R(l2)f is no term sum: the quadrature oracle applies R(l1) to it
     r2 = lambda x: apply_resolvent(lam2, f, a, xs=np.atleast_1d(x))[1]
-    _, u12 = apply_resolvent(lam1, r2, a, xs=xs)
+    u12 = quadrature_resolvent(lam1, r2, a, xs)
     _, u1 = apply_resolvent(lam1, f, a, xs=xs)
     _, u2 = apply_resolvent(lam2, f, a, xs=xs)
     lhs = u1 - u2
@@ -240,9 +269,8 @@ def _closed_form(lam, xs, a_value):
 ])
 def test_matches_the_closed_form(lam, tol):
     a = ParamA.from_expr("1/3")
-    f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
     xs = np.append(np.linspace(-HALF_PI, HALF_PI, 41), HALF_PI * a.value)
-    _, u = apply_resolvent(lam, f, a, xs=xs)
+    _, u = apply_resolvent(lam, SIN3_HALF, a, xs=xs)
     ref = _closed_form(lam, xs, a.value)
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u - ref)) < tol * np.max(np.abs(ref))
@@ -260,12 +288,34 @@ def test_kernel_matches_the_rank_one_oracle(lam):
 
 @pytest.mark.parametrize("lam, dtype", [
     (-1.0, np.float64), (-25.0, np.float64), (-1e4, np.float64),
-    (0.5, np.complex128), (2.5 + 1j, np.complex128),
+    (2.5 + 1j, np.complex128),
 ])
 def test_kernel_is_float64_exactly_for_real_negative_lambda(lam, dtype):
     a = ParamA.from_expr("1/3")
     xs = np.linspace(-HALF_PI, HALF_PI, 9)
     assert ResolventKernel.build(lam, a).kernel_matrix(xs, xs).dtype == dtype
+
+
+# at real lambda > 0 the kernel is real (H commutes with conjugation) and
+# the imaginary part of its complex assembly is rounding: measured at most
+# 12 eps max|K| up to 36 - 1e-6 and 345 eps at 1e4 + 0.5 (944 nodes), within
+# the bound 16 eps max(1, |k|) max|K|; the real SVD's values agree with the
+# complex SVD's within 1.7 eps sigma_1 (64 eps allowed, see below)
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1 + 1e-9, 25 - 1e-9, 36 - 1e-6, 1e4 + 0.5])
+def test_kernel_is_float64_at_real_positive_lambda(lam):
+    a = ParamA.from_expr("1/3")
+    n = 512
+    kern = ResolventKernel.build(lam, a)
+    nodes, _ = grid_nodes(a, n // 2, kmax=abs(kern.k))
+    mat = kern.kernel_matrix(nodes, nodes)
+    full = complex_kernel_matrix(lam, a, nodes, nodes)
+    assert mat.dtype == np.float64
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(full.imag)) < 16 * EPS * max(1.0, abs(kern.k)) * scale
+    assert np.max(np.abs(mat - full.real)) < 16 * EPS * scale
+    svals = singular_value_probe(lam, a, n)["singular_values"]
+    ref = complex_probe_singular_values(lam, a, n)
+    assert np.max(np.abs(svals - ref)) < 64 * EPS * ref[0]
 
 
 # Weyl's inequality bounds |sigma_j(A) - sigma_j(B)| by ||A - B||_2, and each
@@ -290,10 +340,9 @@ def test_determinant_is_proportional_to_char_det():
 
 def test_both_sides_of_the_branch_cut_agree():
     a = ParamA.from_expr("1/3")
-    f = lambda x: np.sin(3 * np.asarray(x, dtype=float)) + 0.5
     xs = np.linspace(-HALF_PI, HALF_PI, 33)
-    _, above = apply_resolvent(2.5 + 1e-12j, f, a, xs=xs)
-    _, below = apply_resolvent(2.5 - 1e-12j, f, a, xs=xs)
+    _, above = apply_resolvent(2.5 + 1e-12j, SIN3_HALF, a, xs=xs)
+    _, below = apply_resolvent(2.5 - 1e-12j, SIN3_HALF, a, xs=xs)
     assert np.max(np.abs(above - below)) < 1e-9
 
 
@@ -302,7 +351,7 @@ def test_both_sides_of_the_branch_cut_agree():
 def test_eigenvalues_are_the_only_poles(expr, lam):
     a = ParamA.from_expr(expr)
     with pytest.raises(PoleAtEigenvalue):
-        apply_resolvent(lam, lambda x: np.ones_like(x), a)
+        apply_resolvent(lam, ONE, a)
 
 
 @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, complex(1, math.nan)])
@@ -317,10 +366,104 @@ def test_lambda_beyond_the_cap_is_rejected_before_any_grid(lam):
     with pytest.raises(ValueError, match="cap"):
         ResolventKernel.build(lam, a)
     with pytest.raises(ValueError, match="cap"):
-        apply_resolvent(lam, lambda x: np.ones_like(x), a, xs=np.zeros(3))
+        apply_resolvent(lam, ONE, a, xs=np.zeros(3))
 
 
 def test_probe_refuses_a_grid_beyond_the_node_cap():
     # at lambda = -1e6 the grid for n = 512 would have 9040 nodes
     with pytest.raises(ValueError, match="nodes"):
         singular_value_probe(-1e6, ParamA.from_expr("1/3"), 512)
+
+
+# u against the 50-digit three-point solve: |u - u_mp| <= MP_GATE_C eps
+# max|u_mp| on 61 nodes and pi a/2.  Measured worst 7.1 (sqrt(2)-1, K = 1e6,
+# lambda = 9); every resonant case at sqrt(2)-1 within 4.4.
+MP_GATE_C = 16
+GATE_LAMBDAS = [-1.0, -25.0, 2.5 + 1j, 9.0]
+RESONANT_LAMBDAS = [9 * (1 + 1e-6), 9 * (1 - 1e-6), 9 * (1 + 1e-12), 9 * (1 - 1e-12)]
+
+
+def _forcing(K: float) -> PiecewiseTrig:
+    """The CLI's forcings: const for K = 0, sin(Kx) otherwise."""
+    return ONE if K == 0 else PiecewiseTrig.single(sin_term(1.0, K))
+
+
+def _gate_error(solver, lam, f, a) -> float:
+    """max |u - u_mp| / (eps max |u_mp|) of solver's apply_resolvent."""
+    xs = np.append(np.linspace(-HALF_PI, HALF_PI, 61), HALF_PI * a.value)
+    _, u = solver.apply_resolvent(lam, f, a, xs=xs)
+    ref = mp_three_point_solve(lam, f, a, xs)
+    return float(np.max(np.abs(u - ref)) / (EPS * np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("expr, K, lam", [
+    *((expr, K, lam) for expr in ("1/3", "sqrt(2)-1") for K in (0, 3, 1e3, 1e4, 1e6)
+      for lam in GATE_LAMBDAS if (expr, lam) != ("1/3", 9.0)),
+    *(("sqrt(2)-1", 3, lam) for lam in RESONANT_LAMBDAS)])
+def test_matches_the_mpmath_solve(expr, K, lam):
+    assert _gate_error(resolvent, lam, _forcing(K), ParamA.from_expr(expr)) < MP_GATE_C
+
+
+@pytest.mark.parametrize("K", [0, 3, 1e3, 1e4, 1e6])
+def test_an_eigenvalue_is_refused_whatever_the_forcing(K):
+    # 9 = 3^2 is an eigenvalue at a = 1/3 (P = e^{2 pi i})
+    with pytest.raises(PoleAtEigenvalue):
+        apply_resolvent(9.0, _forcing(K), ParamA.from_expr("1/3"))
+
+
+def _jump_forcing(a: ParamA) -> PiecewiseTrig:
+    """A forcing with a value jump at pi a/2 and an x cos term."""
+    return PiecewiseTrig.split(HALF_PI * a.value, [sin_term(1.0, 3.0), xcos_term(0.5, 2.0)],
+                               [const(2.0), linear(1.0), cos_term(1.0, 5.0)])
+
+
+@pytest.mark.parametrize("expr, lam", [("1/3", -1.0), ("1/3", 2.5 + 1j),
+                                       ("sqrt(2)-1", -25.0), ("sqrt(2)-1", 9.0)])
+def test_a_forcing_with_a_jump_matches_the_mpmath_solve(expr, lam):
+    # measured worst 4.4 eps max|u|; u is C^1 across the jump of f
+    a = ParamA.from_expr(expr)
+    assert _gate_error(resolvent, lam, _jump_forcing(a), a) < MP_GATE_C
+    rep = residual_report(lam, _jump_forcing(a), a)
+    assert rep["c1_jump"] < 16 * EPS and rep["pde_residual"] < 16 * EPS
+
+
+@pytest.mark.parametrize("lam", [9.0, 9 + 1e-9, 9.5])
+def test_an_x_term_at_or_near_resonance_is_refused(lam):
+    # 9 is no eigenvalue at sqrt(2)-1; |9 - lambda| < NEAR_RESONANCE = 1
+    f = PiecewiseTrig.single(xcos_term(1.0, 3.0))
+    with pytest.raises(ResonantForcing):
+        apply_resolvent(lam, f, ParamA.from_expr("sqrt(2)-1"))
+
+
+def test_exact_resonance_takes_the_secular_term():
+    # sin 3x at lambda = 9 (not an eigenvalue at sqrt(2)-1): u_p = x T'/18
+    solve = resolvent.ThreePointSolve(9.0, _forcing(3), ParamA.from_expr("sqrt(2)-1"))
+    _, rows, sinc, covered = solve.parts[0]
+    assert len(sinc) == 0 and len(covered) == 1
+    assert rows.p.tolist() == [1] and rows.k.tolist() == [3.0]
+
+
+def _mutant(monkeypatch, old: str, new: str):
+    """jumpspec.resolvent with the one occurrence of `old` replaced by `new`,
+    loaded as a module of its own."""
+    path = Path(resolvent.__file__)
+    source = path.read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("resolvent_mutant")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("old, new, expr, lam, forcing", [
+    pytest.param("2 * t.k[lin] * t.c[lin] / d[lin]**2", "0 * t.c[lin]", "1/3", -1.0,
+                 _jump_forcing, id="no-2T'/d^2"),
+    pytest.param("self.match = (-j0 / 2, -j1 / (2 * self.kern.ik))", "self.match = (0.0, 0.0)",
+                 "1/3", 2.5 + 1j, _jump_forcing, id="no-C1-matching"),
+    pytest.param("near = np.abs(d) < NEAR_RESONANCE", "near = d == 0", "sqrt(2)-1",
+                 9 * (1 + 1e-12), lambda a: _forcing(3), id="no-near-resonance-form"),
+])
+def test_the_gate_fails_a_mutant(monkeypatch, old, new, expr, lam, forcing):
+    a = ParamA.from_expr(expr)
+    assert _gate_error(resolvent, lam, forcing(a), a) < MP_GATE_C
+    assert _gate_error(_mutant(monkeypatch, old, new), lam, forcing(a), a) > MP_GATE_C
