@@ -16,8 +16,9 @@ Keeping the terms symbolic gives
   * exact evaluation and differentiation, each one array expression,
   * inner products in closed form: by cos A cos B = (cos(A-B) + cos(A+B))/2
     a product of two terms is two waves x^p cos(wx+d), p <= 2, and one
-    kernel integrates arrays of waves (a Taylor series where the closed
-    form would cancel, so near-resonant w stays at machine precision),
+    kernel integrates every term pair of two arrays from sines and cosines
+    taken once per term (a Taylor series where the closed form would
+    cancel, so near-resonant w stays at machine precision),
   * machine-precision verification targets that quadrature then has to
     reproduce, instead of quadrature error polluting both sides.
 
@@ -291,11 +292,8 @@ _MOMENT_SERIES = np.array([
     [(-1) ** j / math.factorial(2 * j + 1),
      (-1) ** j / (math.factorial(2 * j + 1) * (2 * j + 3)),
      (-1) ** j / (math.factorial(2 * j) * (2 * j + 3))] for j in range(10)])
-# cos and sin of r quarter turns, indexed by r mod 4
-_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
-_SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
-# difference and sum waves of cos A cos B = (cos(A - B) + cos(A + B))/2
-_WAVE_SIGNS = np.array([-1, 1])
+# exp(-i r pi/2), indexed by r mod 4
+_QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 _DEKKER_SPLIT = 2.0 ** 27 + 1
 
 
@@ -312,55 +310,18 @@ def _split(a):
     return hi, a - hi
 
 
+def _two_prod(a, b):
+    """a b as hi + lo, exactly up to the last rounding of lo (Dekker)."""
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return a * b, ((a_hi * b_hi - a * b) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _midpoint_phase(t: Terms, m) -> tuple[np.ndarray, np.ndarray]:
     """k m + s as hi + lo, exactly up to the last rounding of lo (Dekker);
     m is a float or an array that broadcasts against the rows."""
-    prod = t.k * m
-    (k_hi, k_lo), (m_hi, m_lo) = _split(t.k), _split(m)
-    prod_lo = ((k_hi * m_hi - prod) + k_hi * m_lo + k_lo * m_hi) + k_lo * m_lo
+    prod, prod_lo = _two_prod(t.k, m)
     hi, sum_lo = _two_sum(prod, t.s)
     return hi, sum_lo + prod_lo
-
-
-def _wave_integrals(p, w, phase, phase_lo, r, m: float, h: float) -> np.ndarray:
-    """Integral over t in [-h, h] of (m + t)^p cos(w t + phi - r pi/2),
-    elementwise, for p in {0, 1, 2} and phi = phase + phase_lo.
-
-    It is cos(phi - r pi/2) A - sin(phi - r pi/2) B, where
-
-        A = 2h (m^p e0 + [p = 2] h^2 e2),   B = 2h^2 (p m^(p-1)) o1,
-
-    and 2h e0, 2h^2 o1, 2h^3 e2 are the integrals of cos(wt), t sin(wt) and
-    t^2 cos(wt) over [-h, h].  These depend on u = w h alone:
-
-        e0 = sin u / u,  o1 = (sin u - u cos u)/u^2,  e2 = (sin u - 2 o1)/u,
-
-    which cancel like 1/u^2 as u -> 0; below _SERIES_BELOW their Taylor
-    series is used instead.  Large shifts enter only through phi, whose
-    low part corrects cos and sin to first order, and the quarter turns
-    rotate them exactly.
-    """
-    u = w * h
-    sin_u, cos_u = np.sin(u), np.cos(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e0 = sin_u / u
-        o1 = (sin_u - u * cos_u) / (u * u)
-        e2 = (sin_u - 2 * o1) / u
-    small = np.abs(u) < _SERIES_BELOW
-    if small.any():
-        us = u[small]
-        z = (us * us)[:, None]
-        series = _MOMENT_SERIES[-1]
-        for row in _MOMENT_SERIES[-2::-1]:
-            series = series * z + row
-        e0[small], o1[small], e2[small] = series[:, 0], us * series[:, 1], series[:, 2]
-    a_part = 2 * h * (np.array([1.0, m, m * m])[p] * e0 + (p == 2) * (h * h) * e2)
-    b_part = 2 * h * h * np.array([0.0, 1.0, 2 * m])[p] * o1
-    cos_ph, sin_ph = np.cos(phase), np.sin(phase)
-    cos_ph, sin_ph = cos_ph - sin_ph * phase_lo, sin_ph + cos_ph * phase_lo
-    cos_r, sin_r = _COS_QUARTER[r % 4], _SIN_QUARTER[r % 4]
-    return ((cos_ph * cos_r + sin_ph * sin_r) * a_part
-            - (sin_ph * cos_r - cos_ph * sin_r) * b_part)
 
 
 def eval_exact(t: Terms, x: np.ndarray) -> np.ndarray:
@@ -369,45 +330,87 @@ def eval_exact(t: Terms, x: np.ndarray) -> np.ndarray:
     coefficient however large k x is; eval_terms loses k |x| eps."""
     x = np.asarray(x, dtype=float)[:, None]
     hi, lo = _midpoint_phase(t, x)
-    cos_h, sin_h, r = np.cos(hi), np.sin(hi), t.q % 4
-    basis = (cos_h - sin_h * lo) * _COS_QUARTER[r] + (sin_h + cos_h * lo) * _SIN_QUARTER[r]
+    cos_h, sin_h, turn = np.cos(hi), np.sin(hi), _QUARTER_TURNS[t.q % 4]
+    basis = (cos_h - sin_h * lo) * turn.real - (sin_h + cos_h * lo) * turn.imag
     return np.where(t.p == 1, x, 1.0) * basis @ t.c
 
 
-def _pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
-    """Integrals over [lo, hi] of conj(f) g, elementwise over the broadcast
-    of f's and g's arrays (f[:, None] against g gives every pair).
+def _row_factors(t: Terms, m: float, h: float) -> tuple[np.ndarray, ...]:
+    """The pair kernel's view of each row on [m - h, m + h]: c, k, exp(i
+    theta') and exp(i k h) (theta' = k m + s - q pi/2; each angle's low
+    part taken to first order, the quarter turns exactly), m^p and p."""
+    (theta, theta_lo), (kh, kh_lo) = _midpoint_phase(t, m), _two_prod(t.k, h)
+    phase = (np.cos(theta) + 1j * np.sin(theta)) * (1 + 1j * theta_lo) * _QUARTER_TURNS[t.q % 4]
+    rot = (np.cos(kh) + 1j * np.sin(kh)) * (1 + 1j * kh_lo)
+    return t.c, t.k, phase, rot, np.where(t.p == 1, m, 1.0), t.p
 
-    About the midpoint m, x = m + t, term j is c_j (m + t)^p_j
-    cos(k_j t + theta_j - q_j pi/2) with theta_j = k_j m + s_j; the product
-    of two terms is half the sum of two waves (difference and sum, stacked
-    on a leading axis) with w = k_i -+ k_j and phase theta_i -+ theta_j.
+
+def _pair_kernel(f, g, h: float) -> np.ndarray:
+    """Integrals over [m - h, m + h] of conj(f) g, elementwise over the
+    broadcast of two sets of _row_factors (f's with a new last axis
+    against g's give every pair).
+
+    With x = m + t, row j is c_j (m + t)^p_j cos(k_j t + theta'_j); a
+    product of two rows is half the sum of the waves (m + t)^P cos(w t +
+    phi), P = p_f + p_g, w = k_f -+ k_g, phi = theta'_f -+ theta'_g, and
+    a wave integrates to cos(phi) A - sin(phi) B, with u = w h,
+
+        A = 2h (m^P e0 + [P = 2] h^2 e2),   B = 2h^2 (P m^(P-1)) o1,
+        e0 = sin u / u,  o1 = (e0 - cos u)/u,  e2 = (sin u - 2 o1)/u
+
+    (2h e0, 2h^2 o1, 2h^3 e2 integrate cos(wt), t sin(wt), t^2 cos(wt)
+    over [-h, h]); below |u| = _SERIES_BELOW, where these cancel like
+    1/u^2, their Taylor series in u = (k_f -+ k_g) h replaces them.  No
+    pair takes a transcendental: by the addition theorems, exp(i(a -+ b))
+    = exp(i a) exp(-+i b), cos and sin of phi and u are products of the
+    rows' exp(i theta') and exp(i k h).  Both angles carry a Dekker low
+    part (_midpoint_phase, _two_prod); without k h's, u near the series
+    boundary would lose eps k h.
     """
-    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    (th_f, th_f_lo), (th_g, th_g_lo) = _midpoint_phase(f, m), _midpoint_phase(g, m)
-    signs = _WAVE_SIGNS.reshape((2,) + (1,) * max(th_f.ndim, th_g.ndim))
-    phase, phase_lo = _two_sum(th_f, signs * th_g)
-    phase_lo = phase_lo + (th_f_lo + signs * th_g_lo)
-    both = _wave_integrals(f.p + g.p, f.k + signs * g.k,
-                           phase, phase_lo, f.q + signs * g.q, m, h)
-    return 0.5 * np.conj(f.c) * g.c * (both[0] + both[1])
+    c_f, k_f, phase_f, rot_f, pow_f, p_f = f
+    c_g, k_g, phase_g, rot_g, pow_g, p_g = g
+    # A and B over 2h from m^P = m^p_f m^p_g, h^2 [P = 2] = h^2 p_f p_g
+    # and h P m^(P-1) = h (p_f m^p_g + m^p_f p_g)
+    power, square = pow_f * pow_g, (h * h * p_f) * p_g
+    slope = (h * p_f) * pow_g + (h * pow_f) * p_g
+    total = 0.0
+    for w, phase, rot in ((k_f - k_g, phase_f * np.conj(phase_g), rot_f * np.conj(rot_g)),
+                          (k_f + k_g, phase_f * phase_g, rot_f * rot_g)):
+        u, sin_u = w * h, rot.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1 / u
+            e0 = sin_u * inv
+            o1 = (e0 - rot.real) * inv
+            e2 = (sin_u - 2 * o1) * inv
+        small = np.abs(u) < _SERIES_BELOW
+        if small.any():
+            us = u[small]
+            series = (us * us)[:, None] ** np.arange(len(_MOMENT_SERIES)) @ _MOMENT_SERIES
+            e0[small], o1[small], e2[small] = series[:, 0], us * series[:, 1], series[:, 2]
+        total = total + phase.real * (power * e0 + square * e2) - phase.imag * (slope * o1)
+    return (h * np.conj(c_f)) * c_g * total
 
 
 def _pair_blocks(f: Terms, g: Terms, lo: float, hi: float):
-    """Yield (rows, integrals) for row blocks of at most _PAIR_BLOCK pairs
-    (at least one row)."""
+    """Yield (rows, integrals over [lo, hi] of conj(f[rows, None]) g) for
+    row blocks of at most _PAIR_BLOCK pairs, at least one row each."""
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    f_rows, g_rows = _row_factors(f, m, h), _row_factors(g, m, h)
     step = max(1, _PAIR_BLOCK // max(len(g), 1))
     for r in range(0, len(f), step):
         rows = slice(r, r + step)
-        yield rows, _pair_integrals(f[rows, None], g, lo, hi)
+        yield rows, _pair_kernel([x[rows, None] for x in f_rows], g_rows, h)
 
 
 def batched_pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
     """(B, n, m) integrals over [lo, hi] of conj(f[b, i]) g[b, j] for (B, n)
     and (B, m) term arrays, at most _PAIR_BLOCK pairs per kernel call."""
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    f_rows, g_rows = _row_factors(f, m, h), _row_factors(g, m, h)
     step = max(1, _PAIR_BLOCK // (f.k.shape[1] * g.k.shape[1]))
-    return np.concatenate([_pair_integrals(f[b:b + step, :, None], g[b:b + step, None],
-                                           lo, hi) for b in range(0, max(len(f), 1), step)])
+    return np.concatenate([_pair_kernel([x[b:b + step, :, None] for x in f_rows],
+                                        [x[b:b + step, None] for x in g_rows], h)
+                           for b in range(0, max(len(f), 1), step)])
 
 
 def _edges(fns: Iterable[PiecewiseTrig]) -> tuple[float, ...]:
@@ -649,6 +652,18 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
     return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
 
 
+def _quad_rounds(a: ParamA | float, kmax: float, rounds: int):
+    """quad_inner's min_nodes_per_piece, round by round: QUAD_START_NODES,
+    doubled each round, but where the grid would repeat the last one (all
+    panels at the 24-point floor) twice the last grid's larger piece."""
+    n, last = QUAD_START_NODES, None
+    for _ in range(rounds):
+        sizes = [count * (points - 1) + 1 for *_, count, points in grid_panels(a, n, kmax)]
+        n = 2 * max(sizes) if sizes == last else n
+        yield n
+        n, last = 2 * n, sizes
+
+
 def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
                max_rounds: int = 6) -> np.ndarray:
     """(f_i, f_j) for each index pair (i, j), a row of the (n, 2) `pairs`,
@@ -656,7 +671,7 @@ def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
 
     Each round builds one grid, panels sized by the largest frequency of
     the family, and samples the family once on it (`Stack.values`; a list
-    goes through Stack.of), starting from QUAD_START_NODES nodes; the
+    goes through Stack.of), with nodes as _quad_rounds sets them; the
     refinement stops when every requested product moves by at most
     QUAD_TARGET * max(1, |product|).  Each piece of the grid samples the
     family's pieces it overlaps, so the restart point, which both grid
@@ -671,9 +686,8 @@ def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
     cut = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
     sides = [Stack(tuple(p for p in stack.pieces if lo < p[1] and p[0] < hi), stack.count)
              for lo, hi in ((-HALF_PI, cut), (cut, HALF_PI))]
-    n = QUAD_START_NODES
     prev = None
-    for _ in range(max_rounds):
+    for n in _quad_rounds(a, stack.kmax, max_rounds):
         cur = 0
         for side, (nodes, weights) in zip(sides, _grid_pieces(a, n, stack.kmax)):
             vals = side.values(nodes)
@@ -682,6 +696,5 @@ def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
                 np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
             return cur
         prev = cur
-        n *= 2
     raise QuadratureNotConverged(
         f"inner products did not stabilize to {QUAD_TARGET} within {max_rounds} refinements")

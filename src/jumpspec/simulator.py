@@ -29,9 +29,11 @@ positive uniform drawn:
 Strides end on every sample step, on the last uncounted step and on the
 last step: a burn-in goes in strides of FAR_STRIDE, a sampled stretch in
 SAMPLE_STRIDE steps.  Cost grows with the restart count n_paths * time *
-8 / (pi**2 (1 - a**2)); `run` and `semigroup_check` refuse a walk
-expected to exceed RESTART_BUDGET.  `bridge_correction=False` keeps fine
-steps of dt, restarting a path that ends a step on or beyond the boundary;
+8 / (pi**2 (1 - a**2)) and with the strides and samples of every batch;
+`run` and `semigroup_check` refuse a walk expected to exceed
+RESTART_BUDGET restarts or WORK_BUDGET path-passes.
+`bridge_correction=False` keeps fine steps of dt, restarting a path that
+ends a step on or beyond the boundary;
 such a walk exits as if each boundary lay further out, which no exact step
 reproduces.  It moves paths within `_deep_margin` by one normal per
 stride of S steps, drawn first in path order, the others by S steps.
@@ -69,6 +71,13 @@ FAR_STRIDE = HALF_PI ** 2 / (4 * (CUTOFF + math.log(2)))  # longest exact step
 # expected restarts per walk.  It bounds restarts, not wall time: the cost
 # of a restart grows as the path count falls near |a| = 1
 RESTART_BUDGET = 5e7
+# path-passes per walk: a pass (one stride or one sample over a batch)
+# costs about what PASS_OVERHEAD_PATHS paths add to it, so the estimate is
+# passes x (paths + PASS_OVERHEAD_PATHS per batch).  Measured on one core,
+# 30-80 ns per path-pass with the bridge correction and 2-3x that without,
+# so the budget is about 1-3 minutes of walking with the bridge
+PASS_OVERHEAD_PATHS = 1000
+WORK_BUDGET = 2e9
 
 
 @dataclass
@@ -94,6 +103,8 @@ class SimConfig:
             raise ValueError(f"dt must be in (0, 1e-3], got {self.dt}")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not self.horizon / self.dt < 2.0 ** 53:  # steps are counted in integers
+            raise ValueError(f"horizon {self.horizon} spans 2**53 or more steps of dt {self.dt}")
         if not 0 <= self.burn_in < math.inf:
             raise ValueError(f"burn_in must be nonnegative and finite, got {self.burn_in}")
         if self.n_paths < 1:
@@ -249,6 +260,19 @@ def _check_restart_budget(cfg: SimConfig, duration: float) -> None:
                          f"{expected:.3g} restarts, above the budget of {RESTART_BUDGET:.3g}")
 
 
+def _check_work(cfg: SimConfig, duration: float, samples: float) -> None:
+    """ValueError when a walk over `duration`, observed at `samples` steps,
+    would exceed WORK_BUDGET path-passes: its strides (the duration over the
+    longest stride, plus one cut at each sample) and its samples, over
+    every batch (see PASS_OVERHEAD_PATHS)."""
+    longest = FAR_STRIDE if cfg.bridge_correction else SAMPLE_STRIDE * cfg.dt
+    passes = duration / longest + 2 * samples
+    batches = -(-cfg.n_paths // cfg.batch_size)
+    if (work := passes * (cfg.n_paths + batches * PASS_OVERHEAD_PATHS)) > WORK_BUDGET:
+        raise ValueError(f"{cfg.n_paths} paths over {duration:g} at dt {cfg.dt:g} take about "
+                         f"{work:.3g} path-passes, above the work budget of {WORK_BUDGET:.3g}")
+
+
 def _batches(cfg: SimConfig) -> list[tuple[int, int]]:
     """(index, size) of each batch of at most cfg.batch_size paths."""
     starts = range(0, cfg.n_paths, cfg.batch_size)
@@ -287,8 +311,9 @@ def run(cfg: SimConfig) -> SimReport:
     """Simulate and report occupation statistics after burn-in.
 
     ValueError when no sample falls after burn-in or the run would
-    exceed RESTART_BUDGET."""
+    exceed RESTART_BUDGET or WORK_BUDGET."""
     _check_restart_budget(cfg, cfg.horizon)
+    _check_work(cfg, cfg.horizon, max(cfg.horizon - cfg.burn_in, 0.0) / (SAMPLE_STRIDE * cfg.dt))
     n_steps = int(round(cfg.horizon / cfg.dt))
     burn_steps = int(round(cfg.burn_in / cfg.dt))
     first = (burn_steps // SAMPLE_STRIDE + 1) * SAMPLE_STRIDE
@@ -327,12 +352,13 @@ def check_steps(cfg: SimConfig, lam: float) -> np.ndarray:
 
     ValueError, before any walk, when lam is not positive and finite, dt
     is too coarse to sample exp(-lam t), one path leaves no standard
-    error, or the walk would exceed RESTART_BUDGET."""
+    error, or the walk would exceed RESTART_BUDGET or WORK_BUDGET."""
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if cfg.n_paths < 2:
         raise ValueError("one path has no standard error: the check needs two or more")
     times = np.linspace(*DECAY_WINDOW, GAP_TIMES) / lam
+    _check_work(cfg, times[-1], GAP_TIMES)
     steps = np.unique(np.round(times / cfg.dt).astype(int))
     if steps[0] < 1:
         raise ValueError(f"dt {cfg.dt} is too coarse to sample exp(-{lam:g} t)")

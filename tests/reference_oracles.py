@@ -23,8 +23,10 @@ textbook particular solutions (`mp_three_point_solve`, which holds for any
 a in (-1, 1), so it serves the a -> +-1 regime as well), the simulator's
 bridge hit probabilities of both boundaries where the package computes the
 nearer one's only, the simulator's walk with every path taking every step
-of dt where the package moves paths by one step per stride, and the
-renewal moments of the time between restarts.
+of dt where the package moves paths by one step per stride, the
+renewal moments of the time between restarts, and the closed-form pair
+kernel taking the sin and cos of each pair's two waves where the package
+takes them once per term row.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from jumpspec.eigensystem import (
     EigFun, _root_vectors, _simple_pairing, eigenfunctions_H, phi_zero_mode,
 )
 from jumpspec.funcspace import (
-    HALF_PI, Piece, PiecewiseTrig, Stack, Terms, const, cos_term, grid_nodes, inner_closed,
-    inner_matrix, lincomb, sin_term,
+    _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, Piece, PiecewiseTrig, Stack, Terms,
+    _midpoint_phase, _two_sum, const, cos_term, grid_nodes, inner_closed, inner_matrix, lincomb,
+    sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
@@ -746,3 +749,84 @@ def per_member_metric_report(a: ParamA, pairs) -> dict:
                                  / (norm_l2(phi0) ** 2 + 2)),
         "max_intertwining_residual": float(residual),
     }
+
+# ---------------------------------------------------------------------------
+# the closed-form pair kernel with its own sin and cos per pair
+# ---------------------------------------------------------------------------
+
+# cos and sin of r quarter turns, indexed by r mod 4
+_COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
+_SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
+# difference and sum waves of cos A cos B = (cos(A - B) + cos(A + B))/2
+_WAVE_SIGNS = np.array([-1, 1])
+
+
+def _wave_integrals(p, w, phase, phase_lo, r, m: float, h: float) -> np.ndarray:
+    """Integral over t in [-h, h] of (m + t)^p cos(w t + phi - r pi/2),
+    elementwise, for p in {0, 1, 2} and phi = phase + phase_lo.
+
+    It is cos(phi - r pi/2) A - sin(phi - r pi/2) B, where
+
+        A = 2h (m^p e0 + [p = 2] h^2 e2),   B = 2h^2 (p m^(p-1)) o1,
+
+    and 2h e0, 2h^2 o1, 2h^3 e2 are the integrals of cos(wt), t sin(wt) and
+    t^2 cos(wt) over [-h, h].  These depend on u = w h alone:
+
+        e0 = sin u / u,  o1 = (sin u - u cos u)/u^2,  e2 = (sin u - 2 o1)/u,
+
+    which cancel like 1/u^2 as u -> 0; below _SERIES_BELOW their Taylor
+    series is used instead.  Large shifts enter only through phi, whose
+    low part corrects cos and sin to first order, and the quarter turns
+    rotate them exactly.
+    """
+    u = w * h
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e0 = sin_u / u
+        o1 = (sin_u - u * cos_u) / (u * u)
+        e2 = (sin_u - 2 * o1) / u
+    small = np.abs(u) < _SERIES_BELOW
+    if small.any():
+        us = u[small]
+        z = (us * us)[:, None]
+        series = _MOMENT_SERIES[-1]
+        for row in _MOMENT_SERIES[-2::-1]:
+            series = series * z + row
+        e0[small], o1[small], e2[small] = series[:, 0], us * series[:, 1], series[:, 2]
+    a_part = 2 * h * (np.array([1.0, m, m * m])[p] * e0 + (p == 2) * (h * h) * e2)
+    b_part = 2 * h * h * np.array([0.0, 1.0, 2 * m])[p] * o1
+    cos_ph, sin_ph = np.cos(phase), np.sin(phase)
+    cos_ph, sin_ph = cos_ph - sin_ph * phase_lo, sin_ph + cos_ph * phase_lo
+    cos_r, sin_r = _COS_QUARTER[r % 4], _SIN_QUARTER[r % 4]
+    return ((cos_ph * cos_r + sin_ph * sin_r) * a_part
+            - (sin_ph * cos_r - cos_ph * sin_r) * b_part)
+
+
+def _pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
+    """Integrals over [lo, hi] of conj(f) g, elementwise over the broadcast
+    of f's and g's arrays (f[:, None] against g gives every pair).
+
+    About the midpoint m, x = m + t, term j is c_j (m + t)^p_j
+    cos(k_j t + theta_j - q_j pi/2) with theta_j = k_j m + s_j; the product
+    of two terms is half the sum of two waves (difference and sum, stacked
+    on a leading axis) with w = k_i -+ k_j and phase theta_i -+ theta_j.
+    """
+    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    (th_f, th_f_lo), (th_g, th_g_lo) = _midpoint_phase(f, m), _midpoint_phase(g, m)
+    signs = _WAVE_SIGNS.reshape((2,) + (1,) * max(th_f.ndim, th_g.ndim))
+    phase, phase_lo = _two_sum(th_f, signs * th_g)
+    phase_lo = phase_lo + (th_f_lo + signs * th_g_lo)
+    both = _wave_integrals(f.p + g.p, f.k + signs * g.k,
+                           phase, phase_lo, f.q + signs * g.q, m, h)
+    return 0.5 * np.conj(f.c) * g.c * (both[0] + both[1])
+
+
+def per_pair_trig_blocks(f: Terms, g: Terms, lo: float, hi: float):
+    """funcspace._pair_blocks by _pair_integrals, which takes the sin and
+    cos of both waves' u and phase pair by pair: the same (rows, integrals)
+    blocks, so that patched in for it, inner_matrix and norms_l2 reduce the
+    old kernel's integrals exactly as they reduce the package's."""
+    step = max(1, _PAIR_BLOCK // max(len(g), 1))
+    for r in range(0, len(f), step):
+        rows = slice(r, r + step)
+        yield rows, _pair_integrals(f[rows, None], g, lo, hi)

@@ -216,6 +216,8 @@ def test_simulate_gap_beyond_the_bound_is_a_contract_failure(tmp_path, monkeypat
     ["--a", "1/3", "--paths", "1"],  # one path has no standard error
     # 5.7e8 restarts at the renewal rate, over the restart budget
     ["--a", "999999/1000000", "--paths", "200", "--horizon", "7", "--dt", "5e-4"],
+    # 3.75e7 samples per path, over the work budget
+    ["--a", "1/3", "--paths", "10", "--horizon", "10", "--dt", "1e-7"],
 ])
 def test_simulate_gap_refusals_come_before_any_walk(tmp_path, monkeypatch, capsys, args):
     def no_walk(*args, **kwargs):
@@ -228,7 +230,22 @@ def test_simulate_gap_refusals_come_before_any_walk(tmp_path, monkeypatch, capsy
     assert "jumpspec:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["1e-7", "1e-12"])
+def test_simulate_over_the_work_budget_is_refused_before_any_walk(tmp_path, monkeypatch,
+                                                                   capsys, dt):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a refused run")
+
+    monkeypatch.setattr(simulator, "_walk", no_walk)
+    out = tmp_path / "refused"
+    assert run_cli(["simulate", "--a", "1/3", "--paths", "10", "--horizon", "10",
+                    "--dt", dt, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"work budget of {simulator.WORK_BUDGET:.3g}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-1e-4"), ("--dt", "nan"),
+                                        ("--dt", "5e-324"),
                                         ("--horizon", "inf"), ("--horizon", "nan"),
                                         ("--horizon", "0"), ("--horizon", "-8")])
 def test_bad_step_or_horizon_is_a_usage_error(tmp_path, flag, value):

@@ -5,9 +5,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from jumpspec import funcspace
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
-    HALF_PI, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack, Terms, const,
+    HALF_PI, QUAD_START_NODES, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack,
+    Terms, _quad_rounds, const,
     cos_term, eval_exact, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed,
     inner_matrix, norms_l2, quad_inner, sin_term,
 )
@@ -315,6 +317,44 @@ def test_quadrature_not_converged():
     f = PiecewiseTrig.single([const(1.0)])
     with pytest.raises(QuadratureNotConverged):
         quad_inner([f], [(0, 0)], a, max_rounds=1)  # no second round to compare with
+
+
+def _round_nodes(a: ParamA, kmax: float) -> list[int]:
+    """Nodes of each piece's grid, summed, over quad_inner's six rounds."""
+    return [sum(count * (points - 1) + 1 for *_, count, points in grid_panels(a, n, kmax))
+            for n in _quad_rounds(a, kmax, 6)]
+
+
+@pytest.mark.parametrize("expr", ["sqrt(2)-1", "1/3", "1/pi"])
+def test_every_quadrature_round_refines(expr):
+    a = ParamA.from_expr(expr)
+    # above kmax ~ 70 the 24-point floor held doubled grids fixed, so a
+    # second round compared two identical sums
+    for kmax in (70.0, 100.0, 1000.0):
+        nodes = _round_nodes(a, kmax)
+        assert all(later > earlier for earlier, later in zip(nodes, nodes[1:])), (kmax, nodes)
+    # grids that grow anyway keep their doubling (every contract grid)
+    for kmax in (16.0, 30.0):
+        assert list(_quad_rounds(a, kmax, 6)) == [QUAD_START_NODES << r for r in range(6)]
+    if expr == "sqrt(2)-1":
+        assert _round_nodes(a, 16.0)[:3] == [213, 389, 771]
+        assert _round_nodes(a, 30.0)[:3] == [305, 401, 773]
+
+
+def test_quad_inner_refines_at_high_frequency(monkeypatch):
+    grids, grid_pieces = [], funcspace._grid_pieces
+
+    def recorded(*args):
+        pieces = grid_pieces(*args)
+        grids.append(sum(len(x) for x, _ in pieces))
+        return pieces
+
+    monkeypatch.setattr(funcspace, "_grid_pieces", recorded)
+    a = ParamA.from_expr("sqrt(2)-1")
+    f = PiecewiseTrig.single([cos_term(1.0, 100.0), sin_term(0.5, 99.0)])
+    got = quad_inner([f], [(0, 0)], a)
+    assert abs(got[0] - inner_closed(f, f)) < 1e-12 * abs(got[0])
+    assert len(grids) >= 2 and all(later > earlier for earlier, later in zip(grids, grids[1:]))
 
 
 def test_quad_inner_forms_the_requested_products():

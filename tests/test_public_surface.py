@@ -31,9 +31,11 @@ PAPER_FORMS: dict[str, str] = {}
 UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 
 # second routes that left the package for tests/reference_oracles.py (the
-# resolvent's panel sweep, the metric's Neumann-mode scan): a definition of
-# one of them in src/jumpspec again would be a second route there
-MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode"}
+# resolvent's panel sweep, the metric's Neumann-mode scan, the pair kernel
+# with its own sin and cos per pair): a definition of one of them in
+# src/jumpspec again would be a second route there
+MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
+                    "_wave_integrals", "_pair_integrals"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

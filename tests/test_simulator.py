@@ -500,6 +500,41 @@ def test_run_without_the_bridge_exits_as_if_the_boundary_lay_further_out():
     assert np.all(np.abs(mass_mean - _coarse_tent(a, widen)) <= 4 * se)
 
 
+def test_walks_over_the_work_budget_are_refused_before_any_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a run over the work budget")
+
+    monkeypatch.setattr(simulator, "_walk", no_walk)
+    g = PiecewiseTrig.single([sin_term(1.0, 2.0)])
+    a = ParamA.from_expr("1/3")
+    # 10 paths over horizon 10 at dt 1e-7 sample 3.75e7 times; without the
+    # bridge, 1e5 paths step the check's 1.2 in strides of 10 fine steps
+    with pytest.raises(ValueError, match="work budget"):
+        run(SimConfig(a=a, dt=1e-7, horizon=10.0, n_paths=10))
+    cfg = SimConfig(a=a, dt=1e-6, horizon=7.0, n_paths=100_000, bridge_correction=False)
+    with pytest.raises(ValueError, match="work budget"):
+        semigroup_check(cfg, [g], 4.0, 0.5)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 10.0])
+def test_steps_beyond_an_exact_integer_count_are_refused(horizon):
+    # horizon / dt was inf here, and run's int(round(...)) of it raised
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        SimConfig(a=ParamA.from_expr("1/3"), dt=5e-324, horizon=horizon)
+
+
+@pytest.mark.parametrize("paths,horizon,dt,bridge", [
+    (2000, 8.25, 5e-4, True), (2000, 8.25, 5e-4, False),  # the benchmark's runs
+    (10_000, 10.0, 1e-4, True),  # the CLI defaults
+    (10, 10.0, 1e-6, True),
+])
+def test_the_work_budget_admits_the_documented_runs(paths, horizon, dt, bridge):
+    cfg = SimConfig(a=ParamA.from_expr("1/3"), dt=dt, horizon=horizon, n_paths=paths,
+                    bridge_correction=bridge)
+    simulator._check_work(cfg, horizon, (horizon - cfg.burn_in) / (simulator.SAMPLE_STRIDE * dt))
+    simulator.check_steps(cfg, 4.0)
+
+
 def test_runs_over_the_restart_budget_are_refused_before_any_walk(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a run over the restart budget")

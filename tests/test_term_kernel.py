@@ -1,4 +1,5 @@
-"""The closed-form pair kernel against 40-digit mpmath.
+"""The closed-form pair kernel against 40-digit mpmath, and against the
+kernel that takes its sin and cos pair by pair.
 
 The reference integrates the same double-precision inputs (coefficients,
 frequencies, shifts, breakpoint) exactly, wave by wave, from the plain
@@ -8,19 +9,24 @@ The kernel may differ from it by eps * B per input, where
     B = sum over term pairs of |conj(c_f) c_g| (hi - lo) (pi/2)^(p_f + p_g)
         (1 + |k_f| pi/2 + |k_g| pi/2 + |s_f| + |s_g|)
 
-bounds what rounding the phases and coefficients may cost.
+bounds what rounding the phases and coefficients may cost.  The same
+eps * B, summed per pair of functions, bounds how far the package's Gram
+matrices and squared norms may lie from the per-pair oracle's.
 """
 
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from jumpspec import basis_diag, funcspace
 from jumpspec.eigensystem import biorthogonalize, gram_matrix
-from jumpspec.funcspace import PiecewiseTrig, cos_term, inner_closed, sin_term
+from jumpspec.funcspace import PiecewiseTrig, Stack, cos_term, inner_closed, norms_l2, sin_term
 from jumpspec.param import ParamA
 
+from reference_oracles import per_pair_trig_blocks
 from util import xcos_term, xsin_term
 
 HALF_PI = math.pi / 2
@@ -148,3 +154,109 @@ def test_batched_gram_equals_single_calls(family_one_third):
     for j, k in rng.integers(0, len(pairs), size=(300, 2)):
         f, g = pairs[j].phi.fn, pairs[k].psi.fn
         assert abs(gram[j, k] - inner_closed(f, g)) <= bound(f, g)
+
+
+# ---------------------------------------------------------------------------
+# the series boundary, large k at the adjoint shifts, and k = 0 rows
+# ---------------------------------------------------------------------------
+
+def series_boundary_pairs() -> list[tuple[PiecewiseTrig, PiecewiseTrig]]:
+    """All 16 maker pairs on one piece (h = pi/2) at |k_f - k_g| h =
+    1 -+ {1e-12, 1e-6, 1e-3}: the difference wave just below and just
+    above _SERIES_BELOW, at a small and a large k_f; the shifts are small,
+    so B grows with the frequencies alone."""
+    out = []
+    for k, (make_f, make_g), gap in itertools.product(
+            (1.5, 617.0), itertools.product(MAKERS, repeat=2), (1e-12, 1e-6, 1e-3)):
+        for side in (-1, 1):
+            f = PiecewiseTrig.single([make_f(1.3 - 0.4j, k, -0.2)])
+            g = PiecewiseTrig.single([make_g(0.7 + 0.2j, k + (1 + side * gap) / HALF_PI, 0.3)])
+            out.append((f, g))
+    return out
+
+
+def large_k_pairs() -> list[tuple[PiecewiseTrig, PiecewiseTrig]]:
+    """k from 10 to 1e4 with the adjoint family's shifts +-k pi/2, split
+    at a restart point, against k + gap for gaps from 0 to 3 (resonant,
+    near-resonant and apart), every maker on each side."""
+    rng = np.random.default_rng(11)
+    out = []
+    for k, gap in itertools.product((10.0, 250.0, 1e3, 1e4), (0.0, 1e-9, 1e-3, 0.4, 3.0)):
+        makers = rng.integers(4, size=3)
+        f = PiecewiseTrig.split(HALF_PI / 3, [MAKERS[makers[0]](2.0 - 1j, k, k * HALF_PI)],
+                                [MAKERS[makers[1]](-1.5, k, -k * HALF_PI)])
+        g = PiecewiseTrig.single([MAKERS[makers[2]](0.5 + 0.5j, k + gap, -(k + gap) * HALF_PI)])
+        out.append((f, g))
+    return out
+
+
+def zero_k_pairs() -> list[tuple[PiecewiseTrig, PiecewiseTrig]]:
+    """Rows at k = 0 (constants, x, and the sines of their shifts) against
+    every maker at k in {0, 1e-9, 0.5, 7, 1e3}, on one piece and split."""
+    out = []
+    for make_f, make_g, k, s in itertools.product(MAKERS, MAKERS, (0.0, 1e-9, 0.5, 7.0, 1e3),
+                                                  (0.0, 0.3)):
+        f = PiecewiseTrig.single([make_f(1.0 + 0.5j, 0.0, s)])
+        g = PiecewiseTrig.split(-0.4, [make_g(0.8, k, 0.1)], [make_g(-0.3j, k, k * HALF_PI)])
+        out.append((f, g))
+    return out
+
+
+@pytest.mark.parametrize("pairs", [series_boundary_pairs, large_k_pairs, zero_k_pairs])
+def test_kernel_matches_mpmath_at_the_edges(pairs):
+    for f, g in pairs():
+        assert abs(inner_closed(f, g) - reference_inner(f, g)) <= bound(f, g)
+
+
+# ---------------------------------------------------------------------------
+# the per-pair trig oracle on whole families
+# ---------------------------------------------------------------------------
+
+def bound_matrix(fs: Stack, gs: Stack) -> np.ndarray:
+    """bound(f_j, g_k) for every pair of functions of two Stacks: per
+    segment, B splits as sum_u a_u (1 + x_u) sum_v a_v + sum_u a_u sum_v
+    a_v x_v, with a = |c| (pi/2)^p and x = |k| pi/2 + |s| of a row."""
+    out = np.zeros((fs.count, gs.count))
+    edges = sorted({x for stack in (fs, gs) for lo, hi, *_ in stack.pieces for x in (lo, hi)})
+    for lo, hi in zip(edges, edges[1:]):
+        sums = []
+        for stack in (fs, gs):
+            terms, owners = stack.on(lo, hi)
+            a = np.abs(terms.c) * HALF_PI ** terms.p
+            x = np.abs(terms.k) * HALF_PI + np.abs(terms.s)
+            sums.append([np.bincount(owners, w, minlength=stack.count) for w in (a, a * x)])
+        (a_f, ax_f), (a_g, ax_g) = sums
+        out += (hi - lo) * (np.outer(a_f + ax_f, a_g) + np.outer(a_f, ax_g))
+    return EPS * out
+
+
+def _per_pair_oracle(monkeypatch, compute):
+    """compute() with the per-pair trig kernel in place of the package's."""
+    with monkeypatch.context() as patched:
+        patched.setattr(funcspace, "_pair_blocks", per_pair_trig_blocks)
+        return compute()
+
+
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
+def test_gram_matches_the_per_pair_oracle(monkeypatch, expr):
+    pairs = biorthogonalize(ParamA.from_expr(expr), 4.0 * 257 ** 2)[:253]
+    gram = gram_matrix(pairs)
+    oracle = _per_pair_oracle(monkeypatch, lambda: gram_matrix(pairs))
+    assert np.all(np.abs(gram - oracle) <= bound_matrix(pairs.phi, pairs.psi))
+
+
+def test_completeness_norms_match_the_per_pair_oracle(monkeypatch):
+    remainders = []
+
+    def keep(fns):
+        remainders.extend(fns)
+        return norms_l2(fns)
+
+    monkeypatch.setattr(basis_diag, "norms_l2", keep)
+    basis_diag.truncated_completeness(ParamA.from_expr("sqrt(2)-1"), 200, 4)
+    assert len(remainders) == 5 * 4
+    stack = Stack.of(remainders)
+    squares = norms_l2(stack) ** 2
+    oracle = _per_pair_oracle(monkeypatch, lambda: norms_l2(stack)) ** 2
+    assert np.all(np.abs(squares - oracle) <= bound_matrix(stack, stack).diagonal())
+
