@@ -142,12 +142,6 @@ def _projection_norms(a: ParamA, records: list[EigRecord]) -> list[ProjNormRecor
             for (rec, which, closed), q in zip(rows, quad)]
 
 
-def projection_norm(rec: EigRecord, a: ParamA) -> list[ProjNormRecord]:
-    """Closed-form projection norms of one record with the quadrature
-    cross-value (`projection_norms` of the one record)."""
-    return _projection_norms(a, [rec])
-
-
 def projection_norms(a: ParamA, lambda_max: float) -> list[ProjNormRecord]:
     """Projection norms of every eigenvalue up to lambda_max, ascending,
     with one quadrature call per band of records."""

@@ -168,12 +168,12 @@ def _metric_contract(a: ParamA, lambda_max: float) -> dict:
 
 def cmd_metric_check(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
+    # milliseconds, and it refuses a bad --convergents before the contract
+    rayleigh = {} if a.is_rational else {
+        "rayleigh_sequence": metric.noninvertibility_probe(a, args.convergents)}
     payload = {"a": str(a), "irrational": not a.is_rational,
                **_metric_contract(a, args.lambda_max),
-               "contracts_informational_only": a.is_rational}
-    if not a.is_rational:
-        payload["rayleigh_sequence"] = metric.noninvertibility_probe(
-            a, args.convergents)
+               "contracts_informational_only": a.is_rational, **rayleigh}
     man.write_json("metric_report.json", payload)
     man.finish()
     return 1 if payload["contract_failures"] and not a.is_rational else 0
@@ -208,8 +208,7 @@ def cmd_basis(args, man: Manifest) -> int:
 def cmd_simulate(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     cfg = simulator.SimConfig(a=a, dt=args.dt, horizon=args.horizon,
-                              n_paths=args.paths, seed=args.seed,
-                              threads=args.threads)
+                              n_paths=args.paths, seed=args.seed)
     if args.gap:
         # psi at the gap, from the right-piece midpoint where it never
         # vanishes; its walk is refused, like run's, before any walk
@@ -294,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpspec",
         description="spectral toolkit for the boundary-jump Laplacian")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="simulator worker threads (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="enumerate eigenvalues / emit curves")

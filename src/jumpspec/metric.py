@@ -11,8 +11,7 @@ is an exact term rewrite, so Theta, H* Theta, and Theta H are all closed
 forms and the intertwining residual is measured at machine precision with
 no interpolation.  Theta acts on a whole funcspace.Stack at once: P0 and
 P- (+) P+ rewrite every member's rows, the rank-one coefficients come from
-one inner_matrix call, and one merge per owner sums the three parts;
-`MetricOp.apply` is the one-member case.
+one inner_matrix call, and one merge per owner sums the three parts.
 
 (f, Theta f) = |(phi0,f)|^2 + ||P0 f||^2 + ||P- f (+) P+ f||^2 cannot be
 negative, so positivity on arbitrary inputs shows nothing.  What the paper
@@ -146,10 +145,6 @@ class MetricOp:
         rank_one = Stack.of([self.phi0] * fs.count).scaled(coef)
         return Stack.total((project_center(fs), project_pieces(fs, self.a), rank_one))
 
-    def apply(self, f: PiecewiseTrig) -> PiecewiseTrig:
-        """Theta f for a single-piece symbolic f: apply_all of one member."""
-        return self.apply_all(Stack.of([f])).fn(0)
-
     def intertwining_residuals(self, fs: Stack, theta_fs: Stack | None = None) -> np.ndarray:
         """||H* Theta f_j - Theta H f_j||_2 for every member, all derivatives
         symbolic: the differences -(Theta f_j)'' + Theta(f_j'') as one Stack,
@@ -161,10 +156,6 @@ class MetricOp:
             theta_fs = self.apply_all(fs)
         return norms_l2(Stack.total((theta_fs.derivative(2).scaled(-1.0),
                                      self.apply_all(fs.derivative(2)))))
-
-    def quasi_self_adjointness_residual(self, psi: PiecewiseTrig) -> float:
-        """||H* Theta psi - Theta H psi||_2: intertwining_residuals of one member."""
-        return float(self.intertwining_residuals(Stack.of([psi]))[0])
 
     def root_system_report(self, pairs: BiorthFamily) -> dict:
         """Theta on a biorthogonal family, where Theta psi_j = c_j phi_j.

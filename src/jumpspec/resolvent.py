@@ -12,8 +12,11 @@ homogeneous part (a p = 1 term there is refused, `ResonantForcing`); and
 across a breakpoint xb of f the bounded alpha sgn(x - xb) e^{ik|x-xb|} +
 beta e^{ik|x-xb|} makes u_p C^1.  Phases are carried exactly
 (`eval_exact`), so u is right to a few eps of max|u| at any k_j; nothing
-is integrated.  Im k >= 0 bounds every exponential by 1 (the even pair
-would carry cosh(|k| pi/2)).  With E = e^{ik pi}, P = e^{ik pi (1+a)/2},
+is integrated.  At large |lambda| the bound grows to about |k| eps max|u|
+(1.03 measured at |k| = 1e4): k = sqrt(lambda) is itself rounded, and its
+relative error eps moves the phase k x by up to |k| eps pi/2.  That is the
+conditioning of u in lambda, not an error of the solve.  Im k >= 0 bounds
+every exponential by 1 (the even pair would carry cosh(|k| pi/2)).  With E = e^{ik pi}, P = e^{ik pi (1+a)/2},
 Q = e^{ik pi (1-a)/2} (E = PQ) the determinant for A and B is
 
     (1 - E)(1 - P)(1 - Q) = 8i E sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi/2),

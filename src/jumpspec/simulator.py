@@ -44,15 +44,15 @@ i by (seed, i), starts at pi*a/2 and bins occupation (N_BINS bins) and
 moments every SAMPLE_STRIDE steps after the burn-in; `semigroup_check`
 keys it by (seed + GAP_STREAM, i), starts at the caller's x0 and sums the
 deviation of the observable from the closed form, and its square, at
-GAP_TIMES times with lam t across DECAY_WINDOW.  Results are reproducible
-for a fixed batch partition at any thread count, and moment reductions
-use exact summation.
+GAP_TIMES times with lam t across DECAY_WINDOW.  Batches of at most
+BATCH_PATHS paths run one after another, which bounds memory; results
+are reproducible for a fixed seed, and moment reductions use exact
+summation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,6 +61,7 @@ from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
 N_BINS = 50  # occupation histogram bins over (-pi/2, pi/2)
+BATCH_PATHS = 20_000  # paths per batch, each on its own Philox stream
 SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps; the longest fine-step stride
 DECAY_WINDOW = (0.8, 4.8)  # lam t over semigroup_check's samples: (0.2, 1.2) at the gap 4
 GAP_TIMES = 50
@@ -85,8 +86,7 @@ class SimConfig:
     """Simulation parameters shared by `run` and `semigroup_check`.
 
     `horizon` and `burn_in` apply to `run` only: `semigroup_check` steps
-    to its last sample time and samples from time 0.  Paths are split into
-    batches of at most `batch_size`, run on up to `threads` threads.
+    to its last sample time and samples from time 0.
     """
     a: ParamA
     dt: float = 1e-4
@@ -95,8 +95,6 @@ class SimConfig:
     seed: int = 0
     bridge_correction: bool = True
     burn_in: float = 6.25  # five relaxation times of the gap-4 mode
-    batch_size: int = 20_000
-    threads: int = 1
 
     def __post_init__(self):
         if not 0 < self.dt <= 1e-3:
@@ -109,10 +107,6 @@ class SimConfig:
             raise ValueError(f"burn_in must be nonnegative and finite, got {self.burn_in}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -267,26 +261,17 @@ def _check_work(cfg: SimConfig, duration: float, samples: float) -> None:
     every batch (see PASS_OVERHEAD_PATHS)."""
     longest = FAR_STRIDE if cfg.bridge_correction else SAMPLE_STRIDE * cfg.dt
     passes = duration / longest + 2 * samples
-    batches = -(-cfg.n_paths // cfg.batch_size)
+    batches = -(-cfg.n_paths // BATCH_PATHS)
     if (work := passes * (cfg.n_paths + batches * PASS_OVERHEAD_PATHS)) > WORK_BUDGET:
         raise ValueError(f"{cfg.n_paths} paths over {duration:g} at dt {cfg.dt:g} take about "
                          f"{work:.3g} path-passes, above the work budget of {WORK_BUDGET:.3g}")
 
 
 def _batches(cfg: SimConfig) -> list[tuple[int, int]]:
-    """(index, size) of each batch of at most cfg.batch_size paths."""
-    starts = range(0, cfg.n_paths, cfg.batch_size)
-    return [(idx, min(cfg.batch_size, cfg.n_paths - start))
+    """(index, size) of each batch of at most BATCH_PATHS paths."""
+    starts = range(0, cfg.n_paths, BATCH_PATHS)
+    return [(idx, min(BATCH_PATHS, cfg.n_paths - start))
             for idx, start in enumerate(starts)]
-
-
-def _map_batches(cfg: SimConfig, plan: list[tuple[int, int]], job) -> list:
-    """[job(idx, n) for each batch], on up to cfg.threads threads.
-
-    Each batch owns its stream, and results come back in batch order, so
-    the thread count does not change any result."""
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(lambda item: job(*item), plan))
 
 
 def _occupation_batch(cfg: SimConfig, idx: int, n_paths: int, n_steps: int,
@@ -321,9 +306,8 @@ def run(cfg: SimConfig) -> SimReport:
     if not sample_steps:
         raise ValueError(f"horizon {cfg.horizon} leaves no sample after the "
                          f"burn-in of {cfg.burn_in} at dt {cfg.dt}")
-    results = _map_batches(
-        cfg, _batches(cfg),
-        lambda idx, n: _occupation_batch(cfg, idx, n, n_steps, burn_steps, sample_steps))
+    results = [_occupation_batch(cfg, idx, n, n_steps, burn_steps, sample_steps)
+               for idx, n in _batches(cfg)]
 
     counts = np.sum([r[0] for r in results], axis=0)
     n_samples = cfg.n_paths * len(sample_steps)
@@ -401,7 +385,7 @@ def semigroup_check(cfg: SimConfig, chain: list, lam: float, x0: float) -> float
 
     n = cfg.n_paths
     worst = 0.0
-    for at_t in zip(*_map_batches(cfg, _batches(cfg), sums)):
+    for at_t in zip(*(sums(idx, size) for idx, size in _batches(cfg))):
         s1 = math.fsum(b[0] for b in at_t)
         var = (math.fsum(b[1] for b in at_t) - s1 * s1 / n) / (n - 1)
         if not var > 0:

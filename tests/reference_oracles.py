@@ -54,7 +54,7 @@ from jumpspec.resolvent import ResolventKernel
 from jumpspec.simulator import _Stepper
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
-from util import linear, norm_l2, quad_gram, xcos_term, xsin_term
+from util import apply_theta, linear, norm_l2, quad_gram, xcos_term, xsin_term
 
 
 def char_det(a: ParamA | float, k) -> complex | np.ndarray:
@@ -283,7 +283,7 @@ def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
 def rayleigh_quotient(a: ParamA, n: int) -> float:
     """(chi_n, Theta chi_n) for the orthonormal Neumann mode chi_n."""
     chi = neumann_mode(n)
-    return inner_closed(chi, MetricOp.build(a).apply(chi)).real
+    return inner_closed(chi, apply_theta(MetricOp.build(a), chi)).real
 
 
 def generic_norm_median(a: ParamA, m_max: int = 200) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from jumpspec import basis_diag, funcspace
 from jumpspec.basis_diag import (
-    Which, blowup_probe, expansion_residuals, proj_norm_zero_generic, projection_norm,
+    Which, _projection_norms, blowup_probe, expansion_residuals, proj_norm_zero_generic,
     projection_norms, random_smooth_probe, rational_bound_check, truncated_completeness,
 )
 from jumpspec.eigensystem import biorthogonalize
@@ -32,21 +32,21 @@ def record_at(a, lam, lam_max=100.0):
 def test_zero_eigenvalue_norm():
     for expr in ("0", "1/3", "sqrt(2)-1"):
         a = ParamA.from_expr(expr)
-        (rec,) = projection_norm(record_at(a, 0.0), a)
+        (rec,) = _projection_norms(a, [record_at(a, 0.0)])
         assert rec.closed_form == pytest.approx(math.sqrt(4 / 3), abs=1e-12)
         assert abs(rec.closed_form - rec.quadrature) / rec.closed_form < 1e-8
 
 
 def test_exceptional_odd_norm_is_one():
     a = ParamA.from_expr("0")
-    (rec,) = projection_norm(record_at(a, 4.0), a)
+    (rec,) = _projection_norms(a, [record_at(a, 4.0)])
     assert rec.closed_form == 1.0
     assert rec.quadrature == pytest.approx(1.0, abs=1e-8)
 
 
 def test_exceptional_triple_norms():
     a = ParamA.from_expr("1/3")
-    recs = projection_norm(record_at(a, 36.0), a)
+    recs = _projection_norms(a, [record_at(a, 36.0)])
     assert [r.which for r in recs] == [Which.P1, Which.P2, Which.P3]
     assert recs[0].closed_form == pytest.approx(math.sqrt(2 / (1 - a.value)))
     assert recs[0].closed_form == pytest.approx(math.sqrt(3.0))
@@ -59,7 +59,7 @@ def test_all_norms_dominate_one():
     for expr in ("1/3", "2/5", "sqrt(2)-1"):
         a = ParamA.from_expr(expr)
         for rec in enumerate_spectrum(a, 500.0):
-            for pn in projection_norm(rec, a):
+            for pn in _projection_norms(a, [rec]):
                 assert pn.closed_form >= 1.0 - 1e-12
                 assert abs(pn.closed_form - pn.quadrature) / pn.closed_form < 1e-8
 

@@ -141,6 +141,20 @@ def test_metric_check_reads_no_random_input(tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("count", ["0", "41"])
+def test_metric_check_convergent_count_is_checked_before_the_contract(tmp_path, monkeypatch,
+                                                                     count):
+    # 41 exceeds MAX_CONVERGENTS; the contract takes seconds at a large --lambda-max
+    def contract(*args, **kwargs):
+        raise AssertionError("ran the contract for a refused --convergents")
+
+    monkeypatch.setattr(metric.MetricOp, "root_system_report", contract)
+    out = tmp_path / "k"
+    assert run_cli(["metric-check", "--a", "sqrt(2)-1", "--lambda-max", "1e6",
+                    "--convergents", count, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_metric_contract_failure_exits_1(tmp_path, monkeypatch):
     # P0 dropped: Theta is no longer injective on the family
     monkeypatch.setattr(metric, "project_center", lambda fs: fs.scaled(0.0))
@@ -167,8 +181,9 @@ def test_usage_errors(tmp_path):
     assert not (tmp_path / "z").exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_non_positive_thread_count_is_a_usage_error(tmp_path, threads):
+@pytest.mark.parametrize("threads", ["2", "0"])
+def test_the_removed_threads_option_is_a_usage_error(tmp_path, threads):
+    # the simulator runs its batches on the calling thread; no option picks a count
     out = tmp_path / "t"
     assert run_cli([f"--threads={threads}", "simulate", "--a", "1/3", "--paths", "10",
                     "--out", str(out)]) == 2

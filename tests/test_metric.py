@@ -17,7 +17,7 @@ from reference_oracles import (
     injectivity_probe, neumann_mode, per_member_metric_report, rayleigh_quotient,
     validate_domain_Hstar,
 )
-from util import norm_l2, random_domain_member, random_trig
+from util import apply_theta, norm_l2, random_domain_member, random_trig
 
 HALF_PI = math.pi / 2
 SQRT2M1 = ParamA.from_expr("sqrt(2)-1")
@@ -92,8 +92,8 @@ def test_theta_symmetry():
     op = MetricOp.build(SQRT2M1)
     for _ in range(8):
         f, g = random_trig(rng), random_trig(rng)
-        lhs = inner_closed(f, op.apply(g))
-        rhs = np.conj(inner_closed(g, op.apply(f)))
+        lhs = inner_closed(f, apply_theta(op, g))
+        rhs = np.conj(inner_closed(g, apply_theta(op, f)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -102,7 +102,7 @@ def test_theta_positivity():
     op = MetricOp.build(SQRT2M1)
     for _ in range(40):
         f = random_trig(rng)
-        q = inner_closed(f, op.apply(f)).real
+        q = inner_closed(f, apply_theta(op, f)).real
         assert q >= -1e-12
         # quadratic form identity: |(phi0,f)|^2 + ||P0 f||^2 + ||P- f (+) P+ f||^2
         parts = (abs(inner_closed(op.phi0, f)) ** 2 + norm_l2(project_center(f)) ** 2
@@ -113,12 +113,12 @@ def test_theta_positivity():
 def test_theta_of_zero_and_constant():
     op = MetricOp.build(SQRT2M1)
     zero = PiecewiseTrig.zero()
-    assert norm_l2(op.apply(zero)) == 0
+    assert norm_l2(apply_theta(op, zero)) == 0
     one = PiecewiseTrig.single([const(1.0)])
     # antisymmetrizers annihilate constants: Theta 1 = phi0 (phi0, 1)
     expect = op.phi0.scaled(inner_closed(op.phi0, one))
-    assert norm_l2(op.apply(one) - expect) < 1e-12
-    assert op.quasi_self_adjointness_residual(one) < 1e-12
+    assert norm_l2(apply_theta(op, one) - expect) < 1e-12
+    assert op.intertwining_residuals(Stack.of([one]))[0] < 1e-12
 
 
 def test_theta_term_by_term():
@@ -126,9 +126,9 @@ def test_theta_term_by_term():
     op = MetricOp.build(SQRT2M1)
     f = op.phi0  # two-piece input is rejected by the symbolic route
     with pytest.raises(DomainViolation):
-        op.apply(f)
+        apply_theta(op, f)
     g = random_trig(rng)
-    total = op.apply(g)
+    total = apply_theta(op, g)
     parts = (op.phi0.scaled(inner_closed(op.phi0, g))
              + project_center(g) + project_pieces(g, SQRT2M1))
     assert norm_l2(total - parts) < 1e-12
@@ -142,7 +142,7 @@ def test_intertwining_on_domain_members():
                for rec in enumerate_spectrum(a, 150.0)]
     members += [random_domain_member(a, rng) for _ in range(10)]
     for psi in members:
-        res = op.quasi_self_adjointness_residual(psi)
+        res = op.intertwining_residuals(Stack.of([psi]))[0]
         assert res / max(norm_l2(psi), 1e-300) < 1e-8
 
 
@@ -152,7 +152,7 @@ def test_theta_maps_domain_into_adjoint_domain():
     op = MetricOp.build(a)
     for _ in range(6):
         psi = random_domain_member(a, rng)
-        assert validate_domain_Hstar(op.apply(psi), a).in_domain
+        assert validate_domain_Hstar(apply_theta(op, psi), a).in_domain
 
 
 def test_eigen_intertwining():
@@ -161,7 +161,7 @@ def test_eigen_intertwining():
     op = MetricOp.build(a)
     for rec in enumerate_spectrum(a, 60.0):
         psi = eigenfunctions_H(rec, a)[0].fn
-        tpsi = op.apply(psi)
+        tpsi = apply_theta(op, psi)
         resid = tpsi.derivative(2).scaled(-1.0) - tpsi.scaled(rec.lam)
         assert norm_l2(resid) < 1e-8 * max(1.0, norm_l2(tpsi))
 
@@ -170,7 +170,7 @@ def test_domain_violation_rejected():
     op = MetricOp.build(SQRT2M1)
     bad = PiecewiseTrig.single([cos_term(1.0, 2.0)])  # breaks the BCs
     with pytest.raises(DomainViolation):
-        op.quasi_self_adjointness_residual(bad)
+        op.intertwining_residuals(Stack.of([bad]))
     # one bad member among domain members fails the whole batch, by name
     members = [random_domain_member(SQRT2M1, np.random.default_rng(11)) for _ in range(3)]
     with pytest.raises(DomainViolation, match="f_2: boundary condition"):
@@ -357,7 +357,7 @@ def test_rayleigh_closed_form_agrees_with_full_theta():
     op = MetricOp.build(SQRT2M1)
     for n in (4, 8, 12, 20):
         chi = neumann_mode(n)
-        direct = inner_closed(chi, op.apply(chi)).real
+        direct = inner_closed(chi, apply_theta(op, chi)).real
         closed = (abs(inner_closed(op.phi0, chi)) ** 2
                   + even_mode_coefficient(SQRT2M1, n))
         assert direct == pytest.approx(closed, abs=1e-11)

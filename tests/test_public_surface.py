@@ -174,6 +174,39 @@ def test_a_trig_pi_call_outside_param_is_flagged(tmp_path):
     assert trig_pi_callers(tmp_path) == ["direct.py", "qualified.py"]
 
 
+# the simulator runs its batches in one loop on the calling thread: its
+# per-step numpy calls on small arrays hold the GIL, so threads would add
+# scheduling cost and no speed
+CONCURRENCY_MODULES = {"concurrent", "threading", "multiprocessing"}
+
+
+def concurrency_importers(package: Path) -> list[str]:
+    """Modules that import concurrent.futures, threading or multiprocessing
+    (or anything under them)."""
+    def imported(node) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module]
+        return []
+
+    return [path.name for path in sorted(package.glob("*.py"))
+            if any(name.split(".")[0] in CONCURRENCY_MODULES
+                   for node in ast.walk(ast.parse(path.read_text())) for name in imported(node))]
+
+
+def test_the_package_starts_no_threads_or_processes():
+    assert concurrency_importers(PACKAGE) == []
+
+
+def test_a_concurrency_import_is_flagged(tmp_path):
+    (tmp_path / "pool.py").write_text("from concurrent.futures import ThreadPoolExecutor\n")
+    (tmp_path / "lock.py").write_text("def f():\n    import threading\n    return threading\n")
+    (tmp_path / "procs.py").write_text("import multiprocessing.pool as mp\n")
+    (tmp_path / "clean.py").write_text("import math\nfrom jumpspec import simulator\n")
+    assert concurrency_importers(tmp_path) == ["lock.py", "pool.py", "procs.py"]
+
+
 def test_an_unused_function_is_flagged(tmp_path):
     package, bench = tmp_path / "pkg", tmp_path / "bench"
     package.mkdir()

@@ -404,6 +404,28 @@ def test_matches_the_mpmath_solve(expr, K, lam):
     assert _gate_error(resolvent, lam, _forcing(K), ParamA.from_expr(expr)) < MP_GATE_C
 
 
+# At large |lambda| the rounding of k = sqrt(lambda) alone moves the phase
+# k x by up to |k| eps pi/2, so u can be right only to about |k| eps max|u|:
+# the gate is LARGE_GATE_C max(16, |k|) eps max|u|.  Measured at sqrt(2)-1
+# and 1/3, lambda = k^2 - 0.5: 0.48-1.03 |k| eps max|u|.
+LARGE_GATE_C = 2
+LARGE_KS = [100.5, 1000.5, 9999.5]
+
+
+def _large_gate_error(solver, k, near_resonant, a) -> float:
+    """_gate_error at lambda = k^2 - 0.5, for sin 3x or for the near-resonant
+    sin kx, over LARGE_GATE_C max(16, k)."""
+    f = _forcing(k if near_resonant else 3)
+    return _gate_error(solver, k * k - 0.5, f, a) / (LARGE_GATE_C * max(16, k))
+
+
+@pytest.mark.parametrize("near_resonant", [False, True], ids=["sin3x", "sinkx"])
+@pytest.mark.parametrize("k", LARGE_KS)
+@pytest.mark.parametrize("expr", ["sqrt(2)-1", "1/3"])
+def test_matches_the_mpmath_solve_at_large_lambda(expr, k, near_resonant):
+    assert _large_gate_error(resolvent, k, near_resonant, ParamA.from_expr(expr)) < 1
+
+
 @pytest.mark.parametrize("K", [0, 3, 1e3, 1e4, 1e6])
 def test_an_eigenvalue_is_refused_whatever_the_forcing(K):
     # 9 = 3^2 is an eigenvalue at a = 1/3 (P = e^{2 pi i})
@@ -467,3 +489,10 @@ def test_the_gate_fails_a_mutant(monkeypatch, old, new, expr, lam, forcing):
     a = ParamA.from_expr(expr)
     assert _gate_error(resolvent, lam, forcing(a), a) < MP_GATE_C
     assert _gate_error(_mutant(monkeypatch, old, new), lam, forcing(a), a) > MP_GATE_C
+
+
+@pytest.mark.parametrize("k", LARGE_KS)
+def test_the_large_lambda_gate_fails_the_near_resonance_mutant(monkeypatch, k):
+    # without the sinc form, T/d loses k^2/d of its digits to the homogeneous part
+    mutant = _mutant(monkeypatch, "near = np.abs(d) < NEAR_RESONANCE", "near = d == 0")
+    assert _large_gate_error(mutant, k, True, ParamA.from_expr("sqrt(2)-1")) > 1

@@ -48,11 +48,6 @@ def test_config_validation():
     for bad in (-0.05, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="burn_in"):
             SimConfig(a=A0, burn_in=bad)
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="batch_size"):
-            SimConfig(a=A0, batch_size=bad)
-        with pytest.raises(ValueError, match="threads"):
-            SimConfig(a=A0, threads=bad)
 
 
 def test_tent_bin_probabilities_sum_to_one():
@@ -73,12 +68,12 @@ def test_seeded_runs_are_bit_reproducible():
     assert r3.moment2 != r1.moment2
 
 
-def test_seeded_run_matches_the_recorded_report():
+def test_seeded_run_matches_the_recorded_report(monkeypatch):
     # pins the per-batch Philox streams and their draw order: a change to
     # the stepper's use of the stream shows up here as a changed record
     golden = json.loads((Path(__file__).parent / "golden_run.json").read_text())
-    rep = run(small_cfg(a=ParamA.from_expr("1/3"), horizon=6.45, n_paths=600,
-                        batch_size=300))
+    monkeypatch.setattr(simulator, "BATCH_PATHS", 300)
+    rep = run(small_cfg(a=ParamA.from_expr("1/3"), horizon=6.45, n_paths=600))
     assert rep.to_dict() == golden
 
 
@@ -147,15 +142,13 @@ def test_jordan_chain_decays_with_its_secular_term(secular):
     assert (semigroup_check(cfg, chain, 36.0, _right_midpoint(a)) <= Z_BOUND) == secular
 
 
-def test_seeded_check_matches_the_recorded_worst_z():
-    # pins the check's Philox streams and its batch-order reduction, at
-    # any thread count
+def test_seeded_check_matches_the_recorded_worst_z(monkeypatch):
+    # pins the check's Philox streams and its batch-order reduction
     a = ParamA.from_expr("1/3")
-    cfg = SimConfig(a=a, dt=1e-3, n_paths=2000, seed=3, batch_size=1000)
+    monkeypatch.setattr(simulator, "BATCH_PATHS", 1000)
+    cfg = SimConfig(a=a, dt=1e-3, n_paths=2000, seed=3)
     z = semigroup_check(cfg, [_gap_psi(a)], 4.0, _right_midpoint(a))
     assert z == 3.5293248863217817
-    threaded = dataclasses.replace(cfg, threads=2)
-    assert semigroup_check(threaded, [_gap_psi(a)], 4.0, _right_midpoint(a)) == z
 
 
 def test_check_without_a_standard_error_is_refused(monkeypatch):
@@ -185,15 +178,6 @@ def test_report_serialization():
     assert set(d) >= {"bin_edges", "bin_density", "moment2",
                       "jumps_per_unit_time", "time_units"}
     assert isinstance(rep, SimReport)
-
-
-def test_threaded_partition_reproducible():
-    cfg1 = small_cfg(horizon=6.75, n_paths=2000, batch_size=1000, threads=2)
-    cfg2 = small_cfg(horizon=6.75, n_paths=2000, batch_size=1000, threads=1)
-    # same batch partition, different scheduling: identical results
-    assert run(cfg1).moment2 == run(cfg2).moment2
-
-
 
 
 def _paths_near_the_boundary(n: int, h: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

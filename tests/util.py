@@ -9,6 +9,7 @@ import numpy as np
 from jumpspec.funcspace import (
     PiecewiseTrig, Stack, Terms, _term, cos_term, inner_closed, quad_inner, sin_term,
 )
+from jumpspec.metric import MetricOp
 from jumpspec.param import ParamA
 
 HALF_PI = math.pi / 2
@@ -17,6 +18,11 @@ HALF_PI = math.pi / 2
 def norm_l2(f: PiecewiseTrig) -> float:
     """||f||_2 from inner_closed(f, f), one function at a time."""
     return math.sqrt(max(inner_closed(f, f).real, 0.0))
+
+
+def apply_theta(op: MetricOp, f: PiecewiseTrig) -> PiecewiseTrig:
+    """Theta f for one single-piece f: MetricOp.apply_all of the one member."""
+    return op.apply_all(Stack.of([f])).fn(0)
 
 
 def quad_gram(fns, a, max_rounds: int = 6) -> np.ndarray:
