@@ -32,6 +32,10 @@ GAP = 4.0  # the spectral gap, the same for every a in (-1, 1)
 # largest |K| of --f sinK: K^2 - lambda stays finite, so the solution's
 # coefficient 1/(K^2 - lambda) is a number, not 0 from an overflow
 MAX_SOURCE_K = 1e150
+# family members `metric-check` accepts: 2000 take 11 s and 460 MB peak RSS
+# at sqrt(2)-1 (one core), and both grow as their square (norms_l2's term
+# Gram): 3163 took 30 s and 1.1 GB, 10000 would need a 3.35 GiB Gram
+MAX_CONTRACT_MEMBERS = 2000
 
 
 def _fmt(v) -> str:
@@ -168,6 +172,12 @@ def _metric_contract(a: ParamA, lambda_max: float) -> dict:
 
 def cmd_metric_check(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
+    # the family's size is known in milliseconds, before the contract's work
+    members = sum(len(rec.memberships) for rec in spectrum.enumerate_spectrum(a, args.lambda_max))
+    if members > MAX_CONTRACT_MEMBERS:
+        raise ValueError(f"--lambda-max {args.lambda_max:g} holds {members} family members, "
+                         f"above metric-check's cap of {MAX_CONTRACT_MEMBERS} (its time and "
+                         "memory grow as their square)")
     # milliseconds, and it refuses a bad --convergents before the contract
     rayleigh = {} if a.is_rational else {
         "rayleigh_sequence": metric.noninvertibility_probe(a, args.convergents)}

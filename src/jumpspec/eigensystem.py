@@ -11,8 +11,9 @@ admissible only under the constraint A_minus (1+a) = -A_plus (1-a).
 Root vectors are built as term rows, for any number of spectral points
 at once (`_chains`), in funcspace.Stacks: the family (`biorthogonalize`)
 keeps the forward members printed (raw constants 1) and lets the duals
-absorb the normalization, and `gram_matrix` checks (phi_j, psi_k) =
-delta_jk in one inner_matrix call over the stacked rows.
+absorb the normalization in closed form (no integral builds them), and
+`gram_matrix` checks (phi_j, psi_k) = delta_jk in one inner_matrix call
+over the stacked rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner_closed here
-    PiecewiseTrig, Stack, Terms, batched_pair_integrals, inner_closed, inner_matrix,
+    PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix,
 )
 from jumpspec.param import (
     ParamA, family_angle, is_exceptional, zero_class_case, ZeroClassCase,
@@ -123,32 +124,44 @@ def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tu
     (classes 0, +1) and sin(k(x - pi/2)) on the right (classes 0, -1); for an
     exceptional pair psi1, psi2 = sin(kx), cos(kx), xi = -(1-a)/(64 m^2)
     ((1-a) cos(kx) + 8m x sin(kx)), phi1, phi2 = the right and left sines
-    and eta = A (1-a)/(64 m^2) (8m (x -+ pi/2) cos(k(x -+ pi/2)) - (1-a)
-    sin(k(x -+ pi/2))), A = 1-a on the left piece and -(1+a) on the right.
-    normalized: the duals instead, phi over conj of its closed-form pairing
-    and (phi1, eta, phi2) mixed by `_root_space_duals`.
+    and eta = A (1-a)/(64 m^2) (8m (x +- pi/2) cos(k(x +- pi/2)) - (1-a)
+    sin(k(x +- pi/2))), A = 1-a on the left piece and -(1+a) on the right.
+    normalized: the duals instead: phi over conj of its closed-form pairing;
+    at an exceptional pair, with t its class +1 index, sigma = (-1)^(m+t),
+    the rows of conj(P^-1), P = (phi1, eta, phi2) x (psi1, psi2, xi):
+    dual psi1 = (2 sigma/pi)(phi1 + phi2), dual xi = (64 m sigma/pi^2)
+    (phi2/((1-a)(1+a)) - phi1/(1-a)^2), dual psi2 = (sigma/pi^2)(-(2/m) phi1
+    + 64m/((1-a)^2 (1+a)) eta + (2/t) phi2); with k = 2(m + t), their rows at
+    phase k(x +- pi/2) are sigma times those at phase kx, which they take, so
+    no rounded shift k pi/2 leaves them k eps off biorthogonal.
     """
     av = a.value
-    fwd, left, right, roots, v = [], [], [], [], 0
+    fwd, left, right, v = [], [], [], 0
     for rec in records:
         _check_membership(rec, a)
         k = rec.k
         if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-            m = rec.class_index(-1)
+            m, t = rec.class_index(-1), rec.class_index(+1)
             pref = -(1 - av) / (64 * m * m)
-            root = [(v, 0, 1.0, k, 0.0, 1), (v + 1, 0, 1.0, k, 0.0, 0),
+            fwd += [(v, 0, 1.0, k, 0.0, 1), (v + 1, 0, 1.0, k, 0.0, 0),
                     (v + 2, 0, pref * (1 - av), k, 0.0, 0), (v + 2, 1, pref * 8 * m, k, 0.0, 1)]
-            # on each piece the lone sine (phi2 left, phi1 right), then eta
+            # owners' coefficients of (phi1, eta, phi2): raw vectors, or duals
+            mix, shift = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), k * HALF_PI
+            if normalized:
+                c = 64 * m / (math.pi ** 2 * (1 - av))
+                mix = ((2 / math.pi, 0.0, 2 / math.pi),
+                       (-2 / (math.pi ** 2 * m), c / ((1 - av) * (1 + av)), 2 / (math.pi ** 2 * t)),
+                       (-c / (1 - av), 0.0, c / (1 + av)))
+                shift = 0.0
+            # per piece eta's rows, the lone sine (phi2 left, phi1 right) merged into its sine row
             a_plus = -(1 - av) * (1 + av) / (1 - av)
-            for amp, sgn, lone in ((1 - av, 1.0, v + 1), (a_plus, -1.0, v)):
-                pref, s = amp * (1 - av) / (64 * m * m), sgn * k * HALF_PI
-                root += [(lone, 0, 1.0, k, s, 1), (v + 2, 0, pref * 8 * m * sgn * HALF_PI, k, s, 0),
-                         (v + 2, 0, -pref * (1 - av), k, s, 1), (v + 2, 1, pref * 8 * m, k, s, 0)]
-            fwd += root[:4]
-            if not normalized:
-                left += root[4:8]
-                right += root[8:]
-            roots.append(root)
+            for rows, amp, sgn, lone in ((left, 1 - av, 1.0, 2), (right, a_plus, -1.0, 0)):
+                pref, s = amp * (1 - av) / (64 * m * m), sgn * shift
+                cos_c, sin_c, xcos_c = pref * 8 * m * sgn * HALF_PI, -pref * (1 - av), pref * 8 * m
+                for j, coef in enumerate(mix):
+                    rows += [(v + j, 0, coef[1] * cos_c, k, s, 0),
+                             (v + j, 0, coef[1] * sin_c + coef[lone], k, s, 1),
+                             (v + j, 1, coef[1] * xcos_c, k, s, 0)]
             v += 3
             continue
         z = 1.0
@@ -174,45 +187,9 @@ def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tu
             if cls <= 0:
                 right.append((v, 0, z, k, -k * HALF_PI, 1))
         v += 1
-    if roots and normalized:
-        duals = _root_space_duals(a, roots)
-        left, right = (sorted(rows + dual, key=lambda row: row[0])
-                       for rows, dual in zip((left, right), duals))
     xb = HALF_PI * av
     return (Stack(((-HALF_PI, HALF_PI, *_terms(fwd)),), v),
             Stack(((-HALF_PI, xb, *_terms(left)), (xb, HALF_PI, *_terms(right))), v))
-
-
-def _root_space_duals(a: ParamA, roots: list[list[tuple]]) -> list[list[tuple]]:
-    """Rows of the root spaces' duals, from the 12 raw rows of each: basis
-    (psi1, psi2, xi cos, xi x sin), then per piece trial (lone sine, eta's
-    cos, sin, x cos).  The 3x3 pairings (phi1, eta, phi2) x (psi1, psi2, xi)
-    are one batched kernel pass per piece over the 4 x 4 row pairs of all
-    root spaces, summed per vector as inner_matrix sums them; dual i is
-    sum_t conj(inv)[i, t] trial_t, eta's sine merged with the lone one."""
-    owner, p, c, k, s, q = (np.array(col).reshape(len(roots), 3, 4) for col in
-                            zip(*(row for root in roots for row in root)))
-    basis, *trial = (Terms(p[:, i], c[:, i].astype(complex), k[:, i], s[:, i], q[:, i])
-                     for i in range(3))
-    xb = HALF_PI * a.value
-    gram = np.zeros((len(roots), 3, 3), dtype=complex)
-    for (lo, hi), f, lone in zip(((-HALF_PI, xb), (xb, HALF_PI)), trial, (2, 0)):
-        vals = batched_pair_integrals(f, basis, lo, hi)
-        gram[:, [lone, 1]] += np.add.reduceat(np.add.reduceat(vals, [0, 1, 2], axis=2),
-                                              [0, 1], axis=1)
-    singular = np.abs(np.linalg.det(gram)) < 1e-12
-    if singular.any():
-        raise DegenerateNormalization("root-space pairing matrix is singular at "
-                                      f"lambda={k[singular][0, 0, 0] ** 2}")
-    coef = np.conj(np.linalg.inv(gram))
-    out = []
-    for f, lone in zip(trial, (2, 0)):
-        dual = coef[..., 1, None] * f.c[:, None, 1:]
-        dual[..., 1] += coef[..., lone] * f.c[:, None, 0]
-        r, i, j = np.indices(dual.shape)
-        out.append(list(zip(*(x.ravel().tolist() for x in (
-            owner[r, 0, 0] + i, (j == 2) * 1, dual, f.k[r, 1 + j], f.s[r, 1 + j], (j == 1) * 1)))))
-    return out
 
 
 def _root_vectors(rec: EigRecord, a: ParamA, side: int, picks: slice) -> list[EigFun]:

@@ -175,11 +175,6 @@ def _basis(t: Terms, x: np.ndarray) -> np.ndarray:
     return basis
 
 
-def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of a term sum."""
-    return _basis(t, np.asarray(x, dtype=float)) @ t.c
-
-
 @dataclass(frozen=True)
 class Piece:
     """A term sum valid on [lo, hi]; `terms` is a Terms, kept as it is, or
@@ -224,10 +219,6 @@ class PiecewiseTrig:
               right_terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
         return cls((Piece(-HALF_PI, xb, left_terms), Piece(xb, HALF_PI, right_terms)))
 
-    @classmethod
-    def zero(cls) -> "PiecewiseTrig":
-        return cls.single(())
-
     @property
     def breakpoint(self) -> float | None:
         return self.pieces[0].hi if len(self.pieces) == 2 else None
@@ -246,17 +237,6 @@ class PiecewiseTrig:
         xs = np.asarray(x, dtype=float)
         out = Stack.of([self]).values(xs.ravel())[0].reshape(xs.shape)
         return complex(out) if np.isscalar(x) else out
-
-    def one_sided(self, x: float, side: int) -> complex:
-        """Limit from the left (side=-1) or right (side=+1) at x."""
-        piece = self.pieces[0]
-        for p in self.pieces:
-            if (p.lo < x < p.hi) or (x == p.lo and side > 0) or (x == p.hi and side < 0):
-                piece = p
-                break
-        else:
-            raise OutOfDomain(f"{x} not interior to any piece on the requested side")
-        return complex(eval_terms(piece.terms, np.array([x]))[0])
 
     def derivative(self, order: int = 1) -> "PiecewiseTrig":
         return Stack.of([self]).derivative(order).fn(0)
@@ -325,9 +305,10 @@ def _midpoint_phase(t: Terms, m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_exact(t: Terms, x: np.ndarray) -> np.ndarray:
-    """eval_terms with each phase k x + s carried as hi + lo
+    """The term sum at the points x, each phase k x + s carried as hi + lo
     (_midpoint_phase), so every row is right to a few eps of its
-    coefficient however large k x is; eval_terms loses k |x| eps."""
+    coefficient however large k x is; the cos of the rounded phase, as
+    _basis takes it, loses k |x| eps."""
     x = np.asarray(x, dtype=float)[:, None]
     hi, lo = _midpoint_phase(t, x)
     cos_h, sin_h, turn = np.cos(hi), np.sin(hi), _QUARTER_TURNS[t.q % 4]
@@ -400,17 +381,6 @@ def _pair_blocks(f: Terms, g: Terms, lo: float, hi: float):
     for r in range(0, len(f), step):
         rows = slice(r, r + step)
         yield rows, _pair_kernel([x[rows, None] for x in f_rows], g_rows, h)
-
-
-def batched_pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
-    """(B, n, m) integrals over [lo, hi] of conj(f[b, i]) g[b, j] for (B, n)
-    and (B, m) term arrays, at most _PAIR_BLOCK pairs per kernel call."""
-    m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    f_rows, g_rows = _row_factors(f, m, h), _row_factors(g, m, h)
-    step = max(1, _PAIR_BLOCK // (f.k.shape[1] * g.k.shape[1]))
-    return np.concatenate([_pair_kernel([x[b:b + step, :, None] for x in f_rows],
-                                        [x[b:b + step, None] for x in g_rows], h)
-                           for b in range(0, max(len(f), 1), step)])
 
 
 def _edges(fns: Iterable[PiecewiseTrig]) -> tuple[float, ...]:

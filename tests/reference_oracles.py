@@ -2,11 +2,14 @@
 
 Some are closed forms and checks of the paper that the package never
 calls: the characteristic determinant, the operator and adjoint domain
-conditions of one function, the adjoint eigenfunctions and generalized
+conditions of one function (with the one-sided limits and the plain term
+evaluation they read), the adjoint eigenfunctions and generalized
 vectors of one record, the printed pairings of an exceptional root space
 and the injectivity scan of the metric over Neumann modes.  The others
 reach a quantity of the package by a second route: the normalized family
-built pair by pair from the printed root vectors, expansion residuals
+built pair by pair from the printed root vectors (each root space's duals
+by the numeric inverse of its integrated pairing matrix), that matrix by
+50-digit quadrature, expansion residuals
 normed one remainder at a time, the quadrature projection norms one
 record at a time, the metric report on the root system one member at a
 time, the real zeros of the characteristic determinant by dense scan plus
@@ -32,6 +35,7 @@ takes them once per term row.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -44,9 +48,9 @@ from jumpspec.eigensystem import (
     EigFun, _root_vectors, _simple_pairing, eigenfunctions_H, phi_zero_mode,
 )
 from jumpspec.funcspace import (
-    _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, Piece, PiecewiseTrig, Stack, Terms,
-    _midpoint_phase, _two_sum, const, cos_term, grid_nodes, inner_closed, inner_matrix, lincomb,
-    sin_term,
+    _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack,
+    Terms, _basis, _midpoint_phase, _two_sum, const, cos_term, grid_nodes, inner_closed,
+    inner_matrix, lincomb, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
@@ -68,6 +72,26 @@ def char_det(a: ParamA | float, k) -> complex | np.ndarray:
     if det.ndim == 0:
         return complex(det)
     return det
+
+
+def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
+    """A term sum at the points x, one cos of the rounded phase k x + s per
+    row and point (`_basis`), so a row loses k |x| eps where
+    funcspace.eval_exact does not."""
+    return _basis(t, np.asarray(x, dtype=float)) @ t.c
+
+
+def one_sided(f: PiecewiseTrig, x: float, side: int) -> complex:
+    """The limit of f from the left (side=-1) or the right (side=+1) at x."""
+    for p in f.pieces:
+        if (p.lo < x < p.hi) or (x == p.lo and side > 0) or (x == p.hi and side < 0):
+            return complex(eval_terms(p.terms, np.array([x]))[0])
+    raise OutOfDomain(f"{x} not interior to any piece on the requested side")
+
+
+def zero_function() -> PiecewiseTrig:
+    """The zero function: one piece, no terms."""
+    return PiecewiseTrig.single(())
 
 
 @dataclasses.dataclass
@@ -92,15 +116,15 @@ def validate_domain_H(f: PiecewiseTrig, a: ParamA | float,
     point (two-piece H2 smoothness) plus the three-point condition
     f(-pi/2) = f(pi*a/2) = f(pi/2)."""
     xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
-    v_left, v_right = f.one_sided(xb, -1), f.one_sided(xb, +1)
+    v_left, v_right = one_sided(f, xb, -1), one_sided(f, xb, +1)
     v_b = 0.5 * (v_left + v_right)
     df = f.derivative(1)
     return _domain_report(f, tol, {
         "value continuity at restart point": abs(v_left - v_right),
         "derivative continuity at restart point":
-            abs(df.one_sided(xb, -1) - df.one_sided(xb, +1)),
-        "boundary condition f(-pi/2) = f(pi*a/2)": abs(f.one_sided(-HALF_PI, +1) - v_b),
-        "boundary condition f(pi/2) = f(pi*a/2)": abs(f.one_sided(HALF_PI, -1) - v_b),
+            abs(one_sided(df, xb, -1) - one_sided(df, xb, +1)),
+        "boundary condition f(-pi/2) = f(pi*a/2)": abs(one_sided(f, -HALF_PI, +1) - v_b),
+        "boundary condition f(pi/2) = f(pi*a/2)": abs(one_sided(f, HALF_PI, -1) - v_b),
     })
 
 
@@ -111,13 +135,13 @@ def validate_domain_Hstar(f: PiecewiseTrig, a: ParamA | float,
     f'(pi/2) - f'(-pi/2) = f'(pi*a/2+) - f'(pi*a/2-)."""
     xb = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
     df = f.derivative(1)
-    jump_out = df.one_sided(HALF_PI, -1) - df.one_sided(-HALF_PI, +1)
-    jump_in = df.one_sided(xb, +1) - df.one_sided(xb, -1)
+    jump_out = one_sided(df, HALF_PI, -1) - one_sided(df, -HALF_PI, +1)
+    jump_in = one_sided(df, xb, +1) - one_sided(df, xb, -1)
     return _domain_report(f, tol, {
-        "Dirichlet value at -pi/2": abs(f.one_sided(-HALF_PI, +1)),
-        "Dirichlet value at +pi/2": abs(f.one_sided(HALF_PI, -1)),
+        "Dirichlet value at -pi/2": abs(one_sided(f, -HALF_PI, +1)),
+        "Dirichlet value at +pi/2": abs(one_sided(f, HALF_PI, -1)),
         "value continuity at restart point":
-            abs(f.one_sided(xb, -1) - f.one_sided(xb, +1)),
+            abs(one_sided(f, xb, -1) - one_sided(f, xb, +1)),
         "derivative-jump identity": abs(jump_out - jump_in),
     })
 
@@ -571,7 +595,8 @@ def printed_root_vectors(rec, a: ParamA) -> tuple[list, list]:
 
 
 # the printed pairings of an exceptional pair's raw vectors (the -1 class
-# index m); the family builds their 3x3 matrix with the batched kernel
+# index m); the family inverts their 3x3 matrix in closed form, and
+# mp_root_space_pairings integrates the whole matrix at 50 digits
 
 def pairing_minus_exceptional(a: ParamA, m: int) -> tuple[float, float]:
     """((phi1, psi1), (phi2, psi1)); the psi2 pairings vanish."""
@@ -596,11 +621,59 @@ def pairing_eta_psi2(a: ParamA, m: int) -> float:
             * (1 - av) * (1 + av) * cc)
 
 
+def pairing_eta_xi(a: ParamA, m: int) -> float:
+    """(eta, xi) = -sigma pi^2 (1+a)(1-a)^4/(2048 m^3); (eta, psi1) vanishes."""
+    av = a.value
+    cc = (-1) ** m * family_angle(a, -1, m).cos
+    return -cc * math.pi ** 2 * (1 + av) * (1 - av) ** 4 / (2048 * m ** 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_gauss_legendre(n: int, dps: int) -> tuple:
+    with mp.workdps(dps):
+        return mp.gauss_quadrature(n, "legendre")
+
+
+def mp_root_space_pairings(a: ParamA, m: int, t: int, dps: int = 50) -> mp.matrix:
+    """The 3x3 pairings (phi1, eta, phi2) x (psi1, psi2, xi) of the exceptional
+    pair with class -1 and +1 indices m, t, by Gauss-Legendre quadrature at
+    `dps` digits of the printed vectors at the exact a (k = 2(m + t)): 24
+    nodes per half wave, where the rule's error is below 1e-50.  Real, so
+    no conjugate is taken."""
+    with mp.workdps(dps):
+        av, k, h = a.approx(dps), mp.mpf(2 * (m + t)), mp.pi / 2
+        xb, scale = h * av, (1 - av) / (64 * m * m)
+        nodes, weights = _mp_gauss_legendre(24, dps)
+        out = mp.matrix(3, 3)
+        # per piece the lone sine's row (phi2 left, phi1 right), eta's
+        # amplitude A and the shift of both
+        for (lo, hi), lone, amp, shift in (((-h, xb), 2, 1 - av, h), ((xb, h), 0, -(1 + av), -h)):
+            panels = int(mp.ceil((hi - lo) * k / mp.pi))
+            step = (hi - lo) / panels
+            xs = [lo + step * (i + (node + 1) / 2) for i in range(panels) for node in nodes]
+            ws = [step / 2 * weight for _ in range(panels) for weight in weights]
+            cs_b, cs_t = ([mp.cos_sin(k * (x + s)) for x in xs] for s in (0, shift))
+            basis = ([s for _, s in cs_b], [c for c, _ in cs_b],
+                     [-scale * ((1 - av) * c + 8 * m * x * s) for x, (c, s) in zip(xs, cs_b)])
+            trial = {lone: [s for _, s in cs_t],
+                     1: [amp * scale * (8 * m * (x + shift) * c - (1 - av) * s)
+                         for x, (c, s) in zip(xs, cs_t)]}
+            for row, f in trial.items():
+                wf = [w * v for w, v in zip(ws, f)]
+                for col, g in enumerate(basis):
+                    out[row, col] += mp.fdot(wf, g)
+        return out
+
+
 def per_pair_family(a: ParamA, lambda_max: float) -> list[tuple[PiecewiseTrig, PiecewiseTrig]]:
     """The normalized family (psi_j, phi_j) built pair by pair from the
     printed vectors: each simple dual scaled by 1/conj(pairing), and each
-    root space's duals mixed from (phi1, eta, phi2) by the inverse of its
-    3x3 pairing matrix, taken with inner_matrix."""
+    root space's duals mixed from (phi1, eta, phi2) by the numeric inverse
+    of its 3x3 pairing matrix, taken with inner_matrix.  That inversion is
+    the second route to the closed form the package writes; its rounding
+    puts it up to ~800 eps (of each dual's largest coefficient) off at 1/3
+    and 7e3 eps at -9/10, where the closed form is within 16 eps of the
+    50-digit inverse of mp_root_space_pairings."""
     pairs = []
     for rec in enumerate_spectrum(a, lambda_max):
         fwd, adj = printed_root_vectors(rec, a)

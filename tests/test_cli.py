@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec import basis_diag, metric, resolvent, simulator, spectrum
-from jumpspec.cli import Manifest, main
+from jumpspec import basis_diag, eigensystem, metric, resolvent, simulator, spectrum
+from jumpspec.cli import MAX_CONTRACT_MEMBERS, Manifest, main
 from jumpspec.funcspace import PiecewiseTrig, grid_nodes, sin_term
 from jumpspec.param import ParamA
 from reference_oracles import mp_three_point_solve
@@ -153,6 +153,21 @@ def test_metric_check_convergent_count_is_checked_before_the_contract(tmp_path, 
     assert run_cli(["metric-check", "--a", "sqrt(2)-1", "--lambda-max", "1e6",
                     "--convergents", count, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a, lambda_max", [("sqrt(2)-1", "1e8"), ("1/3", "4.1e6")])
+def test_metric_check_refuses_an_over_size_family_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                    a, lambda_max):
+    # 10000 and 2024 members; 1e8 ended in a MemoryError from a 3.35 GiB Gram
+    def build(*args, **kwargs):
+        raise AssertionError("built the family of a refused --lambda-max")
+
+    monkeypatch.setattr(eigensystem, "biorthogonalize", build)
+    out = tmp_path / "big"
+    assert run_cli(["metric-check", "--a", a, "--lambda-max", lambda_max,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"cap of {MAX_CONTRACT_MEMBERS}" in capsys.readouterr().err
 
 
 def test_metric_contract_failure_exits_1(tmp_path, monkeypatch):

@@ -10,12 +10,14 @@ from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     HALF_PI, QUAD_START_NODES, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack,
     Terms, _quad_rounds, const,
-    cos_term, eval_exact, eval_terms, gauss_lobatto, grid_nodes, grid_panels, inner_closed,
+    cos_term, eval_exact, gauss_lobatto, grid_nodes, grid_panels, inner_closed,
     inner_matrix, norms_l2, quad_inner, sin_term,
 )
 from jumpspec.param import ParamA
 
-from reference_oracles import validate_domain_H, validate_domain_Hstar
+from reference_oracles import (
+    eval_terms, one_sided, validate_domain_H, validate_domain_Hstar, zero_function,
+)
 from util import linear, norm_l2, quad_gram, random_trig, xsin_term
 
 
@@ -60,7 +62,7 @@ def _mixed_family(rng, xb: float) -> list[PiecewiseTrig]:
     fns = [random_trig(rng) for _ in range(3)]
     smooth = random_trig(rng).pieces[0].terms
     fns += [PiecewiseTrig.split(xb, smooth, [smooth, linear(2.0), const(-2.0 * xb)]),
-            PiecewiseTrig.zero()]
+            zero_function()]
     return fns
 
 
@@ -133,8 +135,8 @@ def test_one_sided_limits_tent():
     f = PiecewiseTrig.split(0.0,
                             [linear(-1.0), const(-HALF_PI)],
                             [linear(1.0), const(-HALF_PI)])
-    assert f.one_sided(0.0, -1) == pytest.approx(-HALF_PI)
-    assert f.one_sided(0.0, +1) == pytest.approx(-HALF_PI)
+    assert one_sided(f, 0.0, -1) == pytest.approx(-HALF_PI)
+    assert one_sided(f, 0.0, +1) == pytest.approx(-HALF_PI)
 
 
 def test_boundary_condition_of_zero_class_eigenfunction():
@@ -218,7 +220,7 @@ def test_positive_definite():
         v = inner_closed(f, f)
         assert abs(v.imag) < 1e-12 * max(1.0, abs(v))
         assert v.real > 0
-    z = PiecewiseTrig.zero()
+    z = zero_function()
     assert inner_closed(z, z) == 0
 
 

@@ -14,8 +14,8 @@ from jumpspec.param import NotIrrational, ParamA, convergents
 from jumpspec.spectrum import enumerate_spectrum
 
 from reference_oracles import (
-    injectivity_probe, neumann_mode, per_member_metric_report, rayleigh_quotient,
-    validate_domain_Hstar,
+    injectivity_probe, neumann_mode, one_sided, per_member_metric_report, rayleigh_quotient,
+    validate_domain_Hstar, zero_function,
 )
 from util import apply_theta, norm_l2, random_domain_member, random_trig
 
@@ -70,13 +70,13 @@ def test_boundary_bookkeeping_for_domain_members():
         p0 = project_center(f)
         pp = project_pieces(f, a)
         assert abs(p0(HALF_PI)) < 1e-11 and abs(p0(-HALF_PI)) < 1e-11
-        assert abs(pp.one_sided(-HALF_PI, +1)) < 1e-11   # P- vanishes at -pi/2
-        assert abs(pp.one_sided(HALF_PI, -1)) < 1e-11    # P+ vanishes at +pi/2
-        assert abs(pp.one_sided(xb, -1)) < 1e-11         # P- at restart-
-        assert abs(pp.one_sided(xb, +1)) < 1e-11         # P+ at restart+
+        assert abs(one_sided(pp, -HALF_PI, +1)) < 1e-11   # P- vanishes at -pi/2
+        assert abs(one_sided(pp, HALF_PI, -1)) < 1e-11    # P+ vanishes at +pi/2
+        assert abs(one_sided(pp, xb, -1)) < 1e-11         # P- at restart-
+        assert abs(one_sided(pp, xb, +1)) < 1e-11         # P+ at restart+
         dpp = pp.derivative(1)
         df = f.derivative(1)
-        jump_in = dpp.one_sided(xb, +1) - dpp.one_sided(xb, -1)
+        jump_in = one_sided(dpp, xb, +1) - one_sided(dpp, xb, -1)
         half_outer = (df(HALF_PI) - df(-HALF_PI)) / 2
         assert jump_in == pytest.approx(half_outer, abs=1e-10)
         dp0 = p0.derivative(1)
@@ -112,7 +112,7 @@ def test_theta_positivity():
 
 def test_theta_of_zero_and_constant():
     op = MetricOp.build(SQRT2M1)
-    zero = PiecewiseTrig.zero()
+    zero = zero_function()
     assert norm_l2(apply_theta(op, zero)) == 0
     one = PiecewiseTrig.single([const(1.0)])
     # antisymmetrizers annihilate constants: Theta 1 = phi0 (phi0, 1)
@@ -253,7 +253,7 @@ def test_contract_fails_when_a_reflection_center_moves_by_1e_9(monkeypatch, whic
 
 def test_contract_fails_without_the_rank_one_term(monkeypatch):
     # the constant psi_0 then meets only the antisymmetrizers: c_0 = 0
-    monkeypatch.setattr(metric, "phi_zero_mode", lambda a, c: PiecewiseTrig.zero())
+    monkeypatch.setattr(metric, "phi_zero_mode", lambda a, c: zero_function())
     report, failures = _root_system_contract("sqrt(2)-1")
     assert report["positivity_min"] == 0.0
     assert [f.split()[0] for f in failures] == ["positivity_min"]

@@ -7,7 +7,10 @@ which a test pins.  Anything else is code that nothing runs.  A use must
 name the defining module, so that a local variable or a JSON key of the
 same name does not count: a read of the name in that module, a read of
 the name imported from it, `module.name`, or in perfbench a
-("jumpspec.module", "name", ...) target.
+("jumpspec.module", "name", ...) target.  A public method of a public
+class must be read as an attribute (`x.name`) somewhere in the package or
+perfbench, or be named `Class.name` in perfbench: no owner is inferred,
+so any read of the attribute name counts.
 
 A top-level import in src/jumpspec or tests/ must bind a name its module
 reads, so that the import lists say what each module uses.
@@ -15,6 +18,7 @@ reads, so that the import lists say what each module uses.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,7 +39,7 @@ UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 # with its own sin and cos per pair): a definition of one of them in
 # src/jumpspec again would be a second route there
 MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
-                    "_wave_integrals", "_pair_integrals"}
+                    "_wave_integrals", "_pair_integrals", "eval_terms"}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -85,15 +89,26 @@ def _read_in(tree: ast.Module, name: str, skip: ast.stmt) -> bool:
                for node in ast.walk(stmt))
 
 
+def attributes_in(node: ast.AST, name: str) -> int:
+    """How many times node reads `x.name` for any x."""
+    return sum(isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+               and sub.attr == name for sub in ast.walk(node))
+
+
 def orphans(package: Path, perfbench: Path) -> list[str]:
     """'module.py:name' for every public top-level function or class that
     no `__all__` exports, PAPER_FORMS lacks, and neither the package nor
-    perfbench uses in a form that names its module."""
+    perfbench uses in a form that names its module; then
+    'module.py:Class.name' for every public method of a public class whose
+    name neither reads as an attribute outside the method's own body nor
+    appears as `Class.name` in perfbench."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     bench_paths = sorted(perfbench.glob("*.py"))
     bench = "\n".join(path.read_text() for path in bench_paths)
-    used = set().union(*(_qualified_uses(tree, set(trees)) for tree in [
-        *trees.values(), *(ast.parse(path.read_text()) for path in bench_paths)]))
+    every = [*trees.values(), *(ast.parse(path.read_text()) for path in bench_paths)]
+    used = set().union(*(_qualified_uses(tree, set(trees)) for tree in every))
+    attributes = Counter(node.attr for tree in every for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     exported = set().union(*map(_exported, trees.values()))
     found = []
     for module, tree in trees.items():
@@ -106,6 +121,14 @@ def orphans(package: Path, perfbench: Path) -> list[str]:
             if not (re.search(rf"\b{module}\.{stmt.name}\b", bench) or re.search(
                     rf"[\"']jumpspec\.{module}[\"'],\s*[\"']{stmt.name}\b", bench)):
                 found.append(f"{module}.py:{stmt.name}")
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                found += [f"{module}.py:{cls.name}.{method.name}" for method in cls.body
+                          if isinstance(method, ast.FunctionDef)
+                          and not method.name.startswith("_")
+                          and attributes[method.name] == attributes_in(method, method.name)
+                          and not re.search(rf"\b{cls.name}\.{method.name}\b", bench)]
     return found
 
 
@@ -228,6 +251,33 @@ def test_an_unused_function_is_flagged(tmp_path):
         "TARGETS = ['mod.Benchmarked', ('jumpspec.mod', 'Targeted.method', 'span', None)]\n\n\n"
         "def check(report):\n    orphan = report['orphan']\n    return orphan\n")
     assert orphans(package, bench) == ["mod.py:orphan"]
+
+
+def test_an_unused_method_is_flagged(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "mod.py").write_text(
+        "class Shape:\n"
+        "    def area(self):\n        return self.scale()\n\n"
+        "    def scale(self):\n        return 1\n\n"
+        "    @property\n    def width(self):\n        return 1\n\n"
+        "    @classmethod\n    def unit(cls):\n        return cls()\n\n"
+        "    def timed(self):\n        pass\n\n"
+        "    def traced(self):\n        pass\n\n"
+        "    def orphan(self):\n        return self.orphan\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n\n"
+        "class _Hidden:\n    def never(self):\n        pass\n")
+    # a store, a local name and a string other than Class.method are no use
+    (package / "other.py").write_text(
+        "from mod import Shape\n\n\n"
+        "def _f(shape):\n    shape.orphan = 2\n    orphan = 'orphan'\n"
+        "    return Shape.unit().area(), shape.width, orphan\n")
+    (bench / "run.py").write_text(
+        "TARGETS = [('jumpspec.mod', 'Shape.traced', 'span', None), 'orphan']\n\n\n"
+        "def check(shape):\n    return shape.timed()\n")
+    assert orphans(package, bench) == ["mod.py:Shape.orphan"]
 
 
 def test_no_unused_top_level_imports():
