@@ -41,6 +41,9 @@ from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 MAX_BOUND_M = 10 ** 5
 # records per quad_inner call in projection_norms
 _QUAD_BAND = 16
+# members x largest k projection_norms accepts (each band's grid grows with its
+# k): 4e6 (2000 members at sqrt(2)-1) takes 13 s and 115 MB peak RSS on one core
+MAX_PROJECTION_WORK = 4e6
 
 
 class Which(enum.Enum):
@@ -144,8 +147,15 @@ def _projection_norms(a: ParamA, records: list[EigRecord]) -> list[ProjNormRecor
 
 def projection_norms(a: ParamA, lambda_max: float) -> list[ProjNormRecord]:
     """Projection norms of every eigenvalue up to lambda_max, ascending,
-    with one quadrature call per band of records."""
-    return _projection_norms(a, enumerate_spectrum(a, lambda_max))
+    with one quadrature call per band of records; ValueError before any
+    quadrature when members x kmax exceeds MAX_PROJECTION_WORK."""
+    records = enumerate_spectrum(a, lambda_max)
+    members, kmax = sum(len(rec.memberships) for rec in records), records[-1].k
+    if members * kmax > MAX_PROJECTION_WORK:
+        raise ValueError(f"lambda_max={lambda_max:g} holds {members} family members up to "
+                         f"k = {kmax:.6g}, above the projection norms' cap of "
+                         f"{MAX_PROJECTION_WORK:g} on members x k (the time grows with both)")
+    return _projection_norms(a, records)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +308,6 @@ def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,
     rng = np.random.default_rng(seed)
     checkpoints = sorted({max(1, n_trunc // 8), n_trunc // 4, n_trunc // 2, n_trunc})
     names = [f"probe_{i}" for i in range(probe_count)] + ["family_member"]
-    probes = [random_smooth_probe(rng) for _ in range(probe_count)] + [pairs[5].psi.fn]
+    probes = [random_smooth_probe(rng) for _ in range(probe_count)] + [pairs.psi.fn(5)]
     residuals = expansion_residuals(probes, pairs, checkpoints)
     return {"checkpoints": checkpoints, "residuals": dict(zip(names, residuals))}

@@ -192,7 +192,7 @@ def cmd_metric_check(args, man: Manifest) -> int:
 def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     # every argument is checked before a slow stage starts (--m-max and
-    # --convergents here, the lambda_max cap as the projection norms start;
+    # --convergents here, the lambda_max caps as the projection norms start;
     # the convergent table takes milliseconds), and everything is computed
     # before the first write, so a refused argument or a failed stage
     # leaves no partial output
@@ -224,7 +224,7 @@ def cmd_simulate(args, man: Manifest) -> int:
         # vanishes; its walk is refused, like run's, before any walk
         rec = next(r for r in spectrum.enumerate_spectrum(a, GAP + 0.5)
                    if abs(r.lam - GAP) < 1e-9)
-        psi = eigensystem.eigenfunctions_H(rec, a)[0].fn
+        psi = eigensystem.eigenfunctions_H(rec, a)[0]
         simulator.check_steps(cfg, GAP)
     report = simulator.run(cfg)
     if args.gap:

@@ -13,7 +13,8 @@ at once (`_chains`), in funcspace.Stacks: the family (`biorthogonalize`)
 keeps the forward members printed (raw constants 1) and lets the duals
 absorb the normalization in closed form (no integral builds them), and
 `gram_matrix` checks (phi_j, psi_k) = delta_jk in one inner_matrix call
-over the stacked rows.
+over the stacked rows.  A member is the PiecewiseTrig that its Stack's
+`fn` builds; the family keeps the records and labels as tuples.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ import numpy as np
 from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner_closed here
     PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix,
 )
-from jumpspec.param import (
-    ParamA, family_angle, is_exceptional, zero_class_case, ZeroClassCase,
-)
+from jumpspec.param import ParamA, family_angle, is_exceptional, turns
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
 HALF_PI = math.pi / 2
 _ZERO_RECORD = EigRecord(0.0, 0.0, ((0, 0),), 1, 1, SpectralCase.ZERO_EV)
-# forward and adjoint labels of a simple record and of an exceptional pair
-_NAMES = {False: (("psi",), ("phi",)), True: (("psi1", "psi2", "xi"), ("phi1", "phi2", "eta"))}
+# forward labels of a simple record and of an exceptional pair
+_NAMES = {False: ("psi",), True: ("psi1", "psi2", "xi")}
 
 
 class CaseMismatch(ValueError):
@@ -43,14 +42,6 @@ class CaseMismatch(ValueError):
 
 class DegenerateNormalization(RuntimeError):
     """A closed-form pairing vanished; the case classification is broken."""
-
-
-@dataclass(frozen=True)
-class EigFun:
-    record: EigRecord
-    fn: PiecewiseTrig
-    constants: dict
-    label: str
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +82,10 @@ def _check_membership(rec: EigRecord, a: ParamA) -> None:
         if m is None or not is_exceptional(a, -1, m):
             raise CaseMismatch("exceptional-pair record inconsistent with parameter")
     elif rec.case is SpectralCase.EXCEPTIONAL_ODD:
+        # the class 0 turns m(1 + a) are an odd integer, decided exactly
         m = rec.class_index(0)
-        if m is None or zero_class_case(a, m) is not ZeroClassCase.EXCEPTIONAL_ODD:
+        t = None if m is None else turns(a, 0, m)
+        if t is None or t.denominator != 1 or t.numerator % 2 == 0:
             raise CaseMismatch("exceptional-odd record inconsistent with parameter")
 
 
@@ -192,26 +185,16 @@ def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tu
             Stack(((-HALF_PI, xb, *_terms(left)), (xb, HALF_PI, *_terms(right))), v))
 
 
-def _root_vectors(rec: EigRecord, a: ParamA, side: int, picks: slice) -> list[EigFun]:
-    """Root vectors `picks` of the record's forward (side 0: psi or psi1, psi2, xi) or
-    adjoint (side 1: phi or phi1, phi2, eta) ones, raw constants 1, eta with A_-+."""
-    names = _NAMES[rec.case is SpectralCase.EXCEPTIONAL_PAIR][side][picks]
-    if not names:
-        raise CaseMismatch("generalized vectors exist only at exceptional pairs")
-    stack, a_minus = _chains(a, [rec])[side], 1 - a.value
-    eta = {"A_minus": a_minus, "A_plus": -a_minus * (1 + a.value) / (1 - a.value)}
-    return [EigFun(rec, stack.fn(j), eta if name == "eta" else {}, name)
-            for j, name in zip(range(3)[picks], names)]
+def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[PiecewiseTrig]:
+    """Forward eigenfunction(s) of the record, raw constants set to 1: psi,
+    or psi1 and psi2 at an exceptional pair."""
+    forward = _chains(a, [rec])[0]
+    return [forward.fn(j) for j in range(min(forward.count, 2))]
 
 
-def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[EigFun]:
-    """Forward eigenfunction(s) of the record, raw constants set to 1."""
-    return _root_vectors(rec, a, 0, slice(0, 2))
-
-
-def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
-    """The adjoint zero-eigenfunction: the tent (C(a-1)(x+pi/2), C(a+1)(x-pi/2))."""
-    return _chains(a, [_ZERO_RECORD])[1].fn(0).scaled(c)
+def phi_zero_mode(a: ParamA) -> PiecewiseTrig:
+    """The adjoint zero-eigenfunction: the tent ((a-1)(x+pi/2), (a+1)(x-pi/2))."""
+    return _chains(a, [_ZERO_RECORD])[1].fn(0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +202,12 @@ def phi_zero_mode(a: ParamA, c: complex = 1.0) -> PiecewiseTrig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BiorthPair:
-    """One pair of a BiorthFamily, built from its rows when indexed."""
-
-    psi: EigFun
-    phi: EigFun
-
-
-@dataclass(frozen=True)
 class BiorthFamily:
     """The normalized family (psi_j, phi_j) as arrays: funcspace.Stacks of
     the forward members and of the duals, owned by the pair indices, with
     each pair's spectral record and forward label (xi is the generalized
-    vector).  `family[j]` builds pair j; a contiguous slice is a smaller
-    family on the same rows."""
+    vector).  Pair j is read as psi.fn(j) and phi.fn(j); a contiguous
+    slice is a smaller family on the same rows."""
 
     psi: Stack
     phi: Stack
@@ -242,18 +217,12 @@ class BiorthFamily:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step != 1:
-                raise ValueError("a family slices only contiguously")
-            return BiorthFamily(self.psi.take(start, stop), self.phi.take(start, stop),
-                                self.records[start:stop], self.labels[start:stop])
-        j = range(len(self))[index]
-        rec, label = self.records[j], self.labels[j]
-        dual = "phi" if label == "psi" else f"dual_{label}"
-        return BiorthPair(EigFun(rec, self.psi.fn(j), {}, label),
-                          EigFun(rec, self.phi.fn(j), {}, dual))
+    def __getitem__(self, index: slice) -> "BiorthFamily":
+        if not isinstance(index, slice) or index.indices(len(self))[2] != 1:
+            raise TypeError("a family slices only contiguously; read pair j off psi and phi")
+        start, stop, _ = index.indices(len(self))
+        return BiorthFamily(self.psi.take(start, stop), self.phi.take(start, stop),
+                            self.records[start:stop], self.labels[start:stop])
 
 
 def biorthogonalize(a: ParamA, lambda_max: float) -> BiorthFamily:
@@ -261,7 +230,7 @@ def biorthogonalize(a: ParamA, lambda_max: float) -> BiorthFamily:
     the forward root vectors and their duals, the rows of all pairs built
     at once (`_chains` with normalized=True)."""
     records = enumerate_spectrum(a, lambda_max)
-    labels = [(rec, _NAMES[rec.case is SpectralCase.EXCEPTIONAL_PAIR][0]) for rec in records]
+    labels = [(rec, _NAMES[rec.case is SpectralCase.EXCEPTIONAL_PAIR]) for rec in records]
     return BiorthFamily(*_chains(a, records, normalized=True),
                         tuple(rec for rec, names in labels for _ in names),
                         tuple(name for _, names in labels for name in names))

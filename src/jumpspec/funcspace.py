@@ -26,8 +26,9 @@ A family of such functions is kept as one `Stack` (each piece's rows of all
 members, with their owners) to be sliced, joined, summed, differentiated,
 sampled and integrated as a whole; its merge sums equal keys per owner,
 so a difference of two families cancels key by key, and `norms_l2` norms
-all members from one Gram matrix of their terms.  A PiecewiseTrig is
-evaluated as a one-member Stack.
+all members from one Gram matrix of their terms.  A PiecewiseTrig is a
+one-member Stack's view, evaluated and differentiated as that Stack;
+`Stack.of` joins such Stacks, and `inner_closed` is inner_matrix's 1x1 entry.
 
 Composite Gauss-Lobatto grids (`grid_nodes`) discretize what has no
 closed form (the resolvent's output nodes and the kernel its SVD probe
@@ -223,23 +224,21 @@ class PiecewiseTrig:
     def breakpoint(self) -> float | None:
         return self.pieces[0].hi if len(self.pieces) == 2 else None
 
-    def terms_on(self, lo: float, hi: float) -> Terms:
-        """Terms valid on (lo, hi); the interval must lie within one piece."""
-        mid = 0.5 * (lo + hi)
-        for p in self.pieces:
-            if p.lo - 1e-12 <= mid <= p.hi + 1e-12:
-                return p.terms
-        raise OutOfDomain(f"interval ({lo}, {hi}) outside the domain")
+    @property
+    def stack(self) -> "Stack":
+        """This function as a one-member Stack: its pieces, every row owned by 0."""
+        return Stack(tuple((p.lo, p.hi, p.terms, np.zeros(len(p.terms), dtype=np.int64))
+                           for p in self.pieces), 1)
 
     def __call__(self, x):
         """Evaluate at scalar or array x (Stack.values of this one function);
         at the breakpoint, the mean of the two one-sided limits."""
         xs = np.asarray(x, dtype=float)
-        out = Stack.of([self]).values(xs.ravel())[0].reshape(xs.shape)
+        out = self.stack.values(xs.ravel())[0].reshape(xs.shape)
         return complex(out) if np.isscalar(x) else out
 
     def derivative(self, order: int = 1) -> "PiecewiseTrig":
-        return Stack.of([self]).derivative(order).fn(0)
+        return self.stack.derivative(order).fn(0)
 
     def scaled(self, c: complex) -> "PiecewiseTrig":
         return PiecewiseTrig(tuple(Piece(p.lo, p.hi, p.terms.scaled(c)) for p in self.pieces))
@@ -383,21 +382,15 @@ def _pair_blocks(f: Terms, g: Terms, lo: float, hi: float):
         yield rows, _pair_kernel([x[rows, None] for x in f_rows], g_rows, h)
 
 
-def _edges(fns: Iterable[PiecewiseTrig]) -> tuple[float, ...]:
-    """-pi/2, the breakpoints of all fns in order, pi/2."""
-    cuts = {-HALF_PI, HALF_PI}
-    cuts.update(fn.breakpoint for fn in fns if fn.breakpoint is not None)
-    return tuple(sorted(cuts))
-
-
 def inner_closed(f: PiecewiseTrig, g: PiecewiseTrig) -> complex:
-    """Closed-form L2 inner product (conjugate-linear in f)."""
-    total = 0j
-    edges = _edges((f, g))
-    for lo, hi in zip(edges, edges[1:]):
-        for _, vals in _pair_blocks(f.terms_on(lo, hi), g.terms_on(lo, hi), lo, hi):
-            total += vals.sum()
-    return complex(total)
+    """Closed-form L2 inner product (conjugate-linear in f): inner_matrix's 1x1 entry."""
+    return complex(inner_matrix(f.stack, g.stack)[0, 0])
+
+
+def _edges(stacks: Iterable["Stack"]) -> list[float]:
+    """The stacks' common partition, sorted: every piece edge and +-pi/2 even with no stacks."""
+    return sorted({-HALF_PI, HALF_PI}.union(
+        x for stack in stacks for lo, hi, *_ in stack.pieces for x in (lo, hi)))
 
 
 @dataclass(frozen=True)
@@ -411,11 +404,8 @@ class Stack:
 
     @classmethod
     def of(cls, fns: Sequence[PiecewiseTrig]) -> "Stack":
-        edges = _edges(fns)
-        parts = ((lo, hi, [fn.terms_on(lo, hi) for fn in fns]) for lo, hi in zip(edges, edges[1:]))
-        return cls(tuple((lo, hi, Terms.concat(part),
-                          np.repeat(np.arange(len(fns)), [len(t) for t in part]))
-                         for lo, hi, part in parts), len(fns))
+        """The functions' one-member Stacks joined, in order."""
+        return cls.join([fn.stack for fn in fns])
 
     def on(self, lo: float, hi: float) -> tuple[Terms, np.ndarray]:
         """Rows and owners valid on (lo, hi), which must lie within one piece."""
@@ -451,12 +441,12 @@ class Stack:
     def _rows_of(cls, stacks: Sequence["Stack"], offsets, count: int) -> "Stack":
         """Per segment of the common partition, the rows of all stacks in
         order, each stack's owners shifted by its offset (not re-sorted)."""
-        edges = sorted({x for s in stacks for lo, hi, *_ in s.pieces for x in (lo, hi)})
+        edges = _edges(stacks)
         pieces = []
         for lo, hi in zip(edges, edges[1:]):
             parts = [s.on(lo, hi) for s in stacks]
-            pieces.append((lo, hi, Terms.concat([t for t, _ in parts]),
-                           np.concatenate([o + off for (_, o), off in zip(parts, offsets)])))
+            pieces.append((lo, hi, Terms.concat([t for t, _ in parts]), np.concatenate(
+                [np.zeros(0, dtype=np.int64)] + [o + off for (_, o), off in zip(parts, offsets)])))
         return cls(tuple(pieces), count)
 
     def merged(self) -> "Stack":
@@ -522,11 +512,11 @@ def _group_starts(owners: np.ndarray) -> np.ndarray:
 def inner_matrix(fs: Sequence[PiecewiseTrig] | Stack,
                  gs: Sequence[PiecewiseTrig] | Stack) -> np.ndarray:
     """Matrix of (f_j, g_k): every term pair of the two families goes
-    through the inner_closed kernel, block by block.  Either family may
-    come as a Stack, whose rows are used as they are."""
+    through the pair kernel, block by block.  Either family may come as a
+    Stack, whose rows are used as they are."""
     fs, gs = (x if isinstance(x, Stack) else Stack.of(x) for x in (fs, gs))
     out = np.zeros((fs.count, gs.count), dtype=complex)
-    edges = sorted({x for stack in (fs, gs) for piece in stack.pieces for x in piece[:2]})
+    edges = _edges((fs, gs))
     for lo, hi in zip(edges, edges[1:]):
         (tf, own_f), (tg, own_g) = fs.on(lo, hi), gs.on(lo, hi)
         if not len(tf) or not len(tg):

@@ -134,7 +134,7 @@ class MetricOp:
 
     @classmethod
     def build(cls, a: ParamA) -> "MetricOp":
-        return cls(a=a, phi0=phi_zero_mode(a, 1.0))
+        return cls(a=a, phi0=phi_zero_mode(a))
 
     def apply_all(self, fs: Stack) -> Stack:
         """Theta f_j for every member of a single-piece Stack; exact

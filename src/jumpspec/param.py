@@ -9,7 +9,7 @@ expression, re-read at whatever precision a caller asks for.
 
 The three eigenvalue families live here, in FAMILIES: each class's
 wavenumber k(m, a) and angle turns t(m, a), written once as exact
-formulas.  family_k, is_exceptional, zero_class_case and family_angle
+formulas.  family_k, turns, is_exceptional and family_angle
 read them, and so does every other module that needs a family's
 wavenumber, its angle or whether it meets another family.
 
@@ -42,7 +42,6 @@ cancel (sqrt(70)*sqrt(70)/70 reads 1 - 1e-60 at WORK_DPS digits).
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -306,7 +305,7 @@ def family_k(a: ParamA, cls: int, m: int) -> Fraction | float:
     return float(k(m, a.value))
 
 
-def _turns(a: ParamA, cls: int, m: int) -> Fraction | None:
+def turns(a: ParamA, cls: int, m: int) -> Fraction | None:
     """t(m, a) exactly, or None when a is irrational (t is then not an
     integer for m >= 1)."""
     if a.fraction is None:
@@ -319,34 +318,8 @@ def is_exceptional(a: ParamA, cls: int, m: int) -> bool:
     decided exactly."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = _turns(a, cls, m)
+    t = turns(a, cls, m)
     return t is not None and t.denominator == 1
-
-
-class ZeroClassCase(enum.Enum):
-    ZERO_EIGENVALUE = "zero_eigenvalue"
-    GENERIC = "generic"
-    EXCEPTIONAL_ODD = "exceptional_odd"
-    EXCEPTIONAL_EVEN = "exceptional_even"
-
-
-def zero_class_case(a: ParamA, m: int) -> ZeroClassCase:
-    """Case of the wavenumber-2m family: zero mode, generic, or exceptional.
-
-    The exceptional branch is entered when the turns m(1+a) are an integer
-    (then m*a is one too, which kills sin(m*pi*a) and decouples the two
-    boundary equations); the odd/even subsplit is that integer's parity.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        return ZeroClassCase.ZERO_EIGENVALUE
-    t = _turns(a, 0, m)
-    if t is None or t.denominator != 1:
-        return ZeroClassCase.GENERIC
-    if t.numerator % 2 == 1:
-        return ZeroClassCase.EXCEPTIONAL_ODD
-    return ZeroClassCase.EXCEPTIONAL_EVEN
 
 
 # ---------------------------------------------------------------------------
@@ -464,5 +437,5 @@ def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
 def family_angle(a: ParamA, cls: int, m: int) -> PiAngle:
     """The angle pi*t(m, a) of eigenvalue family ``cls`` at index m,
     reduced exactly."""
-    turns = _family(cls).turns
-    return trig_pi(lambda x: turns(m, x), a)
+    formula = _family(cls).turns
+    return trig_pi(lambda x: formula(m, x), a)

@@ -93,8 +93,8 @@ class ResolventKernel:
     (alpha, beta) the `coefficients` of the free kernel's boundary
     differences, which `ThreePointSolve` feeds those of u_p: one
     three-point solve for both.  `one_minus` holds the determinant's
-    factors (1 - E, 1 - P, 1 - Q), `denom` their product; `ik`, `p`, `q`
-    and `one_minus` are floats at real lambda < 0, complex otherwise.
+    factors (1 - E, 1 - P, 1 - Q); `ik`, `p`, `q` and `one_minus` are
+    floats at real lambda < 0, complex otherwise.
     """
 
     lam: complex
@@ -104,7 +104,6 @@ class ResolventKernel:
     p: complex
     q: complex
     one_minus: tuple[complex, complex, complex]
-    denom: complex
 
     @classmethod
     def build(cls, lam: complex, a: ParamA) -> "ResolventKernel":
@@ -121,8 +120,7 @@ class ResolventKernel:
                 "spectral point of the jump operator")
         _, p, q = np.exp(theta).tolist()
         return cls(lam=lam, k=k, ik=ik, a_value=a.value, p=p, q=q,
-                   one_minus=tuple(one_minus.tolist()),
-                   denom=complex(np.prod(one_minus)))
+                   one_minus=tuple(one_minus.tolist()))
 
     def coefficients(self, r1, r2):
         """(A, B) such that u_p + A phi_1 + B phi_2 meets the three-point

@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from jumpspec.param import FAMILIES, ParamA, family_k, zero_class_case, ZeroClassCase
+from jumpspec.param import FAMILIES, ParamA, family_k, is_exceptional
 
 # family members (k <= sqrt(lambda_max)) enumeration accepts: 1e5 take 1.8 s
 # and 76 MB peak RSS at a = 1/3, 1.0 s and 94 MB at sqrt(2)-1 (one core)
@@ -105,7 +105,10 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
             assert len(members) == 1, f"unexpected partial coincidence {members}"
             cls, m = members[0]
             case = SpectralCase.GENERIC
-            if cls == 0 and zero_class_case(a, m) is ZeroClassCase.EXCEPTIONAL_ODD:
+            # a lone class 0 member at integer turns t = m(1+a) has t odd: at an
+            # even t the class +1 index t/2 and the class -1 index m - t/2 meet
+            # it at k = 2m, and the group is an exceptional pair
+            if cls == 0 and is_exceptional(a, 0, m):
                 case = SpectralCase.EXCEPTIONAL_ODD
             rec = EigRecord(k_f * k_f, k_f, memberships, 1, 1, case)
         records.append(rec)

@@ -27,9 +27,11 @@ a in (-1, 1), so it serves the a -> +-1 regime as well), the simulator's
 bridge hit probabilities of both boundaries where the package computes the
 nearer one's only, the simulator's walk with every path taking every step
 of dt where the package moves paths by one step per stride, the
-renewal moments of the time between restarts, and the closed-form pair
+renewal moments of the time between restarts, the closed-form pair
 kernel taking the sin and cos of each pair's two waves where the package
-takes them once per term row.
+takes them once per term row, and a function's terms on a segment, a
+family's Stack and an inner product found from each function's own pieces
+and breakpoints where the package joins one-member Stacks.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ import numpy as np
 
 from jumpspec.basis_diag import proj_norm_zero_generic
 from jumpspec.eigensystem import (
-    EigFun, _root_vectors, _simple_pairing, eigenfunctions_H, phi_zero_mode,
+    CaseMismatch, _chains, _simple_pairing, eigenfunctions_H, phi_zero_mode,
 )
 from jumpspec.funcspace import (
     _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack,
-    Terms, _basis, _midpoint_phase, _two_sum, const, cos_term, grid_nodes, inner_closed,
-    inner_matrix, lincomb, sin_term,
+    Terms, _basis, _midpoint_phase, _pair_blocks, _two_sum, const, cos_term, grid_nodes,
+    inner_closed, inner_matrix, lincomb, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
@@ -689,8 +691,8 @@ def per_pair_family(a: ParamA, lambda_max: float) -> list[tuple[PiecewiseTrig, P
 def per_remainder_residuals(f: PiecewiseTrig, pairs, checkpoints: list[int]) -> dict[int, float]:
     """||f - sum_{j<=N} psi_j (phi_j, f)|| as one lincomb and one norm_l2
     per checkpoint: every remainder's own term pairs through the kernel."""
-    coeffs = inner_matrix([pair.phi.fn for pair in pairs], [f])[:, 0]
-    members = [pair.psi.fn for pair in pairs]
+    coeffs = inner_matrix([pairs.phi.fn(j) for j in range(len(pairs))], [f])[:, 0]
+    members = [pairs.psi.fn(j) for j in range(len(pairs))]
     return {n: norm_l2(lincomb([f, *members[:n]], [1.0, *-coeffs[:n]])) for n in checkpoints}
 
 
@@ -698,24 +700,32 @@ def per_remainder_residuals(f: PiecewiseTrig, pairs, checkpoints: list[int]) -> 
 # the printed root vectors one record at a time, read off the package's rows
 # ---------------------------------------------------------------------------
 
-def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[EigFun]:
-    """Adjoint eigenfunction(s), two-piece representations, raw constants 1."""
-    return _root_vectors(rec, a, 1, slice(0, 2))
+def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[PiecewiseTrig]:
+    """Adjoint eigenfunction(s) phi, or phi1 and phi2, two-piece
+    representations, raw constants 1."""
+    adjoint = _chains(a, [rec])[1]
+    return [adjoint.fn(j) for j in range(min(adjoint.count, 2))]
 
 
-def generalized_xi(rec: EigRecord, a: ParamA) -> EigFun:
+def _generalized(rec: EigRecord, a: ParamA, side: int) -> PiecewiseTrig:
+    if rec.case is not SpectralCase.EXCEPTIONAL_PAIR:
+        raise CaseMismatch("generalized vectors exist only at exceptional pairs")
+    return _chains(a, [rec])[side].fn(2)
+
+
+def generalized_xi(rec: EigRecord, a: ParamA) -> PiecewiseTrig:
     """Root vector xi with (H - lambda) xi = psi2 = cos(kx)."""
-    return _root_vectors(rec, a, 0, slice(2, 3))[0]
+    return _generalized(rec, a, 0)
 
 
-def generalized_eta(rec: EigRecord, a: ParamA) -> EigFun:
+def generalized_eta(rec: EigRecord, a: ParamA) -> PiecewiseTrig:
     """Dual root vector eta with (H* - lambda) eta = phi1 + phi2.
 
     Admissibility forces A_minus (1+a) = -A_plus (1-a); eta takes
     A_minus = 1-a, A_plus = -(1+a).  The phi1, phi2 on the right-hand side
     carry these same constants.
     """
-    return _root_vectors(rec, a, 1, slice(2, 3))[0]
+    return _generalized(rec, a, 1)
 
 
 def root_system(rec: EigRecord, a: ParamA):
@@ -798,15 +808,15 @@ def per_member_metric_report(a: ParamA, pairs) -> dict:
     Theta psi_j by theta_one_member, every entry (psi_i, Theta psi_j) and
     norm by inner_closed, and the intertwining residual
     -(Theta psi)'' + Theta(psi'') with derivatives taken term by term."""
-    phi0 = phi_zero_mode(a, 1.0)
-    psis = [pair.psi.fn for pair in pairs]
+    phi0 = phi_zero_mode(a)
+    psis = [pairs.psi.fn(j) for j in range(len(pairs))]
     for psi in psis:
         report = validate_domain_H(psi, a, tol=1e-9)
         if not report.in_domain:
             raise DomainViolation("; ".join(report.violations))
     theta_psis = [theta_one_member(a, phi0, psi) for psi in psis]
     psi_norms = np.array([norm_l2(psi) for psi in psis])
-    phi_norms = np.array([norm_l2(pair.phi.fn) for pair in pairs])
+    phi_norms = np.array([norm_l2(pairs.phi.fn(j)) for j in range(len(pairs))])
     gram = np.array([[inner_closed(psi, tpsi) for tpsi in theta_psis] for psi in psis])
     c_rel = gram.diagonal().real / psi_norms ** 2
     scaled = np.abs(gram) / np.outer(psi_norms, psi_norms)
@@ -903,3 +913,43 @@ def per_pair_trig_blocks(f: Terms, g: Terms, lo: float, hi: float):
     for r in range(0, len(f), step):
         rows = slice(r, r + step)
         yield rows, _pair_integrals(f[rows, None], g, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# a function's own partition, piece lookup and inner-product loop
+# ---------------------------------------------------------------------------
+
+def terms_on(f: PiecewiseTrig, lo: float, hi: float) -> Terms:
+    """The terms of f valid on (lo, hi), found by f's own pieces; the
+    interval must lie within one piece."""
+    mid = 0.5 * (lo + hi)
+    for p in f.pieces:
+        if p.lo - 1e-12 <= mid <= p.hi + 1e-12:
+            return p.terms
+    raise OutOfDomain(f"interval ({lo}, {hi}) outside the domain")
+
+
+def _function_edges(fns) -> list[float]:
+    """-pi/2, the breakpoints of all fns, pi/2, sorted."""
+    return sorted({-HALF_PI, HALF_PI} | {fn.breakpoint for fn in fns if fn.breakpoint is not None})
+
+
+def per_function_stack(fns) -> Stack:
+    """Stack.of built from the functions themselves: per segment of their
+    breakpoints, each function's terms_on in order, owners by repeat."""
+    edges = _function_edges(fns)
+    parts = [(lo, hi, [terms_on(fn, lo, hi) for fn in fns]) for lo, hi in zip(edges, edges[1:])]
+    return Stack(tuple((lo, hi, Terms.concat(part),
+                        np.repeat(np.arange(len(fns)), [len(t) for t in part]))
+                       for lo, hi, part in parts), len(fns))
+
+
+def per_segment_inner(f: PiecewiseTrig, g: PiecewiseTrig) -> complex:
+    """(f, g) summed segment by segment of the two functions' breakpoints,
+    every pair block's integrals added in turn, with no Stack."""
+    total = 0j
+    edges = _function_edges((f, g))
+    for lo, hi in zip(edges, edges[1:]):
+        for _, vals in _pair_blocks(terms_on(f, lo, hi), terms_on(g, lo, hi), lo, hi):
+            total += vals.sum()
+    return complex(total)

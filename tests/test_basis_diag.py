@@ -216,7 +216,7 @@ def test_residuals_decrease_for_smooth_probes():
 def test_family_member_reproduced_exactly():
     a = ParamA.from_expr("2/5")
     pairs = biorthogonalize(a, 600.0)
-    member = pairs[5].psi.fn
+    member = pairs.psi.fn(5)
     res, = expansion_residuals([member], pairs, [6, 10])
     assert res[6] < 1e-9 and res[10] < 1e-9
 
@@ -225,7 +225,7 @@ def test_excluding_generalized_vectors_blocks_completeness():
     a = ParamA.from_expr("1/3")
     pairs = biorthogonalize(a, 4.0 * 44 ** 2)[:48]
     rec = record_at(a, 36.0)
-    xi = generalized_xi(rec, a).fn
+    xi = generalized_xi(rec, a)
     full, = expansion_residuals([xi], pairs, [12, 24, 48], include_generalized=True)
     reduced, = expansion_residuals([xi], pairs, [12, 24, 48], include_generalized=False)
     assert full[48] < 1e-9
@@ -240,7 +240,7 @@ def test_n_plus_2_squared_holds_n_pairs(expr):
     # k <= K holds floor(K/2) + 1 + floor(K(1-a)/4) + floor(K(1+a)/4) > K - 2
     # pairs; biorthogonalize keeps exactly the records with k <= sqrt(lambda_max)
     a = ParamA.from_expr(expr)
-    ks = [pair.psi.record.k for pair in biorthogonalize(a, 302.0 ** 2)]
+    ks = [rec.k for rec in biorthogonalize(a, 302.0 ** 2).records]
     for n in range(1, 301):
         assert sum(k <= n + 2 for k in ks) >= n + 1, n
     for n in (1, 6, 29):
@@ -256,7 +256,7 @@ def test_shared_term_gram_matches_per_remainder_norms(expr):
     a = ParamA.from_expr(expr)
     pairs = biorthogonalize(a, 202.0 ** 2)[:200]
     rng = np.random.default_rng(2024)
-    fs = [random_smooth_probe(rng) for _ in range(4)] + [pairs[5].psi.fn]
+    fs = [random_smooth_probe(rng) for _ in range(4)] + [pairs.psi.fn(5)]
     checkpoints = [25, 50, 100, 200]
     shared = expansion_residuals(fs, pairs, checkpoints)
     for f, residuals in zip(fs, shared):

@@ -170,6 +170,21 @@ def test_metric_check_refuses_an_over_size_family_before_any_work(tmp_path, monk
     assert f"cap of {MAX_CONTRACT_MEMBERS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, lambda_max", [("sqrt(2)-1", "1e7"), ("1/3", "4.1e6")])
+def test_basis_refuses_an_over_budget_family_before_any_work(tmp_path, monkeypatch, capsys,
+                                                             a, lambda_max):
+    # 3163 members up to k 3162 (29 s) and 2024 up to k 2024; the default
+    # lambda_max 900 is 30 members up to k 30
+    def quadrature(*args, **kwargs):
+        raise AssertionError("sampled the family of a refused --lambda-max")
+
+    monkeypatch.setattr(basis_diag, "quad_inner", quadrature)
+    out = tmp_path / "big"
+    assert run_cli(["basis", "--a", a, "--lambda-max", lambda_max, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"cap of {basis_diag.MAX_PROJECTION_WORK:g}" in capsys.readouterr().err
+
+
 def test_metric_contract_failure_exits_1(tmp_path, monkeypatch):
     # P0 dropped: Theta is no longer injective on the family
     monkeypatch.setattr(metric, "project_center", lambda fs: fs.scaled(0.0))

@@ -11,7 +11,7 @@ from jumpspec.eigensystem import (
 )
 from jumpspec.funcspace import PiecewiseTrig, Stack, inner_closed, inner_matrix, norms_l2
 from jumpspec.param import ParamA
-from jumpspec.spectrum import SpectralCase, enumerate_spectrum
+from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
 from reference_oracles import (
     eigenfunctions_Hstar, generalized_eta, generalized_xi, mp_root_space_pairings, one_sided,
@@ -40,28 +40,28 @@ def test_generic_zero_class_eigenfunction_shape():
     psi = eigenfunctions_H(record_at(a, 4.0), a)[0]
     xs = np.linspace(-HALF_PI, HALF_PI, 64)
     expected = np.cos(2 * xs) - math.sqrt(3) * np.sin(2 * xs)
-    assert np.allclose(psi.fn(xs), expected, atol=1e-12)
+    assert np.allclose(psi(xs), expected, atol=1e-12)
 
 
 def test_zero_eigenvalue_is_constant():
     a = ParamA.from_expr("2/5")
     psi = eigenfunctions_H(record_at(a, 0.0), a)[0]
     xs = np.linspace(-HALF_PI, HALF_PI, 32)
-    assert np.allclose(psi.fn(xs), 1.0)
+    assert np.allclose(psi(xs), 1.0)
 
 
 def test_exceptional_odd_is_pure_sine():
     a = ParamA.from_expr("0")
     psi = eigenfunctions_H(record_at(a, 4.0), a)[0]
     xs = np.linspace(-HALF_PI, HALF_PI, 64)
-    assert np.allclose(psi.fn(xs), np.sin(2 * xs), atol=1e-14)
+    assert np.allclose(psi(xs), np.sin(2 * xs), atol=1e-14)
 
 
 def test_adjoint_tent():
     a = ParamA.from_expr("0")
     phi = eigenfunctions_Hstar(record_at(a, 0.0), a)[0]
-    assert one_sided(phi.fn, 0.0, -1) == pytest.approx(-HALF_PI)
-    assert one_sided(phi.fn, 0.0, +1) == pytest.approx(-HALF_PI)
+    assert one_sided(phi, 0.0, -1) == pytest.approx(-HALF_PI)
+    assert one_sided(phi, 0.0, +1) == pytest.approx(-HALF_PI)
 
 
 def test_adjoint_exceptional_pair_one_sided_sines():
@@ -71,10 +71,10 @@ def test_adjoint_exceptional_pair_one_sided_sines():
     xb = HALF_PI / 3
     xs_left = np.linspace(-HALF_PI, xb - 1e-9, 16)
     xs_right = np.linspace(xb + 1e-9, HALF_PI, 16)
-    assert np.allclose(phi1.fn(xs_left), 0.0)
-    assert np.allclose(phi1.fn(xs_right), np.sin(6 * (xs_right - HALF_PI)), atol=1e-12)
-    assert np.allclose(phi2.fn(xs_right), 0.0)
-    assert np.allclose(phi2.fn(xs_left), np.sin(6 * (xs_left + HALF_PI)), atol=1e-12)
+    assert np.allclose(phi1(xs_left), 0.0)
+    assert np.allclose(phi1(xs_right), np.sin(6 * (xs_right - HALF_PI)), atol=1e-12)
+    assert np.allclose(phi2(xs_right), 0.0)
+    assert np.allclose(phi2(xs_left), np.sin(6 * (xs_left + HALF_PI)), atol=1e-12)
 
 
 def test_adjoint_plus_generic_at_sqrt2():
@@ -83,7 +83,7 @@ def test_adjoint_plus_generic_at_sqrt2():
     phi = eigenfunctions_Hstar(rec, a)[0]
     k = 4 / (1 + a.value)
     xs = np.linspace(-HALF_PI, HALF_PI * a.value - 1e-9, 24)
-    assert np.allclose(phi.fn(xs), np.sin(k * (xs + HALF_PI)), atol=1e-12)
+    assert np.allclose(phi(xs), np.sin(k * (xs + HALF_PI)), atol=1e-12)
 
 
 def test_every_eigenfunction_passes_its_validator():
@@ -91,9 +91,9 @@ def test_every_eigenfunction_passes_its_validator():
         a = ParamA.from_expr(expr)
         for rec in enumerate_spectrum(a, 120.0):
             for ef in eigenfunctions_H(rec, a):
-                assert validate_domain_H(ef.fn, a).in_domain, (expr, rec.lam)
+                assert validate_domain_H(ef, a).in_domain, (expr, rec.lam)
             for ef in eigenfunctions_Hstar(rec, a):
-                assert validate_domain_Hstar(ef.fn, a).in_domain, (expr, rec.lam)
+                assert validate_domain_Hstar(ef, a).in_domain, (expr, rec.lam)
 
 
 def test_eigen_residuals():
@@ -101,7 +101,7 @@ def test_eigen_residuals():
         a = ParamA.from_expr(expr)
         for rec in enumerate_spectrum(a, 120.0):
             for ef in eigenfunctions_H(rec, a) + eigenfunctions_Hstar(rec, a):
-                resid = ef.fn.derivative(2).scaled(-1.0) - ef.fn.scaled(rec.lam)
+                resid = ef.derivative(2).scaled(-1.0) - ef.scaled(rec.lam)
                 assert norm_l2(resid) < 1e-12 * max(1.0, rec.lam)
 
 
@@ -118,6 +118,15 @@ def test_case_mismatch_errors():
         generalized_eta(simple, a13)
 
 
+def test_an_exceptional_odd_record_at_even_turns_is_refused():
+    # at 1/3 the class 0 index 3 has turns 3 (1 + 1/3) = 4: an integer, but
+    # even, so k = 6 is an exceptional pair and no lone sine
+    a = ParamA.from_expr("1/3")
+    rec = EigRecord(36.0, 6.0, ((0, 3),), 1, 1, SpectralCase.EXCEPTIONAL_ODD)
+    with pytest.raises(CaseMismatch, match="exceptional-odd"):
+        eigenfunctions_H(rec, a)
+
+
 # ---------------------------------------------------------------------------
 # generalized vectors and the Jordan chain
 # ---------------------------------------------------------------------------
@@ -130,10 +139,10 @@ def test_xi_solves_the_chain_equation():
     # at a = 0 the root vector is -(cos 4x + 8x sin 4x)/64
     xs = np.linspace(-HALF_PI, HALF_PI, 64)
     expected = -(np.cos(4 * xs) + 8 * xs * np.sin(4 * xs)) / 64
-    assert np.allclose(xi.fn(xs), expected, atol=1e-14)
-    resid = (xi.fn.derivative(2).scaled(-1.0) - xi.fn.scaled(rec.lam)) - psi2.fn
+    assert np.allclose(xi(xs), expected, atol=1e-14)
+    resid = (xi.derivative(2).scaled(-1.0) - xi.scaled(rec.lam)) - psi2
     assert norm_l2(resid) < 1e-10
-    assert validate_domain_H(xi.fn, a).in_domain
+    assert validate_domain_H(xi, a).in_domain
 
 
 def test_jordan_chain_terminates():
@@ -142,20 +151,21 @@ def test_jordan_chain_terminates():
     psi2 = eigenfunctions_H(rec, a)[1]
     xi = generalized_xi(rec, a)
     apply_once = lambda f: (f.derivative(2).scaled(-1.0) - f.scaled(rec.lam))
-    assert norm_l2(apply_once(psi2.fn)) < 1e-9
-    assert norm_l2(apply_once(apply_once(xi.fn))) < 1e-9
+    assert norm_l2(apply_once(psi2)) < 1e-9
+    assert norm_l2(apply_once(apply_once(xi))) < 1e-9
 
 
 def test_eta_constraint_and_equation():
     a = ParamA.from_expr("1/3")
     rec = record_at(a, 36.0)
     eta = generalized_eta(rec, a)
-    am, ap = eta.constants["A_minus"], eta.constants["A_plus"]
+    # eta's constants as the _chains docstring prints them
+    am, ap = 1 - a.value, -(1 + a.value)
     assert am * (1 + a.value) == pytest.approx(-ap * (1 - a.value), abs=1e-14)
-    assert validate_domain_Hstar(eta.fn, a).in_domain
+    assert validate_domain_Hstar(eta, a).in_domain
     phi1, phi2 = eigenfunctions_Hstar(rec, a)
-    rhs = phi1.fn.scaled(ap) + phi2.fn.scaled(am)
-    resid = (eta.fn.derivative(2).scaled(-1.0) - eta.fn.scaled(rec.lam)) - rhs
+    rhs = phi1.scaled(ap) + phi2.scaled(am)
+    resid = (eta.derivative(2).scaled(-1.0) - eta.scaled(rec.lam)) - rhs
     assert norm_l2(resid) < 1e-10
 
 
@@ -165,10 +175,10 @@ def test_eta_requires_the_admissibility_constraint():
     a = ParamA.from_expr("1/3")
     rec = record_at(a, 36.0)
     eta = generalized_eta(rec, a)
-    bad = PiecewiseTrig((eta.fn.pieces[0],
-                         type(eta.fn.pieces[1])(eta.fn.pieces[1].lo,
-                                                eta.fn.pieces[1].hi,
-                                                eta.fn.pieces[0].terms)))
+    bad = PiecewiseTrig((eta.pieces[0],
+                         type(eta.pieces[1])(eta.pieces[1].lo,
+                                             eta.pieces[1].hi,
+                                             eta.pieces[0].terms)))
     assert not validate_domain_Hstar(bad, a).in_domain
 
 
@@ -184,7 +194,7 @@ def test_minus_generic_pairing_formula():
         assert rec.memberships == ((cls, m),)
         psi = eigenfunctions_H(rec, a)[0]
         phi = eigenfunctions_Hstar(rec, a)[0]
-        assert inner_closed(phi.fn, psi.fn) == pytest.approx(
+        assert inner_closed(phi, psi) == pytest.approx(
             pairing_class_generic(a, cls, m), abs=1e-13)
 
 
@@ -194,7 +204,7 @@ def test_zero_zero_pairing_formula():
         rec = record_at(a, 0.0)
         psi = eigenfunctions_H(rec, a)[0]
         phi = eigenfunctions_Hstar(rec, a)[0]
-        assert inner_closed(phi.fn, psi.fn) == pytest.approx(
+        assert inner_closed(phi, psi) == pytest.approx(
             pairing_zero_zero(a), abs=1e-13)
         assert pairing_zero_zero(a) == pytest.approx(
             -math.pi ** 2 / 4 * (1 - a.value ** 2))
@@ -208,17 +218,17 @@ def test_exceptional_pairings_and_orthogonality():
         rec = record_at(a, lam, lam_max=lam + 1)
         psi1, psi2, xi, phi1, phi2, eta = root_system(rec, a)
         p11, p21 = pairing_minus_exceptional(a, m)
-        assert inner_closed(phi1.fn, psi1.fn) == pytest.approx(p11, rel=1e-11)
-        assert inner_closed(phi2.fn, psi1.fn) == pytest.approx(p21, rel=1e-11)
-        assert abs(inner_closed(phi1.fn, psi2.fn)) < 1e-12
-        assert abs(inner_closed(phi2.fn, psi2.fn)) < 1e-12
+        assert inner_closed(phi1, psi1) == pytest.approx(p11, rel=1e-11)
+        assert inner_closed(phi2, psi1) == pytest.approx(p21, rel=1e-11)
+        assert abs(inner_closed(phi1, psi2)) < 1e-12
+        assert abs(inner_closed(phi2, psi2)) < 1e-12
         g1, g2 = pairing_minus_generalised(a, m)
-        assert inner_closed(phi1.fn, xi.fn) == pytest.approx(g1, rel=1e-11)
-        assert inner_closed(phi2.fn, xi.fn) == pytest.approx(g2, rel=1e-11)
-        assert inner_closed(eta.fn, psi2.fn) == pytest.approx(
+        assert inner_closed(phi1, xi) == pytest.approx(g1, rel=1e-11)
+        assert inner_closed(phi2, xi) == pytest.approx(g2, rel=1e-11)
+        assert inner_closed(eta, psi2) == pytest.approx(
             pairing_eta_psi2(a, m), rel=1e-11)
-        assert inner_closed(eta.fn, xi.fn) == pytest.approx(pairing_eta_xi(a, m), rel=1e-11)
-        assert abs(inner_closed(eta.fn, psi1.fn)) < 1e-12
+        assert inner_closed(eta, xi) == pytest.approx(pairing_eta_xi(a, m), rel=1e-11)
+        assert abs(inner_closed(eta, psi1)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +248,9 @@ def test_gram_identity_root_block():
     g = gram_matrix(pairs)
     assert np.max(np.abs(g - np.eye(len(pairs)))) < 1e-9
     # the 3x3 root block sits at the top eigenvalue
-    root = [p for p in pairs if p.psi.record.lam == pytest.approx(36.0)]
-    assert len(root) == 3
-    labels = [p.psi.label for p in root]
-    assert labels == ["psi1", "psi2", "xi"]
+    root = [label for rec, label in zip(pairs.records, pairs.labels)
+            if rec.lam == pytest.approx(36.0)]
+    assert root == ["psi1", "psi2", "xi"]
 
 
 def test_pairing_fields_are_normalized():
@@ -254,21 +263,21 @@ def test_gauge_invariance_of_biorthogonality():
     a = ParamA.from_expr("sqrt(2)-1")
     pairs = biorthogonalize(a, 60.0)
     c = 2.0 - 1.5j
-    for p in pairs[:4]:
-        psi_scaled = p.psi.fn.scaled(c)
-        phi_scaled = p.phi.fn.scaled(1.0 / np.conj(c))
+    for j in range(4):
+        psi_scaled = pairs.psi.fn(j).scaled(c)
+        phi_scaled = pairs.phi.fn(j).scaled(1.0 / np.conj(c))
         assert inner_closed(phi_scaled, psi_scaled) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_forward_members_keep_printed_shape():
     a = ParamA.from_expr("sqrt(2)-1")
     pairs = biorthogonalize(a, 30.0)
-    lam4 = next(p for p in pairs if abs(p.psi.record.lam - 4.0) < 1e-12)
+    lam4 = next(j for j, rec in enumerate(pairs.records) if abs(rec.lam - 4.0) < 1e-12)
     xs = np.linspace(-HALF_PI, HALF_PI, 33)
     av = a.value
     coef = ((math.cos(math.pi) - math.cos(math.pi * av))
             / math.sin(math.pi * av))
-    assert np.allclose(lam4.psi.fn(xs), np.cos(2 * xs) + coef * np.sin(2 * xs),
+    assert np.allclose(pairs.psi.fn(lam4)(xs), np.cos(2 * xs) + coef * np.sin(2 * xs),
                        atol=1e-12)
 
 
@@ -283,17 +292,18 @@ def test_every_member_is_built_at_its_records_wavenumber(expr):
     a = ParamA.from_expr(expr)
     built = []
     for rec in enumerate_spectrum(a, 4.0 * 257 ** 2):
-        fns = [f.fn for f in eigenfunctions_H(rec, a) + eigenfunctions_Hstar(rec, a)]
+        fns = eigenfunctions_H(rec, a) + eigenfunctions_Hstar(rec, a)
         if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
-            fns += [generalized_xi(rec, a).fn, generalized_eta(rec, a).fn]
+            fns += [generalized_xi(rec, a), generalized_eta(rec, a)]
         built += [(rec, fn) for fn in fns]
-    built += [(pair.psi.record, pair.phi.fn) for pair in biorthogonalize(a, 4.0 * 257 ** 2)]
+    family = biorthogonalize(a, 4.0 * 257 ** 2)
+    built += [(rec, family.phi.fn(j)) for j, rec in enumerate(family.records)]
     assert len(built) > 1000
     for rec, fn in built:
         assert _frequencies(fn) <= {rec.k}, (rec.memberships, _frequencies(fn))
     if expr == "1/3":
         rec36 = next(rec for rec, _ in built if rec.memberships == ((-1, 1), (0, 3), (1, 2)))
-        assert rec36.k == 6.0 and _frequencies(root_system(rec36, a)[2].fn) == {6.0}
+        assert rec36.k == 6.0 and _frequencies(root_system(rec36, a)[2]) == {6.0}
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +348,16 @@ def test_array_family_is_the_per_pair_family(expr):
     assert len(family) == len(oracle) == 514
     exceptional = np.array([rec.case is SpectralCase.EXCEPTIONAL_PAIR for rec in family.records])
     assert exceptional.any() == (expr != "sqrt(2)-1")
-    for pair, (psi, phi), exc in zip(family, oracle, exceptional):
-        assert _same_terms(pair.psi.fn, psi)
+    for j, ((psi, phi), exc) in enumerate(zip(oracle, exceptional)):
+        assert _same_terms(family.psi.fn(j), psi)
         if not exc:
-            assert _same_terms(pair.phi.fn, phi)
+            assert _same_terms(family.phi.fn(j), phi)
             continue
-        rec = pair.psi.record
-        got, want = _phase_zero_rows(pair.phi.fn, rec, False), _phase_zero_rows(phi, rec, True)
+        rec, label = family.records[j], family.labels[j]
+        got, want = _phase_zero_rows(family.phi.fn(j), rec, False), _phase_zero_rows(phi, rec, True)
         scale = max(map(abs, [*got.values(), *want.values()]))
         gap = max(abs(got.get(key, 0) - want.get(key, 0)) for key in got.keys() | want.keys())
-        assert gap <= ORACLE_INVERSE_C * EPS * scale, (rec.lam, pair.psi.label, gap / (EPS * scale))
+        assert gap <= ORACLE_INVERSE_C * EPS * scale, (rec.lam, label, gap / (EPS * scale))
     simple = ~exceptional[:253]
     expected = inner_matrix([phi for _, phi in oracle[:253]], [psi for psi, _ in oracle[:253]])
     assert np.array_equal(gram_matrix(family[:253])[simple], expected[simple])
@@ -379,12 +389,12 @@ def test_exceptional_duals_are_the_50_digit_inverse(expr):
             want = np.array(inverse.tolist(), dtype=float)  # real, so its own conj
         # at phase kx the printed eta is sigma times its rows, and so are
         # the lone sines phi2 (left piece, 0) and phi1 (right piece, 1)
-        eta = _phase_zero_rows(generalized_eta(rec, a).fn, rec, True)
+        eta = _phase_zero_rows(generalized_eta(rec, a), rec, True)
         sigma = (-1) ** (rec.class_index(-1) + rec.class_index(+1))
         first = family.records.index(rec)
         for i, label in enumerate(("psi1", "psi2", "xi")):
             assert family.labels[first + i] == label
-            rows = _phase_zero_rows(family[first + i].phi.fn, rec, False)
+            rows = _phase_zero_rows(family.phi.fn(first + i), rec, False)
             if label != "psi2":
                 assert set(rows) == {(0, 0, 1), (1, 0, 1)}, (rec.lam, label, rows)
             # eta's coefficient read off either piece's x cos and cos rows
@@ -443,8 +453,8 @@ def test_constructors_build_the_printed_vectors(expr):
         built = eigenfunctions_H(rec, a), eigenfunctions_Hstar(rec, a)
         if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
             built = [*built[0], generalized_xi(rec, a)], [*built[1], generalized_eta(rec, a)]
-        for mine, printed in zip([*built[0], *built[1]], [*forward, *adjoint]):
-            assert _same_terms(mine.fn, printed), (rec.memberships, mine.label)
+        for i, (mine, printed) in enumerate(zip([*built[0], *built[1]], [*forward, *adjoint])):
+            assert _same_terms(mine, printed), (rec.memberships, i)
 
 
 def test_family_slices_and_gram_build_no_piecewise_trig(monkeypatch):
@@ -460,6 +470,11 @@ def test_family_slices_and_gram_build_no_piecewise_trig(monkeypatch):
         gram = gram_matrix(biorthogonalize(ParamA.from_expr(expr), 4.0 * 257 ** 2)[:253])
         assert gram.shape == (253, 253)
     assert built == []
-    # indexing builds the one pair: psi on one piece, its dual on two
-    biorthogonalize(ParamA.from_expr("1/3"), 40.0)[2]
+    # reading pair 2 off the Stacks builds it alone: psi on one piece, its
+    # dual on two; a family is not indexed by pair
+    family = biorthogonalize(ParamA.from_expr("1/3"), 40.0)
+    family.psi.fn(2), family.phi.fn(2)
     assert len(built) == 3
+    for index in (2, slice(0, 4, 2)):
+        with pytest.raises(TypeError, match="contiguously"):
+            family[index]

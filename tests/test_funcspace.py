@@ -16,7 +16,8 @@ from jumpspec.funcspace import (
 from jumpspec.param import ParamA
 
 from reference_oracles import (
-    eval_terms, one_sided, validate_domain_H, validate_domain_Hstar, zero_function,
+    eval_terms, one_sided, per_function_stack, terms_on, validate_domain_H, validate_domain_Hstar,
+    zero_function,
 )
 from util import linear, norm_l2, quad_gram, random_trig, xsin_term
 
@@ -89,7 +90,7 @@ def test_stack_values_are_each_functions_piece_values():
 def _same_rows(stack: Stack, j: int, f: PiecewiseTrig) -> bool:
     """Whether member j of stack has f's terms on every piece of the stack."""
     g = stack.fn(j)
-    return all(g.terms_on(lo, hi) == f.terms_on(lo, hi) for lo, hi, *_ in stack.pieces)
+    return all(terms_on(g, lo, hi) == terms_on(f, lo, hi) for lo, hi, *_ in stack.pieces)
 
 
 def test_stack_merge_cancels_a_difference_key_by_key():
@@ -118,6 +119,35 @@ def test_stack_derivative_and_scaling_are_member_wise():
     for j, f in enumerate(fns):
         assert _same_rows(d2, j, f.derivative(2))
         assert _same_rows(scaled, j, f.scaled(z[j]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stack_of_is_the_per_function_construction(seed):
+    # the join of one-member Stacks holds, bit for bit, the rows and owners
+    # that each function's own partition and piece lookup gave
+    rng = np.random.default_rng(30 + seed)
+    for xb in (-0.4, 0.1, 0.3):
+        fns = _mixed_family(rng, xb) + _mixed_family(rng, 0.1)[::-1]
+        for family in (fns, fns[:1], fns[-2:], fns[3:4]):
+            got, want = Stack.of(family), per_function_stack(family)
+            assert got.count == want.count and len(got.pieces) == len(want.pieces)
+            for (lo, hi, terms, owners), (lo2, hi2, terms2, owners2) in zip(got.pieces,
+                                                                            want.pieces):
+                assert (lo, hi) == (lo2, hi2) and terms == terms2
+                assert owners.dtype == owners2.dtype and np.array_equal(owners, owners2)
+
+
+def test_no_functions_still_span_the_interval():
+    # the join of no Stacks is one full-interval piece without rows, so a
+    # family of none meets any other in a (0, n) inner-product matrix
+    empty = Stack.of([])
+    assert empty.count == 0 and len(empty.pieces) == 1
+    lo, hi, terms, owners = empty.pieces[0]
+    assert (lo, hi) == (-HALF_PI, HALF_PI) and len(terms) == 0 and len(owners) == 0
+    f = PiecewiseTrig.split(0.2, [cos_term(1.0, 3.0)], [sin_term(2.0, 1.0)])
+    assert inner_matrix([], [f]).shape == (0, 1)
+    assert inner_matrix([f], []).shape == (1, 0)
+    assert norms_l2([]).shape == (0,)
 
 
 def test_stack_join_keeps_every_function_in_order():

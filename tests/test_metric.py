@@ -138,7 +138,7 @@ def test_intertwining_on_domain_members():
     rng = np.random.default_rng(9)
     a = SQRT2M1
     op = MetricOp.build(a)
-    members = [eigenfunctions_H(rec, a)[0].fn
+    members = [eigenfunctions_H(rec, a)[0]
                for rec in enumerate_spectrum(a, 150.0)]
     members += [random_domain_member(a, rng) for _ in range(10)]
     for psi in members:
@@ -160,7 +160,7 @@ def test_eigen_intertwining():
     a = SQRT2M1
     op = MetricOp.build(a)
     for rec in enumerate_spectrum(a, 60.0):
-        psi = eigenfunctions_H(rec, a)[0].fn
+        psi = eigenfunctions_H(rec, a)[0]
         tpsi = apply_theta(op, psi)
         resid = tpsi.derivative(2).scaled(-1.0) - tpsi.scaled(rec.lam)
         assert norm_l2(resid) < 1e-8 * max(1.0, norm_l2(tpsi))
@@ -253,7 +253,7 @@ def test_contract_fails_when_a_reflection_center_moves_by_1e_9(monkeypatch, whic
 
 def test_contract_fails_without_the_rank_one_term(monkeypatch):
     # the constant psi_0 then meets only the antisymmetrizers: c_0 = 0
-    monkeypatch.setattr(metric, "phi_zero_mode", lambda a, c: zero_function())
+    monkeypatch.setattr(metric, "phi_zero_mode", lambda a: zero_function())
     report, failures = _root_system_contract("sqrt(2)-1")
     assert report["positivity_min"] == 0.0
     assert [f.split()[0] for f in failures] == ["positivity_min"]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumpspec.param import (
-    FAMILIES, WORK_DPS, NotIrrational, ParamA, ZeroClassCase, convergents, family_k,
-    is_exceptional, trig_pi, zero_class_case,
+    FAMILIES, WORK_DPS, NotIrrational, ParamA, convergents, family_k, is_exceptional, trig_pi,
+    turns,
 )
+from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
 from reference_oracles import is_exceptional_minus_float, is_exceptional_plus_float
 
@@ -120,19 +121,41 @@ def test_is_exceptional_is_integer_divisibility(p, q, m):
     assert is_exceptional(a, -1, m) == ((m * (q + p)) % (q - p) == 0)
     assert is_exceptional(a, +1, m) == ((m * (q - p)) % (q + p) == 0)
     assert is_exceptional(a, 0, m) == ((m * p) % q == 0)
-    odd = (m + (m * p) // q) % 2 == 1
-    assert zero_class_case(a, m) is (ZeroClassCase.GENERIC if (m * p) % q
-                                     else ZeroClassCase.EXCEPTIONAL_ODD if odd
-                                     else ZeroClassCase.EXCEPTIONAL_EVEN)
+    assert turns(a, 0, m) == Fraction(m * (q + p), q)
+
+
+def _case_at(a: ParamA, k: float) -> SpectralCase:
+    return next(rec.case for rec in enumerate_spectrum(a, k * k + 1) if rec.k == k)
 
 
 def test_zero_class_cases():
+    # class 0 at k = 2m: the zero eigenvalue at m = 0, exceptional odd at
+    # odd integer turns m(1+a), inside an exceptional pair at even ones
     a0 = ParamA.from_expr("0")
-    assert zero_class_case(a0, 0) is ZeroClassCase.ZERO_EIGENVALUE
-    assert zero_class_case(a0, 3) is ZeroClassCase.EXCEPTIONAL_ODD
-    assert zero_class_case(a0, 2) is ZeroClassCase.EXCEPTIONAL_EVEN
-    assert zero_class_case(ParamA.from_expr("1/3"), 2) is ZeroClassCase.GENERIC
-    assert zero_class_case(ParamA.from_expr("sqrt(2)-1"), 11) is ZeroClassCase.GENERIC
+    assert _case_at(a0, 0.0) is SpectralCase.ZERO_EV
+    assert is_exceptional(a0, 0, 3) and _case_at(a0, 6.0) is SpectralCase.EXCEPTIONAL_ODD
+    assert is_exceptional(a0, 0, 2) and _case_at(a0, 4.0) is SpectralCase.EXCEPTIONAL_PAIR
+    for expr, m in (("1/3", 2), ("sqrt(2)-1", 11)):
+        a = ParamA.from_expr(expr)
+        assert not is_exceptional(a, 0, m) and _case_at(a, 2.0 * m) is SpectralCase.GENERIC
+
+
+def test_a_lone_exceptional_zero_class_member_has_odd_turns():
+    # at an even t = m(1+a) the class +1 index t/2 and the class -1 index
+    # m - t/2 meet class 0 at k = 2m, so the spectrum's exceptional-odd
+    # test needs no parity of its own
+    for q in range(1, 16):
+        for p in range(1 - q, q):
+            if math.gcd(p, q) != 1:
+                continue
+            a = ParamA.from_fraction(p, q)
+            for rec in enumerate_spectrum(a, 1600.0):
+                zero = [m for cls, m in rec.memberships if cls == 0 and m > 0]
+                if not zero or not is_exceptional(a, 0, zero[0]):
+                    continue
+                odd = turns(a, 0, zero[0]).numerator % 2 == 1
+                assert rec.case is (SpectralCase.EXCEPTIONAL_ODD if odd
+                                    else SpectralCase.EXCEPTIONAL_PAIR), (p, q, rec)
 
 
 def test_float_rerun_agrees_with_exact():
@@ -158,7 +181,7 @@ def test_irrational_never_exceptional():
     for m in range(1, 10_001, 97):
         assert not is_exceptional(a, -1, m)
         assert not is_exceptional(a, +1, m)
-        assert zero_class_case(a, m) is ZeroClassCase.GENERIC
+        assert not is_exceptional(a, 0, m) and turns(a, 0, m) is None
 
 
 def test_convergents_sqrt2_minus_1():

@@ -111,7 +111,7 @@ def _record(a: ParamA, lam: float):
 
 
 def _gap_psi(a: ParamA) -> PiecewiseTrig:
-    return eigenfunctions_H(_record(a, 4.0), a)[0].fn
+    return eigenfunctions_H(_record(a, 4.0), a)[0]
 
 
 def _right_midpoint(a: ParamA) -> float:
@@ -137,7 +137,7 @@ def test_jordan_chain_decays_with_its_secular_term(secular):
     rec = _record(a, 36.0)
     assert rec.case is SpectralCase.EXCEPTIONAL_PAIR
     _, psi2, xi, *_ = root_system(rec, a)
-    chain = [xi.fn, psi2.fn] if secular else [xi.fn]
+    chain = [xi, psi2] if secular else [xi]
     cfg = SimConfig(a=a, dt=1e-4, n_paths=20_000)
     assert (semigroup_check(cfg, chain, 36.0, _right_midpoint(a)) <= Z_BOUND) == secular
 
