@@ -129,7 +129,7 @@ def cmd_spectrum(args, man: Manifest) -> int:
 def cmd_resolvent(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     lam = _parse_lambda(args.lam)
-    resolvent.check_probe(lam, a, args.svd_n)  # refused before the solve
+    resolvent.check_probe(lam, args.svd_n)  # refused before the solve
     if args.f == "const":
         f = PiecewiseTrig.single(const(1.0))
     else:
@@ -151,7 +151,8 @@ def cmd_resolvent(args, man: Manifest) -> int:
         "boundary_deviation": report["boundary_deviation"],
         "pde_residual": report["pde_residual"],
         "svd_decay_exponent": sv["decay_exponent"],
-        "trace_norm_estimate": sv["partial_sum"],
+        "trace_norm_estimate": sv["trace_norm_estimate"],
+        "truncation_bound": sv["truncation_bound"],
     })
     man.finish()
     return 0
@@ -327,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True,
                    help="complex lambda as 're,im'")
     p.add_argument("--f", default="const", help="'const' or 'sinK'")
-    p.add_argument("--svd-n", dest="svd_n", type=int, default=512)
+    p.add_argument("--svd-n", dest="svd_n", type=int, default=512,
+                   help="N sine modes of the exact resolvent matrix, 64 to 2048; "
+                        "the probe reports N + 1 singular values")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_resolvent)
 

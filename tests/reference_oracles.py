@@ -36,6 +36,7 @@ and breakpoints where the package joins one-member Stacks.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -52,10 +53,11 @@ from jumpspec.eigensystem import (
 from jumpspec.funcspace import (
     _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack,
     Terms, _basis, _midpoint_phase, _pair_blocks, _two_sum, const, cos_term, grid_nodes,
-    inner_closed, inner_matrix, lincomb, sin_term,
+    grid_panels, inner_closed, inner_matrix, lincomb, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
+from jumpspec import resolvent
 from jumpspec.resolvent import ResolventKernel
 from jumpspec.simulator import _Stepper
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
@@ -318,6 +320,41 @@ def generic_norm_median(a: ParamA, m_max: int = 200) -> float:
     return float(np.median(norms))
 
 
+# the Nystrom probe's node cap: 4097 nodes is twice its largest n
+MAX_PROBE_NODES = 4097
+
+
+def kernel_matrix(kern: ResolventKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The resolvent kernel R(x, y) = (i/2k) e^{ik|x-y|} + phi_1(x) alpha(y)
+    + phi_2(x) beta(y) at every (x, y), from `kern`'s scalars and its
+    `coefficients` of the free kernel's boundary differences: float64 at
+    real lambda < 0 (ik real), and at real lambda > 0 the rounding-only
+    imaginary part of the complex assembly dropped (H commutes with
+    conjugation)."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    ik, c = kern.ik, -0.5 / kern.ik  # c = i/2k
+    phi_y = kern.phis(ys)
+    g_jump = c * np.exp(ik * np.abs(HALF_PI * kern.a_value - ys))
+    alpha, beta = kern.coefficients(c * phi_y[:, 0] - g_jump, c * phi_y[:, 1] - g_jump)
+    out = (c * np.exp(ik * np.abs(np.subtract.outer(xs, ys)))
+           + kern.phis(xs) @ np.stack([alpha, beta]))
+    return np.ascontiguousarray(out.real) if kern.lam.imag == 0 else out
+
+
+def nystrom_nodes(lam: complex, a: ParamA, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Nystrom probe's grid, composite Lobatto resolving |k| with n/2
+    nodes a piece, or ValueError unless 64 <= n <= 2048 and it has at most
+    MAX_PROBE_NODES nodes, counted from `grid_panels` before any is built."""
+    if not 64 <= n <= 2048:
+        raise ValueError(f"probe needs 64 <= n <= 2048, got n={n}")
+    k_abs = abs(ResolventKernel.build(lam, a).k)
+    size = 1 + sum(panels * (points - 1) for *_, panels, points in grid_panels(a, n // 2, k_abs))
+    if size > MAX_PROBE_NODES:
+        raise ValueError(f"probe grid of {size} nodes at lambda={lam} exceeds the cap "
+                         f"of {MAX_PROBE_NODES} (the grid grows with |k| = {k_abs:.3g})")
+    return grid_nodes(a, n // 2, kmax=k_abs)
+
+
 def complex_arithmetic_kernel(lam: complex, a: ParamA) -> ResolventKernel:
     """`ResolventKernel.build` with ik forced complex: the same formulas for
     E, P, Q and the factors 1 - E, 1 - P, 1 - Q, evaluated in complex
@@ -345,12 +382,41 @@ def complex_kernel_matrix(lam: complex, a: ParamA, xs: np.ndarray,
 
 
 def complex_probe_singular_values(lam: complex, a: ParamA, n: int) -> np.ndarray:
-    """The singular values `singular_value_probe` reports, from the
-    complex-arithmetic kernel on the same grid and a complex SVD."""
-    nodes, weights = grid_nodes(a, n // 2, kmax=abs(ResolventKernel.build(lam, a).k))
+    """Singular values of the quadrature-weighted kernel on `nystrom_nodes`,
+    the probe the package ran before it took the exact sine-basis matrix,
+    here with the complex-arithmetic kernel and a complex SVD.  The kernel
+    has a kink on its diagonal, so they converge like h^2."""
+    nodes, weights = nystrom_nodes(lam, a, n)
     sq = np.sqrt(weights)
     mat = sq[:, None] * complex_kernel_matrix(lam, a, nodes, nodes) * sq[None, :]
     return np.linalg.svd(mat, compute_uv=False)
+
+
+def complex_sine_matrix(lam: complex, a: ParamA, n: int) -> np.ndarray:
+    """The matrix `resolvent.sine_matrix` holds, assembled in complex128 at
+    every lambda: d_j, u_j and v_j of complex lambda (sin(j pi (1+a)/2)
+    reduced in turns mod 2), c = cos(k pi/2)/(-2 sin(k pi (1+a)/4)
+    sin(k pi (1-a)/4)) by cmath where the package takes it from the
+    kernel's factors 1 - E, 1 - P, 1 - Q, and the resonant row, column and
+    diagonal kept complex where the package drops their rounding-only
+    imaginary parts."""
+    lam = complex(lam)
+    mat = resolvent.sine_matrix(lam, a, n)
+    k = cmath.sqrt(lam)
+    c = cmath.cos(k * HALF_PI) / (-2 * cmath.sin(k * HALF_PI * (1 + a.value) / 2)
+                                   * cmath.sin(k * HALF_PI * (1 - a.value) / 2))
+    j = np.arange(1, n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1 / (j * j - lam)
+        u = np.append(math.sqrt(8 / math.pi) * j * (j % 2) * d, mat.u[-1])
+        y = np.append(math.sqrt(2 / math.pi) * d
+                      * np.sin(math.pi * np.remainder(j * (1 + a.value) / 2, 2)), mat.y[-1])
+    resonant = mat.resonant
+    if resonant:
+        m = resonant[0]
+        resonant = (m, *resolvent._zone_entries(lam, a.value, m))
+        d[m - 1] = u[m - 1] = y[m - 1] = 0
+    return resolvent.SineMatrix(np.append(d, 0), c, u, y, resonant).dense()
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
@@ -451,7 +517,16 @@ def _mp_particular(rows, lam, x):
 
 def mp_three_point_solve(lam: complex, f: PiecewiseTrig, a: ParamA, xs: np.ndarray,
                          dps: int = 50) -> np.ndarray:
-    """u = (H - lambda)^{-1} f at xs, solved at `dps` digits by a route of
+    """u = (H - lambda)^{-1} f at xs, solved at `dps` digits
+    (`mp_three_point_function`)."""
+    with mp.workdps(dps):
+        u = mp_three_point_function(lam, f, a)
+        return np.array([complex(u(x)) for x in map(mp.mpf, np.asarray(xs, dtype=float))])
+
+
+def mp_three_point_function(lam: complex, f: PiecewiseTrig, a: ParamA):
+    """u = (H - lambda)^{-1} f as a function of an mp point, at the working
+    precision, which the caller sets and keeps for the calls; a route of
     its own: on each piece of f the textbook particular solution
     (`_mp_particular`) plus C cos(kx) + D sin(kx)/k, and one linear solve
     for all C, D of the three-point condition and, where f has a
@@ -464,44 +539,71 @@ def mp_three_point_solve(lam: complex, f: PiecewiseTrig, a: ParamA, xs: np.ndarr
     A reference for any a in (-1, 1), lambda off the spectrum and f without
     a p = 1 term at resonance.
     """
+    lam = mp.mpc(complex(lam))
+    k = mp.sqrt(lam)
+    h, b = mp.mpf(HALF_PI), mp.mpf(HALF_PI * a.value)
+    cuts = [mp.mpf(p.hi) for p in f.pieces[:-1]]
+    pieces = [_mp_rows(p.terms) for p in f.pieces]
+    n = 2 * len(pieces)
+
+    def piece_of(x):
+        return sum(x > cut for cut in cuts)
+
+    def basis(x, i, der=False):
+        """Row of the linear system: the homogeneous part at x on piece i."""
+        row = [mp.mpc(0)] * n
+        row[2 * i], row[2 * i + 1] = ((-k * mp.sin(k * x), mp.cos(k * x)) if der
+                                      else (mp.cos(k * x), mp.sin(k * x) / k))
+        return row
+
+    def sub(r1, r2):
+        return [u - v for u, v in zip(r1, r2)]
+
+    rows, rhs = [], []
+    for x in (-h, h):  # u(x) = u(b)
+        i, j = piece_of(x), piece_of(b)
+        rows.append(sub(basis(x, i), basis(b, j)))
+        rhs.append(_mp_particular(pieces[j], lam, b)[0] - _mp_particular(pieces[i], lam, x)[0])
+    for i, cut in enumerate(cuts):  # C^1 across the breakpoint
+        for der in (False, True):
+            rows.append(sub(basis(cut, i + 1, der), basis(cut, i, der)))
+            rhs.append(_mp_particular(pieces[i], lam, cut)[der]
+                       - _mp_particular(pieces[i + 1], lam, cut)[der])
+    coef = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+
+    def u(x):
+        i = piece_of(x)
+        return (_mp_particular(pieces[i], lam, x)[0]
+                + mp.fsum(r * c for r, c in zip(basis(x, i), coef)))
+    return u
+
+
+def mp_sine_entries(lam: complex, a: ParamA, size: int, dps: int = 50,
+                    nodes: int = 64) -> np.ndarray:
+    """<e_m, (H - lambda)^{-1} e_n> for m, n <= size, e_n = sqrt(2/pi)
+    sin(n (x + pi/2)): u = R e_n by `mp_three_point_function`, e_n written
+    as +-sqrt(2/pi) cos(nx) (odd n) or sin(nx) (even n) so no quarter turn
+    is rounded, and <e_m, u> by `nodes`-point Gauss-Legendre at `dps`
+    digits on (-pi/2, pi/2), where both are analytic."""
+    out = np.empty((size, size), dtype=complex)
     with mp.workdps(dps):
-        lam = mp.mpc(complex(lam))
-        k = mp.sqrt(lam)
-        h, b = mp.mpf(HALF_PI), mp.mpf(HALF_PI * a.value)
-        cuts = [mp.mpf(p.hi) for p in f.pieces[:-1]]
-        pieces = [_mp_rows(p.terms) for p in f.pieces]
-        n = 2 * len(pieces)
+        xs, ws = _mp_gauss_legendre(nodes, dps)
+        half = mp.pi / 2
+        pts = [half * x for x in xs]
 
-        def piece_of(x):
-            return sum(x > cut for cut in cuts)
+        def e(n, x):
+            return mp.sqrt(2 / mp.pi) * mp.sin(n * (x + half))
 
-        def basis(x, i, der=False):
-            """Row of the linear system: the homogeneous part at x on piece i."""
-            row = [mp.mpc(0)] * n
-            row[2 * i], row[2 * i + 1] = ((-k * mp.sin(k * x), mp.cos(k * x)) if der
-                                          else (mp.cos(k * x), mp.sin(k * x) / k))
-            return row
-
-        def sub(r1, r2):
-            return [u - v for u, v in zip(r1, r2)]
-
-        rows, rhs = [], []
-        for x in (-h, h):  # u(x) = u(b)
-            i, j = piece_of(x), piece_of(b)
-            rows.append(sub(basis(x, i), basis(b, j)))
-            rhs.append(_mp_particular(pieces[j], lam, b)[0] - _mp_particular(pieces[i], lam, x)[0])
-        for i, cut in enumerate(cuts):  # C^1 across the breakpoint
-            for der in (False, True):
-                rows.append(sub(basis(cut, i + 1, der), basis(cut, i, der)))
-                rhs.append(_mp_particular(pieces[i], lam, cut)[der]
-                           - _mp_particular(pieces[i + 1], lam, cut)[der])
-        coef = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        out = []
-        for x in map(mp.mpf, np.asarray(xs, dtype=float)):
-            i = piece_of(x)
-            out.append(complex(_mp_particular(pieces[i], lam, x)[0]
-                               + mp.fsum(r * c for r, c in zip(basis(x, i), coef))))
-        return np.array(out)
+        basis = [[e(m, x) for x in pts] for m in range(1, size + 1)]
+        for n in range(1, size + 1):
+            sign, wave = (-1) ** (n // 2), (cos_term if n % 2 else sin_term)
+            f = PiecewiseTrig.single(wave(sign * math.sqrt(2 / math.pi), float(n)))
+            u = mp_three_point_function(lam, f, a)
+            vals = [u(x) for x in pts]
+            for m in range(size):
+                out[m, n - 1] = complex(half * mp.fsum(w * b * v for w, b, v in
+                                                       zip(ws, basis[m], vals)))
+    return out
 
 
 def full_width_bridge_probabilities(x0: np.ndarray, x1: np.ndarray,

@@ -1,10 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpspec
 from jumpspec import basis_diag, eigensystem, metric, resolvent, simulator, spectrum
 from jumpspec.cli import MAX_CONTRACT_MEMBERS, Manifest, main
 from jumpspec.funcspace import PiecewiseTrig, grid_nodes, sin_term
@@ -96,6 +101,9 @@ def test_resolvent_subcommand(tmp_path):
                     "--f", "const", "--svd-n", "192", "--out", str(out)]) == 0
     payload = json.loads((out / "resolvent_report.json").read_text())
     assert payload["boundary_deviation"] < 1e-10
+    # N = 192 modes: 193 singular values, each within 1/|193^2 + 1| of R's
+    assert payload["truncation_bound"] == pytest.approx(1 / (193 ** 2 + 1))
+    assert len((out / "singular_values.csv").read_text().strip().splitlines()) == 1 + 193
     lines = (out / "resolvent_u.csv").read_text().strip().splitlines()
     # one row per node of the default grid, starting at -pi/2
     assert lines[0] == "x,re,im"
@@ -337,7 +345,7 @@ def test_member_cap_is_the_closed_form_count(monkeypatch):
 
 @pytest.mark.parametrize("args", [["--lambda=-1e6"], ["--lambda", "-1", "--svd-n", "4096"]])
 def test_probe_grid_is_refused_before_the_solve(tmp_path, monkeypatch, capsys, args):
-    # at -1e6 the probe's grid has 9040 nodes, over resolvent.MAX_PROBE_NODES
+    # at -1e6 the fit window would start at 2|k| = 2000, past N/2 = 256
     def no_solve(*args, **kwargs):
         raise AssertionError("apply_resolvent ran")
     monkeypatch.setattr(resolvent, "apply_resolvent", no_solve)
@@ -566,7 +574,7 @@ def test_plain_negative_lambda_reaches_the_probe(tmp_path, capsys):
     assert run_cli(["resolvent", "--a", "1/3", "--lambda", "-1e6",
                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "grid" in err and "expected one argument" not in err
+    assert "probe window" in err and "expected one argument" not in err
 
 
 def test_resolvent_writes_nothing_when_a_later_stage_fails(tmp_path):
@@ -575,3 +583,19 @@ def test_resolvent_writes_nothing_when_a_later_stage_fails(tmp_path):
     assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1e6",
                     "--out", str(out)]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_resolvent_run_loads_no_scipy(tmp_path):
+    # scipy is no dependency of the package, and `import scipy.linalg` alone
+    # takes about 0.4 s of start-up; a fresh interpreter keeps other tests'
+    # imports out of the count
+    src = Path(jumpspec.__file__).resolve().parents[1]
+    code = ("import sys, jumpspec.cli\n"
+            "rc = jumpspec.cli.main(['resolvent', '--a', '1/3', '--lambda=-1', "
+            f"'--out', {str(tmp_path / 'r')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert run.stdout.split() == ["0", "[]"]

@@ -36,10 +36,12 @@ UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 
 # second routes that left the package for tests/reference_oracles.py (the
 # resolvent's panel sweep, the metric's Neumann-mode scan, the pair kernel
-# with its own sin and cos per pair, a function's own piece lookup): a
-# definition of one of them in src/jumpspec again would be a second route there
+# with its own sin and cos per pair, a function's own piece lookup, the
+# Nystrom probe of the resolvent kernel): a definition of one of them in
+# src/jumpspec again would be a second route there
 MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
-                    "_wave_integrals", "_pair_integrals", "eval_terms", "terms_on"}
+                    "_wave_integrals", "_pair_integrals", "eval_terms", "terms_on",
+                    "kernel_matrix", "nystrom_nodes", "complex_probe_singular_values"}
 
 
 def _exported(tree: ast.Module) -> set[str]:
