@@ -276,18 +276,17 @@ def expansion_residuals(fs: list[PiecewiseTrig], pairs: BiorthFamily,
     """
     kept = np.array([include_generalized or label != "xi" for label in pairs.labels])
     before = np.cumsum(kept) - kept  # kept pairs ahead of each pair
-    coeffs = inner_matrix(pairs.phi, fs) * kept[:, None]
+    coeffs = inner_matrix(pairs.phi, Stack.join(fs)) * kept[:, None]
     remainders = []
     for f, c in zip(fs, coeffs.T):
         for n_cut in checkpoints:
             pieces = []
-            for piece in f.pieces:
-                rows, owners = pairs.psi.on(piece.lo, piece.hi)
+            for lo, hi, terms, _ in f.pieces:
+                rows, owners = pairs.psi.on(lo, hi)
                 use = before[owners] < n_cut
-                pieces.append(Piece(piece.lo, piece.hi,
-                                    [piece.terms, rows[use].scaled(-c[owners[use]])]))
+                pieces.append(Piece.one(lo, hi, [terms, rows[use].scaled(-c[owners[use]])]))
             remainders.append(PiecewiseTrig(tuple(pieces)))
-    norms = norms_l2(remainders).reshape(len(fs), len(checkpoints))
+    norms = norms_l2(Stack.join(remainders)).reshape(len(fs), len(checkpoints))
     return [dict(zip(checkpoints, map(float, row))) for row in norms]
 
 

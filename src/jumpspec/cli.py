@@ -6,8 +6,8 @@ manifest (command line, parameters, version, seed, outputs, wall time).
 CSV floats carry 17 significant digits so reruns are byte-identical.
 Exit codes: 0 ok, 1 contract failure, 2 usage error, 3 numerical
 failure (a pole, exhausted precision, unconverged quadrature, a vanishing
-normalization); the manifest then carries an `error` record with the
-exception's type, message and the stage it failed in.
+normalization, a failed SVD); the manifest then carries an `error` record
+with the exception's type, message and the stage it failed in.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ def _fmt(v) -> str:
     return FMT % v
 
 
+# caught before ValueError, which np.linalg.LinAlgError subclasses
 NUMERICAL_FAILURES = (
     resolvent.PoleAtEigenvalue, PrecisionExhausted, QuadratureNotConverged,
-    eigensystem.DegenerateNormalization, ZeroDivisionError,
+    eigensystem.DegenerateNormalization, ZeroDivisionError, np.linalg.LinAlgError,
 )
 
 
@@ -390,14 +391,14 @@ def main(argv: list[str] | None = None) -> int:
     man = Manifest(args)
     try:
         return args.func(args, man)
-    except (ValueError, NotIrrational) as exc:
-        print(f"jumpspec: {exc}", file=sys.stderr)
-        return 2
     except NUMERICAL_FAILURES as exc:
         man.fail(exc)
         print(f"jumpspec: numerical failure in {man.stage}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, NotIrrational) as exc:
+        print(f"jumpspec: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner_closed here
-    PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix,
+    HALF_PI, Piece, PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix,
 )
 from jumpspec.param import ParamA, family_angle, is_exceptional, turns
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
-HALF_PI = math.pi / 2
 _ZERO_RECORD = EigRecord(0.0, 0.0, ((0, 0),), 1, 1, SpectralCase.ZERO_EV)
 # forward labels of a simple record and of an exceptional pair
 _NAMES = {False: ("psi",), True: ("psi1", "psi2", "xi")}
@@ -181,8 +180,8 @@ def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tu
                 right.append((v, 0, z, k, -k * HALF_PI, 1))
         v += 1
     xb = HALF_PI * av
-    return (Stack(((-HALF_PI, HALF_PI, *_terms(fwd)),), v),
-            Stack(((-HALF_PI, xb, *_terms(left)), (xb, HALF_PI, *_terms(right))), v))
+    return (Stack((Piece(-HALF_PI, HALF_PI, *_terms(fwd)),), v),
+            Stack((Piece(-HALF_PI, xb, *_terms(left)), Piece(xb, HALF_PI, *_terms(right))), v))
 
 
 def eigenfunctions_H(rec: EigRecord, a: ParamA) -> list[PiecewiseTrig]:

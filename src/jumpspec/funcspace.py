@@ -26,22 +26,25 @@ A family of such functions is kept as one `Stack` (each piece's rows of all
 members, with their owners) to be sliced, joined, summed, differentiated,
 sampled and integrated as a whole; its merge sums equal keys per owner,
 so a difference of two families cancels key by key, and `norms_l2` norms
-all members from one Gram matrix of their terms.  A PiecewiseTrig is a
-one-member Stack's view, evaluated and differentiated as that Stack;
-`Stack.of` joins such Stacks, and `inner_closed` is inner_matrix's 1x1 entry.
+all members from one Gram matrix of their terms.  Every piece of a Stack
+is one `Piece` record (lo, hi, terms, owners).  A PiecewiseTrig is one
+function: a Stack of count 1, built from its terms (`single`, `split`),
+whose sum, difference, multiple and derivative are PiecewiseTrigs again.
+So a family is the `Stack.join` of its functions, `inner_matrix`,
+`norms_l2` and `quad_inner` take Stacks and convert nothing, and
+`inner_closed` is inner_matrix's 1x1 entry of two functions.
 
-Composite Gauss-Lobatto grids (`grid_nodes`) discretize what has no
-closed form (the resolvent's output nodes and the kernel its SVD probe
-decomposes) and give the independent quadrature check of the closed
-forms: `quad_inner` samples a whole family once per refinement round and
-forms the inner products asked for, each one weighted sum.
+Composite Gauss-Lobatto grids (`grid_nodes`) give the resolvent its output
+nodes and the closed forms their independent quadrature check:
+`quad_inner` samples a whole family once per refinement round and forms
+the inner products asked for, each one weighted sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,89 +179,31 @@ def _basis(t: Terms, x: np.ndarray) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class Piece:
-    """A term sum valid on [lo, hi]; `terms` is a Terms, kept as it is, or
-    a sequence of them, which is concatenated and merged."""
+class Piece(NamedTuple):
+    """One piece of a Stack: its rows valid on [lo, hi], ordered by owner,
+    and each row's owner (the member it belongs to)."""
 
     lo: float
     hi: float
     terms: Terms
-
-    def __post_init__(self):
-        if not isinstance(self.terms, Terms):
-            object.__setattr__(self, "terms", Terms.concat(self.terms).merged())
-
-
-@dataclass(frozen=True)
-class PiecewiseTrig:
-    """Term sums on an ordered partition of [-pi/2, pi/2].
-
-    At most one interior breakpoint (the restart point) is allowed; the
-    outer endpoints are always +-pi/2.
-    """
-
-    pieces: tuple[Piece, ...]
-
-    def __post_init__(self):
-        if not 1 <= len(self.pieces) <= 2:
-            raise ValueError("one or two pieces supported")
-        if abs(self.pieces[0].lo + HALF_PI) > 1e-12 or abs(self.pieces[-1].hi - HALF_PI) > 1e-12:
-            raise ValueError("pieces must span [-pi/2, pi/2]")
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if left.hi != right.lo:
-                raise ValueError("pieces must be contiguous")
-            if not -HALF_PI < left.hi < HALF_PI:
-                raise ValueError("interior breakpoint must be strictly inside")
+    owners: np.ndarray
 
     @classmethod
-    def single(cls, terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
-        return cls((Piece(-HALF_PI, HALF_PI, terms),))
+    def one(cls, lo: float, hi: float, terms: Terms | Sequence[Terms]) -> "Piece":
+        """A piece of one function, every row owned by 0: a Terms kept as it
+        is, or a sequence of them concatenated and merged."""
+        if not isinstance(terms, Terms):
+            terms = Terms.concat(terms).merged()
+        return cls(lo, hi, terms, np.zeros(len(terms), dtype=np.int64))
 
-    @classmethod
-    def split(cls, xb: float, left_terms: Terms | Sequence[Terms],
-              right_terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
-        return cls((Piece(-HALF_PI, xb, left_terms), Piece(xb, HALF_PI, right_terms)))
+    def __eq__(self, other) -> bool:
+        """Equal edges, rows and owners (tuple equality would take the
+        truth value of an owners array)."""
+        return (isinstance(other, Piece) and self[:3] == other[:3]
+                and np.array_equal(self.owners, other.owners))
 
-    @property
-    def breakpoint(self) -> float | None:
-        return self.pieces[0].hi if len(self.pieces) == 2 else None
-
-    @property
-    def stack(self) -> "Stack":
-        """This function as a one-member Stack: its pieces, every row owned by 0."""
-        return Stack(tuple((p.lo, p.hi, p.terms, np.zeros(len(p.terms), dtype=np.int64))
-                           for p in self.pieces), 1)
-
-    def __call__(self, x):
-        """Evaluate at scalar or array x (Stack.values of this one function);
-        at the breakpoint, the mean of the two one-sided limits."""
-        xs = np.asarray(x, dtype=float)
-        out = self.stack.values(xs.ravel())[0].reshape(xs.shape)
-        return complex(out) if np.isscalar(x) else out
-
-    def derivative(self, order: int = 1) -> "PiecewiseTrig":
-        return self.stack.derivative(order).fn(0)
-
-    def scaled(self, c: complex) -> "PiecewiseTrig":
-        return PiecewiseTrig(tuple(Piece(p.lo, p.hi, p.terms.scaled(c)) for p in self.pieces))
-
-    def __add__(self, other: "PiecewiseTrig") -> "PiecewiseTrig":
-        return lincomb((self, other), (1.0, 1.0))
-
-    def __sub__(self, other: "PiecewiseTrig") -> "PiecewiseTrig":
-        return lincomb((self, other), (1.0, -1.0))
-
-
-def lincomb(fns: Sequence[PiecewiseTrig], coefs: Sequence[complex]) -> PiecewiseTrig:
-    """sum_j coefs[j] fns[j], merged once per piece.
-
-    Equal terms are summed in the order of `fns`, so a remainder such as
-    f - sum_j c_j psi_j keeps exact cancellations.
-    """
-    coefs = np.asarray(coefs, dtype=complex)
-    return PiecewiseTrig(tuple(Piece(lo, hi, [terms.scaled(coefs[owners])])
-                               for lo, hi, terms, owners in Stack.of(fns).pieces))
+    def __ne__(self, other) -> bool:
+        return not self == other
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +329,7 @@ def _pair_blocks(f: Terms, g: Terms, lo: float, hi: float):
 
 def inner_closed(f: PiecewiseTrig, g: PiecewiseTrig) -> complex:
     """Closed-form L2 inner product (conjugate-linear in f): inner_matrix's 1x1 entry."""
-    return complex(inner_matrix(f.stack, g.stack)[0, 0])
+    return complex(inner_matrix(f, g)[0, 0])
 
 
 def _edges(stacks: Iterable["Stack"]) -> list[float]:
@@ -395,17 +340,13 @@ def _edges(stacks: Iterable["Stack"]) -> list[float]:
 
 @dataclass(frozen=True)
 class Stack:
-    """`count` functions as arrays: per piece (lo, hi) of a shared partition
-    of [-pi/2, pi/2], one Terms of all their rows, ordered by owner j, and
-    each row's owner; a family kept so is sliced and integrated whole."""
+    """`count` functions as arrays: one Piece per interval (lo, hi) of a
+    shared partition of [-pi/2, pi/2], holding all their rows there,
+    ordered by owner j, and each row's owner; a family kept so is sliced
+    and integrated whole."""
 
-    pieces: tuple[tuple[float, float, Terms, np.ndarray], ...]
+    pieces: tuple[Piece, ...]
     count: int
-
-    @classmethod
-    def of(cls, fns: Sequence[PiecewiseTrig]) -> "Stack":
-        """The functions' one-member Stacks joined, in order."""
-        return cls.join([fn.stack for fn in fns])
 
     def on(self, lo: float, hi: float) -> tuple[Terms, np.ndarray]:
         """Rows and owners valid on (lo, hi), which must lie within one piece."""
@@ -417,13 +358,12 @@ class Stack:
     def take(self, start: int, stop: int) -> "Stack":
         """Functions start, ..., stop - 1."""
         cuts = (np.searchsorted(owners, [start, stop]) for *_, owners in self.pieces)
-        return Stack(tuple((lo, hi, t[i:j], o[i:j] - start)
+        return Stack(tuple(Piece(lo, hi, t[i:j], o[i:j] - start)
                            for (lo, hi, t, o), (i, j) in zip(self.pieces, cuts)), stop - start)
 
     def fn(self, j: int) -> PiecewiseTrig:
-        """Function j, built from its rows."""
-        return PiecewiseTrig(tuple(Piece(lo, hi, terms[slice(*np.searchsorted(owners, [j, j + 1]))])
-                                   for lo, hi, terms, owners in self.pieces))
+        """Function j: its rows, taken as they are."""
+        return PiecewiseTrig(self.take(j, j + 1).pieces)
 
     @classmethod
     def join(cls, stacks: Sequence["Stack"]) -> "Stack":
@@ -445,7 +385,7 @@ class Stack:
         pieces = []
         for lo, hi in zip(edges, edges[1:]):
             parts = [s.on(lo, hi) for s in stacks]
-            pieces.append((lo, hi, Terms.concat([t for t, _ in parts]), np.concatenate(
+            pieces.append(Piece(lo, hi, Terms.concat([t for t, _ in parts]), np.concatenate(
                 [np.zeros(0, dtype=np.int64)] + [o + off for (_, o), off in zip(parts, offsets)])))
         return cls(tuple(pieces), count)
 
@@ -453,13 +393,13 @@ class Stack:
         """Each function's rows merged as Terms.merged merges them, so equal
         keys of one owner sum in order of appearance (a difference cancels
         key by key) and no key is summed across owners."""
-        return Stack(tuple((lo, hi, *_merge_rows(t, o)) for lo, hi, t, o in self.pieces),
+        return Stack(tuple(Piece(lo, hi, *_merge_rows(t, o)) for lo, hi, t, o in self.pieces),
                      self.count)
 
     def scaled(self, z) -> "Stack":
         """Function j times z, or times z[j] for an array of count factors."""
         z = np.asarray(z)
-        return Stack(tuple((lo, hi, t.scaled(z[o] if z.ndim else z), o)
+        return Stack(tuple(Piece(lo, hi, t.scaled(z[o] if z.ndim else z), o)
                            for lo, hi, t, o in self.pieces), self.count)
 
     def derivative(self, order: int = 1) -> "Stack":
@@ -468,7 +408,7 @@ class Stack:
             raise ValueError("order must be 1 or 2")
         out = self
         for _ in range(order):
-            out = Stack(tuple((lo, hi, t.derivative(), np.concatenate((o, o)))
+            out = Stack(tuple(Piece(lo, hi, t.derivative(), np.concatenate((o, o)))
                               for lo, hi, t, o in out.pieces), self.count).merged()
         return out
 
@@ -505,16 +445,68 @@ class Stack:
         return out
 
 
+@dataclass(frozen=True)
+class PiecewiseTrig(Stack):
+    """One function: a Stack of count 1 on one or two pieces spanning
+    [-pi/2, pi/2], cut at most once, inside (the restart point)."""
+
+    count: int = 1
+
+    def __post_init__(self):
+        if self.count != 1:
+            raise ValueError("a PiecewiseTrig is one function")
+        if not 1 <= len(self.pieces) <= 2:
+            raise ValueError("one or two pieces supported")
+        if abs(self.pieces[0].lo + HALF_PI) > 1e-12 or abs(self.pieces[-1].hi - HALF_PI) > 1e-12:
+            raise ValueError("pieces must span [-pi/2, pi/2]")
+        for left, right in zip(self.pieces, self.pieces[1:]):
+            if left.hi != right.lo:
+                raise ValueError("pieces must be contiguous")
+            if not -HALF_PI < left.hi < HALF_PI:
+                raise ValueError("interior breakpoint must be strictly inside")
+
+    @classmethod
+    def single(cls, terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
+        return cls((Piece.one(-HALF_PI, HALF_PI, terms),))
+
+    @classmethod
+    def split(cls, xb: float, left_terms: Terms | Sequence[Terms],
+              right_terms: Terms | Sequence[Terms]) -> "PiecewiseTrig":
+        return cls((Piece.one(-HALF_PI, xb, left_terms), Piece.one(xb, HALF_PI, right_terms)))
+
+    @property
+    def breakpoint(self) -> float | None:
+        return self.pieces[0].hi if len(self.pieces) == 2 else None
+
+    def __call__(self, x):
+        """Evaluate at scalar or array x (Stack.values); at the breakpoint,
+        the mean of the two one-sided limits."""
+        xs = np.asarray(x, dtype=float)
+        out = self.values(xs.ravel())[0].reshape(xs.shape)
+        return complex(out) if np.isscalar(x) else out
+
+    def derivative(self, order: int = 1) -> "PiecewiseTrig":
+        return PiecewiseTrig(super().derivative(order).pieces)
+
+    def scaled(self, c: complex) -> "PiecewiseTrig":
+        return PiecewiseTrig(super().scaled(c).pieces)
+
+    def __add__(self, other: "PiecewiseTrig") -> "PiecewiseTrig":
+        """The sum, merged once per piece: equal terms sum in the order self,
+        other, so a remainder such as f - c psi keeps exact cancellations."""
+        return PiecewiseTrig(Stack.total((self, other)).pieces)
+
+    def __sub__(self, other: "PiecewiseTrig") -> "PiecewiseTrig":
+        return self + other.scaled(-1.0)
+
+
 def _group_starts(owners: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
 
 
-def inner_matrix(fs: Sequence[PiecewiseTrig] | Stack,
-                 gs: Sequence[PiecewiseTrig] | Stack) -> np.ndarray:
+def inner_matrix(fs: Stack, gs: Stack) -> np.ndarray:
     """Matrix of (f_j, g_k): every term pair of the two families goes
-    through the pair kernel, block by block.  Either family may come as a
-    Stack, whose rows are used as they are."""
-    fs, gs = (x if isinstance(x, Stack) else Stack.of(x) for x in (fs, gs))
+    through the pair kernel, block by block, on their rows as they are."""
     out = np.zeros((fs.count, gs.count), dtype=complex)
     edges = _edges((fs, gs))
     for lo, hi in zip(edges, edges[1:]):
@@ -531,16 +523,15 @@ def inner_matrix(fs: Sequence[PiecewiseTrig] | Stack,
     return out
 
 
-def norms_l2(fns: Sequence[PiecewiseTrig] | Stack) -> np.ndarray:
-    """L2 norms of many functions (a Stack, or a sequence that goes through
-    Stack.of) from one term Gram per segment: with I the integrals of
-    conj(t_u) t_v over the distinct keys (p, q, k, s) of all their terms
-    and c_f the coefficients of f on those keys, ||f||^2 = c_f^H I c_f.
+def norms_l2(stack: Stack) -> np.ndarray:
+    """L2 norms of a Stack's functions from one term Gram per piece: with I
+    the integrals of conj(t_u) t_v over the distinct keys (p, q, k, s) of
+    all their terms and c_f the coefficients of f on those keys,
+    ||f||^2 = c_f^H I c_f.
     inner_closed(f, f) sums the same integrals in another order; here one
     kernel pass over the keys' pairs serves all functions, and functions
     that share most of their terms, such as the remainders of one
     expansion, share most of I."""
-    stack = fns if isinstance(fns, Stack) else Stack.of(fns)
     squares = np.zeros(stack.count)
     for lo, hi, terms, owners in stack.pieces:
         order, starts = terms.key_runs()
@@ -624,14 +615,14 @@ def _quad_rounds(a: ParamA | float, kmax: float, rounds: int):
         n, last = 2 * n, sizes
 
 
-def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
+def quad_inner(stack: Stack, pairs, a: ParamA | float,
                max_rounds: int = 6) -> np.ndarray:
     """(f_i, f_j) for each index pair (i, j), a row of the (n, 2) `pairs`,
     by quadrature with panel doubling.
 
     Each round builds one grid, panels sized by the largest frequency of
-    the family, and samples the family once on it (`Stack.values`; a list
-    goes through Stack.of), with nodes as _quad_rounds sets them; the
+    the family, and samples the family once on it (`Stack.values`), with
+    nodes as _quad_rounds sets them; the
     refinement stops when every requested product moves by at most
     QUAD_TARGET * max(1, |product|).  Each piece of the grid samples the
     family's pieces it overlaps, so the restart point, which both grid
@@ -641,10 +632,9 @@ def quad_inner(fns: Stack | Sequence[PiecewiseTrig], pairs, a: ParamA | float,
     family.  Independent numerical route used to cross-check inner_closed
     and the printed projection norms.
     """
-    stack = fns if isinstance(fns, Stack) else Stack.of(fns)
     i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     cut = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
-    sides = [Stack(tuple(p for p in stack.pieces if lo < p[1] and p[0] < hi), stack.count)
+    sides = [Stack(tuple(p for p in stack.pieces if lo < p.hi and p.lo < hi), stack.count)
              for lo, hi in ((-HALF_PI, cut), (cut, HALF_PI))]
     prev = None
     for n in _quad_rounds(a, stack.kmax, max_rounds):

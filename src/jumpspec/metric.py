@@ -38,12 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from jumpspec.funcspace import (
-    PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix, norms_l2,
+    HALF_PI, Piece, PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix, norms_l2,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents, family_angle
 from jumpspec.eigensystem import BiorthFamily, phi_zero_mode
-
-HALF_PI = math.pi / 2
 
 # (psi_i, Theta psi_j)/(||psi_i|| ||psi_j||) carries at most 2.4e-15 of
 # rounding (measured over the families up to lambda 900 at sqrt(2)-1,
@@ -80,7 +78,7 @@ def _single_piece(fs: Stack) -> tuple[Terms, np.ndarray]:
         raise DomainViolation(
             "symbolic metric application needs a single-piece representation "
             "(operator-domain functions are globally smooth)")
-    return fs.pieces[0][2:]
+    return fs.pieces[0].terms, fs.pieces[0].owners
 
 
 def _antisymmetric_rows(fs: Stack, s: float) -> tuple[Terms, np.ndarray]:
@@ -95,7 +93,7 @@ def _antisymmetric_rows(fs: Stack, s: float) -> tuple[Terms, np.ndarray]:
 
 def project_center(fs: Stack) -> Stack:
     """P0 f_j = (f_j - f_j(-x))/2 on the whole interval, as rows not yet merged."""
-    return Stack(((-HALF_PI, HALF_PI, *_antisymmetric_rows(fs, 0.0)),), fs.count)
+    return Stack((Piece(-HALF_PI, HALF_PI, *_antisymmetric_rows(fs, 0.0)),), fs.count)
 
 
 def project_pieces(fs: Stack, a: ParamA) -> Stack:
@@ -103,8 +101,8 @@ def project_pieces(fs: Stack, a: ParamA) -> Stack:
     rows not yet merged."""
     av = a.value
     xb = HALF_PI * av
-    return Stack(((-HALF_PI, xb, *_antisymmetric_rows(fs, -HALF_PI * (1 - av))),
-                  (xb, HALF_PI, *_antisymmetric_rows(fs, HALF_PI * (1 + av)))), fs.count)
+    return Stack((Piece(-HALF_PI, xb, *_antisymmetric_rows(fs, -HALF_PI * (1 - av))),
+                  Piece(xb, HALF_PI, *_antisymmetric_rows(fs, HALF_PI * (1 + av)))), fs.count)
 
 
 def _require_domain(fs: Stack, a: ParamA, tol: float = 1e-9) -> None:
@@ -141,8 +139,8 @@ class MetricOp:
         two-piece output.  The rank-one coefficients (phi0, f_j) come from
         one inner_matrix call; the rows of P0 f_j, of (P- (+) P+) f_j and of
         phi0 (phi0, f_j) are merged once per owner."""
-        coef = inner_matrix([self.phi0], fs)[0]
-        rank_one = Stack.of([self.phi0] * fs.count).scaled(coef)
+        coef = inner_matrix(self.phi0, fs)[0]
+        rank_one = Stack.join([self.phi0] * fs.count).scaled(coef)
         return Stack.total((project_center(fs), project_pieces(fs, self.a), rank_one))
 
     def intertwining_residuals(self, fs: Stack, theta_fs: Stack | None = None) -> np.ndarray:

@@ -112,12 +112,12 @@ def check_lambda(lam: complex) -> complex:
 
 @dataclass
 class ResolventKernel:
-    """(H - lambda)^{-1} at one lambda: the kernel
-        R(x, y) = (i/2k) e^{ik|x-y|} + phi_1(x) alpha(y) + phi_2(x) beta(y),
-    (alpha, beta) the `coefficients` of the free kernel's boundary
-    differences, which `ThreePointSolve` feeds those of u_p: one
-    three-point solve for both.  `one_minus` holds the determinant's
-    factors (1 - E, 1 - P, 1 - Q); `ik`, `p`, `q` and `one_minus` are
+    """The three-point data of (H - lambda)^{-1} at one lambda: k, ik, and
+    the determinant's factors `one_minus` = (1 - E, 1 - P, 1 - Q), which
+    `build` guards against the spectrum; `coefficients` gives the (A, B)
+    of the homogeneous solutions `phis` that make u_p + A phi_1 + B phi_2
+    meet the three-point condition (`ThreePointSolve`), and `sine_matrix`
+    takes its c from the same factors.  `ik`, `p`, `q` and `one_minus` are
     floats at real lambda < 0, complex otherwise.
     """
 
@@ -180,13 +180,20 @@ def _particular(k: complex, t: Terms) -> tuple[Terms, Terms, Terms]:
     return rows, t[near & ~res], t[far | res]
 
 
+def _sinc(y):
+    """np.sinc(y) = sin(pi y)/(pi y), taken as 1 below |y| = 1e-150, where it
+    is 1 to the last bit: np.sinc's complex division of a subnormal
+    overflows to NaN."""
+    return np.sinc(np.where(abs(y) < 1e-150, 0, y))
+
+
 def _sinc_values(t: Terms, k: complex, x: np.ndarray, order: int) -> np.ndarray:
     """Sum over the p = 0 rows t of c (T - T_k)/(k_j^2 - k^2) at x, T =
     cos(k_j x + th), th = s - q pi/2, or of its derivative (order 1): with
     kb = (k_j + k)/2 and z = (k_j - k) x/2, -x sin(kb x + th) sinc(z) and
     -(k_j x cos(kb x + th) sinc(z) + sin(k x + th)), over k_j + k."""
     x = x[:, None]
-    th, sinc = t.s - t.q * HALF_PI, np.sinc((t.k - k) * x / (2 * math.pi))
+    th, sinc = t.s - t.q * HALF_PI, _sinc((t.k - k) * x / (2 * math.pi))
     wave = (t.k + k) / 2 * x + th
     vals = (-(t.k * x * np.cos(wave) * sinc + np.sin(k * x + th)) if order
             else -x * np.sin(wave) * sinc)
@@ -338,7 +345,7 @@ def _zone_entries(lam: complex, a_value: float, m: int) -> tuple[complex, comple
     z, s = t * HALF_PI, (-1) ** ((m - 1) // 2)
     den = (-2 * cmath.sin(k * HALF_PI * (1 + a_value) / 2)
            * cmath.sin(k * HALF_PI * (1 - a_value) / 2))
-    sinc = lambda w: np.sinc(w / math.pi)  # noqa: E731
+    sinc = lambda w: _sinc(w / math.pi)  # noqa: E731
     c_d = s * HALF_PI * sinc(z) / ((m + k) * den)  # c d_m = c/(m^2 - lambda)
     series = HALF_PI ** 2 * np.sum(_SIN_SERIES * z ** np.arange(1, 24, 2))  # (sin z - z)/t^2
     cos_ma = math.cos(m * HALF_PI * a_value)
@@ -391,8 +398,8 @@ def sine_matrix(lam: complex, a: ParamA, n: int) -> SineMatrix:
     k = cmath.sqrt(lam)
     m = 2 * math.floor(k.real / 2) + 1  # the odd integer nearest Re k
     resonant = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = 1 / gap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = 1 / gap  # inf only at the resonant odd m (even squares are poles), reset below
         u = math.sqrt(8 / math.pi) * j * (j % 2) * d
         y = math.sqrt(2 / math.pi) * _sin_pi(j * (1 + a.value) / 2) * d
     if m <= n and abs(lam - m * m) < NEAR_RESONANCE:

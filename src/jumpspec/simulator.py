@@ -57,9 +57,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from jumpspec.funcspace import HALF_PI
 from jumpspec.param import ParamA
-
-HALF_PI = math.pi / 2
 N_BINS = 50  # occupation histogram bins over (-pi/2, pi/2)
 BATCH_PATHS = 20_000  # paths per batch, each on its own Philox stream
 SAMPLE_STRIDE = 10  # occupation/moment subsampling, in steps; the longest fine-step stride

@@ -29,9 +29,11 @@ nearer one's only, the simulator's walk with every path taking every step
 of dt where the package moves paths by one step per stride, the
 renewal moments of the time between restarts, the closed-form pair
 kernel taking the sin and cos of each pair's two waves where the package
-takes them once per term row, and a function's terms on a segment, a
+takes them once per term row, a function's terms on a segment, a
 family's Stack and an inner product found from each function's own pieces
-and breakpoints where the package joins one-member Stacks.
+and breakpoints where the package joins one-member Stacks, and a linear
+combination merged as one function's rows (`lincomb`) where PiecewiseTrig's
++ and - merge a Stack.total per owner.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from jumpspec.eigensystem import (
 from jumpspec.funcspace import (
     _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack,
     Terms, _basis, _midpoint_phase, _pair_blocks, _two_sum, const, cos_term, grid_nodes,
-    grid_panels, inner_closed, inner_matrix, lincomb, sin_term,
+    grid_panels, inner_closed, inner_matrix, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
@@ -294,7 +296,7 @@ def injectivity_probe(a: ParamA, n_max: int, cross_n_max: int = 40) -> dict:
     max_off = 0.0
     max_diag_dev = 0.0
     modes = {n: neumann_mode(n) for n in range(0, cross_n_max + 1, 2)}
-    stack = project_pieces(Stack.of(list(modes.values())), a)
+    stack = project_pieces(Stack.join(list(modes.values())), a)
     projected = {n: stack.fn(j) for j, n in enumerate(modes)}
     for n, pn in projected.items():
         for m, chim in modes.items():
@@ -769,6 +771,17 @@ def mp_root_space_pairings(a: ParamA, m: int, t: int, dps: int = 50) -> mp.matri
         return out
 
 
+def lincomb(fns, coefs) -> PiecewiseTrig:
+    """sum_j coefs[j] fns[j], merged once per piece with no owners: the
+    functions joined, every row times its function's coefficient, and the
+    rows concatenated in the order of fns and merged as one function's.
+    PiecewiseTrig's + and - merge a Stack.total per owner instead, which
+    must sum the same rows in the same order, bit for bit."""
+    coefs = np.asarray(coefs, dtype=complex)
+    return PiecewiseTrig(tuple(Piece.one(lo, hi, [terms.scaled(coefs[owners])])
+                               for lo, hi, terms, owners in Stack.join(fns).pieces))
+
+
 def per_pair_family(a: ParamA, lambda_max: float) -> list[tuple[PiecewiseTrig, PiecewiseTrig]]:
     """The normalized family (psi_j, phi_j) built pair by pair from the
     printed vectors: each simple dual scaled by 1/conj(pairing), and each
@@ -785,7 +798,7 @@ def per_pair_family(a: ParamA, lambda_max: float) -> list[tuple[PiecewiseTrig, P
             pairs.append((fwd[0], adj[0].scaled(1.0 / np.conj(_simple_pairing(rec, a)))))
             continue
         trial = [adj[0], adj[2], adj[1]]
-        coef = np.conj(np.linalg.inv(inner_matrix(trial, fwd)))
+        coef = np.conj(np.linalg.inv(inner_matrix(Stack.join(trial), Stack.join(fwd))))
         pairs += [(psi, lincomb(trial, coef[j])) for j, psi in enumerate(fwd)]
     return pairs
 
@@ -793,7 +806,7 @@ def per_pair_family(a: ParamA, lambda_max: float) -> list[tuple[PiecewiseTrig, P
 def per_remainder_residuals(f: PiecewiseTrig, pairs, checkpoints: list[int]) -> dict[int, float]:
     """||f - sum_{j<=N} psi_j (phi_j, f)|| as one lincomb and one norm_l2
     per checkpoint: every remainder's own term pairs through the kernel."""
-    coeffs = inner_matrix([pairs.phi.fn(j) for j in range(len(pairs))], [f])[:, 0]
+    coeffs = inner_matrix(pairs.phi, f)[:, 0]
     members = [pairs.psi.fn(j) for j in range(len(pairs))]
     return {n: norm_l2(lincomb([f, *members[:n]], [1.0, *-coeffs[:n]])) for n in checkpoints}
 
@@ -850,7 +863,7 @@ def per_record_quadrature_norms(a: ParamA, lambda_max: float) -> list[float]:
         fwd, adj = printed_root_vectors(rec, a)
         partners = adj if len(adj) == 1 else [adj[0], adj[2], adj[1]]
         for psi, phi in zip(fwd, partners):
-            g = quad_gram([psi, phi], a)
+            g = quad_gram(Stack.join([psi, phi]), a)
             out.append(math.sqrt(g[0, 0].real) * math.sqrt(g[1, 1].real) / abs(complex(g[1, 0])))
     return out
 
@@ -886,7 +899,7 @@ def _derivative(f: PiecewiseTrig) -> PiecewiseTrig:
     """f', one term at a time: (c x^p cos(t))' = p c cos(t) - k c x^p sin(t),
     with -sin(t) = cos(t + pi/2) one quarter turn less."""
     return PiecewiseTrig(tuple(
-        Piece(piece.lo, piece.hi, _term_rows(
+        Piece.one(piece.lo, piece.hi, _term_rows(
             [row for p, c, k, s, q in _rows(piece.terms)
              for row in ([(0, c, k, s, q)] if p else []) + [(p, k * c, k, s, q - 1)]]))
         for piece in f.pieces))
@@ -1037,11 +1050,12 @@ def _function_edges(fns) -> list[float]:
 
 
 def per_function_stack(fns) -> Stack:
-    """Stack.of built from the functions themselves: per segment of their
-    breakpoints, each function's terms_on in order, owners by repeat."""
+    """Stack.join of the functions, built from the functions themselves:
+    per segment of their breakpoints, each function's terms_on in order,
+    owners by repeat."""
     edges = _function_edges(fns)
     parts = [(lo, hi, [terms_on(fn, lo, hi) for fn in fns]) for lo, hi in zip(edges, edges[1:])]
-    return Stack(tuple((lo, hi, Terms.concat(part),
+    return Stack(tuple(Piece(lo, hi, Terms.concat(part),
                         np.repeat(np.arange(len(fns)), [len(t) for t in part]))
                        for lo, hi, part in parts), len(fns))
 

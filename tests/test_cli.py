@@ -423,6 +423,37 @@ def test_numerical_failure_exits_3_with_an_error_record(tmp_path):
     assert not (out / "resolvent_report.json").exists()
 
 
+def test_a_failed_svd_exits_3_with_an_error_record(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, which is a usage error (exit 2)
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    out = tmp_path / "svd"
+    # lambda = 1 is in the resonant zone of m = 1, which takes the dense SVD
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda", "1", "--svd-n", "64",
+                    "--out", str(out)]) == 3
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error["type"] == "LinAlgError" and error["stage"] == "singular_value_probe"
+
+
+@pytest.mark.parametrize("lam", ["1,1e-300", "1,1e-310"])
+def test_a_subnormal_distance_to_a_dirichlet_point_gives_finite_output(tmp_path, lam):
+    # np.sinc of a complex subnormal overflowed: a NaN row in resolvent_u.csv
+    # at 1e-300i, and at 1e-310i a NaN matrix entry that failed the SVD;
+    # a RuntimeWarning is an error here (pyproject.toml's filterwarnings)
+    out, near = tmp_path / "sub", tmp_path / "near"
+    for where, value in ((out, lam), (near, "1,1e-14")):
+        assert run_cli(["resolvent", "--a", "1/3", f"--lambda={value}", "--f", "sin1",
+                        "--svd-n", "64", "--out", str(where)]) == 0
+    for name in ("resolvent_u.csv", "singular_values.csv"):
+        values = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(values)), name
+    assert (out / "singular_values.csv").read_text() == (near / "singular_values.csv").read_text()
+    report = json.loads((out / "resolvent_report.json").read_text())
+    assert all(math.isfinite(v) for v in report.values())
+
+
 @pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
 def test_resolvent_at_a_dirichlet_point_off_the_spectrum(tmp_path, expr):
     out = tmp_path / "one"

@@ -8,7 +8,7 @@ import pytest
 from jumpspec import funcspace
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
-    HALF_PI, QUAD_START_NODES, OutOfDomain, PiecewiseTrig, QuadratureNotConverged, Stack,
+    HALF_PI, QUAD_START_NODES, OutOfDomain, Piece, PiecewiseTrig, QuadratureNotConverged, Stack,
     Terms, _quad_rounds, const,
     cos_term, eval_exact, gauss_lobatto, grid_nodes, grid_panels, inner_closed,
     inner_matrix, norms_l2, quad_inner, sin_term,
@@ -16,8 +16,8 @@ from jumpspec.funcspace import (
 from jumpspec.param import ParamA
 
 from reference_oracles import (
-    eval_terms, one_sided, per_function_stack, terms_on, validate_domain_H, validate_domain_Hstar,
-    zero_function,
+    eval_terms, lincomb, one_sided, per_function_stack, terms_on, validate_domain_H,
+    validate_domain_Hstar, zero_function,
 )
 from util import linear, norm_l2, quad_gram, random_trig, xsin_term
 
@@ -54,7 +54,7 @@ def test_eval_out_of_domain():
     with pytest.raises(OutOfDomain):
         f(2.0)
     with pytest.raises(OutOfDomain):
-        Stack.of([f]).values(np.array([0.0, -2.0]))
+        f.values(np.array([0.0, -2.0]))
 
 
 def _mixed_family(rng, xb: float) -> list[PiecewiseTrig]:
@@ -74,7 +74,7 @@ def test_stack_values_are_each_functions_piece_values():
     xb = 0.3
     fns = _mixed_family(rng, xb) + [PiecewiseTrig.split(xb, [const(1.0)], [linear(1.0)])]
     xs = np.concatenate([[-HALF_PI, xb, HALF_PI, 0.0], rng.uniform(-HALF_PI, HALF_PI, 40)])
-    vals = Stack.of(fns).values(xs)
+    vals = Stack.join(fns).values(xs)
     assert vals.shape == (len(fns), len(xs))
     for f, row in zip(fns, vals):
         left, right = (eval_terms(p.terms, xs) for p in (f.pieces[0], f.pieces[-1]))
@@ -98,38 +98,38 @@ def test_stack_merge_cancels_a_difference_key_by_key():
     # rows apart and equals the one-function merge of each sum
     rng = np.random.default_rng(22)
     fns = _mixed_family(rng, -0.4)
-    stack = Stack.of(fns)
+    stack = Stack.join(fns)
     assert all(len(t) == 0 for *_, t, _ in Stack.total((stack, stack.scaled(-1.0))).pieces)
     others = _mixed_family(rng, -0.4)
-    total = Stack.total((stack, Stack.of(others)))
+    total = Stack.total((stack, Stack.join(others)))
     for j, (f, g) in enumerate(zip(fns, others)):
         assert _same_rows(total, j, f + g)
     # quarter turns fold mod 4: cos(kx - pi) = -cos(kx) cancels cos(kx)
     turned = Terms(np.array([0, 0]), np.array([1.0, 1.0], dtype=complex),
                    np.array([2.0, 2.0]), np.array([0.0, 0.0]), np.array([0, 2]))
-    one = Stack(((-HALF_PI, HALF_PI, turned, np.array([0, 0])),), 1)
-    assert len(one.merged().pieces[0][2]) == 0
+    one = Stack((Piece(-HALF_PI, HALF_PI, turned, np.array([0, 0])),), 1)
+    assert len(one.merged().pieces[0].terms) == 0
 
 
 def test_stack_derivative_and_scaling_are_member_wise():
     rng = np.random.default_rng(23)
     fns = _mixed_family(rng, 0.1)
     z = rng.normal(size=len(fns)) + 1j * rng.normal(size=len(fns))
-    d2, scaled = Stack.of(fns).derivative(2), Stack.of(fns).scaled(z)
+    d2, scaled = Stack.join(fns).derivative(2), Stack.join(fns).scaled(z)
     for j, f in enumerate(fns):
         assert _same_rows(d2, j, f.derivative(2))
         assert _same_rows(scaled, j, f.scaled(z[j]))
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_stack_of_is_the_per_function_construction(seed):
-    # the join of one-member Stacks holds, bit for bit, the rows and owners
-    # that each function's own partition and piece lookup gave
+def test_stack_join_is_the_per_function_construction(seed):
+    # the join of functions (one-member Stacks) holds, bit for bit, the rows
+    # and owners that each function's own partition and piece lookup give
     rng = np.random.default_rng(30 + seed)
     for xb in (-0.4, 0.1, 0.3):
         fns = _mixed_family(rng, xb) + _mixed_family(rng, 0.1)[::-1]
         for family in (fns, fns[:1], fns[-2:], fns[3:4]):
-            got, want = Stack.of(family), per_function_stack(family)
+            got, want = Stack.join(family), per_function_stack(family)
             assert got.count == want.count and len(got.pieces) == len(want.pieces)
             for (lo, hi, terms, owners), (lo2, hi2, terms2, owners2) in zip(got.pieces,
                                                                             want.pieces):
@@ -137,23 +137,87 @@ def test_stack_of_is_the_per_function_construction(seed):
                 assert owners.dtype == owners2.dtype and np.array_equal(owners, owners2)
 
 
+def _bitwise(f: PiecewiseTrig, g: PiecewiseTrig) -> bool:
+    """Whether f and g have the same pieces, rows and owners, bit for bit."""
+    return type(f) is type(g) and len(f.pieces) == len(g.pieces) and all(
+        (p.lo, p.hi) == (q.lo, q.hi) and np.array_equal(p.owners, q.owners)
+        and all(getattr(p.terms, n).dtype == getattr(q.terms, n).dtype
+                and getattr(p.terms, n).tobytes() == getattr(q.terms, n).tobytes()
+                for n in Terms.__slots__)
+        for p, q in zip(f.pieces, g.pieces))
+
+
+def _raw_derivative(f: PiecewiseTrig) -> PiecewiseTrig:
+    """f' as the unmerged rows of Terms.derivative, piece by piece."""
+    return PiecewiseTrig(tuple(Piece(lo, hi, t.derivative(), np.zeros(2 * len(t), dtype=np.int64))
+                               for lo, hi, t, _ in f.pieces))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_function_algebra_is_the_one_function_merge_bit_for_bit(seed):
+    # +, -, scaled and derivative of a one-member Stack give, bit for bit,
+    # what the one-function merge (lincomb, its rows in the order of the
+    # terms) gives
+    rng = np.random.default_rng(40 + seed)
+    for xb in (-0.4, 0.3):
+        fns = _mixed_family(rng, xb) + _mixed_family(rng, 0.1)
+        for f, g in zip(fns, fns[::-1]):
+            z = complex(rng.normal(), rng.normal())
+            assert _bitwise(f + g, lincomb([f, g], [1.0, 1.0]))
+            assert _bitwise(f - g, lincomb([f, g], [1.0, -1.0]))
+            assert _bitwise(f.scaled(z), lincomb([f], [z]))
+            once = lincomb([_raw_derivative(f)], [1.0])
+            assert _bitwise(f.derivative(1), once)
+            assert _bitwise(f.derivative(2), lincomb([_raw_derivative(once)], [1.0]))
+        assert all(len(t) == 0 for f in fns for _, _, t, _ in (f - f).pieces)
+
+
+def test_a_function_is_one_member():
+    f = PiecewiseTrig.split(0.2, [cos_term(1.0, 3.0)], [sin_term(2.0, 1.0)])
+    g = PiecewiseTrig.single(cos_term(1.0, 1.0))
+    assert isinstance(f, Stack) and f.count == 1
+    # a member is read off as it is, on the Stack's partition
+    assert _bitwise(f.fn(0), f) and _bitwise(Stack.join([f, g]).fn(0), f)
+    assert [p.terms for p in Stack.join([f, g]).fn(1).pieces] == [g.pieces[0].terms] * 2
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="one function"):
+            PiecewiseTrig(f.pieces, count)
+    with pytest.raises(ValueError, match="one function"):
+        PiecewiseTrig.join([f, g])
+    assert _bitwise(PiecewiseTrig.join([f]), f)
+    with pytest.raises(ValueError, match="span"):
+        PiecewiseTrig(f.pieces[:1])
+
+
+def test_piece_equality_compares_owners():
+    piece = Stack.join([PiecewiseTrig.single(cos_term(1.0, 2.0)),
+                        PiecewiseTrig.single(sin_term(1.0, 3.0))]).pieces[0]
+    same = Piece(piece.lo, piece.hi, piece.terms, piece.owners.copy())
+    moved = piece._replace(owners=piece.owners[::-1].copy())
+    assert piece == same and not piece != same
+    assert piece != moved and not piece == moved
+    assert piece != piece._replace(hi=0.0) and piece != piece._replace(terms=piece.terms[::-1])
+    # a Stack compares its pieces, and so its owners
+    assert Stack((piece,), 2) == Stack((same,), 2) != Stack((moved,), 2)
+
+
 def test_no_functions_still_span_the_interval():
     # the join of no Stacks is one full-interval piece without rows, so a
     # family of none meets any other in a (0, n) inner-product matrix
-    empty = Stack.of([])
+    empty = Stack.join([])
     assert empty.count == 0 and len(empty.pieces) == 1
     lo, hi, terms, owners = empty.pieces[0]
     assert (lo, hi) == (-HALF_PI, HALF_PI) and len(terms) == 0 and len(owners) == 0
     f = PiecewiseTrig.split(0.2, [cos_term(1.0, 3.0)], [sin_term(2.0, 1.0)])
-    assert inner_matrix([], [f]).shape == (0, 1)
-    assert inner_matrix([f], []).shape == (1, 0)
-    assert norms_l2([]).shape == (0,)
+    assert inner_matrix(empty, f).shape == (0, 1)
+    assert inner_matrix(f, empty).shape == (1, 0)
+    assert norms_l2(empty).shape == (0,)
 
 
 def test_stack_join_keeps_every_function_in_order():
     rng = np.random.default_rng(24)
     first, second = _mixed_family(rng, 0.1), _mixed_family(rng, 0.1)
-    joined = Stack.join((Stack.of(first), Stack.of(second)))
+    joined = Stack.join((Stack.join(first), Stack.join(second)))
     assert joined.count == len(first) + len(second)
     xs = np.linspace(-HALF_PI, HALF_PI, 33)
     for j, f in enumerate(first + second):
@@ -228,8 +292,9 @@ def test_closed_matches_quadrature_random(seed):
     for _ in range(25):
         f = random_trig(rng)
         g = random_trig(rng)
-        closed = inner_matrix([f, g], [f, g])
-        quad = quad_gram([f, g], a)
+        pair = Stack.join([f, g])
+        closed = inner_matrix(pair, pair)
+        quad = quad_gram(pair, a)
         assert np.all(np.abs(closed - quad) < 1e-10 * np.maximum(1.0, np.abs(closed)))
 
 
@@ -237,10 +302,11 @@ def test_norms_and_quadrature_take_a_stack_as_its_functions():
     rng = np.random.default_rng(25)
     a = ParamA.from_expr("1/pi")
     fns = _mixed_family(rng, HALF_PI * a.value)
-    stack = Stack.of(fns)
-    assert np.array_equal(norms_l2(stack), norms_l2(fns))
-    assert np.allclose(norms_l2(stack), [norm_l2(f) for f in fns], rtol=1e-13, atol=0)
-    assert np.array_equal(quad_gram(stack, a), quad_gram(fns, a))
+    stack = Stack.join(fns)
+    norms = norms_l2(stack)
+    assert np.allclose(norms, [norm_l2(f) for f in fns], rtol=1e-13, atol=0)
+    assert np.allclose(norms, [norms_l2(f)[0] for f in fns], rtol=1e-13, atol=0)
+    assert np.allclose(np.sqrt(quad_gram(stack, a).diagonal().real), norms, rtol=1e-10, atol=0)
 
 
 def test_positive_definite():
@@ -348,7 +414,7 @@ def test_quadrature_not_converged():
     a = ParamA.from_expr("0")
     f = PiecewiseTrig.single([const(1.0)])
     with pytest.raises(QuadratureNotConverged):
-        quad_inner([f], [(0, 0)], a, max_rounds=1)  # no second round to compare with
+        quad_inner(f, [(0, 0)], a, max_rounds=1)  # no second round to compare with
 
 
 def _round_nodes(a: ParamA, kmax: float) -> list[int]:
@@ -384,7 +450,7 @@ def test_quad_inner_refines_at_high_frequency(monkeypatch):
     monkeypatch.setattr(funcspace, "_grid_pieces", recorded)
     a = ParamA.from_expr("sqrt(2)-1")
     f = PiecewiseTrig.single([cos_term(1.0, 100.0), sin_term(0.5, 99.0)])
-    got = quad_inner([f], [(0, 0)], a)
+    got = quad_inner(f, [(0, 0)], a)
     assert abs(got[0] - inner_closed(f, f)) < 1e-12 * abs(got[0])
     assert len(grids) >= 2 and all(later > earlier for earlier, later in zip(grids, grids[1:]))
 
@@ -395,8 +461,9 @@ def test_quad_inner_forms_the_requested_products():
     a = ParamA.from_expr("2/5")
     fns = _mixed_family(rng, HALF_PI * a.value)[:-1]
     pairs = np.array([(0, 0), (3, 1), (1, 3), (2, 2), (3, 1), (0, 2)])
-    got = quad_inner(Stack.of(fns), pairs, a)
-    want = inner_matrix(fns, fns)[pairs[:, 0], pairs[:, 1]]
+    stack = Stack.join(fns)
+    got = quad_inner(stack, pairs, a)
+    want = inner_matrix(stack, stack)[pairs[:, 0], pairs[:, 1]]
     assert got.shape == (len(pairs),)
     assert np.all(np.abs(got - want) < 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -406,9 +473,10 @@ def test_quad_inner_takes_one_sided_values_at_a_jump():
     # side; sampled at the mean of the two values, the jump to 2 + x there
     # left the rule first order and QuadratureNotConverged was raised
     a = ParamA.from_expr("1/pi")
-    fns = [PiecewiseTrig.split(HALF_PI * a.value, [sin_term(1.0, 3.0), cos_term(0.5, 2.0)],
-                               [const(2.0), linear(1.0)]),
-           PiecewiseTrig.single(cos_term(1.0, 1.0))]
+    fns = Stack.join([PiecewiseTrig.split(HALF_PI * a.value,
+                                          [sin_term(1.0, 3.0), cos_term(0.5, 2.0)],
+                                          [const(2.0), linear(1.0)]),
+                      PiecewiseTrig.single(cos_term(1.0, 1.0))])
     got = quad_gram(fns, a)
     want = inner_matrix(fns, fns)
     assert np.max(np.abs(got - want)) < 1e-10

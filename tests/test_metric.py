@@ -5,7 +5,7 @@ import pytest
 
 from jumpspec import metric
 from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
-from jumpspec.funcspace import PiecewiseTrig, Stack, const, cos_term, inner_closed
+from jumpspec.funcspace import Piece, PiecewiseTrig, Stack, const, cos_term, inner_closed
 from jumpspec.metric import (
     ROUNDING_BOUND, DomainViolation, MetricOp, contract_failures,
     even_mode_coefficient, noninvertibility_probe,
@@ -25,12 +25,12 @@ SQRT2M1 = ParamA.from_expr("sqrt(2)-1")
 
 def project_center(f: PiecewiseTrig) -> PiecewiseTrig:
     """metric.project_center of the one function f."""
-    return metric.project_center(Stack.of([f])).fn(0)
+    return metric.project_center(f).fn(0)
 
 
 def project_pieces(f: PiecewiseTrig, a: ParamA) -> PiecewiseTrig:
     """metric.project_pieces of the one function f."""
-    return metric.project_pieces(Stack.of([f]), a).fn(0)
+    return metric.project_pieces(f, a).fn(0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_theta_of_zero_and_constant():
     # antisymmetrizers annihilate constants: Theta 1 = phi0 (phi0, 1)
     expect = op.phi0.scaled(inner_closed(op.phi0, one))
     assert norm_l2(apply_theta(op, one) - expect) < 1e-12
-    assert op.intertwining_residuals(Stack.of([one]))[0] < 1e-12
+    assert op.intertwining_residuals(one)[0] < 1e-12
 
 
 def test_theta_term_by_term():
@@ -142,7 +142,7 @@ def test_intertwining_on_domain_members():
                for rec in enumerate_spectrum(a, 150.0)]
     members += [random_domain_member(a, rng) for _ in range(10)]
     for psi in members:
-        res = op.intertwining_residuals(Stack.of([psi]))[0]
+        res = op.intertwining_residuals(psi)[0]
         assert res / max(norm_l2(psi), 1e-300) < 1e-8
 
 
@@ -170,11 +170,11 @@ def test_domain_violation_rejected():
     op = MetricOp.build(SQRT2M1)
     bad = PiecewiseTrig.single([cos_term(1.0, 2.0)])  # breaks the BCs
     with pytest.raises(DomainViolation):
-        op.intertwining_residuals(Stack.of([bad]))
+        op.intertwining_residuals(bad)
     # one bad member among domain members fails the whole batch, by name
     members = [random_domain_member(SQRT2M1, np.random.default_rng(11)) for _ in range(3)]
     with pytest.raises(DomainViolation, match="f_2: boundary condition"):
-        op.intertwining_residuals(Stack.of(members[:2] + [bad] + members[2:]))
+        op.intertwining_residuals(Stack.join(members[:2] + [bad] + members[2:]))
 
 
 def test_domain_check_tolerance_scales_with_the_sup():
@@ -188,10 +188,10 @@ def test_domain_check_tolerance_scales_with_the_sup():
     for factor, ok in ((0.9, True), (1.1, False)):
         f = base + bump.scaled(factor * 1e-9 * scale / at_xb)
         if ok:
-            op.intertwining_residuals(Stack.of([f]))
+            op.intertwining_residuals(f)
         else:
             with pytest.raises(DomainViolation):
-                op.intertwining_residuals(Stack.of([f]))
+                op.intertwining_residuals(f)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +228,14 @@ def _shifted_antisymmetrizer(monkeypatch, which: str, shift: float = 1e-9) -> No
     rows = metric._antisymmetric_rows
     if which == "P0":
         monkeypatch.setattr(metric, "project_center", lambda fs: Stack(
-            ((-HALF_PI, HALF_PI, *rows(fs, shift)),), fs.count))
+            (Piece(-HALF_PI, HALF_PI, *rows(fs, shift)),), fs.count))
         return
 
     def project_pieces_shifted(fs, a):
         av = a.value
         xb = HALF_PI * av
-        return Stack(((-HALF_PI, xb, *rows(fs, -HALF_PI * (1 - av) + shift)),
-                      (xb, HALF_PI, *rows(fs, HALF_PI * (1 + av)))), fs.count)
+        return Stack((Piece(-HALF_PI, xb, *rows(fs, -HALF_PI * (1 - av) + shift)),
+                      Piece(xb, HALF_PI, *rows(fs, HALF_PI * (1 + av)))), fs.count)
     monkeypatch.setattr(metric, "project_pieces", project_pieces_shifted)
 
 

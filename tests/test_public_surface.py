@@ -37,11 +37,13 @@ UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 # second routes that left the package for tests/reference_oracles.py (the
 # resolvent's panel sweep, the metric's Neumann-mode scan, the pair kernel
 # with its own sin and cos per pair, a function's own piece lookup, the
-# Nystrom probe of the resolvent kernel): a definition of one of them in
+# Nystrom probe of the resolvent kernel, the one-function merge that + and -
+# of PiecewiseTrig once went through): a definition of one of them in
 # src/jumpspec again would be a second route there
 MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
                     "_wave_integrals", "_pair_integrals", "eval_terms", "terms_on",
-                    "kernel_matrix", "nystrom_nodes", "complex_probe_singular_values"}
+                    "kernel_matrix", "nystrom_nodes", "complex_probe_singular_values",
+                    "lincomb"}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -300,3 +302,30 @@ def test_an_unused_import_is_flagged(tmp_path):
         "def f():\n    return os.path.sep, pi\n")
     assert unused_imports(module) == [f"{tmp_path.name}/mod.py:system",
                                       f"{tmp_path.name}/mod.py:tau"]
+
+
+def names_assigned_twice(package: Path) -> list[str]:
+    """Top-level names that two or more package modules assign: a constant
+    is defined once and imported where else it is used."""
+    modules: dict[str, set[str]] = {}
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            for node in (sub for target in targets for sub in ast.walk(target)):
+                if isinstance(node, ast.Name):
+                    modules.setdefault(node.id, set()).add(path.name)
+    return sorted(name for name, where in modules.items() if len(where) > 1)
+
+
+def test_no_top_level_name_is_assigned_in_two_modules():
+    assert names_assigned_twice(PACKAGE) == []
+
+
+def test_a_name_assigned_in_two_modules_is_flagged(tmp_path):
+    (tmp_path / "one.py").write_text("import math\n\nHALF_PI = math.pi / 2\nA, B = 1, 2\n")
+    (tmp_path / "two.py").write_text("import math\n\nHALF_PI = math.pi / 2\nB: int = 3\n")
+    (tmp_path / "three.py").write_text("from one import HALF_PI\n\n\ndef f():\n    A = 1\n"
+                                       "    return A * HALF_PI\n")
+    assert names_assigned_twice(tmp_path) == ["B", "HALF_PI"]

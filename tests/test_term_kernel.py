@@ -276,16 +276,16 @@ def test_gram_matches_the_per_pair_oracle(monkeypatch, expr):
 
 
 def test_completeness_norms_match_the_per_pair_oracle(monkeypatch):
-    remainders = []
+    normed = []
 
     def keep(fns):
-        remainders.extend(fns)
+        normed.append(fns)
         return norms_l2(fns)
 
     monkeypatch.setattr(basis_diag, "norms_l2", keep)
     basis_diag.truncated_completeness(ParamA.from_expr("sqrt(2)-1"), 200, 4)
-    assert len(remainders) == 5 * 4
-    stack = Stack.of(remainders)
+    [stack] = normed
+    assert stack.count == 5 * 4
     squares = norms_l2(stack) ** 2
     oracle = _per_pair_oracle(monkeypatch, lambda: norms_l2(stack)) ** 2
     assert np.all(np.abs(squares - oracle) <= bound_matrix(stack, stack).diagonal())

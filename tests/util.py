@@ -22,15 +22,14 @@ def norm_l2(f: PiecewiseTrig) -> float:
 
 def apply_theta(op: MetricOp, f: PiecewiseTrig) -> PiecewiseTrig:
     """Theta f for one single-piece f: MetricOp.apply_all of the one member."""
-    return op.apply_all(Stack.of([f])).fn(0)
+    return op.apply_all(f).fn(0)
 
 
-def quad_gram(fns, a, max_rounds: int = 6) -> np.ndarray:
+def quad_gram(fns: Stack, a, max_rounds: int = 6) -> np.ndarray:
     """Hermitian matrix of (f_j, f_k) by quadrature: quad_inner over
-    every index pair of the family (a Stack or a list)."""
-    count = fns.count if isinstance(fns, Stack) else len(fns)
-    pairs = np.indices((count, count)).reshape(2, -1).T
-    return quad_inner(fns, pairs, a, max_rounds).reshape(count, count)
+    every index pair of the family."""
+    pairs = np.indices((fns.count, fns.count)).reshape(2, -1).T
+    return quad_inner(fns, pairs, a, max_rounds).reshape(fns.count, fns.count)
 
 
 def linear(c: complex) -> Terms:
