@@ -28,7 +28,7 @@ import numpy as np
 
 from jumpspec.eigensystem import BiorthFamily, _chains, biorthogonalize
 from jumpspec.funcspace import (
-    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, norms_l2, quad_inner, sin_term,
+    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, inner_pairs, norms_l2, sin_term,
 )
 from jumpspec.param import (
     NotIrrational, ParamA, convergents, family_angle, is_exceptional,
@@ -39,11 +39,6 @@ from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 # rational_bound_check's largest m_max: it takes 43-100 us per m on a
 # 2-core x86-64 host, so about 4-10 s at the cap (m_max = 10^8 would take hours)
 MAX_BOUND_M = 10 ** 5
-# records per quad_inner call in projection_norms
-_QUAD_BAND = 16
-# members x largest k projection_norms accepts (each band's grid grows with its
-# k): 4e6 (2000 members at sqrt(2)-1) takes 13 s and 115 MB peak RSS on one core
-MAX_PROJECTION_WORK = 4e6
 
 
 class Which(enum.Enum):
@@ -58,7 +53,7 @@ class ProjNormRecord:
     record: EigRecord
     which: Which
     closed_form: float
-    quadrature: float
+    pairing: float
 
 
 # ---------------------------------------------------------------------------
@@ -103,59 +98,34 @@ def _closed_simple(rec: EigRecord, a: ParamA) -> float:
 
 
 def _projection_norms(a: ParamA, records: list[EigRecord]) -> list[ProjNormRecord]:
-    """Closed-form projection norms of the records with the quadrature
-    cross-value.
+    """Closed-form projection norms of the records with the pairing
+    cross-value ||psi|| ||phi|| / |(phi, psi)| of each projection.
 
-    The quadrature side is ||psi|| ||phi|| / |(phi, psi)| for each
-    projection, a route fully independent of the printed formulas.  The
-    raw root vectors of all records come from one `_chains` call (forward
-    ones, then adjoint ones); the records are then taken in bands of
-    _QUAD_BAND in ascending order, and one `quad_inner` call per band
-    forms the three products of each of its projections on a grid sized by
-    the band's own largest frequency.  So the time grows like a
-    record-by-record loop's (records x frequency) and the memory with one
-    band.  The pairs are (psi, phi) at a simple record and (psi1, phi1),
-    (psi2, eta), (xi, phi2) at an exceptional pair.
+    The raw root vectors of all records come from one `_chains` call, whose
+    adjoint j is the partner of forward j: (psi, phi) at a simple record
+    and (psi1, phi1), (psi2, eta), (xi, phi2) at an exceptional pair.  The
+    three products of every projection are three `inner_pairs` calls, so
+    the time is linear in the records.  The cross-value shares the pair
+    kernel with the Gram suite, but it integrates the built root vectors,
+    not the printed formulas, so it still checks them independently.
     """
     fwd, adj = _chains(a, records)
-    rows = []     # (record, which, closed form) of each projection
-    partner = []  # the adjoint index paired with each forward root vector
-    first = []    # each record's first root vector
+    rows = []  # (record, which, closed form) of each projection
     for rec in records:
-        v = len(partner)
-        first.append(v)
         if rec.case is SpectralCase.EXCEPTIONAL_PAIR:
             closed = _proj_norms_exceptional(a, rec.class_index(-1))
             rows += zip([rec] * 3, (Which.P1, Which.P2, Which.P3), closed)
-            partner += [v, v + 2, v + 1]
         else:
             rows.append((rec, Which.SINGLE, _closed_simple(rec, a)))
-            partner.append(v)
-    first.append(len(partner))
-    quad = []
-    for r in range(0, len(records), _QUAD_BAND):
-        start, stop = first[r], first[min(r + _QUAD_BAND, len(records))]
-        psi = np.arange(stop - start)
-        phi = (stop - start) + np.array(partner[start:stop]) - start
-        band = Stack.join((fwd.take(start, stop), adj.take(start, stop)))
-        psi_sq, phi_sq, cross = quad_inner(
-            band, np.column_stack((np.r_[psi, phi, phi], np.r_[psi, phi, psi])), a).reshape(3, -1)
-        quad += list(np.sqrt(psi_sq.real) * np.sqrt(phi_sq.real) / np.abs(cross))
-    return [ProjNormRecord(rec, which, closed, float(q))
-            for (rec, which, closed), q in zip(rows, quad)]
+    psi_sq, phi_sq, cross = inner_pairs(fwd, fwd), inner_pairs(adj, adj), inner_pairs(adj, fwd)
+    pairing = np.sqrt(psi_sq.real) * np.sqrt(phi_sq.real) / np.abs(cross)
+    return [ProjNormRecord(rec, which, closed, float(p))
+            for (rec, which, closed), p in zip(rows, pairing)]
 
 
 def projection_norms(a: ParamA, lambda_max: float) -> list[ProjNormRecord]:
-    """Projection norms of every eigenvalue up to lambda_max, ascending,
-    with one quadrature call per band of records; ValueError before any
-    quadrature when members x kmax exceeds MAX_PROJECTION_WORK."""
-    records = enumerate_spectrum(a, lambda_max)
-    members, kmax = sum(len(rec.memberships) for rec in records), records[-1].k
-    if members * kmax > MAX_PROJECTION_WORK:
-        raise ValueError(f"lambda_max={lambda_max:g} holds {members} family members up to "
-                         f"k = {kmax:.6g}, above the projection norms' cap of "
-                         f"{MAX_PROJECTION_WORK:g} on members x k (the time grows with both)")
-    return _projection_norms(a, records)
+    """Projection norms of every eigenvalue up to lambda_max, ascending."""
+    return _projection_norms(a, enumerate_spectrum(a, lambda_max))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ All outputs are files (JSON/CSV) under --out, accompanied by a run
 manifest (command line, parameters, version, seed, outputs, wall time).
 CSV floats carry 17 significant digits so reruns are byte-identical.
 Exit codes: 0 ok, 1 contract failure, 2 usage error, 3 numerical
-failure (a pole, exhausted precision, unconverged quadrature, a vanishing
-normalization, a failed SVD); the manifest then carries an `error` record
-with the exception's type, message and the stage it failed in.
+failure (a pole, exhausted precision, a vanishing normalization, a failed
+SVD); the manifest then carries an `error` record with the exception's
+type, message and the stage it failed in.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 import jumpspec
 from jumpspec.param import ParamA, NotIrrational, PrecisionExhausted
 from jumpspec import basis_diag, eigensystem, metric, resolvent, simulator, spectrum
-from jumpspec.funcspace import PiecewiseTrig, QuadratureNotConverged, const, cos_term, sin_term
+from jumpspec.funcspace import PiecewiseTrig, const, cos_term, sin_term
 
 FMT = "%.17g"
 GAP = 4.0  # the spectral gap, the same for every a in (-1, 1)
@@ -46,8 +46,8 @@ def _fmt(v) -> str:
 
 # caught before ValueError, which np.linalg.LinAlgError subclasses
 NUMERICAL_FAILURES = (
-    resolvent.PoleAtEigenvalue, PrecisionExhausted, QuadratureNotConverged,
-    eigensystem.DegenerateNormalization, ZeroDivisionError, np.linalg.LinAlgError,
+    resolvent.PoleAtEigenvalue, PrecisionExhausted, eigensystem.DegenerateNormalization,
+    ZeroDivisionError, np.linalg.LinAlgError,
 )
 
 
@@ -194,7 +194,7 @@ def cmd_metric_check(args, man: Manifest) -> int:
 def cmd_basis(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     # every argument is checked before a slow stage starts (--m-max and
-    # --convergents here, the lambda_max caps as the projection norms start;
+    # --convergents here, lambda_max's member cap as the spectrum is enumerated;
     # the convergent table takes milliseconds), and everything is computed
     # before the first write, so a refused argument or a failed stage
     # leaves no partial output
@@ -202,12 +202,12 @@ def cmd_basis(args, man: Manifest) -> int:
         basis_diag.check_bound_m(args.m_max)
     elif args.blowup:
         table = basis_diag.blowup_probe(a, args.convergents)
-    rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.quadrature)
+    rows = [(pn.which.value, pn.record.lam, pn.closed_form, pn.pairing)
             for pn in basis_diag.projection_norms(a, args.lambda_max)]
     if args.blowup and a.is_rational:
         report = basis_diag.rational_bound_check(a, args.m_max)
     man.write_csv("projection_norms.csv",
-                  ["which", "lambda", "norm_closed", "norm_quad"], rows)
+                  ["which", "lambda", "norm_closed", "norm_pairing"], rows)
     if args.blowup and a.is_rational:
         man.write_json("rational_bounds.json", report)
     elif args.blowup:
@@ -277,7 +277,7 @@ def _suite_metric(a: ParamA) -> dict:
 
 
 def _suite_projections(a: ParamA) -> dict:
-    worst = max((abs(pn.closed_form - pn.quadrature) / pn.closed_form
+    worst = max((abs(pn.closed_form - pn.pairing) / pn.closed_form
                  for pn in basis_diag.projection_norms(a, 900.0)), default=0.0)
     return {"max_relative_deviation": worst, "passed": worst < 1e-8}
 

@@ -115,9 +115,11 @@ def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tu
     ((a-1)(x + pi/2) | (a+1)(x - pi/2)) or sin(k(x + pi/2)) on the left piece
     (classes 0, +1) and sin(k(x - pi/2)) on the right (classes 0, -1); for an
     exceptional pair psi1, psi2 = sin(kx), cos(kx), xi = -(1-a)/(64 m^2)
-    ((1-a) cos(kx) + 8m x sin(kx)), phi1, phi2 = the right and left sines
-    and eta = A (1-a)/(64 m^2) (8m (x +- pi/2) cos(k(x +- pi/2)) - (1-a)
-    sin(k(x +- pi/2))), A = 1-a on the left piece and -(1+a) on the right.
+    ((1-a) cos(kx) + 8m x sin(kx)), and the adjoint rows in the order phi1,
+    eta, phi2 (adjoint j is forward j's partner in a projection), phi1,
+    phi2 the right and left sines and eta = A (1-a)/(64 m^2) (8m (x +-
+    pi/2) cos(k(x +- pi/2)) - (1-a) sin(k(x +- pi/2))), A = 1-a on the left
+    piece and -(1+a) on the right.
     normalized: the duals instead: phi over conj of its closed-form pairing;
     at an exceptional pair, with t its class +1 index, sigma = (-1)^(m+t),
     the rows of conj(P^-1), P = (phi1, eta, phi2) x (psi1, psi2, xi):
@@ -138,7 +140,7 @@ def _chains(a: ParamA, records: list[EigRecord], normalized: bool = False) -> tu
             fwd += [(v, 0, 1.0, k, 0.0, 1), (v + 1, 0, 1.0, k, 0.0, 0),
                     (v + 2, 0, pref * (1 - av), k, 0.0, 0), (v + 2, 1, pref * 8 * m, k, 0.0, 1)]
             # owners' coefficients of (phi1, eta, phi2): raw vectors, or duals
-            mix, shift = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), k * HALF_PI
+            mix, shift = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), k * HALF_PI
             if normalized:
                 c = 64 * m / (math.pi ** 2 * (1 - av))
                 mix = ((2 / math.pi, 0.0, 2 / math.pi),

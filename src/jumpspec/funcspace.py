@@ -31,13 +31,11 @@ is one `Piece` record (lo, hi, terms, owners).  A PiecewiseTrig is one
 function: a Stack of count 1, built from its terms (`single`, `split`),
 whose sum, difference, multiple and derivative are PiecewiseTrigs again.
 So a family is the `Stack.join` of its functions, `inner_matrix`,
-`norms_l2` and `quad_inner` take Stacks and convert nothing, and
+`inner_pairs` and `norms_l2` take Stacks and convert nothing, and
 `inner_closed` is inner_matrix's 1x1 entry of two functions.
 
 Composite Gauss-Lobatto grids (`grid_nodes`) give the resolvent its output
-nodes and the closed forms their independent quadrature check:
-`quad_inner` samples a whole family once per refinement round and forms
-the inner products asked for, each one weighted sum.
+nodes.
 """
 
 from __future__ import annotations
@@ -56,18 +54,10 @@ HALF_PI = math.pi / 2
 _SERIES_BELOW = 1.0
 # term pairs per kernel evaluation; bounds the temporaries of batched calls
 _PAIR_BLOCK = 1 << 12
-# quad_inner: relative change between refinements that counts as converged,
-# and the node count of its first round
-QUAD_TARGET = 1e-12
-QUAD_START_NODES = 96
 
 
 class OutOfDomain(ValueError):
     """Evaluation point outside [-pi/2, pi/2]."""
-
-
-class QuadratureNotConverged(RuntimeError):
-    """Adaptive panel refinement failed to reach the requested target."""
 
 
 class Terms:
@@ -412,11 +402,6 @@ class Stack:
                               for lo, hi, t, o in out.pieces), self.count).merged()
         return out
 
-    @property
-    def kmax(self) -> float:
-        """The largest frequency of any row (0 for no rows)."""
-        return max((float(t.k.max()) for _, _, t, _ in self.pieces if len(t)), default=0.0)
-
     def values(self, xs: np.ndarray) -> np.ndarray:
         """(count, len(xs)) values at the points xs; at an interior edge,
         the mean of the two one-sided values."""
@@ -523,6 +508,36 @@ def inner_matrix(fs: Stack, gs: Stack) -> np.ndarray:
     return out
 
 
+def inner_pairs(fs: Stack, gs: Stack) -> np.ndarray:
+    """(f_j, g_j) for every j of two Stacks of equal count: per segment of
+    their common partition only the row pairs that share an owner go
+    through the pair kernel, sum_j r_j s_j of them (r_j, s_j member j's
+    rows there), _PAIR_BLOCK at a time, and sum by owner; so the work is
+    linear in the count, with no count x count matrix and no grid."""
+    if fs.count != gs.count:
+        raise ValueError(f"inner_pairs needs equal counts, got {fs.count} and {gs.count}")
+    out = np.zeros(fs.count, dtype=complex)
+    edges = _edges((fs, gs))
+    for lo, hi in zip(edges, edges[1:]):
+        (tf, own_f), (tg, own_g) = fs.on(lo, hi), gs.on(lo, hi)
+        # rows are ordered by owner, so owner j's g rows start at g_start[j]
+        g_rows = np.bincount(own_g, minlength=gs.count)
+        g_start = np.cumsum(g_rows) - g_rows
+        reps = g_rows[own_f]  # each f row meets its owner's g rows
+        f_idx = np.repeat(np.arange(len(tf)), reps)
+        within = np.arange(len(f_idx)) - np.repeat(np.cumsum(reps) - reps, reps)
+        g_idx = g_start[own_f[f_idx]] + within
+        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        f_fac, g_fac = _row_factors(tf, m, h), _row_factors(tg, m, h)
+        for r in range(0, len(f_idx), _PAIR_BLOCK):
+            fi, gi = f_idx[r:r + _PAIR_BLOCK], g_idx[r:r + _PAIR_BLOCK]
+            vals = _pair_kernel([x[fi] for x in f_fac], [x[gi] for x in g_fac], h)
+            owner = own_f[fi]
+            out += (np.bincount(owner, vals.real, fs.count)
+                    + 1j * np.bincount(owner, vals.imag, fs.count))
+    return out
+
+
 def norms_l2(stack: Stack) -> np.ndarray:
     """L2 norms of a Stack's functions from one term Gram per piece: with I
     the integrals of conj(t_u) t_v over the distinct keys (p, q, k, s) of
@@ -548,7 +563,7 @@ def norms_l2(stack: Stack) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grids and quadrature
+# grids
 # ---------------------------------------------------------------------------
 
 _LOBATTO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -602,49 +617,3 @@ def grid_nodes(a: ParamA | float, min_nodes_per_piece: int = 64,
     w_left[-1] += w_right[0]  # the restart point ends one piece and starts the other
     return np.concatenate((x_left, x_right[1:])), np.concatenate((w_left, w_right[1:]))
 
-
-def _quad_rounds(a: ParamA | float, kmax: float, rounds: int):
-    """quad_inner's min_nodes_per_piece, round by round: QUAD_START_NODES,
-    doubled each round, but where the grid would repeat the last one (all
-    panels at the 24-point floor) twice the last grid's larger piece."""
-    n, last = QUAD_START_NODES, None
-    for _ in range(rounds):
-        sizes = [count * (points - 1) + 1 for *_, count, points in grid_panels(a, n, kmax)]
-        n = 2 * max(sizes) if sizes == last else n
-        yield n
-        n, last = 2 * n, sizes
-
-
-def quad_inner(stack: Stack, pairs, a: ParamA | float,
-               max_rounds: int = 6) -> np.ndarray:
-    """(f_i, f_j) for each index pair (i, j), a row of the (n, 2) `pairs`,
-    by quadrature with panel doubling.
-
-    Each round builds one grid, panels sized by the largest frequency of
-    the family, and samples the family once on it (`Stack.values`), with
-    nodes as _quad_rounds sets them; the
-    refinement stops when every requested product moves by at most
-    QUAD_TARGET * max(1, |product|).  Each piece of the grid samples the
-    family's pieces it overlaps, so the restart point, which both grid
-    pieces hold, takes each side's one-sided value with that side's weight
-    (a value jump there keeps the rule's order).  Only the requested
-    products are formed, so n pairs cost n x nodes however large the
-    family.  Independent numerical route used to cross-check inner_closed
-    and the printed projection norms.
-    """
-    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    cut = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
-    sides = [Stack(tuple(p for p in stack.pieces if lo < p.hi and p.lo < hi), stack.count)
-             for lo, hi in ((-HALF_PI, cut), (cut, HALF_PI))]
-    prev = None
-    for n in _quad_rounds(a, stack.kmax, max_rounds):
-        cur = 0
-        for side, (nodes, weights) in zip(sides, _grid_pieces(a, n, stack.kmax)):
-            vals = side.values(nodes)
-            cur = cur + np.einsum("np,p,np->n", np.conj(vals[i]), weights, vals[j])
-        if prev is not None and np.all(
-                np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"inner products did not stabilize to {QUAD_TARGET} within {max_rounds} refinements")

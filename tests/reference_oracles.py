@@ -9,11 +9,12 @@ and the injectivity scan of the metric over Neumann modes.  The others
 reach a quantity of the package by a second route: the normalized family
 built pair by pair from the printed root vectors (each root space's duals
 by the numeric inverse of its integrated pairing matrix), that matrix by
-50-digit quadrature, expansion residuals
-normed one remainder at a time, the quadrature projection norms one
-record at a time, the metric report on the root system one member at a
-time, the real zeros of the characteristic determinant by dense scan plus
-bisection and its complex zeros by the argument principle, the spectrum
+50-digit quadrature, inner products by adaptive panel quadrature
+(`quad_inner`), expansion residuals normed one remainder at a time, the
+quadrature projection norms one record or one band at a time, the metric
+report on the root system one member at a time, the real zeros of the
+characteristic determinant by dense scan plus bisection and its complex
+zeros by the argument principle, the spectrum
 enumerated by separate rational and float branches with integer-arithmetic
 case tests, the exceptional-index tests by float arithmetic with a
 tolerance, the Rayleigh quotient through the full metric operator, the
@@ -54,8 +55,8 @@ from jumpspec.eigensystem import (
 )
 from jumpspec.funcspace import (
     _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack,
-    Terms, _basis, _midpoint_phase, _pair_blocks, _two_sum, const, cos_term, grid_nodes,
-    grid_panels, inner_closed, inner_matrix, sin_term,
+    Terms, _basis, _grid_pieces, _midpoint_phase, _pair_blocks, _two_sum, const, cos_term,
+    grid_nodes, grid_panels, inner_closed, inner_matrix, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
@@ -64,7 +65,7 @@ from jumpspec.resolvent import ResolventKernel
 from jumpspec.simulator import _Stepper
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
-from util import apply_theta, linear, norm_l2, quad_gram, xcos_term, xsin_term
+from util import apply_theta, linear, norm_l2, xcos_term, xsin_term
 
 
 def char_det(a: ParamA | float, k) -> complex | np.ndarray:
@@ -817,15 +818,17 @@ def per_remainder_residuals(f: PiecewiseTrig, pairs, checkpoints: list[int]) -> 
 
 def eigenfunctions_Hstar(rec: EigRecord, a: ParamA) -> list[PiecewiseTrig]:
     """Adjoint eigenfunction(s) phi, or phi1 and phi2, two-piece
-    representations, raw constants 1."""
+    representations, raw constants 1 (the raw adjoint rows of an
+    exceptional pair come as phi1, eta, phi2)."""
     adjoint = _chains(a, [rec])[1]
-    return [adjoint.fn(j) for j in range(min(adjoint.count, 2))]
+    return [adjoint.fn(j) for j in range(0, adjoint.count, 2)]
 
 
 def _generalized(rec: EigRecord, a: ParamA, side: int) -> PiecewiseTrig:
+    """xi, forward member 2 (side 0), or eta, adjoint member 1 (side 1)."""
     if rec.case is not SpectralCase.EXCEPTIONAL_PAIR:
         raise CaseMismatch("generalized vectors exist only at exceptional pairs")
-    return _chains(a, [rec])[side].fn(2)
+    return _chains(a, [rec])[side].fn(2 - side)
 
 
 def generalized_xi(rec: EigRecord, a: ParamA) -> PiecewiseTrig:
@@ -851,6 +854,75 @@ def root_system(rec: EigRecord, a: ParamA):
 
 
 # ---------------------------------------------------------------------------
+# inner products by adaptive panel quadrature
+# ---------------------------------------------------------------------------
+
+# quad_inner: relative change between refinements that counts as converged,
+# and the node count of its first round
+QUAD_TARGET = 1e-12
+QUAD_START_NODES = 96
+
+
+class QuadratureNotConverged(RuntimeError):
+    """Adaptive panel refinement failed to reach the requested target."""
+
+
+def _quad_rounds(a: ParamA | float, kmax: float, rounds: int):
+    """quad_inner's min_nodes_per_piece, round by round: QUAD_START_NODES,
+    doubled each round, but where the grid would repeat the last one (all
+    panels at the 24-point floor) twice the last grid's larger piece."""
+    n, last = QUAD_START_NODES, None
+    for _ in range(rounds):
+        sizes = [count * (points - 1) + 1 for *_, count, points in grid_panels(a, n, kmax)]
+        n = 2 * max(sizes) if sizes == last else n
+        yield n
+        n, last = 2 * n, sizes
+
+
+def quad_inner(stack: Stack, pairs, a: ParamA | float,
+               max_rounds: int = 6) -> np.ndarray:
+    """(f_i, f_j) for each index pair (i, j), a row of the (n, 2) `pairs`,
+    by quadrature with panel doubling.
+
+    Each round builds one grid, panels sized by the largest frequency of
+    the family, and samples the family once on it (`Stack.values`), with
+    nodes as _quad_rounds sets them; the refinement stops when every
+    requested product moves by at most QUAD_TARGET * max(1, |product|).
+    Each piece of the grid samples the family's pieces it overlaps, so the
+    restart point, which both grid pieces hold, takes each side's one-sided
+    value with that side's weight (a value jump there keeps the rule's
+    order).  Only the requested products are formed, so n pairs cost n x
+    nodes however large the family.  The numerical route, free of the pair
+    kernel, that the closed forms and the pairings are checked against.
+    """
+    i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    cut = HALF_PI * (a.value if isinstance(a, ParamA) else float(a))
+    sides = [Stack(tuple(p for p in stack.pieces if lo < p.hi and p.lo < hi), stack.count)
+             for lo, hi in ((-HALF_PI, cut), (cut, HALF_PI))]
+    # the largest frequency of any row (0 for no rows) sizes the panels
+    kmax = max((float(t.k.max()) for _, _, t, _ in stack.pieces if len(t)), default=0.0)
+    prev = None
+    for n in _quad_rounds(a, kmax, max_rounds):
+        cur = 0
+        for side, (nodes, weights) in zip(sides, _grid_pieces(a, n, kmax)):
+            vals = side.values(nodes)
+            cur = cur + np.einsum("np,p,np->n", np.conj(vals[i]), weights, vals[j])
+        if prev is not None and np.all(
+                np.abs(cur - prev) <= QUAD_TARGET * np.maximum(1.0, np.abs(cur))):
+            return cur
+        prev = cur
+    raise QuadratureNotConverged(
+        f"inner products did not stabilize to {QUAD_TARGET} within {max_rounds} refinements")
+
+
+def quad_gram(fns: Stack, a, max_rounds: int = 6) -> np.ndarray:
+    """Hermitian matrix of (f_j, f_k) by quadrature: quad_inner over
+    every index pair of the family."""
+    pairs = np.indices((fns.count, fns.count)).reshape(2, -1).T
+    return quad_inner(fns, pairs, a, max_rounds).reshape(fns.count, fns.count)
+
+
+# ---------------------------------------------------------------------------
 # projection norms and the metric report one member at a time
 # ---------------------------------------------------------------------------
 
@@ -865,6 +937,21 @@ def per_record_quadrature_norms(a: ParamA, lambda_max: float) -> list[float]:
         for psi, phi in zip(fwd, partners):
             g = quad_gram(Stack.join([psi, phi]), a)
             out.append(math.sqrt(g[0, 0].real) * math.sqrt(g[1, 1].real) / abs(complex(g[1, 0])))
+    return out
+
+
+def banded_quadrature_norms(a: ParamA, lambda_max: float, band: int = 16) -> list[float]:
+    """||psi|| ||phi|| / |(phi, psi)| of every projection up to lambda_max by
+    quad_inner: the raw root vectors of each band of records from one
+    `_chains` call (adjoint j partners forward j), sampled on a grid sized
+    by the band's own largest frequency."""
+    records, out = enumerate_spectrum(a, lambda_max), []
+    for r in range(0, len(records), band):
+        fwd, adj = _chains(a, records[r:r + band])
+        n = np.arange(fwd.count)
+        psi_sq, phi_sq, cross = quad_inner(Stack.join((fwd, adj)), np.column_stack(
+            (np.r_[n, n + fwd.count, n + fwd.count], np.r_[n, n + fwd.count, n])), a).reshape(3, -1)
+        out += list(np.sqrt(psi_sq.real) * np.sqrt(phi_sq.real) / np.abs(cross))
     return out
 
 

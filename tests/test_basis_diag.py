@@ -13,9 +13,12 @@ from jumpspec.param import NotIrrational, ParamA
 from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
 from reference_oracles import (
-    generalized_xi, generic_norm_median, per_record_quadrature_norms, per_remainder_residuals,
+    banded_quadrature_norms, generalized_xi, generic_norm_median, per_record_quadrature_norms,
+    per_remainder_residuals,
 )
 from util import norm_l2
+
+EPS = np.finfo(float).eps
 
 
 def record_at(a, lam, lam_max=100.0):
@@ -34,14 +37,14 @@ def test_zero_eigenvalue_norm():
         a = ParamA.from_expr(expr)
         (rec,) = _projection_norms(a, [record_at(a, 0.0)])
         assert rec.closed_form == pytest.approx(math.sqrt(4 / 3), abs=1e-12)
-        assert abs(rec.closed_form - rec.quadrature) / rec.closed_form < 1e-8
+        assert abs(rec.closed_form - rec.pairing) / rec.closed_form < 1e-8
 
 
 def test_exceptional_odd_norm_is_one():
     a = ParamA.from_expr("0")
     (rec,) = _projection_norms(a, [record_at(a, 4.0)])
     assert rec.closed_form == 1.0
-    assert rec.quadrature == pytest.approx(1.0, abs=1e-8)
+    assert rec.pairing == pytest.approx(1.0, abs=1e-8)
 
 
 def test_exceptional_triple_norms():
@@ -51,7 +54,7 @@ def test_exceptional_triple_norms():
     assert recs[0].closed_form == pytest.approx(math.sqrt(2 / (1 - a.value)))
     assert recs[0].closed_form == pytest.approx(math.sqrt(3.0))
     for r in recs:
-        assert abs(r.closed_form - r.quadrature) / r.closed_form < 1e-8
+        assert abs(r.closed_form - r.pairing) / r.closed_form < 1e-8
         assert r.closed_form >= 1.0
 
 
@@ -61,7 +64,7 @@ def test_all_norms_dominate_one():
         for rec in enumerate_spectrum(a, 500.0):
             for pn in _projection_norms(a, [rec]):
                 assert pn.closed_form >= 1.0 - 1e-12
-                assert abs(pn.closed_form - pn.quadrature) / pn.closed_form < 1e-8
+                assert abs(pn.closed_form - pn.pairing) / pn.closed_form < 1e-8
 
 
 DIFFERENTIAL_PARAMS = ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "1/3", "0", "2/5", "-3/7"]
@@ -69,46 +72,83 @@ DIFFERENTIAL_PARAMS = ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "1/3", "0", "2/5", 
 
 @pytest.mark.parametrize("expr", DIFFERENTIAL_PARAMS)
 def test_stacked_quadrature_norms_match_the_per_record_oracle(expr):
-    # one Gram matrix per band of records on the band's grid against one
+    # the pairings of the whole family against one quadrature Gram matrix
     # per record on the record's own grid
     a = ParamA.from_expr(expr)
-    stacked = [pn.quadrature for pn in projection_norms(a, 900.0)]
+    stacked = [pn.pairing for pn in projection_norms(a, 900.0)]
     oracle = per_record_quadrature_norms(a, 900.0)
     assert len(stacked) == len(oracle) >= 30
     for got, want in zip(stacked, oracle):
         assert abs(got - want) <= 1e-13 * want
 
 
-def test_projection_norms_build_the_family_once_and_sample_it_in_bands(monkeypatch):
-    # one root-vector pass for all records; one quad_inner call per band of
-    # _QUAD_BAND records, each on its own band's frequencies and asking for
-    # the three products of each projection only, so a large lambda_max
-    # never samples the whole family on its finest grid
-    chains, calls = [], []
-    real_chains, real_inner = basis_diag._chains, basis_diag.quad_inner
+def _conditioning_bound(pn) -> float:
+    """The deviation from the closed form allowed: 4 eps max(k, 1) kappa of
+    it, kappa the closed-form norm itself."""
+    return 4 * EPS * max(pn.record.k, 1.0) * pn.closed_form * pn.closed_form
+
+
+@pytest.mark.parametrize("expr, lambda_max", [
+    ("1/3", 900.0), ("sqrt(2)-1", 900.0), ("1/pi", 1e6), ("sqrt(2)-1", 4e6),
+    pytest.param("(sqrt(5)-1)/2", 1e8, marks=pytest.mark.slow),
+    pytest.param("1/3", 1e8, marks=pytest.mark.slow),
+    pytest.param("sqrt(2)-1", 9.9e9, marks=pytest.mark.slow),
+])
+def test_pairing_norms_stay_within_the_conditioning_bound(expr, lambda_max):
+    # |pairing - closed| / closed measured at most 1.61 eps max(k, 1) kappa
+    # on every record of these ranges: 1.24 at the near-degenerate records
+    # near lambda 504100 at 1/pi (7.9e-9 relative), 1.35 near 9e9 at
+    # sqrt(2)-1 (3.8e-7); the rounding of a float k amplified by kappa
+    # would scale so, which side is off is open
+    rows = projection_norms(ParamA.from_expr(expr), lambda_max)
+    for pn in rows:
+        assert abs(pn.pairing - pn.closed_form) <= _conditioning_bound(pn), pn
+
+
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1", "1/pi"])
+def test_pairing_norms_match_the_quadrature_route(expr):
+    # against quad_inner on each band's own grid, 500 projections each;
+    # the quadrature agrees within 1.1e-11 (sqrt(2)-1), at most 3.0 of 4 in
+    # units of the conditioning bound
+    a = ParamA.from_expr(expr)
+    rows, quadrature = projection_norms(a, 2.5e5), banded_quadrature_norms(a, 2.5e5)
+    assert len(rows) == len(quadrature) >= 500
+    for pn, quad in zip(rows, quadrature):
+        assert abs(pn.pairing - quad) <= _conditioning_bound(pn) * quad / pn.closed_form, pn
+
+
+def test_projection_norms_pair_only_rows_that_share_an_owner(monkeypatch):
+    # one root-vector pass for all records; per segment of the common
+    # partition the pair kernel sees each member's rows against its
+    # partner's only, sum_j r_j s_j pairs for each of the three products
+    built, pairs = [], []
+    real_chains, real_kernel = basis_diag._chains, funcspace._pair_kernel
 
     def counting_chains(a, records):
-        chains.append(len(records))
-        return real_chains(a, records)
+        built.append(real_chains(a, records))
+        return built[-1]
 
-    def counting_inner(fns, pairs, a):
-        calls.append((fns.count, len(pairs), fns.kmax))
-        return real_inner(fns, pairs, a)
+    def counting_kernel(f, g, h):
+        vals = real_kernel(f, g, h)
+        pairs.append(vals.size)
+        return vals
 
     monkeypatch.setattr(basis_diag, "_chains", counting_chains)
-    monkeypatch.setattr(basis_diag, "quad_inner", counting_inner)
+    monkeypatch.setattr(funcspace, "_pair_kernel", counting_kernel)
     a = ParamA.from_expr("1/3")
     rows = projection_norms(a, 1e4)
     records = enumerate_spectrum(a, 1e4)
-    assert chains == [len(records)]
-    assert len(calls) == -(-len(records) // basis_diag._QUAD_BAND) >= 3
-    assert sum(count for count, _, _ in calls) == 2 * len(rows)
-    assert all(n_pairs == 3 * count // 2 <= 3 * 3 * basis_diag._QUAD_BAND
-               for count, n_pairs, _ in calls)
-    kmax = [k for *_, k in calls]
-    assert kmax == sorted(kmax) and kmax[0] < kmax[-1] / 2
-    assert len(rows) == len(records) + 2 * sum(
+    assert len(built) == 1
+    fwd, adj = built[0]
+    assert fwd.count == adj.count == len(rows) == len(records) + 2 * sum(
         rec.case is SpectralCase.EXCEPTIONAL_PAIR for rec in records) > len(records)
+    expected = 0
+    for f, g in ((fwd, fwd), (adj, adj), (adj, fwd)):
+        edges = sorted({x for stack in (f, g) for piece in stack.pieces for x in piece[:2]})
+        expected += sum(len(f.fn(j).on(lo, hi)[0]) * len(g.fn(j).on(lo, hi)[0])
+                        for j in range(fwd.count) for lo, hi in zip(edges, edges[1:]))
+    assert sum(pairs) == expected
+    assert max(pairs) <= funcspace._PAIR_BLOCK
 
 
 def test_triple_norm_large_m_limits():

@@ -179,18 +179,28 @@ def test_metric_check_refuses_an_over_size_family_before_any_work(tmp_path, monk
 
 
 @pytest.mark.parametrize("a, lambda_max", [("sqrt(2)-1", "1e7"), ("1/3", "4.1e6")])
-def test_basis_refuses_an_over_budget_family_before_any_work(tmp_path, monkeypatch, capsys,
-                                                             a, lambda_max):
-    # 3163 members up to k 3162 (29 s) and 2024 up to k 2024; the default
-    # lambda_max 900 is 30 members up to k 30
-    def quadrature(*args, **kwargs):
-        raise AssertionError("sampled the family of a refused --lambda-max")
-
-    monkeypatch.setattr(basis_diag, "quad_inner", quadrature)
+def test_basis_takes_a_family_the_old_work_cap_refused(tmp_path, a, lambda_max):
+    # 3163 members up to k 3162 and 2024 up to k 2024, over the members x k
+    # cap that the banded quadrature needed; the pairings take them in
+    # linear time
     out = tmp_path / "big"
-    assert run_cli(["basis", "--a", a, "--lambda-max", lambda_max, "--out", str(out)]) == 2
+    assert run_cli(["basis", "--a", a, "--lambda-max", lambda_max, "--out", str(out)]) == 0
+    rows = (out / "projection_norms.csv").read_text().splitlines()
+    assert rows[0] == "which,lambda,norm_closed,norm_pairing"
+    assert len(rows) - 1 >= 2024
+
+
+def test_basis_refuses_a_range_above_the_member_cap_before_any_work(tmp_path, monkeypatch,
+                                                                    capsys):
+    # 1e11 holds 316228 members at sqrt(2)-1, over spectrum.MAX_MEMBERS
+    def pairing(*args, **kwargs):
+        raise AssertionError("paired the family of a refused --lambda-max")
+
+    monkeypatch.setattr(basis_diag, "inner_pairs", pairing)
+    out = tmp_path / "big"
+    assert run_cli(["basis", "--a", "sqrt(2)-1", "--lambda-max", "1e11", "--out", str(out)]) == 2
     assert not out.exists()
-    assert f"cap of {basis_diag.MAX_PROJECTION_WORK:g}" in capsys.readouterr().err
+    assert f"cap of {spectrum.MAX_MEMBERS}" in capsys.readouterr().err
 
 
 def test_metric_contract_failure_exits_1(tmp_path, monkeypatch):

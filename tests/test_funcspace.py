@@ -5,21 +5,21 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from jumpspec import funcspace
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
-    HALF_PI, QUAD_START_NODES, OutOfDomain, Piece, PiecewiseTrig, QuadratureNotConverged, Stack,
-    Terms, _quad_rounds, const,
-    cos_term, eval_exact, gauss_lobatto, grid_nodes, grid_panels, inner_closed,
-    inner_matrix, norms_l2, quad_inner, sin_term,
+    HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack, Terms, const, cos_term, eval_exact,
+    gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix, inner_pairs, norms_l2,
+    sin_term,
 )
 from jumpspec.param import ParamA
 
+import reference_oracles
 from reference_oracles import (
-    eval_terms, lincomb, one_sided, per_function_stack, terms_on, validate_domain_H,
-    validate_domain_Hstar, zero_function,
+    QUAD_START_NODES, QuadratureNotConverged, _quad_rounds, eval_terms, lincomb, one_sided,
+    per_function_stack, quad_gram, quad_inner, terms_on, validate_domain_H, validate_domain_Hstar,
+    zero_function,
 )
-from util import linear, norm_l2, quad_gram, random_trig, xsin_term
+from util import linear, norm_l2, random_trig, xsin_term
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +351,45 @@ def test_two_piece_inner():
     assert inner_closed(f, g) == pytest.approx(expect, abs=1e-14)
 
 
+def _random_split(rng, xb: float, left: bool = True) -> PiecewiseTrig:
+    """Random rows on both pieces of a function cut at xb, or on the right only."""
+    return PiecewiseTrig.split(xb, random_trig(rng).pieces[0].terms if left else (),
+                               random_trig(rng).pieces[0].terms)
+
+
+def _coefficient_products(fs: Stack, gs: Stack) -> np.ndarray:
+    """sum |c_f| sum |c_g| of each member over all its rows: at least the
+    sum of |c_f||c_g| over the pairs inner_pairs forms."""
+    f_abs, g_abs = (sum(np.bincount(o, np.abs(t.c), s.count) for *_, t, o in s.pieces)
+                    for s in (fs, gs))
+    return f_abs * g_abs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inner_pairs_is_the_diagonal_of_inner_matrix(seed):
+    # member j against member j only, on the common partition of the two
+    # Stacks: one piece against two (as forward against adjoint members),
+    # a member with no rows on the left piece and one with no rows at all
+    rng = np.random.default_rng(40 + seed)
+    xb = HALF_PI * rng.uniform(-0.9, 0.9)
+    mixed = Stack.join([_random_split(rng, xb, left=False)] + _mixed_family(rng, xb))
+    single = Stack.join([random_trig(rng) for _ in range(5)] + [zero_function()])
+    split = Stack.join([_random_split(rng, xb) for _ in range(4)]
+                       + [_random_split(rng, xb, left=False), zero_function()])
+    assert (len(single.pieces), len(split.pieces)) == (1, 2)
+    for fs, gs in ((mixed, mixed), (single, split), (split, single), (mixed, single)):
+        got = inner_pairs(fs, gs)
+        want = np.diag(inner_matrix(fs, gs))
+        assert got.shape == (fs.count,) and got[-1] == 0
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * _coefficient_products(fs, gs))
+
+
+def test_inner_pairs_needs_equal_counts():
+    f = PiecewiseTrig.single([cos_term(1.0, 2.0)])
+    with pytest.raises(ValueError, match="equal counts"):
+        inner_pairs(Stack.join([f, f]), f)
+
+
 # ---------------------------------------------------------------------------
 # grids and quadrature
 # ---------------------------------------------------------------------------
@@ -440,14 +479,14 @@ def test_every_quadrature_round_refines(expr):
 
 
 def test_quad_inner_refines_at_high_frequency(monkeypatch):
-    grids, grid_pieces = [], funcspace._grid_pieces
+    grids, grid_pieces = [], reference_oracles._grid_pieces
 
     def recorded(*args):
         pieces = grid_pieces(*args)
         grids.append(sum(len(x) for x, _ in pieces))
         return pieces
 
-    monkeypatch.setattr(funcspace, "_grid_pieces", recorded)
+    monkeypatch.setattr(reference_oracles, "_grid_pieces", recorded)
     a = ParamA.from_expr("sqrt(2)-1")
     f = PiecewiseTrig.single([cos_term(1.0, 100.0), sin_term(0.5, 99.0)])
     got = quad_inner(f, [(0, 0)], a)

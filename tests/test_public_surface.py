@@ -38,12 +38,14 @@ UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 # resolvent's panel sweep, the metric's Neumann-mode scan, the pair kernel
 # with its own sin and cos per pair, a function's own piece lookup, the
 # Nystrom probe of the resolvent kernel, the one-function merge that + and -
-# of PiecewiseTrig once went through): a definition of one of them in
+# of PiecewiseTrig once went through, the panel quadrature of inner products
+# that the projection norms once took): a definition of one of them in
 # src/jumpspec again would be a second route there
 MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
                     "_wave_integrals", "_pair_integrals", "eval_terms", "terms_on",
                     "kernel_matrix", "nystrom_nodes", "complex_probe_singular_values",
-                    "lincomb"}
+                    "lincomb", "quad_inner", "_quad_rounds", "QuadratureNotConverged",
+                    "quad_gram"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

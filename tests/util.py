@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from jumpspec.funcspace import (
-    PiecewiseTrig, Stack, Terms, _term, cos_term, inner_closed, quad_inner, sin_term,
+    PiecewiseTrig, Terms, _term, cos_term, inner_closed, sin_term,
 )
 from jumpspec.metric import MetricOp
 from jumpspec.param import ParamA
@@ -23,13 +23,6 @@ def norm_l2(f: PiecewiseTrig) -> float:
 def apply_theta(op: MetricOp, f: PiecewiseTrig) -> PiecewiseTrig:
     """Theta f for one single-piece f: MetricOp.apply_all of the one member."""
     return op.apply_all(f).fn(0)
-
-
-def quad_gram(fns: Stack, a, max_rounds: int = 6) -> np.ndarray:
-    """Hermitian matrix of (f_j, f_k) by quadrature: quad_inner over
-    every index pair of the family."""
-    pairs = np.indices((fns.count, fns.count)).reshape(2, -1).T
-    return quad_inner(fns, pairs, a, max_rounds).reshape(fns.count, fns.count)
 
 
 def linear(c: complex) -> Terms:
