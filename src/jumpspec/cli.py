@@ -32,10 +32,12 @@ GAP = 4.0  # the spectral gap, the same for every a in (-1, 1)
 # largest |K| of --f sinK: K^2 - lambda stays finite, so the solution's
 # coefficient 1/(K^2 - lambda) is a number, not 0 from an overflow
 MAX_SOURCE_K = 1e150
-# family members `metric-check` accepts: 2000 take 11 s and 460 MB peak RSS
-# at sqrt(2)-1 (one core), and both grow as their square (norms_l2's term
-# Gram): 3163 took 30 s and 1.1 GB, 10000 would need a 3.35 GiB Gram
-MAX_CONTRACT_MEMBERS = 2000
+# family members `metric-check` accepts.  Its work is linear in them (one
+# inner_pairs call and two owner-local norm calls): 10000 take 1.0-1.5 s
+# and 218-227 MB peak RSS as a whole process at sqrt(2)-1, (sqrt(5)-1)/2
+# and 1/pi (lambda <= 1e8, 2-core host), and 20000 took 1.9 s and 340 MB,
+# so spectrum's 1e5 members would need about 1.5 GB
+MAX_CONTRACT_MEMBERS = 10000
 
 
 def _fmt(v) -> str:
@@ -160,9 +162,10 @@ def cmd_resolvent(args, man: Manifest) -> int:
 
 
 def _metric_contract(a: ParamA, lambda_max: float) -> dict:
-    """Theta on the biorthogonal family up to lambda_max: the four numbers of
-    `metric.MetricOp.root_system_report` ((psi_i, Theta psi_j) must be
-    c_j delta_ij with c_j > 0) and the bounds they break.  No input is
+    """Theta on the biorthogonal family up to lambda_max: the numbers of
+    `metric.MetricOp.root_system_report` (Theta psi_j must be c_j phi_j
+    with c_j > 0, checked member by member, so (psi_i, Theta psi_j) =
+    c_j delta_ij for every i) and the bounds they break.  No input is
     random.  At rational a the failures are informational: Theta is not
     injective on the exceptional root spaces.
     """
@@ -178,8 +181,7 @@ def cmd_metric_check(args, man: Manifest) -> int:
     members = sum(len(rec.memberships) for rec in spectrum.enumerate_spectrum(a, args.lambda_max))
     if members > MAX_CONTRACT_MEMBERS:
         raise ValueError(f"--lambda-max {args.lambda_max:g} holds {members} family members, "
-                         f"above metric-check's cap of {MAX_CONTRACT_MEMBERS} (its time and "
-                         "memory grow as their square)")
+                         f"above metric-check's cap of {MAX_CONTRACT_MEMBERS}")
     # milliseconds, and it refuses a bad --convergents before the contract
     rayleigh = {} if a.is_rational else {
         "rayleigh_sequence": metric.noninvertibility_probe(a, args.convergents)}

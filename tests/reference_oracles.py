@@ -1005,11 +1005,14 @@ def theta_one_member(a: ParamA, phi0: PiecewiseTrig, f: PiecewiseTrig) -> Piecew
 
 
 def per_member_metric_report(a: ParamA, pairs) -> dict:
-    """The four numbers of `MetricOp.root_system_report` by a route of its
-    own, one member at a time: each psi_j checked by validate_domain_H,
-    Theta psi_j by theta_one_member, every entry (psi_i, Theta psi_j) and
-    norm by inner_closed, and the intertwining residual
-    -(Theta psi)'' + Theta(psi'') with derivatives taken term by term."""
+    """`MetricOp.root_system_report`'s positivity, kappa ratio and
+    intertwining residual by a route of its own, one member at a time, and
+    the n x n off-diagonal max_{i != j} |(psi_i, Theta psi_j)|/(||psi_i||
+    ||psi_j||) that its max_root_residual bounds: each psi_j checked by
+    validate_domain_H, Theta psi_j by theta_one_member, every entry
+    (psi_i, Theta psi_j) and norm by inner_closed, and the intertwining
+    residual -(Theta psi)'' + Theta(psi'') with derivatives taken term by
+    term."""
     phi0 = phi_zero_mode(a)
     psis = [pairs.psi.fn(j) for j in range(len(pairs))]
     for psi in psis:

@@ -133,7 +133,7 @@ def test_metric_check_subcommand(tmp_path):
     assert payload["max_intertwining_residual"] < 1e-8
     # c_j/||psi_j||^2 on the family, measured 0.14 up to lambda 60
     assert payload["positivity_min"] > 0.1
-    assert payload["max_offdiagonal"] < 1e-12
+    assert payload["max_root_residual"] < 1e-12
     assert 0 < payload["max_kappa_ratio"] <= 1
     assert payload["contract_failures"] == []
     assert min(v for _, v in payload["rayleigh_sequence"]) < 1e-2
@@ -163,10 +163,10 @@ def test_metric_check_convergent_count_is_checked_before_the_contract(tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("a, lambda_max", [("sqrt(2)-1", "1e8"), ("1/3", "4.1e6")])
+@pytest.mark.parametrize("a, lambda_max", [("sqrt(2)-1", "1.1e8"), ("1/3", "1.1e8")])
 def test_metric_check_refuses_an_over_size_family_before_any_work(tmp_path, monkeypatch, capsys,
                                                                     a, lambda_max):
-    # 10000 and 2024 members; 1e8 ended in a MemoryError from a 3.35 GiB Gram
+    # 10488 and 10489 members, over the cap of 10000
     def build(*args, **kwargs):
         raise AssertionError("built the family of a refused --lambda-max")
 
@@ -176,6 +176,26 @@ def test_metric_check_refuses_an_over_size_family_before_any_work(tmp_path, monk
                     "--out", str(out)]) == 2
     assert not out.exists()
     assert f"cap of {MAX_CONTRACT_MEMBERS}" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_metric_check_takes_a_family_at_the_member_cap(tmp_path):
+    # 10000 members at sqrt(2)-1: the contract holds to its rounding bounds
+    # (1.1 s and 220 MB as a whole process)
+    out = tmp_path / "cap"
+    assert run_cli(["metric-check", "--a", "sqrt(2)-1", "--lambda-max", "1e8",
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "metric_report.json").read_text())["contract_failures"] == []
+
+
+def test_metric_check_reads_the_sup_on_a_grid_that_does_not_alias(tmp_path):
+    # member 255 is cos 256x + T sin 256x with T about 1.6e4; on a uniform
+    # 257-point grid every node is a zero of sin 256x, so its sup read 1 and
+    # its boundary rounding (1.3e-9) was refused as a domain violation
+    out = tmp_path / "alias"
+    assert run_cli(["metric-check", "--a", "-125/128+1/(1000000*pi)", "--lambda-max", "66000",
+                    "--out", str(out)]) == 0
+    assert json.loads((out / "metric_report.json").read_text())["contract_failures"] == []
 
 
 @pytest.mark.parametrize("a, lambda_max", [("sqrt(2)-1", "1e7"), ("1/3", "4.1e6")])

@@ -9,7 +9,7 @@ from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack, Terms, const, cos_term, eval_exact,
     gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix, inner_pairs, norms_l2,
-    sin_term,
+    norms_local, sin_term,
 )
 from jumpspec.param import ParamA
 
@@ -382,6 +382,28 @@ def test_inner_pairs_is_the_diagonal_of_inner_matrix(seed):
         want = np.diag(inner_matrix(fs, gs))
         assert got.shape == (fs.count,) and got[-1] == 0
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * _coefficient_products(fs, gs))
+
+
+def test_norms_local_agrees_with_the_term_gram():
+    rng = np.random.default_rng(26)
+    xb = HALF_PI * rng.uniform(-0.9, 0.9)
+    stack = Stack.join(_mixed_family(rng, xb) + [_random_split(rng, xb, left=False)])
+    squares = norms_l2(stack) ** 2
+    assert norms_local(stack).shape == (stack.count,) and squares[-2] == 0
+    assert np.all(np.abs(norms_local(stack) ** 2 - squares)
+                  <= 4 * np.finfo(float).eps * _coefficient_products(stack, stack))
+
+
+@pytest.mark.parametrize("k", [3.0, 1000.3, 123456.7])
+@pytest.mark.parametrize("s", [0.7, 2.5])
+def test_norms_local_cancels_waves_that_cancel_as_functions(k, s):
+    # cos(kx + s) - (cos s cos kx - sin s sin kx) is 0, but its three rows
+    # have three keys; the term Gram cancels O(1) integrals (it reads up to
+    # 1.5e-8 here), the owner-local norm cancels amplitudes
+    d = (PiecewiseTrig.single([cos_term(1.0, k, s)])
+         - PiecewiseTrig.single([cos_term(math.cos(s), k), sin_term(-math.sin(s), k)]))
+    assert len(d.pieces[0].terms) == 3
+    assert norms_local(d)[0] <= 8 * np.finfo(float).eps
 
 
 def test_inner_pairs_needs_equal_counts():

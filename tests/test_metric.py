@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpspec import metric
+from jumpspec import funcspace, metric
 from jumpspec.eigensystem import biorthogonalize, eigenfunctions_H
 from jumpspec.funcspace import Piece, PiecewiseTrig, Stack, const, cos_term, inner_closed
 from jumpspec.metric import (
@@ -208,9 +208,9 @@ def _root_system_contract(expr: str, lambda_max: float = 200.0) -> tuple[dict, l
 def test_root_system_contract_holds_at_irrational_a(expr):
     report, failures = _root_system_contract(expr)
     assert failures == []
-    # measured: off-diagonal <= 4.4e-16, c_j/||psi_j||^2 >= 5.0e-3 (1/pi),
-    # kappa ratio <= 0.45, residual <= 4.2e-14
-    assert report["max_offdiagonal"] < 1e-14
+    # measured: r_j <= 1.2e-15, c_j/||psi_j||^2 >= 5.0e-3 (1/pi),
+    # kappa ratio <= 0.45, intertwining residual <= 4.1e-14
+    assert report["max_root_residual"] < 1e-14
     assert report["positivity_min"] > 1e-3
     assert 0.1 < report["max_kappa_ratio"] < 0.6
 
@@ -220,7 +220,8 @@ def test_root_system_contract_sees_the_jordan_chain_at_one_third():
     # chain's eigenvector psi_2 is (psi_2, Theta psi_2) = 0 up to rounding
     report, failures = _root_system_contract("1/3")
     assert report["positivity_min"] < ROUNDING_BOUND
-    assert report["max_offdiagonal"] < 1e-14
+    # the chains meet Theta psi_j = c_j phi_j too, c_j = 0 on the eigenvector
+    assert report["max_root_residual"] < 1e-14
     assert len(failures) == 1 and failures[0].startswith("positivity_min")
 
 
@@ -243,12 +244,21 @@ def _shifted_antisymmetrizer(monkeypatch, which: str, shift: float = 1e-9) -> No
 def test_contract_fails_when_a_reflection_center_moves_by_1e_9(monkeypatch, which):
     _shifted_antisymmetrizer(monkeypatch, which)
     report, failures = _root_system_contract("sqrt(2)-1")
-    # neither c_j nor the intertwining residual (measured 1.7e-14) sees the
-    # shift; the off-diagonal does (measured 3.3e-9)
-    assert report["max_offdiagonal"] > 1e-9
+    # neither c_j nor the intertwining residual sees the shift; r_j does
+    # (clean, it reads at most 1.2e-15 at lambda <= 200)
+    assert report["max_root_residual"] > 1e-9
     assert report["positivity_min"] > 1e-3
     assert report["max_intertwining_residual"] < 1e-12
     assert [f.split()[0] for f in failures] == ["Theta"]
+
+
+@pytest.mark.parametrize("expr", ["sqrt(2)-1", "1/3"])
+def test_contract_fails_when_c_j_is_off_by_1e_6(monkeypatch, expr):
+    pairs = metric.inner_pairs
+    monkeypatch.setattr(metric, "inner_pairs", lambda fs, gs: pairs(fs, gs) * (1 + 1e-6))
+    report, failures = _root_system_contract(expr)
+    assert report["max_root_residual"] > 1e-7
+    assert "Theta" in [f.split()[0] for f in failures]
 
 
 def test_contract_fails_without_the_rank_one_term(monkeypatch):
@@ -272,40 +282,45 @@ def test_contract_fails_without_p0(monkeypatch):
                                   "-3/7"])
 def test_root_system_report_matches_the_per_member_oracle(expr, lambda_max):
     # the whole family as one Stack against Theta, the norms and the
-    # residual one member at a time; measured at most 2.2e-16
+    # residual one member at a time, and r_j against the n x n off-diagonal
+    # that it bounds by Cauchy-Schwarz
     a = ParamA.from_expr(expr)
     pairs = biorthogonalize(a, lambda_max)
     report = MetricOp.build(a).root_system_report(pairs)
     oracle = per_member_metric_report(a, pairs)
-    for key, want in oracle.items():
-        assert abs(report[key] - want) <= 1e-15, (key, report[key], want)
+    for key in ("positivity_min", "max_kappa_ratio", "max_intertwining_residual"):
+        assert abs(report[key] - oracle[key]) <= 1e-15, (key, report[key], oracle[key])
+    eps = np.finfo(float).eps
+    assert oracle["max_offdiagonal"] <= report["max_root_residual"] + 4 * eps
 
 
-def test_root_system_report_works_on_whole_batches(monkeypatch):
-    # a fixed number of kernel, norm and sampling calls whatever the family
-    # size: Theta psi, Theta psi'' and the Gram matrix, three norms_l2 calls
-    # and one domain sampling
-    calls = []
+def test_root_system_report_forms_no_family_by_family_matrix(monkeypatch):
+    # c_j, the norms and both residuals come from owner-local pairings: an
+    # inner_matrix of two families or a norms_l2 term Gram inside the
+    # report raises, and the report still reads the family
+    inner_matrix = metric.inner_matrix
 
-    def counting(name, real):
-        def wrapped(*args):
-            calls.append(name)
-            return real(*args)
-        return wrapped
+    def one_row_only(fs, gs):
+        if fs.count > 1 and gs.count > 1:
+            raise AssertionError("an n x n inner_matrix inside the report")
+        return inner_matrix(fs, gs)
 
-    monkeypatch.setattr(metric, "inner_matrix", counting("inner_matrix", metric.inner_matrix))
-    monkeypatch.setattr(metric, "norms_l2", counting("norms_l2", metric.norms_l2))
-    monkeypatch.setattr(Stack, "values", counting("values", Stack.values))
+    def no_term_gram(*args):
+        raise AssertionError("a norms_l2 term Gram inside the report")
+
+    monkeypatch.setattr(metric, "inner_matrix", one_row_only)
+    for module in (funcspace, metric):
+        monkeypatch.setattr(module, "norms_l2", no_term_gram, raising=False)
     for lambda_max in (120.0, 900.0):
         pairs = biorthogonalize(SQRT2M1, lambda_max)
-        calls.clear()
-        MetricOp.build(SQRT2M1).root_system_report(pairs)
-        assert sorted(calls) == ["inner_matrix"] * 3 + ["norms_l2"] * 3 + ["values"]
+        report = MetricOp.build(SQRT2M1).root_system_report(pairs)
+        assert contract_failures(report) == []
 
 
 def test_kappa_ratio_above_one_fails():
-    report = {"max_offdiagonal": 0.0, "positivity_min": 1.0, "max_kappa_ratio": 1.5,
-              "max_intertwining_residual": 0.0}
+    report = {"max_root_residual": 0.0, "max_root_residual_scaled": 0.0,
+              "positivity_min": 1.0, "max_kappa_ratio": 1.5,
+              "max_intertwining_residual": 0.0, "max_intertwining_scaled": 0.0}
     assert [f.split()[0] for f in contract_failures(report)] == ["c_j"]
     assert contract_failures({**report, "max_kappa_ratio": 1.0}) == []
 
