@@ -28,7 +28,7 @@ import numpy as np
 
 from jumpspec.eigensystem import BiorthFamily, _chains, biorthogonalize
 from jumpspec.funcspace import (
-    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, inner_pairs, norms_l2, sin_term,
+    Piece, PiecewiseTrig, Stack, cos_term, inner_matrix, inner_pairs, norms, sin_term,
 )
 from jumpspec.param import (
     NotIrrational, ParamA, convergents, family_angle, is_exceptional,
@@ -239,8 +239,9 @@ def expansion_residuals(fs: list[PiecewiseTrig], pairs: BiorthFamily,
 
     One inner_matrix call gives all coefficients.  Each remainder is one
     merge of f with the scaled forward rows, so equal terms cancel exactly
-    (a dropped pair's rows carry 0 and merge away), and `norms_l2` norms
-    them all from one Gram matrix of their distinct terms.  The expansion
+    (a dropped pair's rows carry 0 and merge away), and one `norms` call
+    norms them all (the remainders share most of their terms, so it takes
+    one Gram matrix of their distinct terms).  The expansion
     ||f||^2 - 2 Re(c^H b) + c^H G c would subtract O(1) numbers to reach
     residuals of 1e-16 and leave only sqrt(eps)-level accuracy.
     """
@@ -256,8 +257,8 @@ def expansion_residuals(fs: list[PiecewiseTrig], pairs: BiorthFamily,
                 use = before[owners] < n_cut
                 pieces.append(Piece.one(lo, hi, [terms, rows[use].scaled(-c[owners[use]])]))
             remainders.append(PiecewiseTrig(tuple(pieces)))
-    norms = norms_l2(Stack.join(remainders)).reshape(len(fs), len(checkpoints))
-    return [dict(zip(checkpoints, map(float, row))) for row in norms]
+    residuals = norms(Stack.join(remainders)).reshape(len(fs), len(checkpoints))
+    return [dict(zip(checkpoints, map(float, row))) for row in residuals]
 
 
 def truncated_completeness(a: ParamA, n_trunc: int, probe_count: int,

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -32,11 +33,13 @@ GAP = 4.0  # the spectral gap, the same for every a in (-1, 1)
 # largest |K| of --f sinK: K^2 - lambda stays finite, so the solution's
 # coefficient 1/(K^2 - lambda) is a number, not 0 from an overflow
 MAX_SOURCE_K = 1e150
+# --f: 'const', or 'sin' and K as a decimal number (sin3, sin-2.5, sin1e3)
+SOURCE = re.compile(r"const|sin[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 # family members `metric-check` accepts.  Its work is linear in them (one
-# inner_pairs call and two owner-local norm calls): 10000 take 1.0-1.5 s
-# and 218-227 MB peak RSS as a whole process at sqrt(2)-1, (sqrt(5)-1)/2
-# and 1/pi (lambda <= 1e8, 2-core host), and 20000 took 1.9 s and 340 MB,
-# so spectrum's 1e5 members would need about 1.5 GB
+# inner_pairs call and two funcspace.norms calls): 10000 take 1.2-1.7 s
+# and 127-133 MB peak RSS as a whole process at sqrt(2)-1, (sqrt(5)-1)/2
+# and 1/pi (lambda <= 1e8, 2-core host), and 20000 took 2.4-2.9 s and
+# 218 MB, so spectrum's 1e5 members would need about 1 GB
 MAX_CONTRACT_MEMBERS = 10000
 
 
@@ -113,10 +116,13 @@ def _parse_lambda(text: str) -> complex:
 def cmd_spectrum(args, man: Manifest) -> int:
     a = ParamA.from_expr(args.a)
     if args.curves:  # the grid and its row count are checked before any work
-        lo, hi, step = (float(t) for t in args.a_grid.split(":"))
+        try:
+            lo, hi, step = map(float, args.a_grid.split(":"))
+        except ValueError:
+            lo = math.nan  # not three numbers: refused below
         if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
-            raise ValueError(f"--a-grid {args.a_grid!r} needs finite lo:hi:step, "
-                             "lo <= hi, step > 0")
+            raise ValueError(f"--a-grid {args.a_grid!r}: needs --a-grid lo:hi:step, three "
+                             "finite numbers with lo <= hi and step > 0")
         # np.arange's length, as a float: math.ceil would raise at inf
         spectrum.check_curves(np.ceil((hi - lo) / step + 0.5), args.m_max)
     records = spectrum.enumerate_spectrum(a, args.lambda_max)
@@ -130,6 +136,9 @@ def cmd_spectrum(args, man: Manifest) -> int:
 
 
 def cmd_resolvent(args, man: Manifest) -> int:
+    if not SOURCE.fullmatch(args.f):
+        raise ValueError(f"--f {args.f!r} is neither 'const' nor 'sinK' with K a decimal "
+                         "number (such as sin3, sin-2.5 or sin1e3)")
     a = ParamA.from_expr(args.a)
     lam = _parse_lambda(args.lam)
     resolvent.check_probe(lam, args.svd_n)  # refused before the solve

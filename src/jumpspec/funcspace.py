@@ -13,7 +13,9 @@ exactly, so terms that must cancel (the two sides of an intertwining
 identity) merge to zero; shifts rounded to s -+ pi/2 would stay apart.
 Keeping the terms symbolic gives
 
-  * exact evaluation and differentiation, each one array expression,
+  * exact differentiation, one array expression, and evaluation with
+    each phase k x + s carried as hi + lo (`_basis`, the one basis of
+    `Stack.values` and `eval_exact`), right to a few eps however large k x,
   * inner products in closed form: by cos A cos B = (cos(A-B) + cos(A+B))/2
     a product of two terms is two waves x^p cos(wx+d), p <= 2, and one
     kernel integrates every term pair of two arrays from sines and cosines
@@ -25,15 +27,15 @@ Keeping the terms symbolic gives
 A family of such functions is kept as one `Stack` (each piece's rows of all
 members, with their owners) to be sliced, joined, summed, differentiated,
 sampled and integrated as a whole; its merge sums equal keys per owner,
-so a difference of two families cancels key by key; `norms_local` norms
-each member from its own rows, `norms_l2` all members from one Gram matrix
-of their terms.  Every piece of a Stack is one `Piece` record (lo, hi,
-terms, owners).  A PiecewiseTrig is one function: a Stack of count 1,
-built from its terms (`single`, `split`), whose sum, difference, multiple
-and derivative are PiecewiseTrigs again.  So a family is the `Stack.join`
-of its functions, `inner_matrix`, `inner_pairs` and the norms take Stacks
-and convert nothing, and `inner_closed` is inner_matrix's 1x1 entry of
-two functions.
+so a difference of two families cancels key by key, and `norms` pairs
+rows rewritten about the piece midpoints, where such waves cancel in
+amplitude.  Every piece of a Stack is one `Piece` record (lo, hi, terms,
+owners).  A PiecewiseTrig is one function: a Stack of count 1, built from
+its terms (`single`, `split`), whose sum, difference, multiple and
+derivative are PiecewiseTrigs again.  So a family is the `Stack.join` of
+its functions, `inner_matrix`, `inner_pairs` and `norms` take Stacks and
+convert nothing, and `inner_closed` is inner_matrix's 1x1 entry of two
+functions.
 
 Composite Gauss-Lobatto grids (`grid_nodes`) give the resolvent its output
 nodes.
@@ -55,6 +57,8 @@ HALF_PI = math.pi / 2
 _SERIES_BELOW = 1.0
 # term pairs per kernel evaluation; bounds the temporaries of batched calls
 _PAIR_BLOCK = 1 << 12
+# basis entries (points x rows) per block of Stack.values; bounds its temporaries
+_BASIS_BLOCK = 1 << 18
 
 
 class OutOfDomain(ValueError):
@@ -160,16 +164,6 @@ def sin_term(c: complex, k: float, s: float = 0.0) -> Terms:
     return _term(0, c, k, s, 1)
 
 
-def _basis(t: Terms, x: np.ndarray) -> np.ndarray:
-    """x^p cos(kx + s - q pi/2) of every row at every point, (len(x), len(t));
-    only the p = 1 columns are multiplied by x, since x^0 = 1."""
-    basis = np.cos(np.multiply.outer(x, t.k) + (t.s - t.q * HALF_PI))
-    linear = t.p == 1
-    if linear.any():
-        basis[..., linear] *= x[..., None]
-    return basis
-
-
 class Piece(NamedTuple):
     """One piece of a Stack: its rows valid on [lo, hi], ordered by owner,
     and each row's owner (the member it belongs to)."""
@@ -239,16 +233,21 @@ def _midpoint_phase(t: Terms, m) -> tuple[np.ndarray, np.ndarray]:
     return hi, sum_lo + prod_lo
 
 
-def eval_exact(t: Terms, x: np.ndarray) -> np.ndarray:
-    """The term sum at the points x, each phase k x + s carried as hi + lo
-    (_midpoint_phase), so every row is right to a few eps of its
-    coefficient however large k x is; the cos of the rounded phase, as
-    _basis takes it, loses k |x| eps."""
-    x = np.asarray(x, dtype=float)[:, None]
+def _basis(t: Terms, x: np.ndarray) -> np.ndarray:
+    """x^p cos(kx + s - q pi/2) of every row at every point, (len(x), len(t)),
+    the phase k x + s as hi + lo (_midpoint_phase), the quarter turns exact:
+    right to a few eps however large k |x| (a rounded phase loses k |x| eps)."""
+    x = x[:, None]
     hi, lo = _midpoint_phase(t, x)
     cos_h, sin_h, turn = np.cos(hi), np.sin(hi), _QUARTER_TURNS[t.q % 4]
     basis = (cos_h - sin_h * lo) * turn.real - (sin_h + cos_h * lo) * turn.imag
-    return np.where(t.p == 1, x, 1.0) * basis @ t.c
+    return np.multiply(basis, x, out=basis, where=t.p == 1)
+
+
+def eval_exact(t: Terms, x: np.ndarray) -> np.ndarray:
+    """The term sum at the points x: Stack.values of the one function with
+    the rows t, so it sums them as a Stack does, to the bit."""
+    return Stack((Piece.one(-HALF_PI, HALF_PI, t),), 1).values(x)[0]
 
 
 def _row_factors(t: Terms, m: float, h: float) -> tuple[np.ndarray, ...]:
@@ -404,10 +403,10 @@ class Stack:
         return out
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """(count, len(xs)) values at the points xs; at an interior edge,
-        the mean of the two one-sided values."""
+        """(count, len(xs)) values at the points xs, by _basis in blocks of
+        points; at an interior edge, the mean of the two one-sided values."""
         xs = np.asarray(xs, dtype=float)
-        if xs.size and (xs.min() < -HALF_PI - 1e-12 or xs.max() > HALF_PI + 1e-12):
+        if not np.all(np.abs(xs) <= HALF_PI + 1e-12):  # NaN fails it too
             raise OutOfDomain("evaluation outside [-pi/2, pi/2]")
         piece, on_cut = np.zeros(len(xs), dtype=int), np.zeros(len(xs), dtype=bool)
         for lo, *_ in self.pieces[1:]:  # a point on a cut goes right
@@ -419,15 +418,13 @@ class Stack:
             at = np.flatnonzero((piece == i) | (on_cut & (piece == i + 1)))
             if not len(at) or not len(terms):
                 continue
-            # each owner's run of rows summed (rows are ordered by owner), so
-            # time and memory grow with points x rows, whatever the count
-            starts = _group_starts(owners)
-            vals = np.add.reduceat(_basis(terms, xs[at]) * terms.c, starts, axis=1)
-            vals[on_cut[at]] *= 0.5
-            if at[-1] - at[0] + 1 == len(at):  # one run of points (a sorted grid)
-                out[owners[starts], at[0]:at[-1] + 1] += vals.T
-            else:
-                out[np.ix_(owners[starts], at)] += vals.T
+            # each owner's run of rows summed (rows are ordered by owner): time
+            # grows with points x rows, whatever the count, memory with _BASIS_BLOCK
+            starts, step = _group_starts(owners), max(1, _BASIS_BLOCK // len(terms))
+            for block in (at[r:r + step] for r in range(0, len(at), step)):
+                vals = np.add.reduceat(_basis(terms, xs[block]) * terms.c, starts, axis=1)
+                vals[on_cut[block]] *= 0.5
+                out[np.ix_(owners[starts], block)] += vals.T
         return out
 
 
@@ -539,12 +536,11 @@ def inner_pairs(fs: Stack, gs: Stack) -> np.ndarray:
     return out
 
 
-def norms_local(stack: Stack) -> np.ndarray:
-    """L2 norms of a Stack's functions, each from its own rows by
-    inner_pairs, after each piece's rows are rewritten as x^p cos(k(x - m))
-    and x^p sin(k(x - m)) about its midpoint m (the phase from _row_factors,
-    Dekker low part included) and merged per owner: waves that cancel as
-    functions cancel in their amplitudes, not in O(1) integrals."""
+def _about_midpoints(stack: Stack) -> Stack:
+    """Each piece's rows rewritten as x^p cos(k(x - m)) and x^p sin(k(x - m))
+    about its midpoint m (the phase from _row_factors, Dekker low part
+    included) and merged per owner: waves that cancel as functions cancel in
+    their amplitudes, not in O(1) integrals."""
     pieces = []
     for lo, hi, terms, owners in stack.pieces:
         m = 0.5 * (lo + hi)
@@ -553,31 +549,31 @@ def norms_local(stack: Stack) -> np.ndarray:
         waves = Terms.concat((Terms(terms.p, c * phase.real, k, shift, zero),
                               Terms(terms.p, -c * phase.imag, k, shift, zero + 1)))
         pieces.append(Piece(lo, hi, *_merge_rows(waves, np.concatenate((owners, owners)))))
-    merged = Stack(tuple(pieces), stack.count)
-    return np.sqrt(np.maximum(inner_pairs(merged, merged).real, 0.0))
+    return Stack(tuple(pieces), stack.count)
 
 
-def norms_l2(stack: Stack) -> np.ndarray:
-    """L2 norms of a Stack's functions from one term Gram per piece: with I
-    the integrals of conj(t_u) t_v over the distinct keys (p, q, k, s) of
-    all their terms and c_f the coefficients of f on those keys,
-    ||f||^2 = c_f^H I c_f.
-    inner_closed(f, f) sums the same integrals in another order; here one
-    kernel pass over the keys' pairs serves all functions.  That pays where
-    the functions share most of their keys, as the remainders of one
-    expansion do (on truncated_completeness' 20 it takes 6 ms, norms_local
-    53 ms); I grows as the square of the distinct keys."""
+def norms(stack: Stack) -> np.ndarray:
+    """L2 norms of a Stack's functions from their rows about each piece's
+    midpoint (_about_midpoints).  The squares come from whichever route
+    integrates fewer term pairs: each member's own rows by inner_pairs
+    (sum_j r_j^2 pairs a piece, r_j member j's rows there), or one Gram I of
+    the piece's K keys (p, q, k, s), K^2 pairs, and ||f||^2 = c_f^H I c_f for
+    f's coefficients c_f there.  The Gram wins when members share keys."""
+    stack = _about_midpoints(stack)
+    runs = [terms.key_runs() for _, _, terms, _ in stack.pieces]
+    if (sum(np.sum(np.bincount(owners) ** 2) for *_, owners in stack.pieces)
+            <= sum(len(starts) ** 2 for _, starts in runs)):
+        return np.sqrt(np.maximum(inner_pairs(stack, stack).real, 0.0))
     squares = np.zeros(stack.count)
-    for lo, hi, terms, owners in stack.pieces:
-        order, starts = terms.key_runs()
+    for (lo, hi, terms, owners), (order, starts) in zip(stack.pieces, runs):
         keys = terms[order[starts]]
         keys.c = np.ones(len(keys), dtype=complex)
         gram = np.empty((len(keys), len(keys)), dtype=complex)
         for rows, vals in _pair_blocks(keys, keys, lo, hi):
             gram[rows] = vals
         coef = np.zeros((len(keys), stack.count), dtype=complex)
-        key = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
-        np.add.at(coef, (key, owners[order]), terms.c[order])
+        key = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+        coef[key, owners[order]] = terms.c[order]  # rows are merged: an owner has a key once
         squares += np.real(np.sum(np.conj(coef) * (gram @ coef), axis=0))
     return np.sqrt(np.maximum(squares, 0.0))
 

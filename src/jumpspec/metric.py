@@ -42,7 +42,7 @@ import numpy as np
 
 from jumpspec.funcspace import (
     HALF_PI, Piece, PiecewiseTrig, Stack, Terms, grid_nodes, inner_closed, inner_matrix,
-    inner_pairs, norms_local,
+    inner_pairs, norms,
 )
 from jumpspec.param import NotIrrational, ParamA, convergents, family_angle
 from jumpspec.eigensystem import BiorthFamily, phi_zero_mode
@@ -153,14 +153,14 @@ class MetricOp:
     def intertwining_residuals(self, fs: Stack, theta_fs: Stack | None = None) -> np.ndarray:
         """||H* Theta f_j - Theta H f_j||_2 for every member, all derivatives
         symbolic: the differences -(Theta f_j)'' + Theta(f_j'') as one Stack,
-        normed by norms_local.  theta_fs is apply_all(fs) when the caller
+        normed by funcspace.norms.  theta_fs is apply_all(fs) when the caller
         has it already.  DomainViolation (`_require_domain`) unless every
         f_j is in the operator domain."""
         _require_domain(fs, self.a)
         if theta_fs is None:
             theta_fs = self.apply_all(fs)
-        return norms_local(Stack.total((theta_fs.derivative(2).scaled(-1.0),
-                                        self.apply_all(fs.derivative(2)))))
+        return norms(Stack.total((theta_fs.derivative(2).scaled(-1.0),
+                                  self.apply_all(fs.derivative(2)))))
 
     def root_system_report(self, pairs: BiorthFamily) -> dict:
         """Theta on a biorthogonal family, where Theta psi_j = c_j phi_j,
@@ -168,7 +168,7 @@ class MetricOp:
 
         Theta psi_j is formed for the whole family at once (apply_all),
         c_j = (psi_j, Theta psi_j) by inner_pairs, and every norm, that of
-        r_j = ||Theta psi_j - c_j phi_j||/||psi_j|| included, by norms_local.
+        r_j = ||Theta psi_j - c_j phi_j||/||psi_j|| included, by norms.
         For i != j, (psi_i, phi_j) = 0, so by Cauchy-Schwarz r_j bounds
         |(psi_i, Theta psi_j - c_j phi_j)|/(||psi_i|| ||psi_j||) = |(psi_i,
         Theta psi_j)|/(||psi_i|| ||psi_j||) for every i, members beyond the
@@ -192,7 +192,7 @@ class MetricOp:
         theta_psi = self.apply_all(pairs.psi)
         c = inner_pairs(pairs.psi, theta_psi).real
         # ||psi_j||, ||phi_j|| and ||Theta psi_j - c_j phi_j||, from one call
-        psi_norms, phi_norms, misfit = norms_local(Stack.join((
+        psi_norms, phi_norms, misfit = norms(Stack.join((
             pairs.psi, pairs.phi, Stack.total((theta_psi, pairs.phi.scaled(-c)))))).reshape(3, -1)
         residual = misfit / psi_norms
         intertwining = self.intertwining_residuals(pairs.psi, theta_psi) / psi_norms

@@ -94,11 +94,6 @@ class ResonantForcing(ValueError):
     """A p = 1 forcing term with |k_j^2 - k^2| < NEAR_RESONANCE."""
 
 
-def _check_interval(*arrays: np.ndarray) -> None:
-    if max(np.max(np.abs(arr), initial=0.0) for arr in arrays) > HALF_PI + 1e-12:
-        raise ValueError("resolvent arguments outside [-pi/2, pi/2]")
-
-
 def check_lambda(lam: complex) -> complex:
     """lam as a complex, or ValueError unless it is finite and within the cap."""
     lam = complex(lam)
@@ -124,7 +119,6 @@ class ResolventKernel:
     lam: complex
     k: complex
     ik: complex
-    a_value: float
     p: complex
     q: complex
     one_minus: tuple[complex, complex, complex]
@@ -143,8 +137,7 @@ class ResolventKernel:
                 f"three-point determinant factor {smallest:.2e} at lambda={lam}: "
                 "spectral point of the jump operator")
         _, p, q = np.exp(theta).tolist()
-        return cls(lam=lam, k=k, ik=ik, a_value=a.value, p=p, q=q,
-                   one_minus=tuple(one_minus.tolist()))
+        return cls(lam=lam, k=k, ik=ik, p=p, q=q, one_minus=tuple(one_minus.tolist()))
 
     def coefficients(self, r1, r2):
         """(A, B) such that u_p + A phi_1 + B phi_2 meets the three-point
@@ -246,7 +239,8 @@ def apply_resolvent(lam: complex, f: PiecewiseTrig, a: ParamA,
     solve = ThreePointSolve(lam, f, a)
     nodes = (grid_nodes(a, 96, kmax=abs(solve.kern.k))[0] if xs is None
              else np.asarray(xs, dtype=float))
-    _check_interval(nodes)
+    if not np.all(np.abs(nodes) <= HALF_PI + 1e-12):  # NaN fails it too
+        raise ValueError("resolvent arguments outside [-pi/2, pi/2]")
     return nodes, solve(nodes)
 
 

@@ -34,7 +34,11 @@ takes them once per term row, a function's terms on a segment, a
 family's Stack and an inner product found from each function's own pieces
 and breakpoints where the package joins one-member Stacks, and a linear
 combination merged as one function's rows (`lincomb`) where PiecewiseTrig's
-+ and - merge a Stack.total per owner.
++ and - merge a Stack.total per owner, term sums at the cos of the rounded
+phase (`rounded_basis`, `eval_terms`) where the package carries the phase
+exactly, and the norms from each member's own rows about the piece
+midpoints (`norms_local`) and from one Gram of the raw rows' keys
+(`norms_l2`), the two routes that `funcspace.norms` chooses between.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from jumpspec.eigensystem import (
 )
 from jumpspec.funcspace import (
     _MOMENT_SERIES, _PAIR_BLOCK, _SERIES_BELOW, HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack,
-    Terms, _basis, _grid_pieces, _midpoint_phase, _pair_blocks, _two_sum, const, cos_term,
-    grid_nodes, grid_panels, inner_closed, inner_matrix, sin_term,
+    Terms, _grid_pieces, _merge_rows, _midpoint_phase, _pair_blocks, _row_factors, _two_sum,
+    const, cos_term, grid_nodes, grid_panels, inner_closed, inner_matrix, inner_pairs, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
@@ -81,11 +85,23 @@ def char_det(a: ParamA | float, k) -> complex | np.ndarray:
     return det
 
 
+def rounded_basis(t: Terms, x: np.ndarray) -> np.ndarray:
+    """x^p cos(kx + s - q pi/2) of every row at every point, (len(x), len(t)),
+    from the cos of the rounded phase: the basis Stack.values once took,
+    which loses k |x| eps where funcspace._basis carries the phase exactly;
+    only the p = 1 columns are multiplied by x, since x^0 = 1."""
+    basis = np.cos(np.multiply.outer(x, t.k) + (t.s - t.q * HALF_PI))
+    linear = t.p == 1
+    if linear.any():
+        basis[..., linear] *= x[..., None]
+    return basis
+
+
 def eval_terms(t: Terms, x: np.ndarray) -> np.ndarray:
     """A term sum at the points x, one cos of the rounded phase k x + s per
-    row and point (`_basis`), so a row loses k |x| eps where
+    row and point (`rounded_basis`), so a row loses k |x| eps where
     funcspace.eval_exact does not."""
-    return _basis(t, np.asarray(x, dtype=float)) @ t.c
+    return rounded_basis(t, np.asarray(x, dtype=float)) @ t.c
 
 
 def one_sided(f: PiecewiseTrig, x: float, side: int) -> complex:
@@ -327,17 +343,18 @@ def generic_norm_median(a: ParamA, m_max: int = 200) -> float:
 MAX_PROBE_NODES = 4097
 
 
-def kernel_matrix(kern: ResolventKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def kernel_matrix(kern: ResolventKernel, a: ParamA, xs: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
     """The resolvent kernel R(x, y) = (i/2k) e^{ik|x-y|} + phi_1(x) alpha(y)
-    + phi_2(x) beta(y) at every (x, y), from `kern`'s scalars and its
-    `coefficients` of the free kernel's boundary differences: float64 at
-    real lambda < 0 (ik real), and at real lambda > 0 the rounding-only
-    imaginary part of the complex assembly dropped (H commutes with
-    conjugation)."""
+    + phi_2(x) beta(y) at every (x, y), from the scalars of `kern` (built at
+    a) and its `coefficients` of the free kernel's boundary differences:
+    float64 at real lambda < 0 (ik real), and at real lambda > 0 the
+    rounding-only imaginary part of the complex assembly dropped (H
+    commutes with conjugation)."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     ik, c = kern.ik, -0.5 / kern.ik  # c = i/2k
     phi_y = kern.phis(ys)
-    g_jump = c * np.exp(ik * np.abs(HALF_PI * kern.a_value - ys))
+    g_jump = c * np.exp(ik * np.abs(HALF_PI * a.value - ys))
     alpha, beta = kern.coefficients(c * phi_y[:, 0] - g_jump, c * phi_y[:, 1] - g_jump)
     out = (c * np.exp(ik * np.abs(np.subtract.outer(xs, ys)))
            + kern.phis(xs) @ np.stack([alpha, beta]))
@@ -1112,8 +1129,9 @@ def _pair_integrals(f: Terms, g: Terms, lo: float, hi: float) -> np.ndarray:
 def per_pair_trig_blocks(f: Terms, g: Terms, lo: float, hi: float):
     """funcspace._pair_blocks by _pair_integrals, which takes the sin and
     cos of both waves' u and phase pair by pair: the same (rows, integrals)
-    blocks, so that patched in for it, inner_matrix and norms_l2 reduce the
-    old kernel's integrals exactly as they reduce the package's."""
+    blocks, so that patched in for it, inner_matrix and the key Gram of
+    norms reduce the old kernel's integrals exactly as they reduce the
+    package's."""
     step = max(1, _PAIR_BLOCK // max(len(g), 1))
     for r in range(0, len(f), step):
         rows = slice(r, r + step)
@@ -1159,3 +1177,46 @@ def per_segment_inner(f: PiecewiseTrig, g: PiecewiseTrig) -> complex:
         for _, vals in _pair_blocks(terms_on(f, lo, hi), terms_on(g, lo, hi), lo, hi):
             total += vals.sum()
     return complex(total)
+
+
+# ---------------------------------------------------------------------------
+# the two norms funcspace.norms chooses between, as each stood on its own
+# ---------------------------------------------------------------------------
+
+def norms_local(stack: Stack) -> np.ndarray:
+    """L2 norms of a Stack's functions, each from its own rows by
+    inner_pairs, after each piece's rows are rewritten as x^p cos(k(x - m))
+    and x^p sin(k(x - m)) about its midpoint m (the phase from _row_factors,
+    Dekker low part included) and merged per owner: waves that cancel as
+    functions cancel in their amplitudes, not in O(1) integrals."""
+    pieces = []
+    for lo, hi, terms, owners in stack.pieces:
+        m = 0.5 * (lo + hi)
+        c, k, phase, *_ = _row_factors(terms, m, 0.5 * (hi - lo))
+        shift, zero = -k * m, np.zeros(len(terms), dtype=np.int64)
+        waves = Terms.concat((Terms(terms.p, c * phase.real, k, shift, zero),
+                              Terms(terms.p, -c * phase.imag, k, shift, zero + 1)))
+        pieces.append(Piece(lo, hi, *_merge_rows(waves, np.concatenate((owners, owners)))))
+    merged = Stack(tuple(pieces), stack.count)
+    return np.sqrt(np.maximum(inner_pairs(merged, merged).real, 0.0))
+
+
+def norms_l2(stack: Stack) -> np.ndarray:
+    """L2 norms of a Stack's functions from one term Gram per piece of
+    their rows as they are: with I the integrals of conj(t_u) t_v over the
+    distinct keys (p, q, k, s) of all their terms and c_f the coefficients
+    of f on those keys, ||f||^2 = c_f^H I c_f.  Waves that cancel as
+    functions leave O(1) integrals to cancel (up to 1.5e-8 at k ~ 1e5)."""
+    squares = np.zeros(stack.count)
+    for lo, hi, terms, owners in stack.pieces:
+        order, starts = terms.key_runs()
+        keys = terms[order[starts]]
+        keys.c = np.ones(len(keys), dtype=complex)
+        gram = np.empty((len(keys), len(keys)), dtype=complex)
+        for rows, vals in _pair_blocks(keys, keys, lo, hi):
+            gram[rows] = vals
+        coef = np.zeros((len(keys), stack.count), dtype=complex)
+        key = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
+        np.add.at(coef, (key, owners[order]), terms.c[order])
+        squares += np.real(np.sum(np.conj(coef) * (gram @ coef), axis=0))
+    return np.sqrt(np.maximum(squares, 0.0))

@@ -306,12 +306,13 @@ def test_shared_term_gram_matches_per_remainder_norms(expr):
 
 
 def test_truncated_completeness_norms_all_remainders_in_one_pass(monkeypatch):
+    # the remainders share most of their keys, so norms takes the key Gram
     norm_calls, kernel_passes = [], []
-    norms_l2, pair_blocks = funcspace.norms_l2, funcspace._pair_blocks
+    norms, pair_blocks = funcspace.norms, funcspace._pair_blocks
 
     def counting_norms(fns):
         norm_calls.append(fns.count)
-        return norms_l2(fns)
+        return norms(fns)
 
     def counting_blocks(*args):
         kernel_passes.append(len(args[0]))
@@ -320,7 +321,7 @@ def test_truncated_completeness_norms_all_remainders_in_one_pass(monkeypatch):
     def no_inner(f, g):
         raise AssertionError("a remainder was normed on its own")
 
-    monkeypatch.setattr(basis_diag, "norms_l2", counting_norms)
+    monkeypatch.setattr(basis_diag, "norms", counting_norms)
     monkeypatch.setattr(funcspace, "_pair_blocks", counting_blocks)
     monkeypatch.setattr(funcspace, "inner_closed", no_inner)
     report = truncated_completeness(ParamA.from_expr("sqrt(2)-1"), 200, 4)

@@ -388,12 +388,14 @@ def test_probe_grid_is_refused_before_the_solve(tmp_path, monkeypatch, capsys, a
 @pytest.mark.parametrize("option", [
     *(pytest.param(f"--a-grid={grid}", id=grid)
       for grid in ("0:0.5:0", "0:0.5:-0.1", "nan:0.5:0.1", "0:inf:0.1",
-                   "0:0.5:inf", "0:0.5:nan", "0.5:-0.5:0.25")),
+                   "0:0.5:inf", "0:0.5:nan", "0.5:-0.5:0.25", "0:1", "a:b:c", "0:1:0.5:2")),
     pytest.param("--m-max=-1", id="m-max=-1")])
-def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, option):
+def test_bad_curve_grid_is_a_usage_error_before_any_output(tmp_path, capsys, option):
     out = tmp_path / "cg"
     assert run_cli(["spectrum", "--a", "1/3", "--curves", option, "--out", str(out)]) == 2
     assert not out.exists()
+    # the message names the grid's form, not Python's unpacking or float()
+    assert ("--a-grid lo:hi:step" in capsys.readouterr().err) == option.startswith("--a-grid")
 
 
 @pytest.mark.parametrize("option", [
@@ -426,9 +428,11 @@ def test_curve_row_cap_is_the_closed_form_count(tmp_path, monkeypatch):
 # the rows that came out wrong with exit 0 from a panel sweep sized by |k|
 # of lambda, not by K (2.9e-5, 3.8e-3 and 3.0e-2 off at max|u| 2.6e-6,
 # 2.6e-8 and 1.5e-12); the closed form must be within 16 eps max|u| of the
-# 50-digit solve at every output node (measured worst 2.2 eps)
+# 50-digit solve at every output node (measured worst 2.2 eps); the last
+# two spell K as the --f grammar allows
 @pytest.mark.parametrize("source, lam", [("sin1000", "-1"), ("sin1e4", "-1"),
-                                         ("sin1e6", "2.5,1"), ("sin-3", "-1")])
+                                         ("sin1e6", "2.5,1"), ("sin-3", "-1"),
+                                         ("sin2.5e0", "-1"), ("sin+.5", "-1")])
 def test_resolvent_output_matches_the_mpmath_solve(tmp_path, source, lam):
     out = tmp_path / "u"
     assert run_cli(["resolvent", "--a", "1/3", f"--lambda={lam}", "--f", source,
@@ -534,6 +538,23 @@ def test_non_finite_source_wavenumber_is_a_usage_error_before_any_output(tmp_pat
     out = tmp_path / "f"
     assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1", "--f", source,
                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["2", "sin1_0", "sin", "foo", "sin 2", "sininf", "sin+-1",
+                                    "const1", "sin0x10"])
+def test_source_outside_the_grammar_is_a_usage_error_before_any_work(tmp_path, monkeypatch,
+                                                                     capsys, source):
+    # float() reads '2' as 2.0 and 'sin1_0' as sin 10x: only 'const' and
+    # 'sin' with a decimal number are sources
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a refused source")
+    monkeypatch.setattr(resolvent, "apply_resolvent", no_work)
+    monkeypatch.setattr(resolvent, "check_probe", no_work)
+    out = tmp_path / "f"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda=-1", "--f", source,
+                    "--out", str(out)]) == 2
+    assert "'const' nor 'sinK' with K a decimal number" in capsys.readouterr().err
     assert not out.exists()
 
 

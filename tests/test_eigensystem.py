@@ -9,7 +9,7 @@ from jumpspec.eigensystem import (
     CaseMismatch, biorthogonalize, eigenfunctions_H, gram_matrix, pairing_class_generic,
     pairing_zero_zero,
 )
-from jumpspec.funcspace import Piece, PiecewiseTrig, Stack, inner_closed, inner_matrix, norms_l2
+from jumpspec.funcspace import Piece, PiecewiseTrig, Stack, inner_closed, inner_matrix, norms
 from jumpspec.param import ParamA
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -424,7 +424,7 @@ def test_the_duals_form_the_adjoint_jordan_chain(expr):
     successor = Stack(phi.take(1, n).pieces, n)  # member j is phi_(j+1)
     residual = Stack.total([phi.derivative(2).scaled(-1.0), phi.scaled(-lam),
                             successor.scaled(-chain)])
-    assert np.max(norms_l2(residual) / norms_l2(phi)) < ADJOINT_CHAIN_GATE
+    assert np.max(norms(residual) / norms(phi)) < ADJOINT_CHAIN_GATE
     for j in range(n):
         assert validate_domain_Hstar(phi.fn(j), a).in_domain, (family.records[j].lam, j)
 

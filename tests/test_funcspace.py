@@ -5,19 +5,20 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from jumpspec import funcspace
 from jumpspec.cli import Manifest
 from jumpspec.funcspace import (
     HALF_PI, OutOfDomain, Piece, PiecewiseTrig, Stack, Terms, const, cos_term, eval_exact,
-    gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix, inner_pairs, norms_l2,
-    norms_local, sin_term,
+    gauss_lobatto, grid_nodes, grid_panels, inner_closed, inner_matrix, inner_pairs, norms,
+    sin_term,
 )
 from jumpspec.param import ParamA
 
 import reference_oracles
 from reference_oracles import (
-    QUAD_START_NODES, QuadratureNotConverged, _quad_rounds, eval_terms, lincomb, one_sided,
-    per_function_stack, quad_gram, quad_inner, terms_on, validate_domain_H, validate_domain_Hstar,
-    zero_function,
+    QUAD_START_NODES, QuadratureNotConverged, _quad_rounds, eval_terms, lincomb, norms_l2,
+    norms_local, one_sided, per_function_stack, quad_gram, quad_inner, terms_on, validate_domain_H,
+    validate_domain_Hstar, zero_function,
 )
 from util import linear, norm_l2, random_trig, xsin_term
 
@@ -50,11 +51,15 @@ def test_eval_terms_matches_the_power_formula_bit_for_bit():
 
 
 def test_eval_out_of_domain():
+    # NaN compares false with both ends, so it must fail the check, not pass it
     f = PiecewiseTrig.single([const(1.0)])
-    with pytest.raises(OutOfDomain):
-        f(2.0)
-    with pytest.raises(OutOfDomain):
-        f.values(np.array([0.0, -2.0]))
+    for x in (2.0, -2.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(OutOfDomain):
+            f(x)
+        with pytest.raises(OutOfDomain):
+            f.values(np.array([0.0, x]))
+        with pytest.raises(OutOfDomain):
+            eval_exact(f.pieces[0].terms, np.array([x, 0.0]))
 
 
 def _mixed_family(rng, xb: float) -> list[PiecewiseTrig]:
@@ -85,6 +90,24 @@ def test_stack_values_are_each_functions_piece_values():
         # the one-member stack of f sums in another BLAS blocking
         assert np.allclose(f(xs), row, rtol=0, atol=1e-14)
         assert f(float(xs[5])) == pytest.approx(row[5], rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("block", [1 << 18, 7])
+def test_stack_values_are_eval_exact_on_each_piece_bit_for_bit(monkeypatch, block):
+    # one basis and one sum over each owner's rows: a member of a Stack and
+    # eval_exact of the rows of each of its pieces agree to the bit, in
+    # blocks of a few points or not
+    monkeypatch.setattr(funcspace, "_BASIS_BLOCK", block)
+    rng = np.random.default_rng(27)
+    xb = -0.2
+    fns = _mixed_family(rng, xb) + [_random_split(rng, xb)]
+    xs = np.concatenate([[-HALF_PI, HALF_PI], rng.uniform(-HALF_PI, HALF_PI, 60)])
+    vals = Stack.join(fns).values(xs)
+    for f, row in zip(fns, vals):
+        assert np.array_equal(f(xs), row)
+        for lo, hi, terms, _ in f.pieces:
+            on = (lo <= xs) & (xs <= hi)
+            assert np.array_equal(row[on], eval_exact(terms, xs[on]))
 
 
 def _same_rows(stack: Stack, j: int, f: PiecewiseTrig) -> bool:
@@ -211,7 +234,7 @@ def test_no_functions_still_span_the_interval():
     f = PiecewiseTrig.split(0.2, [cos_term(1.0, 3.0)], [sin_term(2.0, 1.0)])
     assert inner_matrix(empty, f).shape == (0, 1)
     assert inner_matrix(f, empty).shape == (1, 0)
-    assert norms_l2(empty).shape == (0,)
+    assert norms(empty).shape == (0,)
 
 
 def test_stack_join_keeps_every_function_in_order():
@@ -303,10 +326,10 @@ def test_norms_and_quadrature_take_a_stack_as_its_functions():
     a = ParamA.from_expr("1/pi")
     fns = _mixed_family(rng, HALF_PI * a.value)
     stack = Stack.join(fns)
-    norms = norms_l2(stack)
-    assert np.allclose(norms, [norm_l2(f) for f in fns], rtol=1e-13, atol=0)
-    assert np.allclose(norms, [norms_l2(f)[0] for f in fns], rtol=1e-13, atol=0)
-    assert np.allclose(np.sqrt(quad_gram(stack, a).diagonal().real), norms, rtol=1e-10, atol=0)
+    got = norms(stack)
+    assert np.allclose(got, [norm_l2(f) for f in fns], rtol=1e-13, atol=0)
+    assert np.allclose(got, [norms(f)[0] for f in fns], rtol=1e-13, atol=0)
+    assert np.allclose(np.sqrt(quad_gram(stack, a).diagonal().real), got, rtol=1e-10, atol=0)
 
 
 def test_positive_definite():
@@ -404,6 +427,56 @@ def test_norms_local_cancels_waves_that_cancel_as_functions(k, s):
          - PiecewiseTrig.single([cos_term(math.cos(s), k), sin_term(-math.sin(s), k)]))
     assert len(d.pieces[0].terms) == 3
     assert norms_local(d)[0] <= 8 * np.finfo(float).eps
+
+
+def _pairs_integrated(monkeypatch, compute):
+    """(compute(), the term pairs the pair kernel integrated in it)."""
+    count, kernel = [0], funcspace._pair_kernel
+
+    def counting(f, g, h):
+        vals = kernel(f, g, h)
+        count[0] += vals.size
+        return vals
+
+    with monkeypatch.context() as patched:
+        patched.setattr(funcspace, "_pair_kernel", counting)
+        return compute(), count[0]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_norms_agrees_with_both_oracles(monkeypatch, shared):
+    # distinct keys: random members, paired per owner; shared keys: the
+    # members are combinations of a few functions' rows, so one Gram of the
+    # keys integrates fewer pairs and norms takes it
+    rng = np.random.default_rng(28 + shared)
+    xb = HALF_PI * rng.uniform(-0.9, 0.9)
+    fns = _mixed_family(rng, xb) + [_random_split(rng, xb, left=False)]
+    if shared:
+        fns = [sum((f.scaled(z) for f, z in zip(fns, rng.normal(size=len(fns)))), zero_function())
+               for _ in range(12)]
+    stack = Stack.join(fns)
+    got, integrated = _pairs_integrated(monkeypatch, lambda: norms(stack))
+    merged = funcspace._about_midpoints(stack)
+    owner_pairs = sum(int(np.sum(np.bincount(o) ** 2)) for *_, o in merged.pieces)
+    key_pairs = sum(len(t.key_runs()[1]) ** 2 for _, _, t, _ in merged.pieces)
+    assert integrated == min(owner_pairs, key_pairs) and (key_pairs < owner_pairs) == shared
+    bound = 4 * np.finfo(float).eps * _coefficient_products(stack, stack)
+    for oracle in (norms_local, norms_l2):
+        assert np.all(np.abs(got ** 2 - oracle(stack) ** 2) <= bound)
+
+
+@pytest.mark.parametrize("k", [3.0, 1000.3, 123456.7])
+@pytest.mark.parametrize("s", [0.7, 2.5])
+def test_norms_cancels_waves_that_cancel_as_functions(k, s):
+    # the rows about the midpoint cancel in amplitude, by either route:
+    # alone, d pairs its own rows; among members with its keys, the key Gram
+    d = (PiecewiseTrig.single([cos_term(1.0, k, s)])
+         - PiecewiseTrig.single([cos_term(math.cos(s), k), sin_term(-math.sin(s), k)]))
+    f = PiecewiseTrig.single([cos_term(1.0, k, s)])
+    assert norms(d)[0] <= 8 * np.finfo(float).eps
+    shared = norms(Stack.join([d, f, f.scaled(2.0), f.scaled(-1j)]))
+    assert shared[0] <= 8 * np.finfo(float).eps
+    assert np.allclose(shared[1:], norms(f)[0] * np.array([1.0, 2.0, 1.0]), rtol=1e-14, atol=0)
 
 
 def test_inner_pairs_needs_equal_counts():
@@ -545,7 +618,7 @@ def test_quad_inner_takes_one_sided_values_at_a_jump():
 
 def test_exact_phase_evaluation_at_large_wavenumbers():
     # cos(k x + s) with k x ~ 1e6: eval_terms loses k |x| eps, eval_exact
-    # keeps a few eps of the 50-digit value
+    # and Stack.values keep a few eps of the 50-digit value
     t = Terms.concat([sin_term(1.0, 1e6), cos_term(2.0, 12345.678, 0.25), linear(1.0)])
     x = np.linspace(-HALF_PI, HALF_PI, 41)
     with mp.workdps(50):
@@ -553,6 +626,7 @@ def test_exact_phase_evaluation_at_large_wavenumbers():
                                 + 2 * mp.cos(mp.mpf(12345.678) * mp.mpf(v) + mp.mpf(0.25))
                                 + mp.mpf(v)) for v in x])
     assert np.max(np.abs(eval_exact(t, x) - ref)) < 8 * np.finfo(float).eps
+    assert np.max(np.abs(PiecewiseTrig.single(t)(x) - ref)) < 8 * np.finfo(float).eps
     assert np.max(np.abs(eval_terms(t, x) - ref)) > 1e-12
 
 

@@ -296,25 +296,40 @@ def test_root_system_report_matches_the_per_member_oracle(expr, lambda_max):
 
 def test_root_system_report_forms_no_family_by_family_matrix(monkeypatch):
     # c_j, the norms and both residuals come from owner-local pairings: an
-    # inner_matrix of two families or a norms_l2 term Gram inside the
-    # report raises, and the report still reads the family
-    inner_matrix = metric.inner_matrix
+    # inner_matrix of two families inside the report raises, each norms
+    # call integrates no more term pairs than sum_j r_j^2 over the pieces
+    # (r_j member j's rows there, about the piece midpoints), and the
+    # report still reads the family
+    inner_matrix, norms, pair_kernel = metric.inner_matrix, metric.norms, funcspace._pair_kernel
+    integrated, norm_calls = [0], []
 
     def one_row_only(fs, gs):
         if fs.count > 1 and gs.count > 1:
             raise AssertionError("an n x n inner_matrix inside the report")
         return inner_matrix(fs, gs)
 
-    def no_term_gram(*args):
-        raise AssertionError("a norms_l2 term Gram inside the report")
+    def counting_kernel(f, g, h):
+        vals = pair_kernel(f, g, h)
+        integrated[0] += vals.size
+        return vals
+
+    def owner_pairs_at_most(stack):
+        integrated[0] = 0
+        out = norms(stack)
+        owner_pairs = sum(int(np.sum(np.bincount(owners) ** 2))
+                          for *_, owners in funcspace._about_midpoints(stack).pieces)
+        assert integrated[0] <= owner_pairs
+        norm_calls.append(stack.count)
+        return out
 
     monkeypatch.setattr(metric, "inner_matrix", one_row_only)
-    for module in (funcspace, metric):
-        monkeypatch.setattr(module, "norms_l2", no_term_gram, raising=False)
+    monkeypatch.setattr(metric, "norms", owner_pairs_at_most)
+    monkeypatch.setattr(funcspace, "_pair_kernel", counting_kernel)
     for lambda_max in (120.0, 900.0):
         pairs = biorthogonalize(SQRT2M1, lambda_max)
         report = MetricOp.build(SQRT2M1).root_system_report(pairs)
         assert contract_failures(report) == []
+        assert norm_calls[-2:] == [3 * pairs.psi.count, pairs.psi.count]
 
 
 def test_kappa_ratio_above_one_fails():

@@ -78,6 +78,13 @@ def test_resolvent_of_constant_is_constant():
     assert np.max(np.abs(u - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("x", [2.0, -2.0, math.inf, -math.inf, math.nan])
+def test_apply_resolvent_refuses_points_outside_the_interval(x):
+    # NaN compares false with both ends, so it must fail the check, not pass it
+    with pytest.raises(ValueError, match="outside"):
+        apply_resolvent(-1.0, SIN3_HALF, ParamA.from_expr("1/3"), xs=np.array([0.0, x]))
+
+
 def test_boundary_identity():
     a = ParamA.from_expr("1/3")
     f = PiecewiseTrig.single(sin_term(1.0, 3.0))
@@ -197,7 +204,7 @@ def _fixed_grid_solution(lam, f, a):
     """Nodes and K (w f) on grid_nodes(a, 256, 3): the resolvent as the
     kernel quadrature that the SVD probe discretizes, f real."""
     nodes, weights = grid_nodes(a, 256, kmax=3.0)
-    mat = kernel_matrix(ResolventKernel.build(lam, a), nodes, nodes)
+    mat = kernel_matrix(ResolventKernel.build(lam, a), a, nodes, nodes)
     return nodes, mat @ (weights * f(nodes).real)
 
 
@@ -283,7 +290,7 @@ def test_kernel_matches_the_rank_one_oracle(lam):
     xs = np.linspace(-HALF_PI, HALF_PI, 29)
     ys = np.append(np.linspace(-HALF_PI, HALF_PI - 0.1, 37) + 0.05, HALF_PI)
     ref = rank_one_kernel(lam, a.value, xs, ys)
-    mat = kernel_matrix(ResolventKernel.build(lam, a), xs, ys)
+    mat = kernel_matrix(ResolventKernel.build(lam, a), a, xs, ys)
     assert np.max(np.abs(mat - ref)) < 5e-15 * np.max(np.abs(ref))
 
 
@@ -295,7 +302,7 @@ def test_kernel_is_float64_exactly_for_real_negative_lambda(lam, dtype):
     # the sine-basis matrix, and the Nystrom kernel of the tests' oracle
     a = ParamA.from_expr("1/3")
     xs = np.linspace(-HALF_PI, HALF_PI, 9)
-    assert kernel_matrix(ResolventKernel.build(lam, a), xs, xs).dtype == dtype
+    assert kernel_matrix(ResolventKernel.build(lam, a), a, xs, xs).dtype == dtype
     assert sine_matrix(lam, a, 64).dense().dtype == dtype
 
 
@@ -320,7 +327,7 @@ def test_kernel_is_float64_at_real_positive_lambda(lam):
     assert np.max(np.abs(svals - ref)) < 64 * EPS * ref[0]
     kern = ResolventKernel.build(lam, a)
     nodes, _ = grid_nodes(a, n // 2, kmax=abs(kern.k))
-    grid = kernel_matrix(kern, nodes, nodes)
+    grid = kernel_matrix(kern, a, nodes, nodes)
     ref_grid = complex_kernel_matrix(lam, a, nodes, nodes)
     assert grid.dtype == np.float64
     grid_scale = np.max(np.abs(ref_grid))

@@ -23,7 +23,7 @@ import pytest
 
 from jumpspec import basis_diag, funcspace
 from jumpspec.eigensystem import biorthogonalize, gram_matrix
-from jumpspec.funcspace import PiecewiseTrig, Stack, cos_term, inner_closed, norms_l2, sin_term
+from jumpspec.funcspace import PiecewiseTrig, Stack, cos_term, inner_closed, norms, sin_term
 from jumpspec.param import ParamA
 
 from reference_oracles import per_pair_trig_blocks, per_segment_inner, terms_on
@@ -280,13 +280,13 @@ def test_completeness_norms_match_the_per_pair_oracle(monkeypatch):
 
     def keep(fns):
         normed.append(fns)
-        return norms_l2(fns)
+        return norms(fns)
 
-    monkeypatch.setattr(basis_diag, "norms_l2", keep)
+    monkeypatch.setattr(basis_diag, "norms", keep)
     basis_diag.truncated_completeness(ParamA.from_expr("sqrt(2)-1"), 200, 4)
     [stack] = normed
     assert stack.count == 5 * 4
-    squares = norms_l2(stack) ** 2
-    oracle = _per_pair_oracle(monkeypatch, lambda: norms_l2(stack)) ** 2
+    squares = norms(stack) ** 2
+    oracle = _per_pair_oracle(monkeypatch, lambda: norms(stack)) ** 2
     assert np.all(np.abs(squares - oracle) <= bound_matrix(stack, stack).diagonal())
 
