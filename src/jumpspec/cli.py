@@ -314,58 +314,48 @@ def cmd_verify(args, man: Manifest) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="jumpspec",
-        description="spectral toolkit for the boundary-jump Laplacian")
+        prog="jumpspec", description="spectral toolkit for the boundary-jump Laplacian")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="enumerate eigenvalues / emit curves")
-    p.add_argument("--a", required=True, help="jump parameter expression")
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--a", required=True, help="jump parameter expression")
+        p.add_argument("--out", default="out")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("spectrum", cmd_spectrum, "enumerate eigenvalues / emit curves")
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=100.0)
     p.add_argument("--curves", action="store_true")
     p.add_argument("--a-grid", dest="a_grid", default="-0.95:0.95:0.01",
                    help="lo:hi:step for the curve family")
     p.add_argument("--m-max", dest="m_max", type=int, default=4)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", help="run contract suites")
-    p.add_argument("--a", required=True)
+    p = command("verify", cmd_verify, "run contract suites")
     p.add_argument("--suite", choices=["gram", "resolvent", "metric",
                                        "projections", "all"], default="all")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("resolvent", help="apply the resolvent and probe decay")
-    p.add_argument("--a", required=True)
+    p = command("resolvent", cmd_resolvent, "apply the resolvent and probe decay")
     p.add_argument("--lambda", dest="lam", required=True,
                    help="complex lambda as 're,im'")
     p.add_argument("--f", default="const", help="'const' or 'sinK'")
     p.add_argument("--svd-n", dest="svd_n", type=int, default=512,
                    help="N sine modes of the exact resolvent matrix, 64 to 2048; "
                         "the probe reports N + 1 singular values")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_resolvent)
 
-    p = sub.add_parser("metric-check", help="metric operator diagnostics")
-    p.add_argument("--a", required=True)
+    p = command("metric-check", cmd_metric_check, "metric operator diagnostics")
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=120.0)
     p.add_argument("--convergents", type=int, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the manifest only; the contract reads no random input")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_metric_check)
 
-    p = sub.add_parser("basis", help="projection norms and blow-up tables")
-    p.add_argument("--a", required=True)
+    p = command("basis", cmd_basis, "projection norms and blow-up tables")
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=900.0)
     p.add_argument("--blowup", action="store_true")
     p.add_argument("--convergents", type=int, default=8)
     p.add_argument("--m-max", dest="m_max", type=int, default=100)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("simulate", help="restarted Brownian motion Monte Carlo")
-    p.add_argument("--a", required=True)
+    p = command("simulate", cmd_simulate, "restarted Brownian motion Monte Carlo")
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--paths", type=int, default=10000)
@@ -373,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", action="store_true",
                    help="also check that psi at the gap 4 decays as exp(-4t); exit 1 "
                    f"when its worst |z| exceeds {simulator.Z_BOUND:g}")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -35,11 +35,11 @@ part, so N modes plus one border row and column, which carry the norms of
 u and v beyond N, hold all of R but the Dirichlet tail; dropping it moves
 each singular value by at most 1/|(N+1)^2 - lambda| (Weyl).  That diagonal
 plus rank-one matrix yields its N + 1 singular values by two rank-one
-secular solves in O(N^2) (`dpr1_singular_values`), to a few eps of
-max|d| + |c u| |v|: a few eps sigma_1 unless d_m and c u_m v_m cancel.
-Near an odd square m^2 their poles do; there (|lambda - m^2| <
-NEAR_RESONANCE) row and column m are written in sinc and series form and
-the matrix takes a dense SVD.
+secular solves in O(N^2) (`dpr1_singular_values`, 0.1 s and 5 MB at
+N = 2048 on one Xeon core), to a few eps of max|d| + |c u| |v|: a few eps
+sigma_1 unless d_m and c u_m v_m cancel.  Near an odd square m^2 their
+poles do; there (|lambda - m^2| < NEAR_RESONANCE) row and column m are
+written in sinc and series form and the matrix takes a dense SVD.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ MIN_FIT_POINTS = 16
 # trapezoid nodes on the circle of the tail norms' Cauchy integral
 TAIL_NODES = 64
 EPS = float(np.finfo(float).eps)
-# rows of a secular solve taken at once: 256 x 2049 float64 is 4 MB
-BLOCK_ROWS = 256
-# passes of a secular solve: the model converged within 10 on each of 360
-# measured matrices (5 values of a, 18 lambdas, N from 64 to 2048), so this
-# only bounds a run of bisections
+# rows of a secular solve taken at once: a 64 x 2049 float64 array is 1 MB
+BLOCK_ROWS = 64
+# passes of a secular solve: at most 16 on 359 of 360 measured matrices (5
+# values of a, 18 lambdas, N from 64 to 2048) and 51 on the last (1/3,
+# 50 + 50i, N = 256); a solve that runs out raises LinAlgError
 SECULAR_PASSES = 100
 # (sin z - z)/z^2 = sum_i _SIN_SERIES[i] z^(2i + 1), to rounding for |z| <= pi/2
 _SIN_SERIES = np.array([(-1) ** i / math.factorial(2 * i + 1) for i in range(1, 13)])
@@ -147,8 +147,7 @@ class ResolventKernel:
         solution A = -(s1 + Q s2), B = -(P s1 + s2) with
         s1 = r1/((1-E)(1-P)) and s2 = r2/((1-E)(1-Q))."""
         d_e, d_p, d_q = self.one_minus
-        s1 = r1 / (d_e * d_p)
-        s2 = r2 / (d_e * d_q)
+        s1, s2 = r1 / (d_e * d_p), r2 / (d_e * d_q)
         return -(s1 + self.q * s2), -(self.p * s1 + s2)
 
     def phis(self, xs: np.ndarray) -> np.ndarray:
@@ -416,22 +415,25 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
     model that keeps f and f' and the two poles about the root (Li's middle
     way; the last root takes its two left poles), inside the bracket that
     the sign of f keeps: a step that leaves it bisects, except that the last
-    root may step onto its upper bound."""
+    root may step onto its upper bound.  LinAlgError if a root still moves
+    after SECULAR_PASSES passes."""
     n, total = len(p), float(w.sum())
     count = max(n if rho else n - 1, 0)
     origin, tau = np.empty(count, dtype=np.int64), np.empty(count)
+    buf = np.empty((3, min(BLOCK_ROWS, count), n))  # gaps, then w/dist and dist, summed as one
     for start in range(0, count, BLOCK_ROWS):
         j = np.arange(start, min(start + BLOCK_ROWS, count))
         last = j == n - 1
         right = np.minimum(j + 1, n - 1)
         half = np.where(last, total, p[right] - p[j]) / 2
-        f_mid = rho + (w / (p - (p[j] + half)[:, None])).sum(1)
+        mid = np.subtract(p, (p[j] + half)[:, None], out=buf[1, :len(j)])
+        f_mid = rho + np.divide(w, mid, out=mid).sum(1)
         left = (f_mid >= 0) | last  # the root is in (p_j, p_j + half]
         K = np.where(left, j, right)
         lo = np.where(left, 0.0, -half)
         hi = np.where(left, np.where(last, 2 * half, half), 0.0)
         t = (lo + hi) / 2
-        gaps = p - p[K][:, None]
+        gaps = np.subtract(p, p[K][:, None], out=buf[0, :len(j)])
         split = np.minimum(j, n - 2)  # poles <= split lie left of the model's two
         c0, c1 = max(start - 1, 0), min(start + BLOCK_ROWS + 1, n)
         tri = np.arange(c0, c1) <= split[:, None]
@@ -439,19 +441,22 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
         for _ in range(SECULAR_PASSES):
             if not len(act):
                 break
-            dist = gaps[act] - t[act, None]
-            terms = w / dist
+            terms, dist = both = buf[1:, :len(act)]  # dist becomes the slope w/dist^2
+            # no gather while every row of the block is active
+            np.subtract(gaps if len(act) == len(j) else gaps.take(act, 0, out=dist),
+                        t[act, None], out=dist)
+            np.divide(w, dist, out=terms)
             r = np.arange(len(act))
             d2 = dist[r, split[act] + 1]
             d1 = dist[r, split[act]] if n > 1 else d2 - 1  # one pole: b = 0, any d1 < d2
-            slope = np.divide(terms, dist, out=dist)
-            psi = terms[:, :c0].sum(1) + (terms[:, c0:c1] * tri[act]).sum(1)
-            dpsi = slope[:, :c0].sum(1) + (slope[:, c0:c1] * tri[act]).sum(1)
-            f = rho + terms.sum(1)
-            dphi = slope.sum(1) - dpsi
-            ta, lo_a, hi_a = t[act], lo[act], hi[act]
-            lo_a = np.where(f < 0, ta, lo_a)
-            hi_a = np.where(f >= 0, ta, hi_a)
+            np.divide(terms, dist, out=dist)
+            # each column range read once: left of the model's two poles, then right
+            band = both[..., c0:c1]
+            psi, dpsi = both[..., :c0].sum(2) + np.where(tri[act], band, 0.0).sum(2)
+            phi, dphi = np.where(tri[act], 0.0, band).sum(2) + both[..., c1:].sum(2)
+            f = rho + psi + phi
+            ta = t[act]
+            lo_a, hi_a = np.where(f < 0, ta, lo[act]), np.where(f >= 0, ta, hi[act])
             b, e = dpsi * d1 ** 2, dphi * d2 ** 2
             cc = f - b / d1 - e / d2
             with np.errstate(all="ignore"):
@@ -461,7 +466,7 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
                 r1, r2 = 2 * d1 * d2 * f / q, q / (2 * cc)
                 eta = np.where(last[act], np.maximum(r1, r2),
                                np.where((r1 > d1) & (r1 < d2), r1, r2))
-            bound = 8 * EPS * (rho + np.abs(psi) + np.abs(f - rho - psi))
+            bound = 8 * EPS * (rho + np.abs(psi) + np.abs(phi))
             done = ((np.abs(eta) <= 4 * EPS * np.abs(ta)) | (np.abs(f) <= bound)
                     | (hi_a - lo_a <= 4 * EPS * np.abs(ta)))
             step = ta + np.where(done, 0.0, eta)
@@ -471,6 +476,9 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
             t[act] = np.where(top, hi_a, np.where(bad, (lo_a + hi_a) / 2, step))
             lo[act], hi[act] = lo_a, hi_a
             act = act[~done]
+        if len(act):
+            raise np.linalg.LinAlgError(f"secular solve: {len(act)} roots unconverged after "
+                                        f"{SECULAR_PASSES} passes, from {j[act][:8].tolist()}")
         origin[j], tau[j] = K, t
     return origin, tau
 
@@ -528,15 +536,19 @@ def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         K, tau = np.append(K, len(p_a)), np.append(tau, 0.0)
     mu = -(poles[K] + tau)
     zeta_a = np.empty(len(p_a), dtype=np.result_type(yt, float))
+    vec_buf, prod_buf = (np.empty((min(BLOCK_ROWS, len(p_a)), len(p_a)), dtype=dt)
+                         for dt in (float, zeta_a.dtype))
     for start in range(0, len(p_a), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        vec = wa / (tau[rows, None] - (p_a - poles[K[rows]][:, None]))  # g/(delta - mu)
+        vec, prod = vec_buf[:len(tau[rows])], prod_buf[:len(tau[rows])]
+        np.subtract(tau[rows, None], np.subtract(p_a, poles[K[rows]][:, None], out=vec), out=vec)
+        np.divide(wa, vec, out=vec)  # g/(delta - mu)
         # numpy's pairwise sums: with a BLAS dot the values at a = 0, lambda = 26,
         # N = 2048 came out 38 eps sigma_1 off the dense SVD, with these 6
-        zeta_a[rows] = (1 + nx * (vec * yt).sum(1)) / np.sqrt((vec * vec).sum(1))
-    omega.append(np.sqrt(np.maximum(mu, 0.0)))
-    zeta.append(zeta_a)
-    om, ze = np.concatenate(omega), np.abs(np.concatenate(zeta))
+        zeta_a[rows] = ((1 + nx * np.multiply(vec, yt, out=prod).sum(1))
+                        / np.sqrt(np.multiply(vec, vec, out=vec).sum(1)))
+    om = np.concatenate([*omega, np.sqrt(np.maximum(mu, 0.0))])
+    ze = np.abs(np.concatenate([*zeta, zeta_a]))
     # step B: 1 + sum zeta^2/(omega^2 - s) = 0
     small = ze <= EPS * np.linalg.norm(ze)
     out = [om[small]]

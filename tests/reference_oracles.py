@@ -39,6 +39,8 @@ phase (`rounded_basis`, `eval_terms`) where the package carries the phase
 exactly, and the norms from each member's own rows about the piece
 midpoints (`norms_local`) and from one Gram of the raw rows' keys
 (`norms_l2`), the two routes that `funcspace.norms` chooses between.
+The resolvent's secular solves are also kept as they stood before they
+worked in preallocated blocks (`allocating_dpr1_singular_values`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from jumpspec.funcspace import (
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
 from jumpspec.param import NotIrrational, ParamA, family_angle
 from jumpspec import resolvent
-from jumpspec.resolvent import ResolventKernel
+from jumpspec.resolvent import EPS, ResolventKernel
 from jumpspec.simulator import _Stepper
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
@@ -437,6 +439,162 @@ def complex_sine_matrix(lam: complex, a: ParamA, n: int) -> np.ndarray:
         resonant = (m, *resolvent._zone_entries(lam, a.value, m))
         d[m - 1] = u[m - 1] = y[m - 1] = 0
     return resolvent.SineMatrix(np.append(d, 0), c, u, y, resonant).dense()
+
+
+# The secular route of `resolvent` (`_secular_roots`, `dpr1_singular_values`)
+# as it stood before its solves took preallocated blocks, copied verbatim
+# as a differential oracle: 256-row blocks with fresh temporaries on every
+# pass, f and f' summed over the whole row again after psi and psi', and no
+# error when the passes run out.
+ALLOCATING_BLOCK_ROWS, ALLOCATING_PASSES = 256, 100
+
+
+def allocating_secular_roots(p: np.ndarray, w: np.ndarray,
+                             rho: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The roots s_1 < s_2 < ... of rho + sum_i w_i/(p_i - s) = 0 for
+    ascending, distinct poles p and weights w > 0: one in each (p_j, p_j+1),
+    and for rho = 1 a last one in (p_n, p_n + sum w), as (K, tau) with
+    s_j = p_K + tau_j: K is the nearer pole, so p_i - s_j = (p_i - p_K) - tau_j
+    keeps its digits.  All roots of a block of rows iterate at once on the
+    model that keeps f and f' and the two poles about the root (Li's middle
+    way; the last root takes its two left poles), inside the bracket that
+    the sign of f keeps: a step that leaves it bisects, except that the last
+    root may step onto its upper bound."""
+    n, total = len(p), float(w.sum())
+    count = max(n if rho else n - 1, 0)
+    origin, tau = np.empty(count, dtype=np.int64), np.empty(count)
+    for start in range(0, count, ALLOCATING_BLOCK_ROWS):
+        j = np.arange(start, min(start + ALLOCATING_BLOCK_ROWS, count))
+        last = j == n - 1
+        right = np.minimum(j + 1, n - 1)
+        half = np.where(last, total, p[right] - p[j]) / 2
+        f_mid = rho + (w / (p - (p[j] + half)[:, None])).sum(1)
+        left = (f_mid >= 0) | last  # the root is in (p_j, p_j + half]
+        K = np.where(left, j, right)
+        lo = np.where(left, 0.0, -half)
+        hi = np.where(left, np.where(last, 2 * half, half), 0.0)
+        t = (lo + hi) / 2
+        gaps = p - p[K][:, None]
+        split = np.minimum(j, n - 2)  # poles <= split lie left of the model's two
+        c0, c1 = max(start - 1, 0), min(start + ALLOCATING_BLOCK_ROWS + 1, n)
+        tri = np.arange(c0, c1) <= split[:, None]
+        act = np.arange(len(j))
+        for _ in range(ALLOCATING_PASSES):
+            if not len(act):
+                break
+            dist = gaps[act] - t[act, None]
+            terms = w / dist
+            r = np.arange(len(act))
+            d2 = dist[r, split[act] + 1]
+            d1 = dist[r, split[act]] if n > 1 else d2 - 1  # one pole: b = 0, any d1 < d2
+            slope = np.divide(terms, dist, out=dist)
+            psi = terms[:, :c0].sum(1) + (terms[:, c0:c1] * tri[act]).sum(1)
+            dpsi = slope[:, :c0].sum(1) + (slope[:, c0:c1] * tri[act]).sum(1)
+            f = rho + terms.sum(1)
+            dphi = slope.sum(1) - dpsi
+            ta, lo_a, hi_a = t[act], lo[act], hi[act]
+            lo_a = np.where(f < 0, ta, lo_a)
+            hi_a = np.where(f >= 0, ta, hi_a)
+            b, e = dpsi * d1 ** 2, dphi * d2 ** 2
+            cc = f - b / d1 - e / d2
+            with np.errstate(all="ignore"):
+                # cc eta^2 - B eta + d1 d2 f = 0, the model's zero
+                bb = cc * (d1 + d2) + b + e
+                q = bb + np.copysign(np.sqrt(np.maximum(bb * bb - 4 * cc * d1 * d2 * f, 0)), bb)
+                r1, r2 = 2 * d1 * d2 * f / q, q / (2 * cc)
+                eta = np.where(last[act], np.maximum(r1, r2),
+                               np.where((r1 > d1) & (r1 < d2), r1, r2))
+            bound = 8 * EPS * (rho + np.abs(psi) + np.abs(f - rho - psi))
+            done = ((np.abs(eta) <= 4 * EPS * np.abs(ta)) | (np.abs(f) <= bound)
+                    | (hi_a - lo_a <= 4 * EPS * np.abs(ta)))
+            step = ta + np.where(done, 0.0, eta)
+            # the last root's hi is no pole and f(hi) >= 0: a step past it stops there
+            top = ~done & last[act] & (step >= hi_a) & (ta < hi_a)
+            bad = ~done & ~top & ~((step > lo_a) & (step < hi_a))
+            t[act] = np.where(top, hi_a, np.where(bad, (lo_a + hi_a) / 2, step))
+            lo[act], hi[act] = lo_a, hi_a
+            act = act[~done]
+        origin[j], tau[j] = K, t
+    return origin, tau
+
+
+def allocating_dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of diag(d) + x y^T in O(n^2) memory-light
+    blocks.  A unitary diagonal makes it M = |D| + x' y^T; with xh = x'/|x'|,
+    M = P|D| + xh r (P = I - xh xh*, r = xh*|D| + |x'| y^T), so
+    M*M = |D| P |D| + r* r.  Step A: |D| P |D| = Delta - g g*, g = |D| xh,
+    a rank-one downdate of Delta = |D|^2 (one secular solve; g vanishes
+    where x does), with eigenvectors W_j ~ (Delta - mu_j)^{-1} g.  Step B:
+    the singular values of [diag(sqrt(mu)); r W], an update by zeta = r W
+    (a second solve).  Weights below eps of their vector's norm deflate,
+    and so do ties |d_i| = |d_j| (equal omegas in step B) within 8 eps of
+    their size: 2.5 + i ties |d_1| with |d_2|, 5 |d_1| with |d_3|.  A tie
+    tolerance absolute in ||M|| would chain: near a pole it merged 31
+    neighbours at 1/3, 144 + 6e-5 and left sigma_1 51 eps off."""
+    ad = np.abs(d)
+    phase = np.where(ad > 0, d / np.where(ad > 0, ad, 1.0), 1.0)
+    xp = x / phase
+    nx = float(np.linalg.norm(xp))
+    if nx == 0:
+        return np.sort(ad)[::-1]
+    xh = xp / nx
+    g = ad * xh
+    live = (np.abs(xh) > EPS) & (ad > 0)
+    # deflated in step A: the eigenvector e_i, zeta_i = conj(g_i) + |x'| y_i
+    omega, zeta = [ad[~live]], [np.conj(g[~live]) + nx * y[~live]]
+    order = np.nonzero(live)[0][np.argsort(ad[live])]
+    da, wa = ad[order], np.abs(g[order])
+    gph = g[order] / wa
+    rt, yt = wa + nx * y[order] * gph, y[order] * gph  # r and y on W's real basis
+    keep = np.ones(len(da), dtype=bool)
+    for i in np.nonzero(np.diff(da) <= 8 * EPS * da[1:])[0]:  # a tie: i's weight into i + 1
+        rho = math.hypot(wa[i], wa[i + 1])
+        ci, cj = wa[i] / rho, wa[i + 1] / rho
+        omega.append(da[i:i + 1])
+        zeta.append(np.array([cj * rt[i] - ci * rt[i + 1]]))
+        wa[i + 1], rt[i + 1] = rho, ci * rt[i] + cj * rt[i + 1]
+        yt[i + 1] = ci * yt[i] + cj * yt[i + 1]
+        keep[i] = False
+    da, wa, yt = da[keep][::-1], wa[keep][::-1], yt[keep][::-1]
+    # step A: 1 - sum g^2/(delta - mu) = 0 with g_i^2 = delta_i |xh_i|^2 is
+    # rho0/(0 - mu) + sum |xh_i|^2/(delta_i - mu) = 0, rho0 = 1 - sum |xh_i|^2
+    # over the live i, summed over the others: near an odd square xh lies
+    # almost along one mode and the 1 would cancel (5.7e-12 off in mu, 144
+    # eps sigma_1 in the end at 1/3, 2599.09, N = 256).  Poles p = -delta,
+    # ascending, with the pole 0 on top; mu = 0 is a root when rho0 = 0.
+    rho0 = float(np.sum(np.abs(xh[~live]) ** 2))
+    p_a = -da ** 2
+    poles, weights = np.append(p_a, 0.0), np.append((wa / da) ** 2, rho0)
+    top = len(p_a) + bool(rho0)  # the pole 0 takes part only with a weight
+    K, tau = allocating_secular_roots(poles[:top], weights[:top], rho=0.0)
+    if not rho0:
+        K, tau = np.append(K, len(p_a)), np.append(tau, 0.0)
+    mu = -(poles[K] + tau)
+    zeta_a = np.empty(len(p_a), dtype=np.result_type(yt, float))
+    for start in range(0, len(p_a), ALLOCATING_BLOCK_ROWS):
+        rows = slice(start, start + ALLOCATING_BLOCK_ROWS)
+        vec = wa / (tau[rows, None] - (p_a - poles[K[rows]][:, None]))  # g/(delta - mu)
+        # numpy's pairwise sums: with a BLAS dot the values at a = 0, lambda = 26,
+        # N = 2048 came out 38 eps sigma_1 off the dense SVD, with these 6
+        zeta_a[rows] = (1 + nx * (vec * yt).sum(1)) / np.sqrt((vec * vec).sum(1))
+    omega.append(np.sqrt(np.maximum(mu, 0.0)))
+    zeta.append(zeta_a)
+    om, ze = np.concatenate(omega), np.abs(np.concatenate(zeta))
+    # step B: 1 + sum zeta^2/(omega^2 - s) = 0
+    small = ze <= EPS * np.linalg.norm(ze)
+    out = [om[small]]
+    om, ze = om[~small], ze[~small]
+    order = np.argsort(om)
+    om, w = om[order], ze[order] ** 2
+    keep = np.ones(len(om), dtype=bool)
+    for i in np.nonzero(np.diff(om) <= 8 * EPS * om[1:])[0]:
+        out.append(om[i:i + 1])
+        w[i + 1] += w[i]
+        keep[i] = False
+    p_b = om[keep] ** 2
+    K, tau = allocating_secular_roots(p_b, w[keep])
+    out.append(np.sqrt(p_b[K] + tau))
+    return np.sort(np.concatenate(out))[::-1]
 
 
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)

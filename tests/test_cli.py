@@ -471,6 +471,18 @@ def test_a_failed_svd_exits_3_with_an_error_record(tmp_path, monkeypatch):
     assert error["type"] == "LinAlgError" and error["stage"] == "singular_value_probe"
 
 
+def test_an_unconverged_secular_solve_exits_3_with_an_error_record(tmp_path, monkeypatch):
+    # one pass leaves the singular values 1.9e-3 sigma_1 off: no decay exponent
+    monkeypatch.setattr(resolvent, "SECULAR_PASSES", 1)
+    out = tmp_path / "passes"
+    assert run_cli(["resolvent", "--a", "1/3", "--lambda", "-1", "--svd-n", "512",
+                    "--out", str(out)]) == 3
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error["type"] == "LinAlgError" and error["stage"] == "singular_value_probe"
+    assert "unconverged" in error["message"]
+    assert not (out / "resolvent_report.json").exists()
+
+
 @pytest.mark.parametrize("lam", ["1,1e-300", "1,1e-310"])
 def test_a_subnormal_distance_to_a_dirichlet_point_gives_finite_output(tmp_path, lam):
     # np.sinc of a complex subnormal overflowed: a NaN row in resolvent_u.csv

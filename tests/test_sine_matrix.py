@@ -10,6 +10,7 @@ pole at each eigenvalue against the Jordan chains of `eigensystem`.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -19,10 +20,13 @@ from jumpspec import resolvent
 from jumpspec.eigensystem import biorthogonalize
 from jumpspec.param import ParamA
 from jumpspec.resolvent import (
-    PoleAtEigenvalue, _tail_norms, _trace_tail, check_probe, dpr1_singular_values,
-    sine_matrix, singular_value_probe,
+    PoleAtEigenvalue, _secular_roots, _tail_norms, _trace_tail, check_probe,
+    dpr1_singular_values, sine_matrix, singular_value_probe,
 )
-from reference_oracles import complex_probe_singular_values, mp_sine_entries
+from reference_oracles import (
+    allocating_dpr1_singular_values, allocating_secular_roots, complex_probe_singular_values,
+    mp_sine_entries,
+)
 
 EPS = np.finfo(float).eps
 GRID_A = ("1/3", "sqrt(2)-1", "1/5", "0")
@@ -31,6 +35,7 @@ GRID_A = ("1/3", "sqrt(2)-1", "1/5", "0")
 # an odd square
 GRID_LAMBDA = (-1.0, -25.0, -1e4, 0.5, 2.5 + 1j, 5.0, 5 + 1j, 10.0, 13.0, 1e4 + 0.5,
                0.999, 24.99, 26.0)
+OFF_ZONE = tuple(lam for lam in GRID_LAMBDA if lam not in (0.5, 0.999, 24.99))
 
 
 def _dense_values(mat) -> np.ndarray:
@@ -72,6 +77,79 @@ def test_secular_route_matches_a_dense_svd_at_2048_modes():
     probe = singular_value_probe(-1.0, a, 2048)["singular_values"]
     ref = _dense_values(sine_matrix(-1.0, a, 2048))
     assert np.max(np.abs(probe - ref)) < 64 * EPS * ref[0]
+
+
+# 64-row blocks cut the 2049 x 2049 matrix at 32 block edges; measured at
+# most 10.8 eps sigma_1 against LAPACK (1/3, lambda = 26)
+@pytest.mark.slow
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
+@pytest.mark.parametrize("lam", [-25.0, 2.5 + 1j, 10.0, 26.0, 1e4 + 0.5])
+def test_secular_route_matches_a_dense_svd_at_2048_modes_off_minus_one(expr, lam):
+    a = ParamA.from_expr(expr)
+    probe = singular_value_probe(lam, a, 2048)["singular_values"]
+    ref = _dense_values(sine_matrix(lam, a, 2048))
+    assert np.max(np.abs(probe - ref)) < 64 * EPS * ref[0]
+
+
+# the blocked solves against their allocating predecessor, kept verbatim as
+# an oracle: only the order of the row sums differs (measured at most 1.4
+# eps sigma_1 over these cases)
+@pytest.mark.parametrize("expr, lam, n", [
+    *((expr, lam, n) for expr in GRID_A for lam in OFF_ZONE for n in (64, 512)),
+    *((expr, -1.0, 2048) for expr in GRID_A)])
+def test_blocked_secular_route_matches_the_allocating_one(expr, lam, n):
+    mat = sine_matrix(lam, ParamA.from_expr(expr), n)
+    ref = allocating_dpr1_singular_values(mat.d, mat.c * mat.u, mat.y)
+    got = dpr1_singular_values(mat.d, mat.c * mat.u, mat.y)
+    assert np.max(np.abs(got - ref)) <= 4 * EPS * ref[0]
+
+
+# rho = 0 and 1 across three 64-row blocks, one pole, two poles.  Each
+# solve stops once |f| <= 8 eps (rho + sum |w/dist|), so two of them may
+# part by twice that over f'; measured at most 8.5 eps over 40 seeds
+@pytest.mark.parametrize("n, rho", [(150, 0.0), (150, 1.0), (1, 1.0), (2, 0.0), (2, 1.0)])
+@pytest.mark.parametrize("seed", [4, 19])
+def test_secular_roots_match_the_allocating_solver(n, rho, seed):
+    rng = np.random.default_rng(seed)
+    p, w = np.sort(rng.uniform(-10, 10, n)), rng.uniform(0.1, 1, n)
+    K, tau = _secular_roots(p, w, rho)
+    K_ref, tau_ref = allocating_secular_roots(p, w, rho)
+    assert len(K) == (n if rho else n - 1) and np.array_equal(K, K_ref)
+    dist = (p - p[K_ref][:, None]) - tau_ref[:, None]
+    scale = (rho + np.abs(w / dist).sum(1)) / (w / dist ** 2).sum(1)
+    assert np.all(np.abs(tau - tau_ref) <= 16 * EPS * scale)
+
+
+# every |d| twice (d = m and im): fifty ties |d_i| = |d_j| deflate;
+# measured 1.2 eps sigma_1 from both references
+def test_ties_match_the_allocating_route_and_a_dense_svd():
+    rng = np.random.default_rng(8)
+    d = np.repeat(np.arange(1.0, 51.0), 2) * np.tile([1, 1j], 50)
+    x, y = rng.normal(size=(2, 100, 2)) @ np.array([1, 1j])
+    got = dpr1_singular_values(d, x, y)
+    ref = np.linalg.svd(np.diag(d) + np.outer(x, y), compute_uv=False)
+    assert np.max(np.abs(got - allocating_dpr1_singular_values(d, x, y))) <= 4 * EPS * ref[0]
+    assert np.max(np.abs(got - ref)) < 16 * EPS * ref[0]
+
+
+# one pass leaves the values 1.9e-3 sigma_1 off; they must not come out
+def test_a_secular_solve_that_runs_out_of_passes_raises(monkeypatch):
+    monkeypatch.setattr(resolvent, "SECULAR_PASSES", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="unconverged after 1 passes"):
+        singular_value_probe(-1.0, ParamA.from_expr("1/3"), 512)
+
+
+# measured 20.2 MB with 256-row blocks and fresh temporaries on every
+# pass, 5.0 MB with 64-row blocks allocated once per solve
+def test_the_probe_at_2048_modes_stays_within_8_mb():
+    a = ParamA.from_expr("1/3")
+    tracemalloc.start()
+    try:
+        singular_value_probe(-1.0, a, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize("lam", [0.999, 24.99, 1.0, 1 + 1e-9, 25 - 1e-9])
