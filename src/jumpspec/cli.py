@@ -123,11 +123,10 @@ def cmd_spectrum(args, man: Manifest) -> int:
         if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
             raise ValueError(f"--a-grid {args.a_grid!r}: needs --a-grid lo:hi:step, three "
                              "finite numbers with lo <= hi and step > 0")
-        # np.arange's length, as a float: math.ceil would raise at inf
-        spectrum.check_curves(np.ceil((hi - lo) / step + 0.5), args.m_max)
+        spectrum.check_curves(spectrum.grid_points(lo, hi, step), args.m_max)
     records = spectrum.enumerate_spectrum(a, args.lambda_max)
     if args.curves:
-        rows = spectrum.curves(np.arange(lo, hi + step / 2, step), args.m_max)
+        rows = spectrum.curves(spectrum.curve_grid(lo, hi, step), args.m_max)
     man.write_json("eigenvalues.json", [r.to_dict() for r in records])
     if args.curves:
         man.write_csv("curves.csv", ["a", "class", "m", "lambda"], rows)

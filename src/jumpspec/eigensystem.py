@@ -27,7 +27,7 @@ import numpy as np
 from jumpspec.funcspace import (  # noqa: F401  perfbench's tracer rebinds inner_closed here
     HALF_PI, Piece, PiecewiseTrig, Stack, Terms, inner_closed, inner_matrix,
 )
-from jumpspec.param import ParamA, family_angle, is_exceptional, turns
+from jumpspec.param import ParamA, exact_turns, family_angle, is_exceptional
 from jumpspec.spectrum import EigRecord, SpectralCase, enumerate_spectrum
 
 _ZERO_RECORD = EigRecord(0.0, 0.0, ((0, 0),), 1, 1, SpectralCase.ZERO_EV)
@@ -81,10 +81,10 @@ def _check_membership(rec: EigRecord, a: ParamA) -> None:
         if m is None or not is_exceptional(a, -1, m):
             raise CaseMismatch("exceptional-pair record inconsistent with parameter")
     elif rec.case is SpectralCase.EXCEPTIONAL_ODD:
-        # the class 0 turns m(1 + a) are an odd integer, decided exactly
+        # the class 0 turns m(1 + a) = p/q are an odd integer: p = q mod 2q
         m = rec.class_index(0)
-        t = None if m is None else turns(a, 0, m)
-        if t is None or t.denominator != 1 or t.numerator % 2 == 0:
+        t = None if m is None else exact_turns(a, 0, m)
+        if t is None or t[0] % (2 * t[1]) != t[1]:
             raise CaseMismatch("exceptional-odd record inconsistent with parameter")
 
 

@@ -8,10 +8,16 @@ eigenfunction pairs, basis blow-up sequences) branches on statements like
 expression, re-read at whatever precision a caller asks for.
 
 The three eigenvalue families live here, in FAMILIES: each class's
-wavenumber k(m, a) and angle turns t(m, a), written once as exact
-formulas.  family_k, turns, is_exceptional and family_angle
-read them, and so does every other module that needs a family's
-wavenumber, its angle or whether it meets another family.
+wavenumber k(m, a) and angle turns t(m, a), written once as the integer
+coefficients of m (alpha + beta a)/(gamma + delta a).  At a = P/Q every
+exact question is then one on plain integers: t = m(alpha Q + beta P) /
+(gamma Q + delta P), so an exceptional index is one remainder
+(is_exceptional), an angle is reduced by integer division (family_angle,
+which takes an irrational a at a nearby binary rational P/Q), and the
+spectrum merges members on integer multiples of k.  The float values
+(k at irrational a, the eigenvalue curves) come from the same
+coefficients.  Every module that needs a family's wavenumber, its angle
+or whether it meets another family reads them here.
 
 Accepted expression grammar:
 
@@ -47,7 +53,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import to_rational
@@ -271,22 +277,44 @@ def as_param(a) -> ParamA:
 # Each family's closed forms carry the angle pi*t(m, a).  Where t(-1) or
 # t(+1) is an integer all three families share k (an exceptional pair);
 # where t(0) = m(1+a) is one, the zero-class boundary equations decouple.
-# The formulas take x as a Fraction (exact) or as a float.
+# Both k and t are m (alpha + beta a)/(gamma + delta a) with integer
+# coefficients, so at a = P/Q each is m p/q with the integers
+# p = alpha Q + beta P and q = gamma Q + delta P > 0 (Q > |P|).
+
+
+class Ratio(NamedTuple):
+    """m (alpha + beta x)/(gamma + delta x) with integer coefficients."""
+
+    alpha: int
+    beta: int
+    gamma: int
+    delta: int
+
+    def at(self, m: int, x: float) -> float:
+        """The value at a float x, with the bits of the formula as printed
+        (4m/(1-x), m(1+x)/(1-x), 2m, ...): a zero or unit coefficient
+        rounds nothing, and m*4.0 is float(4m)."""
+        return m * (self.alpha + self.beta * x) / (self.gamma + self.delta * x)
+
+    def ints(self, p: int, q: int) -> tuple[int, int]:
+        """(num, den) with the value at x = p/q equal to m num/den; den > 0
+        whenever q > |p|.  Neither is reduced."""
+        return self.alpha * q + self.beta * p, self.gamma * q + self.delta * p
 
 
 class Family(NamedTuple):
     """The printed wavenumber k(m, x), the angle turns t(m, x) and the
     first index of one eigenvalue family."""
 
-    k: Callable
-    turns: Callable
+    k: Ratio
+    turns: Ratio
     first_m: int
 
 
 FAMILIES = {
-    -1: Family(lambda m, x: 4 * m / (1 - x), lambda m, x: m * (1 + x) / (1 - x), 1),
-    +1: Family(lambda m, x: 4 * m / (1 + x), lambda m, x: m * (1 - x) / (1 + x), 1),
-    0: Family(lambda m, x: 2 * m, lambda m, x: m * (1 + x), 0),
+    -1: Family(Ratio(4, 0, 1, -1), Ratio(1, 1, 1, -1), 1),   # 4m/(1-x), m(1+x)/(1-x)
+    +1: Family(Ratio(4, 0, 1, 1), Ratio(1, -1, 1, 1), 1),    # 4m/(1+x), m(1-x)/(1+x)
+    0: Family(Ratio(2, 0, 1, 0), Ratio(1, 1, 1, 0), 0),      # 2m, m(1+x)
 }
 
 
@@ -296,21 +324,14 @@ def _family(cls: int) -> Family:
     return FAMILIES[cls]
 
 
-def family_k(a: ParamA, cls: int, m: int) -> Fraction | float:
-    """Wavenumber of family ``cls`` at index m: a Fraction when a is
-    rational, else the float k(m, a.value)."""
-    k = _family(cls).k
-    if a.fraction is not None:
-        return Fraction(k(m, a.fraction))
-    return float(k(m, a.value))
-
-
-def turns(a: ParamA, cls: int, m: int) -> Fraction | None:
-    """t(m, a) exactly, or None when a is irrational (t is then not an
-    integer for m >= 1)."""
+def exact_turns(a: ParamA, cls: int, m: int) -> tuple[int, int] | None:
+    """t(m, a) = p/q exactly as integers p and q > 0, not reduced, or None
+    when a is irrational (t is then not an integer for m >= 1)."""
+    turns = _family(cls).turns
     if a.fraction is None:
         return None
-    return Fraction(_family(cls).turns(m, a.fraction))
+    num, den = turns.ints(a.fraction.numerator, a.fraction.denominator)
+    return m * num, den
 
 
 def is_exceptional(a: ParamA, cls: int, m: int) -> bool:
@@ -318,8 +339,8 @@ def is_exceptional(a: ParamA, cls: int, m: int) -> bool:
     decided exactly."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = turns(a, cls, m)
-    return t is not None and t.denominator == 1
+    t = exact_turns(a, cls, m)
+    return t is not None and t[0] % t[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +395,28 @@ def convergents(a: ParamA, count: int) -> list[Convergent]:
 # exact-angle trigonometry
 # ---------------------------------------------------------------------------
 #
-# The closed forms downstream evaluate sin, cos and 1 - cos at angles
-# pi*t(a), where t is a formula in a such as m(1+a)/(1-a) and the
-# multiplier reaches the deep continued-fraction denominators (~1e22).
+# The closed forms downstream evaluate sin, cos and 1 - cos at the family
+# angles pi*t(m, a), t = m(alpha + beta a)/(gamma + delta a), where the
+# index m reaches the deep continued-fraction denominators (~1e22).
 # Double-precision reduction of such an angle loses every digit, and
 # 1 - cos cancels to zero exactly where the basis diagnostics need it.
-# trig_pi is the one place that reduces these angles:
+# family_angle is the one place that reduces these angles, on integers:
 #
-#   1. t(a) is evaluated in exact Fraction arithmetic: at a itself when a
-#      is rational, otherwise at a rational within 10^-dps of a, where
-#      dps = WORK_DPS + twice the decimal digits of t, so the reduced angle
-#      stays exact to double precision;
-#   2. t = n + r exactly, n = round(t), |r| <= 1/2, and then
+#   1. a is taken as P/Q: a itself when a is rational, otherwise the
+#      rational within 10^-dps of a that its dps-digit binary evaluation
+#      is, where dps = WORK_DPS + twice the decimal digits of t, so the
+#      reduced angle stays exact to double precision;
+#   2. t = p/q with p = m(alpha Q + beta P) and q = gamma Q + delta P > 0,
+#      and trig_pi splits it as t = n + r, n = round(t), r = rem/q,
+#      |rem| <= q/2, in integer arithmetic; then
 #        sin = (-1)^n sin(pi r),
 #        cos = (-1)^n sin(pi (1/2 - |r|))   (cos(pi r) would lose the
 #                                             relative accuracy near 0),
 #        1 - cos = 2 sin^2(pi r/2) (n even) or 1 + cos(pi r) (n odd),
 #      none of which cancels, so each value is good to a few ulp relative.
+#      The float arguments are int/int quotients, correctly rounded however
+#      large p and q are, so they depend on the value p/q alone: an
+#      unreduced pair gives the bits of the reduced one.
 
 
 class PiAngle(NamedTuple):
@@ -402,29 +428,18 @@ class PiAngle(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _fraction_near(a: ParamA, dps: int) -> Fraction:
-    """A rational within ~10^-dps of the irrational a: the exact binary
+def _fraction_near(a: ParamA, dps: int) -> tuple[int, int]:
+    """(P, Q) with P/Q within ~10^-dps of the irrational a: the exact binary
     value of its dps-digit evaluation (read from _mpf_, which keeps the
-    sign that mpf.man_exp drops)."""
-    return Fraction(*to_rational(a.approx(dps)._mpf_))
+    sign that mpf.man_exp drops), Q > 0 a power of two."""
+    p, q = to_rational(a.approx(dps)._mpf_)
+    return int(p), int(q)
 
 
-def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
-    """Trigonometry of theta = pi*turns(a), reduced exactly.
-
-    ``turns`` is the formula as printed, e.g. ``lambda x: m*(1+x)/(1-x)``;
-    it must accept a Fraction (and, for irrational a, a float for the
-    digit count) and use only exact arithmetic.  The package reaches it
-    only through family_angle, which reads the angles from FAMILIES.
-    """
-    if a.fraction is not None:
-        t = Fraction(turns(a.fraction))
-    else:
-        digits = len(str(int(abs(turns(a.value)))))
-        t = Fraction(turns(_fraction_near(a, WORK_DPS + 2 * digits)))
-    # t = p/q = n + r with r = rem/q, |rem| <= q/2; integer arithmetic,
-    # and int/int division rounds correctly however large p and q are
-    p, q = t.numerator, t.denominator
+def trig_pi(p: int, q: int) -> PiAngle:
+    """Trigonometry of theta = pi p/q for integers p and q > 0, reduced
+    exactly.  The package reaches it only through family_angle, which
+    reads the angles from FAMILIES."""
     n = (2 * p + q) // (2 * q)
     rem = p - n * q
     x = math.pi * (rem / q)
@@ -437,5 +452,10 @@ def trig_pi(turns: Callable, a: ParamA) -> PiAngle:
 def family_angle(a: ParamA, cls: int, m: int) -> PiAngle:
     """The angle pi*t(m, a) of eigenvalue family ``cls`` at index m,
     reduced exactly."""
-    formula = _family(cls).turns
-    return trig_pi(lambda x: formula(m, x), a)
+    turns = _family(cls).turns
+    if a.fraction is not None:
+        num, den = turns.ints(a.fraction.numerator, a.fraction.denominator)
+    else:
+        digits = len(str(int(abs(turns.at(m, a.value)))))
+        num, den = turns.ints(*_fraction_near(a, WORK_DPS + 2 * digits))
+    return trig_pi(m * num, den)

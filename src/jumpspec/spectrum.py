@@ -7,12 +7,12 @@ The eigenvalues form three arithmetic families of squared wavenumbers,
 written once, in param.FAMILIES.  Each record carries its k, and the
 eigenfunction constructors build at that k.  Every coincidence between
 families happens at exact rational wavenumbers, so members are merged on
-their exact Fraction k, never on float equality; at irrational a no two
-members coincide.  A merged record with both a -1 and a +1 membership is
-an exceptional point: geometric multiplicity two, algebraic multiplicity
-three.  These are the squared zeros of the characteristic determinant
--4 sin(k pi (1+a)/4) sin(k pi (1-a)/4) sin(k pi/2), which the tests
-locate as an independent oracle.
+k times a common denominator, an exact integer, never on float equality;
+at irrational a no two members coincide.  A merged record with both a -1
+and a +1 membership is an exceptional point: geometric multiplicity two,
+algebraic multiplicity three.  These are the squared zeros of the
+characteristic determinant -4 sin(k pi (1+a)/4) sin(k pi (1-a)/4)
+sin(k pi/2), which the tests locate as an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from jumpspec.param import FAMILIES, ParamA, family_k, is_exceptional
+import numpy as np
+
+from jumpspec.param import FAMILIES, ParamA, is_exceptional
 
 # family members (k <= sqrt(lambda_max)) enumeration accepts: 1e5 take 1.8 s
 # and 76 MB peak RSS at a = 1/3, 1.0 s and 94 MB at sqrt(2)-1 (one core)
@@ -65,14 +67,28 @@ class EigRecord:
 
 
 def _raw_wavenumbers(a: ParamA, k_max: float):
-    """(class, m, k) for all family members with float(k) <= k_max; k is
-    exact when a is rational."""
+    """(class, m, key, k) for all family members with k <= k_max.  At
+    rational a = P/Q, key is the integer k D, D = (Q-P)(Q+P) a multiple of
+    every family's denominator, and k = key/D is a correctly rounded
+    int/int quotient, so members coincide exactly when their keys do;
+    otherwise key is (class, m) and k the float formula."""
     out = []
-    for cls, family in FAMILIES.items():
-        m = family.first_m
-        while float(k := family_k(a, cls, m)) <= k_max:
-            out.append((cls, m, k))
-            m += 1
+    if a.fraction is not None:
+        p, q = a.fraction.numerator, a.fraction.denominator
+        d = (q - p) * (q + p)
+        for cls, family in FAMILIES.items():
+            num, den = family.k.ints(p, q)
+            step = num * d // den
+            m = family.first_m
+            while (k := (key := m * step) / d) <= k_max:
+                out.append((cls, m, key, k))
+                m += 1
+    else:
+        for cls, family in FAMILIES.items():
+            m = family.first_m
+            while (k := family.k.at(m, a.value)) <= k_max:
+                out.append((cls, m, (cls, m), k))
+                m += 1
     return out
 
 
@@ -86,9 +102,8 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
         raise ValueError(f"lambda_max={lambda_max:g} holds {members:.0f} family members, "
                          f"above the cap of {MAX_MEMBERS} (the work grows with them)")
     groups: dict[object, tuple[float, list[tuple[int, int]]]] = {}
-    for cls, m, k in _raw_wavenumbers(a, k_max):
-        key = k if a.is_rational else (cls, m)
-        groups.setdefault(key, (float(k), []))[1].append((cls, m))
+    for cls, m, key, k in _raw_wavenumbers(a, k_max):
+        groups.setdefault(key, (k, []))[1].append((cls, m))
 
     records: list[EigRecord] = []
     for k_f, members in groups.values():
@@ -120,6 +135,28 @@ def enumerate_spectrum(a: ParamA, lambda_max: float) -> list[EigRecord]:
 # eigenvalue curves
 # ---------------------------------------------------------------------------
 
+# relative allowance for the rounding of a decimal grid lo:hi:step to
+# doubles and of (hi - lo)/step: the default -0.95:0.95:0.01 divides out to
+# 189.99999999999997 steps and must reach hi
+GRID_SLACK = 8 * 2.0 ** -52
+
+
+def grid_points(lo: float, hi: float, step: float) -> float:
+    """How many points lo + i step the grid lo:hi:step has: i runs up to
+    (hi - lo)/step, the span widened by GRID_SLACK of max(|lo|, |hi|) and
+    the quotient by GRID_SLACK of itself.  A float, inf at a subnormal
+    step, so that a grid is counted before it is built."""
+    span = hi - lo + GRID_SLACK * max(abs(lo), abs(hi))
+    return float(np.floor(span / step * (1 + GRID_SLACK))) + 1
+
+
+def curve_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The points of the grid lo:hi:step, none past hi but for rounding.
+    The step is taken as (lo + step) - lo, as np.arange takes it, so a grid
+    that ends at hi keeps np.arange's bits."""
+    return lo + np.arange(int(grid_points(lo, hi, step))) * ((lo + step) - lo)
+
+
 def check_curves(points: float, m_max: int) -> None:
     """ValueError unless m_max >= 0 and the points x (3 m_max + 1) rows of
     `curves` stay within MAX_CURVE_ROWS; counted, not built (points >= 1
@@ -141,7 +178,7 @@ def curves(a_grid, m_max: int) -> list[tuple[float, int, int, float]]:
             raise ValueError("curve grid must stay inside (-1, 1)")
 
         def row(cls: int, m: int) -> tuple[float, int, int, float]:
-            return a_val, cls, m, float(FAMILIES[cls].k(m, a_val) ** 2)
+            return a_val, cls, m, FAMILIES[cls].k.at(m, a_val) ** 2
 
         for m in range(1, m_max + 1):
             rows += [row(-1, m), row(+1, m)]

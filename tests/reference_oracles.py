@@ -40,7 +40,10 @@ exactly, and the norms from each member's own rows about the piece
 midpoints (`norms_local`) and from one Gram of the raw rows' keys
 (`norms_l2`), the two routes that `funcspace.norms` chooses between.
 The resolvent's secular solves are also kept as they stood before they
-worked in preallocated blocks (`allocating_dpr1_singular_values`).
+worked in preallocated blocks (`allocating_dpr1_singular_values`), and the
+family arithmetic as it stood before it worked on the integer coefficients
+of param.FAMILIES: wavenumbers, turns and reduced angles from Fraction
+objects (`family_k_fraction`, `turns_fraction`, `trig_pi_fraction`).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import to_rational
 
 from jumpspec.basis_diag import proj_norm_zero_generic
 from jumpspec.eigensystem import (
@@ -65,7 +69,7 @@ from jumpspec.funcspace import (
     const, cos_term, grid_nodes, grid_panels, inner_closed, inner_matrix, inner_pairs, sin_term,
 )
 from jumpspec.metric import DomainViolation, MetricOp, even_mode_coefficient, project_pieces
-from jumpspec.param import NotIrrational, ParamA, family_angle
+from jumpspec.param import WORK_DPS, NotIrrational, ParamA, PiAngle, family_angle, trig_pi
 from jumpspec import resolvent
 from jumpspec.resolvent import EPS, ResolventKernel
 from jumpspec.simulator import _Stepper
@@ -275,6 +279,48 @@ def two_branch_spectrum(a: ParamA, lambda_max: float) -> list[tuple]:
             rows.append((k_f * k_f, k_f, memberships, 1, 1, case))
     rows.sort(key=lambda row: row[0])
     return rows
+
+
+# The family arithmetic in Fraction objects, a second route to the integer
+# one of param.FAMILIES: the formulas as printed, a rational stand-in for an
+# irrational a read from the same dps-digit evaluation, and the angle
+# reduced from the reduced Fraction of t.
+FRACTION_K = {-1: lambda m, x: 4 * m / (1 - x), +1: lambda m, x: 4 * m / (1 + x),
+              0: lambda m, x: 2 * m}
+FRACTION_TURNS = {-1: lambda m, x: m * (1 + x) / (1 - x), +1: lambda m, x: m * (1 - x) / (1 + x),
+                  0: lambda m, x: m * (1 + x)}
+
+
+def family_k_fraction(a: ParamA, cls: int, m: int) -> Fraction | float:
+    """k(m, a) as a Fraction at rational a, else the printed float formula."""
+    if a.fraction is not None:
+        return Fraction(FRACTION_K[cls](m, a.fraction))
+    return float(FRACTION_K[cls](m, a.value))
+
+
+def turns_fraction(a: ParamA, cls: int, m: int) -> Fraction | None:
+    """t(m, a) as a reduced Fraction, or None at irrational a."""
+    if a.fraction is None:
+        return None
+    return Fraction(FRACTION_TURNS[cls](m, a.fraction))
+
+
+def trig_pi_fraction(turns, a: ParamA) -> PiAngle:
+    """trig_pi of the reduced Fraction of turns(a): at a itself when a is
+    rational, else at the exact binary value of a's evaluation at
+    WORK_DPS + twice the digits of turns(a.value) digits."""
+    if a.fraction is not None:
+        t = Fraction(turns(a.fraction))
+    else:
+        digits = len(str(int(abs(turns(a.value)))))
+        near = Fraction(*to_rational(a.approx(WORK_DPS + 2 * digits)._mpf_))
+        t = Fraction(turns(near))
+    return trig_pi(t.numerator, t.denominator)
+
+
+def family_angle_fraction(a: ParamA, cls: int, m: int) -> PiAngle:
+    """family_angle by the Fraction route."""
+    return trig_pi_fraction(lambda x: FRACTION_TURNS[cls](m, x), a)
 
 
 def is_exceptional_minus_float(a_value: float, m: int, tol: float = 1e-9) -> bool:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -99,10 +100,46 @@ def test_pairing_norms_stay_within_the_conditioning_bound(expr, lambda_max):
     # on every record of these ranges: 1.24 at the near-degenerate records
     # near lambda 504100 at 1/pi (7.9e-9 relative), 1.35 near 9e9 at
     # sqrt(2)-1 (3.8e-7); the rounding of a float k amplified by kappa
-    # would scale so, which side is off is open
+    # would scale so, and at 1/pi the pairing is the side that is off
+    # (test_the_closed_forms_are_right_at_the_near_degenerate_records)
     rows = projection_norms(ParamA.from_expr(expr), lambda_max)
     for pn in rows:
         assert abs(pn.pairing - pn.closed_form) <= _conditioning_bound(pn), pn
+
+
+# The closed forms at a = 1/pi of the records (class, m) near lambda 504100,
+# whose norms reach 4e4-7e4, to 50 digits (mpmath at 70 digits; a 50-digit
+# quadrature of the printed root vectors agrees with each within 1e-52)
+NEAR_DEGENERATE = {(+1, 234): "53866.378173334350723334055785753966254140471656341",
+                   (0, 355): "66347.417571765406204621928901213945031113088851735",
+                   (-1, 121): "38734.908313817604466326519152173119195485789062789"}
+
+
+def _mp_closed_form(cls: int, m: int, x: mp.mpf) -> mp.mpf:
+    if cls == 0:
+        return mp.sqrt(2 / (1 - mp.cospi(m * (1 + x))))
+    c = 1 + cls * x
+    th = mp.pi * m * (1 - cls * x) / c
+    num = mp.sqrt((4 * mp.pi + c / m * 2 * mp.sin(th) * mp.cos(th)) / 8)
+    return num / (mp.sqrt(mp.pi * c / 4) * abs(mp.sin(th)))
+
+
+def test_the_closed_forms_are_right_at_the_near_degenerate_records():
+    # in units of eps max(k, 1) kappa, measured: the closed forms 1.3e-8,
+    # 1.2e-8 and 2.2e-8 off (within 0.6 eps relative), the pairings 0.93,
+    # 0.15 and 0.25 (7.9e-9, 1.6e-9 and 1.5e-9 relative), in the order above
+    a = ParamA.from_expr("1/pi")
+    rows = [pn for pn in projection_norms(a, 1e6) if 504099 < pn.record.lam < 504101]
+    assert sorted(pn.record.memberships for pn in rows) == sorted(
+        (key,) for key in NEAR_DEGENERATE)
+    with mp.workdps(70):
+        for pn in rows:
+            (cls, m), = pn.record.memberships
+            ref = mp.mpf(NEAR_DEGENERATE[cls, m])
+            assert abs(_mp_closed_form(cls, m, 1 / mp.pi) - ref) < ref * mp.mpf(10) ** -48
+            unit = EPS * max(pn.record.k, 1.0) * float(ref)
+            assert abs(pn.closed_form - ref) / ref <= 3e-8 * unit, (cls, m)
+            assert abs(pn.pairing - ref) / ref <= 1.0 * unit, (cls, m)
 
 
 @pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1", "1/pi"])

@@ -416,6 +416,20 @@ def test_curve_rows_over_the_cap_are_refused_before_any_work(tmp_path, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, points", [
+    ("0:0.5:0.3", [0.0, 0.3]),
+    ("-0.999999:0.999999:0.5", [-0.999999, -0.499999, 0.000001, 0.500001])])
+def test_curve_grid_stops_at_hi(tmp_path, grid, points):
+    # np.arange(lo, hi + step/2, step) went on to 0.6, and to 1.000001,
+    # which the curves refused as outside (-1, 1)
+    out = tmp_path / "grid"
+    assert run_cli(["spectrum", "--a", "1/3", "--curves", f"--a-grid={grid}", "--m-max", "1",
+                    "--out", str(out)]) == 0
+    rows = (out / "curves.csv").read_text().strip().splitlines()[1:]
+    assert sorted({float(row.split(",")[0]) for row in rows}) == pytest.approx(points, abs=1e-15)
+    assert len(rows) == len(points) * (3 * 1 + 1)
+
+
 def test_curve_row_cap_is_the_closed_form_count(tmp_path, monkeypatch):
     # the default grid -0.95:0.95:0.01 has 191 points of 3 * 4 + 1 rows
     monkeypatch.setattr(spectrum, "MAX_CURVE_ROWS", 191 * 13)

@@ -1,9 +1,11 @@
 """Exact-phase trigonometry against high-precision mpmath.
 
-trig_pi is the one place where angles pi*t(a) are reduced; these tests
-check it, and the diagnostics built on it, at the deep continued-fraction
-denominators (up to ~1e22) where double-precision reduction loses every
-digit and 1 - cos cancels to zero.
+family_angle is the one place where angles pi*t(m, a) are reduced, in
+integer arithmetic on the coefficients of FAMILIES; these tests check it
+bit for bit against the Fraction route (`trig_pi_fraction`), trig_pi's
+float formulas through that route against mpmath, and the diagnostics built
+on it, at the deep continued-fraction denominators (up to ~1e22) where
+double-precision reduction loses every digit and 1 - cos cancels to zero.
 """
 
 import math
@@ -12,14 +14,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumpspec.basis_diag import blowup_probe
 from jumpspec.cli import main
 from jumpspec.eigensystem import pairing_zero_generic
 from jumpspec.metric import noninvertibility_probe
-from jumpspec.param import MAX_CONVERGENTS, ParamA, convergents, family_angle, trig_pi
+from jumpspec.param import MAX_CONVERGENTS, ParamA, convergents, family_angle
 
-from reference_oracles import rayleigh_quotient
+from reference_oracles import family_angle_fraction, rayleigh_quotient, trig_pi_fraction
 
 REF_DPS = 250
 IRRATIONALS = ["sqrt(2)-1", "(sqrt(5)-1)/2", "1/pi", "-1/pi", "e/4"]
@@ -51,7 +54,7 @@ def _reference(turns, a: ParamA):
 
 
 def _check_angle(turns, a: ParamA, rel: float = 1e-15) -> None:
-    got = trig_pi(turns, a)
+    got = trig_pi_fraction(turns, a)
     ref, zero = _reference(turns, a)
     for name, value, want, is_zero in zip(("cos", "sin", "versine"), got, ref, zero):
         if is_zero:
@@ -89,9 +92,9 @@ def test_family_angle_is_each_class_form_and_shifts_by_parity():
         a = ParamA.from_expr(expr)
         for m in [*range(1, 40), 10 ** 6 + 3, 12 * 10 ** 9 + 1]:
             for cls, form in zip((0, -1, +1), FORMS):
-                assert family_angle(a, cls, m) == trig_pi(form(m), a)
+                assert family_angle(a, cls, m) == trig_pi_fraction(form(m), a)
             for cls, form in shifted.items():
-                got, want = family_angle(a, cls, m), trig_pi(form(m), a)
+                got, want = family_angle(a, cls, m), trig_pi_fraction(form(m), a)
                 assert ((-1) ** m * got.sin, (-1) ** m * got.cos) == (want.sin, want.cos)
     with pytest.raises(ValueError):
         family_angle(ParamA.from_expr("1/3"), 2, 1)
@@ -99,9 +102,49 @@ def test_family_angle_is_each_class_form_and_shifts_by_parity():
 
 def test_trig_pi_exact_zeros_and_parity():
     a = ParamA.from_expr("1/3")
-    assert trig_pi(lambda x: 3 * x, a) == (-1.0, 0.0, 2.0)
-    assert trig_pi(lambda x: 6 * x, a) == (1.0, 0.0, 0.0)
-    assert trig_pi(lambda x: Fraction(3, 2) + 0 * x, a).cos == 0.0
+    assert trig_pi_fraction(lambda x: 3 * x, a) == (-1.0, 0.0, 2.0)
+    assert trig_pi_fraction(lambda x: 6 * x, a) == (1.0, 0.0, 0.0)
+    assert trig_pi_fraction(lambda x: Fraction(3, 2) + 0 * x, a).cos == 0.0
+    # family angles at integer turns: 0 class m(1 + 1/3) at m = 3 is 4 turns
+    assert family_angle(a, 0, 3) == (1.0, 0.0, 0.0)
+    assert family_angle(ParamA.from_expr("0"), 0, 3) == (-1.0, 0.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the integer route against the Fraction route, bit for bit
+# ---------------------------------------------------------------------------
+
+def _same_bits(a: ParamA, cls: int, m: int) -> None:
+    # repr tells every float bit apart, 0.0 from -0.0 included
+    assert repr(family_angle(a, cls, m)) == repr(family_angle_fraction(a, cls, m)), (
+        a.source, cls, m)
+
+
+def test_family_angle_matches_the_fraction_route_over_the_phase_grids():
+    for expr in IRRATIONALS + ["1/3", "-3/7", "0", "2/5", "1/1000003", "99999/100000"]:
+        a = ParamA.from_expr(expr)
+        deep = [2 * c.q for c in convergents(a, MAX_CONVERGENTS)] if not a.is_rational else []
+        for m in [*range(1, 200), 10 ** 6 + 3, 12 * 10 ** 9 + 1, 10 ** 22, *deep]:
+            for cls in (-1, 0, 1):
+                _same_bits(a, cls, m)
+    rng = random.Random(1507)
+    for _ in range(300):
+        q = rng.randint(2, 1000)
+        a = ParamA.from_fraction(rng.randint(1 - q, q - 1), q)
+        for cls in (-1, 0, 1):
+            _same_bits(a, cls, rng.randint(1, 10 ** 9))
+
+
+@pytest.mark.parametrize("cls", [-1, 0, 1])
+@given(q=st.integers(2, 10 ** 30), data=st.data(), m=st.integers(1, 10 ** 22))
+@settings(max_examples=150, deadline=None)
+def test_family_angle_matches_the_fraction_route_at_deep_rationals(cls, q, data, m):
+    p = data.draw(st.integers(1 - q, q - 1))
+    try:
+        a = ParamA.from_fraction(p, q)
+    except ValueError:  # p/q rounds to +-1 in double precision
+        return
+    _same_bits(a, cls, m)
 
 
 def test_trig_pi_negative_irrational_keeps_its_sign():

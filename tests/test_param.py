@@ -6,12 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jumpspec.param import (
-    FAMILIES, WORK_DPS, NotIrrational, ParamA, convergents, family_k, is_exceptional, trig_pi,
-    turns,
+    FAMILIES, WORK_DPS, NotIrrational, ParamA, convergents, exact_turns, family_angle,
+    is_exceptional, trig_pi,
 )
 from jumpspec.spectrum import SpectralCase, enumerate_spectrum
 
-from reference_oracles import is_exceptional_minus_float, is_exceptional_plus_float
+from reference_oracles import (
+    FRACTION_K, FRACTION_TURNS, is_exceptional_minus_float, is_exceptional_plus_float,
+    turns_fraction,
+)
 
 
 def test_rational_construction():
@@ -86,16 +89,25 @@ def test_exceptional_plus_examples():
 
 
 def test_family_k_is_exact_at_rational_a_and_the_printed_float_otherwise():
-    a = ParamA.from_expr("1/3")
-    for cls, m in ((-1, 1), (+1, 2), (0, 3)):   # the lambda = 36 coincidence
-        k = family_k(a, cls, m)
-        assert isinstance(k, Fraction) and k == 6
-    irr = ParamA.from_expr("sqrt(2)-1")
+    for cls, m in ((-1, 1), (+1, 2), (0, 3)):   # the lambda = 36 coincidence at 1/3
+        num, den = FAMILIES[cls].k.ints(1, 3)
+        assert Fraction(m * num, den) == 6
+    x = ParamA.from_expr("sqrt(2)-1").value
     for m in range(1, 60):
-        assert family_k(irr, -1, m) == 4 * m / (1 - irr.value)
-        assert family_k(irr, +1, m) == 4 * m / (1 + irr.value)
-        k0 = family_k(irr, 0, m)
+        assert FAMILIES[-1].k.at(m, x) == 4 * m / (1 - x)
+        assert FAMILIES[+1].k.at(m, x) == 4 * m / (1 + x)
+        k0 = FAMILIES[0].k.at(m, x)
         assert isinstance(k0, float) and k0 == 2.0 * m
+
+
+@given(x=st.floats(-1, 1, exclude_min=True, exclude_max=True), m=st.integers(0, 10 ** 22))
+@settings(max_examples=300, deadline=None)
+@example(x=-0.0, m=3)
+@example(x=0.5 ** 1074, m=10 ** 22)
+def test_float_values_keep_the_bits_of_the_printed_formulas(x, m):
+    for cls, family in FAMILIES.items():
+        for ratio, printed in ((family.k, FRACTION_K[cls]), (family.turns, FRACTION_TURNS[cls])):
+            assert repr(ratio.at(m, x)) == repr(float(printed(m, x))), (cls, m, x)
 
 
 @given(p=st.integers(-30, 30), q=st.integers(1, 31), m=st.integers(1, 500))
@@ -108,7 +120,8 @@ def test_each_family_angle_is_its_wavenumber_times_the_jump_offset(p, q, m):
     x = Fraction(p, q)
     for cls, (k, turns, _) in FAMILIES.items():
         factor = (1 + x) / 2 if cls == 0 else (1 - cls * x) / 4
-        assert turns(m, x) == k(m, x) * factor
+        (tn, td), (kn, kd) = turns.ints(p, q), k.ints(p, q)
+        assert td > 0 and Fraction(m * tn, td) == Fraction(m * kn, kd) * factor
 
 
 @given(p=st.integers(-30, 30), q=st.integers(1, 31), m=st.integers(1, 500))
@@ -121,7 +134,7 @@ def test_is_exceptional_is_integer_divisibility(p, q, m):
     assert is_exceptional(a, -1, m) == ((m * (q + p)) % (q - p) == 0)
     assert is_exceptional(a, +1, m) == ((m * (q - p)) % (q + p) == 0)
     assert is_exceptional(a, 0, m) == ((m * p) % q == 0)
-    assert turns(a, 0, m) == Fraction(m * (q + p), q)
+    assert Fraction(*exact_turns(a, 0, m)) == Fraction(m * (q + p), q)
 
 
 def _case_at(a: ParamA, k: float) -> SpectralCase:
@@ -153,7 +166,7 @@ def test_a_lone_exceptional_zero_class_member_has_odd_turns():
                 zero = [m for cls, m in rec.memberships if cls == 0 and m > 0]
                 if not zero or not is_exceptional(a, 0, zero[0]):
                     continue
-                odd = turns(a, 0, zero[0]).numerator % 2 == 1
+                odd = turns_fraction(a, 0, zero[0]).numerator % 2 == 1
                 assert rec.case is (SpectralCase.EXCEPTIONAL_ODD if odd
                                     else SpectralCase.EXCEPTIONAL_PAIR), (p, q, rec)
 
@@ -181,7 +194,7 @@ def test_irrational_never_exceptional():
     for m in range(1, 10_001, 97):
         assert not is_exceptional(a, -1, m)
         assert not is_exceptional(a, +1, m)
-        assert not is_exceptional(a, 0, m) and turns(a, 0, m) is None
+        assert not is_exceptional(a, 0, m) and exact_turns(a, 0, m) is None
 
 
 def test_convergents_sqrt2_minus_1():
@@ -221,13 +234,14 @@ def test_convergent_count_limit():
 
 
 def test_exact_trig_helpers():
-    a = ParamA.from_expr("1/3")
-    assert trig_pi(lambda x: Fraction(1, 3), a).cos == pytest.approx(0.5, abs=1e-15)
-    assert trig_pi(lambda x: Fraction(1, 2), a).sin == pytest.approx(1.0, abs=1e-15)
-    # large multiplier: reduction must stay exact
-    assert trig_pi(lambda x: 3 * 10 ** 12 * x, a).cos == pytest.approx(1.0, abs=1e-12)
-    s2 = ParamA.from_expr("sqrt(2)-1")
-    val = trig_pi(lambda x: 10 ** 6 + 10 ** 6 * x, s2).cos
+    assert trig_pi(1, 3).cos == pytest.approx(0.5, abs=1e-15)
+    assert trig_pi(1, 2).sin == pytest.approx(1.0, abs=1e-15)
+    # large multiplier: reduction must stay exact, and an unreduced pair
+    # gives the bits of the reduced one
+    assert trig_pi(3 * 10 ** 12, 3) == trig_pi(10 ** 12, 1) == (1.0, 0.0, 0.0)
+    assert repr(trig_pi(-7 * 10 ** 20, 3 * 10 ** 20)) == repr(trig_pi(-7, 3))
+    # 10^6 + 10^6 (sqrt(2) - 1) turns, the class 0 angle at m = 10^6
+    val = family_angle(ParamA.from_expr("sqrt(2)-1"), 0, 10 ** 6).cos
     with mp.workdps(60):
         ref = mp.cospi(mp.fmod(10 ** 6 * mp.sqrt(2), 2))
         assert val == pytest.approx(float(ref), abs=1e-12)

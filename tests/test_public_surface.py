@@ -42,13 +42,16 @@ UNUSED_IMPORTS_KEPT = {"jumpspec/eigensystem.py:inner_closed"}
 # that the projection norms once took, the basis at the cos of the rounded
 # phase that Stack.values once took, and the two norms, one from each
 # member's own rows and one from a Gram of all members' keys, that
-# funcspace.norms replaced): a definition of one of them in src/jumpspec
+# funcspace.norms replaced, and the family arithmetic in Fraction objects,
+# its angles, wavenumbers and turns, that the integer coefficients of
+# param.FAMILIES replaced): a definition of one of them in src/jumpspec
 # again would be a second route there
 MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
                     "_wave_integrals", "_pair_integrals", "eval_terms", "terms_on",
                     "kernel_matrix", "nystrom_nodes", "complex_probe_singular_values",
                     "lincomb", "quad_inner", "_quad_rounds", "QuadratureNotConverged",
-                    "quad_gram", "rounded_basis", "norms_local", "norms_l2"}
+                    "quad_gram", "rounded_basis", "norms_local", "norms_l2",
+                    "trig_pi_fraction", "family_k_fraction", "turns_fraction"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

@@ -132,6 +132,23 @@ def test_ties_match_the_allocating_route_and_a_dense_svd():
     assert np.max(np.abs(got - ref)) < 16 * EPS * ref[0]
 
 
+# at 1/3, lambda = 50 + 50i, N = 256 the step-B root 206 lies between poles
+# 1.999999999e-4 and 2.0e-4 (relative gap 4.9e-10, far above the 8 eps tie
+# tolerance) and the model falls back to about 50 bisections: it converges
+# in 51 of the SECULAR_PASSES passes (every other measured matrix takes at
+# most 16), measured 5.1 eps sigma_1 from LAPACK
+def test_a_root_between_nearly_tied_poles_converges_within_the_pass_cap(monkeypatch):
+    mat = sine_matrix(50 + 50j, ParamA.from_expr("1/3"), 256)
+    assert not mat.resonant
+    ref = _dense_values(mat)
+    got = dpr1_singular_values(mat.d, mat.c * mat.u, mat.y)
+    assert np.max(np.abs(got - ref)) < 64 * EPS * ref[0]
+    monkeypatch.setattr(resolvent, "SECULAR_PASSES", 50)
+    with pytest.raises(np.linalg.LinAlgError, match=r"1 roots unconverged after 50 passes, "
+                                                    r"from \[206\]"):
+        dpr1_singular_values(mat.d, mat.c * mat.u, mat.y)
+
+
 # one pass leaves the values 1.9e-3 sigma_1 off; they must not come out
 def test_a_secular_solve_that_runs_out_of_passes_raises(monkeypatch):
     monkeypatch.setattr(resolvent, "SECULAR_PASSES", 1)

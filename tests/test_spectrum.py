@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from jumpspec.param import ParamA
-from jumpspec.spectrum import SpectralCase, curves, enumerate_spectrum
+from jumpspec.spectrum import (
+    SpectralCase, curve_grid, curves, enumerate_spectrum, grid_points,
+)
 
 from reference_oracles import (
-    char_det, count_zeros_in_rectangle, scan_determinant_zeros, two_branch_spectrum,
+    char_det, count_zeros_in_rectangle, family_k_fraction, scan_determinant_zeros,
+    two_branch_spectrum,
 )
 
 
@@ -142,6 +145,23 @@ def test_curves_families():
     assert all(l2 > l1 for l1, l2 in zip(lams, lams[1:]))  # increasing in a
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (-0.95, 0.95, 0.01), (-0.9, 0.9, 0.45), (-0.5, 0.5, 0.25), (0.1, 0.9, 0.1), (0.0, 0.0, 0.1),
+    (-0.9, 0.91, 0.3), (0.0, 0.5, 0.3), (-0.999999, 0.999999, 0.5), (0.3, 0.3000001, 1e-8)])
+def test_curve_grid_is_counted_as_built_and_ends_at_hi(lo, hi, step):
+    grid = curve_grid(lo, hi, step)
+    assert len(grid) == grid_points(lo, hi, step)
+    assert grid[0] == lo and grid[-1] <= hi + 1e-9 * (hi - lo) and grid[-1] + step > hi
+    # a grid that ends at hi keeps np.arange's points, bit for bit
+    if round((hi - lo) / step, 6).is_integer():
+        assert np.array_equal(grid, np.arange(lo, hi + step / 2, step))
+
+
+def test_curve_grid_counts_an_unbuildable_grid_as_inf():
+    assert grid_points(-0.95, 0.95, 1e-320) == np.inf
+    assert grid_points(-0.95, 0.95, 1e-12) == 1.9e12 + 1
+
+
 def test_curves_cross_at_one_third():
     rows = curves([1 / 3], 4)
     hits = {(cls, m) for a, cls, m, lam in rows if lam == pytest.approx(36.0)}
@@ -158,3 +178,17 @@ def test_enumeration_matches_the_two_branch_reference_bit_for_bit(expr):
     assert len(got) > 500
     # repr tells every float bit apart, 0.0 from -0.0 included
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("lambda_max", [36.0, 1e4 + 0.5, 4e6])
+@pytest.mark.parametrize("expr", ["1/3", "-3/7", "1/1000003", "99999/100000", "0",
+                                  "sqrt(2)-1", "1/pi"])
+def test_integer_keys_give_the_fraction_keyed_records(expr, lambda_max):
+    # members merge on the integer k (Q-P)(Q+P), not on a Fraction k
+    a = ParamA.from_expr(expr)
+    records = enumerate_spectrum(a, lambda_max)
+    got = [(r.lam, r.k, r.memberships, r.geom_mult, r.alg_mult, r.case.value) for r in records]
+    assert repr(got) == repr(two_branch_spectrum(a, lambda_max))
+    for r in records:
+        for cls, m in r.memberships:
+            assert repr(r.k) == repr(float(family_k_fraction(a, cls, m)))
