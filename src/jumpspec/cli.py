@@ -5,9 +5,10 @@ All outputs are files (JSON/CSV) under --out, accompanied by a run
 manifest (command line, parameters, version, seed, outputs, wall time).
 CSV floats carry 17 significant digits so reruns are byte-identical.
 Exit codes: 0 ok, 1 contract failure, 2 usage error, 3 numerical
-failure (a pole, exhausted precision, a vanishing normalization, a failed
-SVD); the manifest then carries an `error` record with the exception's
-type, message and the stage it failed in.
+failure (a pole, exhausted precision, a vanishing normalization, a
+secular solve of the resolvent probe out of passes); the manifest then
+carries an `error` record with the exception's type, message and the
+stage it failed in.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def _fmt(v) -> str:
     return FMT % v
 
 
-# caught before ValueError, which np.linalg.LinAlgError subclasses
+# caught before ValueError, which np.linalg.LinAlgError subclasses: the
+# probe's secular solves raise it when a root still moves after
+# resolvent.SECULAR_PASSES passes, in the resonant zone as outside it
 NUMERICAL_FAILURES = (
     resolvent.PoleAtEigenvalue, PrecisionExhausted, eigensystem.DegenerateNormalization,
     ZeroDivisionError, np.linalg.LinAlgError,

@@ -39,7 +39,10 @@ secular solves in O(N^2) (`dpr1_singular_values`, 0.1 s and 5 MB at
 N = 2048 on one Xeon core), to a few eps of max|d| + |c u| |v|: a few eps
 sigma_1 unless d_m and c u_m v_m cancel.  Near an odd square m^2 their
 poles do; there (|lambda - m^2| < NEAR_RESONANCE) row and column m are
-written in sinc and series form and the matrix takes a dense SVD.
+written in sinc and series form, and with d_m = u_m = v_m = 0 the matrix
+is diag(d) + u (c v + c v_m e_m)^T + e_m (c u_m v + <e_m, R e_m> e_m)^T,
+no term cancelling: the same two solves and a third for the second row
+take its values (0.2 s and 5 MB at N = 2048) within a few eps sigma_1.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ EPS = float(np.finfo(float).eps)
 BLOCK_ROWS = 64
 # passes of a secular solve: at most 16 on 359 of 360 measured matrices (5
 # values of a, 18 lambdas, N from 64 to 2048) and 51 on the last (1/3,
-# 50 + 50i, N = 256); a solve that runs out raises LinAlgError
+# 50 + 50i, N = 256), at most 9, 9 and 14 in the zone's three solves (360
+# matrices, 8 values of a, m <= 201); a solve that runs out raises LinAlgError
 SECULAR_PASSES = 100
 # (sin z - z)/z^2 = sum_i _SIN_SERIES[i] z^(2i + 1), to rounding for |z| <= pi/2
 _SIN_SERIES = np.array([(-1) ** i / math.factorial(2 * i + 1) for i in range(1, 13)])
@@ -356,7 +360,7 @@ class SineMatrix:
     diag(d) + c u y^T, u = (u_1..u_N, |u_t|), y = (v_1..v_N, |v_t|) and
     d_{N+1} = 0.  `resonant` is None, or (m, c u_m, c v_m, <e_m, R e_m>)
     for the odd m with |lambda - m^2| < NEAR_RESONANCE, whose row and column
-    replace the cancelling d_m + c u_m v_m (`dense`)."""
+    replace the cancelling d_m + c u_m v_m; d_m = u_m = y_m = 0 there."""
 
     d: np.ndarray
     c: complex
@@ -364,15 +368,16 @@ class SineMatrix:
     y: np.ndarray
     resonant: tuple[int, complex, complex, complex] | None
 
-    def dense(self) -> np.ndarray:
-        out = np.outer(self.c * self.u, self.y)
-        out[np.diag_indices_from(out)] += self.d
-        if self.resonant:
-            m, cu_m, cv_m, diag = self.resonant
-            out[m - 1] = cu_m * self.y
-            out[:, m - 1] = self.u * cv_m
-            out[m - 1, m - 1] = diag
-        return out
+    def factors(self) -> tuple:
+        """(d, x, y, h) for `dpr1_singular_values`: diag(d) + (c u) y^T, or
+        in the zone diag(d) + u (c y + c v_m e_m)^T + e_m (c u_m y +
+        <e_m, R e_m> e_m)^T, every term finite and none cancelling."""
+        if not self.resonant:
+            return self.d, self.c * self.u, self.y, None
+        m, cu_m, cv_m, diag = self.resonant
+        y, h = self.c * self.y, cu_m * self.y
+        y[m - 1], h[m - 1] = cv_m, diag
+        return self.d, self.u, y, h
 
 
 def sine_matrix(lam: complex, a: ParamA, n: int) -> SineMatrix:
@@ -483,34 +488,42 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
     return origin, tau
 
 
-def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of diag(d) + x y^T in O(n^2) memory-light
-    blocks.  A unitary diagonal makes it M = |D| + x' y^T; with xh = x'/|x'|,
-    M = P|D| + xh r (P = I - xh xh*, r = xh*|D| + |x'| y^T), so
-    M*M = |D| P |D| + r* r.  Step A: |D| P |D| = Delta - g g*, g = |D| xh,
-    a rank-one downdate of Delta = |D|^2 (one secular solve; g vanishes
-    where x does), with eigenvectors W_j ~ (Delta - mu_j)^{-1} g.  Step B:
-    the singular values of [diag(sqrt(mu)); r W], an update by zeta = r W
-    (a second solve).  Weights below eps of their vector's norm deflate,
-    and so do ties |d_i| = |d_j| (equal omegas in step B) within 8 eps of
-    their size: 2.5 + i ties |d_1| with |d_2|, 5 |d_1| with |d_3|.  A tie
-    tolerance absolute in ||M|| would chain: near a pole it merged 31
-    neighbours at 1/3, 144 + 6e-5 and left sigma_1 51 eps off."""
+def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray,
+                         h: np.ndarray | None = None) -> np.ndarray:
+    """Singular values, descending, of diag(d) + x y^T, or given h of
+    diag(d) + x y^T + e_m h^T for an m with d_m = x_m = 0, in O(n^2)
+    memory-light blocks.  A unitary diagonal makes it M = |D| + x' y^T; with
+    xh = x'/|x'|, M = P|D| + xh r (P = I - xh xh*, r = xh*|D| + |x'| y^T),
+    so M*M = |D| P |D| + r* r.  Step A: |D| P |D| = Delta - g g*,
+    g = |D| xh, a rank-one downdate of Delta = |D|^2 (one secular solve; g
+    vanishes where x does), with eigenvectors W_j ~ (Delta - mu_j)^{-1} g.
+    Step B: the singular values of [diag(sqrt(mu)); r W], an update by
+    zeta = r W (a second solve, `_add_row`).  Row m adds conj(h) h^T to M*M
+    and nothing else, since |D| e_m = 0 and xh_m = 0: step B then adds
+    eta = h^T W first and carries zeta onto that update's vectors (a third
+    solve); zeta first left sigma_1 61 eps off at sqrt(2)-1, 22201.5,
+    N = 512.  Weights below eps of their vector's norm deflate, and so do
+    ties |d_i| = |d_j| (equal omegas in step B) within 8 eps of their size:
+    2.5 + i ties |d_1| with |d_2|, 5 |d_1| with |d_3|.  A tie tolerance
+    absolute in ||M|| would chain: near a pole it merged 31 neighbours at
+    1/3, 144 + 6e-5 and left sigma_1 51 eps off."""
     ad = np.abs(d)
     phase = np.where(ad > 0, d / np.where(ad > 0, ad, 1.0), 1.0)
     xp = x / phase
     nx = float(np.linalg.norm(xp))
-    if nx == 0:
-        return np.sort(ad)[::-1]
+    if nx == 0:  # M*M = |D|^2 + conj(h) h^T
+        return np.sort(ad if h is None else _add_row(ad, h)[0])[::-1]
     xh = xp / nx
     g = ad * xh
     live = (np.abs(xh) > EPS) & (ad > 0)
-    # deflated in step A: the eigenvector e_i, zeta_i = conj(g_i) + |x'| y_i
+    # deflated in step A: the eigenvector e_i, zeta_i = conj(g_i) + |x'| y_i, eta_i = h_i
     omega, zeta = [ad[~live]], [np.conj(g[~live]) + nx * y[~live]]
     order = np.nonzero(live)[0][np.argsort(ad[live])]
     da, wa = ad[order], np.abs(g[order])
     gph = g[order] / wa
     rt, yt = wa + nx * y[order] * gph, y[order] * gph  # r and y on W's real basis
+    if h is not None:
+        eta, ht = [h[~live]], h[order] * gph
     keep = np.ones(len(da), dtype=bool)
     for i in np.nonzero(np.diff(da) <= 8 * EPS * da[1:])[0]:  # a tie: i's weight into i + 1
         rho = math.hypot(wa[i], wa[i + 1])
@@ -519,6 +532,9 @@ def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         zeta.append(np.array([cj * rt[i] - ci * rt[i + 1]]))
         wa[i + 1], rt[i + 1] = rho, ci * rt[i] + cj * rt[i + 1]
         yt[i + 1] = ci * yt[i] + cj * yt[i + 1]
+        if h is not None:
+            eta.append(np.array([cj * ht[i] - ci * ht[i + 1]]))
+            ht[i + 1] = ci * ht[i] + cj * ht[i + 1]
         keep[i] = False
     da, wa, yt = da[keep][::-1], wa[keep][::-1], yt[keep][::-1]
     # step A: 1 - sum g^2/(delta - mu) = 0 with g_i^2 = delta_i |xh_i|^2 is
@@ -535,7 +551,9 @@ def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
     if not rho0:
         K, tau = np.append(K, len(p_a)), np.append(tau, 0.0)
     mu = -(poles[K] + tau)
-    zeta_a = np.empty(len(p_a), dtype=np.result_type(yt, float))
+    rows_w = [yt] if h is None else [yt, ht[keep][::-1]]
+    zeta_a = np.empty(len(p_a), dtype=np.result_type(*rows_w, float))
+    eta_a = np.empty_like(zeta_a)
     vec_buf, prod_buf = (np.empty((min(BLOCK_ROWS, len(p_a)), len(p_a)), dtype=dt)
                          for dt in (float, zeta_a.dtype))
     for start in range(0, len(p_a), BLOCK_ROWS):
@@ -545,25 +563,57 @@ def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
         np.divide(wa, vec, out=vec)  # g/(delta - mu)
         # numpy's pairwise sums: with a BLAS dot the values at a = 0, lambda = 26,
         # N = 2048 came out 38 eps sigma_1 off the dense SVD, with these 6
-        zeta_a[rows] = ((1 + nx * np.multiply(vec, yt, out=prod).sum(1))
-                        / np.sqrt(np.multiply(vec, vec, out=vec).sum(1)))
+        dots = [np.multiply(vec, rw, out=prod).sum(1) for rw in rows_w]
+        norm = np.sqrt(np.multiply(vec, vec, out=vec).sum(1))
+        zeta_a[rows] = (1 + nx * dots[0]) / norm
+        if h is not None:
+            eta_a[rows] = dots[1] / norm
     om = np.concatenate([*omega, np.sqrt(np.maximum(mu, 0.0))])
-    ze = np.abs(np.concatenate([*zeta, zeta_a]))
-    # step B: 1 + sum zeta^2/(omega^2 - s) = 0
-    small = ze <= EPS * np.linalg.norm(ze)
-    out = [om[small]]
-    om, ze = om[~small], ze[~small]
-    order = np.argsort(om)
-    om, w = om[order], ze[order] ** 2
+    ze = np.concatenate([*zeta, zeta_a])
+    if h is not None:
+        om, ze = _add_row(om, np.concatenate([*eta, eta_a]), ze)
+    return np.sort(_add_row(om, ze)[0])[::-1]
+
+
+def _add_row(om: np.ndarray, ze: np.ndarray,
+             carry: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The singular values, unsorted, of [diag(om); ze] (om >= 0): the roots of
+    1 + sum |ze|^2/(om^2 - s) = 0 (one secular solve), and the row `carry`
+    on their right singular vectors, V_j ~ (diag(om^2) - s_j)^{-1} conj(ze),
+    or None.  Deflated weights keep e_i, ties rotate i's weight into i + 1."""
+    az = np.abs(ze)
+    small = az <= EPS * np.linalg.norm(az)
+    row = np.zeros_like(ze) if carry is None else carry
+    out, moved = [om[small]], [row[small]]
+    order = np.nonzero(~small)[0][np.argsort(om[~small])]
+    om, ze, w, row = om[order], ze[order], az[order] ** 2, row[order]
     keep = np.ones(len(om), dtype=bool)
     for i in np.nonzero(np.diff(om) <= 8 * EPS * om[1:])[0]:
         out.append(om[i:i + 1])
+        rho = math.sqrt(w[i] + w[i + 1])
+        moved.append(np.array([(row[i] * ze[i + 1] - row[i + 1] * ze[i]) / rho]))
+        row[i + 1] = (row[i] * np.conj(ze[i]) + row[i + 1] * np.conj(ze[i + 1])) / rho
+        ze[i + 1] = rho
         w[i + 1] += w[i]
         keep[i] = False
     p_b = om[keep] ** 2
     K, tau = _secular_roots(p_b, w[keep])
     out.append(np.sqrt(p_b[K] + tau))
-    return np.sort(np.concatenate(out))[::-1]
+    if carry is None:
+        return np.concatenate(out), None
+    # carry_j = sum row_i conj(ze_i)/(p_i - s_j) over sqrt(sum w_i/(p_i - s_j)^2)
+    num, wk = row[keep] * np.conj(ze[keep]), w[keep]
+    carried = np.empty(len(K), dtype=num.dtype)
+    dist_buf, prod_buf = (np.empty((min(BLOCK_ROWS, len(K)), len(p_b)), dtype=dt)
+                          for dt in (float, num.dtype))
+    for start in range(0, len(K), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        dist, prod = dist_buf[:len(tau[rows])], prod_buf[:len(tau[rows])]
+        np.subtract(np.subtract(p_b, p_b[K[rows]][:, None], out=dist), tau[rows, None], out=dist)
+        dot = np.divide(num, dist, out=prod).sum(1)
+        np.divide(wk, np.multiply(dist, dist, out=dist), out=dist)
+        carried[rows] = dot / np.sqrt(dist.sum(1))
+    return np.concatenate(out), np.concatenate([*moved, carried])
 
 
 def _trace_tail(lam: complex, n: int) -> float:
@@ -587,15 +637,15 @@ def _trace_tail(lam: complex, n: int) -> float:
 
 def singular_value_probe(lam: complex, a: ParamA, n: int = 512) -> dict:
     """The N + 1 = n + 1 singular values of the exact sine-basis matrix of
-    (H - lambda)^{-1} (`sine_matrix`), their log-log decay exponent fitted
+    (H - lambda)^{-1} (`sine_matrix`) by secular solves, three next to an
+    odd square (`SineMatrix.factors`), their log-log decay exponent fitted
     over `check_probe`'s window, and the trace-norm estimate: their sum plus
     the dropped Dirichlet tail (`_trace_tail`).  `truncation_bound`
     1/|(n+1)^2 - lambda| bounds how far the dropped tail moves each value.
     Compact second-order resolvents decay like j^-2."""
     first, last = check_probe(lam, n)
     mat = sine_matrix(lam, a, n)
-    svals = (np.linalg.svd(mat.dense(), compute_uv=False) if mat.resonant
-             else dpr1_singular_values(mat.d, mat.c * mat.u, mat.y))
+    svals = dpr1_singular_values(*mat.factors())
     j = np.arange(first, last + 1)
     slope = float(np.polyfit(np.log(j), np.log(svals[first - 1:last]), 1)[0])
     return {"singular_values": svals, "decay_exponent": slope,

@@ -40,7 +40,9 @@ exactly, and the norms from each member's own rows about the piece
 midpoints (`norms_local`) and from one Gram of the raw rows' keys
 (`norms_l2`), the two routes that `funcspace.norms` chooses between.
 The resolvent's secular solves are also kept as they stood before they
-worked in preallocated blocks (`allocating_dpr1_singular_values`), and the
+worked in preallocated blocks (`allocating_dpr1_singular_values`), the
+sine-basis matrix as the dense array whose LAPACK SVD the probe took next
+to odd squares (`sine_matrix_dense`), and the
 family arithmetic as it stood before it worked on the integer coefficients
 of param.FAMILIES: wavenumbers, turns and reduced angles from Fraction
 objects (`family_k_fraction`, `turns_fraction`, `trig_pi_fraction`).
@@ -484,7 +486,22 @@ def complex_sine_matrix(lam: complex, a: ParamA, n: int) -> np.ndarray:
         m = resonant[0]
         resonant = (m, *resolvent._zone_entries(lam, a.value, m))
         d[m - 1] = u[m - 1] = y[m - 1] = 0
-    return resolvent.SineMatrix(np.append(d, 0), c, u, y, resonant).dense()
+    return sine_matrix_dense(resolvent.SineMatrix(np.append(d, 0), c, u, y, resonant))
+
+
+def sine_matrix_dense(mat: resolvent.SineMatrix) -> np.ndarray:
+    """The (N+1) x (N+1) array of a `resolvent.SineMatrix`: diag(d) + c u y^T,
+    with row m, column m and the diagonal entry of `resonant` written over
+    it in the zone.  The probe took LAPACK's SVD of this array next to odd
+    squares before it took the zone's singular values by secular solves."""
+    out = np.outer(mat.c * mat.u, mat.y)
+    out[np.diag_indices_from(out)] += mat.d
+    if mat.resonant:
+        m, cu_m, cv_m, diag = mat.resonant
+        out[m - 1] = cu_m * mat.y
+        out[:, m - 1] = mat.u * cv_m
+        out[m - 1, m - 1] = diag
+    return out
 
 
 # The secular route of `resolvent` (`_secular_roots`, `dpr1_singular_values`)

@@ -471,18 +471,17 @@ def test_numerical_failure_exits_3_with_an_error_record(tmp_path):
     assert not (out / "resolvent_report.json").exists()
 
 
-def test_a_failed_svd_exits_3_with_an_error_record(tmp_path, monkeypatch):
-    # LinAlgError subclasses ValueError, which is a usage error (exit 2)
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    out = tmp_path / "svd"
-    # lambda = 1 is in the resonant zone of m = 1, which takes the dense SVD
+def test_an_unconverged_zone_solve_exits_3_with_an_error_record(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, which is a usage error (exit 2);
+    # lambda = 1 is in the resonant zone of m = 1, which takes three solves
+    monkeypatch.setattr(resolvent, "SECULAR_PASSES", 1)
+    out = tmp_path / "zone"
     assert run_cli(["resolvent", "--a", "1/3", "--lambda", "1", "--svd-n", "64",
                     "--out", str(out)]) == 3
     error = json.loads((out / "manifest.json").read_text())["error"]
     assert error["type"] == "LinAlgError" and error["stage"] == "singular_value_probe"
+    assert "unconverged" in error["message"]
+    assert not (out / "resolvent_report.json").exists()
 
 
 def test_an_unconverged_secular_solve_exits_3_with_an_error_record(tmp_path, monkeypatch):

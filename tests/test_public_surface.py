@@ -51,7 +51,8 @@ MOVED_TO_ORACLES = {"particular_solution", "injectivity_probe", "neumann_mode",
                     "kernel_matrix", "nystrom_nodes", "complex_probe_singular_values",
                     "lincomb", "quad_inner", "_quad_rounds", "QuadratureNotConverged",
                     "quad_gram", "rounded_basis", "norms_local", "norms_l2",
-                    "trig_pi_fraction", "family_k_fraction", "turns_fraction"}
+                    "trig_pi_fraction", "family_k_fraction", "turns_fraction",
+                    "sine_matrix_dense"}
 
 
 def _exported(tree: ast.Module) -> set[str]:

@@ -2,11 +2,12 @@
 
 `resolvent.sine_matrix` holds <e_m, (H - lambda)^{-1} e_n> on N sine modes
 plus a border row and column; `dpr1_singular_values` takes its singular
-values by two secular solves.  The gates here: the entries against a
-50-digit solve and quadrature, the secular route against a dense SVD of
-the same matrix, the tails against 50-digit sums, convergence in N, the
-Nystrom probe the package used before, and the order of the resolvent's
-pole at each eigenvalue against the Jordan chains of `eigensystem`.
+values by two secular solves, three next to an odd square.  The gates
+here: the entries against a 50-digit solve and quadrature, the secular
+route against a dense SVD of the same matrix (`sine_matrix_dense`), the
+tails against 50-digit sums, convergence in N, the Nystrom probe the
+package used before, and the order of the resolvent's pole at each
+eigenvalue against the Jordan chains of `eigensystem`.
 """
 
 import math
@@ -25,7 +26,7 @@ from jumpspec.resolvent import (
 )
 from reference_oracles import (
     allocating_dpr1_singular_values, allocating_secular_roots, complex_probe_singular_values,
-    mp_sine_entries,
+    mp_sine_entries, sine_matrix_dense,
 )
 
 EPS = np.finfo(float).eps
@@ -36,15 +37,16 @@ GRID_A = ("1/3", "sqrt(2)-1", "1/5", "0")
 GRID_LAMBDA = (-1.0, -25.0, -1e4, 0.5, 2.5 + 1j, 5.0, 5 + 1j, 10.0, 13.0, 1e4 + 0.5,
                0.999, 24.99, 26.0)
 OFF_ZONE = tuple(lam for lam in GRID_LAMBDA if lam not in (0.5, 0.999, 24.99))
+ZONE = (0.5, 0.999, 24.99, 1.0, 1 + 1e-9, 1 - 1e-9, 25 - 1e-9)
 
 
 def _dense_values(mat) -> np.ndarray:
-    return np.linalg.svd(mat.dense(), compute_uv=False)
+    return np.linalg.svd(sine_matrix_dense(mat), compute_uv=False)
 
 
 # the secular route within 64 eps sigma_1 of LAPACK on the same matrix
-# (measured at most 22); next to an odd square the matrix is no longer
-# diagonal plus rank one and the probe takes the dense SVD itself
+# (measured at most 22); next to an odd square the matrix is a diagonal
+# plus rank two and takes a third solve (measured at most 6.6 there)
 @pytest.mark.parametrize("expr", GRID_A)
 @pytest.mark.parametrize("lam", GRID_LAMBDA)
 @pytest.mark.parametrize("n", [64, 512])
@@ -52,9 +54,8 @@ def test_secular_route_matches_a_dense_svd(expr, lam, n):
     mat = sine_matrix(lam, ParamA.from_expr(expr), n)
     ref = _dense_values(mat)
     assert bool(mat.resonant) == (lam in (0.5, 0.999, 24.99))
-    if not mat.resonant:
-        got = dpr1_singular_values(mat.d, mat.c * mat.u, mat.y)
-        assert np.max(np.abs(got - ref)) < 64 * EPS * ref[0]
+    got = dpr1_singular_values(*mat.factors())
+    assert np.max(np.abs(got - ref)) < 64 * EPS * ref[0]
 
 
 # two cases a plainer route got wrong: next to 51^2, outside the zone, the
@@ -169,17 +170,77 @@ def test_the_probe_at_2048_modes_stays_within_8_mb():
     assert peak <= 8e6
 
 
-@pytest.mark.parametrize("lam", [0.999, 24.99, 1.0, 1 + 1e-9, 25 - 1e-9])
-def test_the_probe_takes_the_dense_svd_next_to_odd_squares(lam):
+# next to an odd square the probe takes three secular solves; within 64
+# eps sigma_1 of LAPACK on the dense matrix (measured at most 6.6); 25
+# is an eigenvalue at 1/5
+@pytest.mark.parametrize("expr, lam", [(expr, lam) for expr in GRID_A for lam in ZONE
+                                       if (expr, lam) != ("1/5", 25 - 1e-9)])
+@pytest.mark.parametrize("n", [64, 512])
+def test_the_zone_route_matches_a_dense_svd(expr, lam, n):
+    a = ParamA.from_expr(expr)
+    mat = sine_matrix(lam, a, n)
+    assert mat.resonant
+    probe = singular_value_probe(lam, a, n)["singular_values"]
+    ref = _dense_values(mat)
+    assert np.max(np.abs(probe - ref)) < 64 * EPS * ref[0]
+
+
+def zone_cases(seed: int, count: int):
+    """(a, lambda, N) with |lambda - m^2| < 1 for an odd m <= min(N, 201),
+    lambda real or complex, drawn from one seed."""
+    rng = np.random.default_rng(seed)
+    exprs = GRID_A + ("3/7", "1/pi", "-1/2", "9/10")
+    for _ in range(count):
+        expr, n = exprs[rng.integers(len(exprs))], int(rng.choice([64, 512]))
+        m = 2 * int(rng.integers(0, min(n, 202) // 2)) + 1
+        r, th = rng.uniform(0, 0.999), rng.uniform(0, 2 * math.pi)
+        yield expr, m * m + (r * complex(math.cos(th), math.sin(th)) if rng.random() < 0.5
+                             else math.copysign(r, math.cos(th))), n
+
+
+# measured at most 5.0 eps sigma_1 over these 24 (8.1 over 300 of them)
+def test_the_zone_route_matches_a_dense_svd_up_to_m_201():
+    for expr, lam, n in zone_cases(31, 24):
+        mat = sine_matrix(lam, ParamA.from_expr(expr), n)
+        assert mat.resonant
+        ref = _dense_values(mat)
+        got = dpr1_singular_values(*mat.factors())
+        assert np.max(np.abs(got - ref)) < 64 * EPS * ref[0], (expr, lam, n)
+
+
+# the dense SVD took 2.6 s here; measured 5.1 MB
+def test_the_zone_probe_at_2048_modes_takes_no_dense_svd_and_stays_within_8_mb(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the zone probe took a dense SVD")
+    monkeypatch.setattr(resolvent.np.linalg, "svd", no_svd)
     a = ParamA.from_expr("1/3")
-    probe = singular_value_probe(lam, a, 512)["singular_values"]
-    assert np.array_equal(probe, _dense_values(sine_matrix(lam, a, 512)))
+    assert sine_matrix(0.5, a, 2048).resonant
+    tracemalloc.start()
+    try:
+        singular_value_probe(0.5, a, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+# measured at most 5.3 eps sigma_1 (1/3, 22201.5); the dense SVD takes 1.8-11 s
+@pytest.mark.slow
+@pytest.mark.parametrize("expr", ["1/3", "sqrt(2)-1"])
+@pytest.mark.parametrize("lam", [0.5, 1 + 0.5j, 22201.5])
+def test_the_zone_route_matches_a_dense_svd_at_2048_modes(expr, lam):
+    a = ParamA.from_expr(expr)
+    mat = sine_matrix(lam, a, 2048)
+    assert mat.resonant
+    probe = singular_value_probe(lam, a, 2048)["singular_values"]
+    ref = _dense_values(mat)
+    assert np.max(np.abs(probe - ref)) < 64 * EPS * ref[0]
 
 
 def test_a_pole_is_refused_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the probe built something at an eigenvalue")
-    for name in ("_tail_norms", "dpr1_singular_values", "_trace_tail"):
+    for name in ("_tail_norms", "_zone_entries", "dpr1_singular_values", "_trace_tail"):
         monkeypatch.setattr(resolvent, name, no_work)
     monkeypatch.setattr(resolvent.np.linalg, "svd", no_work)
     with pytest.raises(PoleAtEigenvalue):
@@ -198,6 +259,28 @@ def test_ties_and_zero_weights_deflate(d, x, y):
     assert np.max(np.abs(dpr1_singular_values(d, x, y) - ref)) < 16 * EPS * ref[0]
 
 
+# a second row h at an m with d_m = x_m = 0, as in the zone: real and
+# complex, with ties |d_i| = |d_j| (seeds 2, 3), x = 0 (seed 4, where
+# M*M = |D|^2 + conj(h) h^T) and another d_i = 0 (seed 5); measured at
+# most 2.1 eps sigma_1
+@pytest.mark.parametrize("seed", range(6))
+def test_a_second_row_matches_a_dense_svd(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 24, 5
+    d, x, y, h = rng.normal(size=(4, n)) + (seed % 2) * 1j * rng.normal(size=(4, n))
+    if seed in (2, 3):
+        d = np.repeat(d[:n // 2], 2)
+    x[m] = d[m] = 0
+    if seed == 4:
+        x[:] = 0
+    if seed == 5:
+        d[m + 1] = 0
+    mat = np.diag(d) + np.outer(x, y)
+    mat[m] += h
+    ref = np.linalg.svd(mat, compute_uv=False)
+    assert np.max(np.abs(dpr1_singular_values(d, x, y, h) - ref)) < 16 * EPS * ref[0]
+
+
 # entries within 16 eps max|M| of <e_m, R e_n> from a 50-digit three-point
 # solve and 50-digit Gauss-Legendre quadrature, m, n <= 8 (the odd m nearest
 # k is 1 or 5 here); measured at most 5.6 eps, at 25 - 1e-9 and sqrt(2)-1
@@ -206,7 +289,7 @@ def test_ties_and_zero_weights_deflate(d, x, y):
 def test_entries_match_a_50_digit_reference(expr, lam):
     a = ParamA.from_expr(expr)
     ref = mp_sine_entries(lam, a, 8)
-    got = sine_matrix(lam, a, 64).dense()[:8, :8]
+    got = sine_matrix_dense(sine_matrix(lam, a, 64))[:8, :8]
     assert np.max(np.abs(got - ref)) < 16 * EPS * np.max(np.abs(ref))
 
 
@@ -314,8 +397,8 @@ def pole_order_mismatches(a: ParamA, chains: dict[float, int]) -> list[tuple]:
 
 # measured 2.000 at 36, 144, 324 (1/3), 100, 400 (1/5) and 196 (3/7), the
 # exceptional pairs, and 1.000 at every other eigenvalue, 0 and the odd
-# squares 9, 81, 225 at 1/3 (next to which the probe takes the dense route)
-# included
+# squares 9, 81, 225 at 1/3 (next to which the probe takes the zone's
+# three solves) included
 @pytest.mark.parametrize("expr", ["1/3", "1/5", "3/7", "sqrt(2)-1"])
 def test_pole_order_is_the_jordan_chain_length(expr):
     a = ParamA.from_expr(expr)
