@@ -35,14 +35,15 @@ part, so N modes plus one border row and column, which carry the norms of
 u and v beyond N, hold all of R but the Dirichlet tail; dropping it moves
 each singular value by at most 1/|(N+1)^2 - lambda| (Weyl).  That diagonal
 plus rank-one matrix yields its N + 1 singular values by two rank-one
-secular solves in O(N^2) (`dpr1_singular_values`, 0.1 s and 5 MB at
+secular solves in O(N^2) (`dpr1_singular_values`, 0.09 s and 5 MB at
 N = 2048 on one Xeon core), to a few eps of max|d| + |c u| |v|: a few eps
 sigma_1 unless d_m and c u_m v_m cancel.  Near an odd square m^2 their
 poles do; there (|lambda - m^2| < NEAR_RESONANCE) row and column m are
 written in sinc and series form, and with d_m = u_m = v_m = 0 the matrix
 is diag(d) + u (c v + c v_m e_m)^T + e_m (c u_m v + <e_m, R e_m> e_m)^T,
 no term cancelling: the same two solves and a third for the second row
-take its values (0.2 s and 5 MB at N = 2048) within a few eps sigma_1.
+take its values (0.13-0.18 s and 5-6 MB at N = 2048) within a few eps
+sigma_1.
 """
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ TAIL_NODES = 64
 EPS = float(np.finfo(float).eps)
 # rows of a secular solve taken at once: a 64 x 2049 float64 array is 1 MB
 BLOCK_ROWS = 64
-# passes of a secular solve: at most 16 on 359 of 360 measured matrices (5
-# values of a, 18 lambdas, N from 64 to 2048) and 51 on the last (1/3,
-# 50 + 50i, N = 256), at most 9, 9 and 14 in the zone's three solves (360
-# matrices, 8 values of a, m <= 201); a solve that runs out raises LinAlgError
+# passes of a secular solve: at most 9 on 358 of 360 measured matrices (5
+# values of a, 18 lambdas, N from 64 to 2048) and 51 on (1/3, 50 + 50i) at
+# N = 256 and 512, where a root between nearly tied poles bisects; at most
+# 7, 9 and 15 in the zone's three solves (360 matrices, 8 values of a,
+# m <= 201); on average 3.0 and 2.6 passes per root on the two sets, from
+# the seeded start to the certified step; a solve that runs out raises LinAlgError
 SECULAR_PASSES = 100
 # (sin z - z)/z^2 = sum_i _SIN_SERIES[i] z^(2i + 1), to rounding for |z| <= pi/2
 _SIN_SERIES = np.array([(-1) ** i / math.factorial(2 * i + 1) for i in range(1, 13)])
@@ -416,12 +419,21 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
     ascending, distinct poles p and weights w > 0: one in each (p_j, p_j+1),
     and for rho = 1 a last one in (p_n, p_n + sum w), as (K, tau) with
     s_j = p_K + tau_j: K is the nearer pole, so p_i - s_j = (p_i - p_K) - tau_j
-    keeps its digits.  All roots of a block of rows iterate at once on the
-    model that keeps f and f' and the two poles about the root (Li's middle
-    way; the last root takes its two left poles), inside the bracket that
-    the sign of f keeps: a step that leaves it bisects, except that the last
-    root may step onto its upper bound.  LinAlgError if a root still moves
-    after SECULAR_PASSES passes."""
+    keeps its digits.  The sign of f at the midpoint of (p_j, p_j+1) picks K,
+    and the same sweep gives the start (dlaed4's): the root of the two poles
+    about it plus the rest of f at the midpoint as a constant, or the
+    quarter point if that root falls outside; the last root starts at the
+    middle of its bracket.  All roots of a block of rows iterate at once on
+    the model that keeps f and f' and the two poles about the root (Li's
+    middle way; the last root takes its two left poles), inside the bracket
+    that the sign of f keeps: a step that leaves it bisects, except that the
+    last root may step onto its upper bound.
+
+    A root stops where the pass finds |f| <= 8 eps (rho + |psi| + |phi|),
+    its own rounding, or a step or bracket within 4 eps |t|; or at a short
+    step t + eta inside the bracket, unevaluated, that the pass certifies
+    (`_certified`).  LinAlgError if a root still moves after SECULAR_PASSES
+    passes."""
     n, total = len(p), float(w.sum())
     count = max(n if rho else n - 1, 0)
     origin, tau = np.empty(count, dtype=np.int64), np.empty(count)
@@ -437,7 +449,17 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
         K = np.where(left, j, right)
         lo = np.where(left, 0.0, -half)
         hi = np.where(left, np.where(last, 2 * half, half), 0.0)
-        t = (lo + hi) / 2
+        # the start: with far = f_mid less its two bracketing terms and gap the
+        # other pole less p_K, far + w_K/(-t) + w_o/(gap - t) = 0 is
+        # far t^2 - lin t + con = 0, whose root in (lo, hi) is the minus root
+        rows = np.arange(len(j))
+        far = f_mid - mid[rows, j] - mid[rows, right]
+        gap = np.where(left, 2 * half, -2 * half)
+        lin, con = far * gap + w[j] + w[right], w[K] * gap
+        with np.errstate(all="ignore"):
+            sq = np.sqrt(np.abs(lin * lin - 4 * con * far))
+            t = np.where(lin > 0, 2 * con / (lin + sq), (lin - sq) / (2 * far))
+        t = np.where(~last & (t > lo) & (t < hi), t, (lo + hi) / 2)
         gaps = np.subtract(p, p[K][:, None], out=buf[0, :len(j)])
         split = np.minimum(j, n - 2)  # poles <= split lie left of the model's two
         c0, c1 = max(start - 1, 0), min(start + BLOCK_ROWS + 1, n)
@@ -455,6 +477,8 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
             d2 = dist[r, split[act] + 1]
             d1 = dist[r, split[act]] if n > 1 else d2 - 1  # one pole: b = 0, any d1 < d2
             np.divide(terms, dist, out=dist)
+            # w/d^2 of the model's two poles (slope1 is unused at n = 1)
+            slope1, slope2 = dist[r, split[act]], dist[r, split[act] + 1]
             # each column range read once: left of the model's two poles, then right
             band = both[..., c0:c1]
             psi, dpsi = both[..., :c0].sum(2) + np.where(tri[act], band, 0.0).sum(2)
@@ -480,12 +504,45 @@ def _secular_roots(p: np.ndarray, w: np.ndarray,
             bad = ~done & ~top & ~((step > lo_a) & (step < hi_a))
             t[act] = np.where(top, hi_a, np.where(bad, (lo_a + hi_a) / 2, step))
             lo[act], hi[act] = lo_a, hi_a
-            act = act[~done]
+            sides = [(d2, dphi - slope2)] + ([(d1, dpsi - slope1)] if n > 1 else [])
+            sure = _certified(~done & ~top & ~bad, ta, eta, dpsi + dphi, bound, sides)
+            act = act[~done & ~sure]
         if len(act):
             raise np.linalg.LinAlgError(f"secular solve: {len(act)} roots unconverged after "
                                         f"{SECULAR_PASSES} passes, from {j[act][:8].tolist()}")
         origin[j], tau[j] = K, t
     return origin, tau
+
+
+def _certified(inside: np.ndarray, t: np.ndarray, eta: np.ndarray, slope: np.ndarray,
+               bound: np.ndarray, sides: list) -> np.ndarray:
+    """Which steps t + eta of a `_secular_roots` pass are roots, f unevaluated
+    there: those `inside` the bracket, no longer than |t|/2, with 2R <=
+    `bound`, R >= |f(t + eta)|.  The model c + b/(d1 - eta) + e/(d2 - eta)
+    vanishes at eta and carries its two poles' own terms exactly, and b fits
+    psi' at t (e phi'), so a further pole at distance a on d1's side leaves
+    the error w_a eta^2 (d1 - a)/(a^2 (a - eta)(d1 - eta)), at most
+    w_a eta^2/(a^2 |d1 - eta|) when t + eta lies in the bracket (then
+    |d1 - a| <= |a - eta|), and likewise on d2's side.  The point taken is
+    off by the rounding of t + eta and of eta, eps |t + eta| + 4 eps |eta|,
+    and that costs f' near t + eta, not at t.  The bracket lies on p_K's
+    half of (p_j, p_j+1), or beyond p_n for the last root, so p_K, at |t|,
+    is the nearest pole, and after the step no pole is nearer than |t| - |eta|: f' there
+    is at most (psi' + phi') g, g = (|t|/(|t| - |eta|))^2.  Summed,
+    R = eta^2 [(psi' - w_1/d1^2)/|d1 - eta| + (phi' - w_2/d2^2)/|d2 - eta|]
+    + eps (|t + eta| + 4 |eta|) (psi' + phi') g.
+    The length limit keeps g <= 4 and the rounding of eta small beside |t|;
+    a long step, one that lands next to a pole from far off, is evaluated.
+    `sides` holds (d, slope of the side's further poles) per side with a
+    model pole: one pole alone (n <= 2, the last root's right) adds 0, and
+    at n = 1 there is no left side."""
+    with np.errstate(all="ignore"):
+        at = np.abs(t)
+        short = np.abs(eta) <= at / 2
+        R = EPS * (np.abs(t + eta) + 4 * np.abs(eta)) * slope * np.square(at / (at - np.abs(eta)))
+        for d, far in sides:
+            R += eta * eta * np.abs(far) / np.abs(d - eta)
+    return inside & short & (2 * R <= bound)
 
 
 def dpr1_singular_values(d: np.ndarray, x: np.ndarray, y: np.ndarray,

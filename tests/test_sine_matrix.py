@@ -4,7 +4,8 @@
 plus a border row and column; `dpr1_singular_values` takes its singular
 values by two secular solves, three next to an odd square.  The gates
 here: the entries against a 50-digit solve and quadrature, the secular
-route against a dense SVD of the same matrix (`sine_matrix_dense`), the
+route against a dense SVD of the same matrix (`sine_matrix_dense`), each
+secular root taken without a confirming pass against f evaluated there, the
 tails against 50-digit sums, convergence in N, the Nystrom probe the
 package used before, and the order of the resolvent's pole at each
 eigenvalue against the Jordan chains of `eigensystem`.
@@ -121,6 +122,97 @@ def test_secular_roots_match_the_allocating_solver(n, rho, seed):
     assert np.all(np.abs(tau - tau_ref) <= 16 * EPS * scale)
 
 
+def _secular_residuals(p, w, rho, K, tau):
+    """|f| at each returned root and the solve's bound 8 eps (rho + |psi| +
+    |phi|), psi and phi the pairwise row sums of the terms left of the
+    model's right pole and from it on, in blocks of 256 roots."""
+    split = np.minimum(np.arange(len(K)), len(p) - 2)
+    f, bound = np.empty(len(K)), np.empty(len(K))
+    for rows in np.array_split(np.arange(len(K)), max(1, len(K) // 256)):
+        terms = w / ((p - p[K[rows]][:, None]) - tau[rows, None])
+        left = np.arange(len(p)) <= split[rows, None]
+        psi, phi = np.where(left, terms, 0.0).sum(1), np.where(left, 0.0, terms).sum(1)
+        f[rows] = rho + psi + phi
+        bound[rows] = 8 * EPS * (rho + np.abs(psi) + np.abs(phi))
+    return np.abs(f), bound
+
+
+def _certified_roots(monkeypatch, p, w, rho):
+    """`_secular_roots(p, w, rho)` and which of its roots `_certified` accepted."""
+    steps = []
+
+    def spy(inside, t, eta, *rest):
+        sure = certify(inside, t, eta, *rest)
+        steps.append((t + eta)[sure])
+        return sure
+    certify = resolvent._certified
+    with monkeypatch.context() as patch:
+        patch.setattr(resolvent, "_certified", spy)
+        K, tau = _secular_roots(p, w, rho)
+    return K, tau, np.isin(tau, np.concatenate([np.empty(0), *steps]))
+
+
+# A root may stop at the step t + eta of a pass, unevaluated, when the
+# pass bounds |f| there by half the evaluated bound.  Evaluated again, f
+# must meet the whole bound at each root the certificate accepted (roots
+# that the evaluated tests stop meet it only within rounding, up to 1.04
+# times it on the probe matrices below).  Without the eta^2 term this fails
+@pytest.mark.parametrize("n, rho", [(150, 0.0), (150, 1.0), (1, 1.0), (2, 0.0), (2, 1.0)])
+@pytest.mark.parametrize("seed", [4, 19])
+def test_certified_roots_meet_the_evaluated_bound(monkeypatch, n, rho, seed):
+    rng = np.random.default_rng(seed)
+    p, w = np.sort(rng.uniform(-10, 10, n)), rng.uniform(0.1, 1, n)
+    K, tau, sure = _certified_roots(monkeypatch, p, w, rho)
+    f, bound = _secular_residuals(p, w, rho, K, tau)
+    assert np.all(f[sure] <= bound[sure])
+    assert n < 150 or sure.any()  # from the two-pole start, n <= 2 stops on f itself
+
+
+# A weight of 1e-8 puts a root within about 1e-8 of its pole.  Next to
+# p_0 or p_n, and at n = 2, no further pole lies on that side, so the
+# eta^2 term is 0 or nearly and a long step from the start lands there on
+# the model alone.  Its rounding, about eps |eta|, costs f' there, not at
+# t: a certificate that took such steps and priced them at f'(t) accepted
+# the two-pole root at 1.8e6 times the bound and the last root of the
+# tiny row (every w, rho = 1) at 1.12 times it
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+@pytest.mark.parametrize("tiny", ["two poles", "w_0", "w_n", "every w"])
+def test_certified_roots_next_to_a_lone_pole_meet_the_evaluated_bound(monkeypatch, tiny, rho):
+    rng = np.random.default_rng(4)
+    p, w = np.sort(rng.uniform(-10, 10, 150)), rng.uniform(0.1, 1, 150)
+    if tiny == "two poles":
+        p, w = np.array([0.0, 10.0]), np.array([1.0, 1e-8])
+    elif tiny == "every w":
+        w *= 1e-8
+    else:
+        w[0 if tiny == "w_0" else -1] = 1e-8
+    K, tau, sure = _certified_roots(monkeypatch, p, w, rho)
+    f, bound = _secular_residuals(p, w, rho, K, tau)
+    assert np.all(f[sure] <= bound[sure])
+
+
+# the same at every solve of the nine probe matrices of perfbench's
+# resolvent workload, three of them next to an odd square; 98% of their
+# roots are certified
+@pytest.mark.parametrize("expr, lam, n", [
+    ("1/3", -1.0, 2048), ("1/3", 2.5 + 1j, 1024), ("1/3", -25.0, 512), ("1/3", 0.5, 512),
+    ("1/3", 1.0, 512), ("1/3", 1.000000001, 512), ("1/3", 24.999999999, 512),
+    ("sqrt(2)-1", -1.0, 512), ("sqrt(2)-1", 1.0, 512)])
+def test_certified_roots_meet_the_evaluated_bound_on_the_probe(monkeypatch, expr, lam, n):
+    solves = []
+
+    def spy(p, w, rho=1.0):
+        K, tau, sure = _certified_roots(monkeypatch, p, w, rho)
+        solves.append((_secular_residuals(p, w, rho, K, tau), sure))
+        return K, tau
+    monkeypatch.setattr(resolvent, "_secular_roots", spy)
+    dpr1_singular_values(*sine_matrix(lam, ParamA.from_expr(expr), n).factors())
+    assert len(solves) >= 2
+    for (f, bound), sure in solves:
+        assert np.all(f[sure] <= bound[sure])
+        assert sure.any()
+
+
 # every |d| twice (d = m and im): fifty ties |d_i| = |d_j| deflate;
 # measured 1.2 eps sigma_1 from both references
 def test_ties_match_the_allocating_route_and_a_dense_svd():
@@ -137,7 +229,7 @@ def test_ties_match_the_allocating_route_and_a_dense_svd():
 # 1.999999999e-4 and 2.0e-4 (relative gap 4.9e-10, far above the 8 eps tie
 # tolerance) and the model falls back to about 50 bisections: it converges
 # in 51 of the SECULAR_PASSES passes (every other measured matrix takes at
-# most 16), measured 5.1 eps sigma_1 from LAPACK
+# most 15), measured 5.7 eps sigma_1 from LAPACK
 def test_a_root_between_nearly_tied_poles_converges_within_the_pass_cap(monkeypatch):
     mat = sine_matrix(50 + 50j, ParamA.from_expr("1/3"), 256)
     assert not mat.resonant
